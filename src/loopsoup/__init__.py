@@ -29,8 +29,7 @@ from .excursions import (CrossingSet, EdgeJumpRecord, ExcursionDecomposition,
 from .exact import DiscreteDistribution, occupation_law, tv_distance
 from .gff import sample_gff
 from .wilson import pop_cycles, wilson_ust
-from .verify import (TestReport, exact_conditional_beta, verify_ct_excursion_proposition,
-                     verify_ct_excursions,
+from .verify import (TestReport, exact_conditional_beta, verify_ct_excursions,
                      verify_lejan, verify_occupation_markov, verify_prop1,
                      verify_prop1bis_3bis, verify_prop2, verify_prop5,
                      verify_prop5_degenerate, verify_random_currents,

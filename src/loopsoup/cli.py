@@ -192,24 +192,12 @@ def run_job(ws: Workspace, job: str, index: int, outdir: str):
     raise ConfigError(f"unhandled job {job!r}")
 
 
-def run(cfg: ExperimentConfig, outdir: str, parallel: bool = False) -> int:
+def run(cfg: ExperimentConfig, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     ws = build_workspace(cfg)
-    jobs = list(enumerate(cfg.jobs))
-    results: dict[int, tuple] = {}
-    if parallel and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(4, len(jobs))) as ex:
-            futs = {ex.submit(run_job, ws, job, i, outdir): i
-                    for i, job in jobs}
-            for fut, i in futs.items():
-                results[i] = fut.result()
-    else:
-        for i, job in jobs:
-            results[i] = run_job(ws, job, i, outdir)
     reports, files = [], []
-    for i, _ in jobs:
-        r, f = results[i]
+    for i, job in enumerate(cfg.jobs):
+        r, f = run_job(ws, job, i, outdir)
         reports.extend(r)
         files.extend(f)
     bundle = {
@@ -234,7 +222,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--parallel", action="store_true")
     p_run.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key")
 
@@ -280,7 +267,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 overrides["seed"] = str(args.seed)
             cfg = parse_config(args.config, overrides)
-            return run(cfg, args.out, parallel=args.parallel)
+            return run(cfg, args.out)
         raw = {
             "graph": args.graph, "domain": args.domain,
             "seed": str(args.seed), "l_max": str(args.l_max),

@@ -11,6 +11,10 @@ Two independent computations are compared everywhere:
   paths with their closed-form probabilities g^{-K} / Z, Z the Green-product
   normalizer, and push forward through reassembly onto the same keys.
 
+This module holds the oracles: the conditioned multiset enumeration, the
+bridge-family laws and the per-side laws of crossings.  The cuts that feed
+them and the drivers that compare the two sides live in `verify`.
+
 Occupation-field laws are computed without sampling from the probability
 generating function of the edge jump counts,
 
@@ -28,13 +32,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import product
 
 import numpy as np
 
-from .bridges import all_pairings, enumerate_bridges
-from .excursions import (DecompositionError, OrientedHookup,
-                         UnorientedHookup, decompose_counts)
+from .bridges import enumerate_bridges, pairing_weights, permutation_weights
+from .excursions import block_permutations
 from .graph import Domain, GraphError, green_function
 from .loops import LoopCatalog
 
@@ -132,19 +135,6 @@ def validate_eta(catalog: LoopCatalog, eta, F1, F2) -> None:
             raise OracleError(f"excursion never reaches the target set: {path}")
 
 
-def touching_classes(catalog: LoopCatalog, F1, F2):
-    """(key, mass, excursion Counter) for every class meeting both sets."""
-    out = []
-    for cls in catalog.classes:
-        try:
-            d = decompose_counts(catalog, {cls.key: 1}, F1, F2)
-        except DecompositionError:
-            raise
-        if d.N:
-            out.append((cls.key, cls.mass, Counter(d.eta)))
-    return out
-
-
 def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,
                              candidates, target: Counter) -> dict:
     """Unnormalized conditional weights of class multisets matching `target`."""
@@ -165,16 +155,28 @@ def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,
 # -- bridge-measure enumeration ------------------------------------------------
 
 
-def _exact_green(domain: Domain):
-    return green_function(domain, exact=True)
+def _bridge_families(weights: dict, pairs_of, menu) -> dict:
+    """Labeled bridge families with exact probabilities.
 
-
-def oriented_bridge_menu(domain: Domain, x: int, y: int, max_len: int):
-    """[(path, Fraction g^{-n})] for bridges x->y, plus the exact total G(x,y)."""
-    green = _exact_green(domain)
-    paths = [(b.path, Fraction(1, domain.g ** b.n))
-             for b in enumerate_bridges(domain, x, y, max_len)]
-    return paths, green.exact(x, y)
+    Every label of `weights` (a permutation or a pairing) joins the endpoint
+    pairs pairs_of(label) by one path each, drawn from menu(pair) as
+    (path, mass) entries; a family's probability is the product of its path
+    masses over Z = sum(weights).
+    """
+    Z = sum(weights.values())
+    menus: dict = {}
+    configs: dict = {}
+    for label in weights:
+        pairs = pairs_of(label)
+        for pair in pairs:
+            if pair not in menus:
+                menus[pair] = menu(pair)
+        for combo in product(*(menus[pair] for pair in pairs)):
+            mass = Fraction(1)
+            for _, m in combo:
+                mass *= m
+            configs[(label, tuple(path for path, _ in combo))] = mass / Z
+    return configs
 
 
 def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
@@ -184,34 +186,18 @@ def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
     (sigma, bridge-path-tuple) -> Fraction probability g^{-K} / Z and
     Z = sum_s G(X, Y^s).  Unenumerated mass is 1 - sum(configs.values()).
     """
-    green = _exact_green(domain)
-    N = len(X)
-    Z = Fraction(0)
-    for s in permutations(range(N)):
-        Z += green.product_exact(X, [Y[s[j]] for j in range(N)])
+    weights = permutation_weights(green_function(domain, exact=True), X, Y,
+                                  exact=True)
+    Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no permutation has positive weight")
-    menus: dict = {}
-    for s in permutations(range(N)):
-        for j in range(N):
-            pair = (X[j], Y[s[j]])
-            if pair not in menus:
-                menus[pair] = [(b.path, Fraction(1, domain.g ** b.n))
-                               for b in enumerate_bridges(domain, pair[0], pair[1], max_len)]
-    configs: dict = {}
 
-    def rec(s, j, paths, mass):
-        if j == len(X):
-            configs[(s, tuple(paths))] = mass / Z
-            return
-        for path, m in menus[(X[j], Y[s[j]])]:
-            paths.append(path)
-            rec(s, j + 1, paths, mass * m)
-            paths.pop()
+    def menu(pair):
+        return [(b.path, Fraction(1, domain.g ** b.n))
+                for b in enumerate_bridges(domain, pair[0], pair[1], max_len)]
 
-    for s in permutations(range(N)):
-        rec(s, 0, [], Fraction(1))
-    return configs, Z
+    return _bridge_families(
+        weights, lambda s: [(X[j], Y[s[j]]) for j in range(len(X))], menu), Z
 
 
 def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
@@ -223,148 +209,25 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
     unoriented path accumulates both oriented representatives when they
     differ (self-return paths), which keeps the g^{-K} bookkeeping exact.
     """
-    green = _exact_green(domain)
-    n = len(Z_vertices)
-    pairings = all_pairings(n)
-    Z = Fraction(0)
-    for t in pairings:
-        w = Fraction(1)
-        for a, b in t:
-            w *= green.exact(Z_vertices[a], Z_vertices[b])
-        Z += w
+    weights = pairing_weights(green_function(domain, exact=True), Z_vertices,
+                              exact=True)
+    Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no pairing has positive weight")
-    menus: dict = {}
-    for t in pairings:
-        for a, b in t:
-            pair = (Z_vertices[a], Z_vertices[b])
-            if pair not in menus:
-                menu: dict = {}
-                for br in enumerate_bridges(domain, pair[0], pair[1], max_len):
-                    ukey = min(br.path, involution.reverse_path(br.path)) if br.path else ()
-                    menu[ukey] = menu.get(ukey, Fraction(0)) + Fraction(1, domain.g ** br.n)
-                menus[pair] = sorted(menu.items())
-    configs: dict = {}
 
-    def rec(t, k, paths, mass):
-        if k == len(t):
-            key = (t, tuple(paths))
-            configs[key] = configs.get(key, Fraction(0)) + mass / Z
-            return
-        a, b = t[k]
-        for path, m in menus[(Z_vertices[a], Z_vertices[b])]:
-            paths.append(path)
-            rec(t, k + 1, paths, mass * m)
-            paths.pop()
+    def menu(pair):
+        masses: dict = {}
+        for br in enumerate_bridges(domain, pair[0], pair[1], max_len):
+            ukey = min(br.path, involution.reverse_path(br.path)) if br.path else ()
+            masses[ukey] = masses.get(ukey, Fraction(0)) + Fraction(1, domain.g ** br.n)
+        return sorted(masses.items())
 
-    for t in pairings:
-        rec(t, 0, [], Fraction(1))
-    return configs, Z
-
-
-# -- orbit keys over shared endpoint patterns -----------------------------------
-
-
-def _value_preserving_perms(values, budget: int = 50000):
-    blocks: dict = {}
-    for i, v in enumerate(values):
-        blocks.setdefault(v, []).append(i)
-    size = 1
-    for b in blocks.values():
-        size *= math.factorial(len(b))
-    if size > budget:
-        raise OracleError(f"orbit group of size {size} beyond budget")
-    from itertools import product as iproduct
-    per_block = [list(permutations(b)) for b in blocks.values()]
-    origs = [tuple(b) for b in blocks.values()]
-    for combo in iproduct(*per_block):
-        perm = {}
-        for orig, new in zip(origs, combo):
-            for a, b in zip(orig, new):
-                perm[a] = b
-        yield perm
-
-
-def xy_orbit_key(X, Y, hookup: OrientedHookup):
-    """Canonical (sigma, bridges) under slot relabelings preserving (X_j, Y_j)."""
-    N = len(X)
-    best = None
-    for perm in _value_preserving_perms(list(zip(X, Y))):
-        sigma = [0] * N
-        bridges = [()] * N
-        for j in range(N):
-            sigma[perm[j]] = perm[hookup.sigma[j]]
-            bridges[perm[j]] = hookup.bridges[j]
-        cand = (tuple(sigma), tuple(bridges))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def z_orbit_key(Z, hookup: UnorientedHookup):
-    """Canonical (pairing, bridges) under slot relabelings preserving Z values."""
-    best = None
-    for perm in _value_preserving_perms(tuple(Z)):
-        relabeled = sorted(
-            (tuple(sorted((perm[a], perm[b]))), br)
-            for (a, b), br in zip(hookup.pairing, hookup.bridges)
-        )
-        cand = (tuple(p for p, _ in relabeled), tuple(b for _, b in relabeled))
-        if best is None or cand < best:
-            best = cand
-    return best
+    return _bridge_families(
+        weights, lambda t: [(Z_vertices[a], Z_vertices[b]) for a, b in t],
+        menu), Z
 
 
 # -- crossing-side structures ----------------------------------------------------
-
-
-def bounded_multisets(candidates, max_total):
-    """Multisets of candidates with total contribution size <= max_total.
-
-    candidates: (key, mass, size) with size >= 1.  Yields tuples of
-    (key, mass, count) with count >= 1, including the empty multiset.
-    """
-    found = 0
-
-    def rec(start, budget, chosen):
-        nonlocal found
-        found += 1
-        if found > MULTISET_BUDGET:
-            raise OracleError("bounded-multiset budget exceeded")
-        yield tuple(chosen)
-        for j in range(start, len(candidates)):
-            key, mass, size = candidates[j]
-            u = 1
-            while u * size <= budget:
-                chosen.append((key, mass, u))
-                yield from rec(j + 1, budget - u * size, chosen)
-                chosen.pop()
-                u += 1
-
-    yield from rec(0, max_total, [])
-
-
-def _instance_blocks(instances):
-    blocks: dict = {}
-    for s, inst in enumerate(instances):
-        blocks.setdefault(inst, []).append(s)
-    return [tuple(v) for _, v in sorted(blocks.items())]
-
-
-def _block_perm_iter(blocks, budget=20000):
-    size = 1
-    for b in blocks:
-        size *= math.factorial(len(b))
-    if size > budget:
-        raise OracleError(f"crossing orbit group of size {size} beyond budget")
-    from itertools import product as iproduct
-    per_block = [list(permutations(b)) for b in blocks]
-    for combo in iproduct(*per_block):
-        perm = {}
-        for orig, new in zip(blocks, combo):
-            for a, b in zip(orig, new):
-                perm[a] = b
-        yield perm
 
 
 def _relabel_side(structure, slot_instances, perm, oriented: bool):
@@ -381,31 +244,49 @@ def _relabel_side(structure, slot_instances, perm, oriented: bool):
     return tuple(sorted(entries))
 
 
-def side_orbit_key(cs, i):
-    """Canonical form of sides[i] under relabeling identical crossings."""
-    blocks = _instance_blocks(cs.instances)
+def _side_orbit_min(cs, i, structure):
+    """Canonical form of a hookup of side i under relabeling identical crossings."""
     slot_instances = [s for _, s in cs.endpoint_slots[i]]
     oriented = cs.mode == "oriented"
-    best = None
-    for perm in _block_perm_iter(blocks):
-        cand = _relabel_side(cs.sides[i], slot_instances, perm, oriented)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_relabel_side(structure, slot_instances, perm, oriented)
+               for perm in block_permutations(cs.instances))
+
+
+def side_orbit_key(cs, i):
+    """Canonical form of sides[i] under relabeling identical crossings."""
+    return _side_orbit_min(cs, i, cs.sides[i])
 
 
 def side_pair_orbit_size(cs, side_indices=(0, 1)):
     """Number of distinct simultaneous relabelings of the listed sides."""
-    blocks = _instance_blocks(cs.instances)
     oriented = cs.mode == "oriented"
     slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in side_indices}
     images = set()
-    for perm in _block_perm_iter(blocks):
+    for perm in block_permutations(cs.instances):
         images.add(tuple(
             _relabel_side(cs.sides[i], slot_instances[i], perm, oriented)
             for i in side_indices
         ))
     return len(images)
+
+
+def _side_arrivals_departures(cs, i):
+    """Oriented side i: its arrival slots and its departure slots."""
+    slots = cs.endpoint_slots[i]
+    arrivals = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][1] == i]
+    departures = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][0] == i]
+    return arrivals, departures
+
+
+def side_weights(green, cs, i) -> dict:
+    """Green-product weights of the bridge families of side i: per permutation
+    of arrivals onto departures (oriented), or per pairing of its endpoints."""
+    v = cs.endpoints(i)
+    if cs.mode == "oriented":
+        arrivals, departures = _side_arrivals_departures(cs, i)
+        return permutation_weights(green, [v[k] for k in arrivals],
+                                   [v[k] for k in departures], exact=True)
+    return pairing_weights(green, v, exact=True)
 
 
 def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
@@ -414,42 +295,24 @@ def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
     Returns (dist, remainder): dist maps orbit keys to exact probabilities;
     remainder is the un-enumerated bridge mass (Fraction).
     """
-    slot_instances = [s for _, s in cs.endpoint_slots[i]]
-    slot_vertex = {k: v for k, (v, _) in enumerate(cs.endpoint_slots[i])}
-    oriented = cs.mode == "oriented"
-    blocks = _instance_blocks(cs.instances)
-    if oriented:
-        arrivals = [k for k, s in enumerate(slot_instances) if cs.instances[s][0][1] == i]
-        departures = [k for k, s in enumerate(slot_instances) if cs.instances[s][0][0] == i]
-        X = [slot_vertex[k] for k in arrivals]
-        Y = [slot_vertex[k] for k in departures]
-        configs, _ = unordered_bridge_law(domain_minus, X, Y, max_len)
-        dist: dict = {}
-        total = Fraction(0)
-        for (s, paths), pr in configs.items():
-            structure = tuple(sorted(
-                ((arrivals[j], departures[s[j]]), paths[j]) for j in range(len(X))
-            ))
-            best = None
-            for perm in _block_perm_iter(blocks):
-                cand = _relabel_side(structure, slot_instances, perm, True)
-                if best is None or cand < best:
-                    best = cand
-            dist[best] = dist.get(best, Fraction(0)) + pr
-            total += pr
-        return dist, Fraction(1) - total
-    Z = [slot_vertex[k] for k in range(len(slot_instances))]
-    configs, _ = z_bridge_law(domain_minus, Z, involution, max_len)
-    dist = {}
+    v = cs.endpoints(i)
+    if cs.mode == "oriented":
+        arrivals, departures = _side_arrivals_departures(cs, i)
+        configs, _ = unordered_bridge_law(
+            domain_minus, [v[k] for k in arrivals],
+            [v[k] for k in departures], max_len)
+        structures = ((tuple(sorted(((arrivals[j], departures[s[j]]), paths[j])
+                                    for j in range(len(arrivals)))), pr)
+                      for (s, paths), pr in configs.items())
+    else:
+        configs, _ = z_bridge_law(domain_minus, v, involution, max_len)
+        structures = ((tuple(sorted(zip(t, paths))), pr)
+                      for (t, paths), pr in configs.items())
+    dist: dict = {}
     total = Fraction(0)
-    for (t, paths), pr in configs.items():
-        structure = tuple(sorted(zip(t, paths)))
-        best = None
-        for perm in _block_perm_iter(blocks):
-            cand = _relabel_side(structure, slot_instances, perm, False)
-            if best is None or cand < best:
-                best = cand
-        dist[best] = dist.get(best, Fraction(0)) + pr
+    for structure, pr in structures:
+        key = _side_orbit_min(cs, i, structure)
+        dist[key] = dist.get(key, Fraction(0)) + pr
         total += pr
     return dist, Fraction(1) - total
 

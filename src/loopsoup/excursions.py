@@ -26,6 +26,7 @@ their orbit under those relabelings.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -79,6 +80,20 @@ def _cyclic_arcs(seq, verts, marked):
             edges = seq[p:] + seq[:q]
         arcs.append((p, tuple(edges)))
     return arcs
+
+
+def _flagged_runs(arcs, flags):
+    """For each flagged arc i in cyclic order: (i, the edges of the unflagged
+    arcs that follow it, index of the next flagged arc)."""
+    k = len(arcs)
+    for i in range(k):
+        if flags[i]:
+            run: tuple[int, ...] = ()
+            j = (i + 1) % k
+            while not flags[j]:
+                run += arcs[j][1]
+                j = (j + 1) % k
+            yield i, run, j
 
 
 # -- excursion decomposition ---------------------------------------------------
@@ -146,18 +161,7 @@ def _loop_excursion_structure(graph, seq, F1, F2):
         flags.append(any(v in F1 for v in inner))
     if not any(flags):
         return None
-    k = len(arcs)
-    out = []
-    for i in range(k):
-        if not flags[i]:
-            continue
-        bridge: tuple[int, ...] = ()
-        j = (i + 1) % k
-        while not flags[j]:
-            bridge += arcs[j][1]
-            j = (j + 1) % k
-        out.append((arcs[i][1], bridge))
-    return out
+    return [(arcs[i][1], bridge) for i, bridge, _ in _flagged_runs(arcs, flags)]
 
 
 def _iter_multiset(counts):
@@ -174,67 +178,69 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
         raise DecompositionError("marked sets must be disjoint")
     graph = catalog.domain.graph
     inv = catalog.unoriented_graph.involution if catalog.mode == "unoriented" else None
-    instances = []   # (sort_key, exc_path_canonical, loop_tag, pos, bridge, loop-orient path)
+    # (canonical excursion, loop key, occurrence, position, excursion as
+    # traversed, following bridge, label of the next excursion on the loop)
+    instances = []
     touching = []
-    M = 0
     for key, occ in _iter_multiset(counts):
         structure = _loop_excursion_structure(graph, key, F1, F2)
         if structure is None:
             continue
-        M += 1
         touching.append(key)
         for pos, (exc, bridge) in enumerate(structure):
             if catalog.mode == "oriented":
                 canon = exc
             else:
                 canon = min(exc, inv.reverse_path(exc))
-            instances.append((canon, key, occ, pos, exc, bridge))
-    instances.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+            instances.append((canon, key, occ, pos, exc, bridge,
+                              (key, occ, (pos + 1) % len(structure))))
+    instances.sort(key=lambda r: r[:4])
     N = len(instances)
-    slot_of = {(r[1], r[2], r[3]): j for j, r in enumerate(instances)}
+    slot_of = {r[1:4]: j for j, r in enumerate(instances)}
     eta = tuple(r[0] for r in instances)
     if catalog.mode == "oriented":
         X, Y, sigma, bridges = [], [], [0] * N, [()] * N
-        for j, (canon, key, occ, pos, exc, bridge) in enumerate(instances):
+        for j, (canon, key, occ, pos, exc, bridge, nxt) in enumerate(instances):
             a, b = path_endpoints(graph, exc)
             Y.append(a)
             X.append(b)
-            k = len(_loop_excursion_structure(graph, key, F1, F2))
-            sigma[j] = slot_of[(key, occ, (pos + 1) % k)]
+            sigma[j] = slot_of[nxt]
             bridges[j] = bridge
         beta = OrientedHookup(tuple(sigma), tuple(bridges))
-        return ExcursionDecomposition("oriented", F1, F2, eta, M, N,
-                                      tuple(X), tuple(Y), None, beta,
+        return ExcursionDecomposition("oriented", F1, F2, eta, len(touching),
+                                      N, tuple(X), tuple(Y), None, beta,
                                       tuple(sorted(touching)))
     # unoriented: excursion j occupies endpoint slots (2j, 2j+1) listed in the
     # canonical direction of its path
     Z = []
-    loop_start_slot, loop_end_slot = {}, {}
-    for j, (canon, key, occ, pos, exc, bridge) in enumerate(instances):
-        ca, cb = path_endpoints(graph, canon)
-        Z.extend([ca, cb])
-        if canon == exc:
-            loop_start_slot[(key, occ, pos)] = 2 * j
-            loop_end_slot[(key, occ, pos)] = 2 * j + 1
-        else:
-            loop_start_slot[(key, occ, pos)] = 2 * j + 1
-            loop_end_slot[(key, occ, pos)] = 2 * j
-    pairs, bridges = [], []
-    for j, (canon, key, occ, pos, exc, bridge) in enumerate(instances):
-        k = len(_loop_excursion_structure(graph, key, F1, F2))
-        nxt = slot_of[(key, occ, (pos + 1) % k)]
-        inst_nxt = instances[nxt]
-        a = loop_end_slot[(key, occ, pos)]
-        b = loop_start_slot[(inst_nxt[1], inst_nxt[2], inst_nxt[3])]
-        ub = min(bridge, inv.reverse_path(bridge)) if bridge else ()
-        pairs.append((min(a, b), max(a, b)))
-        bridges.append(ub)
-    order = sorted(range(N), key=lambda i: pairs[i])
-    beta = UnorientedHookup(tuple(pairs[i] for i in order),
-                            tuple(bridges[i] for i in order))
-    return ExcursionDecomposition("unoriented", F1, F2, eta, M, N,
+    start_slot, end_slot = {}, {}
+    for j, (canon, key, occ, pos, exc, bridge, nxt) in enumerate(instances):
+        Z.extend(path_endpoints(graph, canon))
+        flip = canon != exc
+        start_slot[(key, occ, pos)] = 2 * j + flip
+        end_slot[(key, occ, pos)] = 2 * j + 1 - flip
+    beta = _unoriented_hookup(
+        [(r[1:4], r[5], r[6]) for r in instances], end_slot, start_slot, inv)
+    return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching), N,
                                   None, None, tuple(Z), beta,
                                   tuple(sorted(touching)))
+
+
+def _unoriented_hookup(links, exit_slot, entry_slot, inv) -> UnorientedHookup:
+    """Pairing of endpoint slots and unoriented bridges from the cut pieces.
+
+    links lists (piece label, bridge after the piece, label of the next
+    piece); the bridge joins the exit slot of the piece to the entry slot of
+    the next one.
+    """
+    pairs, bridges = [], []
+    for label, bridge, nxt in links:
+        a, b = exit_slot[label], entry_slot[nxt]
+        pairs.append((min(a, b), max(a, b)))
+        bridges.append(min(bridge, inv.reverse_path(bridge)) if bridge else ())
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
+    return UnorientedHookup(tuple(pairs[i] for i in order),
+                            tuple(bridges[i] for i in order))
 
 
 def decompose(soup, F1, F2) -> ExcursionDecomposition:
@@ -300,16 +306,9 @@ def _loop_crossing_structure(graph, seq, sets):
         return None
     crossings = []
     side_arcs = []
-    for i in range(k):
-        if not crossing_flags[i]:
-            continue
-        frm, to = starts[i], starts[(i + 1) % k]
-        crossings.append((frm, to, arcs[i][1], i))
-        run: tuple[int, ...] = ()
-        j = (i + 1) % k
-        while not crossing_flags[j]:
-            run += arcs[j][1]
-            j = (j + 1) % k
+    for i, run, j in _flagged_runs(arcs, crossing_flags):
+        to = starts[(i + 1) % k]
+        crossings.append((starts[i], to, arcs[i][1], i))
         side_arcs.append((to, run, i, j))
     return crossings, side_arcs
 
@@ -400,17 +399,14 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
     inv = ug.involution
     removed = tuple(sorted(tuple(k) for k in removed_classes))
     removed_set = set(removed)
-    removed_edge_ids = {eid for key in removed for eid in key}
 
     # jump instances per removed class, in deterministic order
-    instances = []   # (class_key, loop_key, occ, position, direction)
+    instances = []   # (class_key, loop_key, occ, position)
     arcs_after = {}  # instance label -> (bridge edges, next instance label)
     for key, occ in _iter_multiset(counts):
-        verts = loop_vertices(graph, key)
         pos = [i for i, eid in enumerate(key) if ug.edge_class(eid) in removed_set]
         if not pos:
             continue
-        n = len(key)
         for k, p in enumerate(pos):
             q = pos[(k + 1) % len(pos)]
             if q > p:
@@ -420,7 +416,6 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
             instances.append((ug.edge_class(key[p]), key, occ, p))
             arcs_after[(key, occ, p)] = (tuple(bridge), (key, occ, q))
     instances.sort()
-    labels = {(r[1], r[2], r[3]): i for i, r in enumerate(instances)}
     jump_counts = Counter(r[0] for r in instances)
     Z: list[int] = []
     entry_slot, exit_slot = {}, {}
@@ -436,17 +431,9 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
         else:
             entry_slot[(key, occ, p)] = 2 * i if e.tail == cmin else 2 * i + 1
             exit_slot[(key, occ, p)] = 2 * i if e.head == cmin else 2 * i + 1
-    pairs, bridges = [], []
-    for i, (ckey, key, occ, p) in enumerate(instances):
-        bridge, nxt = arcs_after[(key, occ, p)]
-        a = exit_slot[(key, occ, p)]
-        b = entry_slot[nxt]
-        ub = min(bridge, inv.reverse_path(bridge)) if bridge else ()
-        pairs.append((min(a, b), max(a, b)))
-        bridges.append(ub)
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    hookup = UnorientedHookup(tuple(pairs[i] for i in order),
-                              tuple(bridges[i] for i in order))
+    hookup = _unoriented_hookup(
+        [(r[1:], *arcs_after[r[1:]]) for r in instances], exit_slot,
+        entry_slot, inv)
     return EdgeJumpRecord(removed, tuple(jump_counts.get(c, 0) for c in removed),
                           tuple(Z), hookup, tuple(self_pairs))
 
@@ -591,26 +578,24 @@ def ct_excursions(ct_soup, sites):
 # -- hookup orbit keys -------------------------------------------------------------
 
 
-def _blocks(items):
-    """Indices grouped by equal value, preserving order inside a block."""
-    groups: dict = {}
+def block_permutations(items):
+    """Relabelings of range(len(items)) that map every index to one holding an
+    equal item, as lists perm[i] = new label of i.
+
+    This is the orbit group of every hookup key: identical excursions, jumps
+    or crossings, and endpoint slots sharing a vertex.
+    """
+    blocks: dict = {}
     for i, it in enumerate(items):
-        groups.setdefault(it, []).append(i)
-    return [tuple(v) for _, v in sorted(groups.items())]
-
-
-def _block_permutations(blocks):
-    sizes = 1
+        blocks.setdefault(it, []).append(i)
+    blocks = list(blocks.values())
+    size = 1
     for b in blocks:
-        f = 1
-        for i in range(2, len(b) + 1):
-            f *= i
-        sizes *= f
-    if sizes > ORBIT_BUDGET:
-        raise DecompositionError(f"orbit group of size {sizes} beyond budget")
-    per_block = [list(permutations(b)) for b in blocks]
-    for combo in product(*per_block):
-        perm = {}
+        size *= math.factorial(len(b))
+    if size > ORBIT_BUDGET:
+        raise DecompositionError(f"orbit group of size {size} beyond budget")
+    for combo in product(*(permutations(b) for b in blocks)):
+        perm = [0] * len(items)
         for orig, new in zip(blocks, combo):
             for a, b in zip(orig, new):
                 perm[a] = b
@@ -618,19 +603,35 @@ def _block_permutations(blocks):
 
 
 def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
-    """Canonical form of (sigma, bridges) under relabeling identical excursions."""
+    """Canonical form of (sigma, bridges) under relabeling slots with equal
+    entries of eta (identical excursions, or equal (X_j, Y_j) pairs)."""
     N = len(eta)
-    best = None
-    for perm in _block_permutations(_blocks(eta)):
+
+    def relabel(perm):
         sigma = [0] * N
         bridges = [()] * N
         for j in range(N):
             sigma[perm[j]] = perm[hookup.sigma[j]]
             bridges[perm[j]] = hookup.bridges[j]
-        cand = (tuple(sigma), tuple(bridges))
-        if best is None or cand < best:
-            best = cand
-    return best
+        return tuple(sigma), tuple(bridges)
+
+    return min(relabel(perm) for perm in block_permutations(eta))
+
+
+def xy_orbit_key(X, Y, hookup: OrientedHookup):
+    """Canonical (sigma, bridges) under slot relabelings preserving (X_j, Y_j)."""
+    return oriented_hookup_orbit_key(tuple(zip(X, Y)), hookup)
+
+
+def _pairing_orbit_min(hookup: UnorientedHookup, slot_perms):
+    """Smallest (pairing, bridges) among the hookup's images under slot_perms."""
+
+    def relabel(sp):
+        relabeled = sorted(((min(sp[a], sp[b]), max(sp[a], sp[b])), br)
+                           for (a, b), br in zip(hookup.pairing, hookup.bridges))
+        return (tuple(p for p, _ in relabeled), tuple(b for _, b in relabeled))
+
+    return min(relabel(sp) for sp in slot_perms)
 
 
 def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
@@ -641,31 +642,31 @@ def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
     indistinguishable (palindromic pieces, self-edge jumps).
     """
     N = len(eta)
-    best = None
-    flips = list(flippable)
     pal = []
     if involution is not None:
         for j, path in enumerate(eta):
             if path and path == involution.reverse_path(path):
                 pal.append((2 * j, 2 * j + 1))
-    flips = sorted(set(flips) | set(pal))
-    if 2 ** len(flips) * 1 > ORBIT_BUDGET:
+    flips = sorted(set(flippable) | set(pal))
+    if 2 ** len(flips) > ORBIT_BUDGET:
         raise DecompositionError("flip group beyond budget")
-    for perm in _block_permutations(_blocks(eta)):
-        slot_perm_base = {}
-        for j in range(N):
-            slot_perm_base[2 * j] = 2 * perm[j]
-            slot_perm_base[2 * j + 1] = 2 * perm[j] + 1
-        for mask in range(2 ** len(flips)):
-            slot_perm = dict(slot_perm_base)
-            for bit, (a, b) in enumerate(flips):
-                if mask >> bit & 1:
-                    slot_perm[a], slot_perm[b] = slot_perm_base[b], slot_perm_base[a]
-            relabeled = sorted(
-                ((tuple(sorted((slot_perm[a], slot_perm[b])))), br)
-                for (a, b), br in zip(hookup.pairing, hookup.bridges)
-            )
-            cand = (tuple(p for p, _ in relabeled), tuple(b for _, b in relabeled))
-            if best is None or cand < best:
-                best = cand
-    return best
+
+    def slot_perms():
+        for perm in block_permutations(eta):
+            base = [0] * (2 * N)
+            for j in range(N):
+                base[2 * j] = 2 * perm[j]
+                base[2 * j + 1] = 2 * perm[j] + 1
+            for mask in range(2 ** len(flips)):
+                sp = list(base)
+                for bit, (a, b) in enumerate(flips):
+                    if mask >> bit & 1:
+                        sp[a], sp[b] = base[b], base[a]
+                yield sp
+
+    return _pairing_orbit_min(hookup, slot_perms())
+
+
+def z_orbit_key(Z, hookup: UnorientedHookup):
+    """Canonical (pairing, bridges) under slot relabelings preserving Z values."""
+    return _pairing_orbit_min(hookup, block_permutations(Z))

@@ -21,8 +21,3 @@ def stream(seed: int, name: str = "") -> np.random.Generator:
     """Return the Philox generator for stream `name` under master `seed`."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(_name_entropy(name),))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def substreams(seed: int, name: str, k: int) -> list[np.random.Generator]:
-    """k generators for parallel workers of one job, disjoint from `stream(seed, name)`."""
-    return [stream(seed, f"{name}/{i}") for i in range(k)]

@@ -62,10 +62,6 @@ class LoopSoup:
         return sum(self.catalog.by_key[k].n * c for k, c in self.counts.items())
 
 
-def _expected_kind(catalog: LoopCatalog) -> str:
-    return "alpha" if catalog.mode == "oriented" else "c"
-
-
 def _sample_counts(catalog: LoopCatalog, rate: float, rng,
                    method: str = "auto") -> dict:
     if method == "auto":

@@ -11,6 +11,16 @@ total-variation statistics.
 Positive controls run the same machinery at the wrong intensity and must
 fail; they demonstrate that the tests can distinguish the special intensities
 (alpha = 1 oriented, c = 1 unoriented) from nearby ones.
+
+The resampling checks share one structure, defined here.  A Cut says how a
+statement cuts loops: ExcursionCut (Props. 1 and 2), EdgeCut (Prop. 5) and
+CrossingCut (Props. 1bis and 3bis) give each class's contribution, cut a
+class multiset into its bin and hookup key, and give the bridge-measure
+oracle of a bin from the laws in `exact`.  `_exact_driver` compares the
+conditional law of the keys with the oracle per feasible target;
+`_mc_driver` samples soups, cuts the touching ones into bins and tests each
+bin (goodness of fit against the oracle, or independence of the sides for
+crossings) under one Bonferroni correction.
 """
 
 from __future__ import annotations
@@ -19,20 +29,20 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from . import stats
 from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
                     occupation_law, side_bridge_law, side_orbit_key,
-                    side_pair_orbit_size, touching_classes, tv_distance,
+                    side_pair_orbit_size, side_weights, tv_distance,
                     unordered_bridge_law, validate_eta, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          extract_crossings_counts, oriented_hookup_orbit_key,
                          path_endpoints, record_edge_jumps_counts,
                          reassemble_oriented, reassemble_unoriented,
                          unoriented_hookup_orbit_key)
-from .gff import sample_gff
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
@@ -91,33 +101,300 @@ def _report(prop, mode, stat, tol, ok, catalog=None, samples=0, seed=None,
     )
 
 
-# -- hookup keys ---------------------------------------------------------------
+# -- cuts: how each resampling statement cuts loops into conditioned pieces ----
 
 
-def _beta_key_oriented(eta, hookup):
-    return oriented_hookup_orbit_key(eta, hookup)
+class Cut:
+    """One way of cutting loops into pieces, and the hookup law given them.
+
+    A kind says what a catalog class contributes (the Counter of pieces it is
+    cut into), cuts a class multiset into its bin (the conditioned pieces)
+    and the orbit key of its hookup, and gives the bridge-measure law of the
+    keys in a bin.  The kinds are ExcursionCut (Props. 1 and 2), EdgeCut
+    (Prop. 5) and CrossingCut (Props. 1bis and 3bis).
+    """
+
+    def __init__(self, catalog: LoopCatalog):
+        self.catalog = catalog
+        self.oriented = catalog.mode == "oriented"
+        self.inv = None if self.oriented else catalog.unoriented_graph.involution
+        # (key, mass, contribution) for every class the cut splits
+        self.candidates = []
+        for cls in catalog.classes:
+            contrib = self.contribution(cls.key)
+            if contrib:
+                self.candidates.append((cls.key, cls.mass, contrib))
+
+    def targets(self, max_size: int) -> list[Counter]:
+        """Conditioning targets: single contributions of size <= max_size and
+        sums of two contributions of size <= max_size / 2, in target order."""
+        found = set()
+        halves = []
+        for _, _, contrib in self.candidates:
+            size = sum(contrib.values())
+            if size <= max_size:
+                found.add(tuple(sorted(contrib.items())))
+            if 2 * size <= max_size:
+                halves.append(contrib)
+        for i, c1 in enumerate(halves):
+            for c2 in halves[i:]:
+                found.add(tuple(sorted((c1 + c2).items())))
+        return [Counter(dict(t)) for t in sorted(found, key=self.target_order)]
+
+    # the order of the targets, and so of per_eta/per_target in a report
+    target_order = None
+
+    def bin_order(self, item):
+        """Sort key of a (bin, key counts) pair: the order bins are tested in."""
+        return item[0]
+
+    def testable(self, b) -> bool:
+        return True
+
+    def bin_p(self, b, counts: Counter, n: int):
+        """p-value of the sampled keys of a bin against the oracle, or None."""
+        bdist, _, _ = self.oracle(b)
+        expected = {k: float(v) for k, v in bdist.items()}
+        _, dof, p = stats.chi2_gof(counts, expected, n)
+        return p if dof > 0 else None
+
+    def _push(self, pieces, configs, flippable=()):
+        """Bridge-measure configurations pushed onto hookup orbit keys.
+
+        Returns (dist, unenumerated mass, infeasible mass): infeasible is the
+        mass of configurations whose reassembled loops exceed the catalog
+        truncation.
+        """
+        graph = self.catalog.domain.graph
+        dist: dict = {}
+        infeasible = Fraction(0)
+        enum = Fraction(0)
+        for (s, paths), pr in configs.items():
+            enum += pr
+            if self.oriented:
+                hook = OrientedHookup(s, paths)
+                loops = reassemble_oriented(graph, pieces, hook)
+                key = oriented_hookup_orbit_key(pieces, hook)
+            else:
+                hook = UnorientedHookup(s, paths)
+                loops = reassemble_unoriented(graph, self.inv, pieces, hook)
+                key = unoriented_hookup_orbit_key(pieces, hook, flippable,
+                                                  self.inv)
+            if max(len(lp) for lp in loops) > self.catalog.L_max:
+                infeasible += pr
+            dist[key] = dist.get(key, Fraction(0)) + pr
+        return dist, Fraction(1) - enum, infeasible
 
 
-def _beta_key_unoriented(eta, hookup, involution, flippable=()):
-    return unoriented_hookup_orbit_key(eta, hookup, flippable=flippable,
-                                       involution=involution)
+class ExcursionCut(Cut):
+    """Loops meeting F1 and F2, cut at F2 into the excursions through F1;
+    bins are excursion vectors eta, the oracle is the unordered (oriented)
+    or pairing-weighted (unoriented) bridge measure in D minus F1."""
+
+    def __init__(self, catalog: LoopCatalog, F1, F2):
+        self.F1, self.F2 = F1, F2
+        self.sub = catalog.domain.without_vertices(F1)
+        super().__init__(catalog)
+
+    def contribution(self, key) -> Counter:
+        return Counter(decompose_counts(self.catalog, {key: 1},
+                                        self.F1, self.F2).eta)
+
+    def cut(self, counts, max_size=None):
+        """(eta, hookup key), or None without excursions or beyond max_size."""
+        d = decompose_counts(self.catalog, counts, self.F1, self.F2)
+        if not d.N or (max_size is not None and d.N > max_size):
+            return None
+        if self.oriented:
+            return d.eta, oriented_hookup_orbit_key(d.eta, d.beta_truth)
+        return d.eta, unoriented_hookup_orbit_key(d.eta, d.beta_truth,
+                                                  involution=self.inv)
+
+    @staticmethod
+    def target_order(items):
+        return tuple(sorted(Counter(dict(items)).elements()))
+
+    def label(self, eta) -> dict:
+        return {"eta_lengths": [len(p) for p in eta]}
+
+    def oracle(self, eta):
+        graph = self.catalog.domain.graph
+        ends = [path_endpoints(graph, p) for p in eta]
+        if self.oriented:
+            configs, _ = unordered_bridge_law(self.sub, [b for _, b in ends],
+                                              [a for a, _ in ends],
+                                              self.catalog.L_max)
+        else:
+            configs, _ = z_bridge_law(self.sub, tuple(v for e in ends for v in e),
+                                      self.inv, self.catalog.L_max)
+        return self._push(eta, configs)
 
 
-def _removed_jump_pieces(catalog, removed, counts_per_class):
-    """Single-jump paths, one per instance, running small endpoint to large."""
-    graph = catalog.domain.graph
-    inv = catalog.unoriented_graph.involution
-    ug = catalog.unoriented_graph
-    pieces = []
-    for ckey, n in zip(removed, counts_per_class):
-        eid = ckey[0]
-        e = graph.edge_by_id[eid]
-        piece = (eid,) if e.tail == min(e.tail, e.head) else (inv(eid),)
-        pieces.extend([piece] * n)
-    return tuple(pieces)
+class EdgeCut(Cut):
+    """Loops cut at their jumps across removed edge classes; bins are jump
+    count vectors, the oracle is the pairing-weighted bridge measure in the
+    domain without those edges."""
+
+    def __init__(self, catalog: LoopCatalog, removed):
+        if catalog.mode != "unoriented":
+            raise OracleError("the removed-edge resampling works on unoriented soups")
+        self.removed = tuple(sorted(tuple(k) for k in removed))
+        self.sub = catalog.domain.without_edges(
+            {eid for ck in self.removed for eid in ck})
+        super().__init__(catalog)
+
+    def contribution(self, key) -> Counter:
+        ug = self.catalog.unoriented_graph
+        return Counter(ck for ck in map(ug.edge_class, key) if ck in self.removed)
+
+    def _pieces(self, jumps):
+        """Single-jump paths, one per instance, running small endpoint to large."""
+        graph = self.catalog.domain.graph
+        pieces = []
+        for ckey, n in zip(self.removed, jumps):
+            eid = ckey[0]
+            e = graph.edge_by_id[eid]
+            pieces.extend([(eid,) if e.tail <= e.head else (self.inv(eid),)] * n)
+        return tuple(pieces)
+
+    def cut(self, counts, max_size=None):
+        """(jump counts, hookup key), or None without jumps or beyond max_size."""
+        rec = record_edge_jumps_counts(self.catalog, counts, self.removed)
+        total = sum(rec.counts)
+        if not total or (max_size is not None and total > max_size):
+            return None
+        return rec.counts, unoriented_hookup_orbit_key(
+            self._pieces(rec.counts), rec.hookup, rec.self_edge_slots, self.inv)
+
+    def label(self, jumps) -> dict:
+        return {"jumps": {str(c): n for c, n in zip(self.removed, jumps) if n}}
+
+    def oracle(self, jumps):
+        graph = self.catalog.domain.graph
+        pieces = self._pieces(jumps)
+        Z = tuple(v for p in pieces for v in path_endpoints(graph, p))
+        # self-edge jumps have indistinguishable ends
+        flips = tuple((2 * i, 2 * i + 1) for i in range(len(pieces))
+                      if Z[2 * i] == Z[2 * i + 1])
+        configs, _ = z_bridge_law(self.sub, Z, self.inv, self.catalog.L_max)
+        return self._push(pieces, configs, flips)
 
 
-# -- the exact conditional-law oracle (the brute-force side of the checks) -------
+class CrossingCut(Cut):
+    """Loops cut at visits to the marked sets into crossings between them;
+    bins are crossing configurations, keyed by the per-set completions.
+
+    Monte Carlo bins test independence of the sides instead of an oracle.
+    Bins whose crossings eat into the truncation budget (fewer than `slack`
+    spare steps below L_max) are skipped: for those the truncated soup
+    genuinely couples the sides through the leftover length budget, a pure
+    cutoff artifact that an exact-mode run quantifies via its remainder.
+    """
+
+    slack = 6
+
+    def __init__(self, catalog: LoopCatalog, sets):
+        self.sets = tuple(frozenset(s) for s in sets)
+        super().__init__(catalog)
+
+    def contribution(self, key) -> Counter:
+        return Counter(extract_crossings_counts(self.catalog, {key: 1},
+                                                self.sets).instances)
+
+    def cut(self, counts, max_size=None):
+        """(crossing key, per-side completion keys), or None without crossings."""
+        cs = extract_crossings_counts(self.catalog, counts, self.sets)
+        if not cs.instances:
+            return None
+        return cs.crossing_key(), tuple(side_orbit_key(cs, i)
+                                        for i in range(len(self.sets)))
+
+    target_order = staticmethod(repr)
+
+    def bin_order(self, item):
+        return -sum(item[1].values())
+
+    def label(self, ck) -> dict:
+        return {"crossings": sum(len(v) for _, v in ck)}
+
+    def testable(self, ck) -> bool:
+        cross_steps = sum(len(p) for _, paths in ck for p in paths)
+        return cross_steps <= self.catalog.L_max - self.slack
+
+    def bin_p(self, ck, counts: Counter, n: int):
+        return _independence_chi2(list(counts.elements()), len(self.sets))
+
+
+# -- the drivers -------------------------------------------------------------------
+
+
+def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
+    """Conditional law of the hookup keys given `target`, and its bin."""
+    weights = conditional_multiset_law(cut.catalog, intensity, cut.candidates,
+                                       target)
+    total = sum(weights.values())
+    cond: dict = {}
+    for ms, w in weights.items():
+        b, key = cut.cut(dict(ms))
+        cond[key] = cond.get(key, Fraction(0)) + w / total
+    return cond, b
+
+
+def _exact_driver(cut: Cut, intensity: Fraction, max_size: int):
+    """Compare, per feasible target, the conditional hookup law with the bridge
+    measure; returns (worst tv - remainder, per-target entries)."""
+    worst = -math.inf
+    entries = []
+    for target in cut.targets(max_size):
+        cond, b = _conditional_keys(cut, intensity, target)
+        bdist, unenum, infeasible = cut.oracle(b)
+        remainder = float(unenum + infeasible)
+        tv = tv_distance(cond, bdist, float(unenum))
+        entries.append({**cut.label(b), "tv": tv, "remainder": remainder})
+        worst = max(worst, tv - remainder)
+    return worst, entries
+
+
+def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
+               max_size, expect_fail: bool, /, **details) -> TestReport:
+    """Sample soups, cut those touching the cut into bins of hookup keys, test
+    every bin with enough samples, and Bonferroni-correct over the bins."""
+    catalog = cut.catalog
+    sampler = sample_oriented_soup if cut.oriented else sample_unoriented_soup
+    rng = stream(seed, prop)
+    touching = {key for key, _, _ in cut.candidates}
+    bins: dict = defaultdict(Counter)
+    for _ in range(samples):
+        soup = sampler(catalog, intensity, rng)
+        if not any(k in touching for k in soup.counts):
+            continue
+        got = cut.cut(soup.counts, max_size)
+        if got is not None:
+            bins[got[0]][got[1]] += 1
+    pvals = []
+    skipped = 0
+    tested = []
+    for b, counts in sorted(bins.items(), key=cut.bin_order):
+        n_bin = sum(counts.values())
+        if n_bin < MIN_BIN_SAMPLES or not cut.testable(b):
+            skipped += 1
+            continue
+        p = cut.bin_p(b, counts, n_bin)
+        if p is not None:
+            pvals.append(p)
+            tested.append({**cut.label(b), "n": n_bin, "p": p})
+    if not pvals:
+        return _report(prop, "mc", 1.0, CHI2_SIGNIFICANCE, False, catalog,
+                       samples, seed, note="no bin had enough samples")
+    threshold = CHI2_SIGNIFICANCE / len(pvals)   # Bonferroni
+    worst = min(pvals)
+    return _report(prop, "mc", worst, threshold,
+                   (worst > threshold) != expect_fail, catalog, samples, seed,
+                   bins_tested=len(pvals), bins_skipped=skipped, bins=tested,
+                   positive_control=expect_fail, **details)
+
+
+# -- excursion resampling ------------------------------------------------------------
 
 
 def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
@@ -130,21 +407,10 @@ def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
     """
     eta = tuple(sorted(tuple(p) for p in eta))
     validate_eta(catalog, eta, F1, F2)
-    cands = touching_classes(catalog, F1, F2)
-    weights = conditional_multiset_law(catalog, intensity, cands, Counter(eta))
-    total = sum(weights.values())
-    inv = (catalog.unoriented_graph.involution
-           if catalog.mode == "unoriented" else None)
-    dist: dict = {}
-    for ms, w in weights.items():
-        d = decompose_counts(catalog, dict(ms), F1, F2)
-        if d.eta != eta:
-            raise OracleError("internal: decomposition mismatch")
-        if catalog.mode == "oriented":
-            key = _beta_key_oriented(d.eta, d.beta_truth)
-        else:
-            key = _beta_key_unoriented(d.eta, d.beta_truth, inv)
-        dist[key] = dist.get(key, Fraction(0)) + w / total
+    dist, b = _conditional_keys(ExcursionCut(catalog, F1, F2), intensity,
+                                Counter(eta))
+    if b != eta:
+        raise OracleError("internal: decomposition mismatch")
     support = sorted(dist)
     return DiscreteDistribution(tuple(support),
                                 tuple(dist[k] for k in support), 0.0)
@@ -153,62 +419,8 @@ def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
 def feasible_etas(catalog: LoopCatalog, F1, F2, max_excursions: int):
     """All excursion vectors with at most max_excursions entries realizable by
     multisets of touching catalog classes."""
-    cands = touching_classes(catalog, F1, F2)
-    etas = set()
-    singles = [c for c in cands if sum(c[2].values()) <= max_excursions]
-    for key, mass, contrib in singles:
-        etas.add(tuple(sorted(contrib.elements())))
-    if max_excursions >= 2:
-        ones = [c for c in cands if sum(c[2].values()) == 1]
-        for i, (k1, m1, c1) in enumerate(ones):
-            for k2, m2, c2 in ones[i:]:
-                etas.add(tuple(sorted((c1 + c2).elements())))
-    return sorted(etas)
-
-
-def _bridge_side_oriented(catalog, F1, eta, cap):
-    """Bridge-measure law of the hookup for an oriented eta, on orbit keys.
-
-    Returns (dist, remainder): remainder = un-enumerated mass + mass of
-    configurations whose reassembled loops exceed the catalog truncation.
-    """
-    graph = catalog.domain.graph
-    X = [path_endpoints(graph, p)[1] for p in eta]
-    Y = [path_endpoints(graph, p)[0] for p in eta]
-    sub = catalog.domain.without_vertices(F1)
-    configs, _ = unordered_bridge_law(sub, X, Y, cap)
-    dist: dict = {}
-    infeasible = Fraction(0)
-    enum = Fraction(0)
-    for (s, paths), pr in configs.items():
-        enum += pr
-        hook = OrientedHookup(s, paths)
-        loops = reassemble_oriented(graph, eta, hook)
-        if max(len(lp) for lp in loops) > catalog.L_max:
-            infeasible += pr
-        key = _beta_key_oriented(eta, hook)
-        dist[key] = dist.get(key, Fraction(0)) + pr
-    return dist, Fraction(1) - enum, infeasible
-
-
-def _bridge_side_unoriented(catalog, F1, eta, Z, cap, domain=None,
-                            flippable=()):
-    graph = catalog.domain.graph
-    inv = catalog.unoriented_graph.involution
-    sub = domain if domain is not None else catalog.domain.without_vertices(F1)
-    configs, _ = z_bridge_law(sub, Z, inv, cap)
-    dist: dict = {}
-    infeasible = Fraction(0)
-    enum = Fraction(0)
-    for (t, paths), pr in configs.items():
-        enum += pr
-        hook = UnorientedHookup(t, paths)
-        loops = reassemble_unoriented(graph, inv, eta, hook)
-        if max(len(lp) for lp in loops) > catalog.L_max:
-            infeasible += pr
-        key = _beta_key_unoriented(eta, hook, inv, flippable)
-        dist[key] = dist.get(key, Fraction(0)) + pr
-    return dist, Fraction(1) - enum, infeasible
+    return [tuple(sorted(t.elements()))
+            for t in ExcursionCut(catalog, F1, F2).targets(max_excursions)]
 
 
 def verify_prop1(catalog: LoopCatalog, F1, F2, mode: str = "exact",
@@ -217,12 +429,10 @@ def verify_prop1(catalog: LoopCatalog, F1, F2, mode: str = "exact",
                  expect_fail: bool = False) -> TestReport:
     """Oriented resampling law: the hookup given the excursions is the
     unordered bridge measure between the excursion endpoint vectors."""
-    if mode == "exact":
-        return _verify_resampling_exact("prop1", catalog, F1, F2,
-                                        Fraction(intensity), max_excursions,
-                                        expect_fail)
-    return _verify_resampling_mc("prop1", catalog, F1, F2, float(intensity),
-                                 max_excursions, samples, seed, expect_fail)
+    if catalog.mode != "oriented":
+        raise OracleError("prop1 needs an oriented catalog")
+    return _verify_excursions("prop1", catalog, F1, F2, mode, intensity,
+                              max_excursions, samples, seed, expect_fail)
 
 
 def verify_prop2(catalog: LoopCatalog, F1, F2, mode: str = "exact",
@@ -231,134 +441,28 @@ def verify_prop2(catalog: LoopCatalog, F1, F2, mode: str = "exact",
                  expect_fail: bool = False) -> TestReport:
     """Unoriented resampling law: the hookup given the excursions is the
     pairing-weighted unoriented bridge measure on the extremity vector."""
-    if mode == "exact":
-        return _verify_resampling_exact("prop2", catalog, F1, F2,
-                                        Fraction(intensity), max_excursions,
-                                        expect_fail)
-    return _verify_resampling_mc("prop2", catalog, F1, F2, float(intensity),
-                                 max_excursions, samples, seed, expect_fail)
-
-
-def _verify_resampling_exact(prop, catalog, F1, F2, intensity,
-                             max_excursions, expect_fail) -> TestReport:
-    oriented = catalog.mode == "oriented"
-    if prop == "prop1" and not oriented:
-        raise OracleError("prop1 needs an oriented catalog")
-    if prop == "prop2" and oriented:
+    if catalog.mode != "unoriented":
         raise OracleError("prop2 needs an unoriented catalog")
-    inv = None if oriented else catalog.unoriented_graph.involution
-    cands = touching_classes(catalog, F1, F2)
-    etas = feasible_etas(catalog, F1, F2, max_excursions)
-    worst = -math.inf
-    per_eta = []
-    for eta in etas:
-        weights = conditional_multiset_law(catalog, intensity, cands,
-                                           Counter(eta))
-        total = sum(weights.values())
-        cond: dict = {}
-        Z = None
-        for ms, w in weights.items():
-            d = decompose_counts(catalog, dict(ms), F1, F2)
-            if oriented:
-                key = _beta_key_oriented(d.eta, d.beta_truth)
-            else:
-                key = _beta_key_unoriented(d.eta, d.beta_truth, inv)
-                Z = d.Z
-            cond[key] = cond.get(key, Fraction(0)) + w / total
-        cap = catalog.L_max
-        if oriented:
-            bdist, unenum, infeasible = _bridge_side_oriented(catalog, F1, eta, cap)
-        else:
-            bdist, unenum, infeasible = _bridge_side_unoriented(
-                catalog, F1, eta, Z, cap)
-        remainder = float(unenum + infeasible)
-        tv = tv_distance(cond, bdist, float(unenum))
-        per_eta.append({"eta_lengths": [len(p) for p in eta], "tv": tv,
-                        "remainder": remainder})
-        worst = max(worst, tv - remainder)
-    ok = worst <= EXACT_TOL
-    if expect_fail:
-        ok = not ok
-    return _report(prop, "exact", worst, EXACT_TOL, ok, catalog,
-                   intensity=str(intensity), etas_tested=len(etas),
+    return _verify_excursions("prop2", catalog, F1, F2, mode, intensity,
+                              max_excursions, samples, seed, expect_fail)
+
+
+def _verify_excursions(prop, catalog, F1, F2, mode, intensity, max_excursions,
+                       samples, seed, expect_fail) -> TestReport:
+    cut = ExcursionCut(catalog, F1, F2)
+    if mode != "exact":
+        return _mc_driver(prop, cut, float(intensity), samples, seed,
+                          max_excursions, expect_fail,
+                          intensity=float(intensity))
+    intensity = Fraction(intensity)
+    worst, per_eta = _exact_driver(cut, intensity, max_excursions)
+    return _report(prop, "exact", worst, EXACT_TOL,
+                   (worst <= EXACT_TOL) != expect_fail, catalog,
+                   intensity=str(intensity), etas_tested=len(per_eta),
                    per_eta=per_eta, positive_control=expect_fail)
 
 
-def _verify_resampling_mc(prop, catalog, F1, F2, intensity, max_excursions,
-                          samples, seed, expect_fail) -> TestReport:
-    oriented = catalog.mode == "oriented"
-    inv = None if oriented else catalog.unoriented_graph.involution
-    rng = stream(seed, prop)
-    bins: dict = defaultdict(Counter)
-    sampler = sample_oriented_soup if oriented else sample_unoriented_soup
-    touching = {c[0] for c in touching_classes(catalog, F1, F2)}
-    for _ in range(samples):
-        soup = sampler(catalog, intensity, rng)
-        if not any(k in touching for k in soup.counts):
-            continue
-        d = decompose_counts(catalog, soup.counts, F1, F2)
-        if not d.N or d.N > max_excursions:
-            continue
-        if oriented:
-            key = _beta_key_oriented(d.eta, d.beta_truth)
-        else:
-            key = _beta_key_unoriented(d.eta, d.beta_truth, inv)
-        bins[d.eta][key] += 1
-    pvals = []
-    skipped = 0
-    tested_bins = []
-    for eta, counts in sorted(bins.items()):
-        n_eta = sum(counts.values())
-        if n_eta < MIN_BIN_SAMPLES:
-            skipped += 1
-            continue
-        if oriented:
-            bdist, unenum, _ = _bridge_side_oriented(catalog, F1, eta,
-                                                     catalog.L_max)
-        else:
-            graph = catalog.domain.graph
-            Z = []
-            for p in eta:
-                a, b = path_endpoints(graph, p)
-                Z.extend([a, b])
-            bdist, unenum, _ = _bridge_side_unoriented(catalog, F1, eta,
-                                                       tuple(Z), catalog.L_max)
-        expected = {k: float(v) for k, v in bdist.items()}
-        _, dof, p = stats.chi2_gof(counts, expected, n_eta)
-        if dof > 0:
-            pvals.append(p)
-            tested_bins.append({"eta_lengths": [len(q) for q in eta],
-                                "n": n_eta, "p": p})
-    if not pvals:
-        return _report(prop, "mc", 1.0, CHI2_SIGNIFICANCE, False, catalog,
-                       samples, seed, note="no bin had enough samples")
-    threshold = CHI2_SIGNIFICANCE / len(pvals)   # Bonferroni
-    worst = min(pvals)
-    ok = worst > threshold
-    if expect_fail:
-        ok = not ok
-    return _report(prop, "mc", worst, threshold, ok, catalog, samples, seed,
-                   intensity=intensity, bins_tested=len(pvals),
-                   bins_skipped=skipped, bins=tested_bins,
-                   positive_control=expect_fail)
-
-
 # -- removed-edge formulation -----------------------------------------------------
-
-
-def removed_edge_candidates(catalog: LoopCatalog, removed):
-    ug = catalog.unoriented_graph
-    removed = tuple(sorted(tuple(k) for k in removed))
-    cands = []
-    for cls in catalog.classes:
-        contrib = Counter()
-        for eid in cls.key:
-            ck = ug.edge_class(eid)
-            if ck in removed:
-                contrib[ck] += 1
-        if contrib:
-            cands.append((cls.key, cls.mass, contrib))
-    return removed, cands
 
 
 def verify_prop5(catalog: LoopCatalog, removed, mode: str = "exact",
@@ -368,186 +472,36 @@ def verify_prop5(catalog: LoopCatalog, removed, mode: str = "exact",
     """Removed-edge resampling: the hookup of the jumps across removed edges,
     given their counts, is the pairing-weighted bridge measure in the graph
     without those edges."""
-    if catalog.mode != "unoriented":
-        raise OracleError("the removed-edge resampling works on unoriented soups")
-    inv = catalog.unoriented_graph.involution
-    removed, cands = removed_edge_candidates(catalog, removed)
-    rem_ids = {eid for ck in removed for eid in ck}
-    sub = catalog.domain.without_edges(rem_ids)
+    cut = EdgeCut(catalog, removed)
     if mode != "exact":
-        return _verify_prop5_mc(catalog, removed, cands, sub, float(intensity),
-                                max_jumps, samples, seed, expect_fail)
-    targets = _feasible_jump_targets(cands, removed, max_jumps)
-    worst = -math.inf
-    per_target = []
-    for target in targets:
-        weights = conditional_multiset_law(catalog, Fraction(intensity),
-                                           cands, target)
-        total = sum(weights.values())
-        cond: dict = {}
-        rec0 = None
-        for ms, w in weights.items():
-            rec = record_edge_jumps_counts(catalog, dict(ms), removed)
-            rec0 = rec
-            pieces = _removed_jump_pieces(catalog, removed, rec.counts)
-            key = _beta_key_unoriented(pieces, rec.hookup, inv,
-                                       rec.self_edge_slots)
-            cond[key] = cond.get(key, Fraction(0)) + w / total
-        pieces = _removed_jump_pieces(catalog, removed, rec0.counts)
-        bdist, unenum, infeasible = _bridge_side_unoriented(
-            catalog, None, pieces, rec0.Z, catalog.L_max, domain=sub,
-            flippable=rec0.self_edge_slots)
-        remainder = float(unenum + infeasible)
-        tv = tv_distance(cond, bdist, float(unenum))
-        per_target.append({"jumps": dict((str(k), v) for k, v in target.items()),
-                           "tv": tv, "remainder": remainder})
-        worst = max(worst, tv - remainder)
-    ok = worst <= EXACT_TOL
-    if expect_fail:
-        ok = not ok
-    return _report("prop5", "exact", worst, EXACT_TOL, ok, catalog,
-                   intensity=str(intensity), targets_tested=len(targets),
+        return _mc_driver("prop5", cut, float(intensity), samples, seed,
+                          max_jumps, expect_fail, intensity=float(intensity))
+    worst, per_target = _exact_driver(cut, Fraction(intensity), max_jumps)
+    return _report("prop5", "exact", worst, EXACT_TOL,
+                   (worst <= EXACT_TOL) != expect_fail, catalog,
+                   intensity=str(intensity), targets_tested=len(per_target),
                    per_target=per_target, positive_control=expect_fail)
-
-
-def _feasible_jump_targets(cands, removed, max_jumps):
-    """Distinct jump-count vectors reachable with total <= max_jumps."""
-    targets = set()
-    smalls = [c for c in cands if sum(c[2].values()) <= max_jumps]
-    for key, mass, contrib in smalls:
-        targets.add(tuple(sorted(contrib.items())))
-    ones = [c for c in cands if sum(c[2].values()) == 1]
-    if max_jumps >= 2:
-        for i, (k1, m1, c1) in enumerate(ones):
-            for k2, m2, c2 in ones[i:]:
-                targets.add(tuple(sorted((c1 + c2).items())))
-    return [Counter(dict(t)) for t in sorted(targets)]
-
-
-def _verify_prop5_mc(catalog, removed, cands, sub, intensity, max_jumps,
-                     samples, seed, expect_fail) -> TestReport:
-    inv = catalog.unoriented_graph.involution
-    rng = stream(seed, "prop5")
-    bins: dict = defaultdict(Counter)
-    users = {key for key, _, _ in cands}
-    for _ in range(samples):
-        soup = sample_unoriented_soup(catalog, intensity, rng)
-        if not any(k in users for k in soup.counts):
-            continue
-        rec = record_edge_jumps_counts(catalog, soup.counts, removed)
-        total = sum(rec.counts)
-        if not total or total > max_jumps:
-            continue
-        pieces = _removed_jump_pieces(catalog, removed, rec.counts)
-        key = _beta_key_unoriented(pieces, rec.hookup, inv, rec.self_edge_slots)
-        bins[rec.counts][key] += 1
-    pvals = []
-    skipped = 0
-    for counts_vec, counts in sorted(bins.items()):
-        n_bin = sum(counts.values())
-        if n_bin < MIN_BIN_SAMPLES:
-            skipped += 1
-            continue
-        pieces = _removed_jump_pieces(catalog, removed, counts_vec)
-        Z = []
-        graph = catalog.domain.graph
-        for p in pieces:
-            a, b = path_endpoints(graph, p)
-            Z.extend([a, b])
-        # flip slots for self-edge pieces
-        flips = tuple((2 * i, 2 * i + 1) for i, p in enumerate(pieces)
-                      if Z[2 * i] == Z[2 * i + 1])
-        bdist, unenum, _ = _bridge_side_unoriented(
-            catalog, None, pieces, tuple(Z), catalog.L_max, domain=sub,
-            flippable=flips)
-        expected = {k: float(v) for k, v in bdist.items()}
-        _, dof, p = stats.chi2_gof(counts, expected, n_bin)
-        if dof > 0:
-            pvals.append(p)
-    if not pvals:
-        return _report("prop5", "mc", 1.0, CHI2_SIGNIFICANCE, False, catalog,
-                       samples, seed, note="no bin had enough samples")
-    threshold = CHI2_SIGNIFICANCE / len(pvals)
-    worst = min(pvals)
-    ok = worst > threshold
-    if expect_fail:
-        ok = not ok
-    return _report("prop5", "mc", worst, threshold, ok, catalog, samples,
-                   seed, bins_tested=len(pvals), bins_skipped=skipped,
-                   positive_control=expect_fail)
 
 
 def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
                             max_jumps: int = 3) -> TestReport:
     """All-edges-removed case: the hookup pairs the jump endpoints uniformly
-    at random among the pairings matching endpoint vertices."""
+    at random among the pairings matching endpoint vertices.
+
+    With every in-domain edge removed the Green's function of what is left
+    is the identity, so the bridge measure of the removed-edge cut is exactly
+    that uniform pairing law, with empty bridges.
+    """
     ug = catalog.unoriented_graph
     removed = sorted(k for k in ug.edge_classes
                      if set(ug.class_endpoints(k)) <= catalog.domain.vertex_set)
-    inv = ug.involution
-    removed_t, cands = removed_edge_candidates(catalog, removed)
-    targets = _feasible_jump_targets(cands, removed_t, max_jumps)
-    worst = 0.0
-    for target in targets:
-        weights = conditional_multiset_law(catalog, Fraction(intensity),
-                                           cands, target)
-        total = sum(weights.values())
-        cond: dict = {}
-        rec0 = None
-        for ms, w in weights.items():
-            rec = record_edge_jumps_counts(catalog, dict(ms), removed_t)
-            rec0 = rec
-            pieces = _removed_jump_pieces(catalog, removed_t, rec.counts)
-            key = _beta_key_unoriented(pieces, rec.hookup, inv,
-                                       rec.self_edge_slots)
-            cond[key] = cond.get(key, Fraction(0)) + w / total
-        # uniform pairing oracle: all endpoint-matching pairings equally likely
-        from .bridges import all_pairings
-        pieces = _removed_jump_pieces(catalog, removed_t, rec0.counts)
-        Z = rec0.Z
-        feasible = []
-        for t in all_pairings(len(Z)):
-            if all(Z[a] == Z[b] for a, b in t):
-                feasible.append(t)
-        unif: dict = {}
-        graph = catalog.domain.graph
-        for t in feasible:
-            hook = UnorientedHookup(t, ((),) * (len(Z) // 2))
-            loops = reassemble_unoriented(graph, inv, pieces, hook)
-            if max(len(lp) for lp in loops) > catalog.L_max:
-                continue
-            key = _beta_key_unoriented(pieces, hook, inv, rec0.self_edge_slots)
-            unif[key] = unif.get(key, Fraction(0)) + Fraction(1, len(feasible))
-        missing = 1 - sum(unif.values())
-        tv = tv_distance(cond, unif, float(missing))
-        worst = max(worst, tv - float(missing))
-    ok = worst <= EXACT_TOL
-    return _report("prop5", "exact-degenerate", worst, EXACT_TOL, ok, catalog,
-                   targets_tested=len(targets))
+    worst, per_target = _exact_driver(EdgeCut(catalog, removed),
+                                      Fraction(intensity), max_jumps)
+    return _report("prop5", "exact-degenerate", worst, EXACT_TOL,
+                   worst <= EXACT_TOL, catalog, targets_tested=len(per_target))
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
-
-
-def crossing_candidates(catalog: LoopCatalog, sets):
-    cands = []
-    for cls in catalog.classes:
-        cs = extract_crossings_counts(catalog, {cls.key: 1}, sets)
-        if cs.instances:
-            cands.append((cls.key, cls.mass, Counter(cs.instances)))
-    return cands
-
-
-def feasible_crossing_targets(cands, max_crossings: int):
-    targets = set()
-    smalls = [c for c in cands if sum(c[2].values()) <= max_crossings]
-    for key, mass, contrib in smalls:
-        targets.add(tuple(sorted(contrib.items())))
-    pairs = [c for c in cands if sum(c[2].values()) * 2 <= max_crossings]
-    for i, (k1, m1, c1) in enumerate(pairs):
-        for k2, m2, c2 in pairs[i:]:
-            targets.add(tuple(sorted((c1 + c2).items())))
-    return [Counter(dict(t)) for t in sorted(targets, key=repr)]
 
 
 def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
@@ -560,15 +514,14 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     """Conditionally on the crossings between the marked sets, the per-set
     completions are independent, each following its bridge measure in the
     complement of the other sets."""
-    sets = tuple(frozenset(s) for s in sets)
     prop = "prop1bis" if catalog.mode == "oriented" else "prop3bis"
+    cut = CrossingCut(catalog, sets)
+    sets = cut.sets
     if mode != "exact":
-        return _verify_crossing_mc(prop, catalog, sets, float(intensity),
-                                   samples, seed, expect_fail)
-    inv = (catalog.unoriented_graph.involution
-           if catalog.mode == "unoriented" else None)
-    cands = crossing_candidates(catalog, sets)
-    targets = feasible_crossing_targets(cands, max_crossings)
+        return _mc_driver(prop, cut, float(intensity), samples, seed, None,
+                          expect_fail)
+    inv = cut.inv
+    targets = cut.targets(max_crossings)
     if max_targets is not None:
         # deterministic stratified selection: shortest targets of each
         # crossing count, interleaved, so multi-loop configurations (the only
@@ -579,24 +532,20 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
         by_count: dict = defaultdict(list)
         for t in targets:
             by_count[sum(t.values())].append(t)
-        picked = []
-        rank = 0
-        while len(picked) < max_targets and any(by_count.values()):
-            for c in sorted(by_count)[:]:
-                if by_count[c]:
-                    picked.append(by_count[c].pop(0))
-                    if len(picked) >= max_targets:
-                        break
-            rank += 1
-        targets = picked
+        rounds = zip_longest(*(by_count[c] for c in sorted(by_count)))
+        targets = [t for r in rounds for t in r if t is not None][:max_targets]
     g = catalog.domain.g
+    sides = range(len(sets))
+    # each side's bridges live in the complement of the other sets
+    side_domains = [catalog.domain.without_vertices(
+        set().union(*(sets[j] for j in sides if j != i))) for i in sides]
     worst = -math.inf
     worst_marg = -math.inf
     worst_joint = -math.inf
     per_target = []
     for target in targets:
         weights = conditional_multiset_law(catalog, Fraction(intensity),
-                                           cands, target)
+                                           cut.candidates, target)
         total = sum(weights.values())
         joint: dict = {}
         cond_ms: dict = {}
@@ -607,22 +556,17 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
             counts = dict(ms)
             cs = extract_crossings_counts(catalog, counts, sets)
             cs0 = cs
-            keys = tuple(side_orbit_key(cs, i) for i in range(len(sets)))
+            keys = tuple(side_orbit_key(cs, i) for i in sides)
             joint[keys] = joint.get(keys, Fraction(0)) + w / total
             cond_ms[ms] = cond_ms.get(ms, Fraction(0)) + w / total
             steps = sum(len(k) * u for k, u in counts.items())
-            bb_raw[ms] = (side_pair_orbit_size(cs, tuple(range(len(sets))))
+            bb_raw[ms] = (side_pair_orbit_size(cs, tuple(sides))
                           * Fraction(1, g ** (steps - cross_steps)))
         # normalizers of the per-side bridge measures
-        Zs = []
-        for i in range(len(sets)):
-            others = set().union(*(sets[j] for j in range(len(sets)) if j != i))
-            sub = catalog.domain.without_vertices(others)
-            green = green_function(sub, exact=True)
-            Zs.append(_side_normalizer(cs0, i, green, catalog.mode))
         denom = Fraction(1)
-        for z in Zs:
-            denom *= z
+        for i in sides:
+            green = green_function(side_domains[i], exact=True)
+            denom *= sum(side_weights(green, cs0, i).values())
         bb = {ms: v / denom for ms, v in bb_raw.items()}
         R = 1 - sum(bb.values())
         remainder = float(len(sets) * R) + 1e-15
@@ -650,11 +594,8 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
         worst = max(worst, tv - remainder)
         if check_marginals:
             cap = bridge_cap if bridge_cap is not None else catalog.L_max - 2
-            for i in range(len(sets)):
-                others = set().union(*(sets[j] for j in range(len(sets))
-                                       if j != i))
-                sub = catalog.domain.without_vertices(others)
-                bdist, rem_i = side_bridge_law(sub, cs0, i, cap,
+            for i in sides:
+                bdist, rem_i = side_bridge_law(side_domains[i], cs0, i, cap,
                                                involution=inv)
                 tv_i = tv_distance(marg[i], bdist, float(rem_i))
                 entry[f"marginal_tv_{i}"] = tv_i
@@ -669,84 +610,6 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     return _report(prop, "exact", stat, EXACT_TOL, ok, catalog,
                    intensity=str(intensity), targets_tested=len(targets),
                    per_target=per_target, positive_control=expect_fail)
-
-
-def _side_normalizer(cs, i, green, mode):
-    from itertools import permutations as _perms
-    slot_instances = [s for _, s in cs.endpoint_slots[i]]
-    slot_vertex = {k: v for k, (v, _) in enumerate(cs.endpoint_slots[i])}
-    if mode == "oriented":
-        arr = [k for k, s in enumerate(slot_instances) if cs.instances[s][0][1] == i]
-        dep = [k for k, s in enumerate(slot_instances) if cs.instances[s][0][0] == i]
-        total = Fraction(0)
-        for p in _perms(range(len(dep))):
-            total += green.product_exact([slot_vertex[a] for a in arr],
-                                         [slot_vertex[dep[j]] for j in p])
-        return total
-    from .bridges import all_pairings
-    Z = [slot_vertex[k] for k in range(len(slot_instances))]
-    total = Fraction(0)
-    for t in all_pairings(len(Z)):
-        w = Fraction(1)
-        for a, b in t:
-            w *= green.exact(Z[a], Z[b])
-        total += w
-    return total
-
-
-def _verify_crossing_mc(prop, catalog, sets, intensity, samples, seed,
-                        expect_fail, slack: int = 6) -> TestReport:
-    """Monte Carlo independence test: within each crossing-configuration bin,
-    the per-side completion keys must be jointly independent (chi-square).
-
-    Bins whose crossings eat into the truncation budget (fewer than `slack`
-    spare steps below L_max) are skipped: for those the truncated soup
-    genuinely couples the sides through the leftover length budget, a pure
-    cutoff artifact that an exact-mode run quantifies via its remainder.
-    """
-    oriented = catalog.mode == "oriented"
-    sampler = sample_oriented_soup if oriented else sample_unoriented_soup
-    rng = stream(seed, prop)
-    # only samples containing a class that crosses the sets need cutting
-    touching = {c[0] for c in crossing_candidates(catalog, sets)}
-    bins: dict = defaultdict(list)
-    for _ in range(samples):
-        soup = sampler(catalog, intensity, rng)
-        if not any(k in touching for k in soup.counts):
-            continue
-        cs = extract_crossings_counts(catalog, soup.counts, sets)
-        if not cs.instances:
-            continue
-        keys = tuple(side_orbit_key(cs, i) for i in range(len(sets)))
-        bins[cs.crossing_key()].append(keys)
-    pvals = []
-    skipped = 0
-    tested = []
-    for ck, rows in sorted(bins.items(), key=lambda kv: -len(kv[1])):
-        n_bin = len(rows)
-        if n_bin < MIN_BIN_SAMPLES:
-            skipped += 1
-            continue
-        cross_steps = sum(len(p) * 1 for _, paths in ck for p in paths)
-        if cross_steps > catalog.L_max - slack:
-            skipped += 1
-            continue
-        p = _independence_chi2(rows, len(sets))
-        if p is not None:
-            pvals.append(p)
-            tested.append({"crossings": sum(len(v) for _, v in ck),
-                           "n": n_bin, "p": p})
-    if not pvals:
-        return _report(prop, "mc", 1.0, CHI2_SIGNIFICANCE, False, catalog,
-                       samples, seed, note="no bin had enough samples")
-    threshold = CHI2_SIGNIFICANCE / len(pvals)
-    worst = min(pvals)
-    ok = worst > threshold
-    if expect_fail:
-        ok = not ok
-    return _report(prop, "mc", worst, threshold, ok, catalog, samples, seed,
-                   bins_tested=len(pvals), bins_skipped=skipped, bins=tested,
-                   positive_control=expect_fail)
 
 
 def _independence_chi2(rows, n_sides):
@@ -995,6 +858,26 @@ def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
     return menu
 
 
+def _two_sample_pvalues(rows_a, rows_b, occupation):
+    """Two-sample chi-square p-values of sample rows against oracle rows: one
+    per quantile bin of the total occupation with enough samples, then the
+    pooled one last."""
+    def test(a, b):
+        return stats.chi2_two_sample(Counter(map(tuple, a)),
+                                     Counter(map(tuple, b)))
+
+    bins = stats.quantile_bins(occupation, MIN_BIN_SAMPLES)
+    pvals = []
+    for b in range(bins.max() + 1):
+        m = bins == b
+        if m.sum() < MIN_BIN_SAMPLES:
+            continue
+        _, dof_b, p = test(rows_a[m], rows_b[m])
+        if dof_b > 0:
+            pvals.append(p)
+    return pvals + [test(rows_a, rows_b)[2]]
+
+
 def verify_ct_excursions(catalog: LoopCatalog, sites,
                          samples: int = 2 * 10 ** 4, seed: int = 0,
                          intensity: float = 1.0,
@@ -1088,24 +971,10 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
                           if endpoint_w[k, j]])
     oracle = stats.sample_even_poisson(lam, incidence, orng)
 
-    keep = no_long
-    soup_keys = Counter(map(tuple, soup_counts[keep][:, :nsk]))
-    oracle_keys = Counter(map(tuple, oracle[keep]))
-    _, dof, p_pooled = stats.chi2_two_sample(soup_keys, oracle_keys)
-    # per-occupation-bin comparison
-    bins = stats.quantile_bins(T.sum(axis=1)[keep], MIN_BIN_SAMPLES)
-    pvals = []
-    sk_rows = soup_counts[keep][:, :nsk]
-    orc_rows = oracle[keep]
-    for b in range(bins.max() + 1):
-        m = bins == b
-        if m.sum() < MIN_BIN_SAMPLES:
-            continue
-        _, dof_b, p = stats.chi2_two_sample(Counter(map(tuple, sk_rows[m])),
-                                            Counter(map(tuple, orc_rows[m])))
-        if dof_b > 0:
-            pvals.append(p)
-    pvals.append(p_pooled)
+    sk_rows = soup_counts[no_long][:, :nsk]
+    pvals = _two_sample_pvalues(sk_rows, oracle[no_long],
+                                T.sum(axis=1)[no_long])
+    p_pooled = pvals[-1]
     threshold = CHI2_SIGNIFICANCE / len(pvals)
     worst = min(pvals)
     # pooled frequency-ratio check within site pairs
@@ -1128,9 +997,6 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     return _report("ct-excursions", "mc", worst, threshold, ok, catalog,
                    samples, seed, parity_ok=parity_ok, ratio_ok=ratio_ok,
                    pooled_p=p_pooled, bins_tested=len(pvals))
-
-
-verify_ct_excursion_proposition = verify_ct_excursions
 
 
 def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
@@ -1179,19 +1045,8 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
                   if deg_w[j, s]] for s in range(len(sites))]
     orng = stream(seed, "random-currents/oracle")
     oracle = stats.sample_even_poisson(lam, incidence, orng)
-    _, dof, p_pooled = stats.chi2_two_sample(Counter(map(tuple, jumps)),
-                                             Counter(map(tuple, oracle)))
-    bins = stats.quantile_bins(T.sum(axis=1), MIN_BIN_SAMPLES)
-    pvals = []
-    for b in range(bins.max() + 1):
-        m = bins == b
-        if m.sum() < MIN_BIN_SAMPLES:
-            continue
-        _, dof_b, p = stats.chi2_two_sample(Counter(map(tuple, jumps[m])),
-                                            Counter(map(tuple, oracle[m])))
-        if dof_b > 0:
-            pvals.append(p)
-    pvals.append(p_pooled)
+    pvals = _two_sample_pvalues(jumps, oracle, T.sum(axis=1))
+    p_pooled = pvals[-1]
     threshold = CHI2_SIGNIFICANCE / len(pvals)
     worst = min(pvals)
     details = {"even_degrees": even_ok, "pooled_p": p_pooled,
@@ -1261,7 +1116,6 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     dice = _EdgeDice(graph, rng)
     trees: Counter = Counter()
     w_keys: Counter = Counter()
-    w_naive: Counter = Counter()
     for _ in range(runs):
         tree, erased = wilson_ust(graph, root, rng, dice=dice)
         tkey = tuple(sorted(ug.edge_class(e) for e in tree.values()))
@@ -1269,7 +1123,6 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
         short = Counter({k: v for k, v in erased.items() if len(k) <= length_cap})
         key = tuple(sorted(short.items()))
         w_keys[key] += 1
-        w_naive[key] += 1
     n_trees = len(trees)
     tree_ok = True
     p0 = 1.0 / n_trees
@@ -1289,7 +1142,7 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
         s_naive[tuple(sorted((k, c) for k, c in soup.counts.items()
                              if len(k) <= length_cap))] += 1
     tv = stats.empirical_tv(w_keys, s_keys)
-    tv_naive = stats.empirical_tv(w_naive, s_naive)
+    tv_naive = stats.empirical_tv(w_keys, s_naive)
     ok = tree_ok and tv < MC_TV_TOL
     return _report("wilson", "mc", tv, MC_TV_TOL, ok, catalog, runs, seed,
                    tree_marginal_uniform=tree_ok, n_trees=n_trees,

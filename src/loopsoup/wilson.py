@@ -107,11 +107,6 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
     return tree, erased
 
 
-def erased_loop_classes(erased: Counter) -> Counter:
-    """Erased cycles are already canonical keys; kept for interface clarity."""
-    return Counter(erased)
-
-
 def pop_cycles(soup, rng) -> Counter:
     """Resolve a soup sample into the simple cycles Wilson's algorithm erases.
 

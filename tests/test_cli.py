@@ -123,15 +123,6 @@ def test_exit_code_on_failure(tmp_path):
     assert rc == 1
 
 
-def test_parallel_matches_sequential(tmp_path):
-    cfg = BASE.replace("jobs = prop2", "jobs = prop2, enumerate")
-    p = write(tmp_path, cfg, "par.cfg")
-    o1, o2 = tmp_path / "seq", tmp_path / "par"
-    main(["run", p, "--out", str(o1)])
-    main(["run", p, "--out", str(o2), "--parallel"])
-    assert (o1 / "report.json").read_bytes() == (o2 / "report.json").read_bytes()
-
-
 def test_console_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "loopsoup.cli", "verify",
                         "prop1", "--graph", "complete:5", "--domain", "1 2 3",

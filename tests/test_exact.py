@@ -8,10 +8,10 @@ import pytest
 from loopsoup import (Domain, build_graph, enumerate_loops, green_function,
                       occupation_law, tv_distance)
 from loopsoup.exact import (OracleError, TruncPoly, _binomial_series,
-                            bounded_multisets, conditional_multiset_law,
-                            touching_classes, unordered_bridge_law,
+                            conditional_multiset_law, unordered_bridge_law,
                             z_bridge_law)
 from loopsoup.rng import stream
+from loopsoup.verify import ExcursionCut
 
 
 def test_truncpoly_algebra():
@@ -119,26 +119,13 @@ def test_z_bridge_law_accumulates_reversals(k5):
 
 def test_conditional_multiset_law_single_class(sharp_triangle):
     dom, cat, ucat = sharp_triangle
-    cands = touching_classes(cat, {1}, {2})
+    cands = ExcursionCut(cat, {1}, {2}).candidates
     key, mass, contrib = cands[0]
     w = conditional_multiset_law(cat, Fraction(1), cands, Counter(contrib))
     assert ((key, 1),) in w
     with pytest.raises(OracleError):
         conditional_multiset_law(cat, Fraction(1), cands,
                                  Counter({("bogus",): 1}))
-
-
-def test_bounded_multisets():
-    cands = [("a", None, 1), ("b", None, 2)]
-    out = {tuple((k, u) for k, _, u in combo)
-           for combo in bounded_multisets(cands, 3)}
-    assert (("a", 1),) in out
-    assert (("a", 3),) in out
-    assert (("a", 1), ("b", 1)) in out
-    assert (("b", 1),) in out
-    assert () in out
-    assert all(sum(u * (1 if k == "a" else 2) for k, u in ms) <= 3
-               for ms in out)
 
 
 def test_tv_distance():

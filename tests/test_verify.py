@@ -34,13 +34,13 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
     pushforward, exactly in rational arithmetic up to the truncation
     remainder (here: single-excursion conditionings reduce to single
     bridges)."""
-    from loopsoup.verify import _bridge_side_oriented
+    from loopsoup.verify import ExcursionCut
     cat = ws_k12.catalog("oriented")
+    cut = ExcursionCut(cat, {1}, {2})
     for eta in feasible_etas(cat, {1}, {2}, 1)[:4]:
         dist = exact_conditional_beta(cat, {1}, {2}, eta)
         assert abs(float(sum(dist.probabilities)) - 1) < 1e-12
-        bdist, unenum, infeasible = _bridge_side_oriented(cat, {1}, eta,
-                                                          cat.L_max)
+        bdist, unenum, infeasible = cut.oracle(eta)
         cond = dist.as_dict()
         # renormalize the bridge law on the feasible support: equality is
         # then exact, fraction by fraction
@@ -62,12 +62,12 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
     """Distinct excursion vectors sharing (X, Y) induce the same conditional
     hookup law, pushed to endpoint-preserving orbits."""
     from collections import Counter, defaultdict
-    from loopsoup.exact import (conditional_multiset_law, touching_classes,
-                                xy_orbit_key)
-    from loopsoup.excursions import decompose_counts
-    from loopsoup.verify import _bridge_side_oriented
+    from loopsoup.exact import conditional_multiset_law
+    from loopsoup.excursions import decompose_counts, xy_orbit_key
+    from loopsoup.verify import ExcursionCut
     cat = ws_k12.catalog("oriented")
-    cands = touching_classes(cat, {1}, {2})
+    cut = ExcursionCut(cat, {1}, {2})
+    cands = cut.candidates
     by_xy = defaultdict(list)
     for eta in feasible_etas(cat, {1}, {2}, 2):
         w = conditional_multiset_law(cat, Fraction(1), cands, Counter(eta))
@@ -79,7 +79,7 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
             XY = (d.X, d.Y)
             key = xy_orbit_key(d.X, d.Y, d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, unenum, infeasible = _bridge_side_oriented(cat, {1}, eta, cat.L_max)
+        _, unenum, infeasible = cut.oracle(eta)
         by_xy[XY].append((dist, float(unenum + infeasible)))
     compared = 0
     for XY, entries in by_xy.items():
@@ -137,13 +137,13 @@ def test_prop5_exact_and_degenerate(ws_k12):
 def test_prop2_z_measurability(ws_k12):
     """Distinct excursion vectors sharing the extremity vector induce the
     same conditional hookup law (pushed to extremity-preserving orbits)."""
-    from loopsoup.exact import (conditional_multiset_law, touching_classes,
-                                z_orbit_key)
-    from loopsoup.excursions import decompose_counts
-    from loopsoup.verify import _bridge_side_unoriented
+    from loopsoup.exact import conditional_multiset_law
+    from loopsoup.excursions import decompose_counts, z_orbit_key
+    from loopsoup.verify import ExcursionCut
     from collections import Counter, defaultdict
     ucat = ws_k12.catalog("unoriented")
-    cands = touching_classes(ucat, {1}, {2})
+    cut = ExcursionCut(ucat, {1}, {2})
+    cands = cut.candidates
     by_Z = defaultdict(list)
     for eta in feasible_etas(ucat, {1}, {2}, 2):
         w = conditional_multiset_law(ucat, Fraction(1), cands, Counter(eta))
@@ -155,8 +155,7 @@ def test_prop2_z_measurability(ws_k12):
             Z = d.Z
             key = z_orbit_key(d.Z, d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, unenum, infeasible = _bridge_side_unoriented(ucat, {1}, eta, Z,
-                                                        ucat.L_max)
+        _, unenum, infeasible = cut.oracle(eta)
         by_Z[Z].append((dist, float(unenum + infeasible)))
     compared = 0
     for Z, entries in by_Z.items():
