@@ -29,9 +29,10 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import numpy as np
+from scipy import stats as sps
 
 from . import stats
 from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
@@ -613,39 +614,51 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
 
 
 def _independence_chi2(rows, n_sides):
-    """Chi-square test of joint factorization against product of empirical
-    marginals, with rare-category pooling; None when degenerate."""
+    """Test that the per-side keys of the rows are independent.
+
+    Each side's rarest categories are pooled, rarest into next rarest, until
+    the smallest expected cell count n prod_i (min marginal_i / n) is at
+    least 1; pooling only categories seen fewer than 5 times leaves cells
+    expected far below 1, and chi-square p-values far too small.  A side
+    pooled to one category drops out of the table while two others remain.
+    When two sides of two categories each still expect a cell below 1 (one
+    key dominating both sides), Fisher's exact test replaces the chi-square.
+    None when fewer than two sides have two categories.
+    """
     n = len(rows)
-    margs = [Counter(r[i] for r in rows) for i in range(n_sides)]
-    if all(len(m) == 1 for m in margs):
-        return None
-    # pool rare side categories
-    keep = []
-    for m in margs:
-        keep.append({k for k, c in m.items() if c >= 5})
-
-    def cat(i, k):
-        return k if k in keep[i] else "__other__"
-
-    joint = Counter(tuple(cat(i, r[i]) for i in range(n_sides)) for r in rows)
-    margs = [Counter(r[i] for r in joint.elements()) for i in range(n_sides)]
-    dof_full = 1
-    for m in margs:
-        dof_full *= len(m)
-    dof = dof_full - 1 - sum(len(m) - 1 for m in margs)
-    if dof <= 0:
-        return None
+    # per side: its index, the pooled label of every key, the label counts
+    sides = []
+    for i in range(n_sides):
+        marg = Counter(r[i] for r in rows)
+        sides.append((i, {k: k for k in marg}, marg))
+    while True:
+        active = [s for s in sides if len(s[2]) > 1]
+        if len(active) < 2:
+            return None
+        e_min = n * math.prod(min(s[2].values()) / n for s in active)
+        poolable = [s for s in active if len(s[2]) > 2 or len(active) > 2]
+        if e_min >= 1 or not poolable:
+            break
+        _, label, marg = min(poolable, key=lambda s: min(s[2].values()))
+        (a, _), (b, _) = sorted(marg.items(),
+                                key=lambda kv: (kv[1], repr(kv[0])))[:2]
+        for k in label:
+            if label[k] == a:
+                label[k] = b
+        marg[b] += marg.pop(a)
+    joint = Counter(tuple(label[r[i]] for i, label, _ in active) for r in rows)
+    cats = [sorted(m, key=repr) for _, _, m in active]
+    if e_min < 1:
+        return float(sps.fisher_exact(
+            [[joint.get((x, y), 0) for y in cats[1]] for x in cats[0]])[1])
+    dof = (math.prod(len(c) for c in cats) - 1
+           - sum(len(c) - 1 for c in cats))
     stat = 0.0
-    cells = set(joint)
-    from itertools import product as iproduct
-    for cell in iproduct(*[sorted(m, key=repr) for m in margs]):
+    for cell in product(*cats):
         e = n
-        for i, k in enumerate(cell):
-            e *= margs[i][k] / n
-        o = joint.get(cell, 0)
-        if e > 0:
-            stat += (o - e) ** 2 / e
-    from scipy import stats as sps
+        for (_, _, m), k in zip(active, cell):
+            e *= m[k] / n
+        stat += (joint.get(cell, 0) - e) ** 2 / e
     return float(sps.chi2.sf(stat, dof))
 
 
@@ -791,7 +804,6 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
     Checked per site by Kolmogorov-Smirnov against Gamma(1/2, scale G(x,x))
     and at first and second moments (Wick) with truncation allowances.
     """
-    from scipy import stats as sps
     dom = catalog.domain
     g = dom.g
     sites = list(dom.vertices)

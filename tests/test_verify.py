@@ -363,3 +363,26 @@ def test_wilson_tree_input_no_loops():
     g2 = build_graph(2, [(0, 0, 1), (1, 0, 1)])
     with pytest.raises(WilsonError):
         wilson_ust(regularize_degree(g2, 2), 0, rng)   # root unreachable
+
+
+@pytest.mark.parametrize("weights, n", [
+    (0.55 ** np.arange(16), 670),                 # many rare categories
+    (np.array([0.985, 0.01, 0.005]), 650),        # one dominating key
+], ids=["geometric", "dominated"])
+def test_independence_chi2_calibrated_on_independent_sides(weights, n):
+    """Independent sides: the pooled test keeps its size (p < 1e-3 about
+    0.4 times in 400 tables), tests every table, and keeps its power."""
+    from loopsoup.verify import _independence_chi2
+    rng = stream(0, "independence-chi2")
+    weights = weights / weights.sum()
+    pvals = []
+    for _ in range(400):
+        a, b = rng.choice(len(weights), size=(2, n), p=weights)
+        pvals.append(_independence_chi2(list(zip(a.tolist(), b.tolist())), 2))
+    assert all(p is not None for p in pvals)
+    assert sum(p < 1e-3 for p in pvals) <= 2
+    assert sum(p < 1e-2 for p in pvals) <= 12
+    # dependent sides: the second copies the first half of the time
+    a, b = rng.choice(len(weights), size=(2, n), p=weights)
+    b = np.where(rng.random(n) < 0.5, a, b)
+    assert _independence_chi2(list(zip(a.tolist(), b.tolist())), 2) < 1e-6
