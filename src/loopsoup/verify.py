@@ -829,11 +829,14 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
         if not mean_ok and not expect_fail:
             return _report("lejan", "mc", 1.0, MC_TV_TOL, False, catalog,
                            samples, seed, **details)
-    # pairwise Wick moment on the first two sites
-    x, y = sites[0], sites[1]
-    exy = float((T[:, 0] * T[:, 1]).mean())
+    # pairwise Wick moment on the first two sites; a one-site domain takes
+    # the diagonal pair, where the same formula gives 3 G(x, x)^2 / 4
+    j = min(1, len(sites) - 1)
+    x, y = sites[0], sites[j]
+    txy = T[:, 0] * T[:, j]
+    exy = float(txy.mean())
     wick = (green(x, x) * green(y, y) + 2 * green(x, y) ** 2) / 4
-    se = float((T[:, 0] * T[:, 1]).std(ddof=1)) / math.sqrt(samples)
+    se = float(txy.std(ddof=1)) / math.sqrt(samples)
     wick_ok = stats.three_sigma(exy, wick, se, 2 * tail_mean)
     ok = ks_worst < MC_TV_TOL and wick_ok
     if expect_fail:

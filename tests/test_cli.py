@@ -146,3 +146,15 @@ def test_sample_soup_outputs(tmp_path):
     for f in ("loop_length_spectrum.csv", "occupation_edge_hist.csv",
               "occupation_site_hist.csv", "bridge_length_hist.csv"):
         assert (out / f).exists()
+
+
+def test_verify_lejan_one_site(tmp_path):
+    """A one-site domain takes the Wick moment on the diagonal pair and
+    writes a report instead of ending in a traceback."""
+    out = tmp_path / "lejan1"
+    rc = main(["verify", "lejan", "--graph", "complete:5", "--domain", "1",
+               "--alpha", "1/2", "--seed", "0", "--samples", "20000",
+               "--out", str(out)])
+    assert rc in (0, 1)
+    rep = json.loads((out / "report.json").read_text())["reports"][0]
+    assert rep["prop"] == "lejan"
