@@ -257,15 +257,15 @@ def side_orbit_key(cs, i):
     return _side_orbit_min(cs, i, cs.sides[i])
 
 
-def side_pair_orbit_size(cs, side_indices=(0, 1)):
-    """Number of distinct simultaneous relabelings of the listed sides."""
+def side_pair_orbit_size(cs):
+    """Number of distinct simultaneous relabelings of all sides."""
     oriented = cs.mode == "oriented"
-    slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in side_indices}
+    slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in cs.sides}
     images = set()
     for perm in block_permutations(cs.instances):
         images.add(tuple(
             _relabel_side(cs.sides[i], slot_instances[i], perm, oriented)
-            for i in side_indices
+            for i in cs.sides
         ))
     return len(images)
 

@@ -521,7 +521,6 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     if mode != "exact":
         return _mc_driver(prop, cut, float(intensity), samples, seed, None,
                           expect_fail)
-    inv = cut.inv
     targets = cut.targets(max_crossings)
     if max_targets is not None:
         # deterministic stratified selection: shortest targets of each
@@ -540,9 +539,7 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     # each side's bridges live in the complement of the other sets
     side_domains = [catalog.domain.without_vertices(
         set().union(*(sets[j] for j in sides if j != i))) for i in sides]
-    worst = -math.inf
-    worst_marg = -math.inf
-    worst_joint = -math.inf
+    stat = -math.inf
     per_target = []
     for target in targets:
         weights = conditional_multiset_law(catalog, Fraction(intensity),
@@ -551,23 +548,22 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
         joint: dict = {}
         cond_ms: dict = {}
         bb_raw: dict = {}
-        cs0 = None
         cross_steps = sum(len(p) * n for (pair, p), n in target.items())
         for ms, w in weights.items():
             counts = dict(ms)
             cs = extract_crossings_counts(catalog, counts, sets)
-            cs0 = cs
             keys = tuple(side_orbit_key(cs, i) for i in sides)
             joint[keys] = joint.get(keys, Fraction(0)) + w / total
             cond_ms[ms] = cond_ms.get(ms, Fraction(0)) + w / total
             steps = sum(len(k) * u for k, u in counts.items())
-            bb_raw[ms] = (side_pair_orbit_size(cs, tuple(sides))
+            bb_raw[ms] = (side_pair_orbit_size(cs)
                           * Fraction(1, g ** (steps - cross_steps)))
-        # normalizers of the per-side bridge measures
+        # normalizers of the per-side bridge measures (every multiset of
+        # the target has the same crossings, so the last one stands for all)
         denom = Fraction(1)
         for i in sides:
             green = green_function(side_domains[i], exact=True)
-            denom *= sum(side_weights(green, cs0, i).values())
+            denom *= sum(side_weights(green, cs, i).values())
         bb = {ms: v / denom for ms, v in bb_raw.items()}
         R = 1 - sum(bb.values())
         remainder = float(len(sets) * R) + 1e-15
@@ -575,40 +571,32 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
         # reassembled multiset, equivalently the pair of completions up to
         # relabeling identical crossings) equals the product bridge measure
         tv_joint = tv_distance(cond_ms, bb, float(R))
-        worst_joint = max(worst_joint, tv_joint - (float(R) + 1e-15))
+        stat = max(stat, tv_joint - (float(R) + 1e-15))
         marg = [dict() for _ in sets]
         for keys, p in joint.items():
             for i, k in enumerate(keys):
                 marg[i][k] = marg[i].get(k, Fraction(0)) + p
-        prod: dict = {}
-        for keys in joint:
-            q = Fraction(1)
-            for i, k in enumerate(keys):
-                q *= marg[i][k]
-            prod[keys] = q
+        prod = {keys: math.prod((marg[i][k] for i, k in enumerate(keys)),
+                                start=Fraction(1)) for keys in joint}
         # product law also charges key combinations the joint never hit
         prod_mass = sum(prod.values())
         tv = tv_distance(joint, prod, float(1 - prod_mass))
         entry = {"crossings": sum(target.values()), "tv": tv,
                  "tv_vs_product_bridge_law": tv_joint,
                  "remainder": remainder, "support": len(joint)}
-        worst = max(worst, tv - remainder)
+        stat = max(stat, tv - remainder)
         if check_marginals:
             cap = bridge_cap if bridge_cap is not None else catalog.L_max - 2
             for i in sides:
-                bdist, rem_i = side_bridge_law(side_domains[i], cs0, i, cap,
-                                               involution=inv)
+                bdist, rem_i = side_bridge_law(side_domains[i], cs, i, cap,
+                                               involution=cut.inv)
                 tv_i = tv_distance(marg[i], bdist, float(rem_i))
                 entry[f"marginal_tv_{i}"] = tv_i
                 entry[f"marginal_remainder_{i}"] = float(R + rem_i)
-                worst_marg = max(worst_marg, tv_i - float(R + rem_i))
+                stat = max(stat, tv_i - float(R + rem_i))
         per_target.append(entry)
-    stat = max(worst, worst_joint,
-               worst_marg if check_marginals else -math.inf)
-    ok = stat <= EXACT_TOL
-    if expect_fail:
-        ok = not ok
-    return _report(prop, "exact", stat, EXACT_TOL, ok, catalog,
+    return _report(prop, "exact", stat, EXACT_TOL,
+                   (stat <= EXACT_TOL) != expect_fail, catalog,
                    intensity=str(intensity), targets_tested=len(targets),
                    per_target=per_target, positive_control=expect_fail)
 
