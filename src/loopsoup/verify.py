@@ -695,7 +695,7 @@ def _windowed_cmi(cells, Bi, Bb, Bo) -> tuple[float, int, int]:
     """
     bad = 0
     checked = 0
-    cmi = 0.0
+    terms = []
     norm = Fraction(0)
     windows = {}
     for b, M in cells.items():
@@ -729,9 +729,10 @@ def _windowed_cmi(cells, Bi, Bb, Bo) -> tuple[float, int, int]:
             po[o] += w / norm
         for (i, o), w in win.items():
             p = w / norm
-            cmi += float(p) * math.log(float(p) * float(pb)
-                                       / (float(pi[i]) * float(po[o])))
-    return cmi, checked, bad
+            terms.append(float(p) * math.log(float(p) * float(pb)
+                                             / (float(pi[i]) * float(po[o]))))
+    # fsum: the correctly rounded sum does not depend on the cell order
+    return math.fsum(terms), checked, bad
 
 
 def verify_occupation_markov(domain: Domain, F1, edge_partition,

@@ -14,7 +14,8 @@ from loopsoup.config import parse_config
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@pytest.mark.parametrize("name", ["golden_exact", "golden_mc"])
+@pytest.mark.parametrize("name", ["golden_exact", "golden_mc",
+                                  "golden_occupation"])
 def test_report_matches_golden_fixture(tmp_path, name):
     cfg = parse_config(os.path.join(DATA, f"{name}.cfg"))
     assert run(cfg, str(tmp_path)) == 0
