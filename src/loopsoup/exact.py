@@ -21,7 +21,7 @@ generating function of the edge jump counts,
     E prod_e z_e^{N_e}  =  (det(I - P_z) / det(I - P))^{-t},
 
 expanded as a truncated multivariate power series with rational
-coefficients.  For half-integer exponents the series carries an irrational
+coefficients, one total degree at a time.  For half-integer exponents the series carries an irrational
 scalar prefactor that cancels from every conditional quantity, so the
 rational part is sufficient for exact conditional-independence checks.
 """
@@ -29,7 +29,7 @@ rational part is sufficient for exact conditional-independence checks.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -341,9 +341,6 @@ class TruncPoly:
             return cls(nvars, cap)
         return cls(nvars, cap, {tuple(exps): Fraction(value)})
 
-    def copy(self) -> "TruncPoly":
-        return TruncPoly(self.nvars, self.cap, dict(self.coeffs))
-
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
@@ -353,9 +350,6 @@ class TruncPoly:
             elif m in out:
                 del out[m]
         return TruncPoly(self.nvars, self.cap, out)
-
-    def __sub__(self, other: "TruncPoly") -> "TruncPoly":
-        return self + other.scale(-1)
 
     def scale(self, k) -> "TruncPoly":
         k = Fraction(k)
@@ -401,20 +395,55 @@ def _det_trunc(mat: list[list[TruncPoly]]) -> TruncPoly:
 
 
 def _binomial_series(u: TruncPoly, exponent: Fraction) -> TruncPoly:
-    """(1 + u)^exponent as a truncated series; u must have zero constant term."""
+    """(1 + u)^exponent as a truncated series; u must have zero constant term.
+
+    One pass, degree by degree, by J.C.P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, sec. 4.7) lifted by the Euler operator E, which scales the
+    degree-d part by d: (1 + u) E f = a (E u) f gives f_0 = 1 and
+
+        d f_d = sum_{k=1..d} (a k - (d - k)) u_k f_{d-k},
+
+    u_k the degree-k part of u.  With a = p/q, Q the lcm of u's denominators
+    and U_k = Q u_k, the numerators F_d = (Q q)^d d! f_d are integers,
+
+        F_d = sum_k (p k - q (d - k)) (Q q)^{k-1} (d-1)!/(d-k)! U_k F_{d-k},
+
+    so the pass runs on Python ints and the Fractions are built once at the
+    end.  Monomials are packed base cap + 1 into one int (no exponent exceeds
+    the cap), so multiplying two of them is adding their codes.
+    """
     if u.constant_term() != 0:
         raise OracleError("series argument must vanish at the origin")
     nvars, cap = u.nvars, u.cap
-    out = TruncPoly.constant(nvars, cap, 1)
-    power = TruncPoly.constant(nvars, cap, 1)
-    coef = Fraction(1)
-    for k in range(1, cap + 1):
-        coef *= (exponent - (k - 1)) / k
-        power = power * u
-        if not power.coeffs:
-            break
-        out = out + power.scale(coef)
-    return out
+    exponent = Fraction(exponent)
+    p, q = exponent.numerator, exponent.denominator
+    Q = math.lcm(*(c.denominator for c in u.coeffs.values()))
+    Qq = Q * q
+    place = [(cap + 1) ** j for j in range(nvars)]
+    U: list[dict] = [{} for _ in range(cap + 1)]
+    for m, c in u.coeffs.items():
+        if sum(m) <= cap:
+            code = sum(e * w for e, w in zip(m, place))
+            U[sum(m)][code] = c.numerator * (Q // c.denominator)
+    F: list[dict] = [{0: 1}]
+    for d in range(1, cap + 1):
+        acc: dict = defaultdict(int)
+        for k in range(1, d + 1):
+            scale = (p * k - q * (d - k)) * Qq ** (k - 1) * math.perm(d - 1, k - 1)
+            if not scale:
+                continue
+            lower = F[d - k]
+            for mu, cu in U[k].items():
+                c = scale * cu
+                for mf, cf in lower.items():
+                    acc[mu + mf] += c * cf
+        F.append({code: c for code, c in acc.items() if c})
+    out = {}
+    for d, Fd in enumerate(F):
+        den = Qq ** d * math.factorial(d)
+        for code, c in Fd.items():
+            out[tuple(code // w % (cap + 1) for w in place)] = Fraction(c, den)
+    return TruncPoly(nvars, cap, out)
 
 
 @dataclass
@@ -446,6 +475,11 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     which is exactly the unoriented count).  Untracked in-domain edges are
     rejected unless `allow_marginal`: leaving their variable at 1 yields the
     exact marginal law of the tracked counts.
+
+    det(I - P_z) comes from a cofactor expansion; with D0 its constant term
+    and u = det(I - P_z)/D0 - 1, the rational part (1 + u)^{-intensity} is
+    built degree by degree in one pass of Miller's recurrence over the
+    integers (`_binomial_series`).
     """
     groups = [tuple(g) for g in edge_groups]
     var_of = {}
@@ -481,7 +515,8 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     D0 = D.constant_term()            # det at z = 0 (no tracked jumps)
     if D0 <= 0:
         raise OracleError("degenerate determinant at the origin")
-    u = D.scale(Fraction(1) / D0) - TruncPoly.constant(nvars, cap, 1)
+    zero = (0,) * nvars
+    u = TruncPoly(nvars, cap, {m: c / D0 for m, c in D.coeffs.items() if m != zero})
     series = _binomial_series(u, -intensity)
     # true PGF = (D0 / det(I - P))^{-intensity} * series
     P = domain.transition_matrix()

@@ -29,7 +29,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import combinations, product, zip_longest
 
 import numpy as np
 from scipy import stats as sps
@@ -693,44 +693,44 @@ def _windowed_cmi(cells, Bi, Bb, Bo) -> tuple[float, int, int]:
     restriction to a product window preserves conditional independence, so
     the window CMI of a Markov field vanishes identically.
     """
-    bad = 0
-    checked = 0
-    terms = []
-    norm = Fraction(0)
-    windows = {}
+    windows = []
     for b, M in cells.items():
         if sum(b) > Bb:
             continue
         win = {(i, o): w for (i, o), w in M.items()
                if sum(i) <= Bi and sum(o) <= Bo}
         if win:
-            windows[b] = win
-            norm += sum(win.values())
-    if norm == 0:
+            windows.append(win)
+    if not windows:
         return 0.0, 0, 0
-    from itertools import combinations
-    for b, win in windows.items():
-        ivals = sorted({i for (i, o) in win})
-        ovals = sorted({o for (i, o) in win})
-        for i1, i2 in combinations(ivals, 2):
-            for o1, o2 in combinations(ovals, 2):
-                m = [win.get((i1, o1)), win.get((i1, o2)),
-                     win.get((i2, o1)), win.get((i2, o2))]
-                if None in m:
-                    continue
+    # One common denominator makes every weight an integer.  The ratios
+    # w / norm are the same rationals, and int / int division rounds them
+    # correctly, so each float equals the float of the exact probability.
+    scale = math.lcm(*(w.denominator for win in windows for w in win.values()))
+    windows = [{c: w.numerator * (scale // w.denominator) for c, w in win.items()}
+               for win in windows]
+    norm = sum(sum(win.values()) for win in windows)
+    bad = 0
+    checked = 0
+    terms = []
+    for win in windows:
+        rows: dict = defaultdict(dict)
+        pi: dict = defaultdict(int)
+        po: dict = defaultdict(int)
+        for (i, o), w in win.items():
+            rows[i][o] = w
+            pi[i] += w
+            po[o] += w
+        # a minor is tested when all four cells are in the window
+        for r1, r2 in combinations(rows.values(), 2):
+            for o1, o2 in combinations(r1.keys() & r2.keys(), 2):
                 checked += 1
-                if m[0] * m[3] != m[1] * m[2]:
+                if r1[o1] * r2[o2] != r1[o2] * r2[o1]:
                     bad += 1
         pb = sum(win.values()) / norm
-        pi = defaultdict(Fraction)
-        po = defaultdict(Fraction)
-        for (i, o), w in win.items():
-            pi[i] += w / norm
-            po[o] += w / norm
         for (i, o), w in win.items():
             p = w / norm
-            terms.append(float(p) * math.log(float(p) * float(pb)
-                                             / (float(pi[i]) * float(po[o]))))
+            terms.append(p * math.log(p * pb / ((pi[i] / norm) * (po[o] / norm))))
     # fsum: the correctly rounded sum does not depend on the cell order
     return math.fsum(terms), checked, bad
 

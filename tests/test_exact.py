@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, enumerate_loops, green_function,
                       occupation_law, tv_distance)
@@ -29,6 +31,48 @@ def test_truncpoly_algebra():
     assert s.coeffs[(2, 0)] == Fraction(3, 8)
     with pytest.raises(OracleError):
         _binomial_series(one, Fraction(1, 2))
+
+
+def _power_expansion(u, exponent):
+    """Reference (1 + u)^exponent: sum_k C(exponent, k) u^k, one truncated
+    product per power of u."""
+    out = TruncPoly.constant(u.nvars, u.cap, 1)
+    power = TruncPoly.constant(u.nvars, u.cap, 1)
+    coef = Fraction(1)
+    for k in range(1, u.cap + 1):
+        coef *= (exponent - (k - 1)) / k
+        power = power * u
+        out = out + power.scale(coef)
+    return out
+
+
+@st.composite
+def _series_without_constant(draw):
+    nvars = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, 6))
+    # a monomial of degree 1..cap is a multiset of variable indices
+    monomials = st.lists(st.integers(0, nvars - 1), min_size=1,
+                         max_size=cap).map(
+        lambda idx: tuple(idx.count(j) for j in range(nvars)))
+    coeffs = draw(st.dictionaries(
+        monomials, st.fractions(-3, 3, max_denominator=7).filter(bool),
+        max_size=5))
+    return TruncPoly(nvars, cap, coeffs)
+
+
+EXPONENTS = st.sampled_from([Fraction(-1, 2), Fraction(-1), Fraction(-3, 2),
+                             Fraction(1, 2), Fraction(2)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_series_without_constant(), EXPONENTS, EXPONENTS)
+def test_binomial_series_property(u, a, b):
+    """The graded recurrence equals the power expansion, and the powers
+    multiply: (1+u)^a (1+u)^b = (1+u)^(a+b)."""
+    fa = _binomial_series(u, a)
+    assert fa.coeffs == _power_expansion(u, a).coeffs
+    assert (fa * _binomial_series(u, b)).coeffs == \
+        _binomial_series(u, a + b).coeffs
 
 
 def test_occupation_law_self_edge():
