@@ -753,6 +753,9 @@ def verify_occupation_markov(domain: Domain, F1, edge_partition,
     so edge-level independence carries the site fields along.
     """
     groups, idx_in, idx_bd, idx_out = edge_partition
+    if not idx_in or not idx_out:
+        raise OracleError("the partition leaves no inside or no outside edge "
+                          "variable, so there is nothing to test")
     if intensity_kind == "c":
         exponent = Fraction(intensity) / 2
     else:

@@ -123,6 +123,15 @@ def test_exit_code_on_failure(tmp_path):
     assert rc == 1
 
 
+def test_occupation_markov_with_nothing_to_test_exits_2(tmp_path):
+    # on the K5 triangle with f1 = 1, f2 = 2 no edge lies inside f1 or
+    # inside f2, so the Markov check has no variables to test
+    cfg = BASE.replace("jobs = prop2", "jobs = occupation-markov")
+    rc = main(["run", write(tmp_path, cfg, "occ.cfg"),
+               "--out", str(tmp_path / "occ")])
+    assert rc == 2
+
+
 def test_console_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "loopsoup.cli", "verify",
                         "prop1", "--graph", "complete:5", "--domain", "1 2 3",
