@@ -69,7 +69,9 @@ def _sample_counts(catalog: LoopCatalog, rate: float, rng,
     masses, cum = catalog.mass_arrays()
     if method == "per-class":
         draws = rng.poisson(rate * masses)
-        return {c.key: int(k) for c, k in zip(catalog.classes, draws) if k > 0}
+        hit = np.flatnonzero(draws)
+        return {catalog.classes[i].key: k
+                for i, k in zip(hit.tolist(), draws[hit].tolist())}
     total = float(cum[-1]) if len(cum) else 0.0
     if total == 0.0:
         return {}
