@@ -21,9 +21,10 @@ generating function of the edge jump counts,
     E prod_e z_e^{N_e}  =  (det(I - P_z) / det(I - P))^{-t},
 
 expanded as a truncated multivariate power series with rational
-coefficients, one total degree at a time.  For half-integer exponents the series carries an irrational
-scalar prefactor that cancels from every conditional quantity, so the
-rational part is sufficient for exact conditional-independence checks.
+coefficients, one total degree at a time.  For half-integer exponents the
+series carries an irrational scalar prefactor that cancels from every
+conditional quantity, so the rational part is sufficient for exact
+conditional-independence checks.
 """
 
 from __future__ import annotations
@@ -415,27 +416,22 @@ def _binomial_series(u: TruncPoly, exponent: Fraction) -> TruncPoly:
     if u.constant_term() != 0:
         raise OracleError("series argument must vanish at the origin")
     nvars, cap = u.nvars, u.cap
-    exponent = Fraction(exponent)
     p, q = exponent.numerator, exponent.denominator
     Q = math.lcm(*(c.denominator for c in u.coeffs.values()))
     Qq = Q * q
     place = [(cap + 1) ** j for j in range(nvars)]
     U: list[dict] = [{} for _ in range(cap + 1)]
     for m, c in u.coeffs.items():
-        if sum(m) <= cap:
-            code = sum(e * w for e, w in zip(m, place))
-            U[sum(m)][code] = c.numerator * (Q // c.denominator)
+        U[sum(m)][sum(e * w for e, w in zip(m, place))] = \
+            c.numerator * (Q // c.denominator)
     F: list[dict] = [{0: 1}]
     for d in range(1, cap + 1):
         acc: dict = defaultdict(int)
         for k in range(1, d + 1):
             scale = (p * k - q * (d - k)) * Qq ** (k - 1) * math.perm(d - 1, k - 1)
-            if not scale:
-                continue
-            lower = F[d - k]
             for mu, cu in U[k].items():
                 c = scale * cu
-                for mf, cf in lower.items():
+                for mf, cf in F[d - k].items():
                     acc[mu + mf] += c * cf
         F.append({code: c for code, c in acc.items() if c})
     out = {}
