@@ -28,12 +28,10 @@ def markov_edge_partition(ws: Workspace, oriented: bool):
     F1 = set(cfg.f1)
     F2 = set(cfg.f2) or (ws.domain.vertex_set - F1)
     ug = ws.unoriented
-    classes = sorted(k for k in ug.edge_classes
-                     if set(ug.class_endpoints(k)) <= ws.domain.vertex_set)
     groups, idx_in, idx_bd, idx_out = [], [], [], []
-    for k in classes:
+    for k in ug.classes_inside(ws.domain):
         a, b = ug.class_endpoints(k)
-        members = tuple(dict.fromkeys(k))
+        members = ug.edge_classes[k]
         if oriented:
             new = [(m,) for m in members]
         else:
@@ -68,9 +66,8 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
                         [(n, k, m) for n, (k, m) in sorted(spectrum.items())])]
     sites = list(ws.domain.vertices)
     ug = ws.unoriented
-    classes = sorted(k for k in ug.edge_classes
-                     if set(ug.class_endpoints(k)) <= ws.domain.vertex_set)
-    fs = FieldSampler(cat, [tuple(dict.fromkeys(k)) for k in classes], sites)
+    classes = ug.classes_inside(ws.domain)
+    fs = FieldSampler(cat, classes, sites)
     jumps, visits, times = fs.sample(cfg.alpha, cfg.samples, rng)
     rows = []
     for j, k in enumerate(classes):

@@ -544,6 +544,19 @@ def reassemble(decomposition_or_eta, beta=None, graph=None, involution=None):
 # -- continuous-time excursions ---------------------------------------------------
 
 
+def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]:
+    """The excursion skeletons of a loop cut at the marked vertices.
+
+    Each arc between consecutive marked visits is one skeleton; with an
+    involution it is keyed by the smaller of the arc and its reversal.  A
+    loop that avoids the marked set has none.
+    """
+    arcs = _cyclic_arcs(key, loop_vertices(graph, key), marked) or ()
+    if involution is None:
+        return [edges for _, edges in arcs]
+    return [min(edges, involution.reverse_path(edges)) for _, edges in arcs]
+
+
 def ct_excursions(ct_soup, sites):
     """Cut the loops of a continuous-time soup at a marked site set.
 
@@ -557,22 +570,17 @@ def ct_excursions(ct_soup, sites):
     sites = sorted(set(sites))
     siteset = set(sites)
     inv = catalog.unoriented_graph.involution if catalog.mode == "unoriented" else None
-    skeletons = []
+    cut = []
     parity = {v: 0 for v in sites}
-    for key, occ in _iter_multiset(soup.counts):
-        verts = loop_vertices(graph, key)
-        arcs = _cyclic_arcs(key, verts, siteset)
-        if arcs is None:
-            continue
-        for pos, edges in arcs:
-            canon = edges if inv is None else min(edges, inv.reverse_path(edges))
-            skeletons.append(canon)
-            a, b = path_endpoints(graph, edges)
-            parity[a] += 1
-            parity[b] += 1
+    for key, cnt in soup.counts.items():
+        for skel in loop_skeletons(graph, key, siteset, inv):
+            cut += [skel] * cnt
+            a, b = path_endpoints(graph, skel)
+            parity[a] += cnt
+            parity[b] += cnt
     times = ct_soup.site_times()
     local = {v: times.get(v, 0.0) for v in sites}
-    return sorted(skeletons), local, parity
+    return sorted(cut), local, parity
 
 
 # -- hookup orbit keys -------------------------------------------------------------

@@ -218,6 +218,12 @@ class UnorientedGraph:
         e = self.graph.edge_by_id[key[0]]
         return (min(e.tail, e.head), max(e.tail, e.head))
 
+    def classes_inside(self, domain: "Domain") -> list[tuple[int, int]]:
+        """Sorted keys of the edge classes whose edges the domain allows."""
+        return [k for k, members in self.edge_classes.items()
+                if all(domain.allows_edge(self.graph.edge_by_id[e])
+                       for e in members)]
+
 
 def unoriented_view(graph: OrientedMultigraph, involution: Involution) -> UnorientedGraph:
     return UnorientedGraph(graph, involution)

@@ -62,6 +62,21 @@ class LoopSoup:
         return sum(self.catalog.by_key[k].n * c for k, c in self.counts.items())
 
 
+def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
+    """Class indices of n_samples independent soups of intensity rate * mass.
+
+    Each soup is one Poisson(rate * total mass) count of i.i.d. categorical
+    class draws; yields (sample, class indices) for every nonempty soup.
+    The total is cum[-1] and the search runs over cum[:-1], so even a
+    uniform draw just below 1 selects a class of the catalog.
+    """
+    total = float(cum[-1]) if len(cum) else 0.0
+    for i, k in enumerate(rng.poisson(rate * total, size=n_samples).tolist()):
+        if k:
+            yield i, np.searchsorted(cum[:-1], rng.random(k) * total,
+                                     side="right")
+
+
 def _sample_counts(catalog: LoopCatalog, rate: float, rng,
                    method: str = "auto") -> dict:
     if method == "auto":
@@ -72,17 +87,11 @@ def _sample_counts(catalog: LoopCatalog, rate: float, rng,
         hit = np.flatnonzero(draws)
         return {catalog.classes[i].key: k
                 for i, k in zip(hit.tolist(), draws[hit].tolist())}
-    total = float(cum[-1]) if len(cum) else 0.0
-    if total == 0.0:
-        return {}
-    k = int(rng.poisson(rate * total))
-    if k == 0:
-        return {}
-    idx = np.searchsorted(cum, rng.random(k) * total, side="right")
     out: dict = {}
-    for i in idx:
-        key = catalog.classes[int(i)].key
-        out[key] = out.get(key, 0) + 1
+    for _, idx in _class_draws(cum, rate, 1, rng):
+        for i in idx.tolist():
+            key = catalog.classes[i].key
+            out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -271,8 +280,15 @@ class ContinuousTimeSoup:
         return out
 
 
-def _trivial_shape(soup: LoopSoup) -> float:
-    return soup.intensity if soup.intensity_kind == "alpha" else soup.intensity / 2.0
+def _trivial_shape(mode: str, intensity: float) -> float:
+    """Gamma shape of the trivial occupation per site: alpha, or c/2."""
+    return intensity if mode == "oriented" else intensity / 2.0
+
+
+def _jump_soup(catalog: LoopCatalog, intensity: float, rng, method: str):
+    sampler = (sample_oriented_soup if catalog.mode == "oriented"
+               else sample_unoriented_soup)
+    return sampler(catalog, intensity, rng, method)
 
 
 def sample_ct_soup(catalog: LoopCatalog, intensity: float, rng,
@@ -286,16 +302,13 @@ def sample_ct_soup(catalog: LoopCatalog, intensity: float, rng,
     convention and validates it.
     """
     g = catalog.domain.g
-    if catalog.mode == "oriented":
-        jump = sample_oriented_soup(catalog, intensity, rng, method)
-    else:
-        jump = sample_unoriented_soup(catalog, intensity, rng, method)
+    jump = _jump_soup(catalog, intensity, rng, method)
     holding = {
         key: [rng.exponential(scale=1.0 / g, size=catalog.by_key[key].n)
               for _ in range(cnt)]
         for key, cnt in sorted(jump.counts.items())
     }
-    shape = _trivial_shape(jump)
+    shape = _trivial_shape(catalog.mode, intensity)
     trivial = {v: float(t) for v, t in zip(
         catalog.domain.vertices,
         rng.gamma(shape=shape, scale=1.0 / g, size=catalog.domain.size),
@@ -319,10 +332,7 @@ def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
         raise SoupError("M must be >= 1")
     g = catalog.domain.g
     w = M / (g + M)         # per-step probability of an added stationary jump
-    if catalog.mode == "oriented":
-        jump = sample_oriented_soup(catalog, intensity, rng, method)
-    else:
-        jump = sample_unoriented_soup(catalog, intensity, rng, method)
+    jump = _jump_soup(catalog, intensity, rng, method)
     holding = {}
     for key, cnt in sorted(jump.counts.items()):
         n = catalog.by_key[key].n
@@ -331,7 +341,7 @@ def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
             runs = rng.geometric(p=1.0 - w, size=n) - 1
             occs.append((1.0 + runs) / M)
         holding[key] = occs
-    shape = _trivial_shape(jump)
+    shape = _trivial_shape(catalog.mode, intensity)
     trivial = {}
     for v in catalog.domain.vertices:
         steps = int(rng.negative_binomial(shape, 1.0 - w))
@@ -377,9 +387,11 @@ def occupation_to_json(field: OccupationField) -> dict:
 class FieldSampler:
     """Bulk sampler of (edge-group jump counts, site visit counts, site times).
 
-    Uses the categorical point-process construction per sample and the
-    Gamma(visits + shape, 1/g) identity for total site occupation, which is
-    equal in law to summing per-visit exponentials.
+    Every sample is one soup drawn class by class (`_class_draws`), and its
+    jumps and visits are the sums of the per-class rows `class_jumps` and
+    `class_visits`; `class_sums` sums any other per-class integer rows the
+    same way.  Total site occupation uses the Gamma(visits + shape, 1/g)
+    identity, which is equal in law to summing per-visit exponentials.
     """
 
     def __init__(self, catalog: LoopCatalog, edge_groups: list[tuple[int, ...]],
@@ -388,9 +400,6 @@ class FieldSampler:
         self.edge_groups = [tuple(dict.fromkeys(g)) for g in edge_groups]
         self.sites = list(sites)
         self.g = catalog.domain.g
-        self.masses = np.array([c.mass_float for c in catalog.classes])
-        self.total_mass = float(self.masses.sum())
-        self.cum = np.cumsum(self.masses)
         E, S = len(edge_groups), len(sites)
         self.class_jumps = np.zeros((len(catalog), E), dtype=np.int64)
         self.class_visits = np.zeros((len(catalog), S), dtype=np.int64)
@@ -402,23 +411,24 @@ class FieldSampler:
             for j, v in enumerate(self.sites):
                 self.class_visits[i, j] = vis.get(v, 0)
 
+    def class_sums(self, rows: np.ndarray, intensity: float, n_samples: int,
+                   rng) -> np.ndarray:
+        """Per-class integer `rows` summed over each of n_samples soups."""
+        out = np.zeros((n_samples, rows.shape[1]), dtype=np.int64)
+        for i, idx in _class_draws(self.catalog.mass_arrays()[1], intensity,
+                                   n_samples, rng):
+            out[i] = rows[idx].sum(axis=0)
+        return out
+
     def sample(self, intensity: float, n_samples: int, rng,
                with_times: bool = True):
         """Return (jumps [n,E], visits [n,S], times [n,S] or None)."""
-        E, S = len(self.edge_groups), len(self.sites)
-        jumps = np.zeros((n_samples, E), dtype=np.int64)
-        visits = np.zeros((n_samples, S), dtype=np.int64)
-        totals = rng.poisson(intensity * self.total_mass, size=n_samples)
-        for i in range(n_samples):
-            k = int(totals[i])
-            if k == 0:
-                continue
-            idx = np.searchsorted(self.cum, rng.random(k) * self.total_mass,
-                                  side="right")
-            jumps[i] = self.class_jumps[idx].sum(axis=0)
-            visits[i] = self.class_visits[idx].sum(axis=0)
+        E = len(self.edge_groups)
+        sums = self.class_sums(np.hstack([self.class_jumps, self.class_visits]),
+                               intensity, n_samples, rng)
+        jumps, visits = sums[:, :E], sums[:, E:]
         times = None
         if with_times:
-            shape0 = intensity if self.catalog.mode == "oriented" else intensity / 2.0
-            times = rng.gamma(shape=visits + shape0) / self.g
+            times = rng.gamma(shape=visits + _trivial_shape(self.catalog.mode,
+                                                           intensity)) / self.g
         return jumps, visits, times

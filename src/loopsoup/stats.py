@@ -104,13 +104,13 @@ def quantile_bins(values: np.ndarray, min_per_bin: int = 200,
 # -- conditioned-Poisson oracles ------------------------------------------------
 
 
-def sample_even_poisson(lam: np.ndarray, incidence: list[tuple[int, ...]],
-                        rng, max_iter: int = 2000) -> np.ndarray:
-    """Independent Poisson(lam[i, e]) conditioned on even vertex degrees.
+def sample_conditioned_poisson(lam: np.ndarray, accept, rng,
+                               max_iter: int) -> np.ndarray:
+    """Independent Poisson(lam[i, e]) rows, each conditioned on `accept`.
 
-    incidence[v] lists, for each conditioning vertex, the (column, weight)
-    pairs of edge variables incident to it; degrees must come out even at
-    every vertex.  Sampling is by rejection, which is exact.
+    accept maps an integer draw matrix to a boolean mask of the rows that
+    satisfy the condition.  Sampling is by rejection, which is exact; it
+    gives up after max_iter rounds.
     """
     n, m = lam.shape
     out = np.zeros((n, m), dtype=np.int64)
@@ -119,33 +119,7 @@ def sample_even_poisson(lam: np.ndarray, incidence: list[tuple[int, ...]],
         if todo.size == 0:
             return out
         draw = rng.poisson(lam[todo])
-        ok = np.ones(todo.size, dtype=bool)
-        for cols in incidence:
-            deg = np.zeros(todo.size, dtype=np.int64)
-            for col, w in cols:
-                deg += w * draw[:, col]
-            ok &= deg % 2 == 0
+        ok = accept(draw)
         out[todo[ok]] = draw[ok]
         todo = todo[~ok]
-    raise RuntimeError("even-Poisson rejection did not terminate")
-
-
-def sample_inout_poisson(lam: np.ndarray, heads: list[list[int]],
-                         tails: list[list[int]], rng,
-                         max_iter: int = 5000) -> np.ndarray:
-    """Independent Poisson per oriented edge conditioned on in = out per site."""
-    n, m = lam.shape
-    out = np.zeros((n, m), dtype=np.int64)
-    todo = np.arange(n)
-    for _ in range(max_iter):
-        if todo.size == 0:
-            return out
-        draw = rng.poisson(lam[todo])
-        ok = np.ones(todo.size, dtype=bool)
-        for cols_in, cols_out in zip(heads, tails):
-            inn = draw[:, cols_in].sum(axis=1) if cols_in else 0
-            outt = draw[:, cols_out].sum(axis=1) if cols_out else 0
-            ok &= inn == outt
-        out[todo[ok]] = draw[ok]
-        todo = todo[~ok]
-    raise RuntimeError("in-out-Poisson rejection did not terminate")
+    raise RuntimeError("conditioned-Poisson rejection did not terminate")

@@ -41,7 +41,8 @@ from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
                     unordered_bridge_law, validate_eta, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          extract_crossings_counts, oriented_hookup_orbit_key,
-                         path_endpoints, record_edge_jumps_counts,
+                         loop_skeletons, path_endpoints,
+                         record_edge_jumps_counts,
                          reassemble_oriented, reassemble_unoriented,
                          unoriented_hookup_orbit_key)
 from .graph import Domain, green_function
@@ -493,9 +494,7 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
     is the identity, so the bridge measure of the removed-edge cut is exactly
     that uniform pairing law, with empty bridges.
     """
-    ug = catalog.unoriented_graph
-    removed = sorted(k for k in ug.edge_classes
-                     if set(ug.class_endpoints(k)) <= catalog.domain.vertex_set)
+    removed = catalog.unoriented_graph.classes_inside(catalog.domain)
     worst, per_target = _exact_driver(EdgeCut(catalog, removed),
                                       Fraction(intensity), max_jumps)
     return _report("prop5", "exact-degenerate", worst, EXACT_TOL,
@@ -865,10 +864,32 @@ def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
     return menu
 
 
-def _two_sample_pvalues(rows_a, rows_b, occupation):
-    """Two-sample chi-square p-values of sample rows against oracle rows: one
-    per quantile bin of the total occupation with enough samples, then the
-    pooled one last."""
+def _current_oracle_pvalues(rows, pairs, masses, T, rng, keep=slice(None)):
+    """Test sampled currents against the conditioned-current oracle.
+
+    Column k of `rows` counts the jumps (or excursions) of mass masses[k]
+    between the sites of column indices pairs[k] = (a, b) of the rescaled
+    occupations T.  Given T, the oracle draws the columns as independent
+    Poisson(phi_a phi_b m), phi = sqrt(2 T), halved when a == b, conditioned
+    on even endpoint counts at every site.  The rows in `keep` are compared
+    by two-sample chi-square, per quantile bin of the total occupation with
+    enough samples and then pooled.  Returns whether every kept row has even
+    endpoint counts, and the p-values with the pooled one last.
+    """
+    ends = np.zeros((len(pairs), T.shape[1]), dtype=np.int64)
+    for k, (a, b) in enumerate(pairs):
+        ends[k, a] += 1
+        ends[k, b] += 1
+
+    def even(draw):
+        return ((draw @ ends) % 2 == 0).all(axis=1)
+
+    x, y = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    phi = np.sqrt(2.0 * T)
+    lam = phi[:, x] * phi[:, y] * (np.where(x == y, 0.5, 1.0) * masses)
+    oracle = stats.sample_conditioned_poisson(lam, even, rng, max_iter=2000)
+    rows, oracle, occupation = rows[keep], oracle[keep], T.sum(axis=1)[keep]
+
     def test(a, b):
         return stats.chi2_two_sample(Counter(map(tuple, a)),
                                      Counter(map(tuple, b)))
@@ -879,10 +900,10 @@ def _two_sample_pvalues(rows_a, rows_b, occupation):
         m = bins == b
         if m.sum() < MIN_BIN_SAMPLES:
             continue
-        _, dof_b, p = test(rows_a[m], rows_b[m])
+        _, dof_b, p = test(rows[m], oracle[m])
         if dof_b > 0:
             pvals.append(p)
-    return pvals + [test(rows_a, rows_b)[2]]
+    return bool(even(rows).all()), pvals + [test(rows, oracle)[2]]
 
 
 def verify_ct_excursions(catalog: LoopCatalog, sites,
@@ -902,86 +923,35 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     if catalog.mode != "unoriented":
         raise OracleError("the excursion law is stated for unoriented soups")
     dom = catalog.domain
-    g = dom.g
     inv = catalog.unoriented_graph.involution
     sites = sorted(sites)
     site_ix = {v: i for i, v in enumerate(sites)}
     menu = _excursion_skeleton_menu(dom, sites, inv, skeleton_cap)
     skels = sorted(menu)
     skel_ix = {k: i for i, k in enumerate(skels)}
-
-    # per-class skeleton counts (loops cut at the site set)
-    from .excursions import _cyclic_arcs, path_endpoints
-    from .loops import loop_vertices
-    graph = dom.graph
-
-    def features(key):
-        verts = loop_vertices(graph, key)
-        arcs = _cyclic_arcs(key, verts, set(sites))
-        out = Counter()
-        if arcs is None:
-            return out
-        for _, edges in arcs:
-            k = min(edges, inv.reverse_path(edges))
-            if k in skel_ix:
-                out[skel_ix[k]] += 1
-            else:
-                out["long"] += 1
-        return out
-
-    fs = FieldSampler(catalog, [], sites)
     nsk = len(skels)
+
+    # per-class skeleton counts (loops cut at the site set), skeletons beyond
+    # the cap in column nsk
+    fs = FieldSampler(catalog, [], sites)
     class_sk = np.zeros((len(catalog), nsk + 1), dtype=np.int64)
+    marked = set(sites)
     for i, cls in enumerate(catalog.classes):
-        for k, v in features(cls.key).items():
-            class_sk[i, nsk if k == "long" else k] = v
+        for sk in loop_skeletons(dom.graph, cls.key, marked, inv):
+            class_sk[i, skel_ix.get(sk, nsk)] += 1
     rng = stream(seed, "ct-excursions")
-    totals = rng.poisson(intensity * fs.total_mass, size=samples)
-    soup_counts = np.zeros((samples, nsk + 1), dtype=np.int64)
-    visits = np.zeros((samples, len(sites)), dtype=np.int64)
-    for i in range(samples):
-        k = int(totals[i])
-        if k:
-            idx = np.searchsorted(fs.cum, rng.random(k) * fs.total_mass,
-                                  side="right")
-            soup_counts[i] = class_sk[idx].sum(axis=0)
-            visits[i] = fs.class_visits[idx].sum(axis=0)
-    shape0 = intensity / 2.0
-    T = rng.gamma(shape=visits + shape0)   # rescaled occupations
-    # parity check: endpoints per site even, every sample
-    parity_ok = True
-    endpoint_w = np.zeros((nsk, len(sites)), dtype=np.int64)
-    for k, sk in enumerate(skels):
-        a, b = menu[sk][0]
-        endpoint_w[k, site_ix[a]] += 1
-        endpoint_w[k, site_ix[b]] += 1
-    par = soup_counts[:, :nsk] @ endpoint_w
-    # long skeletons also carry endpoints; account for them via visit parity:
-    # each visit contributes one arrival and one departure, so the exact
-    # endpoint count is 2 * visits, always even; the capped check below uses
-    # only samples without long skeletons.
-    no_long = soup_counts[:, nsk] == 0
-    parity_ok = bool((par[no_long] % 2 == 0).all())
-
-    # oracle: lambda per skeleton from |phi| = sqrt(2T)
-    phi = np.sqrt(2.0 * T)
-    lam = np.zeros((samples, nsk))
-    for k, sk in enumerate(skels):
-        (a, b), mass = menu[sk]
-        lam[:, k] = phi[:, site_ix[a]] * phi[:, site_ix[b]] * float(mass)
-        if a == b:
-            lam[:, k] *= 0.5
-    orng = stream(seed, "ct-excursions/oracle")
-    incidence = []
-    for j in range(len(sites)):
-        incidence.append([(k, int(endpoint_w[k, j])) for k in range(nsk)
-                          if endpoint_w[k, j]])
-    oracle = stats.sample_even_poisson(lam, incidence, orng)
-
-    sk_rows = soup_counts[no_long][:, :nsk]
-    pvals = _two_sample_pvalues(sk_rows, oracle[no_long],
-                                T.sum(axis=1)[no_long])
-    p_pooled = pvals[-1]
+    sums = fs.class_sums(np.hstack([class_sk, fs.class_visits]), intensity,
+                         samples, rng)
+    T = rng.gamma(shape=sums[:, nsk + 1:] + intensity / 2.0)   # rescaled
+    # Long skeletons carry endpoints too (every visit is one arrival and one
+    # departure, so the counts stay even), but the capped checks use only
+    # the samples without them.
+    no_long = sums[:, nsk] == 0
+    parity_ok, pvals = _current_oracle_pvalues(
+        sums[:, :nsk], [(site_ix[a], site_ix[b]) for a, b in
+                        (menu[sk][0] for sk in skels)],
+        [float(menu[sk][1]) for sk in skels], T,
+        stream(seed, "ct-excursions/oracle"), no_long)
     threshold = CHI2_SIGNIFICANCE / len(pvals)
     worst = min(pvals)
     # pooled frequency-ratio check within site pairs
@@ -989,7 +959,7 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     pair_groups: dict = defaultdict(list)
     for k, sk in enumerate(skels):
         pair_groups[menu[sk][0]].append(k)
-    tot_counts = sk_rows.sum(axis=0)
+    tot_counts = sums[no_long, :nsk].sum(axis=0)
     for pair, ks in pair_groups.items():
         if len(ks) < 2:
             continue
@@ -1003,7 +973,7 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     ok = parity_ok and ratio_ok and worst > threshold
     return _report("ct-excursions", "mc", worst, threshold, ok, catalog,
                    samples, seed, parity_ok=parity_ok, ratio_ok=ratio_ok,
-                   pooled_p=p_pooled, bins_tested=len(pvals))
+                   pooled_p=pvals[-1], bins_tested=len(pvals))
 
 
 def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
@@ -1023,78 +993,46 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
     ug = catalog.unoriented_graph
     sites = list(dom.vertices)
     site_ix = {v: i for i, v in enumerate(sites)}
-    classes = sorted(k for k in ug.edge_classes
-                     if set(ug.class_endpoints(k)) <= dom.vertex_set
-                     and all(dom.allows_edge(dom.graph.edge_by_id[e])
-                             for e in k))
-    fs = FieldSampler(catalog, [tuple(dict.fromkeys(ck)) for ck in classes],
-                      sites)
-    rng = stream(seed, "random-currents")
-    jumps, visits, times = fs.sample(intensity, samples, rng)
-    T = times * g
-    # even incident degree at every vertex, every sample (self-edges twice)
-    deg_w = np.zeros((len(classes), len(sites)), dtype=np.int64)
-    for j, ck in enumerate(classes):
-        a, b = ug.class_endpoints(ck)
-        deg_w[j, site_ix[a]] += 1
-        deg_w[j, site_ix[b]] += 1
-    degrees = jumps @ deg_w
-    even_ok = bool((degrees % 2 == 0).all())
-    # oracle
-    phi = np.sqrt(2.0 * T)
-    lam = np.zeros((samples, len(classes)))
-    for j, ck in enumerate(classes):
-        a, b = ug.class_endpoints(ck)
-        lam[:, j] = phi[:, site_ix[a]] * phi[:, site_ix[b]] / g
-        if a == b:
-            lam[:, j] *= 0.5
-    incidence = [[(j, int(deg_w[j, s])) for j in range(len(classes))
-                  if deg_w[j, s]] for s in range(len(sites))]
-    orng = stream(seed, "random-currents/oracle")
-    oracle = stats.sample_even_poisson(lam, incidence, orng)
-    pvals = _two_sample_pvalues(jumps, oracle, T.sum(axis=1))
-    p_pooled = pvals[-1]
-    threshold = CHI2_SIGNIFICANCE / len(pvals)
-    worst = min(pvals)
-    details = {"even_degrees": even_ok, "pooled_p": p_pooled,
+    classes = ug.classes_inside(dom)
+    fs = FieldSampler(catalog, classes, sites)
+    jumps, _, times = fs.sample(intensity, samples,
+                                stream(seed, "random-currents"))
+    even_ok, pvals = _current_oracle_pvalues(
+        jumps, [tuple(site_ix[v] for v in ug.class_endpoints(ck))
+                for ck in classes],
+        [1 / g] * len(classes), times * g,
+        stream(seed, "random-currents/oracle"))
+    details = {"even_degrees": even_ok, "pooled_p": pvals[-1],
                "bins_tested": len(pvals)}
-    # oriented variant
     inout_ok = True
-    p_oriented = None
     if oriented_catalog is not None:
         # the oriented statement is specific to alpha = 1
-        oedges = sorted(e.id for v in dom.vertices for e in dom.out_edges(v))
-        fso = FieldSampler(oriented_catalog, [(e,) for e in oedges], sites)
-        rng_o = stream(seed, "random-currents/oriented")
-        jo, vo, to = fso.sample(1.0, samples, rng_o)
-        To = to * g
-        heads, tails = [], []
-        for s in sites:
-            heads.append([j for j, e in enumerate(oedges)
-                          if dom.graph.edge_by_id[e].head == s
-                          and not dom.graph.edge_by_id[e].is_self_edge])
-            tails.append([j for j, e in enumerate(oedges)
-                          if dom.graph.edge_by_id[e].tail == s
-                          and not dom.graph.edge_by_id[e].is_self_edge])
-        for s in range(len(sites)):
-            inn = jo[:, heads[s]].sum(axis=1) if heads[s] else 0
-            out = jo[:, tails[s]].sum(axis=1) if tails[s] else 0
-            if not bool(np.all(inn == out)):
-                inout_ok = False
-        lam_o = np.zeros((samples, len(oedges)))
-        phio = np.sqrt(To)
+        oedges = [dom.graph.edge_by_id[e] for e in
+                  sorted(e.id for v in sites for e in dom.out_edges(v))]
+        fso = FieldSampler(oriented_catalog, [(e.id,) for e in oedges], sites)
+        jo, _, to = fso.sample(1.0, samples,
+                               stream(seed, "random-currents/oriented"))
+        flow = np.zeros((len(oedges), len(sites)), dtype=np.int64)
         for j, e in enumerate(oedges):
-            ed = dom.graph.edge_by_id[e]
-            lam_o[:, j] = (phio[:, site_ix[ed.tail]] * phio[:, site_ix[ed.head]]
-                           / g)
-        orng2 = stream(seed, "random-currents/oriented-oracle")
-        oracle_o = stats.sample_inout_poisson(lam_o, heads, tails, orng2)
-        _, dof_o, p_oriented = stats.chi2_two_sample(
+            flow[j, site_ix[e.head]] += 1
+            flow[j, site_ix[e.tail]] -= 1
+
+        def balanced(draw):             # in = out at every site
+            return (draw @ flow == 0).all(axis=1)
+
+        inout_ok = bool(balanced(jo).all())
+        phio = np.sqrt(to * g)
+        lam_o = (phio[:, [site_ix[e.tail] for e in oedges]]
+                 * phio[:, [site_ix[e.head] for e in oedges]] / g)
+        oracle_o = stats.sample_conditioned_poisson(
+            lam_o, balanced, stream(seed, "random-currents/oriented-oracle"),
+            max_iter=5000)
+        _, _, p_oriented = stats.chi2_two_sample(
             Counter(map(tuple, jo)), Counter(map(tuple, oracle_o)))
         pvals.append(p_oriented)
-        threshold = CHI2_SIGNIFICANCE / len(pvals)
-        worst = min(pvals)
         details.update(inout_ok=inout_ok, oriented_p=p_oriented)
+    threshold = CHI2_SIGNIFICANCE / len(pvals)
+    worst = min(pvals)
     ok = even_ok and inout_ok and worst > threshold
     if expect_fail:
         ok = not ok

@@ -370,3 +370,30 @@ def test_soup_errors(triangle_catalogs):
         sample_unoriented_soup(cat, 1.0, rng)
     with pytest.raises(SoupError):
         sample_oriented_soup(cat, 0.0, rng)
+
+
+class _TopUniform:
+    """A generator whose uniform draws are all the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_fieldsampler_top_uniform_draws_last_class():
+    """A uniform draw just below 1 selects the last class, even on a catalog
+    whose float masses sum above their cumulative sum's last entry."""
+    from loopsoup import complete_graph
+    cat = enumerate_loops(Domain(complete_graph(6), [1, 2, 3]), 6, "oriented")
+    masses, cum = cat.mass_arrays()
+    assert masses.sum() > cum[-1]
+    fs = FieldSampler(cat, [], [1])
+    totals = np.random.default_rng(0).poisson(float(cum[-1]), size=50)
+    _, visits, _ = fs.sample(1.0, 50, _TopUniform(0), with_times=False)
+    last = cat.visits[cat.classes[-1].key].get(1, 0)
+    assert visits[:, 0].tolist() == (totals * last).tolist()
