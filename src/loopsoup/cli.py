@@ -113,80 +113,83 @@ def _job_enumerate(ws: Workspace, seed: int, outdir: str):
     return [os.path.basename(f1), os.path.basename(f2)]
 
 
-def run_job(ws: Workspace, job: str, index: int, outdir: str):
-    """Run one job; returns (reports, output files)."""
-    cfg = ws.config
-    seed = job_seed(cfg.seed, job, index)
-    mode = cfg.mode
-    if job == "sample-soup":
-        return [], _job_sample_soup(ws, seed, outdir)
-    if job == "enumerate":
-        return [], _job_enumerate(ws, seed, outdir)
-    if job == "prop1":
-        rep = V.verify_prop1(ws.catalog("oriented"), set(cfg.f1), set(cfg.f2),
-                             mode=mode, intensity=Fraction(cfg.alpha).limit_denominator(64),
-                             samples=cfg.samples, seed=seed)
-        return [rep], []
-    if job == "prop2":
-        rep = V.verify_prop2(ws.catalog("unoriented"), set(cfg.f1), set(cfg.f2),
-                             mode=mode, intensity=Fraction(cfg.c).limit_denominator(64),
-                             samples=cfg.samples, seed=seed)
-        return [rep], []
-    if job in ("prop1bis", "prop3bis"):
-        catmode = "oriented" if job == "prop1bis" else "unoriented"
-        sets = [set(cfg.f1), set(cfg.f2)] + ([set(cfg.f3)] if cfg.f3 else [])
-        rep = V.verify_prop1bis_3bis(
-            ws.catalog(catmode), sets, mode=mode,
-            intensity=Fraction(cfg.alpha if catmode == "oriented" else cfg.c
-                               ).limit_denominator(64),
-            samples=cfg.samples, seed=seed,
-            max_targets=6 if mode == "exact" else None)
-        return [rep], []
-    if job == "prop5":
-        rep = V.verify_prop5(ws.catalog("unoriented"), ws.removed_classes(),
-                             mode=mode,
-                             intensity=Fraction(cfg.c).limit_denominator(64),
-                             samples=cfg.samples, seed=seed)
-        return [rep], []
-    if job == "occupation-markov":
-        reports = []
-        part_u = markov_edge_partition(ws, oriented=False)
+def _q(x) -> Fraction:
+    """A config intensity as the rational the exact oracles take."""
+    return Fraction(x).limit_denominator(64)
+
+
+def _job_crossings(ws: Workspace, cfg, seed: int, mode: str):
+    sets = [set(cfg.f1), set(cfg.f2)] + ([set(cfg.f3)] if cfg.f3 else [])
+    return [V.verify_prop1bis_3bis(
+        ws.catalog(mode), sets, mode=cfg.mode,
+        intensity=_q(cfg.alpha if mode == "oriented" else cfg.c),
+        samples=cfg.samples, seed=seed,
+        max_targets=6 if cfg.mode == "exact" else None)]
+
+
+def _job_occupation_markov(ws: Workspace, cfg, seed: int):
+    part_u = markov_edge_partition(ws, oriented=False)
+    reports = [
+        V.verify_occupation_markov(ws.domain, set(cfg.f1), part_u,
+                                   intensity_kind="c", intensity=_q(cfg.c)),
+        V.verify_occupation_markov(ws.domain, set(cfg.f1),
+                                   markov_edge_partition(ws, oriented=True),
+                                   intensity_kind="alpha",
+                                   intensity=Fraction(1), cap=8)]
+    if part_u[2]:
         reports.append(V.verify_occupation_markov(
             ws.domain, set(cfg.f1), part_u, intensity_kind="c",
-            intensity=Fraction(cfg.c).limit_denominator(64)))
-        part_o = markov_edge_partition(ws, oriented=True)
-        reports.append(V.verify_occupation_markov(
-            ws.domain, set(cfg.f1), part_o, intensity_kind="alpha",
-            intensity=Fraction(1), cap=8))
-        if part_u[2]:
-            reports.append(V.verify_occupation_markov(
-                ws.domain, set(cfg.f1), part_u, intensity_kind="c",
-                intensity=Fraction(cfg.c).limit_denominator(64),
-                tilt_edge_group=part_u[2][0]))
-        return reports, []
-    if job == "lejan":
-        rep = V.verify_lejan(ws.catalog("oriented"), samples=cfg.samples,
-                             seed=seed, intensity=cfg.alpha)
-        return [rep], []
-    if job == "ct-excursions":
-        rep = V.verify_ct_excursions(ws.catalog("unoriented"),
-                                     cfg.sites or list(ws.domain.vertices)[:2],
-                                     samples=cfg.samples, seed=seed,
-                                     intensity=cfg.c)
-        return [rep], []
-    if job == "random-currents":
-        rep = V.verify_random_currents(ws.catalog("unoriented"),
-                                       samples=cfg.samples, seed=seed,
-                                       intensity=cfg.c,
-                                       oriented_catalog=ws.catalog("oriented"))
-        return [rep], []
-    if job == "wilson":
-        if cfg.root is None:
-            raise ConfigError("wilson needs a root vertex")
-        rep = V.verify_wilson(ws.graph, cfg.root, ws.catalog("oriented"),
-                              runs=cfg.samples, seed=seed)
-        return [rep], []
-    raise ConfigError(f"unhandled job {job!r}")
+            intensity=_q(cfg.c), tilt_edge_group=part_u[2][0]))
+    return reports
+
+
+def _job_wilson(ws: Workspace, cfg, seed: int):
+    if cfg.root is None:
+        raise ConfigError("wilson needs a root vertex")
+    return [V.verify_wilson(ws.graph, cfg.root, ws.catalog("oriented"),
+                            runs=cfg.samples, seed=seed)]
+
+
+# Job name -> function(ws, config, seed) returning the job's reports.  Every
+# entry looks its verifier up on the module `V` when it runs.
+_VERIFY_JOBS = {
+    "prop1": lambda ws, cfg, seed: [V.verify_prop1(
+        ws.catalog("oriented"), set(cfg.f1), set(cfg.f2), mode=cfg.mode,
+        intensity=_q(cfg.alpha), samples=cfg.samples, seed=seed)],
+    "prop2": lambda ws, cfg, seed: [V.verify_prop2(
+        ws.catalog("unoriented"), set(cfg.f1), set(cfg.f2), mode=cfg.mode,
+        intensity=_q(cfg.c), samples=cfg.samples, seed=seed)],
+    "prop1bis": lambda ws, cfg, seed: _job_crossings(ws, cfg, seed, "oriented"),
+    "prop3bis": lambda ws, cfg, seed: _job_crossings(ws, cfg, seed,
+                                                     "unoriented"),
+    "prop5": lambda ws, cfg, seed: [V.verify_prop5(
+        ws.catalog("unoriented"), ws.removed_classes(), mode=cfg.mode,
+        intensity=_q(cfg.c), samples=cfg.samples, seed=seed)],
+    "occupation-markov": _job_occupation_markov,
+    "lejan": lambda ws, cfg, seed: [V.verify_lejan(
+        ws.catalog("oriented"), samples=cfg.samples, seed=seed,
+        intensity=cfg.alpha)],
+    "ct-excursions": lambda ws, cfg, seed: [V.verify_ct_excursions(
+        ws.catalog("unoriented"), cfg.sites or list(ws.domain.vertices)[:2],
+        samples=cfg.samples, seed=seed, intensity=cfg.c)],
+    "random-currents": lambda ws, cfg, seed: [V.verify_random_currents(
+        ws.catalog("unoriented"), samples=cfg.samples, seed=seed,
+        intensity=cfg.c, oriented_catalog=ws.catalog("oriented"))],
+    "wilson": _job_wilson,
+}
+
+# Jobs that write output files instead of reports: function(ws, seed, outdir).
+_FILE_JOBS = {"sample-soup": _job_sample_soup, "enumerate": _job_enumerate}
+
+
+def run_job(ws: Workspace, job: str, index: int, outdir: str):
+    """Run one job; returns (reports, output files)."""
+    seed = job_seed(ws.config.seed, job, index)
+    if job in _FILE_JOBS:
+        return [], _FILE_JOBS[job](ws, seed, outdir)
+    if job not in _VERIFY_JOBS:
+        raise ConfigError(f"unhandled job {job!r}")
+    return _VERIFY_JOBS[job](ws, ws.config, seed), []
 
 
 def run(cfg: ExperimentConfig, outdir: str) -> int:
