@@ -74,16 +74,20 @@ def _parse_pairs(value: str) -> tuple[tuple[int, int], ...]:
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse `key = value` lines; later keys win; overrides win over the file."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
     raw: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        raw[key.strip()] = value.strip()
     raw.update(overrides or {})
     return config_from_dict(raw, origin=str(path))
 

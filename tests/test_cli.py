@@ -132,6 +132,15 @@ def test_occupation_markov_with_nothing_to_test_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.cfg")
+    rc = main(["run", missing, "--out", str(tmp_path / "none")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nope.cfg" in err
+    assert not (tmp_path / "none").exists()
+
+
 def test_console_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "loopsoup.cli", "verify",
                         "prop1", "--graph", "complete:5", "--domain", "1 2 3",
