@@ -947,10 +947,9 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     # departure, so the counts stay even), but the capped checks use only
     # the samples without them.
     no_long = sums[:, nsk] == 0
+    pairs = [tuple(site_ix[v] for v in menu[sk][0]) for sk in skels]
     parity_ok, pvals = _current_oracle_pvalues(
-        sums[:, :nsk], [(site_ix[a], site_ix[b]) for a, b in
-                        (menu[sk][0] for sk in skels)],
-        [float(menu[sk][1]) for sk in skels], T,
+        sums[:, :nsk], pairs, [float(menu[sk][1]) for sk in skels], T,
         stream(seed, "ct-excursions/oracle"), no_long)
     threshold = CHI2_SIGNIFICANCE / len(pvals)
     worst = min(pvals)
