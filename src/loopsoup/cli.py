@@ -151,7 +151,8 @@ def _job_wilson(ws: Workspace, cfg, seed: int):
 
 
 # Job name -> function(ws, config, seed) returning the job's reports.  Every
-# entry looks its verifier up on the module `V` when it runs.
+# entry looks its verifier up on the module `V` when it runs, so a verifier
+# rebound on that module (as the benchmark's tracer does) is the one called.
 _VERIFY_JOBS = {
     "prop1": lambda ws, cfg, seed: [V.verify_prop1(
         ws.catalog("oriented"), set(cfg.f1), set(cfg.f2), mode=cfg.mode,

@@ -996,18 +996,18 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
     fs = FieldSampler(catalog, classes, sites)
     jumps, _, times = fs.sample(intensity, samples,
                                 stream(seed, "random-currents"))
+    pairs = [tuple(site_ix[v] for v in ug.class_endpoints(ck))
+             for ck in classes]
     even_ok, pvals = _current_oracle_pvalues(
-        jumps, [tuple(site_ix[v] for v in ug.class_endpoints(ck))
-                for ck in classes],
-        [1 / g] * len(classes), times * g,
+        jumps, pairs, [1 / g] * len(classes), times * g,
         stream(seed, "random-currents/oracle"))
     details = {"even_degrees": even_ok, "pooled_p": pvals[-1],
                "bins_tested": len(pvals)}
     inout_ok = True
     if oriented_catalog is not None:
         # the oriented statement is specific to alpha = 1
-        oedges = [dom.graph.edge_by_id[e] for e in
-                  sorted(e.id for v in sites for e in dom.out_edges(v))]
+        oedges = sorted((e for v in sites for e in dom.out_edges(v)),
+                        key=lambda e: e.id)
         fso = FieldSampler(oriented_catalog, [(e.id,) for e in oedges], sites)
         jo, _, to = fso.sample(1.0, samples,
                                stream(seed, "random-currents/oriented"))
