@@ -15,9 +15,11 @@ from loopsoup.config import parse_config
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # Output files pinned besides report.json.  The occupation histograms are
-# the only pin on the FieldSampler stream of the sample-soup job.
+# the only pin on the FieldSampler stream of the sample-soup job, and the
+# bridge length histogram the only pin on its Doob-bridge stream.
 PINNED_OUTPUTS = {
-    "golden_ct": ("occupation_edge_hist.csv", "occupation_site_hist.csv"),
+    "golden_ct": ("occupation_edge_hist.csv", "occupation_site_hist.csv",
+                  "bridge_length_hist.csv"),
 }
 
 
