@@ -16,6 +16,14 @@ over pairs, then joins each pair with an unoriented bridge.
 
 Permutations and pairings are enumerated exhaustively (budgets below);
 exactness matters more than scale here.
+
+The samplers build their tables once and cache them on the domain.  The Doob
+table towards y holds, per vertex v, the stop weight, the float total of the
+row, the (G_D(head, y), edge id, head) moves in ``domain.out_edges`` order
+and the fallback edge for numerical slack; a bridge draw walks it with one
+uniform per step.  Each family keeps its sorted permutations or pairings and
+their CDF per endpoint tuple, and draws one by ``searchsorted`` exactly as
+``rng.choice(p=...)`` would.  Endpoints are checked when a table is built.
 """
 
 from __future__ import annotations
@@ -100,37 +108,84 @@ def enumerate_bridges(domain: Domain, x: int, y: int,
     return out
 
 
-def sample_bridge(domain: Domain, x: int, y: int, rng,
-                  green: GreenMatrix | None = None) -> Bridge:
-    """Draw from the bridge law by the Doob-transformed walk."""
-    green = green or green_function(domain)
-    if x not in domain.vertex_set or y not in domain.vertex_set:
+def _doob_table(domain: Domain, y: int) -> dict:
+    """The Doob transition table towards y, built once per (domain, y).
+
+    Maps each domain vertex v with G_D(v, y) > 0 to (stop, total, moves,
+    slack): the stop weight (g at v = y, else 0), the float total
+    stop + sum of the move weights, the moves (G_D(head, y), edge id, head)
+    in ``domain.out_edges(v)`` order, and the slack fallback (edge id, head)
+    of the last move with positive weight.
+    """
+    key = ("doob", y)
+    table = domain._bridge_tables.get(key)
+    if table is None:
+        if y not in domain.vertex_set:
+            raise BridgeError("bridge endpoints must lie in the domain")
+        green = green_function(domain)
+        table = {}
+        for v in domain.vertices:
+            if green(v, y) <= 0.0:
+                continue
+            moves = tuple((green(e.head, y), e.id, e.head)
+                          for e in domain.out_edges(v))
+            stop = float(domain.g) if v == y else 0.0
+            total = stop + sum(w for w, _, _ in moves)
+            slack = next(((eid, head) for w, eid, head in reversed(moves)
+                          if w > 0), None)
+            table[v] = (stop, total, moves, slack)
+        domain._bridge_tables[key] = table
+    return table
+
+
+def sample_bridge(domain: Domain, x: int, y: int, rng) -> Bridge:
+    """Draw from the bridge law by walking the Doob table towards y."""
+    table = _doob_table(domain, y)
+    if x not in domain.vertex_set:
         raise BridgeError("bridge endpoints must lie in the domain")
-    if green(x, y) <= 0.0:
+    if x not in table:
         raise BridgeError(f"target {y} unreachable from {x}")
+    random = rng.random
     path: list[int] = []
     v = x
     while True:
-        edges = domain.out_edges(v)
-        weights = [green(e.head, y) for e in edges]
-        stop = float(domain.g) if v == y else 0.0   # relative weight of stopping
-        total = stop + sum(weights)
-        u = rng.random() * total
+        stop, total, moves, slack = table[v]
+        u = random() * total
         if u < stop:
             return Bridge(x, y, tuple(path))
         u -= stop
-        for e, w in zip(edges, weights):
+        for w, eid, head in moves:
             if u < w:
-                path.append(e.id)
-                v = e.head
                 break
             u -= w
         else:  # numerical slack lands on the last positive-weight edge
-            for e, w in reversed(list(zip(edges, weights))):
-                if w > 0:
-                    path.append(e.id)
-                    v = e.head
-                    break
+            eid, head = slack
+        path.append(eid)
+        v = head
+
+
+def _family_draw(domain: Domain, key, vertices, weights_of, rng):
+    """One key of a bridge-family weight table, drawn as ``rng.choice(p=...)``
+    over the sorted keys would draw it.
+
+    The sorted keys and the CDF (built as ``Generator.choice`` builds it) are
+    cached per (domain, key); ``weights_of(green)`` gives the weight table.
+    """
+    entry = domain._bridge_tables.get(key)
+    if entry is None:
+        if not set(vertices) <= domain.vertex_set:
+            raise BridgeError("bridge endpoints must lie in the domain")
+        weights = weights_of(green_function(domain))
+        keys = sorted(weights)
+        w = np.array([float(weights[k]) for k in keys])
+        total = float(w.sum())
+        if total <= 0.0:
+            raise BridgeError(f"no {key[0]} has positive weight")
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        entry = domain._bridge_tables[key] = (keys, cdf)
+    keys, cdf = entry
+    return keys[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 # -- unordered (permutation-weighted) families --------------------------------
@@ -168,19 +223,13 @@ def permutation_weights(green: GreenMatrix, X, Y,
     return out
 
 
-def sample_unordered_bridge(domain: Domain, X, Y, rng,
-                            green: GreenMatrix | None = None) -> UnorderedBridgeFamily:
-    green = green or green_function(domain)
-    weights = permutation_weights(green, X, Y)
-    perms = sorted(weights)
-    w = np.array([weights[s] for s in perms])
-    total = float(w.sum())
-    if total <= 0.0:
-        raise BridgeError("no permutation has positive weight")
-    s = perms[int(rng.choice(len(perms), p=w / total))]
-    bridges = tuple(sample_bridge(domain, X[j], Y[s[j]], rng, green)
+def sample_unordered_bridge(domain: Domain, X, Y, rng) -> UnorderedBridgeFamily:
+    X, Y = tuple(X), tuple(Y)
+    s = _family_draw(domain, ("permutation", X, Y), X + Y,
+                     lambda green: permutation_weights(green, X, Y), rng)
+    bridges = tuple(sample_bridge(domain, X[j], Y[s[j]], rng)
                     for j in range(len(X)))
-    return UnorderedBridgeFamily(tuple(X), tuple(Y), s, bridges)
+    return UnorderedBridgeFamily(X, Y, s, bridges)
 
 
 # -- unoriented Z-bridge (pairing-weighted) families ---------------------------
@@ -241,18 +290,12 @@ def pairing_weights(green: GreenMatrix, Z,
     return out
 
 
-def sample_z_bridge(domain: Domain, Z, rng,
-                    green: GreenMatrix | None = None) -> ZBridgeFamily:
-    green = green or green_function(domain)
-    weights = pairing_weights(green, Z)
-    ts = sorted(weights)
-    w = np.array([float(weights[t]) for t in ts])
-    total = float(w.sum())
-    if total <= 0.0:
-        raise BridgeError("no pairing has positive weight")
-    t = ts[int(rng.choice(len(ts), p=w / total))]
-    bridges = tuple(sample_bridge(domain, Z[a], Z[b], rng, green) for a, b in t)
-    return ZBridgeFamily(tuple(Z), t, bridges)
+def sample_z_bridge(domain: Domain, Z, rng) -> ZBridgeFamily:
+    Z = tuple(Z)
+    t = _family_draw(domain, ("pairing", Z), Z,
+                     lambda green: pairing_weights(green, Z), rng)
+    bridges = tuple(sample_bridge(domain, Z[a], Z[b], rng) for a, b in t)
+    return ZBridgeFamily(Z, t, bridges)
 
 
 # -- continuous-time decoration ------------------------------------------------

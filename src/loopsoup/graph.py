@@ -309,6 +309,8 @@ class Domain:
         self._P_exact: list[list[Fraction]] | None = None
         self._G_float: np.ndarray | None = None
         self._G_exact: list[list[Fraction]] | None = None
+        # bridges.py's Doob tables and family CDFs, by (kind, endpoints)
+        self._bridge_tables: dict = {}
         self._radius: float | None = None
         if not allow_recurrent and self.spectral_radius() > _RADIUS_REJECT:
             raise RecurrentDomainError(

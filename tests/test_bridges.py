@@ -9,8 +9,9 @@ from scipy import stats as sps
 from loopsoup import (Bridge, Domain, attach_holding_times, bridge_probability,
                       build_graph, complete_graph, cycle_graph,
                       enumerate_bridges, green_function, pair_reversals,
+                      regularize_degree,
                       sample_bridge, sample_unordered_bridge, sample_z_bridge)
-from loopsoup.bridges import (BridgeError, all_pairings,
+from loopsoup.bridges import (BridgeError, _doob_table, all_pairings,
                               bridge_probability_exact, pairing_weights,
                               permutation_weights)
 from loopsoup.rng import stream
@@ -255,3 +256,117 @@ def test_unreachable_target():
     rng = stream(12, "unreach")
     with pytest.raises(BridgeError):
         sample_bridge(dom, 1, 0, rng)   # edges only run forward
+
+
+def test_bad_family_endpoints_raise_bridge_error():
+    dom = Domain(complete_graph(5), [1, 2, 3])
+    rng = stream(13, "bad-endpoints")
+    with pytest.raises(BridgeError):
+        sample_z_bridge(dom, (1, 4), rng)
+    with pytest.raises(BridgeError):
+        sample_unordered_bridge(dom, (1,), (4,), rng)
+    with pytest.raises(BridgeError):
+        sample_bridge(dom, 1, 4, rng)
+    with pytest.raises(BridgeError):
+        sample_bridge(dom, 4, 1, rng)
+
+
+# -- the Doob tables against the per-step walk they replaced -------------------
+
+
+def _reference_bridge(domain, x, y, rng):
+    """The Doob walk as it was before the tables: out-edges and Green's
+    values looked up afresh at every step."""
+    green = green_function(domain)
+    path = []
+    v = x
+    while True:
+        edges = domain.out_edges(v)
+        weights = [green(e.head, y) for e in edges]
+        stop = float(domain.g) if v == y else 0.0
+        total = stop + sum(weights)
+        u = rng.random() * total
+        if u < stop:
+            return Bridge(x, y, tuple(path))
+        u -= stop
+        for e, w in zip(edges, weights):
+            if u < w:
+                path.append(e.id)
+                v = e.head
+                break
+            u -= w
+        else:
+            for e, w in reversed(list(zip(edges, weights))):
+                if w > 0:
+                    path.append(e.id)
+                    v = e.head
+                    break
+
+
+def _reference_choice(weights, rng):
+    """The family draw as it was before the cached CDFs."""
+    keys = sorted(weights)
+    w = np.array([float(weights[k]) for k in keys])
+    return keys[int(rng.choice(len(keys), p=w / float(w.sum())))]
+
+
+def _criterion_9_fixtures():
+    g1 = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 1)])
+    singles = [(Domain(g1, [0]), 0, 0),
+               (Domain(complete_graph(5), [1, 2, 3]), 1, 3),
+               (Domain(cycle_graph(6), [1, 2, 3, 4]), 1, 4)]
+    edges = []
+    for i, (a, b) in enumerate([(1, 2), (2, 3), (3, 4), (4, 1), (1, 0)]):
+        edges += [(2 * i, a, b), (2 * i + 1, b, a)]
+    d4 = Domain(regularize_degree(build_graph(5, edges), 3), [1, 2, 3, 4])
+    return singles, Domain(complete_graph(12), [1, 2, 3]), d4
+
+
+DRAWS = 2000
+
+
+def test_doob_rows_match_the_per_step_expressions():
+    """Each table row holds the floats the per-step walk computed, in
+    out-edge order and with the same summation order."""
+    singles, dk, d4 = _criterion_9_fixtures()
+    for dom in [d for d, _, _ in singles] + [dk, d4]:
+        green = green_function(dom)
+        for y in dom.vertices:
+            rows = _doob_table(dom, y)
+            for v in dom.vertices:
+                if green(v, y) <= 0.0:
+                    assert v not in rows
+                    continue
+                edges = dom.out_edges(v)
+                weights = [green(e.head, y) for e in edges]
+                stop = float(dom.g) if v == y else 0.0
+                assert rows[v][:3] == (
+                    stop, stop + sum(weights),
+                    tuple((w, e.id, e.head) for e, w in zip(edges, weights)))
+
+
+def test_samplers_match_the_per_step_walk_draw_for_draw():
+    singles, dk, d4 = _criterion_9_fixtures()
+    for k, (dom, x, y) in enumerate(singles):
+        rng, ref = stream(k, "doob-table"), stream(k, "doob-table")
+        for _ in range(DRAWS):
+            assert sample_bridge(dom, x, y, rng) == _reference_bridge(
+                dom, x, y, ref)
+    X, Y = (1, 2), (1, 3)
+    perm_w = permutation_weights(green_function(dk), X, Y)
+    rng, ref = stream(3, "doob-table"), stream(3, "doob-table")
+    for _ in range(DRAWS):
+        fam = sample_unordered_bridge(dk, X, Y, rng)
+        s = _reference_choice(perm_w, ref)
+        assert fam.permutation == s
+        assert fam.bridges == tuple(_reference_bridge(dk, X[j], Y[s[j]], ref)
+                                    for j in range(2))
+    Z = (1, 2, 3, 4)
+    pair_w = pairing_weights(green_function(d4), Z)
+    rng, ref = stream(4, "doob-table"), stream(4, "doob-table")
+    for _ in range(DRAWS):
+        fam = sample_z_bridge(d4, Z, rng)
+        t = _reference_choice(pair_w, ref)
+        assert fam.pairing == t
+        assert fam.bridges == tuple(_reference_bridge(d4, Z[a], Z[b], ref)
+                                    for a, b in t)
