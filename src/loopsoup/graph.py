@@ -352,8 +352,30 @@ class Domain:
 
     def spectral_radius(self) -> float:
         if self._radius is None:
-            self._radius = _spectral_radius(self.transition_matrix())
+            # a vertex that cannot leave lies in a closed class: radius 1,
+            # which power iteration approaches too slowly to be trusted
+            self._radius = (_spectral_radius(self.transition_matrix())
+                            if self._leaks_everywhere() else 1.0)
         return self._radius
+
+    def _leaks_everywhere(self) -> bool:
+        """Whether the walk can leave the domain, or take a removed edge,
+        from every vertex."""
+        into: dict[int, list[int]] = {v: [] for v in self.vertices}
+        leaking = set()
+        for v in self.vertices:
+            for e in self.graph.out_edges[v]:
+                if self.allows_edge(e):
+                    into[e.head].append(v)
+                else:
+                    leaking.add(v)
+        stack = list(leaking)
+        while stack:
+            for u in into[stack.pop()]:
+                if u not in leaking:
+                    leaking.add(u)
+                    stack.append(u)
+        return len(leaking) == self.size
 
     # -- restriction -------------------------------------------------------
 

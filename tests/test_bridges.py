@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from loopsoup import (Bridge, Domain, attach_holding_times, bridge_probability,
-                      build_graph, complete_graph, cycle_graph,
-                      enumerate_bridges, green_function, pair_reversals,
-                      regularize_degree,
+from loopsoup import (Bridge, Domain, RecurrentDomainError,
+                      attach_holding_times, bridge_probability, build_graph,
+                      complete_graph, cycle_graph, enumerate_bridges,
+                      green_function, pair_reversals, regularize_degree,
                       sample_bridge, sample_unordered_bridge, sample_z_bridge)
 from loopsoup.bridges import (BridgeError, _doob_table, all_pairings,
                               bridge_probability_exact, pairing_weights,
@@ -370,3 +372,54 @@ def test_samplers_match_the_per_step_walk_draw_for_draw():
         assert fam.pairing == t
         assert fam.bridges == tuple(_reference_bridge(d4, Z[a], Z[b], ref)
                                     for a, b in t)
+
+
+# -- properties on random regular graphs ----------------------------------------
+
+
+@st.composite
+def _regular_domains(draw):
+    """A domain of a random g-regular multigraph on at most 5 vertices:
+    up to 3 random out-edges per vertex, padded with self-edges."""
+    n = draw(st.integers(2, 5))
+    edges = []
+    for v in range(n):
+        for head in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            edges.append((len(edges), v, head))
+    graph = build_graph(n, edges)
+    g = max(graph.out_degree.values()) + draw(st.integers(0, 1))
+    assume(g > 0)
+    vertices = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                            max_size=n - 1))
+    try:
+        return Domain(regularize_degree(graph, g), vertices)
+    except RecurrentDomainError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_regular_domains(), st.data())
+def test_doob_rows_and_length_laws_property(dom, data):
+    """Every Doob row sums to one in exact arithmetic,
+    delta(v, y) + (1/g) sum_e G(head e, y) = G(v, y); and the exact length
+    law of the bridges up to a cap is at most 1 and grows with the cap."""
+    green = green_function(dom, exact=True)
+    for y in dom.vertices:
+        rows = _doob_table(dom, y)
+        for v in dom.vertices:
+            if v not in rows:
+                assert green.exact(v, y) == 0
+                continue
+            stop, _, moves, _ = rows[v]
+            mass = Fraction(stop) + sum(green.exact(head, y)
+                                        for _, _, head in moves)
+            assert mass / (dom.g * green.exact(v, y)) == 1
+    x = data.draw(st.sampled_from(dom.vertices))
+    y = data.draw(st.sampled_from(dom.vertices))
+    assume(green.exact(x, y) > 0)
+    previous = Fraction(0)
+    for cap in range(5):
+        law = sum((bridge_probability_exact(dom, b, green)
+                   for b in enumerate_bridges(dom, x, y, cap)), Fraction(0))
+        assert previous <= law <= 1
+        previous = law

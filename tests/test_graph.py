@@ -228,3 +228,19 @@ def test_graph_file_parse_errors(tmp_path):
     p.write_text("vertices 2\ndegree 5\nedge 0 0 1\nedge 1 1 0\n")
     with pytest.raises(GraphError, match="declared degree"):
         parse_graph_file(p)
+
+
+def test_trapped_vertex_is_recurrent():
+    # vertex 1 keeps all four of its edges inside the domain, so P_D has
+    # eigenvalue 1; power iteration alone stops at 0.9999999987 here
+    g = build_graph(4, [(0, 0, 0), (1, 0, 0), (2, 0, 3), (3, 2, 0), (4, 2, 1),
+                        (5, 0, 0), (6, 1, 1), (7, 1, 1), (8, 1, 1), (9, 1, 1),
+                        (10, 2, 2), (11, 2, 2), (12, 3, 3), (13, 3, 3),
+                        (14, 3, 3), (15, 3, 3)])
+    with pytest.raises(RecurrentDomainError):
+        Domain(g, [0, 1, 2])
+    dom = Domain(g, [0, 1, 2], allow_recurrent=True)
+    assert dom.spectral_radius() == 1.0
+    with pytest.raises(RecurrentDomainError):
+        green_function(dom)
+    assert Domain(g, [0, 2]).spectral_radius() < 1.0
