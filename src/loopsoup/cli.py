@@ -127,13 +127,20 @@ def _job_crossings(ws: Workspace, cfg, seed: int, mode: str):
         max_targets=6 if cfg.mode == "exact" else None)]
 
 
+def _markov_partitions(ws: Workspace):
+    """The unoriented and oriented Markov-test partitions, each checked."""
+    parts = [markov_edge_partition(ws, oriented) for oriented in (False, True)]
+    for part in parts:
+        V.check_markov_partition(part)
+    return parts
+
+
 def _job_occupation_markov(ws: Workspace, cfg, seed: int):
-    part_u = markov_edge_partition(ws, oriented=False)
+    part_u, part_o = _markov_partitions(ws)
     reports = [
         V.verify_occupation_markov(ws.domain, set(cfg.f1), part_u,
                                    intensity_kind="c", intensity=_q(cfg.c)),
-        V.verify_occupation_markov(ws.domain, set(cfg.f1),
-                                   markov_edge_partition(ws, oriented=True),
+        V.verify_occupation_markov(ws.domain, set(cfg.f1), part_o,
                                    intensity_kind="alpha",
                                    intensity=Fraction(1), cap=8)]
     if part_u[2]:
@@ -196,6 +203,8 @@ def run_job(ws: Workspace, job: str, index: int, outdir: str):
 def run(cfg: ExperimentConfig, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     ws = build_workspace(cfg)
+    if "occupation-markov" in cfg.jobs:
+        _markov_partitions(ws)      # refuse before any job runs
     reports, files = [], []
     for i, job in enumerate(cfg.jobs):
         r, f = run_job(ws, job, i, outdir)

@@ -734,6 +734,14 @@ def _windowed_cmi(cells, Bi, Bb, Bo) -> tuple[float, int, int]:
     return math.fsum(terms), checked, bad
 
 
+def check_markov_partition(edge_partition) -> None:
+    """Refuse a Markov-test partition with no inside or no outside variable."""
+    _, idx_in, _, idx_out = edge_partition
+    if not idx_in or not idx_out:
+        raise OracleError("the partition leaves no inside or no outside edge "
+                          "variable, so there is nothing to test")
+
+
 def verify_occupation_markov(domain: Domain, F1, edge_partition,
                              intensity_kind: str = "c",
                              intensity=Fraction(1), cap: int = 12,
@@ -751,10 +759,8 @@ def verify_occupation_markov(domain: Domain, F1, edge_partition,
     times are measurable over visit counts, which the edge fields determine,
     so edge-level independence carries the site fields along.
     """
+    check_markov_partition(edge_partition)
     groups, idx_in, idx_bd, idx_out = edge_partition
-    if not idx_in or not idx_out:
-        raise OracleError("the partition leaves no inside or no outside edge "
-                          "variable, so there is nothing to test")
     if intensity_kind == "c":
         exponent = Fraction(intensity) / 2
     else:
