@@ -150,13 +150,6 @@ def _job_occupation_markov(ws: Workspace, cfg, seed: int):
     return reports
 
 
-def _job_wilson(ws: Workspace, cfg, seed: int):
-    if cfg.root is None:
-        raise ConfigError("wilson needs a root vertex")
-    return [V.verify_wilson(ws.graph, cfg.root, ws.catalog("oriented"),
-                            runs=cfg.samples, seed=seed)]
-
-
 # Job name -> function(ws, config, seed) returning the job's reports.  Every
 # entry looks its verifier up on the module `V` when it runs, so a verifier
 # rebound on that module (as the benchmark's tracer does) is the one called.
@@ -183,7 +176,9 @@ _VERIFY_JOBS = {
     "random-currents": lambda ws, cfg, seed: [V.verify_random_currents(
         ws.catalog("unoriented"), samples=cfg.samples, seed=seed,
         intensity=cfg.c, oriented_catalog=ws.catalog("oriented"))],
-    "wilson": _job_wilson,
+    "wilson": lambda ws, cfg, seed: [V.verify_wilson(
+        ws.graph, cfg.root, ws.catalog("oriented"), runs=cfg.samples,
+        seed=seed)],
 }
 
 # Jobs that write output files instead of reports: function(ws, seed, outdir).

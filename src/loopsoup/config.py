@@ -123,6 +123,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
         vals = set(getattr(cfg, name))
         if not vals <= dom:
             raise ConfigError(f"{origin}: {name} must be a subset of the domain")
+    if "wilson" in jobs and cfg.root is None:
+        raise ConfigError(f"{origin}: wilson needs a root vertex")
     return cfg
 
 

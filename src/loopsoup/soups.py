@@ -18,6 +18,11 @@ vertex.
 Samplers come in two exactly-equivalent flavours: independent Poisson counts
 per class, or one Poisson total with i.i.d. categorical class draws (the
 standard point-process construction).  The latter is used for large catalogs.
+`soup_count_rows` draws many soups.  Per class, it draws them in chunks of
+rows, one `rng.poisson` call per chunk; the counts, and the generator's state
+after them, are those of drawing the soups one by one, and a single soup is
+the one-row case.  The categorical flavour draws one soup at a time, since
+drawing every Poisson total first would consume the stream in another order.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ import numpy as np
 
 from .graph import Domain, GraphError
 from .loops import LoopCatalog
+
+
+PER_CLASS_MAX = 512     # catalogs up to this size are sampled class by class
+ROW_CHUNK = 1000        # soups per rng.poisson call on the per-class path
 
 
 class SoupError(GraphError):
@@ -77,42 +86,73 @@ def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
                                      side="right")
 
 
-def _sample_counts(catalog: LoopCatalog, rate: float, rng,
-                   method: str = "auto") -> dict:
-    if method == "auto":
-        method = "per-class" if len(catalog) <= 512 else "categorical"
-    masses, cum = catalog.mass_arrays()
-    if method == "per-class":
-        draws = rng.poisson(rate * masses)
-        hit = np.flatnonzero(draws)
-        return {catalog.classes[i].key: k
-                for i, k in zip(hit.tolist(), draws[hit].tolist())}
+def _per_class_rows(catalog: LoopCatalog, rate: float, n_samples: int, rng):
+    """Count dicts of n_samples soups, every class an independent Poisson count.
+
+    The counts come from rng.poisson(rate * masses, size=(m, classes)) for
+    chunks of at most ROW_CHUNK rows.  numpy fills the array row by row, so
+    the rows, and the generator's state after them, are those of m one-row
+    calls.  A dict holds the nonzero counts in class order.
+    """
+    classes = catalog.classes
+    lam = rate * catalog.mass_arrays()[0]
+    for start in range(0, n_samples, ROW_CHUNK):
+        m = min(ROW_CHUNK, n_samples - start)
+        draws = rng.poisson(lam, size=(m, len(lam)))
+        rows, cols = np.nonzero(draws)
+        vals = draws[rows, cols].tolist()
+        cols = cols.tolist()
+        a = 0
+        for b in np.searchsorted(rows, np.arange(1, m + 1)).tolist():
+            yield {classes[i].key: k for i, k in zip(cols[a:b], vals[a:b])}
+            a = b
+
+
+def _categorical_counts(catalog: LoopCatalog, rate: float, rng) -> dict:
+    """Count dict of one soup drawn as a Poisson total of class draws."""
     out: dict = {}
-    for _, idx in _class_draws(cum, rate, 1, rng):
+    for _, idx in _class_draws(catalog.mass_arrays()[1], rate, 1, rng):
         for i in idx.tolist():
             key = catalog.classes[i].key
             out[key] = out.get(key, 0) + 1
     return out
 
 
+def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
+                    n_samples: int, rng, method: str = "auto"):
+    """Iterator over the count dicts of n_samples independent soups.
+
+    `intensity` is alpha for an oriented catalog and c for an unoriented
+    one.  The per-class method (the default up to PER_CLASS_MAX classes)
+    draws the soups in batches of rows; the categorical method draws them
+    one at a time.  A catalog of the other mode or a nonpositive intensity
+    raises SoupError here, before anything is drawn.
+    """
+    if catalog.mode != mode:
+        raise SoupError(f"catalog is not {mode}")
+    if intensity <= 0:
+        name = "alpha" if mode == "oriented" else "c"
+        raise SoupError(f"{name} must be positive")
+    if method == "auto":
+        method = "per-class" if len(catalog) <= PER_CLASS_MAX else "categorical"
+    if method == "per-class":
+        return _per_class_rows(catalog, intensity, n_samples, rng)
+    return (_categorical_counts(catalog, intensity, rng)
+            for _ in range(n_samples))
+
+
 def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng,
                          method: str = "auto") -> LoopSoup:
     """Independent Poisson(alpha * mu(L)) count per oriented class."""
-    if catalog.mode != "oriented":
-        raise SoupError("catalog is not oriented")
-    if alpha <= 0:
-        raise SoupError("alpha must be positive")
-    return LoopSoup(catalog, _sample_counts(catalog, alpha, rng, method), "alpha", alpha)
+    counts = next(soup_count_rows(catalog, "oriented", alpha, 1, rng, method))
+    return LoopSoup(catalog, counts, "alpha", alpha)
 
 
 def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng,
                            method: str = "auto") -> LoopSoup:
     """Independent Poisson(c * nu(L~)) count per unoriented class."""
-    if catalog.mode != "unoriented":
-        raise SoupError("catalog is not unoriented")
-    if c <= 0:
-        raise SoupError("c must be positive")
-    return LoopSoup(catalog, _sample_counts(catalog, c, rng, method), "c", c)
+    counts = next(soup_count_rows(catalog, "unoriented", c, 1, rng, method))
+    return LoopSoup(catalog, counts, "c", c)
 
 
 def forget_orientation(soup: LoopSoup) -> LoopSoup:
@@ -208,15 +248,6 @@ class OccupationField:
             flow.setdefault(e.head, [0, 0])[0] += n
             flow.setdefault(e.tail, [0, 0])[1] += n
         return {v: (i, o) for v, (i, o) in flow.items()}
-
-    def vertex_degree(self, unoriented) -> dict[int, int]:
-        """Incident jump count per vertex (self-loops count twice); unoriented mode."""
-        deg: dict[int, int] = {}
-        for key, n in self.edge_jumps.items():
-            a, b = unoriented.class_endpoints(key)
-            deg[a] = deg.get(a, 0) + n
-            deg[b] = deg.get(b, 0) + n
-        return deg
 
 
 def occupation_field(soup) -> OccupationField:

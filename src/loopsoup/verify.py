@@ -21,6 +21,13 @@ conditional law of the keys with the oracle per feasible target;
 `_mc_driver` samples soups, cuts the touching ones into bins and tests each
 bin (goodness of fit against the oracle, or independence of the sides for
 crossings) under one Bonferroni correction.
+
+A cut touches only what it needs.  Its `candidates` (every catalog class it
+splits, with contribution) are built on first use by the exact driver and
+`targets`.  The Monte Carlo driver never builds them: it asks the memoized
+`touches(key)` of the classes its soups hold, draws the soups in batched
+rows (`soups.soup_count_rows`), and cuts each distinct touching
+sub-multiset once.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product, zip_longest
 
 import numpy as np
@@ -48,7 +56,7 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
-from .soups import FieldSampler, sample_oriented_soup, sample_unoriented_soup
+from .soups import FieldSampler, sample_oriented_soup, soup_count_rows
 from .wilson import _EdgeDice, pop_cycles, wilson_ust
 
 EXACT_TOL = 1e-9
@@ -120,12 +128,28 @@ class Cut:
         self.catalog = catalog
         self.oriented = catalog.mode == "oriented"
         self.inv = None if self.oriented else catalog.unoriented_graph.involution
-        # (key, mass, contribution) for every class the cut splits
-        self.candidates = []
-        for cls in catalog.classes:
+        self._touches: dict = {}
+
+    @cached_property
+    def candidates(self) -> list:
+        """(key, mass, contribution) for every catalog class the cut splits.
+
+        Built on first use, by the exact oracles and `targets`; it cuts every
+        class of the catalog, which the Monte Carlo driver never needs.
+        """
+        out = []
+        for cls in self.catalog.classes:
             contrib = self.contribution(cls.key)
             if contrib:
-                self.candidates.append((cls.key, cls.mass, contrib))
+                out.append((cls.key, cls.mass, contrib))
+        return out
+
+    def touches(self, key) -> bool:
+        """Whether the cut splits class `key` (memoized per class)."""
+        hit = self._touches.get(key)
+        if hit is None:
+            hit = self._touches[key] = bool(self.contribution(key))
+        return hit
 
     def targets(self, max_size: int) -> list[Counter]:
         """Conditioning targets: single contributions of size <= max_size and
@@ -360,17 +384,23 @@ def _exact_driver(cut: Cut, intensity: Fraction, max_size: int):
 def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
                max_size, expect_fail: bool, /, **details) -> TestReport:
     """Sample soups, cut those touching the cut into bins of hookup keys, test
-    every bin with enough samples, and Bonferroni-correct over the bins."""
+    every bin with enough samples, and Bonferroni-correct over the bins.
+
+    Classes the cut does not split leave the cut unchanged, so each soup is
+    cut on its touching classes alone, once per distinct sub-multiset.
+    """
     catalog = cut.catalog
-    sampler = sample_oriented_soup if cut.oriented else sample_unoriented_soup
-    rng = stream(seed, prop)
-    touching = {key for key, _, _ in cut.candidates}
+    rows = soup_count_rows(catalog, "oriented" if cut.oriented else "unoriented",
+                           intensity, samples, stream(seed, prop))
+    cuts: dict = {}         # sorted touching sub-multiset -> its cut
     bins: dict = defaultdict(Counter)
-    for _ in range(samples):
-        soup = sampler(catalog, intensity, rng)
-        if not any(k in touching for k in soup.counts):
+    for counts in rows:
+        sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
+        if not sub:
             continue
-        got = cut.cut(soup.counts, max_size)
+        if sub not in cuts:
+            cuts[sub] = cut.cut(dict(sub), max_size)
+        got = cuts[sub]
         if got is not None:
             bins[got[0]][got[1]] += 1
     pvals = []

@@ -144,6 +144,18 @@ def test_occupation_markov_refused_before_any_job_runs(tmp_path, monkeypatch):
     assert not (out / "report.json").exists()
 
 
+def test_wilson_without_root_refused_before_any_job_runs(tmp_path, monkeypatch):
+    import loopsoup.verify as V
+    calls = []
+    monkeypatch.setattr(V, "verify_prop2", lambda *a, **kw: calls.append(a))
+    cfg = BASE.replace("jobs = prop2", "jobs = prop2, wilson")
+    out = tmp_path / "wil"
+    rc = main(["run", write(tmp_path, cfg, "wil.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     rc = main(["run", missing, "--out", str(tmp_path / "none")])

@@ -12,7 +12,7 @@ from loopsoup import (Domain, FieldSampler, build_graph, enumerate_loops,
                       sample_ct_soup, sample_ct_soup_by_discretization,
                       sample_oriented_soup, sample_unoriented_soup)
 from loopsoup.rng import stream
-from loopsoup.soups import SoupError
+from loopsoup.soups import ROW_CHUNK, SoupError, soup_count_rows
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,30 @@ def test_categorical_matches_per_class(triangle_catalogs):
     keys = set(c1) | set(c2)
     tv = 0.5 * sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys) / n
     assert tv < 0.02
+
+
+@pytest.mark.parametrize("mode", ["oriented", "unoriented"])
+def test_row_sampler_matches_one_soup_draws(triangle_catalogs, mode):
+    """Rows drawn in chunks equal successive one-soup per-class draws and
+    one-row numpy calls across a chunk boundary, in class order, and leave
+    the generator where those draws leave it."""
+    cat = triangle_catalogs[mode == "unoriented"]
+    sampler = (sample_oriented_soup if mode == "oriented"
+               else sample_unoriented_soup)
+    masses = cat.mass_arrays()[0]
+    n = ROW_CHUNK + 37
+    r1, r2, r3 = (stream(8, "rows") for _ in range(3))
+    rows = list(soup_count_rows(cat, mode, 0.7, n, r1, method="per-class"))
+    singles = [sampler(cat, 0.7, r2, method="per-class").counts
+               for _ in range(n)]
+    direct = []
+    for _ in range(n):
+        d = r3.poisson(0.7 * masses)
+        direct.append([(cat.classes[i].key, int(d[i])) for i in np.flatnonzero(d)])
+    assert [list(r.items()) for r in rows] == \
+        [list(s.items()) for s in singles] == direct
+    assert 0 < sum(map(bool, rows)) < n
+    assert r1.random() == r2.random() == r3.random()
 
 
 def test_forget_orientation_law(triangle_catalogs):
@@ -370,6 +394,10 @@ def test_soup_errors(triangle_catalogs):
         sample_unoriented_soup(cat, 1.0, rng)
     with pytest.raises(SoupError):
         sample_oriented_soup(cat, 0.0, rng)
+    with pytest.raises(SoupError):
+        soup_count_rows(ucat, "unoriented", -1.0, 10, rng)
+    # every check runs before anything is drawn
+    assert rng.random() == stream(27, "err").random()
 
 
 class _TopUniform:

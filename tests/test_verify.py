@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
                       enumerate_loops, green_function, pair_reversals,
@@ -15,8 +18,10 @@ from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import side_orbit_key
+from loopsoup.excursions import DecompositionError
 from loopsoup.rng import stream
-from loopsoup.verify import (exact_conditional_beta, feasible_etas,
+from loopsoup.verify import (CrossingCut, EdgeCut, ExcursionCut, _mc_driver,
+                             exact_conditional_beta, feasible_etas,
                              verify_residual_independence)
 
 
@@ -203,6 +208,53 @@ def test_prop5_mc(ws_k12):
                        samples=400000, seed=77)
     assert rep.details["bins_tested"] >= 1
     assert rep.passed
+
+
+def _triangle_cuts(k5, triangle_catalogs):
+    """Every cut kind on the K5 triangle, oriented and unoriented."""
+    cat, ucat = triangle_catalogs
+    ug = k5[2]
+    cls12 = next(k for k in ug.edge_classes if ug.class_endpoints(k) == (1, 2))
+    return [ExcursionCut(cat, {1}, {2}), ExcursionCut(ucat, {1}, {2}),
+            EdgeCut(ucat, [cls12]), CrossingCut(cat, [{1}, {2}]),
+            CrossingCut(ucat, [{1}, {3}])]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs, data):
+    """A soup cuts exactly as its sub-multiset of touching classes does, the
+    fact the Monte Carlo driver's memo rests on."""
+    cut = data.draw(st.sampled_from(_triangle_cuts(k5, triangle_catalogs)))
+    keys = [c.key for c in cut.catalog.classes]
+    touching = [k for k in keys if cut.touches(k)]
+    others = [k for k in keys if not cut.touches(k)]
+    soup = data.draw(st.permutations(
+        data.draw(st.lists(st.sampled_from(touching), max_size=2))
+        + data.draw(st.lists(st.sampled_from(others), max_size=3))))
+    counts = dict(Counter(soup))
+    sub = {k: v for k, v in sorted(counts.items()) if cut.touches(k)}
+    max_size = data.draw(st.sampled_from([None, 1, 2, 4]))
+
+    def outcome(c):         # a refusal (orbit budget) must be shared too
+        try:
+            return cut.cut(c, max_size)
+        except DecompositionError as exc:
+            return str(exc)
+
+    assert outcome(counts) == outcome(sub)
+
+
+def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
+    """A Monte Carlo run asks `touches` of the sampled classes and never
+    cuts the whole catalog; the exact side still builds `candidates`."""
+    for cut in _triangle_cuts(k5, triangle_catalogs):
+        rep = _mc_driver("lazy", cut, 1.0, 3000, 0, 2, False)
+        assert rep.samples == 3000
+        assert "candidates" not in cut.__dict__
+        assert cut._touches and len(cut._touches) < len(cut.catalog)
+        cut.targets(2)
+        assert "candidates" in cut.__dict__
 
 
 def test_residual_coupling(ws_k12):
