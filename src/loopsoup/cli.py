@@ -195,9 +195,10 @@ def run_job(ws: Workspace, job: str, index: int, outdir: str):
     return _VERIFY_JOBS[job](ws, ws.config, seed), []
 
 
-def run(cfg: ExperimentConfig, outdir: str) -> int:
+def run(cfg: ExperimentConfig, outdir: str,
+        class_budget: int | None = None) -> int:
     os.makedirs(outdir, exist_ok=True)
-    ws = build_workspace(cfg)
+    ws = build_workspace(cfg, class_budget)
     if "occupation-markov" in cfg.jobs:
         _markov_partitions(ws)      # refuse before any job runs
     reports, files = [], []
@@ -260,9 +261,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     budget = os.environ.get("LOOPSOUP_CLASS_BUDGET")
-    if budget:
-        from . import loops
-        loops.DEFAULT_CLASS_BUDGET = int(budget)
+    budget = int(budget) if budget else None
     try:
         if args.command == "run":
             overrides = {}
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 overrides["seed"] = str(args.seed)
             cfg = parse_config(args.config, overrides)
-            return run(cfg, args.out)
+            return run(cfg, args.out, budget)
         raw = {
             "graph": args.graph, "domain": args.domain,
             "seed": str(args.seed), "l_max": str(args.l_max),
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
             if args.root is not None:
                 raw["root"] = str(args.root)
         cfg = config_from_dict(raw, origin="<cli>")
-        return run(cfg, args.out)
+        return run(cfg, args.out, budget)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -125,6 +125,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
             raise ConfigError(f"{origin}: {name} must be a subset of the domain")
     if "wilson" in jobs and cfg.root is None:
         raise ConfigError(f"{origin}: wilson needs a root vertex")
+    if "prop5" in jobs and not cfg.removed:
+        raise ConfigError(f"{origin}: prop5 needs removed_edges")
     return cfg
 
 
@@ -154,13 +156,14 @@ class Workspace:
     involution: Involution
     unoriented: "object"
     domain: Domain
+    class_budget: int | None = None       # None: loops.DEFAULT_CLASS_BUDGET
     _catalogs: dict = field(default_factory=dict)
 
     def catalog(self, mode: str):
         if mode not in self._catalogs:
             self._catalogs[mode] = enumerate_loops(
                 self.domain, self.config.l_max, mode,
-                unoriented=self.unoriented)
+                unoriented=self.unoriented, budget=self.class_budget)
         return self._catalogs[mode]
 
     def removed_classes(self):
@@ -174,7 +177,8 @@ class Workspace:
         return out
 
 
-def build_workspace(cfg: ExperimentConfig) -> Workspace:
+def build_workspace(cfg: ExperimentConfig,
+                    class_budget: int | None = None) -> Workspace:
     graph = build_graph_from_spec(cfg.graph_spec)
     if cfg.g is not None:
         graph = regularize_degree(graph, cfg.g)
@@ -185,7 +189,7 @@ def build_workspace(cfg: ExperimentConfig) -> Workspace:
     # pure enumeration works on recurrent domains (no Green's function needed)
     allow_recurrent = set(cfg.jobs) <= {"enumerate"}
     domain = Domain(graph, cfg.domain_vertices, allow_recurrent=allow_recurrent)
-    return Workspace(cfg, graph, involution, unoriented, domain)
+    return Workspace(cfg, graph, involution, unoriented, domain, class_budget)
 
 
 def job_seed(master: int, job: str, index: int) -> int:

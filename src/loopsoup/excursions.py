@@ -15,8 +15,9 @@ endpoints through paths avoiding those edges.
 Continuous-time excursions cut loops at a marked site set: every arc between
 consecutive site visits is an excursion skeleton there.
 
-Reassembly is the inverse operation: excursions (or jumps) plus a hookup are
-concatenated into closed loops and canonicalized.
+Reassembly is the inverse operation.  `hookup_loops` is the one walk that
+closes pieces (excursions or jumps) and bridges into loops along a hookup;
+reassembly canonicalizes those loops, and the exact oracles read their lengths.
 
 Hookup keys: relabeling occurrences of identical excursions (or identical
 jumps, or the two ends of a palindromic unoriented piece) is unobservable in
@@ -445,100 +446,83 @@ def record_edge_jumps(soup, removed_classes) -> EdgeJumpRecord:
 # -- reassembly ------------------------------------------------------------------
 
 
-def reassemble_oriented(graph, eta, hookup: OrientedHookup):
-    """Concatenate excursions and bridges into loops; returns sorted class keys."""
-    N = len(eta)
-    if set(hookup.sigma) != set(range(N)):
-        raise DecompositionError("sigma is not a permutation")
-    seen = [False] * N
-    loops = []
-    for start in range(N):
-        if seen[start]:
-            continue
-        seq: tuple[int, ...] = ()
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            seq += eta[j] + hookup.bridges[j]
-            j = hookup.sigma[j]
-        if j != start:
-            raise DecompositionError("hookup does not close into loops")
-        try:
-            loops.append(canonicalize_oriented(graph, seq).key)
-        except InvalidLoopError as exc:
-            raise DecompositionError(f"hookup endpoints do not match: {exc}") from exc
-    return tuple(sorted(loops))
+def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
+    """The closed loops a hookup makes of pieces and bridges, as edge sequences.
 
-
-def reassemble_unoriented(graph, involution, eta, hookup: UnorientedHookup):
-    """Glue unoriented excursions along the pairing; returns sorted class keys."""
-    N = len(eta)
-    partner = {}
-    bridge_of = {}
-    for (a, b), br in zip(hookup.pairing, hookup.bridges):
+    Piece j owns endpoint slots 2j (its start) and 2j+1 (its end).  An
+    oriented hookup joins the end of piece j to the start of piece sigma[j]
+    through bridge j; an unoriented one pairs slots, and the walk traverses
+    each piece and bridge in the direction it enters them.  Raises
+    DecompositionError at any junction whose endpoints do not match.
+    """
+    if isinstance(hookup, OrientedHookup):
+        pairing = [(2 * j + 1, 2 * s) for j, s in enumerate(hookup.sigma)]
+        involution = None           # nothing is traversed backwards
+    elif involution is None:
+        raise DecompositionError("an unoriented hookup needs an involution")
+    else:
+        pairing = hookup.pairing
+    partner, bridge_of = {}, {}
+    for (a, b), br in zip(pairing, hookup.bridges):
         if a in partner or b in partner:
             raise DecompositionError("slot paired twice")
         partner[a], partner[b] = b, a
         bridge_of[a] = bridge_of[b] = br
-    if set(partner) != set(range(2 * N)):
+    if set(partner) != set(range(2 * len(pieces))):
         raise DecompositionError("pairing must cover all slots")
-
-    def piece_endpoints(path):
-        return path_endpoints(graph, path)
-
-    ends = {}
-    for j, path in enumerate(eta):
-        a, b = piece_endpoints(path)
-        ends[2 * j] = a
-        ends[2 * j + 1] = b
-    visited = set()
-    loops = []
-    for start in range(2 * N):
+    edge = graph.edge_by_id
+    ends = [v for p in pieces for v in (edge[p[0]].tail, edge[p[-1]].head)]
+    loops, visited = [], set()
+    for start in range(2 * len(pieces)):
         if start in visited:
             continue
         seq: tuple[int, ...] = ()
         slot = start
         while True:
-            # traverse the excursion owning `slot` from `slot` to its mate
+            # the piece owning `slot`, from `slot` to its mate, then the
+            # bridge from the mate to its partner
             j, side = divmod(slot, 2)
-            mate = 2 * j + (1 - side)
+            mate = slot ^ 1
             visited.update((slot, mate))
-            path = eta[j] if side == 0 else involution.reverse_path(eta[j])
-            seq += path
-            # then the bridge from `mate` to its pairing partner
-            q = partner[mate]
-            br = bridge_of[mate]
-            if br:
-                fa, fb = piece_endpoints(br)
-                if (fa, fb) == (ends[mate], ends[q]):
-                    seq += br
-                elif (fb, fa) == (ends[mate], ends[q]):
-                    seq += involution.reverse_path(br)
-                else:
-                    raise DecompositionError("bridge endpoints do not match pairing")
-            elif ends[mate] != ends[q]:
-                raise DecompositionError("empty bridge between distinct vertices")
-            slot = q
+            seq += pieces[j] if side == 0 else involution.reverse_path(pieces[j])
+            slot, br = partner[mate], bridge_of[mate]
+            at = (ends[mate], ends[slot])
+            ab = (edge[br[0]].tail, edge[br[-1]].head) if br else at[:1] * 2
+            if ab == at:
+                seq += br
+            elif involution is not None and ab[::-1] == at:
+                seq += involution.reverse_path(br)
+            else:
+                raise DecompositionError("bridge endpoints do not match the hookup")
             if slot == start:
                 break
-        loops.append(canonicalize_unoriented(graph, seq, involution).key)
-    return tuple(sorted(loops))
+        loops.append(seq)
+    return loops
 
 
-def reassemble(decomposition_or_eta, beta=None, graph=None, involution=None):
-    """Reassemble (eta, beta) into the loop-class multiset they encode."""
-    if isinstance(decomposition_or_eta, ExcursionDecomposition):
-        d = decomposition_or_eta
-        raise_if = beta is not None
-        if raise_if:
-            raise DecompositionError("pass either a decomposition or (eta, beta)")
-        beta = d.beta_truth
-        eta = d.eta
-    else:
-        eta = decomposition_or_eta
-    if isinstance(beta, OrientedHookup):
-        return reassemble_oriented(graph, eta, beta)
-    return reassemble_unoriented(graph, involution, eta, beta)
+def reassemble(eta, beta, graph, involution=None):
+    """Reassemble pieces eta and hookup beta into the sorted loop-class keys
+    they encode."""
+    loops = hookup_loops(graph, eta, beta, involution)
+    try:
+        if isinstance(beta, OrientedHookup):
+            keys = [canonicalize_oriented(graph, seq).key for seq in loops]
+        else:
+            keys = [canonicalize_unoriented(graph, seq, involution).key
+                    for seq in loops]
+    except InvalidLoopError as exc:
+        raise DecompositionError(f"hookup endpoints do not match: {exc}") from exc
+    return tuple(sorted(keys))
+
+
+def reassemble_oriented(graph, eta, hookup: OrientedHookup):
+    """Concatenate excursions and bridges into loops; returns sorted class keys."""
+    return reassemble(eta, hookup, graph)
+
+
+def reassemble_unoriented(graph, involution, eta, hookup: UnorientedHookup):
+    """Glue unoriented excursions along the pairing; returns sorted class keys."""
+    return reassemble(eta, hookup, graph, involution)
 
 
 # -- continuous-time excursions ---------------------------------------------------

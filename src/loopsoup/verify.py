@@ -48,10 +48,9 @@ from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
                     side_pair_orbit_size, side_weights, tv_distance,
                     unordered_bridge_law, validate_eta, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
-                         extract_crossings_counts, oriented_hookup_orbit_key,
-                         loop_skeletons, path_endpoints,
-                         record_edge_jumps_counts,
-                         reassemble_oriented, reassemble_unoriented,
+                         extract_crossings_counts, hookup_loops,
+                         loop_skeletons, oriented_hookup_orbit_key,
+                         path_endpoints, record_edge_jumps_counts,
                          unoriented_hookup_orbit_key)
 from .graph import Domain, green_function
 from .loops import LoopCatalog
@@ -184,12 +183,17 @@ class Cut:
         _, dof, p = stats.chi2_gof(counts, expected, n)
         return p if dof > 0 else None
 
+    def oracle(self, b):
+        """(law of the hookup keys of bin b under the bridge measure,
+        unenumerated mass, infeasible mass)."""
+        return self._push(*self.bridge_configs(b))
+
     def _push(self, pieces, configs, flippable=()):
         """Bridge-measure configurations pushed onto hookup orbit keys.
 
         Returns (dist, unenumerated mass, infeasible mass): infeasible is the
-        mass of configurations whose reassembled loops exceed the catalog
-        truncation.
+        mass of configurations whose longest loop, as the hookup walker
+        closes it, exceeds the catalog truncation.
         """
         graph = self.catalog.domain.graph
         dist: dict = {}
@@ -199,14 +203,13 @@ class Cut:
             enum += pr
             if self.oriented:
                 hook = OrientedHookup(s, paths)
-                loops = reassemble_oriented(graph, pieces, hook)
                 key = oriented_hookup_orbit_key(pieces, hook)
             else:
                 hook = UnorientedHookup(s, paths)
-                loops = reassemble_unoriented(graph, self.inv, pieces, hook)
                 key = unoriented_hookup_orbit_key(pieces, hook, flippable,
                                                   self.inv)
-            if max(len(lp) for lp in loops) > self.catalog.L_max:
+            loops = hookup_loops(graph, pieces, hook, self.inv)
+            if max(map(len, loops)) > self.catalog.L_max:
                 infeasible += pr
             dist[key] = dist.get(key, Fraction(0)) + pr
         return dist, Fraction(1) - enum, infeasible
@@ -243,7 +246,8 @@ class ExcursionCut(Cut):
     def label(self, eta) -> dict:
         return {"eta_lengths": [len(p) for p in eta]}
 
-    def oracle(self, eta):
+    def bridge_configs(self, eta):
+        """(pieces, bridge-measure configurations, flippable slot pairs)."""
         graph = self.catalog.domain.graph
         ends = [path_endpoints(graph, p) for p in eta]
         if self.oriented:
@@ -253,7 +257,7 @@ class ExcursionCut(Cut):
         else:
             configs, _ = z_bridge_law(self.sub, tuple(v for e in ends for v in e),
                                       self.inv, self.catalog.L_max)
-        return self._push(eta, configs)
+        return eta, configs, ()
 
 
 class EdgeCut(Cut):
@@ -295,7 +299,7 @@ class EdgeCut(Cut):
     def label(self, jumps) -> dict:
         return {"jumps": {str(c): n for c, n in zip(self.removed, jumps) if n}}
 
-    def oracle(self, jumps):
+    def bridge_configs(self, jumps):
         graph = self.catalog.domain.graph
         pieces = self._pieces(jumps)
         Z = tuple(v for p in pieces for v in path_endpoints(graph, p))
@@ -303,7 +307,7 @@ class EdgeCut(Cut):
         flips = tuple((2 * i, 2 * i + 1) for i in range(len(pieces))
                       if Z[2 * i] == Z[2 * i + 1])
         configs, _ = z_bridge_law(self.sub, Z, self.inv, self.catalog.L_max)
-        return self._push(pieces, configs, flips)
+        return pieces, configs, flips
 
 
 class CrossingCut(Cut):
@@ -328,12 +332,16 @@ class CrossingCut(Cut):
                                                 self.sets).instances)
 
     def cut(self, counts, max_size=None):
-        """(crossing key, per-side completion keys), or None without crossings."""
+        """(crossing key, per-side completion keys), or None without crossings;
+        the keys are None in an untestable bin, which never reads them (their
+        orbit groups can outgrow the budget on legal soups)."""
         cs = extract_crossings_counts(self.catalog, counts, self.sets)
         if not cs.instances:
             return None
-        return cs.crossing_key(), tuple(side_orbit_key(cs, i)
-                                        for i in range(len(self.sets)))
+        ck = cs.crossing_key()
+        if not self.testable(ck):
+            return ck, None
+        return ck, tuple(side_orbit_key(cs, i) for i in range(len(self.sets)))
 
     target_order = staticmethod(repr)
 
@@ -369,9 +377,11 @@ def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
 def _exact_driver(cut: Cut, intensity: Fraction, max_size: int):
     """Compare, per feasible target, the conditional hookup law with the bridge
     measure; returns (worst tv - remainder, per-target entries)."""
-    worst = -math.inf
-    entries = []
-    for target in cut.targets(max_size):
+    targets = cut.targets(max_size)
+    if not targets:
+        raise OracleError("no feasible conditioning target: nothing to check")
+    worst, entries = -math.inf, []
+    for target in targets:
         cond, b = _conditional_keys(cut, intensity, target)
         bdist, unenum, infeasible = cut.oracle(b)
         remainder = float(unenum + infeasible)
@@ -563,6 +573,8 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
             by_count[sum(t.values())].append(t)
         rounds = zip_longest(*(by_count[c] for c in sorted(by_count)))
         targets = [t for r in rounds for t in r if t is not None][:max_targets]
+    if not targets:
+        raise OracleError("no crossing configuration: nothing to check")
     g = catalog.domain.g
     sides = range(len(sets))
     # each side's bridges live in the complement of the other sets

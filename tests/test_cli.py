@@ -156,6 +156,35 @@ def test_wilson_without_root_refused_before_any_job_runs(tmp_path, monkeypatch):
     assert not (out / "report.json").exists()
 
 
+def test_prop5_without_removed_edges_refused_before_any_job_runs(
+        tmp_path, monkeypatch):
+    import loopsoup.verify as V
+    calls = []
+    monkeypatch.setattr(V, "verify_prop2", lambda *a, **kw: calls.append(a))
+    cfg = BASE.replace("jobs = prop2", "jobs = prop2, prop5")
+    out = tmp_path / "p5"
+    rc = main(["run", write(tmp_path, cfg, "p5.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert not (out / "report.json").exists()
+    rc = main(["verify", "prop5", "--graph", "complete:5", "--domain",
+               "1 2 3", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("prop, extra", [
+    ("prop1", []), ("prop2", []), ("prop5", ["--removed-edges", "1-2"]),
+    ("prop1bis", []), ("prop3bis", [])])
+def test_exact_check_without_targets_exits_2(tmp_path, prop, extra):
+    # K5 has no loop of one step, so there is nothing to condition on
+    out = tmp_path / prop
+    rc = main(["verify", prop, "--graph", "complete:5", "--domain", "1 2 3",
+               "--f1", "1", "--f2", "2", "--l-max", "1", "--seed", "0",
+               "--out", str(out), *extra])
+    assert rc == 2
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     rc = main(["run", missing, "--out", str(tmp_path / "none")])

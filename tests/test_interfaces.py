@@ -135,14 +135,12 @@ jobs = {jobs}
 def test_class_budget_env(tmp_path, monkeypatch):
     import loopsoup.loops as loops_mod
     monkeypatch.setenv("LOOPSOUP_CLASS_BUDGET", "2")
-    old = loops_mod.DEFAULT_CLASS_BUDGET
-    try:
-        rc = cli_main(["enumerate", "--graph", "complete:5", "--domain",
-                       "1 2 3", "--l-max", "6", "--seed", "0",
-                       "--out", str(tmp_path / "budget")])
-        assert rc == 2
-    finally:
-        loops_mod.DEFAULT_CLASS_BUDGET = old
+    default = loops_mod.DEFAULT_CLASS_BUDGET
+    rc = cli_main(["enumerate", "--graph", "complete:5", "--domain",
+                   "1 2 3", "--l-max", "6", "--seed", "0",
+                   "--out", str(tmp_path / "budget")])
+    assert rc == 2
+    assert loops_mod.DEFAULT_CLASS_BUDGET == default
     from loopsoup import complete_graph
     from loopsoup.loops import BudgetExceededError
     g = complete_graph(5)

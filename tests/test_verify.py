@@ -15,12 +15,16 @@ from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_prop5_degenerate, verify_random_currents,
                       verify_wilson, wilson_ust)
+from loopsoup import excursions
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import side_orbit_key
-from loopsoup.excursions import DecompositionError
+from loopsoup.excursions import (DecompositionError, OrientedHookup,
+                                 UnorientedHookup, extract_crossings_counts,
+                                 hookup_loops, reassemble)
 from loopsoup.rng import stream
-from loopsoup.verify import (CrossingCut, EdgeCut, ExcursionCut, _mc_driver,
+from loopsoup.verify import (CrossingCut, EdgeCut, ExcursionCut,
+                             _conditional_keys, _mc_driver,
                              exact_conditional_beta, feasible_etas,
                              verify_residual_independence)
 
@@ -255,6 +259,83 @@ def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
         assert cut._touches and len(cut._touches) < len(cut.catalog)
         cut.targets(2)
         assert "candidates" in cut.__dict__
+
+
+def test_crossing_cut_skips_side_keys_of_untestable_bins(triangle_catalogs):
+    """Two copies of any K5-triangle class cut without an orbit-budget
+    refusal: the bins whose side keys outgrow the budget are untestable, and
+    their keys are never computed."""
+    cat, ucat = triangle_catalogs
+    refused = 0
+    for cut in (CrossingCut(cat, [{1}, {2}]), CrossingCut(ucat, [{1}, {3}])):
+        for cls in cut.catalog.classes:
+            counts = {cls.key: 2}
+            got = cut.cut(counts)
+            if got is None:
+                continue
+            assert (got[1] is None) == (not cut.testable(got[0]))
+            if got[1] is None:
+                cs = extract_crossings_counts(cut.catalog, counts, cut.sets)
+                try:
+                    [side_orbit_key(cs, i) for i in range(2)]
+                except DecompositionError:
+                    refused += 1
+    assert refused == 8 + 18        # oriented, unoriented
+
+
+def _oracle_cuts(k5, triangle_catalogs):
+    """The cuts with a bridge-measure oracle: excursions in both modes and
+    the removed edge {1, 2}."""
+    return _triangle_cuts(k5, triangle_catalogs)[:3]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_walker_flags_exactly_the_loops_beyond_the_catalog(
+        k5, triangle_catalogs, data):
+    """An oracle configuration's longest walker loop exceeds L_max exactly
+    when one of the classes it reassembles into is missing from the
+    catalog: the mass the truncation remainder charges.  The loops use every
+    edge of the pieces and bridges once (up to reversal when unoriented),
+    which reassembly over the same walker could not notice."""
+    cut = data.draw(st.sampled_from(_oracle_cuts(k5, triangle_catalogs)))
+    edge = (lambda e: e) if cut.oriented else k5[2].edge_class
+    single = [c.key for c in cut.catalog.classes
+              if sum(cut.contribution(c.key).values()) == 1]
+    soup = data.draw(st.lists(st.sampled_from(single), min_size=1, max_size=2))
+    b, _ = cut.cut(dict(Counter(soup)))
+    pieces, configs, _ = cut.bridge_configs(b)
+    cat = cut.catalog
+    graph = cat.domain.graph
+    hookup = OrientedHookup if cut.oriented else UnorientedHookup
+    assert configs
+    for s, paths in configs:
+        hook = hookup(s, paths)
+        loops = hookup_loops(graph, pieces, hook, cut.inv)
+        assert Counter(map(edge, (e for lp in loops for e in lp))) == \
+               Counter(map(edge, (e for p in pieces + paths for e in p)))
+        longest = max(map(len, loops))
+        keys = reassemble(pieces, hook, graph, cut.inv)
+        assert (longest > cat.L_max) == any(k not in cat.by_key for k in keys)
+
+
+def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
+    """The oracles read loop lengths off the hookup walker and build no loop
+    class."""
+    bins = []
+    for cut in _oracle_cuts(k5, triangle_catalogs):
+        for target in cut.targets(2)[:4]:
+            b = _conditional_keys(cut, Fraction(1), target)[1]
+            bins.append((cut, b, cut.oracle(b)))
+
+    def refuse(*args):
+        raise AssertionError("an oracle canonicalized a loop")
+
+    monkeypatch.setattr(excursions, "canonicalize_oriented", refuse)
+    monkeypatch.setattr(excursions, "canonicalize_unoriented", refuse)
+    for cut, b, before in bins:
+        assert cut.oracle(b) == before
+    assert all(before[2] > 0 for _, _, before in bins)
 
 
 def test_residual_coupling(ws_k12):
