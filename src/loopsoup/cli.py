@@ -260,9 +260,13 @@ def main(argv=None) -> int:
     p_ver.add_argument("--out", default="out")
 
     args = parser.parse_args(argv)
-    budget = os.environ.get("LOOPSOUP_CLASS_BUDGET")
-    budget = int(budget) if budget else None
     try:
+        budget = os.environ.get("LOOPSOUP_CLASS_BUDGET")
+        try:
+            budget = int(budget) if budget else None
+        except ValueError:
+            raise ConfigError(f"LOOPSOUP_CLASS_BUDGET must be an integer, "
+                              f"not {budget!r}") from None
         if args.command == "run":
             overrides = {}
             for kv in args.set:

@@ -123,6 +123,12 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
         vals = set(getattr(cfg, name))
         if not vals <= dom:
             raise ConfigError(f"{origin}: {name} must be a subset of the domain")
+    if set(jobs) & {"prop1", "prop2", "prop1bis", "prop3bis"}:
+        f1, f2, f3 = set(cfg.f1), set(cfg.f2), set(cfg.f3)
+        if not f1 or not f2:
+            raise ConfigError(f"{origin}: marked sets f1 and f2 must be nonempty")
+        if f1 & f2 or f1 & f3 or f2 & f3:
+            raise ConfigError(f"{origin}: marked sets f1, f2, f3 must be disjoint")
     if "wilson" in jobs and cfg.root is None:
         raise ConfigError(f"{origin}: wilson needs a root vertex")
     if "prop5" in jobs and not cfg.removed:

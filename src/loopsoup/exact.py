@@ -20,10 +20,12 @@ generating function of the edge jump counts,
 
     E prod_e z_e^{N_e}  =  (det(I - P_z) / det(I - P))^{-t},
 
-expanded as a truncated multivariate power series with rational
-coefficients, one total degree at a time.  For half-integer exponents the
-series carries an irrational scalar prefactor that cancels from every
-conditional quantity, so the rational part is sufficient for exact
+expanded as a truncated multivariate power series, one total degree at a
+time.  The determinant is built on integer series (g (I - P_z) has integer
+entries), and the power is taken over the integers with the rational
+coefficients formed once at the end.  For half-integer exponents the series
+carries an irrational scalar prefactor that cancels from every conditional
+quantity, so the rational part is sufficient for exact
 conditional-independence checks.
 """
 
@@ -279,34 +281,24 @@ def _side_arrivals_departures(cs, i):
     return arrivals, departures
 
 
-def side_weights(green, cs, i) -> dict:
-    """Green-product weights of the bridge families of side i: per permutation
-    of arrivals onto departures (oriented), or per pairing of its endpoints."""
-    v = cs.endpoints(i)
-    if cs.mode == "oriented":
-        arrivals, departures = _side_arrivals_departures(cs, i)
-        return permutation_weights(green, [v[k] for k in arrivals],
-                                   [v[k] for k in departures], exact=True)
-    return pairing_weights(green, v, exact=True)
-
-
 def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
     """The bridge-measure law of side i, pushed onto side orbit keys.
 
-    Returns (dist, remainder): dist maps orbit keys to exact probabilities;
-    remainder is the un-enumerated bridge mass (Fraction).
+    Returns (dist, remainder, normalizer): dist maps orbit keys to exact
+    probabilities; remainder is the un-enumerated bridge mass and normalizer
+    the Green-product sum Z over the side's bridge families (Fractions).
     """
     v = cs.endpoints(i)
     if cs.mode == "oriented":
         arrivals, departures = _side_arrivals_departures(cs, i)
-        configs, _ = unordered_bridge_law(
+        configs, Z = unordered_bridge_law(
             domain_minus, [v[k] for k in arrivals],
             [v[k] for k in departures], max_len)
         structures = ((tuple(sorted(((arrivals[j], departures[s[j]]), paths[j])
                                     for j in range(len(arrivals)))), pr)
                       for (s, paths), pr in configs.items())
     else:
-        configs, _ = z_bridge_law(domain_minus, v, involution, max_len)
+        configs, Z = z_bridge_law(domain_minus, v, involution, max_len)
         structures = ((tuple(sorted(zip(t, paths))), pr)
                       for (t, paths), pr in configs.items())
     dist: dict = {}
@@ -315,117 +307,74 @@ def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
         key = _side_orbit_min(cs, i, structure)
         dist[key] = dist.get(key, Fraction(0)) + pr
         total += pr
-    return dist, Fraction(1) - total
+    return dist, Fraction(1) - total, Z
 
 
-# -- truncated multivariate power series over the rationals ----------------------
+# -- truncated multivariate power series over the integers ----------------------
 
 
-class TruncPoly:
-    """Multivariate polynomial over Fraction, truncated at a total degree."""
+def _mul(a: list, b: list, cap: int) -> list:
+    """Product of two graded series, dropping every degree above `cap`.
 
-    __slots__ = ("nvars", "cap", "coeffs")
-
-    def __init__(self, nvars: int, cap: int, coeffs: dict | None = None):
-        self.nvars = nvars
-        self.cap = cap
-        self.coeffs = coeffs or {}
-
-    @classmethod
-    def constant(cls, nvars, cap, value) -> "TruncPoly":
-        value = Fraction(value)
-        return cls(nvars, cap, {(0,) * nvars: value} if value else {})
-
-    @classmethod
-    def monomial(cls, nvars, cap, exps, value) -> "TruncPoly":
-        if sum(exps) > cap:
-            return cls(nvars, cap)
-        return cls(nvars, cap, {tuple(exps): Fraction(value)})
-
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return TruncPoly(self.nvars, self.cap, out)
-
-    def scale(self, k) -> "TruncPoly":
-        k = Fraction(k)
-        if not k:
-            return TruncPoly(self.nvars, self.cap)
-        return TruncPoly(self.nvars, self.cap,
-                         {m: c * k for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        out: dict = {}
-        cap = self.cap
-        for m1, c1 in self.coeffs.items():
-            d1 = sum(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + sum(m2) > cap:
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return TruncPoly(self.nvars, self.cap, out)
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.nvars, Fraction(0))
+    A graded series is a list of dicts, one per total degree, from a packed
+    monomial code to its coefficient.  Monomials are packed base cap + 1
+    into one int (no exponent exceeds the cap), so multiplying two of them
+    is adding their codes.
+    """
+    out = [defaultdict(int) for _ in range(cap + 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j > cap:
+                break
+            o = out[i + j]
+            for ma, ca in ai.items():
+                for mb, cb in bj.items():
+                    o[ma + mb] += ca * cb
+    return [{m: c for m, c in o.items() if c} for o in out]
 
 
-def _det_trunc(mat: list[list[TruncPoly]]) -> TruncPoly:
-    """Determinant by cofactor expansion (matrices here are tiny)."""
-    n = len(mat)
-    if n == 1:
+def _det(mat: list, cap: int) -> list:
+    """Determinant of a matrix of graded series by cofactor expansion along
+    the first row (matrices here are tiny)."""
+    if len(mat) == 1:
         return mat[0][0]
-    nvars, cap = mat[0][0].nvars, mat[0][0].cap
-    out = TruncPoly(nvars, cap)
-    for j in range(n):
-        if not mat[0][j].coeffs:
+    out = [defaultdict(int) for _ in range(cap + 1)]
+    for j, entry in enumerate(mat[0]):
+        if not any(entry):
             continue
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = mat[0][j] * _det_trunc(minor)
-        out = out + (term if j % 2 == 0 else term.scale(-1))
-    return out
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        sign = -1 if j % 2 else 1
+        for o, part in zip(out, _mul(entry, _det(minor, cap), cap)):
+            for m, c in part.items():
+                o[m] += sign * c
+    return [{m: c for m, c in o.items() if c} for o in out]
 
 
-def _binomial_series(u: TruncPoly, exponent: Fraction) -> TruncPoly:
-    """(1 + u)^exponent as a truncated series; u must have zero constant term.
+def _binomial_series(U: list, Q: int, exponent: Fraction) -> list:
+    """(1 + U/Q)^exponent as a graded series with Fraction coefficients.
 
-    One pass, degree by degree, by J.C.P. Miller's power recurrence (Knuth,
+    U is a graded integer series without constant term and Q >= 1.  One
+    pass, degree by degree, by J.C.P. Miller's power recurrence (Knuth,
     TAOCP vol. 2, sec. 4.7) lifted by the Euler operator E, which scales the
-    degree-d part by d: (1 + u) E f = a (E u) f gives f_0 = 1 and
+    degree-d part by d: with u = U/Q, (1 + u) E f = a (E u) f gives f_0 = 1
+    and
 
         d f_d = sum_{k=1..d} (a k - (d - k)) u_k f_{d-k},
 
-    u_k the degree-k part of u.  With a = p/q, Q the lcm of u's denominators
-    and U_k = Q u_k, the numerators F_d = (Q q)^d d! f_d are integers,
+    u_k the degree-k part of u.  With a = p/q the numerators
+    F_d = (Q q)^d d! f_d are integers,
 
         F_d = sum_k (p k - q (d - k)) (Q q)^{k-1} (d-1)!/(d-k)! U_k F_{d-k},
 
     so the pass runs on Python ints and the Fractions are built once at the
-    end.  Monomials are packed base cap + 1 into one int (no exponent exceeds
-    the cap), so multiplying two of them is adding their codes.
+    end.
     """
-    if u.constant_term() != 0:
+    if U[0]:
         raise OracleError("series argument must vanish at the origin")
-    nvars, cap = u.nvars, u.cap
     p, q = exponent.numerator, exponent.denominator
-    Q = math.lcm(*(c.denominator for c in u.coeffs.values()))
     Qq = Q * q
-    place = [(cap + 1) ** j for j in range(nvars)]
-    U: list[dict] = [{} for _ in range(cap + 1)]
-    for m, c in u.coeffs.items():
-        U[sum(m)][sum(e * w for e, w in zip(m, place))] = \
-            c.numerator * (Q // c.denominator)
     F: list[dict] = [{0: 1}]
-    for d in range(1, cap + 1):
+    for d in range(1, len(U)):
         acc: dict = defaultdict(int)
         for k in range(1, d + 1):
             scale = (p * k - q * (d - k)) * Qq ** (k - 1) * math.perm(d - 1, k - 1)
@@ -434,12 +383,8 @@ def _binomial_series(u: TruncPoly, exponent: Fraction) -> TruncPoly:
                 for mf, cf in F[d - k].items():
                     acc[mu + mf] += c * cf
         F.append({code: c for code, c in acc.items() if c})
-    out = {}
-    for d, Fd in enumerate(F):
-        den = Qq ** d * math.factorial(d)
-        for code, c in Fd.items():
-            out[tuple(code // w % (cap + 1) for w in place)] = Fraction(c, den)
-    return TruncPoly(nvars, cap, out)
+    return [{code: Fraction(c, Qq ** d * math.factorial(d))
+             for code, c in Fd.items()} for d, Fd in enumerate(F)]
 
 
 @dataclass
@@ -472,10 +417,12 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     rejected unless `allow_marginal`: leaving their variable at 1 yields the
     exact marginal law of the tracked counts.
 
-    det(I - P_z) comes from a cofactor expansion; with D0 its constant term
-    and u = det(I - P_z)/D0 - 1, the rational part (1 + u)^{-intensity} is
-    built degree by degree in one pass of Miller's recurrence over the
-    integers (`_binomial_series`).
+    M = g (I - P_z) has integer entries: g on the diagonal, minus the
+    edge's variable for each tracked in-domain edge and -1 for an untracked
+    one.  det M is expanded by cofactors over graded integer series; with D0
+    its constant term and u = det M / D0 - 1 = U / Q in lowest terms, the
+    rational part (1 + u)^{-intensity} is built degree by degree in one pass
+    of Miller's recurrence over the integers (`_binomial_series`).
     """
     groups = [tuple(g) for g in edge_groups]
     var_of = {}
@@ -484,38 +431,32 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
             if eid in var_of:
                 raise OracleError(f"edge {eid} appears in two groups")
             var_of[eid] = i
-    nvars = len(groups)
     n = domain.size
     tracked = set(var_of)
     in_domain = {e.id for v in domain.vertices for e in domain.out_edges(v)}
     if not in_domain <= tracked and not allow_marginal:
         raise OracleError("all in-domain edges must be tracked for an exact law")
-    rows = []
-    for v in domain.vertices:
-        row = []
-        for w in domain.vertices:
-            row.append(TruncPoly(nvars, cap))
-        rows.append(row)
+    place = [(cap + 1) ** k for k in range(len(groups))]
+    M = [[[defaultdict(int) for _ in range(cap + 1)] for _ in range(n)]
+         for _ in range(n)]
     for v in domain.vertices:
         i = domain.index[v]
+        M[i][i][0][0] += domain.g
         for e in domain.out_edges(v):
-            j = domain.index[e.head]
-            exps = [0] * nvars
-            if e.id in var_of:
-                exps[var_of[e.id]] = 1
-            rows[i][j] = rows[i][j] + TruncPoly.monomial(
-                nvars, cap, exps, Fraction(-1, domain.g))
-    for i in range(n):
-        rows[i][i] = rows[i][i] + TruncPoly.constant(nvars, cap, 1)
-    D = _det_trunc(rows)              # det(I - P_z)
-    D0 = D.constant_term()            # det at z = 0 (no tracked jumps)
+            d, code = (1, place[var_of[e.id]]) if e.id in var_of else (0, 0)
+            if d <= cap:
+                M[i][domain.index[e.head]][d][code] -= 1
+    D = _det(M, cap)                  # g^n det(I - P_z)
+    D0 = D[0].get(0, 0)               # at z = 0 (no tracked jumps)
     if D0 <= 0:
         raise OracleError("degenerate determinant at the origin")
-    zero = (0,) * nvars
-    u = TruncPoly(nvars, cap, {m: c / D0 for m, c in D.coeffs.items() if m != zero})
-    series = _binomial_series(u, -intensity)
-    # true PGF = (D0 / det(I - P))^{-intensity} * series
+    Q = D0 // math.gcd(D0, *(c for Dk in D[1:] for c in Dk.values()))
+    U = [{}] + [{m: c // (D0 // Q) for m, c in Dk.items()} for Dk in D[1:]]
+    series = _binomial_series(U, Q, -intensity)
+    weights = {tuple(code // w % (cap + 1) for w in place): c
+               for Fd in series for code, c in Fd.items()}
+    # true PGF = (D0 / (g^n det(I - P)))^{-intensity} * series
     P = domain.transition_matrix()
     det_ip = float(np.linalg.det(np.eye(n) - P))
-    scalar = (float(D0) / det_ip) ** (-float(intensity))
-    return OccupationLaw(tuple(groups), cap, dict(series.coeffs), scalar)
+    scalar = (float(Fraction(D0, domain.g ** n)) / det_ip) ** (-float(intensity))
+    return OccupationLaw(tuple(groups), cap, weights, scalar)

@@ -316,6 +316,8 @@ def _loop_crossing_structure(graph, seq, sets):
 
 def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> CrossingSet:
     sets = tuple(frozenset(s) for s in sets)
+    if not all(sets):
+        raise DecompositionError("marked sets must be nonempty")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if sets[i] & sets[j]:

@@ -45,7 +45,7 @@ from scipy import stats as sps
 from . import stats
 from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
                     occupation_law, side_bridge_law, side_orbit_key,
-                    side_pair_orbit_size, side_weights, tv_distance,
+                    side_pair_orbit_size, tv_distance,
                     unordered_bridge_law, validate_eta, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          extract_crossings_counts, hookup_loops,
@@ -548,7 +548,6 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
                          intensity=Fraction(1), max_crossings: int = 4,
                          bridge_cap: int | None = None,
                          samples: int = 10 ** 6, seed: int = 0,
-                         check_marginals: bool = True,
                          max_targets: int | None = None,
                          expect_fail: bool = False) -> TestReport:
     """Conditionally on the crossings between the marked sets, the per-set
@@ -580,6 +579,7 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     # each side's bridges live in the complement of the other sets
     side_domains = [catalog.domain.without_vertices(
         set().union(*(sets[j] for j in sides if j != i))) for i in sides]
+    cap = bridge_cap if bridge_cap is not None else catalog.L_max - 2
     stat = -math.inf
     per_target = []
     for target in targets:
@@ -599,12 +599,11 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
             steps = sum(len(k) * u for k, u in counts.items())
             bb_raw[ms] = (side_pair_orbit_size(cs)
                           * Fraction(1, g ** (steps - cross_steps)))
-        # normalizers of the per-side bridge measures (every multiset of
+        # the per-side bridge laws and their normalizers (every multiset of
         # the target has the same crossings, so the last one stands for all)
-        denom = Fraction(1)
-        for i in sides:
-            green = green_function(side_domains[i], exact=True)
-            denom *= sum(side_weights(green, cs, i).values())
+        side_laws = [side_bridge_law(side_domains[i], cs, i, cap,
+                                     involution=cut.inv) for i in sides]
+        denom = math.prod((Z for _, _, Z in side_laws), start=Fraction(1))
         bb = {ms: v / denom for ms, v in bb_raw.items()}
         R = 1 - sum(bb.values())
         remainder = float(len(sets) * R) + 1e-15
@@ -626,15 +625,11 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
                  "tv_vs_product_bridge_law": tv_joint,
                  "remainder": remainder, "support": len(joint)}
         stat = max(stat, tv - remainder)
-        if check_marginals:
-            cap = bridge_cap if bridge_cap is not None else catalog.L_max - 2
-            for i in sides:
-                bdist, rem_i = side_bridge_law(side_domains[i], cs, i, cap,
-                                               involution=cut.inv)
-                tv_i = tv_distance(marg[i], bdist, float(rem_i))
-                entry[f"marginal_tv_{i}"] = tv_i
-                entry[f"marginal_remainder_{i}"] = float(R + rem_i)
-                stat = max(stat, tv_i - float(R + rem_i))
+        for i, (bdist, rem_i, _) in enumerate(side_laws):
+            tv_i = tv_distance(marg[i], bdist, float(rem_i))
+            entry[f"marginal_tv_{i}"] = tv_i
+            entry[f"marginal_remainder_{i}"] = float(R + rem_i)
+            stat = max(stat, tv_i - float(R + rem_i))
         per_target.append(entry)
     return _report(prop, "exact", stat, EXACT_TOL,
                    (stat <= EXACT_TOL) != expect_fail, catalog,

@@ -60,7 +60,7 @@ class _EdgeDice:
 
 
 def wilson_ust(graph: OrientedMultigraph, root: int, rng,
-               order=None, dice: "_EdgeDice | None" = None):
+               dice: "_EdgeDice | None" = None):
     """One run of Wilson's algorithm rooted at `root`.
 
     Returns (tree, erased) where tree maps each non-root vertex to the edge
@@ -69,13 +69,11 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
     """
     graph.require_regular()
     _check_reachable(graph, root)
-    if order is None:
-        order = [v for v in graph.vertices if v != root]
     dice = dice or _EdgeDice(graph, rng)
     in_tree = {root}
     tree: dict[int, int] = {}
     erased: Counter = Counter()
-    for start in order:
+    for start in graph.vertices:
         if start in in_tree:
             continue
         path_v = [start]

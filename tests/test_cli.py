@@ -172,6 +172,39 @@ def test_prop5_without_removed_edges_refused_before_any_job_runs(
     assert rc == 2
 
 
+def test_empty_marked_set_exits_2(tmp_path):
+    # an empty second set can never be crossed
+    out = tmp_path / "empty"
+    rc = main(["verify", "prop1bis", "--graph", "complete:5", "--domain",
+               "1 2 3", "--f1", "1", "--mode", "mc", "--samples", "2000",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert not (out / "report.json").exists()
+
+
+def test_overlapping_marked_sets_refused_before_any_job_runs(
+        tmp_path, monkeypatch, capsys):
+    import loopsoup.verify as V
+    calls = []
+    for name in ("verify_prop2", "verify_prop1bis_3bis"):
+        monkeypatch.setattr(V, name, lambda *a, **kw: calls.append(a))
+    cfg = BASE.replace("jobs = prop2", "jobs = prop2, prop1bis") + "f3 = 2\n"
+    out = tmp_path / "overlap"
+    rc = main(["run", write(tmp_path, cfg, "overlap.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert "disjoint" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_malformed_class_budget_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LOOPSOUP_CLASS_BUDGET", "abc")
+    rc = main(["enumerate", "--graph", "complete:5", "--domain", "1 2 3",
+               "--seed", "0", "--out", str(tmp_path / "enum")])
+    assert rc == 2
+    assert "LOOPSOUP_CLASS_BUDGET" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("prop, extra", [
     ("prop1", []), ("prop2", []), ("prop5", ["--removed-edges", "1-2"]),
     ("prop1bis", []), ("prop3bis", [])])

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,55 +10,90 @@ from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, enumerate_loops, green_function,
                       occupation_law, tv_distance)
-from loopsoup.exact import (OracleError, TruncPoly, _binomial_series,
+from loopsoup.exact import (OracleError, _binomial_series, _det, _mul,
                             conditional_multiset_law, unordered_bridge_law,
                             z_bridge_law)
 from loopsoup.rng import stream
 from loopsoup.verify import ExcursionCut
 
 
-def test_truncpoly_algebra():
-    one = TruncPoly.constant(2, 4, 1)
-    x = TruncPoly.monomial(2, 4, (1, 0), 1)
-    y = TruncPoly.monomial(2, 4, (0, 1), Fraction(1, 2))
-    p = (one + x) * (one + y)
-    assert p.coeffs[(0, 0)] == 1
-    assert p.coeffs[(1, 1)] == Fraction(1, 2)
-    q = p * p * p
-    assert max(sum(m) for m in q.coeffs) <= 4       # truncation respected
-    s = _binomial_series(x, Fraction(-1, 2))
-    # (1+x)^{-1/2} = 1 - x/2 + 3x^2/8 - ...
-    assert s.coeffs[(1, 0)] == Fraction(-1, 2)
-    assert s.coeffs[(2, 0)] == Fraction(3, 8)
-    with pytest.raises(OracleError):
-        _binomial_series(one, Fraction(1, 2))
-
-
-def _power_expansion(u, exponent):
-    """Reference (1 + u)^exponent: sum_k C(exponent, k) u^k, one truncated
-    product per power of u."""
-    out = TruncPoly.constant(u.nvars, u.cap, 1)
-    power = TruncPoly.constant(u.nvars, u.cap, 1)
-    coef = Fraction(1)
-    for k in range(1, u.cap + 1):
-        coef *= (exponent - (k - 1)) / k
-        power = power * u
-        out = out + power.scale(coef)
+def _graded(coeffs: dict, cap: int) -> list:
+    """Coefficients keyed by exponent tuples as a graded series, one dict
+    per total degree from the monomial packed base cap + 1."""
+    out = [{} for _ in range(cap + 1)]
+    for m, c in coeffs.items():
+        if c:
+            out[sum(m)][sum(e * (cap + 1) ** j for j, e in enumerate(m))] = c
     return out
 
 
+def _ungraded(series: list, nvars: int) -> dict:
+    base = len(series)
+    return {tuple(code // base ** j % base for j in range(nvars)): c
+            for part in series for code, c in part.items()}
+
+
+def _poly_mul(a: dict, b: dict, cap=None) -> dict:
+    """Reference product on exponent-tuple dicts, truncated when `cap` is set."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if cap is None or sum(m) <= cap:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_series_algebra():
+    cap = 4
+    p = {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2}        # (1 + x)(1 + 2y)
+    assert _ungraded(_mul(_graded({(0, 0): 1, (1, 0): 1}, cap),
+                          _graded({(0, 0): 1, (0, 1): 2}, cap), cap), 2) == p
+    gp = _graded(p, cap)
+    q = _mul(_mul(gp, gp, cap), gp, cap)
+    full = _poly_mul(_poly_mul(p, p), p)
+    assert max(map(sum, full)) == 6
+    assert len(q) == cap + 1
+    assert _ungraded(q, 2) == {m: c for m, c in full.items() if sum(m) <= cap}
+    x = _graded({(1,): 1}, cap)
+    # (1+x)^{-1/2} = 1 - x/2 + 3x^2/8 - ...
+    s = _ungraded(_binomial_series(x, 1, Fraction(-1, 2)), 1)
+    assert s[(1,)] == Fraction(-1, 2)
+    assert s[(2,)] == Fraction(3, 8)
+    # the same series at x/2
+    s = _ungraded(_binomial_series(x, 2, Fraction(-1, 2)), 1)
+    assert s[(2,)] == Fraction(3, 32)
+    with pytest.raises(OracleError):
+        _binomial_series(_graded({(0,): 1}, cap), 1, Fraction(1, 2))
+
+
+def _power_expansion(u, exponent, nvars, cap):
+    """Reference (1 + u)^exponent: sum_k C(exponent, k) u^k, one truncated
+    product per power of u."""
+    one = (0,) * nvars
+    out = {one: Fraction(1)}
+    power = {one: Fraction(1)}
+    coef = Fraction(1)
+    for k in range(1, cap + 1):
+        coef *= (exponent - (k - 1)) / k
+        power = _poly_mul(power, u, cap)
+        for m, c in power.items():
+            out[m] = out.get(m, 0) + coef * c
+    return {m: c for m, c in out.items() if c}
+
+
 @st.composite
-def _series_without_constant(draw):
+def _integer_series(draw):
+    """(nvars, cap, U, Q): an integer series U without constant term, Q >= 1."""
     nvars = draw(st.integers(1, 3))
     cap = draw(st.integers(1, 6))
     # a monomial of degree 1..cap is a multiset of variable indices
     monomials = st.lists(st.integers(0, nvars - 1), min_size=1,
                          max_size=cap).map(
         lambda idx: tuple(idx.count(j) for j in range(nvars)))
-    coeffs = draw(st.dictionaries(
-        monomials, st.fractions(-3, 3, max_denominator=7).filter(bool),
-        max_size=5))
-    return TruncPoly(nvars, cap, coeffs)
+    U = draw(st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                             max_size=5))
+    return nvars, cap, U, draw(st.integers(1, 7))
 
 
 EXPONENTS = st.sampled_from([Fraction(-1, 2), Fraction(-1), Fraction(-3, 2),
@@ -65,14 +101,58 @@ EXPONENTS = st.sampled_from([Fraction(-1, 2), Fraction(-1), Fraction(-3, 2),
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_series_without_constant(), EXPONENTS, EXPONENTS)
-def test_binomial_series_property(u, a, b):
+@given(_integer_series(), EXPONENTS, EXPONENTS)
+def test_binomial_series_property(series, a, b):
     """The graded recurrence equals the power expansion, and the powers
     multiply: (1+u)^a (1+u)^b = (1+u)^(a+b)."""
-    fa = _binomial_series(u, a)
-    assert fa.coeffs == _power_expansion(u, a).coeffs
-    assert (fa * _binomial_series(u, b)).coeffs == \
-        _binomial_series(u, a + b).coeffs
+    nvars, cap, U, Q = series
+    u = {m: Fraction(c, Q) for m, c in U.items()}
+
+    def power(e):
+        return _ungraded(_binomial_series(_graded(U, cap), Q, e), nvars)
+
+    fa = power(a)
+    assert fa == _power_expansion(u, a, nvars, cap)
+    assert _poly_mul(fa, power(b), cap) == power(a + b)
+
+
+def _leibniz(mat):
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+@st.composite
+def _linear_matrices(draw):
+    """(nvars, cap, entries): an n x n matrix, n <= 4 <= cap, of integer
+    entries c_0 + c_1 x_1 + ... given as coefficient lists."""
+    n = draw(st.integers(1, 4))
+    nvars = draw(st.integers(1, 3))
+    cap = draw(st.integers(n, n + 2))
+    coeff = st.integers(-3, 3)
+    return nvars, cap, [[[draw(coeff) for _ in range(nvars + 1)]
+                         for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_linear_matrices())
+def test_det_coefficient_sum(case):
+    """Below the cap the determinant is exact, so its coefficient sum (the
+    value at x = 1) is the determinant of the entries' values at x = 1."""
+    nvars, cap, entries = case
+    one = (0,) * nvars
+    unit = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+    mat = [[_graded({one: e[0], **dict(zip(unit, e[1:]))}, cap) for e in row]
+           for row in entries]
+    det = _det(mat, cap)
+    assert len(det) == cap + 1
+    assert sum(c for part in det for c in part.values()) == \
+        _leibniz([[sum(e) for e in row] for row in entries])
 
 
 def test_occupation_law_self_edge():

@@ -29,6 +29,12 @@ def test_overlapping_sets_rejected(triangle_catalogs):
         decompose(soup, {1}, {1, 2})
 
 
+def test_empty_crossing_set_rejected(triangle_catalogs):
+    cat, _ = triangle_catalogs
+    with pytest.raises(DecompositionError, match="nonempty"):
+        extract_crossings_counts(cat, {}, ({1}, set()))
+
+
 def test_whole_loop_excursion(k5, triangle_catalogs):
     """A loop visiting the cut set once yields one excursion equal to the
     entire loop, hooked up by a zero-length bridge."""
