@@ -16,15 +16,18 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # Output files pinned besides report.json.  The occupation histograms are
 # the only pin on the FieldSampler stream of the sample-soup job, and the
-# bridge length histogram the only pin on its Doob-bridge stream.
+# bridge length histogram the only pin on its Doob-bridge stream.  The two
+# catalogs of golden_catalog pin enumeration and the unoriented merge.
 PINNED_OUTPUTS = {
     "golden_ct": ("occupation_edge_hist.csv", "occupation_site_hist.csv",
                   "bridge_length_hist.csv"),
+    "golden_catalog": ("catalog_oriented.jsonl", "catalog_unoriented.jsonl"),
 }
 
 
 @pytest.mark.parametrize("name", ["golden_exact", "golden_mc",
-                                  "golden_occupation", "golden_ct"])
+                                  "golden_occupation", "golden_ct",
+                                  "golden_catalog"])
 def test_report_matches_golden_fixture(tmp_path, name):
     cfg = parse_config(os.path.join(DATA, f"{name}.cfg"))
     assert run(cfg, str(tmp_path)) == 0
