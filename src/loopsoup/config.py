@@ -9,7 +9,7 @@ changes another job's samples and a report is reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import graph as graph_mod
@@ -163,14 +163,16 @@ class Workspace:
     unoriented: "object"
     domain: Domain
     class_budget: int | None = None       # None: loops.DEFAULT_CLASS_BUDGET
-    _catalogs: dict = field(default_factory=dict)
+    _catalog: "object" = None             # the oriented catalog, once built
 
     def catalog(self, mode: str):
-        if mode not in self._catalogs:
-            self._catalogs[mode] = enumerate_loops(
-                self.domain, self.config.l_max, mode,
+        """The oriented catalog, or its unoriented counterpart; the domain is
+        enumerated once, and the class budget applies to the oriented count."""
+        if self._catalog is None:
+            self._catalog = enumerate_loops(
+                self.domain, self.config.l_max, "oriented",
                 unoriented=self.unoriented, budget=self.class_budget)
-        return self._catalogs[mode]
+        return self._catalog if mode == "oriented" else self._catalog.counterpart()
 
     def removed_classes(self):
         out = []

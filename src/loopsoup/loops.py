@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,9 +153,10 @@ def unoriented_key(edge_seq, involution) -> tuple[int, ...]:
 class LoopCatalog:
     """All loop classes of length <= L_max inside a domain.
 
-    mode is "oriented" or "unoriented".  Per-class geometry (visits per
-    vertex, jumps per edge) is precomputed because samplers and occupation
-    fields consume it constantly.
+    mode is "oriented" or "unoriented".  A catalog holds only its classes;
+    readers take whatever geometry they need from the class keys.  An
+    unoriented catalog is always the counterpart of an oriented one, so a
+    domain is enumerated once.
     """
 
     def __init__(self, domain: Domain, L_max: int, mode: str,
@@ -171,15 +171,6 @@ class LoopCatalog:
         self.by_key = {c.key: c for c in self.classes}
         self._counterpart: LoopCatalog | None = None
         self._mass_arrays = None          # lazy (masses, cumsum) cache
-        graph = domain.graph
-        self.visits: dict[tuple[int, ...], Counter] = {}
-        self.edge_jumps: dict[tuple[int, ...], Counter] = {}
-        self.vertex_sets: dict[tuple[int, ...], frozenset] = {}
-        for c in self.classes:
-            verts = loop_vertices(graph, c.key)
-            self.visits[c.key] = Counter(verts)
-            self.edge_jumps[c.key] = Counter(c.key)
-            self.vertex_sets[c.key] = frozenset(verts)
 
     @property
     def total_mass(self) -> Fraction:
@@ -194,12 +185,30 @@ class LoopCatalog:
         return self._mass_arrays
 
     def counterpart(self) -> "LoopCatalog":
-        """The catalog of the other orientation mode on the same domain."""
+        """The catalog of the other orientation mode on the same domain.
+
+        Each unoriented class merges an oriented class with its reversal; a
+        self-reversed one doubles J and halves its mass.
+        """
         if self._counterpart is None:
-            other = "unoriented" if self.mode == "oriented" else "oriented"
-            self._counterpart = enumerate_loops(
-                self.domain, self.L_max, other, unoriented=self.unoriented_graph
-            )
+            if self.mode != "oriented" or self.unoriented_graph is None:
+                raise GraphError("the unoriented catalog is derived from an "
+                                 "oriented one with an UnorientedGraph")
+            inv = self.unoriented_graph.involution
+            merged = {}
+            for cls in self.classes:
+                seq = cls.key
+                rev = minimal_rotation(inv.reverse_path(seq))
+                key = min(seq, rev)
+                if key not in merged:
+                    twice = seq == rev
+                    merged[key] = UnorientedLoopClass(
+                        key, cls.n, 2 * cls.J if twice else cls.J,
+                        cls.mass / 2 if twice else cls.mass,
+                        tuple(sorted({seq, rev})))
+            self._counterpart = LoopCatalog(
+                self.domain, self.L_max, "unoriented", merged.values(),
+                self.tail_bound, unoriented_graph=self.unoriented_graph)
             self._counterpart._counterpart = self
         return self._counterpart
 
@@ -249,7 +258,8 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
 def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
                     unoriented: UnorientedGraph | None = None,
                     budget: int | None = None) -> LoopCatalog:
-    """Exhaustive catalog of loop classes with length <= L_max in the domain."""
+    """Exhaustive catalog of loop classes with length <= L_max in the domain;
+    an unoriented catalog is the counterpart of the oriented one."""
     if budget is None:
         budget = DEFAULT_CLASS_BUDGET
     if L_max < 0:
@@ -259,34 +269,18 @@ def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
     if mode == "unoriented" and unoriented is None:
         raise GraphError("unoriented enumeration needs an UnorientedGraph")
     g = domain.g
-    graph = domain.graph
-    oriented: dict[tuple[int, ...], LoopClass] = {}
+    classes = []
     for seq in _enumerate_oriented_keys(domain, L_max, budget):
         n = len(seq)
         J = repetition_count(seq)
-        oriented[seq] = LoopClass(seq, n, J, Fraction(1, g ** n * J))
+        classes.append(LoopClass(seq, n, J, Fraction(1, g ** n * J)))
     try:
         tb = tail_bound(domain, L_max)
     except GraphError:
         tb = math.inf
-    if mode == "oriented":
-        return LoopCatalog(domain, L_max, mode, oriented.values(), tb,
-                           unoriented_graph=unoriented)
-    inv = unoriented.involution
-    merged: dict[tuple[int, ...], UnorientedLoopClass] = {}
-    for seq, cls in oriented.items():
-        rev = minimal_rotation(inv.reverse_path(seq))
-        key = min(seq, rev)
-        if key in merged:
-            continue
-        if seq == rev:
-            merged[key] = UnorientedLoopClass(key, cls.n, 2 * cls.J,
-                                              cls.mass / 2, (seq,))
-        else:
-            merged[key] = UnorientedLoopClass(key, cls.n, cls.J, cls.mass,
-                                              tuple(sorted((seq, rev))))
-    return LoopCatalog(domain, L_max, mode, merged.values(), tb,
-                       unoriented_graph=unoriented)
+    catalog = LoopCatalog(domain, L_max, "oriented", classes, tb,
+                          unoriented_graph=unoriented)
+    return catalog if mode == "oriented" else catalog.counterpart()
 
 
 def tail_bound(domain: Domain, L_max: int) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Domain, GraphError
-from .loops import LoopCatalog
+from .loops import LoopCatalog, loop_vertices
 
 
 PER_CLASS_MAX = 512     # catalogs up to this size are sampled class by class
@@ -213,10 +213,8 @@ def restrict_soup(soup: LoopSoup, subdomain: Domain,
     """Keep only the loops lying entirely inside `subdomain` (exact thinning)."""
     counts = {}
     for key, cnt in soup.counts.items():
-        if soup.catalog.vertex_sets[key] <= subdomain.vertex_set and all(
-            subdomain.allows_edge(soup.catalog.domain.graph.edge_by_id[eid])
-            for eid in key
-        ):
+        if all(subdomain.allows_edge(soup.catalog.domain.graph.edge_by_id[eid])
+               for eid in key):
             if key not in subcatalog.by_key:
                 raise SoupError(f"class {key} missing from subdomain catalog")
             counts[key] = cnt
@@ -261,12 +259,12 @@ def occupation_field(soup) -> OccupationField:
     if cat.mode == "unoriented":
         ug = cat.unoriented_graph
         for key, cnt in soup.counts.items():
-            for eid, k in cat.edge_jumps[key].items():
-                jumps[ug.edge_class(eid)] += k * cnt
+            for eid in key:
+                jumps[ug.edge_class(eid)] += cnt
         return OccupationField("unoriented", dict(jumps))
     for key, cnt in soup.counts.items():
-        for eid, k in cat.edge_jumps[key].items():
-            jumps[eid] += k * cnt
+        for eid in key:
+            jumps[eid] += cnt
     if cat.mode == "oriented":
         pairs = None
         if cat.unoriented_graph is not None:
@@ -434,11 +432,12 @@ class FieldSampler:
         E, S = len(edge_groups), len(sites)
         self.class_jumps = np.zeros((len(catalog), E), dtype=np.int64)
         self.class_visits = np.zeros((len(catalog), S), dtype=np.int64)
+        graph = catalog.domain.graph
         for i, cls in enumerate(catalog.classes):
-            ej = catalog.edge_jumps[cls.key]
+            ej = Counter(cls.key)
             for j, group in enumerate(self.edge_groups):
                 self.class_jumps[i, j] = sum(ej.get(eid, 0) for eid in group)
-            vis = catalog.visits[cls.key]
+            vis = Counter(loop_vertices(graph, cls.key))
             for j, v in enumerate(self.sites):
                 self.class_visits[i, j] = vis.get(v, 0)
 

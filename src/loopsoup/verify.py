@@ -696,11 +696,12 @@ def verify_residual_independence(catalog: LoopCatalog, sets) -> TestReport:
         sub_catalogs.append(enumerate_loops(
             sub, catalog.L_max, catalog.mode,
             unoriented=catalog.unoriented_graph))
+    edge_by_id = catalog.domain.graph.edge_by_id
     worst = 0
     for i, F in enumerate(sets):
         sub_cat = sub_catalogs[i]
         mine = {c.key: c.mass for c in catalog.classes
-                if not (catalog.vertex_sets[c.key] & set(F))}
+                if not any(edge_by_id[eid].tail in F for eid in c.key)}
         theirs = {c.key: c.mass for c in sub_cat.classes}
         if mine != theirs:
             worst = 1

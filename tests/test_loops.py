@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, canonicalize_oriented,
+from loopsoup import (Domain, GraphError, build_graph, canonicalize_oriented,
                       canonicalize_unoriented, complete_graph, cycle_graph,
-                      enumerate_loops, pair_reversals, regularize_degree,
-                      rho_mass, tail_bound, unoriented_view)
+                      enumerate_loops, pair_reversals, path_graph,
+                      regularize_degree, rho_mass, tail_bound, unoriented_view)
+from loopsoup import loops
+from loopsoup.cli import run
+from loopsoup.config import config_from_dict
 from loopsoup.loops import (BudgetExceededError, InvalidLoopError,
                             loop_vertices, minimal_rotation, repetition_count)
 
@@ -204,3 +207,54 @@ def test_minimal_rotation_and_period():
     assert repetition_count((1, 2, 1, 2)) == 2
     assert repetition_count((1, 2, 3)) == 1
     assert repetition_count((7,)) == 1
+
+
+@st.composite
+def _small_domains(draw):
+    """A domain of a small path, cycle or complete graph (degree padded with
+    self-edges) and the graph's unoriented view."""
+    make = draw(st.sampled_from([path_graph, cycle_graph, complete_graph]))
+    graph = make(draw(st.integers(3, 5)))
+    graph = regularize_degree(graph, max(graph.out_degree.values()))
+    vertices = draw(st.sets(st.sampled_from(graph.vertices), min_size=1))
+    ug = unoriented_view(graph, pair_reversals(graph))
+    return Domain(graph, vertices, allow_recurrent=True), ug
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_domains(), st.integers(0, 6))
+def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
+    """The unoriented catalog is the set of unoriented classes of the
+    oriented keys, and carries exactly half the oriented mass."""
+    dom, ug = dom_ug
+    cat = enumerate_loops(dom, L, unoriented=ug)
+    ucat = cat.counterpart()
+    assert ucat.mode == "unoriented" and ucat.counterpart() is cat
+    expected = {}
+    for c in cat.classes:
+        u = canonicalize_unoriented(dom.graph, c.key, ug.involution)
+        expected[u.key] = u
+    # equality compares key, n, J~, mass and oriented_keys
+    assert {c.key: c for c in ucat.classes} == expected
+    assert 2 * ucat.total_mass == cat.total_mass
+
+
+def test_counterpart_needs_unoriented_view(triangle_domain):
+    with pytest.raises(GraphError):
+        enumerate_loops(triangle_domain, 4).counterpart()
+
+
+def test_workspace_enumerates_domain_once(tmp_path, monkeypatch):
+    calls = []
+    enumerate_keys = loops._enumerate_oriented_keys
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_keys(*args)
+
+    monkeypatch.setattr(loops, "_enumerate_oriented_keys", counted)
+    cfg = config_from_dict({"graph": "complete:5", "domain": "1 2 3",
+                            "f1": "1", "f2": "2", "l_max": "4", "seed": "0",
+                            "jobs": "prop1, prop2"})
+    assert run(cfg, str(tmp_path)) == 0
+    assert len(calls) == 1

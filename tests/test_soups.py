@@ -11,6 +11,7 @@ from loopsoup import (Domain, FieldSampler, build_graph, enumerate_loops,
                       occupation_field, orient_randomly, restrict_soup,
                       sample_ct_soup, sample_ct_soup_by_discretization,
                       sample_oriented_soup, sample_unoriented_soup)
+from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import ROW_CHUNK, SoupError, soup_count_rows
 
@@ -206,7 +207,7 @@ def test_restriction_is_exact_thinning(k5, triangle_catalogs):
         s = sample_oriented_soup(cat, 1.0, rng)
         r = restrict_soup(s, sub, subcat)
         for k in r.counts:
-            assert cat.vertex_sets[k] <= sub.vertex_set
+            assert set(loop_vertices(g, k)) <= sub.vertex_set
 
 
 def test_occupation_field_basics(k5, triangle_catalogs):
@@ -423,5 +424,5 @@ def test_fieldsampler_top_uniform_draws_last_class():
     fs = FieldSampler(cat, [], [1])
     totals = np.random.default_rng(0).poisson(float(cum[-1]), size=50)
     _, visits, _ = fs.sample(1.0, 50, _TopUniform(0), with_times=False)
-    last = cat.visits[cat.classes[-1].key].get(1, 0)
+    last = loop_vertices(cat.domain.graph, cat.classes[-1].key).count(1)
     assert visits[:, 0].tolist() == (totals * last).tolist()
