@@ -67,7 +67,13 @@ def rho_mass(graph, edge_seq) -> Fraction:
 
 
 def minimal_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+    """The smallest rotation; it starts at an occurrence of the smallest id."""
+    seq = tuple(seq)
+    m = min(seq)
+    if seq.count(m) == 1:
+        i = seq.index(m)
+        return seq[i:] + seq[:i]
+    return min(seq[i:] + seq[:i] for i, e in enumerate(seq) if e == m)
 
 
 def repetition_count(seq: tuple[int, ...]) -> int:

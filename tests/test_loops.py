@@ -209,6 +209,21 @@ def test_minimal_rotation_and_period():
     assert repetition_count((7,)) == 1
 
 
+def _rotations_minimum(seq):
+    """The smallest rotation, by trying every one."""
+    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans())
+def test_minimal_rotation_property(seq, as_list):
+    # three symbols, so the smallest one usually repeats
+    arg = seq if as_list else tuple(seq)
+    got = minimal_rotation(arg)
+    assert type(got) is tuple
+    assert got == _rotations_minimum(arg)
+
+
 @st.composite
 def _small_domains(draw):
     """A domain of a small path, cycle or complete graph (degree padded with
