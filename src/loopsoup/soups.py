@@ -72,18 +72,21 @@ class LoopSoup:
 
 
 def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
-    """Class indices of n_samples independent soups of intensity rate * mass.
+    """Loop counts and class indices of n_samples independent soups of
+    intensity rate * mass.
 
     Each soup is one Poisson(rate * total mass) count of i.i.d. categorical
-    class draws; yields (sample, class indices) for every nonempty soup.
-    The total is cum[-1] and the search runs over cum[:-1], so even a
-    uniform draw just below 1 selects a class of the catalog.
+    class draws.  One rng.random call draws the uniforms of every soup, soup
+    after soup, which are the doubles of one call per soup.  The total is
+    cum[-1] and the search runs over cum[:-1], so even a uniform draw just
+    below 1 selects a class of the catalog.
     """
     total = float(cum[-1]) if len(cum) else 0.0
-    for i, k in enumerate(rng.poisson(rate * total, size=n_samples).tolist()):
-        if k:
-            yield i, np.searchsorted(cum[:-1], rng.random(k) * total,
-                                     side="right")
+    counts = rng.poisson(rate * total, size=n_samples)
+    k = sum(counts.tolist())
+    if not k:
+        return counts, counts[:0]
+    return counts, np.searchsorted(cum[:-1], rng.random(k) * total, side="right")
 
 
 def _per_class_rows(catalog: LoopCatalog, rate: float, n_samples: int, rng):
@@ -111,10 +114,9 @@ def _per_class_rows(catalog: LoopCatalog, rate: float, n_samples: int, rng):
 def _categorical_counts(catalog: LoopCatalog, rate: float, rng) -> dict:
     """Count dict of one soup drawn as a Poisson total of class draws."""
     out: dict = {}
-    for _, idx in _class_draws(catalog.mass_arrays()[1], rate, 1, rng):
-        for i in idx.tolist():
-            key = catalog.classes[i].key
-            out[key] = out.get(key, 0) + 1
+    for i in _class_draws(catalog.mass_arrays()[1], rate, 1, rng)[1].tolist():
+        key = catalog.classes[i].key
+        out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -416,10 +418,10 @@ def occupation_to_json(field: OccupationField) -> dict:
 class FieldSampler:
     """Bulk sampler of (edge-group jump counts, site visit counts, site times).
 
-    Every sample is one soup drawn class by class (`_class_draws`), and its
-    jumps and visits are the sums of the per-class rows `class_jumps` and
-    `class_visits`; `class_sums` sums any other per-class integer rows the
-    same way.  Total site occupation uses the Gamma(visits + shape, 1/g)
+    Every sample is one soup; one `_class_draws` call draws the classes of
+    all of them, and a soup's jumps and visits are the sums of the per-class
+    rows `class_jumps` and `class_visits`; `class_sums` sums any other
+    per-class integer rows the same way.  Total site occupation uses the Gamma(visits + shape, 1/g)
     identity, which is equal in law to summing per-visit exponentials.
     """
 
@@ -444,21 +446,18 @@ class FieldSampler:
     def class_sums(self, rows: np.ndarray, intensity: float, n_samples: int,
                    rng) -> np.ndarray:
         """Per-class integer `rows` summed over each of n_samples soups."""
+        counts, idx = _class_draws(self.catalog.mass_arrays()[1], intensity,
+                                   n_samples, rng)
         out = np.zeros((n_samples, rows.shape[1]), dtype=np.int64)
-        for i, idx in _class_draws(self.catalog.mass_arrays()[1], intensity,
-                                   n_samples, rng):
-            out[i] = rows[idx].sum(axis=0)
+        np.add.at(out, np.repeat(np.arange(n_samples), counts), rows[idx])
         return out
 
-    def sample(self, intensity: float, n_samples: int, rng,
-               with_times: bool = True):
-        """Return (jumps [n,E], visits [n,S], times [n,S] or None)."""
+    def sample(self, intensity: float, n_samples: int, rng):
+        """Return (jumps [n,E], visits [n,S], times [n,S])."""
         E = len(self.edge_groups)
         sums = self.class_sums(np.hstack([self.class_jumps, self.class_visits]),
                                intensity, n_samples, rng)
         jumps, visits = sums[:, :E], sums[:, E:]
-        times = None
-        if with_times:
-            times = rng.gamma(shape=visits + _trivial_shape(self.catalog.mode,
-                                                           intensity)) / self.g
+        times = rng.gamma(shape=visits + _trivial_shape(self.catalog.mode,
+                                                       intensity)) / self.g
         return jumps, visits, times

@@ -401,6 +401,23 @@ def test_soup_errors(triangle_catalogs):
     assert rng.random() == stream(27, "err").random()
 
 
+def test_class_sums_match_soup_by_soup_draws(triangle_catalogs):
+    """class_sums draws the uniforms of all soups in one call; the sums, and
+    the generator's state after them, are those of one call per soup."""
+    cat, _ = triangle_catalogs
+    fs = FieldSampler(cat, [], [1, 2])
+    cum = cat.mass_arrays()[1]
+    total = float(cum[-1])
+    ref = stream(41, "sums")
+    expected = []
+    for k in ref.poisson(0.7 * total, size=300).tolist():
+        idx = np.searchsorted(cum[:-1], ref.random(k) * total, side="right")
+        expected.append(fs.class_visits[idx].sum(axis=0).tolist())
+    rng = stream(41, "sums")
+    assert fs.class_sums(fs.class_visits, 0.7, 300, rng).tolist() == expected
+    assert rng.random() == ref.random()
+
+
 class _TopUniform:
     """A generator whose uniform draws are all the largest double below 1."""
 
@@ -423,6 +440,6 @@ def test_fieldsampler_top_uniform_draws_last_class():
     assert masses.sum() > cum[-1]
     fs = FieldSampler(cat, [], [1])
     totals = np.random.default_rng(0).poisson(float(cum[-1]), size=50)
-    _, visits, _ = fs.sample(1.0, 50, _TopUniform(0), with_times=False)
+    _, visits, _ = fs.sample(1.0, 50, _TopUniform(0))
     last = loop_vertices(cat.domain.graph, cat.classes[-1].key).count(1)
     assert visits[:, 0].tolist() == (totals * last).tolist()
