@@ -118,6 +118,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
         samples=int(raw.get("samples", "100000")),
         mode=raw.get("mode", "exact"),
     )
+    if cfg.alpha <= 0 or cfg.c <= 0:
+        raise ConfigError(f"{origin}: intensities alpha and c must be positive")
     dom = set(cfg.domain_vertices)
     for name in ("f1", "f2", "f3", "sites"):
         vals = set(getattr(cfg, name))
@@ -166,8 +168,7 @@ class Workspace:
     _catalog: "object" = None             # the oriented catalog, once built
 
     def catalog(self, mode: str):
-        """The oriented catalog, or its unoriented counterpart; the domain is
-        enumerated once, and the class budget applies to the oriented count."""
+        """The oriented catalog or its counterpart, from one enumeration."""
         if self._catalog is None:
             self._catalog = enumerate_loops(
                 self.domain, self.config.l_max, "oriented",

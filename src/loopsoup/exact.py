@@ -141,6 +141,8 @@ def validate_eta(catalog: LoopCatalog, eta, F1, F2) -> None:
 def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,
                              candidates, target: Counter) -> dict:
     """Unnormalized conditional weights of class multisets matching `target`."""
+    if intensity <= 0:
+        raise OracleError(f"intensity {intensity} must be positive")
     weights: dict = {}
     for combo in _assemble_multisets(candidates, target):
         w = Fraction(1)

@@ -218,6 +218,19 @@ def test_exact_check_without_targets_exits_2(tmp_path, prop, extra):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"),
+                                         ("--c", "0")])
+def test_nonpositive_intensity_exits_2(tmp_path, capsys, flag, value):
+    # at alpha = 0 every Poisson weight vanishes; a negative one is no law
+    out = tmp_path / "intensity"
+    rc = main(["verify", "prop1", "--graph", "complete:5", "--domain", "1 2 3",
+               "--f1", "1", "--f2", "2", "--seed", "0", flag, value,
+               "--out", str(out)])
+    assert rc == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     rc = main(["run", missing, "--out", str(tmp_path / "none")])

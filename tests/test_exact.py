@@ -252,6 +252,15 @@ def test_conditional_multiset_law_single_class(sharp_triangle):
                                  Counter({("bogus",): 1}))
 
 
+@pytest.mark.parametrize("intensity", [Fraction(0), Fraction(-1)])
+def test_conditional_multiset_law_refuses_nonpositive_intensity(
+        sharp_triangle, intensity):
+    dom, cat, ucat = sharp_triangle
+    cands = ExcursionCut(cat, {1}, {2}).candidates
+    with pytest.raises(OracleError, match="positive"):
+        conditional_multiset_law(cat, intensity, cands, Counter(cands[0][2]))
+
+
 def test_tv_distance():
     p = {"a": 0.5, "b": 0.5}
     q = {"a": 0.5, "b": 0.25}
