@@ -53,7 +53,7 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          path_endpoints, record_edge_jumps_counts,
                          unoriented_hookup_orbit_key)
 from .graph import Domain, green_function
-from .loops import LoopCatalog
+from .loops import LoopCatalog, enumerate_loops
 from .rng import stream
 from .soups import FieldSampler, sample_oriented_soup, soup_count_rows
 from .wilson import _EdgeDice, pop_cycles, wilson_ust
@@ -689,21 +689,15 @@ def _independence_chi2(rows, n_sides):
 def verify_residual_independence(catalog: LoopCatalog, sets) -> TestReport:
     """Loops missing one of the sets form soups of the complements, coupled to
     share the loops avoiding both: exact identity of class rates."""
-    sub_catalogs = []
-    for i, F in enumerate(sets):
-        sub = catalog.domain.without_vertices(F)
-        from .loops import enumerate_loops
-        sub_catalogs.append(enumerate_loops(
-            sub, catalog.L_max, catalog.mode,
-            unoriented=catalog.unoriented_graph))
     edge_by_id = catalog.domain.graph.edge_by_id
     worst = 0
-    for i, F in enumerate(sets):
-        sub_cat = sub_catalogs[i]
+    for F in sets:
+        sub_cat = enumerate_loops(catalog.domain.without_vertices(F),
+                                  catalog.L_max, catalog.mode,
+                                  unoriented=catalog.unoriented_graph)
         mine = {c.key: c.mass for c in catalog.classes
                 if not any(edge_by_id[eid].tail in F for eid in c.key)}
-        theirs = {c.key: c.mass for c in sub_cat.classes}
-        if mine != theirs:
+        if mine != {c.key: c.mass for c in sub_cat.classes}:
             worst = 1
     return _report("residual-coupling", "exact", worst, 0, worst == 0, catalog)
 
