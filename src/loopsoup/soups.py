@@ -418,10 +418,10 @@ def occupation_to_json(field: OccupationField) -> dict:
 class FieldSampler:
     """Bulk sampler of (edge-group jump counts, site visit counts, site times).
 
-    Every sample is one soup; one `_class_draws` call draws the classes of
-    all of them, and a soup's jumps and visits are the sums of the per-class
-    rows `class_jumps` and `class_visits`; `class_sums` sums any other
-    per-class integer rows the same way.  Total site occupation uses the Gamma(visits + shape, 1/g)
+    One `_class_draws` call draws the soups of all samples; a soup's jumps
+    and visits are the sums of the per-class rows `class_jumps` and
+    `class_visits`, and `class_sums` sums any other per-class integer rows
+    the same way.  Total site occupation uses the Gamma(visits + shape, 1/g)
     identity, which is equal in law to summing per-visit exponentials.
     """
 
