@@ -19,7 +19,7 @@ from loopsoup import (Domain, complete_graph, decompose, enumerate_loops,
 from loopsoup.rng import stream
 from loopsoup.verify import exact_conditional_beta, feasible_etas
 
-g = complete_graph(12)            # heavy leakage makes remainders tiny
+g = complete_graph(12)            # heavy leakage: little infeasible mass
 iota = pair_reversals(g)
 ug = unoriented_view(g, iota)
 dom = Domain(g, [1, 2, 3])
@@ -52,11 +52,12 @@ dist = exact_conditional_beta(cat, {1}, {2}, eta)
 print(f"conditional hookup law given a 2-excursion conditioning: "
       f"{len(dist.support)} outcomes, total mass {float(dist.total()):.6f}")
 
-# And the packaged verification: conditional law == bridge measure, with the
-# worst deviation bounded by the reported truncation remainder.
+# And the packaged verification: the conditional law is equal, as Fractions,
+# to the truncated-soup law (the bridge measure restricted to hookups whose
+# loops fit in the length cap, renormalized).
 report = verify_prop1(cat, {1}, {2}, mode="exact")
 print("resampling law verified:", report.verdict,
-      f"(worst tv-minus-remainder {report.statistic:.2e})")
+      f"(worst tv {report.statistic}, equal to the truncated-soup law)")
 report2 = verify_prop1(cat, {1}, {2}, mode="exact", intensity=Fraction(2),
                        expect_fail=True)
 print("alpha=2 control fails as it must:", report2.verdict == "pass")

@@ -262,17 +262,26 @@ def side_orbit_key(cs, i):
     return _side_orbit_min(cs, i, cs.sides[i])
 
 
-def side_pair_orbit_size(cs):
-    """Number of distinct simultaneous relabelings of all sides."""
+def side_pair_orbit(cs, involution=None):
+    """(canonical form of all sides under simultaneous relabeling of
+    identical crossings, number of labeled bridge configurations it stands
+    for).
+
+    The count is the number of distinct relabelings, doubled for every
+    unoriented arc that returns to its vertex and differs from its reversal:
+    the side stores the arc up to reversal, and both orientations join the
+    same two slots.
+    """
     oriented = cs.mode == "oriented"
     slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in cs.sides}
-    images = set()
-    for perm in block_permutations(cs.instances):
-        images.add(tuple(
-            _relabel_side(cs.sides[i], slot_instances[i], perm, oriented)
-            for i in cs.sides
-        ))
-    return len(images)
+    images = {tuple(_relabel_side(cs.sides[i], slot_instances[i], perm, oriented)
+                    for i in cs.sides)
+              for perm in block_permutations(cs.instances)}
+    flips = 0 if oriented else sum(
+        1 for i, side in cs.sides.items() for (a, b), arc in side
+        if cs.endpoints(i)[a] == cs.endpoints(i)[b]
+        and arc != involution.reverse_path(arc))
+    return min(images), len(images) << flips
 
 
 def _side_arrivals_departures(cs, i):

@@ -23,7 +23,6 @@ loops.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -219,15 +218,19 @@ class LoopCatalog:
         return self._counterpart
 
     def export_jsonl(self, path) -> None:
+        """One JSON object per class, each written with one format string.
+
+        A class's mass is 1 / (g^n J), so its text and its float come from
+        that denominator (int division rounds correctly, like `float` of the
+        Fraction).
+        """
+        g = self.domain.g
         with open(path, "w") as fh:
             for c in self.classes:
-                fh.write(json.dumps({
-                    "edges": list(c.key),
-                    "n": c.n,
-                    "J": c.J,
-                    "mass": str(c.mass),
-                    "mass_float": c.mass_float,
-                }) + "\n")
+                den = g ** c.n * c.J
+                mass = f"1/{den}" if den != 1 else "1"
+                fh.write(f'{{"edges": {list(c.key)}, "n": {c.n}, "J": {c.J}, '
+                         f'"mass": "{mass}", "mass_float": {1 / den!r}}}\n')
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -2,11 +2,11 @@
 
 Every verification produces a TestReport carrying its statistic, tolerance,
 seed, truncation data and verdict, and is reproducible bit-for-bit from the
-same inputs.  Exact modes compare rational-arithmetic conditional laws
-against closed-form bridge measures; the residual statistic is bounded by
-machine epsilon plus the reported truncation remainder.  Monte Carlo modes
-compare sampled soups against independent oracle samplers with chi-square or
-total-variation statistics.
+same inputs.  Exact resampling modes decide, as an equality of Fractions,
+that each conditional law is equal to the truncated-soup law: the bridge
+measure restricted to the hookups whose loops all fit in the catalog's
+length cap, renormalized.  Monte Carlo modes compare sampled soups against
+independent oracle samplers with chi-square or total-variation statistics.
 
 Positive controls run the same machinery at the wrong intensity and must
 fail; they demonstrate that the tests can distinguish the special intensities
@@ -15,9 +15,9 @@ fail; they demonstrate that the tests can distinguish the special intensities
 The resampling checks share one structure, defined here.  A Cut says how a
 statement cuts loops: ExcursionCut (Props. 1 and 2), EdgeCut (Prop. 5) and
 CrossingCut (Props. 1bis and 3bis) give each class's contribution, cut a
-class multiset into its bin and hookup key, and give the bridge-measure
-oracle of a bin from the laws in `exact`.  `_exact_driver` compares the
-conditional law of the keys with the oracle per feasible target;
+class multiset into its bin and hookup key, and give the truncated-soup
+law of a bin from the bridge laws in `exact`.  `_exact_driver` decides, per
+feasible target, that the conditional law of the keys equals that law;
 `_mc_driver` samples soups, cuts the touching ones into bins and tests each
 bin (goodness of fit against the oracle, or independence of the sides for
 crossings) under one Bonferroni correction.
@@ -44,9 +44,9 @@ from scipy import stats as sps
 
 from . import stats
 from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
-                    occupation_law, side_bridge_law, side_orbit_key,
-                    side_pair_orbit_size, tv_distance,
-                    unordered_bridge_law, validate_eta, z_bridge_law)
+                    occupation_law, side_orbit_key, side_pair_orbit,
+                    tv_distance, unordered_bridge_law, validate_eta,
+                    z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          extract_crossings_counts, hookup_loops,
                          loop_skeletons, oriented_hookup_orbit_key,
@@ -58,7 +58,6 @@ from .rng import stream
 from .soups import FieldSampler, sample_oriented_soup, soup_count_rows
 from .wilson import _EdgeDice, pop_cycles, wilson_ust
 
-EXACT_TOL = 1e-9
 CMI_TOL = 1e-12
 CHI2_SIGNIFICANCE = 1e-3
 MC_TV_TOL = 0.01
@@ -118,7 +117,7 @@ class Cut:
 
     A kind says what a catalog class contributes (the Counter of pieces it is
     cut into), cuts a class multiset into its bin (the conditioned pieces)
-    and the orbit key of its hookup, and gives the bridge-measure law of the
+    and the orbit key of its hookup, and gives the truncated-soup law of the
     keys in a bin.  The kinds are ExcursionCut (Props. 1 and 2), EdgeCut
     (Prop. 5) and CrossingCut (Props. 1bis and 3bis).
     """
@@ -177,42 +176,44 @@ class Cut:
         return True
 
     def bin_p(self, b, counts: Counter, n: int):
-        """p-value of the sampled keys of a bin against the oracle, or None."""
-        bdist, _, _ = self.oracle(b)
-        expected = {k: float(v) for k, v in bdist.items()}
+        """p-value of the sampled keys of a bin against its law, or None."""
+        law, _ = self.oracle(b)
+        expected = {k: float(v) for k, v in law.items()}
         _, dof, p = stats.chi2_gof(counts, expected, n)
         return p if dof > 0 else None
 
     def oracle(self, b):
-        """(law of the hookup keys of bin b under the bridge measure,
-        unenumerated mass, infeasible mass)."""
-        return self._push(*self.bridge_configs(b))
+        """(truncated-soup law of the hookup keys of bin b, infeasible mass).
 
-    def _push(self, pieces, configs, flippable=()):
-        """Bridge-measure configurations pushed onto hookup orbit keys.
-
-        Returns (dist, unenumerated mass, infeasible mass): infeasible is the
-        mass of configurations whose longest loop, as the hookup walker
-        closes it, exceeds the catalog truncation.
+        The law is the bridge measure restricted to the configurations whose
+        loops, as the hookup walker closes them, all fit in L_max, then
+        renormalized: the exact conditional law of the truncated soup.  The
+        infeasible mass is the bridge mass left out, bridges too long to
+        enumerate included (no loop holding one fits).
         """
+        pieces, configs, flippable = self.bridge_configs(b)
         graph = self.catalog.domain.graph
-        dist: dict = {}
-        infeasible = Fraction(0)
-        enum = Fraction(0)
+        law: dict = {}
         for (s, paths), pr in configs.items():
-            enum += pr
-            if self.oriented:
-                hook = OrientedHookup(s, paths)
-                key = oriented_hookup_orbit_key(pieces, hook)
-            else:
-                hook = UnorientedHookup(s, paths)
-                key = unoriented_hookup_orbit_key(pieces, hook, flippable,
-                                                  self.inv)
+            hook = (OrientedHookup if self.oriented else UnorientedHookup)(s, paths)
             loops = hookup_loops(graph, pieces, hook, self.inv)
             if max(map(len, loops)) > self.catalog.L_max:
-                infeasible += pr
-            dist[key] = dist.get(key, Fraction(0)) + pr
-        return dist, Fraction(1) - enum, infeasible
+                continue
+            if self.oriented:
+                key = oriented_hookup_orbit_key(pieces, hook)
+            else:
+                key = unoriented_hookup_orbit_key(pieces, hook, flippable,
+                                                  self.inv)
+            law[key] = law.get(key, 0) + pr
+        feasible = sum(law.values())
+        return {k: v / feasible for k, v in law.items()}, 1 - feasible
+
+    def laws(self, intensity: Fraction, target: Counter):
+        """(report entry, conditional law of the hookup keys given `target`,
+        truncated-soup law of its bin)."""
+        cond, b = _conditional_keys(self, intensity, target)
+        law, infeasible = self.oracle(b)
+        return {**self.label(b), "infeasible": float(infeasible)}, cond, law
 
 
 class ExcursionCut(Cut):
@@ -318,7 +319,9 @@ class CrossingCut(Cut):
     Bins whose crossings eat into the truncation budget (fewer than `slack`
     spare steps below L_max) are skipped: for those the truncated soup
     genuinely couples the sides through the leftover length budget, a pure
-    cutoff artifact that an exact-mode run quantifies via its remainder.
+    cutoff artifact.  The exact mode has no such skip: the conditional law
+    it checks is equal to the truncated-soup law, which carries the
+    coupling.
     """
 
     slack = 6
@@ -358,6 +361,38 @@ class CrossingCut(Cut):
     def bin_p(self, ck, counts: Counter, n: int):
         return _independence_chi2(list(counts.elements()), len(self.sets))
 
+    def laws(self, intensity: Fraction, target: Counter):
+        """(report entry, conditional law of the joint completion given the
+        crossings `target`, its truncated-soup law).
+
+        The joint completion is every side's hookup, up to relabeling
+        identical crossings at once (`side_pair_orbit`); for oriented soups
+        it is the class multiset itself.  It stands for a number of labeled
+        configurations of the per-side bridge measures, each of mass
+        g^-(its bridge steps) over a normalizer shared by the bin; the law
+        renormalizes over the completions the catalog realizes, those whose
+        loops all fit in L_max.
+        """
+        weights = conditional_multiset_law(self.catalog, intensity,
+                                           self.candidates, target)
+        g = self.catalog.domain.g
+        cross_steps = sum(len(p) * n for (_, p), n in target.items())
+        total = sum(weights.values())
+        cond: dict = {}
+        bridge: dict = {}
+        for ms, w in weights.items():
+            counts = dict(ms)
+            cs = extract_crossings_counts(self.catalog, counts, self.sets)
+            key, n = side_pair_orbit(cs, self.inv)
+            steps = sum(len(k) * u for k, u in counts.items())
+            cond[key] = cond.get(key, 0) + w / total
+            # multisets sharing a key (the orientations of a returning arc)
+            # share its configurations
+            bridge[key] = n * Fraction(1, g ** (steps - cross_steps))
+        z = sum(bridge.values())
+        return ({"crossings": sum(target.values()), "support": len(cond)},
+                cond, {k: v / z for k, v in bridge.items()})
+
 
 # -- the drivers -------------------------------------------------------------------
 
@@ -374,21 +409,24 @@ def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
     return cond, b
 
 
-def _exact_driver(cut: Cut, intensity: Fraction, max_size: int):
-    """Compare, per feasible target, the conditional hookup law with the bridge
-    measure; returns (worst tv - remainder, per-target entries)."""
-    targets = cut.targets(max_size)
+def _exact_driver(cut: Cut, intensity: Fraction, targets: list):
+    """Decide, per target, that the conditional law equals the truncated-soup
+    law of its bin, as Fractions; returns (every pair equal, worst total
+    variation, per-target entries).
+
+    The total variations are floats for display: each is exactly 0.0 when
+    its two laws are equal, and the verdict is the equality itself.
+    """
     if not targets:
         raise OracleError("no feasible conditioning target: nothing to check")
-    worst, entries = -math.inf, []
+    equal, worst, entries = True, 0.0, []
     for target in targets:
-        cond, b = _conditional_keys(cut, intensity, target)
-        bdist, unenum, infeasible = cut.oracle(b)
-        remainder = float(unenum + infeasible)
-        tv = tv_distance(cond, bdist, float(unenum))
-        entries.append({**cut.label(b), "tv": tv, "remainder": remainder})
-        worst = max(worst, tv - remainder)
-    return worst, entries
+        entry, cond, law = cut.laws(intensity, target)
+        tv = tv_distance(cond, law)
+        equal = equal and cond == law
+        worst = max(worst, tv)
+        entries.append({**entry, "tv": tv})
+    return equal, worst, entries
 
 
 def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
@@ -497,9 +535,9 @@ def _verify_excursions(prop, catalog, F1, F2, mode, intensity, max_excursions,
                           max_excursions, expect_fail,
                           intensity=float(intensity))
     intensity = Fraction(intensity)
-    worst, per_eta = _exact_driver(cut, intensity, max_excursions)
-    return _report(prop, "exact", worst, EXACT_TOL,
-                   (worst <= EXACT_TOL) != expect_fail, catalog,
+    equal, worst, per_eta = _exact_driver(cut, intensity,
+                                          cut.targets(max_excursions))
+    return _report(prop, "exact", worst, 0.0, equal != expect_fail, catalog,
                    intensity=str(intensity), etas_tested=len(per_eta),
                    per_eta=per_eta, positive_control=expect_fail)
 
@@ -518,9 +556,9 @@ def verify_prop5(catalog: LoopCatalog, removed, mode: str = "exact",
     if mode != "exact":
         return _mc_driver("prop5", cut, float(intensity), samples, seed,
                           max_jumps, expect_fail, intensity=float(intensity))
-    worst, per_target = _exact_driver(cut, Fraction(intensity), max_jumps)
-    return _report("prop5", "exact", worst, EXACT_TOL,
-                   (worst <= EXACT_TOL) != expect_fail, catalog,
+    equal, worst, per_target = _exact_driver(cut, Fraction(intensity),
+                                             cut.targets(max_jumps))
+    return _report("prop5", "exact", worst, 0.0, equal != expect_fail, catalog,
                    intensity=str(intensity), targets_tested=len(per_target),
                    per_target=per_target, positive_control=expect_fail)
 
@@ -534,11 +572,11 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
     is the identity, so the bridge measure of the removed-edge cut is exactly
     that uniform pairing law, with empty bridges.
     """
-    removed = catalog.unoriented_graph.classes_inside(catalog.domain)
-    worst, per_target = _exact_driver(EdgeCut(catalog, removed),
-                                      Fraction(intensity), max_jumps)
-    return _report("prop5", "exact-degenerate", worst, EXACT_TOL,
-                   worst <= EXACT_TOL, catalog, targets_tested=len(per_target))
+    cut = EdgeCut(catalog, catalog.unoriented_graph.classes_inside(catalog.domain))
+    equal, worst, per_target = _exact_driver(cut, Fraction(intensity),
+                                             cut.targets(max_jumps))
+    return _report("prop5", "exact-degenerate", worst, 0.0, equal, catalog,
+                   targets_tested=len(per_target))
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
@@ -546,16 +584,19 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
 
 def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
                          intensity=Fraction(1), max_crossings: int = 4,
-                         bridge_cap: int | None = None,
                          samples: int = 10 ** 6, seed: int = 0,
                          max_targets: int | None = None,
                          expect_fail: bool = False) -> TestReport:
     """Conditionally on the crossings between the marked sets, the per-set
     completions are independent, each following its bridge measure in the
-    complement of the other sets."""
+    complement of the other sets.
+
+    The exact mode checks the joint law of the completions at once: given
+    the crossings, it is the product bridge measure restricted to the
+    completions the catalog realizes (`CrossingCut.laws`).
+    """
     prop = "prop1bis" if catalog.mode == "oriented" else "prop3bis"
     cut = CrossingCut(catalog, sets)
-    sets = cut.sets
     if mode != "exact":
         return _mc_driver(prop, cut, float(intensity), samples, seed, None,
                           expect_fail)
@@ -572,67 +613,8 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
             by_count[sum(t.values())].append(t)
         rounds = zip_longest(*(by_count[c] for c in sorted(by_count)))
         targets = [t for r in rounds for t in r if t is not None][:max_targets]
-    if not targets:
-        raise OracleError("no crossing configuration: nothing to check")
-    g = catalog.domain.g
-    sides = range(len(sets))
-    # each side's bridges live in the complement of the other sets
-    side_domains = [catalog.domain.without_vertices(
-        set().union(*(sets[j] for j in sides if j != i))) for i in sides]
-    cap = bridge_cap if bridge_cap is not None else catalog.L_max - 2
-    stat = -math.inf
-    per_target = []
-    for target in targets:
-        weights = conditional_multiset_law(catalog, Fraction(intensity),
-                                           cut.candidates, target)
-        total = sum(weights.values())
-        joint: dict = {}
-        cond_ms: dict = {}
-        bb_raw: dict = {}
-        cross_steps = sum(len(p) * n for (pair, p), n in target.items())
-        for ms, w in weights.items():
-            counts = dict(ms)
-            cs = extract_crossings_counts(catalog, counts, sets)
-            keys = tuple(side_orbit_key(cs, i) for i in sides)
-            joint[keys] = joint.get(keys, Fraction(0)) + w / total
-            cond_ms[ms] = cond_ms.get(ms, Fraction(0)) + w / total
-            steps = sum(len(k) * u for k, u in counts.items())
-            bb_raw[ms] = (side_pair_orbit_size(cs)
-                          * Fraction(1, g ** (steps - cross_steps)))
-        # the per-side bridge laws and their normalizers (every multiset of
-        # the target has the same crossings, so the last one stands for all)
-        side_laws = [side_bridge_law(side_domains[i], cs, i, cap,
-                                     involution=cut.inv) for i in sides]
-        denom = math.prod((Z for _, _, Z in side_laws), start=Fraction(1))
-        bb = {ms: v / denom for ms, v in bb_raw.items()}
-        R = 1 - sum(bb.values())
-        remainder = float(len(sets) * R) + 1e-15
-        # the law itself: the conditional over completions (keyed by the
-        # reassembled multiset, equivalently the pair of completions up to
-        # relabeling identical crossings) equals the product bridge measure
-        tv_joint = tv_distance(cond_ms, bb, float(R))
-        stat = max(stat, tv_joint - (float(R) + 1e-15))
-        marg = [dict() for _ in sets]
-        for keys, p in joint.items():
-            for i, k in enumerate(keys):
-                marg[i][k] = marg[i].get(k, Fraction(0)) + p
-        prod = {keys: math.prod((marg[i][k] for i, k in enumerate(keys)),
-                                start=Fraction(1)) for keys in joint}
-        # product law also charges key combinations the joint never hit
-        prod_mass = sum(prod.values())
-        tv = tv_distance(joint, prod, float(1 - prod_mass))
-        entry = {"crossings": sum(target.values()), "tv": tv,
-                 "tv_vs_product_bridge_law": tv_joint,
-                 "remainder": remainder, "support": len(joint)}
-        stat = max(stat, tv - remainder)
-        for i, (bdist, rem_i, _) in enumerate(side_laws):
-            tv_i = tv_distance(marg[i], bdist, float(rem_i))
-            entry[f"marginal_tv_{i}"] = tv_i
-            entry[f"marginal_remainder_{i}"] = float(R + rem_i)
-            stat = max(stat, tv_i - float(R + rem_i))
-        per_target.append(entry)
-    return _report(prop, "exact", stat, EXACT_TOL,
-                   (stat <= EXACT_TOL) != expect_fail, catalog,
+    equal, worst, per_target = _exact_driver(cut, Fraction(intensity), targets)
+    return _report(prop, "exact", worst, 0.0, equal != expect_fail, catalog,
                    intensity=str(intensity), targets_tested=len(targets),
                    per_target=per_target, positive_control=expect_fail)
 

@@ -37,7 +37,7 @@ def k12():
 
 @pytest.fixture(scope="session")
 def sharp_triangle(k12):
-    """Vertices {1,2,3} of K12 (g = 11): heavy leakage, small remainders."""
+    """Vertices {1,2,3} of K12 (g = 11): heavy leakage, little infeasible mass."""
     g, inv, ug = k12
     dom = Domain(g, [1, 2, 3])
     cat = enumerate_loops(dom, 6, "oriented", unoriented=ug)

@@ -34,7 +34,7 @@ def _line(num, ok, text):
 
 @pytest.fixture(scope="module")
 def ws_sharp():
-    """Triangle {1,2,3} in complete:12 (g = 11): tiny truncation remainders."""
+    """Triangle {1,2,3} in complete:12 (g = 11): little infeasible mass."""
     cfg = config_from_dict({
         "graph": "complete:12", "domain": "1 2 3", "jobs": "prop1",
         "seed": "0", "l_max": "6", "f1": "1", "f2": "2",
@@ -83,14 +83,14 @@ def test_criterion_2_prop1_exact(ws_sharp):
     rep = verify_prop1(cat, {1}, {2}, mode="exact")
     ctrl = verify_prop1(cat, {1}, {2}, mode="exact", intensity=Fraction(2),
                         expect_fail=True)
-    ratios = [e2["tv"] / (1e-9 + e1["remainder"])
-              for e1, e2 in zip(rep.details["per_eta"],
-                                ctrl.details["per_eta"])]
+    # the control passes by being unequal on at least one conditioning
+    unequal = sum(e["tv"] > 0 for e in ctrl.details["per_eta"])
     dt = time.time() - t0
-    ok = rep.passed and max(ratios) > 10 and dt < 300
-    _line(2, ok, f"oriented resampling exact over {rep.details['etas_tested']} "
-          f"conditionings (worst tv-remainder {rep.statistic:.2e}); "
-          f"alpha=2 control ratio {max(ratios):.0f}x; {dt:.1f}s")
+    ok = rep.passed and ctrl.passed and ctrl.statistic > 0.1 and dt < 300
+    _line(2, ok, f"oriented resampling equal to the truncated-soup law over "
+          f"{rep.details['etas_tested']} conditionings (worst tv "
+          f"{rep.statistic:.2e}); alpha=2 control unequal on {unequal}, "
+          f"worst tv {ctrl.statistic:.3f}; {dt:.1f}s")
 
 
 def test_criterion_3_prop2_prop5_exact(ws_sharp):
@@ -126,10 +126,10 @@ def test_criterion_4_independence(ws_k8):
     t0 = time.time()
     cat = ws_k8.catalog("oriented")
     rep = verify_prop1bis_3bis(cat, [{1}, {3}], mode="exact",
-                               max_crossings=4, bridge_cap=6, max_targets=3)
+                               max_crossings=4, max_targets=3)
     ucat = ws_k8.catalog("unoriented")
     rep3 = verify_prop1bis_3bis(ucat, [{1}, {3}], mode="exact",
-                                max_crossings=4, bridge_cap=6, max_targets=3)
+                                max_crossings=4, max_targets=3)
     # Monte Carlo independence at one million samples
     cfgm = config_from_dict({
         "graph": "complete:8", "domain": "1 2 3 4", "jobs": "prop1bis",
@@ -140,8 +140,8 @@ def test_criterion_4_independence(ws_k8):
                               samples=10 ** 6, seed=101)
     dt = time.time() - t0
     ok = rep.passed and rep3.passed and mc.passed and dt < 600
-    _line(4, ok, f"two-sided independence: exact factorization and joint "
-          f"product-bridge law within remainder (worst "
+    _line(4, ok, f"two-sided independence: joint completion law equal to "
+          f"the truncated-soup law (worst tv "
           f"{max(rep.statistic, rep3.statistic):.2e}); MC chi-square over "
           f"{mc.details['bins_tested']} bins "
           f"(min p {mc.statistic:.3g} vs {mc.tolerance:.2e}); {dt:.0f}s")

@@ -97,14 +97,14 @@ def test_crossings_recomputable_from_eta(k5, triangle_catalogs):
 def test_remainder_shrinks_with_lmax(k12):
     g, inv, ug = k12
     dom = Domain(g, [1, 2, 3])
-    rems = []
+    infeasible = []
     for L in (4, 6, 8):
         cat = enumerate_loops(dom, L, unoriented=ug)
         rep = verify_prop1(cat, {1}, {2}, mode="exact", max_excursions=1)
-        rems.append(min(e["remainder"] for e in rep.details["per_eta"]
-                        if e["eta_lengths"] == [2]))
+        infeasible.append(min(e["infeasible"] for e in rep.details["per_eta"]
+                              if e["eta_lengths"] == [2]))
         assert rep.passed
-    assert rems[0] > rems[1] > rems[2]
+    assert infeasible[0] > infeasible[1] > infeasible[2]
 
 
 def test_job_order_permutation_only_reorders(tmp_path):

@@ -39,24 +39,19 @@ def ws_k12():
 
 
 def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
-    """The brute-force conditional law over hookups equals the bridge-measure
-    pushforward, exactly in rational arithmetic up to the truncation
-    remainder (here: single-excursion conditionings reduce to single
-    bridges)."""
+    """The brute-force conditional law over hookups equals the truncated-soup
+    law (the bridge measure restricted to hookups whose loops fit in L_max,
+    renormalized), Fraction by Fraction (here: single-excursion
+    conditionings reduce to single bridges)."""
     from loopsoup.verify import ExcursionCut
     cat = ws_k12.catalog("oriented")
     cut = ExcursionCut(cat, {1}, {2})
     for eta in feasible_etas(cat, {1}, {2}, 1)[:4]:
         dist = exact_conditional_beta(cat, {1}, {2}, eta)
-        assert abs(float(sum(dist.probabilities)) - 1) < 1e-12
-        bdist, unenum, infeasible = cut.oracle(eta)
-        cond = dist.as_dict()
-        # renormalize the bridge law on the feasible support: equality is
-        # then exact, fraction by fraction
-        feas = {k: v for k, v in bdist.items()}
-        tv = 0.5 * (sum(abs(float(cond.get(k, 0) - feas.get(k, 0)))
-                        for k in set(cond) | set(feas)) + float(unenum))
-        assert tv <= 1e-9 + float(unenum + infeasible)
+        assert dist.total() == 1
+        law, infeasible = cut.oracle(eta)
+        assert dist.as_dict() == law
+        assert 0 < infeasible < 1
     with pytest.raises(Exception):
         exact_conditional_beta(cat, {1}, {2}, [(99999,)])
     # infeasible conditionings are rejected: an excursion path whose
@@ -88,8 +83,8 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
             XY = (d.X, d.Y)
             key = xy_orbit_key(d.X, d.Y, d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, unenum, infeasible = cut.oracle(eta)
-        by_xy[XY].append((dist, float(unenum + infeasible)))
+        _, infeasible = cut.oracle(eta)
+        by_xy[XY].append((dist, float(infeasible)))
     compared = 0
     for XY, entries in by_xy.items():
         ref, r_ref = entries[0]
@@ -98,7 +93,7 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
             tv = 0.5 * sum(abs(float(ref.get(k, 0) - dist.get(k, 0)))
                            for k in set(ref) | set(dist))
             # the two conditionings truncate the shared law differently;
-            # their distance is bounded by the two feasibility remainders
+            # their distance is bounded by the two infeasible masses
             assert tv <= 1e-9 + (r_ref + r) / (1 - max(r_ref, r))
     assert compared >= 1
 
@@ -106,7 +101,7 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
 def test_prop1_exact_and_control(ws_k12):
     cat = ws_k12.catalog("oriented")
     rep = verify_prop1(cat, {1}, {2}, mode="exact")
-    assert rep.passed and rep.statistic <= 1e-9
+    assert rep.passed and rep.statistic == 0.0
     bad = verify_prop1(cat, {1}, {2}, mode="exact", intensity=Fraction(2),
                        expect_fail=True)
     assert bad.passed    # the control is expected to fail, and does
@@ -164,8 +159,8 @@ def test_prop2_z_measurability(ws_k12):
             Z = d.Z
             key = z_orbit_key(d.Z, d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, unenum, infeasible = cut.oracle(eta)
-        by_Z[Z].append((dist, float(unenum + infeasible)))
+        _, infeasible = cut.oracle(eta)
+        by_Z[Z].append((dist, float(infeasible)))
     compared = 0
     for Z, entries in by_Z.items():
         if len(entries) < 2:
@@ -182,11 +177,11 @@ def test_prop2_z_measurability(ws_k12):
 def test_prop1bis_exact(ws_k12):
     cat = ws_k12.catalog("oriented")
     rep = verify_prop1bis_3bis(cat, [{1}, {2}], mode="exact",
-                               max_crossings=2, bridge_cap=6)
+                               max_crossings=2)
     assert rep.passed
     ucat = ws_k12.catalog("unoriented")
     rep3 = verify_prop1bis_3bis(ucat, [{1}, {2}], mode="exact",
-                                max_crossings=2, bridge_cap=6)
+                                max_crossings=2)
     assert rep3.passed
 
 
@@ -196,12 +191,36 @@ def test_prop1bis_control(ws_k12):
     of the two sides even when each side's own key cannot see it)."""
     cat = ws_k12.catalog("oriented")
     good = verify_prop1bis_3bis(cat, [{1}, {2}], mode="exact",
-                                max_crossings=4, bridge_cap=6, max_targets=4)
+                                max_crossings=4, max_targets=4)
     assert good.passed
     bad = verify_prop1bis_3bis(cat, [{1}, {2}], mode="exact",
-                               max_crossings=4, bridge_cap=6, max_targets=4,
+                               max_crossings=4, max_targets=4,
                                intensity=Fraction(2), expect_fail=True)
     assert bad.passed
+
+
+def test_prop3bis_exact_counts_both_orientations_of_a_returning_arc():
+    """With two free vertices beside the marked ones, a side arc can return
+    to its vertex along a path that differs from its reversal (1-2-4-1).
+    The side keeps the arc up to reversal, and both orientations are bridge
+    configurations, so the joint completion weighs twice as much; without
+    the doubling the exact law is off on some targets."""
+    ws = build_workspace(config_from_dict({
+        "graph": "complete:6", "domain": "1 2 3 4", "jobs": "prop3bis",
+        "seed": "0", "l_max": "6", "f1": "1", "f2": "3",
+    }))
+    ucat = ws.catalog("unoriented")
+    cut = CrossingCut(ucat, [{1}, {3}])
+    inv = ucat.unoriented_graph.involution
+    returning = 0
+    for cls in cut.candidates:
+        cs = extract_crossings_counts(ucat, {cls[0]: 1}, cut.sets)
+        returning += any(cs.endpoints(i)[a] == cs.endpoints(i)[b]
+                         and arc != inv.reverse_path(arc)
+                         for i, side in cs.sides.items() for (a, b), arc in side)
+    assert returning
+    rep = verify_prop1bis_3bis(ucat, [{1}, {3}], mode="exact", max_crossings=2)
+    assert rep.passed and rep.statistic == 0.0
 
 
 def test_prop5_mc(ws_k12):
@@ -212,6 +231,23 @@ def test_prop5_mc(ws_k12):
                        samples=400000, seed=77)
     assert rep.details["bins_tested"] >= 1
     assert rep.passed
+
+
+def test_prop5_mc_tests_against_the_truncated_soup_law():
+    """prop5 by Monte Carlo on the K5 triangle at l_max 6: a pairing whose
+    bridges would close a loop longer than the cap never occurs in the
+    truncated soup, so its bins are tested against the restricted law.
+    Against the unrestricted bridge law these seeds failed (p = 2.7e-4,
+    1.9e-4 and 3.5e-5 against the Bonferroni threshold 5e-4)."""
+    ws = build_workspace(config_from_dict({
+        "graph": "complete:5", "domain": "1 2 3", "jobs": "prop5",
+        "seed": "0", "l_max": "6", "removed_edges": "1-2",
+    }))
+    for seed in (1, 2, 3):
+        rep = verify_prop5(ws.catalog("unoriented"), ws.removed_classes(),
+                           mode="mc", samples=10 ** 5, seed=seed)
+        assert rep.details["bins_tested"] >= 1
+        assert rep.passed, (seed, rep.statistic, rep.tolerance)
 
 
 def _triangle_cuts(k5, triangle_catalogs):
@@ -295,7 +331,7 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
         k5, triangle_catalogs, data):
     """An oracle configuration's longest walker loop exceeds L_max exactly
     when one of the classes it reassembles into is missing from the
-    catalog: the mass the truncation remainder charges.  The loops use every
+    catalog: the mass the truncated-soup law leaves out.  The loops use every
     edge of the pieces and bridges once (up to reversal when unoriented),
     which reassembly over the same walker could not notice."""
     cut = data.draw(st.sampled_from(_oracle_cuts(k5, triangle_catalogs)))
@@ -335,7 +371,10 @@ def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
     monkeypatch.setattr(excursions, "canonicalize_unoriented", refuse)
     for cut, b, before in bins:
         assert cut.oracle(b) == before
-    assert all(before[2] > 0 for _, _, before in bins)
+    # the walker's length check removes mass beyond the bridges too long to
+    # enumerate, in every bin
+    for cut, b, (_, infeasible) in bins:
+        assert infeasible > 1 - sum(cut.bridge_configs(b)[1].values())
 
 
 def test_residual_coupling(ws_k12):
@@ -469,6 +508,22 @@ def test_ct_excursions(k5_cats):
     rep = verify_ct_excursions(ucat, [1, 2], samples=20000, seed=56)
     assert rep.passed
     assert rep.details["parity_ok"] and rep.details["ratio_ok"]
+
+
+def test_ct_excursions_control():
+    """At intensity 2 the skeleton counts leave the conditioned-current law
+    of unit intensity (pooled p = 3.5e-54 at seed 0), and the same call
+    passes at intensity 1."""
+    ws = build_workspace(config_from_dict({
+        "graph": "complete:5", "domain": "1 2 3", "jobs": "ct-excursions",
+        "seed": "0", "l_max": "8", "sites": "1 2",
+    }))
+    ucat = ws.catalog("unoriented")
+    bad = verify_ct_excursions(ucat, [1, 2], samples=20000, seed=0,
+                               intensity=2.0)
+    assert not bad.passed and bad.statistic < bad.tolerance
+    assert verify_ct_excursions(ucat, [1, 2], samples=20000, seed=0,
+                                intensity=1.0).passed
 
 
 def test_wilson_small():
