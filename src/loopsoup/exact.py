@@ -12,7 +12,8 @@ Two independent computations are compared everywhere:
   normalizer, and push forward through reassembly onto the same keys.
 
 This module holds the oracles: the conditioned multiset enumeration, the
-bridge-family laws and the per-side laws of crossings.  The cuts that feed
+bridge-family laws, and the orbit keys and configuration counts of the
+sides of crossings.  The cuts that feed
 them and the drivers that compare the two sides live in `verify`.
 
 Occupation-field laws are computed without sampling from the probability
@@ -262,7 +263,7 @@ def side_orbit_key(cs, i):
     return _side_orbit_min(cs, i, cs.sides[i])
 
 
-def side_pair_orbit(cs, involution=None):
+def side_pair_orbit(cs, involution):
     """(canonical form of all sides under simultaneous relabeling of
     identical crossings, number of labeled bridge configurations it stands
     for).
@@ -270,7 +271,7 @@ def side_pair_orbit(cs, involution=None):
     The count is the number of distinct relabelings, doubled for every
     unoriented arc that returns to its vertex and differs from its reversal:
     the side stores the arc up to reversal, and both orientations join the
-    same two slots.
+    same two slots.  `involution` reverses arcs (None for oriented sides).
     """
     oriented = cs.mode == "oriented"
     slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in cs.sides}
