@@ -24,13 +24,18 @@ PINNED_OUTPUTS = {
     "golden_catalog": ("catalog_oriented.jsonl", "catalog_unoriented.jsonl"),
 }
 
+# Exit codes other than 0.  golden_wilson pins the Wilson walk and popped
+# soup streams; its 20,000 runs are too few for the 0.01 gate on the
+# empirical TV between two samples (TV 0.0131), so its report fails.
+EXIT_CODES = {"golden_wilson": 1}
+
 
 @pytest.mark.parametrize("name", ["golden_exact", "golden_mc",
                                   "golden_occupation", "golden_ct",
-                                  "golden_catalog"])
+                                  "golden_catalog", "golden_wilson"])
 def test_report_matches_golden_fixture(tmp_path, name):
     cfg = parse_config(os.path.join(DATA, f"{name}.cfg"))
-    assert run(cfg, str(tmp_path)) == 0
+    assert run(cfg, str(tmp_path)) == EXIT_CODES.get(name, 0)
     for out in ("report.json",) + PINNED_OUTPUTS.get(name, ()):
         with open(os.path.join(DATA, f"{name}.{out}"), "rb") as fh:
             expected = fh.read()
