@@ -20,6 +20,7 @@ from .config import (ConfigError, ExperimentConfig, Workspace, build_workspace,
                      config_from_dict, job_seed, parse_config, JOBS)
 from .rng import stream
 from .soups import FieldSampler
+from .wilson import check_root
 
 
 def markov_edge_partition(ws: Workspace, oriented: bool):
@@ -201,6 +202,8 @@ def run(cfg: ExperimentConfig, outdir: str,
     ws = build_workspace(cfg, class_budget)
     if "occupation-markov" in cfg.jobs:
         _markov_partitions(ws)      # refuse before any job runs
+    if "wilson" in cfg.jobs:
+        check_root(ws.graph, cfg.root, cfg.domain_vertices)
     reports, files = [], []
     for i, job in enumerate(cfg.jobs):
         r, f = run_job(ws, job, i, outdir)

@@ -158,8 +158,9 @@ def unoriented_key(edge_seq, involution) -> tuple[int, ...]:
 class LoopCatalog:
     """All loop classes of length <= L_max inside a domain.
 
-    mode is "oriented" or "unoriented".  A catalog holds only its classes;
-    readers take whatever geometry they need from the class keys.  An
+    mode is "oriented" or "unoriented".  A catalog holds its classes and the
+    departure lists of those a reader asks for (`departures`, for cycle
+    popping); readers take any other geometry from the class keys.  An
     unoriented catalog is always the counterpart of an oriented one, so a
     domain is enumerated once.
     """
@@ -176,6 +177,7 @@ class LoopCatalog:
         self.by_key = {c.key: c for c in self.classes}
         self._counterpart: LoopCatalog | None = None
         self._mass_arrays = None          # lazy (masses, cumsum) cache
+        self._departures: dict = {}       # lazy class key -> departures
 
     @property
     def total_mass(self) -> Fraction:
@@ -188,6 +190,24 @@ class LoopCatalog:
             masses = np.array([c.mass_float for c in self.classes])
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays
+
+    def departures(self, key) -> list:
+        """The departure lists of class `key` rooted at each of its steps.
+
+        Entry r is, per vertex in order of first visit from step r, the
+        (edge id, head) of the steps leaving it, in order; cached.
+        """
+        deps = self._departures.get(key)
+        if deps is None:
+            graph = self.domain.graph
+            verts = loop_vertices(graph, key)
+            deps = self._departures[key] = []
+            for r in range(len(key)):
+                dep: dict = {}
+                for eid, v in zip(key[r:] + key[:r], verts[r:] + verts[:r]):
+                    dep.setdefault(v, []).append((eid, graph.edge_by_id[eid].head))
+                deps.append(tuple(dep.items()))
+        return deps
 
     def counterpart(self) -> "LoopCatalog":
         """The catalog of the other orientation mode on the same domain.

@@ -55,8 +55,8 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog, enumerate_loops
 from .rng import stream
-from .soups import FieldSampler, sample_oriented_soup, soup_count_rows
-from .wilson import _EdgeDice, pop_cycles, wilson_ust
+from .soups import FieldSampler, LoopSoup, soup_count_rows
+from .wilson import _EdgeDice, check_root, pop_cycles, wilson_ust
 
 CMI_TOL = 1e-12
 CHI2_SIGNIFICANCE = 1e-3
@@ -1074,37 +1074,39 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     total variation below the Monte Carlo tolerance.  The raw class-multiset
     comparison is reported for transparency; it is NOT expected to vanish
     because erased cycles are always simple while soup loops may wind.
+
+    The catalog's domain must be every vertex but the root (WilsonError
+    otherwise).  One walk table serves every run, so the checks run once.
     """
+    check_root(graph, root, catalog.domain.vertices)
     ug = catalog.unoriented_graph
+    edge_class = {e.id: ug.edge_class(e.id) for e in graph.edges}
+
+    def short(counts):          # the multiset's cycles up to length_cap
+        return tuple(sorted([kc for kc in counts.items()
+                             if len(kc[0]) <= length_cap]))
+
     rng = stream(seed, "wilson")
-    dice = _EdgeDice(graph, rng)
+    dice = _EdgeDice(graph, root, rng)
     trees: Counter = Counter()
     w_keys: Counter = Counter()
     for _ in range(runs):
         tree, erased = wilson_ust(graph, root, rng, dice=dice)
-        tkey = tuple(sorted(ug.edge_class(e) for e in tree.values()))
-        trees[tkey] += 1
-        short = Counter({k: v for k, v in erased.items() if len(k) <= length_cap})
-        key = tuple(sorted(short.items()))
-        w_keys[key] += 1
+        trees[tuple(sorted([edge_class[e] for e in tree.values()]))] += 1
+        w_keys[short(erased)] += 1
     n_trees = len(trees)
-    tree_ok = True
     p0 = 1.0 / n_trees
-    for t, c in trees.items():
-        se = math.sqrt(runs * p0 * (1 - p0))
-        if abs(c - runs * p0) > 3 * se:
-            tree_ok = False
+    se = math.sqrt(runs * p0 * (1 - p0))
+    tree_ok = all(abs(c - runs * p0) <= 3 * se for c in trees.values())
+    # the soups are drawn lazily, each just before its popping draws
     rng_s = stream(seed, "wilson/soup")
     s_keys: Counter = Counter()
     s_naive: Counter = Counter()
-    for _ in range(runs):
-        soup = sample_oriented_soup(catalog, 1.0, rng_s, method="categorical")
-        resolved = pop_cycles(soup, rng_s)
-        short = Counter({k: v for k, v in resolved.items()
-                         if len(k) <= length_cap})
-        s_keys[tuple(sorted(short.items()))] += 1
-        s_naive[tuple(sorted((k, c) for k, c in soup.counts.items()
-                             if len(k) <= length_cap))] += 1
+    for counts in soup_count_rows(catalog, "oriented", 1.0, runs, rng_s,
+                                  "categorical"):
+        s_keys[short(pop_cycles(LoopSoup(catalog, counts, "alpha", 1.0),
+                                rng_s))] += 1
+        s_naive[short(counts)] += 1
     tv = stats.empirical_tv(w_keys, s_keys)
     tv_naive = stats.empirical_tv(w_keys, s_naive)
     ok = tree_ok and tv < MC_TV_TOL

@@ -5,13 +5,14 @@ current partial tree).  Every cycle erased along the way is recorded with its
 edges; over a full run the multiset of erased cycles, viewed as unrooted
 oriented loop classes on the non-root vertices, has the law of the unit
 intensity oriented loop soup there.
+
+The walk reads a table (`_EdgeDice`) built once per (graph, root), which
+checks the graph when it is built, so a job of many runs checks it once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-import numpy as np
 
 from .graph import GraphError, OrientedMultigraph
 from .loops import minimal_rotation
@@ -21,42 +22,51 @@ class WilsonError(GraphError):
     pass
 
 
-def _check_reachable(graph: OrientedMultigraph, root: int) -> None:
-    # reverse reachability from the root
+def check_root(graph: OrientedMultigraph, root: int,
+               domain_vertices=None) -> None:
+    """Refuse a root that is not a vertex or that some vertex cannot reach.
+
+    With `domain_vertices`, also refuse a domain other than every vertex but
+    the root: the erased cycles live there, so the soup must live there too.
+    """
+    if root not in graph.vertices:
+        raise WilsonError(f"root {root} is not a vertex of the graph")
+    if (domain_vertices is not None
+            and set(domain_vertices) != set(graph.vertices) - {root}):
+        raise WilsonError(f"the domain must be every vertex but the root {root}")
     radj: dict[int, set] = {v: set() for v in graph.vertices}
     for e in graph.edges:
         radj[e.head].add(e.tail)
-    seen = {root}
-    frontier = [root]
+    seen, frontier = {root}, [root]
     while frontier:
-        v = frontier.pop()
-        for w in radj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        for w in radj[frontier.pop()] - seen:
+            seen.add(w)
+            frontier.append(w)
     if seen != set(graph.vertices):
         raise WilsonError("graph is disconnected from the root")
 
 
 class _EdgeDice:
-    """Pre-drawn uniform edge choices per vertex, refilled in blocks."""
+    """The walk table of one (graph, root), checked once when built.
 
-    def __init__(self, graph: OrientedMultigraph, rng, block: int = 65536):
-        self.rng = rng
-        self.block = block
-        self.choices = {v: graph.out_edges[v] for v in graph.vertices}
-        self.buf: dict[int, np.ndarray] = {}
-        self.pos: dict[int, int] = {}
+    It holds the out-heads and edge ids by vertex, and per vertex a buffer of
+    uniform choices among them, drawn from `rng` in blocks in the order the
+    walk first needs them.  `rotations` memoizes erased cycles' keys."""
 
-    def step(self, v: int):
-        buf = self.buf.get(v)
-        pos = self.pos.get(v, 0)
-        if buf is None or pos >= len(buf):
-            self.buf[v] = buf = self.rng.integers(0, len(self.choices[v]),
-                                                  size=self.block)
-            self.pos[v] = pos = 0
-        self.pos[v] = pos + 1
-        return self.choices[v][buf[pos]]
+    def __init__(self, graph: OrientedMultigraph, root: int, rng,
+                 block: int = 65536):
+        self.g = graph.require_regular()
+        check_root(graph, root)
+        self.graph, self.root, self.rng, self.block = graph, root, rng, block
+        self.heads = [[e.head for e in graph.out_edges[v]] for v in graph.vertices]
+        self.ids = [[e.id for e in graph.out_edges[v]] for v in graph.vertices]
+        self.buf: list[list[int]] = [[] for _ in graph.vertices]  # next is last
+        self.rotations: dict[tuple, tuple] = {}
+
+    def refill(self, v: int) -> list[int]:
+        self.buf[v] = buf = self.rng.integers(
+            0, self.g, size=self.block).tolist()[::-1]
+        return buf
 
 
 def wilson_ust(graph: OrientedMultigraph, root: int, rng,
@@ -65,43 +75,51 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
 
     Returns (tree, erased) where tree maps each non-root vertex to the edge
     id it exits through, and erased is a Counter of canonical oriented loop
-    keys of all cycles erased during the run.
+    keys of all cycles erased during the run.  The walk draws from `dice`,
+    the table of (graph, root), whose checks ran once when it was built;
+    without one, a table drawing from `rng` is built for this run.
     """
-    graph.require_regular()
-    _check_reachable(graph, root)
-    dice = dice or _EdgeDice(graph, rng)
-    in_tree = {root}
+    if dice is None:
+        dice = _EdgeDice(graph, root, rng)
+    elif dice.graph is not graph or dice.root != root:
+        raise WilsonError("the walk table belongs to another graph or root")
+    heads, ids, buf, rotations = dice.heads, dice.ids, dice.buf, dice.rotations
+    # -2: in the tree, -1: off the path, i >= 0: position i on the path
+    state = [-1] * len(heads)
+    state[root] = -2
     tree: dict[int, int] = {}
     erased: Counter = Counter()
     for start in graph.vertices:
-        if start in in_tree:
+        if state[start] == -2:
             continue
         path_v = [start]
         path_e: list[int] = []
-        index = {start: 0}
+        state[start] = 0
         v = start
-        while v not in in_tree:
-            e = dice.step(v)
-            w = e.head
-            if w in index:
-                # erase the cycle from w's first occurrence to here
-                i = index[w]
-                cyc = tuple(path_e[i:]) + (e.id,)
-                seq = minimal_rotation(cyc)
+        while True:
+            c = (buf[v] or dice.refill(v)).pop()
+            w, e = heads[v][c], ids[v][c]
+            i = state[w]
+            if i >= 0:
+                # erase the cycle from w's position to here
+                cyc = tuple(path_e[i:]) + (e,)
+                seq = rotations.get(cyc) or rotations.setdefault(
+                    cyc, minimal_rotation(cyc))
                 erased[seq] += 1
                 for drop in path_v[i + 1:]:
-                    del index[drop]
+                    state[drop] = -1
                 del path_v[i + 1:]
                 del path_e[i:]
-                v = w
             else:
-                path_e.append(e.id)
+                path_e.append(e)
+                if i == -2:
+                    break
+                state[w] = len(path_v)
                 path_v.append(w)
-                index[w] = len(path_v) - 1
-                v = w
-        for u, e in zip(path_v[:-1], path_e):
+            v = w
+        for u, e in zip(path_v, path_e):
             tree[u] = e
-        in_tree.update(path_v)
+            state[u] = -2
     return tree, erased
 
 
@@ -119,56 +137,49 @@ def pop_cycles(soup, rng) -> Counter:
     Popping cannot stall: the remaining arrows always balance in- and
     out-degrees at every vertex, so the top arrows of the nonempty stacks
     contain a cycle until everything is consumed.
-    """
-    from collections import deque
 
-    graph = soup.catalog.domain.graph
-    from .loops import loop_vertices
+    An empty soup pops nothing and draws nothing.  Each class's departure
+    lists come from the catalog, which builds them once.
+    """
+    popped: Counter = Counter()
+    if not soup.counts:
+        return popped
     queues: dict[int, list] = {}
     for key, cnt in sorted(soup.counts.items()):
-        verts = loop_vertices(graph, key)
-        n = len(key)
+        deps = soup.catalog.departures(key)
         for _ in range(cnt):
-            r = int(rng.integers(n))
-            seq = key[r:] + key[:r]
-            vs = verts[r:] + verts[:r]
-            dep: dict[int, list] = {}
-            for eid, v in zip(seq, vs):
-                dep.setdefault(v, []).append(eid)
-            for v, lst in dep.items():
+            for v, lst in deps[int(rng.integers(len(key)))]:
                 queues.setdefault(v, []).append(lst)
-    stacks: dict[int, deque] = {}
+    stacks: dict[int, list] = {}
     for v, qs in queues.items():
         slots = []
         for i, lst in enumerate(qs):
             slots += [i] * len(lst)
         rng.shuffle(slots)
         its = [iter(lst) for lst in qs]
-        stacks[v] = deque(next(its[i]) for i in slots)
-    popped: Counter = Counter()
-    tops = {v: s[0] for v, s in stacks.items() if s}
+        stacks[v] = [next(its[i]) for i in slots][::-1]    # top is last
+    tops = {v: s[-1] for v, s in stacks.items()}
     while tops:
         v = next(iter(tops))
         seen = set()
         while v in tops and v not in seen:
             seen.add(v)
-            v = graph.edge_by_id[tops[v]].head
+            v = tops[v][1]
         if v not in tops:
             raise WilsonError("stack popping stalled on unbalanced arrows")
         cyc = []
         w = v
         while True:
-            e = tops[w]
+            e, head = tops[w]
             cyc.append(e)
-            w = graph.edge_by_id[e].head
-            if w == v:
-                break
-        for eid in cyc:
-            x = graph.edge_by_id[eid].tail
-            stacks[x].popleft()
-            if stacks[x]:
-                tops[x] = stacks[x][0]
+            stack = stacks[w]
+            stack.pop()
+            if stack:
+                tops[w] = stack[-1]
             else:
-                del tops[x]
+                del tops[w]
+            if head == v:
+                break
+            w = head
         popped[minimal_rotation(tuple(cyc))] += 1
     return popped

@@ -156,6 +156,31 @@ def test_wilson_without_root_refused_before_any_job_runs(tmp_path, monkeypatch):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("domain, root", [("1 2 3", "7"), ("1 2", "0"),
+                                          ("1 2 3", "2")])
+def test_wilson_bad_root_exits_2(tmp_path, domain, root):
+    """The root must be a vertex of the graph and the domain every other
+    vertex, where the erased cycles live."""
+    out = tmp_path / "wil"
+    rc = main(["verify", "wilson", "--graph", "cycle:4", "--domain", domain,
+               "--root", root, "--l-max", "8", "--mode", "mc", "--samples",
+               "2000", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert not (out / "report.json").exists()
+
+
+def test_wilson_domain_refused_before_any_job_runs(tmp_path, monkeypatch):
+    import loopsoup.verify as V
+    calls = []
+    monkeypatch.setattr(V, "verify_prop2", lambda *a, **kw: calls.append(a))
+    cfg = BASE.replace("jobs = prop2", "jobs = prop2, wilson\nroot = 0")
+    out = tmp_path / "wil"
+    rc = main(["run", write(tmp_path, cfg, "wil.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert calls == []
+    assert not (out / "report.json").exists()
+
+
 def test_prop5_without_removed_edges_refused_before_any_job_runs(
         tmp_path, monkeypatch):
     import loopsoup.verify as V
