@@ -49,23 +49,24 @@ def check_root(graph: OrientedMultigraph, root: int,
 class _EdgeDice:
     """The walk table of one (graph, root), checked once when built.
 
-    It holds the out-heads and edge ids by vertex, and per vertex a buffer of
-    uniform choices among them, drawn from `rng` in blocks in the order the
-    walk first needs them.  `rotations` memoizes erased cycles' keys."""
+    It holds the (head, edge id) of the out-edges by vertex, and per vertex a
+    buffer of uniform choices among them with its read position, drawn from
+    `rng` in blocks in the order the walk first needs them.  `rotations`
+    memoizes the keys of erased cycles."""
 
     def __init__(self, graph: OrientedMultigraph, root: int, rng,
                  block: int = 65536):
         self.g = graph.require_regular()
         check_root(graph, root)
         self.graph, self.root, self.rng, self.block = graph, root, rng, block
-        self.heads = [[e.head for e in graph.out_edges[v]] for v in graph.vertices]
-        self.ids = [[e.id for e in graph.out_edges[v]] for v in graph.vertices]
-        self.buf: list[list[int]] = [[] for _ in graph.vertices]  # next is last
+        self.out = [[(e.head, e.id) for e in graph.out_edges[v]]
+                    for v in graph.vertices]
+        self.buf: list[list[int]] = [[] for _ in graph.vertices]
+        self.pos = [0] * len(graph.vertices)
         self.rotations: dict[tuple, tuple] = {}
 
     def refill(self, v: int) -> list[int]:
-        self.buf[v] = buf = self.rng.integers(
-            0, self.g, size=self.block).tolist()[::-1]
+        self.buf[v] = buf = self.rng.integers(0, self.g, size=self.block).tolist()
         return buf
 
 
@@ -83,9 +84,9 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
         dice = _EdgeDice(graph, root, rng)
     elif dice.graph is not graph or dice.root != root:
         raise WilsonError("the walk table belongs to another graph or root")
-    heads, ids, buf, rotations = dice.heads, dice.ids, dice.buf, dice.rotations
+    out, buf, pos, rotations = dice.out, dice.buf, dice.pos, dice.rotations
     # -2: in the tree, -1: off the path, i >= 0: position i on the path
-    state = [-1] * len(heads)
+    state = [-1] * len(out)
     state[root] = -2
     tree: dict[int, int] = {}
     erased: Counter = Counter()
@@ -97,8 +98,11 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
         state[start] = 0
         v = start
         while True:
-            c = (buf[v] or dice.refill(v)).pop()
-            w, e = heads[v][c], ids[v][c]
+            b, p = buf[v], pos[v]
+            if p == len(b):
+                b, p = dice.refill(v), 0
+            pos[v] = p + 1
+            w, e = out[v][b[p]]
             i = state[w]
             if i >= 0:
                 # erase the cycle from w's position to here
