@@ -10,11 +10,13 @@ the same state.
 from collections import Counter, deque
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, enumerate_loops, pop_cycles,
-                      regularize_degree, sample_oriented_soup, wilson_ust)
+from loopsoup import (Domain, build_graph, cycle_graph, enumerate_loops,
+                      pop_cycles, regularize_degree, sample_oriented_soup,
+                      verify_wilson, wilson_ust)
 from loopsoup.loops import loop_vertices, minimal_rotation
 from loopsoup.rng import stream
 from loopsoup.soups import LoopSoup
@@ -194,3 +196,13 @@ def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
     before = _state(rng)
     assert pop_cycles(LoopSoup(cat, {}, "alpha", 1.0), rng) == Counter()
     assert _state(rng) == before
+
+
+def test_verify_wilson_refuses_a_domain_other_than_every_other_vertex():
+    """The erased cycles live on every vertex but the root, so a catalog on
+    another domain cannot be compared with them."""
+    graph = cycle_graph(4)
+    for root, domain in ((0, [1, 2]), (2, [1, 2, 3])):
+        cat = enumerate_loops(Domain(graph, domain), 6)
+        with pytest.raises(WilsonError, match="every vertex but the root"):
+            verify_wilson(graph, root, cat, runs=10)
