@@ -224,7 +224,7 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
     def menu(pair):
         masses: dict = {}
         for br in enumerate_bridges(domain, pair[0], pair[1], max_len):
-            ukey = min(br.path, involution.reverse_path(br.path)) if br.path else ()
+            ukey = involution.unoriented_path(br.path)
             masses[ukey] = masses.get(ukey, Fraction(0)) + Fraction(1, domain.g ** br.n)
         return sorted(masses.items())
 

@@ -1,16 +1,20 @@
-"""Cutting soup loops at marked vertex sets and putting them back together.
+"""Cutting soup loops at marked places and putting them back together.
 
-Given disjoint vertex sets F1, F2, every loop that meets both splits at its
-F2-visits into arcs.  Arcs whose interior meets F1 are the excursions; the
-remaining arcs, concatenated between consecutive excursions, are the
-complementary bridges (paths avoiding F1) that hook the excursions back into
-loops.  The decomposition records the excursions in a deterministic
-lexicographic order, their endpoint vectors on F2, and the hookup actually
-realized by the soup.
+Every resampling statement cuts each loop at marked places into pieces and
+the runs between them, then re-hooks the runs.  `_cut_pieces` is the one
+cutting walk: it visits each class of a soup multiset once and records its
+pieces in a deterministic order, each with the run after it and the label of
+the next piece on its loop.  The cuts differ only in where they cut:
 
-The same cutting against a family of removed edges yields, per removed edge,
-the jump instances of the soup across it and the hookup joining the jump
-endpoints through paths avoiding those edges.
+* excursions: given disjoint vertex sets F1, F2, the arcs between
+  consecutive F2-visits whose interior meets F1; the runs are the
+  complementary bridges (paths avoiding F1) that hook the excursions back
+  into loops.  The decomposition records the excursions, their endpoint
+  vectors on F2, and the hookup actually realized by the soup.
+* crossings: given disjoint marked sets, the arcs between consecutive marked
+  visits that start and end in different sets; the runs are the side arcs.
+* edge jumps: given removed edge classes, the single steps across them; the
+  runs are the paths avoiding those edges that join the jump endpoints.
 
 Continuous-time excursions cut loops at a marked site set: every arc between
 consecutive site visits is an excursion skeleton there.
@@ -61,40 +65,77 @@ def path_endpoints(graph, path) -> tuple[int, int]:
     return v[0], v[-1]
 
 
-def _cyclic_arcs(seq, verts, marked):
-    """Split a cyclic edge sequence at positions whose vertex is marked.
+def _cyclic_arcs(seq, cuts):
+    """Split a cyclic edge sequence at the sorted cut positions.
 
-    Returns the list of (position, edges) arcs between consecutive marked
-    positions in cyclic order, or None when no vertex is marked.  A single
-    marked position yields one arc equal to the whole loop.
+    Returns the arcs from each cut to the next in cyclic order.  A single cut
+    yields the whole loop started there; no cut yields no arc.
     """
-    n = len(seq)
-    pos = [i for i in range(n) if verts[i] in marked]
-    if not pos:
-        return None
-    arcs = []
-    for k, p in enumerate(pos):
-        q = pos[(k + 1) % len(pos)]
-        if q > p:
-            edges = seq[p:q]
-        else:
-            edges = seq[p:] + seq[:q]
-        arcs.append((p, tuple(edges)))
-    return arcs
+    return [seq[p:q] if p < q else seq[p:] + seq[:q]
+            for p, q in zip(cuts, cuts[1:] + cuts[:1])]
+
+
+def _marked_arcs(graph, seq, marked):
+    """The arcs of a loop between consecutive visits to the marked vertices."""
+    verts = loop_vertices(graph, seq)
+    return _cyclic_arcs(seq, [p for p, v in enumerate(verts) if v in marked])
 
 
 def _flagged_runs(arcs, flags):
-    """For each flagged arc i in cyclic order: (i, the edges of the unflagged
-    arcs that follow it, index of the next flagged arc)."""
-    k = len(arcs)
-    for i in range(k):
-        if flags[i]:
-            run: tuple[int, ...] = ()
-            j = (i + 1) % k
-            while not flags[j]:
-                run += arcs[j][1]
-                j = (j + 1) % k
-            yield i, run, j
+    """Each flagged arc in cyclic order, with the edges of the unflagged arcs
+    that follow it up to the next flagged arc."""
+    if True not in flags:
+        return []
+    k = flags.index(True)
+    out = []
+    for arc, flag in zip(arcs[k:] + arcs[:k], flags[k:] + flags[:k]):
+        if flag:
+            out.append((arc, ()))
+        else:
+            out[-1] = (out[-1][0], out[-1][1] + arc)
+    return out
+
+
+def _cut_pieces(counts, loop_cut):
+    """The one cutting walk over a class multiset.
+
+    `loop_cut(key)` lists a loop's pieces in loop order as (sort token, piece
+    as traversed, run to the next piece); it is called once per class.
+    Returns rows (token, label, piece, run, next label) sorted by (token,
+    label), where label = (key, occurrence, piece index) and next label is
+    the label of the piece the run leads to.
+    """
+    rows = []
+    for key, n in counts.items():
+        cut = loop_cut(key)
+        for occ in range(n):
+            for i, (token, piece, run) in enumerate(cut):
+                rows.append((token, (key, occ, i), piece, run,
+                             (key, occ, (i + 1) % len(cut))))
+    rows.sort(key=lambda r: r[:2])
+    return rows
+
+
+def _unoriented_hookup(graph, rows, canon, inv):
+    """Endpoint slots Z and the unoriented hookup realized by cut rows.
+
+    Piece j owns slots 2j and 2j+1 in the direction of canon(piece), swapped
+    when the piece was traversed against that form; the run after a piece
+    joins its exit slot to the entry slot of the next piece.
+    """
+    Z, entry, exit_ = [], {}, {}
+    for j, (_, label, piece, _, _) in enumerate(rows):
+        form = canon(piece)
+        Z.extend(path_endpoints(graph, form))
+        flip = form != piece
+        entry[label], exit_[label] = 2 * j + flip, 2 * j + 1 - flip
+    pairs = []
+    for _, label, _, run, nxt in rows:
+        a, b = exit_[label], entry[nxt]
+        pairs.append(((min(a, b), max(a, b)), inv.unoriented_path(run)))
+    pairs.sort()
+    return tuple(Z), UnorientedHookup(tuple(p for p, _ in pairs),
+                                      tuple(br for _, br in pairs))
 
 
 # -- excursion decomposition ---------------------------------------------------
@@ -143,34 +184,6 @@ class ExcursionDecomposition:
         return out
 
 
-def _loop_excursion_structure(graph, seq, F1, F2):
-    """Cut one rooted loop: excursion arcs in loop order plus following bridges.
-
-    Returns a list of (excursion_edges, following_bridge_edges) in loop order,
-    or None when the loop does not meet both sets.
-    """
-    verts = loop_vertices(graph, seq)
-    vset = set(verts)
-    if not (vset & F1) or not (vset & F2):
-        return None
-    arcs = _cyclic_arcs(seq, verts, F2)
-    if arcs is None:
-        return None
-    flags = []
-    for _, edges in arcs:
-        inner = _path_vertices(graph, edges)[1:-1]
-        flags.append(any(v in F1 for v in inner))
-    if not any(flags):
-        return None
-    return [(arcs[i][1], bridge) for i, bridge, _ in _flagged_runs(arcs, flags)]
-
-
-def _iter_multiset(counts):
-    for key in sorted(counts):
-        for occ in range(counts[key]):
-            yield key, occ
-
-
 def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDecomposition:
     F1, F2 = frozenset(F1), frozenset(F2)
     if not F1 or not F2:
@@ -178,70 +191,31 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
     if F1 & F2:
         raise DecompositionError("marked sets must be disjoint")
     graph = catalog.domain.graph
-    inv = catalog.unoriented_graph.involution if catalog.mode == "unoriented" else None
-    # (canonical excursion, loop key, occurrence, position, excursion as
-    # traversed, following bridge, label of the next excursion on the loop)
-    instances = []
-    touching = []
-    for key, occ in _iter_multiset(counts):
-        structure = _loop_excursion_structure(graph, key, F1, F2)
-        if structure is None:
-            continue
-        touching.append(key)
-        for pos, (exc, bridge) in enumerate(structure):
-            if catalog.mode == "oriented":
-                canon = exc
-            else:
-                canon = min(exc, inv.reverse_path(exc))
-            instances.append((canon, key, occ, pos, exc, bridge,
-                              (key, occ, (pos + 1) % len(structure))))
-    instances.sort(key=lambda r: r[:4])
-    N = len(instances)
-    slot_of = {r[1:4]: j for j, r in enumerate(instances)}
-    eta = tuple(r[0] for r in instances)
-    if catalog.mode == "oriented":
-        X, Y, sigma, bridges = [], [], [0] * N, [()] * N
-        for j, (canon, key, occ, pos, exc, bridge, nxt) in enumerate(instances):
-            a, b = path_endpoints(graph, exc)
-            Y.append(a)
-            X.append(b)
-            sigma[j] = slot_of[nxt]
-            bridges[j] = bridge
-        beta = OrientedHookup(tuple(sigma), tuple(bridges))
-        return ExcursionDecomposition("oriented", F1, F2, eta, len(touching),
-                                      N, tuple(X), tuple(Y), None, beta,
-                                      tuple(sorted(touching)))
-    # unoriented: excursion j occupies endpoint slots (2j, 2j+1) listed in the
-    # canonical direction of its path
-    Z = []
-    start_slot, end_slot = {}, {}
-    for j, (canon, key, occ, pos, exc, bridge, nxt) in enumerate(instances):
-        Z.extend(path_endpoints(graph, canon))
-        flip = canon != exc
-        start_slot[(key, occ, pos)] = 2 * j + flip
-        end_slot[(key, occ, pos)] = 2 * j + 1 - flip
-    beta = _unoriented_hookup(
-        [(r[1:4], r[5], r[6]) for r in instances], end_slot, start_slot, inv)
-    return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching), N,
-                                  None, None, tuple(Z), beta,
-                                  tuple(sorted(touching)))
+    edge = graph.edge_by_id
+    oriented = catalog.mode == "oriented"
+    inv = None if oriented else catalog.unoriented_graph.involution
+    canon = (lambda path: path) if oriented else inv.unoriented_path
 
+    def loop_cut(key):
+        arcs = _marked_arcs(graph, key, F2)
+        flags = [any(edge[e].head in F1 for e in arc[:-1]) for arc in arcs]
+        return [(canon(exc), exc, run) for exc, run in _flagged_runs(arcs, flags)]
 
-def _unoriented_hookup(links, exit_slot, entry_slot, inv) -> UnorientedHookup:
-    """Pairing of endpoint slots and unoriented bridges from the cut pieces.
-
-    links lists (piece label, bridge after the piece, label of the next
-    piece); the bridge joins the exit slot of the piece to the entry slot of
-    the next one.
-    """
-    pairs, bridges = [], []
-    for label, bridge, nxt in links:
-        a, b = exit_slot[label], entry_slot[nxt]
-        pairs.append((min(a, b), max(a, b)))
-        bridges.append(min(bridge, inv.reverse_path(bridge)) if bridge else ())
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    return UnorientedHookup(tuple(pairs[i] for i in order),
-                            tuple(bridges[i] for i in order))
+    rows = _cut_pieces(counts, loop_cut)
+    eta = tuple(r[0] for r in rows)
+    touching = tuple(sorted(r[1][0] for r in rows if r[1][2] == 0))
+    if oriented:
+        slot_of = {r[1]: j for j, r in enumerate(rows)}
+        ends = [path_endpoints(graph, r[2]) for r in rows]
+        beta = OrientedHookup(tuple(slot_of[r[4]] for r in rows),
+                              tuple(r[3] for r in rows))
+        return ExcursionDecomposition(
+            "oriented", F1, F2, eta, len(touching), len(rows),
+            tuple(b for _, b in ends), tuple(a for a, _ in ends), None, beta,
+            touching)
+    Z, beta = _unoriented_hookup(graph, rows, canon, inv)
+    return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching),
+                                  len(rows), None, None, Z, beta, touching)
 
 
 def decompose(soup, F1, F2) -> ExcursionDecomposition:
@@ -268,7 +242,7 @@ class CrossingSet:
     sets: tuple[frozenset, ...]
     crossings: dict
     instances: tuple
-    endpoint_slots: dict                    # i -> tuple of (vertex, (s, "start"|"end"))
+    endpoint_slots: dict                    # i -> tuple of (vertex, instance s)
     sides: dict
 
     def crossing_key(self):
@@ -280,101 +254,64 @@ class CrossingSet:
         return tuple(v for v, _ in self.endpoint_slots[i])
 
 
-def _loop_crossing_structure(graph, seq, sets):
-    """Cut one loop at visits to the union of the marked sets.
-
-    Returns (crossings, side_arcs): crossings are (frm, to, edges, arc_idx);
-    side_arcs are (set_idx, run_edges, from_arc_idx, to_arc_idx) joining the
-    end of crossing from_arc_idx to the start of crossing to_arc_idx.  None
-    when the loop meets fewer than two sets or never crosses.
-    """
-    verts = loop_vertices(graph, seq)
-    union = set().union(*sets)
-    arcs = _cyclic_arcs(seq, verts, union)
-    if arcs is None:
-        return None
-
-    def set_idx(v):
-        for i, s in enumerate(sets):
-            if v in s:
-                return i
-        raise AssertionError
-
-    k = len(arcs)
-    starts = [set_idx(verts[pos]) for pos, _ in arcs]
-    crossing_flags = [starts[i] != starts[(i + 1) % k] for i in range(k)]
-    if not any(crossing_flags):
-        return None
-    crossings = []
-    side_arcs = []
-    for i, run, j in _flagged_runs(arcs, crossing_flags):
-        to = starts[(i + 1) % k]
-        crossings.append((starts[i], to, arcs[i][1], i))
-        side_arcs.append((to, run, i, j))
-    return crossings, side_arcs
-
-
 def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> CrossingSet:
     sets = tuple(frozenset(s) for s in sets)
     if not all(sets):
         raise DecompositionError("marked sets must be nonempty")
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
+    set_of = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            if v in set_of:
                 raise DecompositionError("marked sets must be disjoint")
+            set_of[v] = i
     graph = catalog.domain.graph
+    edge = graph.edge_by_id
     oriented = catalog.mode == "oriented"
     inv = None if oriented else catalog.unoriented_graph.involution
-    records = []        # [sort_key, pair, path, loop_tag, raw_edges]
-    arc_links = {}      # (loop_tag, arc_idx) -> (run_edges, to_arc_idx, set_idx)
-    for key, occ in _iter_multiset(counts):
-        structure = _loop_crossing_structure(graph, key, sets)
-        if structure is None:
-            continue
-        crossings, side_arcs = structure
-        for frm, to, edges, idx in crossings:
-            if oriented:
-                pair, canon = (frm, to), edges
-            else:
-                pair = (min(frm, to), max(frm, to))
-                canon = min(edges, inv.reverse_path(edges))
-            records.append([(pair, canon, key, occ, idx), pair, canon,
-                            (key, occ, idx), edges])
-        for to, run, i_from, j_to in side_arcs:
-            arc_links[(key, occ, i_from)] = (run, j_to, to)
-    records.sort(key=lambda r: r[0])
-    slot_by_tag = {r[3]: s for s, r in enumerate(records)}
+
+    def end_sets(path):
+        return set_of[edge[path[0]].tail], set_of[edge[path[-1]].head]
+
+    def token(path):
+        pair = end_sets(path)
+        if oriented:
+            return pair, path
+        return tuple(sorted(pair)), inv.unoriented_path(path)
+
+    def loop_cut(key):
+        arcs = _marked_arcs(graph, key, set_of)
+        flags = [a != b for a, b in map(end_sets, arcs)]
+        return [(token(c), c, run) for c, run in _flagged_runs(arcs, flags)]
+
+    rows = _cut_pieces(counts, loop_cut)
+    instances = tuple(r[0] for r in rows)
     crossings: dict = {}
-    for r in records:
-        crossings.setdefault(r[1], []).append(r[2])
+    for pair, path in instances:
+        crossings.setdefault(pair, []).append(path)
     crossings = {p: tuple(v) for p, v in crossings.items()}
-    instances = tuple((r[1], r[2]) for r in records)
     # every crossing has exactly one endpoint on each of its two sets, so the
     # instance index s identifies the slot; endpoint vertices come from the
     # canonical path so the layout is a function of the crossing multiset only
     endpoint_slots: dict = {i: [] for i in range(len(sets))}
-    for s, (pair, canon) in enumerate(instances):
-        a, b = path_endpoints(graph, canon)
-        if oriented:
-            frm, to = pair
-        else:
-            frm, to = next((f, t) for f, t in (pair, pair[::-1])
-                           if a in sets[f] and b in sets[t])
-        endpoint_slots[frm].append((a, s))
-        endpoint_slots[to].append((b, s))
-    endpoint_slots = {i: tuple(sorted(v, key=lambda t: t[1]))
-                      for i, v in endpoint_slots.items()}
-    slot_index = {i: {s: k for k, (_, s) in enumerate(endpoint_slots[i])}
-                  for i in endpoint_slots}
+    for s, (_, path) in enumerate(instances):
+        for v in path_endpoints(graph, path):
+            endpoint_slots[set_of[v]].append((v, s))
+    endpoint_slots = {i: tuple(v) for i, v in endpoint_slots.items()}
+    slot_index = {i: {s: k for k, (_, s) in enumerate(v)}
+                  for i, v in endpoint_slots.items()}
+    instance_of = {r[1]: s for s, r in enumerate(rows)}
     sides: dict = {i: [] for i in range(len(sets))}
-    for (key, occ, i_from), (run, j_to, to) in arc_links.items():
-        a = slot_index[to][slot_by_tag[(key, occ, i_from)]]   # arrival slot
-        b = slot_index[to][slot_by_tag[(key, occ, j_to)]]     # departure slot
-        arc = run if oriented else (min(run, inv.reverse_path(run)) if run else ())
-        sides[to].append(((a, b) if oriented else (min(a, b), max(a, b)), arc))
+    for s, (_, _, piece, run, nxt) in enumerate(rows):
+        to = end_sets(piece)[1]
+        a = slot_index[to][s]                   # arrival slot
+        b = slot_index[to][instance_of[nxt]]    # departure slot
+        if oriented:
+            sides[to].append(((a, b), run))
+        else:
+            sides[to].append(((min(a, b), max(a, b)), inv.unoriented_path(run)))
     sides = {i: tuple(sorted(v)) for i, v in sides.items()}
-    return CrossingSet("oriented" if oriented else "unoriented",
-                       sets, crossings, instances, endpoint_slots, sides)
+    return CrossingSet(catalog.mode, sets, crossings, instances,
+                       endpoint_slots, sides)
 
 
 def extract_crossings(soup, F1, F2) -> CrossingSet:
@@ -398,47 +335,29 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
     if catalog.mode != "unoriented":
         raise DecompositionError("edge-jump records need an unoriented soup")
     graph = catalog.domain.graph
+    edge = graph.edge_by_id
     ug = catalog.unoriented_graph
     inv = ug.involution
     removed = tuple(sorted(tuple(k) for k in removed_classes))
     removed_set = set(removed)
 
-    # jump instances per removed class, in deterministic order
-    instances = []   # (class_key, loop_key, occ, position)
-    arcs_after = {}  # instance label -> (bridge edges, next instance label)
-    for key, occ in _iter_multiset(counts):
-        pos = [i for i, eid in enumerate(key) if ug.edge_class(eid) in removed_set]
-        if not pos:
-            continue
-        for k, p in enumerate(pos):
-            q = pos[(k + 1) % len(pos)]
-            if q > p:
-                bridge = key[p + 1:q]
-            else:
-                bridge = key[p + 1:] + key[:q]
-            instances.append((ug.edge_class(key[p]), key, occ, p))
-            arcs_after[(key, occ, p)] = (tuple(bridge), (key, occ, q))
-    instances.sort()
-    jump_counts = Counter(r[0] for r in instances)
-    Z: list[int] = []
-    entry_slot, exit_slot = {}, {}
-    self_pairs = []
-    for i, (ckey, key, occ, p) in enumerate(instances):
-        e = graph.edge_by_id[key[p]]
-        cmin, cmax = ug.class_endpoints(ckey)
-        Z.extend([cmin, cmax])
-        if cmin == cmax:
-            entry_slot[(key, occ, p)] = 2 * i
-            exit_slot[(key, occ, p)] = 2 * i + 1
-            self_pairs.append((2 * i, 2 * i + 1))
-        else:
-            entry_slot[(key, occ, p)] = 2 * i if e.tail == cmin else 2 * i + 1
-            exit_slot[(key, occ, p)] = 2 * i if e.head == cmin else 2 * i + 1
-    hookup = _unoriented_hookup(
-        [(r[1:], *arcs_after[r[1:]]) for r in instances], exit_slot,
-        entry_slot, inv)
+    def loop_cut(key):
+        cuts = [p for p, e in enumerate(key) if ug.edge_class(e) in removed_set]
+        return [(ug.edge_class(arc[0]), arc[:1], arc[1:])
+                for arc in _cyclic_arcs(key, cuts)]
+
+    def canon(jump):
+        # the class edge leaving the smaller endpoint; a self-edge keeps its own
+        e = edge[jump[0]]
+        return jump if e.tail <= e.head else inv.reverse_path(jump)
+
+    rows = _cut_pieces(counts, loop_cut)
+    jump_counts = Counter(r[0] for r in rows)
+    Z, hookup = _unoriented_hookup(graph, rows, canon, inv)
+    self_pairs = tuple((2 * j, 2 * j + 1) for j, r in enumerate(rows)
+                       if edge[r[2][0]].is_self_edge)
     return EdgeJumpRecord(removed, tuple(jump_counts.get(c, 0) for c in removed),
-                          tuple(Z), hookup, tuple(self_pairs))
+                          Z, hookup, self_pairs)
 
 
 def record_edge_jumps(soup, removed_classes) -> EdgeJumpRecord:
@@ -537,10 +456,10 @@ def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]
     involution it is keyed by the smaller of the arc and its reversal.  A
     loop that avoids the marked set has none.
     """
-    arcs = _cyclic_arcs(key, loop_vertices(graph, key), marked) or ()
+    arcs = _marked_arcs(graph, key, marked)
     if involution is None:
-        return [edges for _, edges in arcs]
-    return [min(edges, involution.reverse_path(edges)) for _, edges in arcs]
+        return arcs
+    return [involution.unoriented_path(arc) for arc in arcs]
 
 
 def ct_excursions(ct_soup, sites):

@@ -159,6 +159,10 @@ class Involution:
         """Edge-id sequence of the time-reversed path."""
         return tuple(self.mapping[e] for e in reversed(path))
 
+    def unoriented_path(self, path) -> tuple[int, ...]:
+        """The path up to reversal: the smaller of it and its reversal."""
+        return min(tuple(path), self.reverse_path(path))
+
 
 def pair_reversals(graph: OrientedMultigraph, fix_self_edges: bool = True) -> Involution:
     """Construct an involution by greedily pairing x->y edges with y->x edges.

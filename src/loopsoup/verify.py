@@ -873,7 +873,7 @@ def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
         while stack:
             v, path = stack.pop()
             if path and v in siteset:
-                key = min(path, involution.reverse_path(path))
+                key = involution.unoriented_path(path)
                 pair = tuple(sorted((x, v)))
                 if key not in menu:
                     menu[key] = (pair, Fraction(1, domain.g ** len(path)))
