@@ -125,6 +125,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
         vals = set(getattr(cfg, name))
         if not vals <= dom:
             raise ConfigError(f"{origin}: {name} must be a subset of the domain")
+    if not {v for edge in cfg.removed for v in edge} <= dom:
+        raise ConfigError(f"{origin}: removed edges must join domain vertices")
     if set(jobs) & {"prop1", "prop2", "prop1bis", "prop3bis"}:
         f1, f2, f3 = set(cfg.f1), set(cfg.f2), set(cfg.f3)
         if not f1 or not f2:

@@ -1013,6 +1013,9 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
     sites = list(dom.vertices)
     site_ix = {v: i for i, v in enumerate(sites)}
     classes = ug.classes_inside(dom)
+    if not classes:
+        raise OracleError("no edge lies inside the domain, so there are no "
+                          "currents to test")
     fs = FieldSampler(catalog, classes, sites)
     jumps, _, times = fs.sample(intensity, samples,
                                 stream(seed, "random-currents"))

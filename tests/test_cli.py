@@ -197,6 +197,27 @@ def test_prop5_without_removed_edges_refused_before_any_job_runs(
     assert rc == 2
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_removed_edge_leaving_the_domain_exits_2(tmp_path, capsys, mode):
+    # edge 1-4 leaves the domain: the soup never jumps across it
+    out = tmp_path / "p5"
+    rc = main(["verify", "prop5", "--graph", "complete:5", "--domain", "1 2 3",
+               "--removed-edges", "1-4", "--mode", mode, "--samples", "2000",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "removed edges must join domain vertices" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_random_currents_without_inner_edges_exits_2(tmp_path):
+    # vertices 1 and 3 of the 5-cycle share no edge: no current to test
+    out = tmp_path / "rc"
+    rc = main(["verify", "random-currents", "--graph", "cycle:5", "--domain",
+               "1 3", "--samples", "2000", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert not (out / "report.json").exists()
+
+
 def test_empty_marked_set_exits_2(tmp_path):
     # an empty second set can never be crossed
     out = tmp_path / "empty"
