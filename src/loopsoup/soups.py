@@ -15,14 +15,13 @@ discretization sampler below, which realizes the continuous-time chain as the
 M -> infinity limit of discrete chains with M extra stationary edges per
 vertex.
 
-Samplers come in two exactly-equivalent flavours: independent Poisson counts
-per class, or one Poisson total with i.i.d. categorical class draws (the
-standard point-process construction).  The latter is used for large catalogs.
-`soup_count_rows` draws many soups.  Per class, it draws them in chunks of
-rows, one `rng.poisson` call per chunk; the counts, and the generator's state
-after them, are those of drawing the soups one by one, and a single soup is
-the one-row case.  The categorical flavour draws one soup at a time, since
-drawing every Poisson total first would consume the stream in another order.
+Every soup is drawn the standard point-process way: one Poisson total of
+i.i.d. class draws, each class picked with probability proportional to its
+mass.  The class counts are then independent Poisson(t * m(L)) variables.
+`soup_count_rows` draws many soups, ROW_CHUNK at a time: one `rng.poisson`
+call for the chunk's totals and one `rng.random` call for all its class
+draws.  A single soup is the one-row case, and `FieldSampler` draws all its
+soups in one such call.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .graph import Domain, GraphError
 from .loops import LoopCatalog, loop_vertices
 
 
-PER_CLASS_MAX = 512     # catalogs up to this size are sampled class by class
-ROW_CHUNK = 1000        # soups per rng.poisson call on the per-class path
+ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_count_rows`
 
 
 class SoupError(GraphError):
@@ -89,71 +87,49 @@ def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
     return counts, np.searchsorted(cum[:-1], rng.random(k) * total, side="right")
 
 
-def _per_class_rows(catalog: LoopCatalog, rate: float, n_samples: int, rng):
-    """Count dicts of n_samples soups, every class an independent Poisson count.
-
-    The counts come from rng.poisson(rate * masses, size=(m, classes)) for
-    chunks of at most ROW_CHUNK rows.  numpy fills the array row by row, so
-    the rows, and the generator's state after them, are those of m one-row
-    calls.  A dict holds the nonzero counts in class order.
-    """
+def _chunk_rows(catalog: LoopCatalog, rate: float, m: int, rng) -> list:
+    """Count dicts of m soups from one `_class_draws` call, each holding the
+    nonzero counts in class order."""
     classes = catalog.classes
-    lam = rate * catalog.mass_arrays()[0]
-    for start in range(0, n_samples, ROW_CHUNK):
-        m = min(ROW_CHUNK, n_samples - start)
-        draws = rng.poisson(lam, size=(m, len(lam)))
-        rows, cols = np.nonzero(draws)
-        vals = draws[rows, cols].tolist()
-        cols = cols.tolist()
-        a = 0
-        for b in np.searchsorted(rows, np.arange(1, m + 1)).tolist():
-            yield {classes[i].key: k for i, k in zip(cols[a:b], vals[a:b])}
-            a = b
-
-
-def _categorical_counts(catalog: LoopCatalog, rate: float, rng) -> dict:
-    """Count dict of one soup drawn as a Poisson total of class draws."""
-    out: dict = {}
-    for i in _class_draws(catalog.mass_arrays()[1], rate, 1, rng)[1].tolist():
-        key = catalog.classes[i].key
-        out[key] = out.get(key, 0) + 1
-    return out
+    counts, idx = _class_draws(catalog.mass_arrays()[1], rate, m, rng)
+    pairs, vals = np.unique(np.repeat(np.arange(m), counts) * len(classes)
+                            + idx, return_counts=True)
+    rows, cols = np.divmod(pairs, len(classes))
+    cols, vals = cols.tolist(), vals.tolist()
+    ends = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    return [{classes[i].key: k for i, k in zip(cols[a:b], vals[a:b])}
+            for a, b in zip(ends, ends[1:])]
 
 
 def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
-                    n_samples: int, rng, method: str = "auto"):
+                    n_samples: int, rng):
     """Iterator over the count dicts of n_samples independent soups.
 
     `intensity` is alpha for an oriented catalog and c for an unoriented
-    one.  The per-class method (the default up to PER_CLASS_MAX classes)
-    draws the soups in batches of rows; the categorical method draws them
-    one at a time.  A catalog of the other mode or a nonpositive intensity
-    raises SoupError here, before anything is drawn.
+    one.  The soups are drawn ROW_CHUNK at a time as the iterator advances,
+    so draws made between chunks follow the chunk's soups in the stream.
+    A catalog of the other mode or a nonpositive intensity raises SoupError
+    here, before anything is drawn.
     """
     if catalog.mode != mode:
         raise SoupError(f"catalog is not {mode}")
     if intensity <= 0:
         name = "alpha" if mode == "oriented" else "c"
         raise SoupError(f"{name} must be positive")
-    if method == "auto":
-        method = "per-class" if len(catalog) <= PER_CLASS_MAX else "categorical"
-    if method == "per-class":
-        return _per_class_rows(catalog, intensity, n_samples, rng)
-    return (_categorical_counts(catalog, intensity, rng)
-            for _ in range(n_samples))
+    return (row for start in range(0, n_samples, ROW_CHUNK)
+            for row in _chunk_rows(catalog, intensity,
+                                   min(ROW_CHUNK, n_samples - start), rng))
 
 
-def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng,
-                         method: str = "auto") -> LoopSoup:
+def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:
     """Independent Poisson(alpha * mu(L)) count per oriented class."""
-    counts = next(soup_count_rows(catalog, "oriented", alpha, 1, rng, method))
+    counts = next(soup_count_rows(catalog, "oriented", alpha, 1, rng))
     return LoopSoup(catalog, counts, "alpha", alpha)
 
 
-def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng,
-                           method: str = "auto") -> LoopSoup:
+def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng) -> LoopSoup:
     """Independent Poisson(c * nu(L~)) count per unoriented class."""
-    counts = next(soup_count_rows(catalog, "unoriented", c, 1, rng, method))
+    counts = next(soup_count_rows(catalog, "unoriented", c, 1, rng))
     return LoopSoup(catalog, counts, "c", c)
 
 
@@ -316,14 +292,14 @@ def _trivial_shape(mode: str, intensity: float) -> float:
     return intensity if mode == "oriented" else intensity / 2.0
 
 
-def _jump_soup(catalog: LoopCatalog, intensity: float, rng, method: str):
+def _jump_soup(catalog: LoopCatalog, intensity: float, rng):
     sampler = (sample_oriented_soup if catalog.mode == "oriented"
                else sample_unoriented_soup)
-    return sampler(catalog, intensity, rng, method)
+    return sampler(catalog, intensity, rng)
 
 
-def sample_ct_soup(catalog: LoopCatalog, intensity: float, rng,
-                   method: str = "auto") -> ContinuousTimeSoup:
+def sample_ct_soup(catalog: LoopCatalog, intensity: float,
+                   rng) -> ContinuousTimeSoup:
     """Continuous-time soup: jump soup + Exp(1/g) holding times + trivial field.
 
     `intensity` is alpha for an oriented catalog and c for an unoriented one.
@@ -333,7 +309,7 @@ def sample_ct_soup(catalog: LoopCatalog, intensity: float, rng,
     convention and validates it.
     """
     g = catalog.domain.g
-    jump = _jump_soup(catalog, intensity, rng, method)
+    jump = _jump_soup(catalog, intensity, rng)
     holding = {
         key: [rng.exponential(scale=1.0 / g, size=catalog.by_key[key].n)
               for _ in range(cnt)]
@@ -348,8 +324,7 @@ def sample_ct_soup(catalog: LoopCatalog, intensity: float, rng,
 
 
 def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
-                                     M: int, rng,
-                                     method: str = "auto") -> ContinuousTimeSoup:
+                                     M: int, rng) -> ContinuousTimeSoup:
     """Reference sampler: discrete chain with M extra stationary edges per site.
 
     On the augmented graph each step has probability M/(g+M) of being an
@@ -363,7 +338,7 @@ def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
         raise SoupError("M must be >= 1")
     g = catalog.domain.g
     w = M / (g + M)         # per-step probability of an added stationary jump
-    jump = _jump_soup(catalog, intensity, rng, method)
+    jump = _jump_soup(catalog, intensity, rng)
     holding = {}
     for key, cnt in sorted(jump.counts.items()):
         n = catalog.by_key[key].n

@@ -1101,12 +1101,12 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     p0 = 1.0 / n_trees
     se = math.sqrt(runs * p0 * (1 - p0))
     tree_ok = all(abs(c - runs * p0) <= 3 * se for c in trees.values())
-    # the soups are drawn lazily, each just before its popping draws
+    # the soups are drawn a chunk at a time, so each chunk's popping draws
+    # follow its soups in the stream
     rng_s = stream(seed, "wilson/soup")
     s_keys: Counter = Counter()
     s_naive: Counter = Counter()
-    for counts in soup_count_rows(catalog, "oriented", 1.0, runs, rng_s,
-                                  "categorical"):
+    for counts in soup_count_rows(catalog, "oriented", 1.0, runs, rng_s):
         s_keys[short(pop_cycles(LoopSoup(catalog, counts, "alpha", 1.0),
                                 rng_s))] += 1
         s_naive[short(counts)] += 1

@@ -30,7 +30,7 @@ def test_poisson_ratio_formula(self_edge_catalog):
     n = 200000
     counts = Counter()
     for _ in range(n):
-        s = sample_oriented_soup(cat, 1.0, rng, method="per-class")
+        s = sample_oriented_soup(cat, 1.0, rng)
         counts[tuple(sorted(s.counts.items()))] += 1
     p0 = counts[()] / n
     for key, c in counts.most_common(8):
@@ -64,7 +64,7 @@ def test_count_independence(triangle_catalogs):
     a = np.zeros(n)
     b = np.zeros(n)
     for i in range(n):
-        s = sample_oriented_soup(cat, 1.0, rng, method="per-class")
+        s = sample_oriented_soup(cat, 1.0, rng)
         a[i] = s.counts.get(keys[0], 0)
         b[i] = s.counts.get(keys[1], 0)
     cov = np.cov(a, b)[0, 1]
@@ -72,43 +72,38 @@ def test_count_independence(triangle_catalogs):
     assert abs(cov) < 3 * se + 1e-4
 
 
-def test_categorical_matches_per_class(triangle_catalogs):
-    cat, _ = triangle_catalogs
-    n = 60000
-    r1, r2 = stream(4, "cat"), stream(5, "perclass")
-    c1 = Counter(tuple(sorted(sample_oriented_soup(cat, 1.0, r1,
-                                                   "categorical").counts.items()))
-                 for _ in range(n))
-    c2 = Counter(tuple(sorted(sample_oriented_soup(cat, 1.0, r2,
-                                                   "per-class").counts.items()))
-                 for _ in range(n))
-    keys = set(c1) | set(c2)
-    tv = 0.5 * sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys) / n
-    assert tv < 0.02
-
-
 @pytest.mark.parametrize("mode", ["oriented", "unoriented"])
 def test_row_sampler_matches_one_soup_draws(triangle_catalogs, mode):
-    """Rows drawn in chunks equal successive one-soup per-class draws and
-    one-row numpy calls across a chunk boundary, in class order, and leave
-    the generator where those draws leave it."""
+    """Rows equal the soups of direct numpy calls, chunk by chunk across a
+    chunk boundary: one Poisson call for the totals, then one uniform call
+    for the class draws, searched in the cumulative masses.  They leave the
+    generator where those calls leave it, and one soup is the one-row case."""
     cat = triangle_catalogs[mode == "unoriented"]
     sampler = (sample_oriented_soup if mode == "oriented"
                else sample_unoriented_soup)
-    masses = cat.mass_arrays()[0]
+    cum = cat.mass_arrays()[1]
+
+    def reference(rng, n):
+        out = []
+        for start in range(0, n, ROW_CHUNK):
+            totals = rng.poisson(0.7 * cum[-1], size=min(ROW_CHUNK, n - start))
+            idx = np.searchsorted(cum[:-1], rng.random(totals.sum()) * cum[-1],
+                                  side="right").tolist()
+            for t in totals.tolist():
+                out.append(dict(Counter(cat.classes[i].key for i in idx[:t])))
+                idx = idx[t:]
+        return out
+
     n = ROW_CHUNK + 37
-    r1, r2, r3 = (stream(8, "rows") for _ in range(3))
-    rows = list(soup_count_rows(cat, mode, 0.7, n, r1, method="per-class"))
-    singles = [sampler(cat, 0.7, r2, method="per-class").counts
-               for _ in range(n)]
-    direct = []
-    for _ in range(n):
-        d = r3.poisson(0.7 * masses)
-        direct.append([(cat.classes[i].key, int(d[i])) for i in np.flatnonzero(d)])
-    assert [list(r.items()) for r in rows] == \
-        [list(s.items()) for s in singles] == direct
+    r1, r2, r3, r4 = (stream(8, "rows") for _ in range(4))
+    rows = list(soup_count_rows(cat, mode, 0.7, n, r1))
+    assert rows == reference(r2, n)
     assert 0 < sum(map(bool, rows)) < n
-    assert r1.random() == r2.random() == r3.random()
+    assert r1.random() == r2.random()
+    singles = [sampler(cat, 0.7, r3).counts for _ in range(50)]
+    assert singles == [reference(r4, 1)[0] for _ in range(50)]
+    assert 0 < sum(map(bool, singles)) < 50
+    assert r3.random() == r4.random()
 
 
 def test_forget_orientation_law(triangle_catalogs):
