@@ -204,6 +204,8 @@ def run(cfg: ExperimentConfig, outdir: str,
         _markov_partitions(ws)      # refuse before any job runs
     if "wilson" in cfg.jobs:
         check_root(ws.graph, cfg.root, cfg.domain_vertices)
+    if "prop5" in cfg.jobs:
+        ws.removed_classes()
     reports, files = [], []
     for i, job in enumerate(cfg.jobs):
         r, f = run_job(ws, job, i, outdir)

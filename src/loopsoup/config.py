@@ -120,6 +120,8 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
     )
     if cfg.alpha <= 0 or cfg.c <= 0:
         raise ConfigError(f"{origin}: intensities alpha and c must be positive")
+    if cfg.samples < 1:
+        raise ConfigError(f"{origin}: samples must be at least 1")
     dom = set(cfg.domain_vertices)
     for name in ("f1", "f2", "f3", "sites"):
         vals = set(getattr(cfg, name))

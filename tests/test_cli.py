@@ -209,6 +209,36 @@ def test_removed_edge_leaving_the_domain_exits_2(tmp_path, capsys, mode):
     assert not (out / "report.json").exists()
 
 
+def test_removed_edge_off_the_graph_refused_before_any_job_runs(
+        tmp_path, monkeypatch, capsys):
+    # vertices 1 and 3 of the 5-cycle share no edge to remove
+    import loopsoup.verify as V
+
+    def prop2(*a, **kw):
+        raise AssertionError("prop2 ran before the removed edges were read")
+    monkeypatch.setattr(V, "verify_prop2", prop2)
+    cfg = BASE.replace("complete:5", "cycle:5").replace(
+        "jobs = prop2", "jobs = prop2, prop5\nremoved_edges = 1-3")
+    out = tmp_path / "p5"
+    rc = main(["run", write(tmp_path, cfg, "p5.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert "no unoriented edge between 1 and 3" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("job, args", [
+    ("wilson", ["--graph", "cycle:4", "--root", "0"]),
+    ("lejan", ["--graph", "complete:5"])])
+def test_samples_below_one_exits_2(tmp_path, capsys, job, args):
+    # no sample means no statistic: refused, not divided by
+    out = tmp_path / job
+    rc = main(["verify", job, *args, "--domain", "1 2 3", "--mode", "mc",
+               "--samples", "0", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_random_currents_without_inner_edges_exits_2(tmp_path):
     # vertices 1 and 3 of the 5-cycle share no edge: no current to test
     out = tmp_path / "rc"
