@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .bridges import enumerate_bridges, pairing_weights, permutation_weights
-from .excursions import block_permutations
+from .excursions import hookup_cycle_key, matching_key
 from .graph import Domain, GraphError, green_function
 from .loops import LoopCatalog
 
@@ -236,53 +236,39 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
 # -- crossing-side structures ----------------------------------------------------
 
 
-def _relabel_side(structure, slot_instances, perm, oriented: bool):
-    """Rewrite a side hookup after relabeling crossing instances by `perm`."""
-    new_ids = [perm[s] for s in slot_instances]
-    order = sorted(range(len(new_ids)), key=lambda k: new_ids[k])
-    new_slot = [0] * len(new_ids)
-    for rank, k in enumerate(order):
-        new_slot[k] = rank
-    entries = []
-    for (a, b), arc in structure:
-        na, nb = new_slot[a], new_slot[b]
-        entries.append(((na, nb) if oriented else (min(na, nb), max(na, nb)), arc))
-    return tuple(sorted(entries))
-
-
-def _side_orbit_min(cs, i, structure):
-    """Canonical form of a hookup of side i under relabeling identical crossings."""
-    slot_instances = [s for _, s in cs.endpoint_slots[i]]
-    oriented = cs.mode == "oriented"
-    return min(_relabel_side(structure, slot_instances, perm, oriented)
-               for perm in block_permutations(cs.instances))
-
-
 def side_orbit_key(cs, i):
-    """Canonical form of sides[i] under relabeling identical crossings."""
-    return _side_orbit_min(cs, i, cs.sides[i])
+    """Key of sides[i] under relabeling identical crossings, which permutes
+    the endpoint slots of equal crossings."""
+    labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
+    return matching_key(labels, cs.sides[i], cs.mode == "oriented")
 
 
 def side_pair_orbit(cs, involution):
-    """(canonical form of all sides under simultaneous relabeling of
-    identical crossings, number of labeled bridge configurations it stands
-    for).
+    """(key of all sides under simultaneous relabeling of identical
+    crossings, number of labeled bridge configurations it stands for).
 
-    The count is the number of distinct relabelings, doubled for every
-    unoriented arc that returns to its vertex and differs from its reversal:
-    the side stores the arc up to reversal, and both orientations join the
-    same two slots.  `involution` reverses arcs (None for oriented sides).
+    Crossing s owns slot 2s on the first set of its pair and 2s+1 on the
+    second, so the sides join the crossings into one hookup
+    (`hookup_cycle_key`).  The count is the number of distinct relabelings,
+    doubled for every unoriented arc that returns to its vertex and differs
+    from its reversal: the side stores the arc up to reversal, and both
+    orientations join the same two slots.  `involution` reverses arcs (None
+    for oriented sides).
     """
     oriented = cs.mode == "oriented"
-    slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in cs.sides}
-    images = {tuple(_relabel_side(cs.sides[i], slot_instances[i], perm, oriented)
-                    for i in cs.sides)
-              for perm in block_permutations(cs.instances)}
+    joins = []
+    for i, side in cs.sides.items():
+        slot = [2 * s + (cs.instances[s][0][0] != i)
+                for _, s in cs.endpoint_slots[i]]
+        joins += [((slot[a], slot[b]), arc) for (a, b), arc in side]
+    key, fixing = hookup_cycle_key(cs.instances, joins, oriented)
+    relabelings = math.prod(map(math.factorial,
+                                Counter(cs.instances).values()))
     flips = 0 if oriented else sum(
         1 for i, side in cs.sides.items() for (a, b), arc in side
         if cs.endpoints(i)[a] == cs.endpoints(i)[b]
         and arc != involution.reverse_path(arc))
-    return min(images), len(images) << flips
+    return key, relabelings // fixing << flips
 
 
 def _side_arrivals_departures(cs, i):
@@ -313,10 +299,11 @@ def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
         configs, Z = z_bridge_law(domain_minus, v, involution, max_len)
         structures = ((tuple(sorted(zip(t, paths))), pr)
                       for (t, paths), pr in configs.items())
+    labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
     dist: dict = {}
     total = Fraction(0)
     for structure, pr in structures:
-        key = _side_orbit_min(cs, i, structure)
+        key = matching_key(labels, structure, cs.mode == "oriented")
         dist[key] = dist.get(key, Fraction(0)) + pr
         total += pr
     return dist, Fraction(1) - total, Z

@@ -25,8 +25,10 @@ reassembly canonicalizes those loops, and the exact oracles read their lengths.
 
 Hookup keys: relabeling occurrences of identical excursions (or identical
 jumps, or the two ends of a palindromic unoriented piece) is unobservable in
-the soup, so hookups are compared through a canonical representative of
-their orbit under those relabelings.
+the soup, so hookups are compared through a key of their orbit under those
+relabelings: the sorted multiset of the hookup's cycles, each canonicalized
+like a loop class (`hookup_cycle_key`), or of the joins of a matching of
+labelled slots (`matching_key`).  No relabeling is enumerated.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .graph import GraphError
 from .loops import (InvalidLoopError, LoopCatalog, canonicalize_oriented,
-                    canonicalize_unoriented, loop_vertices)
-
-ORBIT_BUDGET = 20000
+                    canonicalize_unoriented, loop_vertices, minimal_rotation,
+                    repetition_count)
 
 
 class DecompositionError(GraphError):
@@ -367,6 +367,15 @@ def record_edge_jumps(soup, removed_classes) -> EdgeJumpRecord:
 # -- reassembly ------------------------------------------------------------------
 
 
+def _slot_joins(hookup):
+    """The ((slot, slot), bridge) joins of a hookup; an oriented one joins the
+    end slot 2j+1 of piece j to the start slot of piece sigma[j]."""
+    if isinstance(hookup, OrientedHookup):
+        return [((2 * j + 1, 2 * s), br)
+                for j, (s, br) in enumerate(zip(hookup.sigma, hookup.bridges))]
+    return list(zip(hookup.pairing, hookup.bridges))
+
+
 def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
     """The closed loops a hookup makes of pieces and bridges, as edge sequences.
 
@@ -377,14 +386,11 @@ def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]
     DecompositionError at any junction whose endpoints do not match.
     """
     if isinstance(hookup, OrientedHookup):
-        pairing = [(2 * j + 1, 2 * s) for j, s in enumerate(hookup.sigma)]
         involution = None           # nothing is traversed backwards
     elif involution is None:
         raise DecompositionError("an unoriented hookup needs an involution")
-    else:
-        pairing = hookup.pairing
     partner, bridge_of = {}, {}
-    for (a, b), br in zip(pairing, hookup.bridges):
+    for (a, b), br in _slot_joins(hookup):
         if a in partner or b in partner:
             raise DecompositionError("slot paired twice")
         partner[a], partner[b] = b, a
@@ -491,95 +497,81 @@ def ct_excursions(ct_soup, sites):
 # -- hookup orbit keys -------------------------------------------------------------
 
 
-def block_permutations(items):
-    """Relabelings of range(len(items)) that map every index to one holding an
-    equal item, as lists perm[i] = new label of i.
+def hookup_cycle_key(tokens, joins, oriented, flippable=()):
+    """(sorted canonical cycles, number of relabelings fixing the hookup).
 
-    This is the orbit group of every hookup key: identical excursions, jumps
-    or crossings, and endpoint slots sharing a vertex.
+    Piece j carries tokens[j] and owns slots 2j and 2j+1; the joins
+    ((a, b), arc) pair every slot once, and split the hookup into cycles of
+    (token, direction, arc after the piece) items: direction +1 for a piece
+    entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
+    cycle is keyed by its minimal rotation, or when unoriented by the
+    smaller of that and the minimal rotation of its reversal (each piece
+    turns round and the arc before it now follows it).  Hookups differ by
+    a relabeling of identical pieces (and flips) exactly when their keys
+    are equal.  The relabelings fixing one are prod m! J^m over its distinct
+    cycles, m the multiplicity and J the rotations fixing the cycle,
+    doubled when it equals its reversal.
     """
-    blocks: dict = {}
-    for i, it in enumerate(items):
-        blocks.setdefault(it, []).append(i)
-    blocks = list(blocks.values())
-    size = 1
-    for b in blocks:
-        size *= math.factorial(len(b))
-    if size > ORBIT_BUDGET:
-        raise DecompositionError(f"orbit group of size {size} beyond budget")
-    for combo in product(*(permutations(b) for b in blocks)):
-        perm = [0] * len(items)
-        for orig, new in zip(blocks, combo):
-            for a, b in zip(orig, new):
-                perm[a] = b
-        yield perm
+    partner = {}
+    for (a, b), arc in joins:
+        partner[a], partner[b] = (b, arc), (a, arc)
+    cycles, done = [], set()
+    for first in range(len(tokens)):
+        if first in done:
+            continue
+        items, slot = [], 2 * first
+        while True:
+            j = slot >> 1
+            done.add(j)
+            d = 0 if j in flippable else 1 - 2 * (slot & 1)
+            slot, arc = partner[slot ^ 1]
+            items.append((tokens[j], d, arc))
+            if slot == 2 * first:
+                break
+        fwd = minimal_rotation(items)
+        J = repetition_count(fwd)
+        if not oriented:
+            back = minimal_rotation([(t, -d, items[i - 1][2]) for i, (t, d, _)
+                                     in reversed(list(enumerate(items)))])
+            fwd, J = min(fwd, back), 2 * J if fwd == back else J
+        cycles.append((fwd, J))
+    fixing = math.prod(math.factorial(m) * J ** m
+                       for (_, J), m in Counter(cycles).items())
+    return tuple(sorted(c for c, _ in cycles)), fixing
+
+
+def matching_key(labels, joins, oriented):
+    """The sorted (label, arc, label) joins of a matching of labelled slots,
+    ends unordered when unoriented: its orbit under relabeling slots of
+    equal label."""
+    ends = [((labels[a], labels[b]), arc) for (a, b), arc in joins]
+    return tuple(sorted((x, arc, y) if oriented or x <= y else (y, arc, x)
+                        for (x, y), arc in ends))
 
 
 def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
-    """Canonical form of (sigma, bridges) under relabeling slots with equal
-    entries of eta (identical excursions, or equal (X_j, Y_j) pairs)."""
-    N = len(eta)
-
-    def relabel(perm):
-        sigma = [0] * N
-        bridges = [()] * N
-        for j in range(N):
-            sigma[perm[j]] = perm[hookup.sigma[j]]
-            bridges[perm[j]] = hookup.bridges[j]
-        return tuple(sigma), tuple(bridges)
-
-    return min(relabel(perm) for perm in block_permutations(eta))
+    """Key of (sigma, bridges) under relabeling slots with equal entries of
+    eta (identical excursions, or equal (X_j, Y_j) pairs)."""
+    return hookup_cycle_key(eta, _slot_joins(hookup), True)[0]
 
 
 def xy_orbit_key(X, Y, hookup: OrientedHookup):
-    """Canonical (sigma, bridges) under slot relabelings preserving (X_j, Y_j)."""
+    """Key of (sigma, bridges) under slot relabelings preserving (X_j, Y_j)."""
     return oriented_hookup_orbit_key(tuple(zip(X, Y)), hookup)
-
-
-def _pairing_orbit_min(hookup: UnorientedHookup, slot_perms):
-    """Smallest (pairing, bridges) among the hookup's images under slot_perms."""
-
-    def relabel(sp):
-        relabeled = sorted(((min(sp[a], sp[b]), max(sp[a], sp[b])), br)
-                           for (a, b), br in zip(hookup.pairing, hookup.bridges))
-        return (tuple(p for p, _ in relabeled), tuple(b for _, b in relabeled))
-
-    return min(relabel(sp) for sp in slot_perms)
 
 
 def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
                                 flippable=(), involution=None):
-    """Canonical (pairing, bridges) under excursion relabeling and end flips.
-
-    `flippable` lists (slot_a, slot_b) pairs whose two endpoint slots are
-    indistinguishable (palindromic pieces, self-edge jumps).
-    """
-    N = len(eta)
-    pal = []
+    """Key of (pairing, bridges) under excursion relabeling and end flips of
+    the pieces in `flippable` ((slot_a, slot_b) pairs of indistinguishable
+    ends: self-edge jumps) and, with an involution, of palindromic pieces."""
+    flips = {a // 2 for a, _ in flippable}
     if involution is not None:
-        for j, path in enumerate(eta):
-            if path and path == involution.reverse_path(path):
-                pal.append((2 * j, 2 * j + 1))
-    flips = sorted(set(flippable) | set(pal))
-    if 2 ** len(flips) > ORBIT_BUDGET:
-        raise DecompositionError("flip group beyond budget")
-
-    def slot_perms():
-        for perm in block_permutations(eta):
-            base = [0] * (2 * N)
-            for j in range(N):
-                base[2 * j] = 2 * perm[j]
-                base[2 * j + 1] = 2 * perm[j] + 1
-            for mask in range(2 ** len(flips)):
-                sp = list(base)
-                for bit, (a, b) in enumerate(flips):
-                    if mask >> bit & 1:
-                        sp[a], sp[b] = base[b], base[a]
-                yield sp
-
-    return _pairing_orbit_min(hookup, slot_perms())
+        flips.update(j for j, path in enumerate(eta)
+                     if path and path == involution.reverse_path(path))
+    return hookup_cycle_key(eta, _slot_joins(hookup), False, flips)[0]
 
 
 def z_orbit_key(Z, hookup: UnorientedHookup):
-    """Canonical (pairing, bridges) under slot relabelings preserving Z values."""
-    return _pairing_orbit_min(hookup, block_permutations(Z))
+    """Key of (pairing, bridges) under slot relabelings preserving Z values."""
+    return matching_key(Z, _slot_joins(hookup), False)

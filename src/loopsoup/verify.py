@@ -335,16 +335,12 @@ class CrossingCut(Cut):
                                                 self.sets).instances)
 
     def cut(self, counts, max_size=None):
-        """(crossing key, per-side completion keys), or None without crossings;
-        the keys are None in an untestable bin, which never reads them (their
-        orbit groups can outgrow the budget on legal soups)."""
+        """(crossing key, per-side completion keys), or None without crossings."""
         cs = extract_crossings_counts(self.catalog, counts, self.sets)
         if not cs.instances:
             return None
-        ck = cs.crossing_key()
-        if not self.testable(ck):
-            return ck, None
-        return ck, tuple(side_orbit_key(cs, i) for i in range(len(self.sets)))
+        return cs.crossing_key(), tuple(side_orbit_key(cs, i)
+                                        for i in range(len(self.sets)))
 
     target_order = staticmethod(repr)
 

@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
 
-from loopsoup import (Domain, complete_graph, cycle_graph, enumerate_loops,
-                      pair_reversals, unoriented_view)
+from loopsoup import (Domain, Involution, build_graph, complete_graph,
+                      cycle_graph, enumerate_loops, pair_reversals,
+                      unoriented_view)
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +51,16 @@ def self_edge_domain():
     from loopsoup import build_graph
     g = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 1)])
     return g, Domain(g, [0])
+
+
+@pytest.fixture(scope="session")
+def paired_self_edge_catalogs():
+    """Domain {0, 1} of a path 0-1-2 with self-edges: a reversal pair at 0,
+    a fixed one at 1 and a pair at 2 (g = 3)."""
+    g = build_graph(3, [(0, 0, 1), (1, 1, 0), (2, 1, 2), (3, 2, 1),
+                        (4, 0, 0), (5, 0, 0), (6, 1, 1), (7, 2, 2), (8, 2, 2)])
+    inv = Involution(g, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 6, 7: 8,
+                         8: 7})
+    cat = enumerate_loops(Domain(g, [0, 1]), 6, "oriented",
+                          unoriented=unoriented_view(g, inv))
+    return cat, cat.counterpart()

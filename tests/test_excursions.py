@@ -1,12 +1,11 @@
 from collections import Counter
 from dataclasses import asdict
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, Involution, build_graph, canonicalize_oriented,
+from loopsoup import (Domain, build_graph, canonicalize_oriented,
                       canonicalize_unoriented, ct_excursions, decompose,
                       enumerate_loops, extract_crossings, record_edge_jumps,
                       reassemble, sample_ct_soup, sample_oriented_soup,
@@ -474,26 +473,14 @@ def _ref_record_edge_jumps_counts(catalog, counts, removed_classes):
                           tuple(Z), hookup, tuple(self_pairs))
 
 
-@lru_cache(maxsize=None)
-def _paired_self_edge_catalogs():
-    """Domain {0, 1} of a path 0-1-2 with self-edges: a reversal pair at 0,
-    a fixed one at 1 and a pair at 2 (g = 3)."""
-    g = build_graph(3, [(0, 0, 1), (1, 1, 0), (2, 1, 2), (3, 2, 1),
-                        (4, 0, 0), (5, 0, 0), (6, 1, 1), (7, 2, 2), (8, 2, 2)])
-    inv = Involution(g, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 6, 7: 8,
-                         8: 7})
-    cat = enumerate_loops(Domain(g, [0, 1]), 6, "oriented",
-                          unoriented=unoriented_view(g, inv))
-    return cat, cat.counterpart()
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
-def test_cuts_match_reference_walks(triangle_catalogs, data):
+def test_cuts_match_reference_walks(triangle_catalogs,
+                                    paired_self_edge_catalogs, data):
     """The shared cutting walk gives records equal to the per-cut walks it
     replaced, on random multisets of the K5 triangle and of a graph with
     paired and fixed self-edges, in both modes."""
-    catalogs = triangle_catalogs + _paired_self_edge_catalogs()
+    catalogs = triangle_catalogs + paired_self_edge_catalogs
     cat = data.draw(st.sampled_from(catalogs))
     keys = sorted(c.key for c in cat.classes)
     counts = data.draw(st.dictionaries(st.sampled_from(keys),

@@ -19,9 +19,9 @@ from loopsoup import excursions
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import side_orbit_key
-from loopsoup.excursions import (DecompositionError, OrientedHookup,
-                                 UnorientedHookup, extract_crossings_counts,
-                                 hookup_loops, reassemble)
+from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
+                                 extract_crossings_counts, hookup_loops,
+                                 reassemble)
 from loopsoup.rng import stream
 from loopsoup.verify import (CrossingCut, EdgeCut, ExcursionCut,
                              _conditional_keys, _mc_driver,
@@ -276,13 +276,7 @@ def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs, data):
     sub = {k: v for k, v in sorted(counts.items()) if cut.touches(k)}
     max_size = data.draw(st.sampled_from([None, 1, 2, 4]))
 
-    def outcome(c):         # a refusal (orbit budget) must be shared too
-        try:
-            return cut.cut(c, max_size)
-        except DecompositionError as exc:
-            return str(exc)
-
-    assert outcome(counts) == outcome(sub)
+    assert cut.cut(counts, max_size) == cut.cut(sub, max_size)
 
 
 def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
@@ -297,26 +291,21 @@ def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
         assert "candidates" in cut.__dict__
 
 
-def test_crossing_cut_skips_side_keys_of_untestable_bins(triangle_catalogs):
-    """Two copies of any K5-triangle class cut without an orbit-budget
-    refusal: the bins whose side keys outgrow the budget are untestable, and
-    their keys are never computed."""
+def test_crossing_cut_keys_every_two_copy_soup(triangle_catalogs):
+    """Two copies of any K5-triangle class that crosses get side keys, the
+    untestable bins included: no orbit is too large to key."""
     cat, ucat = triangle_catalogs
-    refused = 0
+    keyed = 0
     for cut in (CrossingCut(cat, [{1}, {2}]), CrossingCut(ucat, [{1}, {3}])):
         for cls in cut.catalog.classes:
-            counts = {cls.key: 2}
-            got = cut.cut(counts)
+            got = cut.cut({cls.key: 2})
             if got is None:
                 continue
-            assert (got[1] is None) == (not cut.testable(got[0]))
-            if got[1] is None:
-                cs = extract_crossings_counts(cut.catalog, counts, cut.sets)
-                try:
-                    [side_orbit_key(cs, i) for i in range(2)]
-                except DecompositionError:
-                    refused += 1
-    assert refused == 8 + 18        # oriented, unoriented
+            cs = extract_crossings_counts(cut.catalog, {cls.key: 2}, cut.sets)
+            assert got[1] == tuple(side_orbit_key(cs, i) for i in range(2))
+            assert None not in got[1]
+            keyed += 1
+    assert keyed == 134
 
 
 def _oracle_cuts(k5, triangle_catalogs):
