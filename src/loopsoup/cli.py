@@ -84,9 +84,10 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
                  for i in range(len(hist))]
     files.append(_write_csv(os.path.join(outdir, "occupation_site_hist.csv"),
                             ["site", "lo", "hi", "count"], rows))
-    # single-bridge length law between the first two domain vertices
+    # single-bridge length law between the first two domain vertices (from
+    # the vertex to itself on a one-vertex domain)
     from .bridges import sample_bridge
-    x, y = (cfg.f1[0], cfg.f2[0]) if cfg.f1 and cfg.f2 else sites[:2]
+    x, y = (cfg.f1[0], cfg.f2[0]) if cfg.f1 and cfg.f2 else (sites * 2)[:2]
     lengths = {}
     brng = stream(seed, "sample-soup/bridges")
     for _ in range(min(cfg.samples, 20000)):

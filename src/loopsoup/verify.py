@@ -943,6 +943,8 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     sites = sorted(sites)
     site_ix = {v: i for i, v in enumerate(sites)}
     menu = _excursion_skeleton_menu(dom, sites, inv, skeleton_cap)
+    if not menu:
+        raise OracleError("no excursion skeleton joins the sites: nothing to test")
     skels = sorted(menu)
     skel_ix = {k: i for i, k in enumerate(skels)}
     nsk = len(skels)

@@ -248,6 +248,28 @@ def test_random_currents_without_inner_edges_exits_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_ct_excursions_without_skeletons_exits_2(tmp_path, capsys):
+    # a lone vertex of the 5-cycle has no edge inside the domain, so no
+    # excursion skeleton joins the sites: nothing to test
+    out = tmp_path / "ct"
+    rc = main(["verify", "ct-excursions", "--graph", "cycle:5", "--domain",
+               "1", "--samples", "200", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "no excursion skeleton" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_sample_soup_on_one_vertex(tmp_path):
+    # the bridge-length law runs from the lone vertex to itself: every
+    # bridge is the empty one
+    cfg = "graph = cycle:5\ndomain = 1\nseed = 0\nsamples = 200\n" \
+          "jobs = sample-soup\n"
+    out = tmp_path / "one"
+    assert main(["run", write(tmp_path, cfg, "one.cfg"), "--out", str(out)]) == 0
+    assert (out / "bridge_length_hist.csv").read_text().split() == \
+        ["length,count", "0,200"]
+
+
 def test_empty_marked_set_exits_2(tmp_path):
     # an empty second set can never be crossed
     out = tmp_path / "empty"
