@@ -8,7 +8,6 @@ checked to split every bin into the same orbits.
 """
 
 import math
-from collections import Counter
 from itertools import islice, permutations, product
 
 from hypothesis import given, settings
