@@ -222,7 +222,7 @@ def run(cfg: ExperimentConfig, outdir: str,
         json.dump(bundle, fh, indent=2, sort_keys=True)
         fh.write("\n")
     failed = [r for r in reports
-              if not r.passed and not r.details.get("positive_control")]
+              if not r.passed and not r.details["positive_control"]]
     return 1 if failed else 0
 
 

@@ -8,19 +8,23 @@ measure restricted to the hookups whose loops all fit in the catalog's
 length cap, renormalized.  Monte Carlo modes compare sampled soups against
 independent oracle samplers with chi-square or total-variation statistics.
 
-Positive controls run the same machinery at the wrong intensity and must
-fail; they demonstrate that the tests can distinguish the special intensities
-(alpha = 1 oriented, c = 1 unoriented) from nearby ones.
+Every verifier decides its verdict by one rule, in `_verdict`: a check
+passes when its gates hold; a positive control (`expect_fail`) runs the same
+machinery at the wrong intensity and passes when its check fails, which shows
+that the tests can tell the special intensities (alpha = 1 oriented, c = 1
+unoriented) from nearby ones; and a run that tested nothing fails, control
+or not.  Sets of p-values share one Bonferroni line, `_bonferroni`.
 
 The resampling checks share one structure, defined here.  A Cut says how a
 statement cuts loops: ExcursionCut (Props. 1 and 2), EdgeCut (Prop. 5) and
 CrossingCut (Props. 1bis and 3bis) give each class's contribution, cut a
 class multiset into its bin and hookup key, and give the truncated-soup
-law of a bin from the bridge laws in `exact`.  `_exact_driver` decides, per
-feasible target, that the conditional law of the keys equals that law;
-`_mc_driver` samples soups, cuts the touching ones into bins and tests each
-bin (goodness of fit against the oracle, or independence of the sides for
-crossings) under one Bonferroni correction.
+law of a bin from the bridge laws in `exact`.  `_verify_cut` runs a cut in
+either mode: `_exact_driver` decides, per feasible target, that the
+conditional law of the keys equals that law; `_mc_driver` samples soups,
+cuts the touching ones into bins and tests each bin (goodness of fit against
+the oracle, or independence of the sides for crossings) under one Bonferroni
+correction.
 
 A cut touches only what it needs.  Its `candidates` (every catalog class it
 splits, with contribution) are built on first use by the exact driver and
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product, zip_longest
@@ -84,29 +88,30 @@ class TestReport:
         return self.verdict == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "prop": self.prop,
-            "mode": self.mode,
-            "statistic": self.statistic,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "seed": self.seed,
-            "L_max": self.L_max,
-            "tail_bound": self.tail_bound,
-            "verdict": self.verdict,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
-def _report(prop, mode, stat, tol, ok, catalog=None, samples=0, seed=None,
-            **details) -> TestReport:
+def _verdict(prop, mode, stat, tol, ok, catalog=None, samples=0, seed=None,
+             expect_fail=False, **details) -> TestReport:
+    """The one verdict rule: a check passes on `ok`, a positive control
+    (`expect_fail`) passes when its check fails, and a run that tested
+    nothing (`ok` None) fails either way."""
+    details["positive_control"] = expect_fail
     return TestReport(
         prop=prop, mode=mode, statistic=float(stat), tolerance=float(tol),
         samples=samples, seed=seed,
         L_max=catalog.L_max if catalog is not None else None,
         tail_bound=catalog.tail_bound if catalog is not None else None,
-        verdict="pass" if ok else "fail", details=details,
+        verdict="pass" if ok is not None and ok != expect_fail else "fail",
+        details=details,
     )
+
+
+def _bonferroni(pvals):
+    """(smallest p-value, Bonferroni threshold, whether it clears it)."""
+    worst = min(pvals)
+    threshold = CHI2_SIGNIFICANCE / len(pvals)
+    return worst, threshold, worst > threshold
 
 
 # -- cuts: how each resampling statement cuts loops into conditioned pieces ----
@@ -167,6 +172,8 @@ class Cut:
 
     # the order of the targets, and so of per_eta/per_target in a report
     target_order = None
+    # an exact report counts and lists its targets as <noun>s_tested, per_<noun>
+    noun = "target"
 
     def bin_order(self, item):
         """Sort key of a (bin, key counts) pair: the order bins are tested in."""
@@ -220,6 +227,8 @@ class ExcursionCut(Cut):
     """Loops meeting F1 and F2, cut at F2 into the excursions through F1;
     bins are excursion vectors eta, the oracle is the unordered (oriented)
     or pairing-weighted (unoriented) bridge measure in D minus F1."""
+
+    noun = "eta"
 
     def __init__(self, catalog: LoopCatalog, F1, F2):
         self.F1, self.F2 = F1, F2
@@ -460,14 +469,29 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
             pvals.append(p)
             tested.append({**cut.label(b), "n": n_bin, "p": p})
     if not pvals:
-        return _report(prop, "mc", 1.0, CHI2_SIGNIFICANCE, False, catalog,
-                       samples, seed, note="no bin had enough samples")
-    threshold = CHI2_SIGNIFICANCE / len(pvals)   # Bonferroni
-    worst = min(pvals)
-    return _report(prop, "mc", worst, threshold,
-                   (worst > threshold) != expect_fail, catalog, samples, seed,
-                   bins_tested=len(pvals), bins_skipped=skipped, bins=tested,
-                   positive_control=expect_fail, **details)
+        return _verdict(prop, "mc", 1.0, CHI2_SIGNIFICANCE, None, catalog,
+                        samples, seed, expect_fail,
+                        note="no bin had enough samples")
+    worst, threshold, ok = _bonferroni(pvals)
+    return _verdict(prop, "mc", worst, threshold, ok, catalog, samples, seed,
+                    expect_fail, bins_tested=len(pvals), bins_skipped=skipped,
+                    bins=tested, **details)
+
+
+def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
+                expect_fail, targets=None) -> TestReport:
+    """Check one cut, exactly (over `targets`, by default every target of at
+    most max_size pieces) or by Monte Carlo (bins of at most max_size)."""
+    if mode != "exact":
+        return _mc_driver(prop, cut, float(intensity), samples, seed,
+                          max_size, expect_fail, intensity=float(intensity))
+    intensity = Fraction(intensity)
+    equal, worst, entries = _exact_driver(
+        cut, intensity, cut.targets(max_size) if targets is None else targets)
+    return _verdict(prop, "exact", worst, 0.0, equal, cut.catalog,
+                    expect_fail=expect_fail, intensity=str(intensity),
+                    **{f"{cut.noun}s_tested": len(entries),
+                       f"per_{cut.noun}": entries})
 
 
 # -- excursion resampling ------------------------------------------------------------
@@ -507,8 +531,8 @@ def verify_prop1(catalog: LoopCatalog, F1, F2, mode: str = "exact",
     unordered bridge measure between the excursion endpoint vectors."""
     if catalog.mode != "oriented":
         raise OracleError("prop1 needs an oriented catalog")
-    return _verify_excursions("prop1", catalog, F1, F2, mode, intensity,
-                              max_excursions, samples, seed, expect_fail)
+    return _verify_cut("prop1", ExcursionCut(catalog, F1, F2), mode,
+                       intensity, max_excursions, samples, seed, expect_fail)
 
 
 def verify_prop2(catalog: LoopCatalog, F1, F2, mode: str = "exact",
@@ -519,23 +543,8 @@ def verify_prop2(catalog: LoopCatalog, F1, F2, mode: str = "exact",
     pairing-weighted unoriented bridge measure on the extremity vector."""
     if catalog.mode != "unoriented":
         raise OracleError("prop2 needs an unoriented catalog")
-    return _verify_excursions("prop2", catalog, F1, F2, mode, intensity,
-                              max_excursions, samples, seed, expect_fail)
-
-
-def _verify_excursions(prop, catalog, F1, F2, mode, intensity, max_excursions,
-                       samples, seed, expect_fail) -> TestReport:
-    cut = ExcursionCut(catalog, F1, F2)
-    if mode != "exact":
-        return _mc_driver(prop, cut, float(intensity), samples, seed,
-                          max_excursions, expect_fail,
-                          intensity=float(intensity))
-    intensity = Fraction(intensity)
-    equal, worst, per_eta = _exact_driver(cut, intensity,
-                                          cut.targets(max_excursions))
-    return _report(prop, "exact", worst, 0.0, equal != expect_fail, catalog,
-                   intensity=str(intensity), etas_tested=len(per_eta),
-                   per_eta=per_eta, positive_control=expect_fail)
+    return _verify_cut("prop2", ExcursionCut(catalog, F1, F2), mode,
+                       intensity, max_excursions, samples, seed, expect_fail)
 
 
 # -- removed-edge formulation -----------------------------------------------------
@@ -548,15 +557,8 @@ def verify_prop5(catalog: LoopCatalog, removed, mode: str = "exact",
     """Removed-edge resampling: the hookup of the jumps across removed edges,
     given their counts, is the pairing-weighted bridge measure in the graph
     without those edges."""
-    cut = EdgeCut(catalog, removed)
-    if mode != "exact":
-        return _mc_driver("prop5", cut, float(intensity), samples, seed,
-                          max_jumps, expect_fail, intensity=float(intensity))
-    equal, worst, per_target = _exact_driver(cut, Fraction(intensity),
-                                             cut.targets(max_jumps))
-    return _report("prop5", "exact", worst, 0.0, equal != expect_fail, catalog,
-                   intensity=str(intensity), targets_tested=len(per_target),
-                   per_target=per_target, positive_control=expect_fail)
+    return _verify_cut("prop5", EdgeCut(catalog, removed), mode, intensity,
+                       max_jumps, samples, seed, expect_fail)
 
 
 def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
@@ -571,8 +573,8 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
     cut = EdgeCut(catalog, catalog.unoriented_graph.classes_inside(catalog.domain))
     equal, worst, per_target = _exact_driver(cut, Fraction(intensity),
                                              cut.targets(max_jumps))
-    return _report("prop5", "exact-degenerate", worst, 0.0, equal, catalog,
-                   targets_tested=len(per_target))
+    return _verdict("prop5", "exact-degenerate", worst, 0.0, equal, catalog,
+                    targets_tested=len(per_target))
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
@@ -591,13 +593,10 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
     the crossings, it is the product bridge measure restricted to the
     completions the catalog realizes (`CrossingCut.laws`).
     """
-    prop = "prop1bis" if catalog.mode == "oriented" else "prop3bis"
     cut = CrossingCut(catalog, sets)
-    if mode != "exact":
-        return _mc_driver(prop, cut, float(intensity), samples, seed, None,
-                          expect_fail)
-    targets = cut.targets(max_crossings)
-    if max_targets is not None:
+    targets = None
+    if mode == "exact" and max_targets is not None:
+        targets = cut.targets(max_crossings)
         # deterministic stratified selection: shortest targets of each
         # crossing count, interleaved, so multi-loop configurations (the only
         # ones sensitive to the intensity) are always represented
@@ -609,10 +608,9 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
             by_count[sum(t.values())].append(t)
         rounds = zip_longest(*(by_count[c] for c in sorted(by_count)))
         targets = [t for r in rounds for t in r if t is not None][:max_targets]
-    equal, worst, per_target = _exact_driver(cut, Fraction(intensity), targets)
-    return _report(prop, "exact", worst, 0.0, equal != expect_fail, catalog,
-                   intensity=str(intensity), targets_tested=len(targets),
-                   per_target=per_target, positive_control=expect_fail)
+    return _verify_cut("prop1bis" if cut.oriented else "prop3bis", cut, mode,
+                       intensity, max_crossings, samples, seed, expect_fail,
+                       targets)
 
 
 def _independence_chi2(rows, n_sides):
@@ -677,7 +675,7 @@ def verify_residual_independence(catalog: LoopCatalog, sets) -> TestReport:
                 if not any(edge_by_id[eid].tail in F for eid in c.key)}
         if mine != {c.key: c.mass for c in sub_cat.classes}:
             worst = 1
-    return _report("residual-coupling", "exact", worst, 0, worst == 0, catalog)
+    return _verdict("residual-coupling", "exact", worst, 0, worst == 0, catalog)
 
 
 # -- occupation-field spatial Markov property ----------------------------------
@@ -790,14 +788,11 @@ def verify_occupation_markov(domain: Domain, F1, edge_partition,
     cells = _cells_by_split(law, idx_in, idx_bd, idx_out)
     cmi, checked, bad = _windowed_cmi(cells, *window)
     stat = abs(cmi) if bad == 0 else max(abs(cmi), 1.0)
-    ok = stat <= CMI_TOL and bad == 0
-    if expect_fail:
-        ok = not ok
-    return _report("occupation-markov", "exact", stat, CMI_TOL, ok, None,
-                   minors_checked=checked, minors_violated=bad,
-                   intensity_kind=intensity_kind, intensity=str(intensity),
-                   cap=cap, tilted=tilt_edge_group is not None,
-                   positive_control=expect_fail)
+    return _verdict("occupation-markov", "exact", stat, CMI_TOL,
+                    stat <= CMI_TOL and bad == 0, expect_fail=expect_fail,
+                    minors_checked=checked, minors_violated=bad,
+                    intensity_kind=intensity_kind, intensity=str(intensity),
+                    cap=cap, tilted=tilt_edge_group is not None)
 
 
 # -- continuous time: GFF square, excursions, random currents --------------------
@@ -833,9 +828,7 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
             float(T[:, j].std(ddof=1)) / math.sqrt(samples), tail_mean)
         details[f"site_{x}"] = {"ks": ks, "mean": float(T[:, j].mean()),
                                 "target_mean": 0.5 * gxx, "mean_ok": mean_ok}
-        if not mean_ok and not expect_fail:
-            return _report("lejan", "mc", 1.0, MC_TV_TOL, False, catalog,
-                           samples, seed, **details)
+    means_ok = all(d["mean_ok"] for d in details.values())
     # pairwise Wick moment on the first two sites; a one-site domain takes
     # the diagonal pair, where the same formula gives 3 G(x, x)^2 / 4
     j = min(1, len(sites) - 1)
@@ -845,13 +838,11 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
     wick = (green(x, x) * green(y, y) + 2 * green(x, y) ** 2) / 4
     se = float(txy.std(ddof=1)) / math.sqrt(samples)
     wick_ok = stats.three_sigma(exy, wick, se, 2 * tail_mean)
-    ok = ks_worst < MC_TV_TOL and wick_ok
-    if expect_fail:
-        ok = ks_worst >= MC_TV_TOL
-    return _report("lejan", "mc", ks_worst, MC_TV_TOL, ok, catalog, samples,
-                   seed, wick_moment=exy, wick_target=wick, wick_ok=wick_ok,
-                   tail_mean_allowance=tail_mean, positive_control=expect_fail,
-                   **details)
+    return _verdict("lejan", "mc", ks_worst, MC_TV_TOL,
+                    ks_worst < MC_TV_TOL and means_ok and wick_ok, catalog,
+                    samples, seed, expect_fail, wick_moment=exy,
+                    wick_target=wick, wick_ok=wick_ok,
+                    tail_mean_allowance=tail_mean, **details)
 
 
 def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
@@ -969,8 +960,7 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     parity_ok, pvals = _current_oracle_pvalues(
         sums[:, :nsk], pairs, [float(menu[sk][1]) for sk in skels], T,
         stream(seed, "ct-excursions/oracle"), no_long)
-    threshold = CHI2_SIGNIFICANCE / len(pvals)
-    worst = min(pvals)
+    worst, threshold, chi2_ok = _bonferroni(pvals)
     # pooled frequency-ratio check within site pairs
     ratio_ok = True
     pair_groups: dict = defaultdict(list)
@@ -987,10 +977,10 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
             se = math.sqrt(max(c1 + r * r * c0, 1.0))
             if abs(c1 - r * c0) > 3 * se:
                 ratio_ok = False
-    ok = parity_ok and ratio_ok and worst > threshold
-    return _report("ct-excursions", "mc", worst, threshold, ok, catalog,
-                   samples, seed, parity_ok=parity_ok, ratio_ok=ratio_ok,
-                   pooled_p=pvals[-1], bins_tested=len(pvals))
+    return _verdict("ct-excursions", "mc", worst, threshold,
+                    parity_ok and ratio_ok and chi2_ok, catalog, samples, seed,
+                    parity_ok=parity_ok, ratio_ok=ratio_ok,
+                    pooled_p=pvals[-1], bins_tested=len(pvals))
 
 
 def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
@@ -1051,14 +1041,10 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
             Counter(map(tuple, jo)), Counter(map(tuple, oracle_o)))
         pvals.append(p_oriented)
         details.update(inout_ok=inout_ok, oriented_p=p_oriented)
-    threshold = CHI2_SIGNIFICANCE / len(pvals)
-    worst = min(pvals)
-    ok = even_ok and inout_ok and worst > threshold
-    if expect_fail:
-        ok = not ok
-    details["positive_control"] = expect_fail
-    return _report("random-currents", "mc", worst, threshold, ok, catalog,
-                   samples, seed, **details)
+    worst, threshold, chi2_ok = _bonferroni(pvals)
+    return _verdict("random-currents", "mc", worst, threshold,
+                    even_ok and inout_ok and chi2_ok, catalog, samples, seed,
+                    expect_fail, **details)
 
 
 # -- Wilson cross-check ------------------------------------------------------------
@@ -1110,8 +1096,9 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
         s_naive[short(counts)] += 1
     tv = stats.empirical_tv(w_keys, s_keys)
     tv_naive = stats.empirical_tv(w_keys, s_naive)
-    ok = tree_ok and tv < MC_TV_TOL
-    return _report("wilson", "mc", tv, MC_TV_TOL, ok, catalog, runs, seed,
-                   tree_marginal_uniform=tree_ok, n_trees=n_trees,
-                   tree_frequencies={str(k): v / runs for k, v in sorted(trees.items())},
-                   naive_multiset_tv=tv_naive)
+    return _verdict("wilson", "mc", tv, MC_TV_TOL, tree_ok and tv < MC_TV_TOL,
+                    catalog, runs, seed, tree_marginal_uniform=tree_ok,
+                    n_trees=n_trees,
+                    tree_frequencies={str(k): v / runs
+                                      for k, v in sorted(trees.items())},
+                    naive_multiset_tv=tv_naive)

@@ -23,8 +23,8 @@ from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  extract_crossings_counts, hookup_loops,
                                  reassemble)
 from loopsoup.rng import stream
-from loopsoup.verify import (CrossingCut, EdgeCut, ExcursionCut,
-                             _conditional_keys, _mc_driver,
+from loopsoup.verify import (MC_TV_TOL, CrossingCut, EdgeCut, ExcursionCut,
+                             _conditional_keys, _mc_driver, _verdict,
                              exact_conditional_beta, feasible_etas,
                              verify_residual_independence)
 
@@ -291,6 +291,26 @@ def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
         assert "candidates" in cut.__dict__
 
 
+@pytest.mark.parametrize("ok, expect_fail, verdict", [
+    (True, False, "pass"), (False, False, "fail"), (None, False, "fail"),
+    (True, True, "fail"), (False, True, "pass"), (None, True, "fail")])
+def test_verdict_rule(ok, expect_fail, verdict):
+    """A check passes on ok, a control when its check fails, and a run that
+    tested nothing (ok None) fails either way."""
+    rep = _verdict("p", "mc", 0.5, 0.1, ok, expect_fail=expect_fail)
+    assert rep.verdict == verdict
+    assert rep.details == {"positive_control": expect_fail}
+
+
+def test_mc_control_with_no_testable_bin_fails(triangle_catalogs):
+    # 100 soups cannot fill a bin of MIN_BIN_SAMPLES: nothing is tested, so
+    # even a control that must fail does not pass
+    cut = ExcursionCut(triangle_catalogs[0], {1}, {2})
+    rep = _mc_driver("prop1", cut, 1.0, 100, 0, 2, True)
+    assert rep.details["note"] == "no bin had enough samples"
+    assert rep.details["positive_control"] and not rep.passed
+
+
 def test_crossing_cut_keys_every_two_copy_soup(triangle_catalogs):
     """Two copies of any K5-triangle class that crosses get side keys, the
     untestable bins included: no orbit is too large to key."""
@@ -478,7 +498,8 @@ def test_lejan_and_control(k5_cats):
     assert rep.passed
     bad = verify_lejan(cat, samples=60000, seed=53, intensity=1.0,
                        expect_fail=True)
-    assert bad.passed
+    # the control's verdict is the whole check flipped; its KS gate must fail
+    assert bad.passed and bad.statistic >= MC_TV_TOL
 
 
 def test_random_currents(k5_cats):
