@@ -12,9 +12,13 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int,
 
     observed: category -> count; expected_probs: category -> probability
     (may sum below one; the deficit becomes an implicit "other" bucket).
-    Returns (statistic, dof, p_value).
+    Returns (statistic, dof, p_value).  Categories are summed in the order
+    of (expected probability, observed count), so the result depends on the
+    partition and not on how a category is written.
     """
-    cats = sorted(set(observed) | set(expected_probs), key=repr)
+    cats = sorted(set(observed) | set(expected_probs),
+                  key=lambda c: (float(expected_probs.get(c, 0.0)),
+                                 observed.get(c, 0)))
     obs, exp = [], []
     pool_o = pool_e = 0.0
     covered = 0.0
