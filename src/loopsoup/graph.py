@@ -516,7 +516,11 @@ def parse_graph_file(path) -> tuple[OrientedMultigraph, Involution | None]:
     declared_g = None
     edges: list[Edge] = []
     rev: dict[int, int] = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise GraphError(f"{path}: cannot read graph file ({exc.strerror})") from exc
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

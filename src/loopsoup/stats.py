@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats as sps
 
+from .exact import OracleError
+
 
 def chi2_gof(observed: dict, expected_probs: dict, n: int,
              min_expected: float = 5.0):
@@ -114,7 +116,7 @@ def sample_conditioned_poisson(lam: np.ndarray, accept, rng,
 
     accept maps an integer draw matrix to a boolean mask of the rows that
     satisfy the condition.  Sampling is by rejection, which is exact; it
-    gives up after max_iter rounds.
+    gives up after max_iter rounds with an OracleError.
     """
     n, m = lam.shape
     out = np.zeros((n, m), dtype=np.int64)
@@ -126,4 +128,5 @@ def sample_conditioned_poisson(lam: np.ndarray, accept, rng,
         ok = accept(draw)
         out[todo[ok]] = draw[ok]
         todo = todo[~ok]
-    raise RuntimeError("conditioned-Poisson rejection did not terminate")
+    raise OracleError(f"conditioned-Poisson rejection gave up after {max_iter} "
+                      f"rounds with {todo.size} of {n} rows still rejected")

@@ -338,6 +338,28 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "none").exists()
 
 
+def test_missing_graph_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "no.graph")
+    rc = main(["enumerate", "--graph", f"file:{missing}", "--domain", "1 2",
+               "--seed", "0", "--out", str(tmp_path / "none")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no.graph" in err
+
+
+def test_conditioned_poisson_giving_up_exits_2(tmp_path, capsys):
+    # on a path of 15 sites the even-degree oracle of random currents still
+    # rejects some rows after its last round of rejection
+    cfg = ("graph = cycle:16\ndomain = " + " ".join(map(str, range(1, 16)))
+           + "\njobs = random-currents\nl_max = 6\nsamples = 200\n"
+           "mode = mc\nseed = 0\n")
+    out = tmp_path / "rc"
+    rc = main(["run", write(tmp_path, cfg, "rc.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert "rows still rejected" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_console_entry_point(tmp_path):
     r = subprocess.run([sys.executable, "-m", "loopsoup.cli", "verify",
                         "prop1", "--graph", "complete:5", "--domain", "1 2 3",

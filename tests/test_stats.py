@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from loopsoup.stats import chi2_gof
+from loopsoup.exact import OracleError
+from loopsoup.stats import chi2_gof, sample_conditioned_poisson
 
 
 def test_chi2_gof_ignores_how_categories_are_written():
@@ -18,3 +20,9 @@ def test_chi2_gof_ignores_how_categories_are_written():
                              {names[i]: p for i, p in expected.items()}, n)
         assert relabeled == chi2_gof(observed, expected, n)
 
+
+def test_conditioned_poisson_gives_up_with_oracle_error():
+    never = lambda draw: np.zeros(len(draw), dtype=bool)   # noqa: E731
+    with pytest.raises(OracleError, match="3 of 3 rows still rejected"):
+        sample_conditioned_poisson(np.ones((3, 2)), never,
+                                   np.random.default_rng(0), max_iter=5)
