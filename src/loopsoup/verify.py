@@ -481,7 +481,8 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
 def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
                 expect_fail, targets=None) -> TestReport:
     """Check one cut, exactly (over `targets`, by default every target of at
-    most max_size pieces) or by Monte Carlo (bins of at most max_size)."""
+    most max_size pieces) or by Monte Carlo (bins of at most max_size pieces
+    where the cut bounds them; crossing bins are not bounded)."""
     if mode != "exact":
         return _mc_driver(prop, cut, float(intensity), samples, seed,
                           max_size, expect_fail, intensity=float(intensity))
