@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import verify as V
-from .config import (ConfigError, ExperimentConfig, Workspace, build_workspace,
-                     config_from_dict, job_seed, parse_config, JOBS)
+from .config import (JOBS, KEYS, ConfigError, ExperimentConfig, Workspace,
+                     build_workspace, config_from_dict, job_seed, parse_config)
 from .rng import stream
 from .soups import FieldSampler
 from .wilson import check_root
@@ -204,7 +204,7 @@ def run(cfg: ExperimentConfig, outdir: str,
     if "occupation-markov" in cfg.jobs:
         _markov_partitions(ws)      # refuse before any job runs
     if "wilson" in cfg.jobs:
-        check_root(ws.graph, cfg.root, cfg.domain_vertices)
+        check_root(ws.graph, cfg.root, cfg.domain)
     if "prop5" in cfg.jobs:
         ws.removed_classes()
     reports, files = [], []
@@ -226,6 +226,15 @@ def run(cfg: ExperimentConfig, outdir: str,
     return 1 if failed else 0
 
 
+def _add_key_flags(parser, keys) -> None:
+    """One `--key` flag per config key, plus `--out`.  The config schema
+    parses each value, and a flag left out takes the key's default there."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=argparse.SUPPRESS, metavar="VALUE")
+    parser.add_argument("--out", default="out")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="loopsoup")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -238,32 +247,14 @@ def main(argv=None) -> int:
                        metavar="KEY=VALUE", help="override a config key")
 
     p_enum = sub.add_parser("enumerate", help="export loop catalogs")
-    p_enum.add_argument("--graph", required=True)
-    p_enum.add_argument("--domain", required=True)
-    p_enum.add_argument("--l-max", type=int, default=8)
-    p_enum.add_argument("--g", type=int)
-    p_enum.add_argument("--seed", type=int, default=0)
-    p_enum.add_argument("--out", default="out")
+    _add_key_flags(p_enum, ("graph", "domain", "l_max", "g", "seed"))
+    p_enum.set_defaults(jobs="enumerate", seed="0")
 
     p_ver = sub.add_parser("verify", help="run one verification job")
-    p_ver.add_argument("prop", choices=[j for j in JOBS
-                                        if j not in ("sample-soup", "enumerate")])
-    p_ver.add_argument("--graph", required=True)
-    p_ver.add_argument("--domain", required=True)
-    p_ver.add_argument("--f1", default="")
-    p_ver.add_argument("--f2", default="")
-    p_ver.add_argument("--f3", default="")
-    p_ver.add_argument("--sites", default="")
-    p_ver.add_argument("--removed-edges", default="")
-    p_ver.add_argument("--root", type=int)
-    p_ver.add_argument("--alpha", default="1")
-    p_ver.add_argument("--c", default="1")
-    p_ver.add_argument("--l-max", type=int, default=8)
-    p_ver.add_argument("--g", type=int)
-    p_ver.add_argument("--mode", default="exact", choices=["exact", "mc"])
-    p_ver.add_argument("--samples", type=int, default=100000)
-    p_ver.add_argument("--seed", type=int, required=True)
-    p_ver.add_argument("--out", default="out")
+    p_ver.add_argument("jobs", metavar="prop", help="one of %(choices)s",
+                       choices=[j for j in JOBS
+                                if j not in ("sample-soup", "enumerate")])
+    _add_key_flags(p_ver, [k for k in KEYS if k != "jobs"])
 
     args = parser.parse_args(argv)
     try:
@@ -282,23 +273,7 @@ def main(argv=None) -> int:
                 overrides["seed"] = str(args.seed)
             cfg = parse_config(args.config, overrides)
             return run(cfg, args.out, budget)
-        raw = {
-            "graph": args.graph, "domain": args.domain,
-            "seed": str(args.seed), "l_max": str(args.l_max),
-        }
-        if args.g is not None:
-            raw["g"] = str(args.g)
-        if args.command == "enumerate":
-            raw["jobs"] = "enumerate"
-        else:
-            raw["jobs"] = args.prop
-            raw.update({"f1": args.f1, "f2": args.f2, "f3": args.f3,
-                        "sites": args.sites,
-                        "removed_edges": args.removed_edges,
-                        "alpha": args.alpha, "c": args.c,
-                        "mode": args.mode, "samples": str(args.samples)})
-            if args.root is not None:
-                raw["root"] = str(args.root)
+        raw = {k: v for k, v in vars(args).items() if k in KEYS}
         cfg = config_from_dict(raw, origin="<cli>")
         return run(cfg, args.out, budget)
     except ConfigError as exc:

@@ -9,7 +9,7 @@ changes another job's samples and a report is reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import graph as graph_mod
@@ -26,41 +26,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    graph_spec: str
-    domain_vertices: tuple[int, ...]
-    jobs: tuple[str, ...]
-    seed: int
-    g: int | None = None
-    f1: tuple[int, ...] = ()
-    f2: tuple[int, ...] = ()
-    f3: tuple[int, ...] = ()
-    sites: tuple[int, ...] = ()
-    removed: tuple[tuple[int, int], ...] = ()     # vertex pairs
-    root: int | None = None
-    alpha: float = 1.0
-    c: float = 1.0
-    l_max: int = 8
-    samples: int = 100000
-    mode: str = "exact"
-
-    def resolved(self) -> dict:
-        return {
-            "graph": self.graph_spec, "domain": list(self.domain_vertices),
-            "jobs": list(self.jobs), "seed": self.seed, "g": self.g,
-            "f1": list(self.f1), "f2": list(self.f2), "f3": list(self.f3),
-            "sites": list(self.sites),
-            "removed": [list(p) for p in self.removed],
-            "root": self.root, "alpha": self.alpha, "c": self.c,
-            "l_max": self.l_max, "samples": self.samples, "mode": self.mode,
-        }
-
-
 def _parse_ints(value: str) -> tuple[int, ...]:
-    value = value.strip()
-    if not value:
-        return ()
     return tuple(int(x) for x in value.replace(",", " ").split())
 
 
@@ -70,6 +36,65 @@ def _parse_pairs(value: str) -> tuple[tuple[int, int], ...]:
         a, b = tok.split("-")
         out.append((int(a), int(b)))
     return tuple(out)
+
+
+def _parse_optional_int(value: str) -> int | None:
+    return int(value) if value.strip() else None
+
+
+def _parse_intensity(value: str) -> float:
+    return float(Fraction(value))
+
+
+def _parse_jobs(value: str) -> tuple[str, ...]:
+    jobs = tuple(value.replace(",", " ").split())
+    for j in jobs:
+        if j not in JOBS:
+            raise ValueError(f"unknown job {j!r} (valid: {', '.join(JOBS)})")
+    return jobs
+
+
+def _parse_mode(value: str) -> str:
+    value = value.strip()
+    if value not in ("exact", "mc"):
+        raise ValueError("expected exact or mc")
+    return value
+
+
+def _key(parse, default: str | None = None, name: str | None = None):
+    """A config key: its parser, its default text (None: the key is
+    required) and its name in a config file, where that is not the field's."""
+    return field(metadata={"parse": parse, "default": default, "name": name})
+
+
+@dataclass
+class ExperimentConfig:
+    """The one config schema: every field is a config key."""
+
+    graph: str = _key(str.strip)
+    domain: tuple[int, ...] = _key(_parse_ints)
+    jobs: tuple[str, ...] = _key(_parse_jobs)
+    seed: int = _key(int)
+    g: int | None = _key(_parse_optional_int, "")
+    f1: tuple[int, ...] = _key(_parse_ints, "")
+    f2: tuple[int, ...] = _key(_parse_ints, "")
+    f3: tuple[int, ...] = _key(_parse_ints, "")
+    sites: tuple[int, ...] = _key(_parse_ints, "")
+    removed: tuple[tuple[int, int], ...] = _key(_parse_pairs, "",
+                                                "removed_edges")
+    root: int | None = _key(_parse_optional_int, "")
+    alpha: float = _key(_parse_intensity, "1")
+    c: float = _key(_parse_intensity, "1")
+    l_max: int = _key(int, "8")
+    samples: int = _key(int, "100000")
+    mode: str = _key(_parse_mode, "exact")
+
+    def resolved(self) -> dict:
+        return asdict(self)
+
+
+# config file key -> its ExperimentConfig field
+KEYS = {f.metadata["name"] or f.name: f for f in fields(ExperimentConfig)}
 
 
 def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -93,43 +118,34 @@ def parse_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
-    try:
-        graph_spec = raw["graph"]
-        jobs = tuple(j.strip() for j in raw["jobs"].replace(",", " ").split())
-        seed = int(raw["seed"])
-        domain = _parse_ints(raw["domain"])
-    except KeyError as exc:
-        raise ConfigError(f"{origin}: missing required key {exc}") from exc
-    for j in jobs:
-        if j not in JOBS:
-            raise ConfigError(f"{origin}: unknown job {j!r} (valid: {', '.join(JOBS)})")
-    cfg = ExperimentConfig(
-        graph_spec=graph_spec, domain_vertices=domain, jobs=jobs, seed=seed,
-        g=int(raw["g"]) if "g" in raw else None,
-        f1=_parse_ints(raw.get("f1", "")),
-        f2=_parse_ints(raw.get("f2", "")),
-        f3=_parse_ints(raw.get("f3", "")),
-        sites=_parse_ints(raw.get("sites", "")),
-        removed=_parse_pairs(raw.get("removed_edges", "")),
-        root=int(raw["root"]) if "root" in raw else None,
-        alpha=float(Fraction(raw.get("alpha", "1"))),
-        c=float(Fraction(raw.get("c", "1"))),
-        l_max=int(raw.get("l_max", "8")),
-        samples=int(raw.get("samples", "100000")),
-        mode=raw.get("mode", "exact"),
-    )
+    """Parse every key of the schema from its text, refusing unknown keys."""
+    for key in raw:
+        if key not in KEYS:
+            raise ConfigError(f"{origin}: unknown key {key!r} "
+                              f"(valid: {', '.join(KEYS)})")
+    values = {}
+    for key, f in KEYS.items():
+        text = raw.get(key, f.metadata["default"])
+        if text is None:
+            raise ConfigError(f"{origin}: missing required key {key!r}")
+        try:
+            values[f.name] = f.metadata["parse"](text)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"{origin}: {key} = {text!r}: {exc}") from None
+    cfg = ExperimentConfig(**values)
     if cfg.alpha <= 0 or cfg.c <= 0:
         raise ConfigError(f"{origin}: intensities alpha and c must be positive")
     if cfg.samples < 1:
         raise ConfigError(f"{origin}: samples must be at least 1")
-    dom = set(cfg.domain_vertices)
+    dom = set(cfg.domain)
     for name in ("f1", "f2", "f3", "sites"):
         vals = set(getattr(cfg, name))
         if not vals <= dom:
             raise ConfigError(f"{origin}: {name} must be a subset of the domain")
     if not {v for edge in cfg.removed for v in edge} <= dom:
         raise ConfigError(f"{origin}: removed edges must join domain vertices")
-    if set(jobs) & {"prop1", "prop2", "prop1bis", "prop3bis"}:
+    jobs = set(cfg.jobs)
+    if jobs & {"prop1", "prop2", "prop1bis", "prop3bis"}:
         f1, f2, f3 = set(cfg.f1), set(cfg.f2), set(cfg.f3)
         if not f1 or not f2:
             raise ConfigError(f"{origin}: marked sets f1 and f2 must be nonempty")
@@ -142,20 +158,24 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
     return cfg
 
 
-def build_graph_from_spec(spec: str) -> OrientedMultigraph:
+def build_graph_from_spec(spec: str) -> tuple[OrientedMultigraph,
+                                              Involution | None]:
+    """The graph a spec names, with the involution a graph file gives."""
     kind, _, arg = spec.partition(":")
-    if kind == "cycle":
-        return graph_mod.cycle_graph(int(arg))
-    if kind == "path":
-        return graph_mod.path_graph(int(arg))
-    if kind == "complete":
-        return graph_mod.complete_graph(int(arg))
-    if kind == "grid":
-        a, b = arg.split("x")
-        return graph_mod.grid_graph(int(a), int(b))
+    try:
+        if kind == "cycle":
+            return graph_mod.cycle_graph(int(arg)), None
+        if kind == "path":
+            return graph_mod.path_graph(int(arg)), None
+        if kind == "complete":
+            return graph_mod.complete_graph(int(arg)), None
+        if kind == "grid":
+            a, b = arg.split("x")
+            return graph_mod.grid_graph(int(a), int(b)), None
+    except ValueError as exc:
+        raise ConfigError(f"graph = {spec!r}: {exc}") from None
     if kind == "file":
-        graph, _ = parse_graph_file(arg)
-        return graph
+        return parse_graph_file(arg)
     raise ConfigError(f"unknown graph spec {spec!r}")
 
 
@@ -192,16 +212,21 @@ class Workspace:
 
 def build_workspace(cfg: ExperimentConfig,
                     class_budget: int | None = None) -> Workspace:
-    graph = build_graph_from_spec(cfg.graph_spec)
+    graph, involution = build_graph_from_spec(cfg.graph)
     if cfg.g is not None:
         graph = regularize_degree(graph, cfg.g)
     elif graph.g is None:
         graph = regularize_degree(graph, max(graph.out_degree.values()))
-    involution = pair_reversals(graph)
+    if involution is None:
+        involution = pair_reversals(graph)
+    else:
+        # a file's own reversals; the stationary padding edges stay fixed
+        involution = Involution(graph, {e.id: involution.mapping.get(e.id, e.id)
+                                        for e in graph.edges})
     unoriented = unoriented_view(graph, involution)
     # pure enumeration works on recurrent domains (no Green's function needed)
     allow_recurrent = set(cfg.jobs) <= {"enumerate"}
-    domain = Domain(graph, cfg.domain_vertices, allow_recurrent=allow_recurrent)
+    domain = Domain(graph, cfg.domain, allow_recurrent=allow_recurrent)
     return Workspace(cfg, graph, involution, unoriented, domain, class_budget)
 
 

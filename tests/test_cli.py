@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -32,8 +33,8 @@ jobs = prop2
 
 def test_parse_config(tmp_path):
     cfg = parse_config(write(tmp_path, BASE))
-    assert cfg.graph_spec == "complete:5"
-    assert cfg.domain_vertices == (1, 2, 3)
+    assert cfg.graph == "complete:5"
+    assert cfg.domain == (1, 2, 3)
     assert cfg.jobs == ("prop2",)
     assert cfg.seed == 7
 
@@ -395,3 +396,65 @@ def test_verify_lejan_one_site(tmp_path):
     assert rc in (0, 1)
     rep = json.loads((out / "report.json").read_text())["reports"][0]
     assert rep["prop"] == "lejan"
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("file", "lmax", "4"), ("file", "mode", "exakt"), ("set", "mode", "exakt"),
+    ("flag", "mode", "exakt"), ("set", "l_max", "abc"),
+    ("set", "samples", "1e5"), ("set", "alpha", "1/0"),
+    ("set", "removed_edges", "1"), ("set", "domain", "1 x"),
+    ("set", "g", "two")])
+def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
+    # an unknown key or a malformed value is refused before any job runs
+    out = tmp_path / "bad"
+    if where == "flag":
+        rc = main(["verify", "prop1", "--graph", "complete:5", "--domain",
+                   "1 2 3", "--f1", "1", "--f2", "2", "--seed", "0",
+                   f"--{key}", value, "--out", str(out)])
+    elif where == "set":
+        rc = main(["run", write(tmp_path, BASE), "--set", f"{key}={value}",
+                   "--out", str(out)])
+    else:
+        rc = main(["run", write(tmp_path, BASE + f"{key} = {value}\n"),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("path", sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.cfg"))
+    + glob.glob(os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                             "configs", "*.cfg"))))
+def test_shipped_configs_parse(path):
+    cfg = parse_config(path)
+    assert cfg.jobs and cfg.mode in ("exact", "mc")
+
+
+TWO_VERTICES = """
+vertices 2
+edge 0 0 1 rev 1
+edge 1 1 0 rev 0
+edge 2 0 0 rev 3
+edge 3 0 0 rev 2
+edge 4 1 1 rev 5
+edge 5 1 1 rev 4
+"""
+
+
+def test_graph_file_keeps_its_involution(tmp_path):
+    # the self-edges are paired by the file, so each pair is one unoriented
+    # self-loop; fixing every self-edge would give 23 unoriented classes
+    path = write(tmp_path, TWO_VERTICES, "two.graph")
+    cfg = config_from_dict({"graph": f"file:{path}", "domain": "0 1",
+                            "jobs": "enumerate", "seed": "0", "l_max": "3"})
+    ws = build_workspace(cfg)
+    assert ws.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    assert len(ws.catalog("unoriented").classes) == 13
+    # padding up to degree 4 adds one stationary self-edge per vertex, fixed
+    cfg = config_from_dict({"graph": f"file:{path}", "domain": "0",
+                            "jobs": "enumerate", "seed": "0", "g": "4"})
+    ws = build_workspace(cfg)
+    assert ws.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4,
+                                     6: 6, 7: 7}
