@@ -28,6 +28,7 @@ their CDF per endpoint tuple, and draws one by ``searchsorted`` exactly as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -205,22 +206,19 @@ class UnorderedBridgeFamily:
         return sum(b.n for b in self.bridges)
 
 
-def permutation_weights(green: GreenMatrix, X, Y,
-                        exact: bool = False) -> dict[tuple[int, ...], float | Fraction]:
-    """Weight G_D(X, Y^s) for every permutation s of the N slots."""
+def permutation_weights(green, X, Y) -> dict[tuple[int, ...], float | Fraction]:
+    """Weight G_D(X, Y^s) for every permutation s of the N slots.
+
+    `green(x, y)` gives the Green's function: a GreenMatrix for floats, or
+    its `exact` method for Fractions.
+    """
     N = len(X)
     if len(Y) != N:
         raise BridgeError("X and Y must have equal length")
     if N > PERMUTATION_BUDGET:
         raise BridgeError(f"N={N} beyond permutation budget {PERMUTATION_BUDGET}")
-    out = {}
-    for s in permutations(range(N)):
-        if exact:
-            w = green.product_exact(X, [Y[s[j]] for j in range(N)])
-        else:
-            w = green.product(X, [Y[s[j]] for j in range(N)])
-        out[s] = w
-    return out
+    return {s: math.prod(green(X[j], Y[s[j]]) for j in range(N))
+            for s in permutations(range(N))}
 
 
 def sample_unordered_bridge(domain: Domain, X, Y, rng) -> UnorderedBridgeFamily:
@@ -274,20 +272,11 @@ def all_pairings(n: int):
     return list(rec(tuple(range(n))))
 
 
-def pairing_weights(green: GreenMatrix, Z,
-                    exact: bool = False) -> dict[tuple, float | Fraction]:
-    out = {}
-    for t in all_pairings(len(Z)):
-        if exact:
-            w = Fraction(1)
-            for a, b in t:
-                w *= green.exact(Z[a], Z[b])
-        else:
-            w = 1.0
-            for a, b in t:
-                w *= green(Z[a], Z[b])
-        out[t] = w
-    return out
+def pairing_weights(green, Z) -> dict[tuple, float | Fraction]:
+    """Weight prod G_D(z_a, z_b) over the pairs of every perfect pairing;
+    `green` as for `permutation_weights`."""
+    return {t: math.prod(green(Z[a], Z[b]) for a, b in t)
+            for t in all_pairings(len(Z))}
 
 
 def sample_z_bridge(domain: Domain, Z, rng) -> ZBridgeFamily:

@@ -56,14 +56,12 @@ class OracleError(GraphError):
 class DiscreteDistribution:
     """Finite distribution over canonical configuration keys.
 
-    Probabilities are exact rationals (or floats in float mode); whatever
-    mass the truncation pushed outside the enumerated support is reported,
-    not silently renormalized away.
+    Probabilities are exact rationals (or floats in float mode).  The law is
+    that of the truncated soup, so no mass lies outside the support.
     """
 
     support: tuple
     probabilities: tuple
-    truncation_mass: float = 0.0
 
     def as_dict(self) -> dict:
         return dict(zip(self.support, self.probabilities))
@@ -192,8 +190,8 @@ def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
     (sigma, bridge-path-tuple) -> Fraction probability g^{-K} / Z and
     Z = sum_s G(X, Y^s).  Unenumerated mass is 1 - sum(configs.values()).
     """
-    weights = permutation_weights(green_function(domain, exact=True), X, Y,
-                                  exact=True)
+    weights = permutation_weights(green_function(domain, exact=True).exact,
+                                  X, Y)
     Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no permutation has positive weight")
@@ -215,8 +213,8 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
     unoriented path accumulates both oriented representatives when they
     differ (self-return paths), which keeps the g^{-K} bookkeeping exact.
     """
-    weights = pairing_weights(green_function(domain, exact=True), Z_vertices,
-                              exact=True)
+    weights = pairing_weights(green_function(domain, exact=True).exact,
+                              Z_vertices)
     Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no pairing has positive weight")

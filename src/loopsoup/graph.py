@@ -410,19 +410,6 @@ class GreenMatrix:
             raise GraphError("Green matrix was computed without exact mode")
         return self.exact_values[self.domain.index[x]][self.domain.index[y]]
 
-    def product(self, X, Y) -> float:
-        """G(X, Y) = prod_j G(x_j, y_j) for endpoint vectors of equal length."""
-        out = 1.0
-        for x, y in zip(X, Y, strict=True):
-            out *= self(x, y)
-        return out
-
-    def product_exact(self, X, Y) -> Fraction:
-        out = Fraction(1)
-        for x, y in zip(X, Y, strict=True):
-            out *= self.exact(x, y)
-        return out
-
 
 def green_function(domain: Domain, exact: bool = False) -> GreenMatrix:
     """Solve (I - P_D) G = I; with ``exact`` also in rational arithmetic."""

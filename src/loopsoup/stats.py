@@ -7,9 +7,11 @@ from scipy import stats as sps
 
 from .exact import OracleError
 
+MIN_EXPECTED = 5.0     # chi-square categories expected below this are pooled
+MAX_BINS = 50          # most quantile bins
 
-def chi2_gof(observed: dict, expected_probs: dict, n: int,
-             min_expected: float = 5.0):
+
+def chi2_gof(observed: dict, expected_probs: dict, n: int):
     """Chi-square goodness of fit with small-expected-count pooling.
 
     observed: category -> count; expected_probs: category -> probability
@@ -28,7 +30,7 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int,
         e = n * float(expected_probs.get(c, 0.0))
         o = observed.get(c, 0)
         covered += float(expected_probs.get(c, 0.0))
-        if e < min_expected:
+        if e < MIN_EXPECTED:
             pool_o += o
             pool_e += e
         else:
@@ -50,7 +52,7 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int,
     return stat, dof, float(sps.chi2.sf(stat, dof))
 
 
-def chi2_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 5.0):
+def chi2_two_sample(counts_a: dict, counts_b: dict):
     """Two-sample chi-square homogeneity test on pooled categories."""
     cats = sorted(set(counts_a) | set(counts_b), key=repr)
     a = np.array([counts_a.get(c, 0) for c in cats], dtype=float)
@@ -62,7 +64,7 @@ def chi2_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 5.0):
     if na == 0 or nb == 0:
         return 0.0, 0, 1.0
     for i in range(len(cats)):
-        if tot[i] * min(na, nb) / (na + nb) < min_expected:
+        if tot[i] * min(na, nb) / (na + nb) < MIN_EXPECTED:
             pa += a[i]
             pb += b[i]
         else:
@@ -98,11 +100,10 @@ def three_sigma(mean_hat: float, target: float, se: float,
     return abs(mean_hat - target) <= 3.0 * se + allowance
 
 
-def quantile_bins(values: np.ndarray, min_per_bin: int = 200,
-                  max_bins: int = 50) -> np.ndarray:
+def quantile_bins(values: np.ndarray, min_per_bin: int = 200) -> np.ndarray:
     """Bin indices by quantiles so every bin holds at least `min_per_bin`."""
     n = len(values)
-    k = max(1, min(max_bins, n // min_per_bin))
+    k = max(1, min(MAX_BINS, n // min_per_bin))
     edges = np.quantile(values, np.linspace(0, 1, k + 1)[1:-1])
     return np.searchsorted(edges, values, side="right")
 

@@ -66,6 +66,8 @@ CMI_TOL = 1e-12
 CHI2_SIGNIFICANCE = 1e-3
 MC_TV_TOL = 0.01
 MIN_BIN_SAMPLES = 200
+SKELETON_CAP = 6         # longest excursion skeleton ct-excursions tests
+WILSON_LENGTH_CAP = 4    # longest cycle the Wilson cross-check compares
 
 
 @dataclass
@@ -514,7 +516,7 @@ def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
         raise OracleError("internal: decomposition mismatch")
     support = sorted(dist)
     return DiscreteDistribution(tuple(support),
-                                tuple(dist[k] for k in support), 0.0)
+                                tuple(dist[k] for k in support))
 
 
 def feasible_etas(catalog: LoopCatalog, F1, F2, max_excursions: int):
@@ -754,7 +756,6 @@ def check_markov_partition(edge_partition) -> None:
 def verify_occupation_markov(domain: Domain, F1, edge_partition,
                              intensity_kind: str = "c",
                              intensity=Fraction(1), cap: int = 12,
-                             window: tuple[int, int, int] | None = None,
                              tilt_edge_group: int | None = None,
                              tilt: Fraction = Fraction(1, 2),
                              allow_marginal: bool = False,
@@ -781,16 +782,14 @@ def verify_occupation_markov(domain: Domain, F1, edge_partition,
         law = type(law)(law.groups, law.cap,
                         {n: w * tilt ** n[tilt_edge_group]
                          for n, w in law.weights.items()}, law.scalar)
-    if window is None:
-        b = cap // 3
-        window = (b, cap - 2 * b, b)
-    if sum(window) > cap:
-        raise OracleError("window exceeds the series cap; cells would be missing")
+    # the window's bounds sum to the cap, so every cell weight in it is exact
+    b = cap // 3
     cells = _cells_by_split(law, idx_in, idx_bd, idx_out)
-    cmi, checked, bad = _windowed_cmi(cells, *window)
+    cmi, checked, bad = _windowed_cmi(cells, b, cap - 2 * b, b)
     stat = abs(cmi) if bad == 0 else max(abs(cmi), 1.0)
-    return _verdict("occupation-markov", "exact", stat, CMI_TOL,
-                    stat <= CMI_TOL and bad == 0, expect_fail=expect_fail,
+    ok = (stat <= CMI_TOL and bad == 0) if checked else None
+    return _verdict("occupation-markov", "exact", stat, CMI_TOL, ok,
+                    expect_fail=expect_fail,
                     minors_checked=checked, minors_violated=bad,
                     intensity_kind=intensity_kind, intensity=str(intensity),
                     cap=cap, tilted=tilt_edge_group is not None)
@@ -916,8 +915,7 @@ def _current_oracle_pvalues(rows, pairs, masses, T, rng, keep=slice(None)):
 
 def verify_ct_excursions(catalog: LoopCatalog, sites,
                          samples: int = 2 * 10 ** 4, seed: int = 0,
-                         intensity: float = 1.0,
-                         skeleton_cap: int = 6) -> TestReport:
+                         intensity: float = 1.0) -> TestReport:
     """Conditionally on the occupation times at the marked sites, the
     excursion skeletons form a Poisson process with intensity
     |phi_i| |phi_j| g^{-n} per site pair (half that on diagonal pairs),
@@ -934,7 +932,7 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     inv = catalog.unoriented_graph.involution
     sites = sorted(sites)
     site_ix = {v: i for i, v in enumerate(sites)}
-    menu = _excursion_skeleton_menu(dom, sites, inv, skeleton_cap)
+    menu = _excursion_skeleton_menu(dom, sites, inv, SKELETON_CAP)
     if not menu:
         raise OracleError("no excursion skeleton joins the sites: nothing to test")
     skels = sorted(menu)
@@ -1052,7 +1050,7 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
 
 
 def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
-                  seed: int = 0, length_cap: int = 4) -> TestReport:
+                  seed: int = 0) -> TestReport:
     """Wilson's algorithm against the unit-intensity oriented soup.
 
     (a) The spanning-tree marginal is uniform (each tree within three
@@ -1070,9 +1068,9 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     ug = catalog.unoriented_graph
     edge_class = {e.id: ug.edge_class(e.id) for e in graph.edges}
 
-    def short(counts):          # the multiset's cycles up to length_cap
+    def short(counts):          # the multiset's cycles up to WILSON_LENGTH_CAP
         return tuple(sorted([kc for kc in counts.items()
-                             if len(kc[0]) <= length_cap]))
+                             if len(kc[0]) <= WILSON_LENGTH_CAP]))
 
     rng = stream(seed, "wilson")
     dice = _EdgeDice(graph, root, rng)

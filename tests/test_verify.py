@@ -454,6 +454,20 @@ def test_occupation_markov_control_fails_on_cycle():
     assert bad.details["minors_violated"] == 9
 
 
+def test_occupation_markov_checking_no_minor_fails():
+    """At cap 2 the window of the 2-D grid split holds no full 2x2 minor:
+    nothing is tested, so the run fails instead of passing vacuously."""
+    cfg = config_from_dict({
+        "graph": "grid:2x3", "domain": "0 1 2 3 4", "jobs": "occupation-markov",
+        "seed": "0", "f1": "0 1",
+    })
+    ws = build_workspace(cfg)
+    part = markov_edge_partition(ws, oriented=False)
+    rep = verify_occupation_markov(ws.domain, {0, 1}, part, cap=2)
+    assert rep.details["minors_checked"] == 0
+    assert rep.verdict == "fail"
+
+
 @pytest.fixture(scope="module")
 def k5_cats():
     cfg = config_from_dict({
