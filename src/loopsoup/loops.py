@@ -16,14 +16,19 @@ the reversal lands back in the same oriented class and J~ = J otherwise, and
 the mass is nu(L~) = g^{-n} / J~, which is also the image of mu/2 under
 forgetting orientation.
 
-Catalogs enumerate every class up to a length cap inside a domain, with
-exact rational masses and an analytic bound on the mass of omitted longer
-loops.
+Over the alphabet of edge ids, an oriented class is a necklace: its key is
+its least rotation.  Catalogs enumerate every class up to a length cap inside
+a domain by the prenecklace search of Fredricksen, Kessler and Maiorana
+(Ruskey, Savage and Wang 1992), which only extends paths that are prefixes of
+some key.  A closed prefix of n steps and period p is a key exactly when p
+divides n, and then J = n/p.  Classes carry exact rational masses, and the
+catalog an analytic bound on the mass of omitted longer loops.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -158,11 +163,11 @@ def unoriented_key(edge_seq, involution) -> tuple[int, ...]:
 class LoopCatalog:
     """All loop classes of length <= L_max inside a domain.
 
-    mode is "oriented" or "unoriented".  A catalog holds its classes and the
-    departure lists of those a reader asks for (`departures`, for cycle
-    popping); readers take any other geometry from the class keys.  An
-    unoriented catalog is always the counterpart of an oriented one, so a
-    domain is enumerated once.
+    mode is "oriented" or "unoriented".  A catalog holds its classes, given
+    in (n, key) order, and the departure lists of those a reader asks for
+    (`departures`, for cycle popping); readers take any other geometry from
+    the class keys.  An unoriented catalog is always the counterpart of an
+    oriented one, so a domain is enumerated once.
     """
 
     def __init__(self, domain: Domain, L_max: int, mode: str,
@@ -171,7 +176,7 @@ class LoopCatalog:
         self.domain = domain
         self.L_max = L_max
         self.mode = mode
-        self.classes = tuple(sorted(classes, key=lambda c: (c.n, c.key)))
+        self.classes = tuple(classes)
         self.tail_bound = tail_bound_value
         self.unoriented_graph = unoriented_graph
         self.by_key = {c.key: c for c in self.classes}
@@ -213,26 +218,36 @@ class LoopCatalog:
         """The catalog of the other orientation mode on the same domain.
 
         Each unoriented class merges an oriented class with its reversal; a
-        self-reversed one doubles J and halves its mass.
+        self-reversed one doubles J and halves its mass.  One pass over the
+        oriented classes, which are in (n, key) order, skips every key seen
+        as an earlier class's reversal.  So the first of each pair is the
+        smaller, it is the unoriented key, and the merged classes come out
+        in (n, key) order too.
         """
         if self._counterpart is None:
             if self.mode != "oriented" or self.unoriented_graph is None:
                 raise GraphError("the unoriented catalog is derived from an "
                                  "oriented one with an UnorientedGraph")
-            inv = self.unoriented_graph.involution
-            merged = {}
+            iota = self.unoriented_graph.involution.mapping
+            reversals = set()
+            merged = []
             for cls in self.classes:
                 seq = cls.key
-                rev = minimal_rotation(inv.reverse_path(seq))
-                key = min(seq, rev)
-                if key not in merged:
-                    twice = seq == rev
-                    merged[key] = UnorientedLoopClass(
-                        key, cls.n, 2 * cls.J if twice else cls.J,
-                        cls.mass / 2 if twice else cls.mass,
-                        tuple(sorted({seq, rev})))
+                if seq in reversals:
+                    continue
+                rev = minimal_rotation([iota[e] for e in reversed(seq)])
+                if rev < seq:
+                    raise GraphError("the domain's edges are not closed "
+                                     "under reversal")
+                if seq == rev:
+                    merged.append(UnorientedLoopClass(
+                        seq, cls.n, 2 * cls.J, cls.mass / 2, (seq,)))
+                else:
+                    reversals.add(rev)
+                    merged.append(UnorientedLoopClass(
+                        seq, cls.n, cls.J, cls.mass, (seq, rev)))
             self._counterpart = LoopCatalog(
-                self.domain, self.L_max, "unoriented", merged.values(),
+                self.domain, self.L_max, "unoriented", merged,
                 self.tail_bound, unoriented_graph=self.unoriented_graph)
             self._counterpart._counterpart = self
         return self._counterpart
@@ -257,38 +272,71 @@ class LoopCatalog:
 
 
 def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
-    """Yield canonical (rotation-minimal) edge sequences of loops in the domain.
+    """The (key, J) pairs of the oriented classes in the domain, in (n, key)
+    order.
 
-    DFS from each start edge using only edge ids >= the start id, then keep
-    a closed sequence only if it is its own minimal rotation, so each class
-    comes out exactly once.
+    A depth-first search over paths whose edge-id sequence is a prenecklace,
+    carrying the period p of the prefix: the next edge id may not be below
+    the one p steps back; an equal id keeps p and a larger one makes the
+    whole prefix the period.  A step back to the first edge's tail closes a
+    key when p divides the length.  Out-edges are taken in id order, so the
+    keys of each length come out in lexicographic order.  The stack is
+    explicit, since a path can be L_max steps deep.
     """
-    out_edges = {v: domain.out_edges(v) for v in domain.vertices}
-    found = 0
+    out, into = {}, {v: {u: [] for u in domain.vertices} for v in domain.vertices}
+    for v in domain.vertices:
+        edges = sorted(domain.out_edges(v), key=lambda e: e.id)
+        out[v] = ([e.id for e in edges], [e.head for e in edges])
+        for e in edges:
+            into[e.head][v].append(e.id)
     if L_max < 1:
-        return
-    for start in sorted((e for v in domain.vertices for e in out_edges[v]),
-                        key=lambda e: e.id):
-        stack = [(start.head, (start.id,))]
-        while stack:
-            v, seq = stack.pop()
-            if v == start.tail:
-                if seq == minimal_rotation(seq):
-                    found += 1
-                    if found > budget:
-                        raise BudgetExceededError(f"class budget {budget} exceeded")
-                    yield seq
-            if len(seq) < L_max:
-                for e in out_edges[v]:
-                    if e.id >= start.id:
-                        stack.append((e.head, seq + (e.id,)))
+        return []
+    by_length = [[] for _ in range(L_max + 1)]
+    found = 0
+
+    def add(key, J):
+        nonlocal found
+        found += 1
+        if found > budget:
+            raise BudgetExceededError(f"class budget {budget} exceeded")
+        by_length[len(key)].append((key, J))
+
+    seq = []
+    starts = sorted((eid, v, head) for v in domain.vertices
+                    for eid, head in zip(*out[v]))
+    for first, root, head in starts:
+        if head == root:
+            add((first,), 1)
+        back = into[root]                  # u -> ids of the edges u -> root
+        stack = [(0, first, head, 1)] if L_max > 1 else []
+        while stack:                       # (depth, edge id, head, period)
+            t, eid, u, p = stack.pop()
+            del seq[t:]
+            seq.append(eid)
+            n = t + 1
+            ref = seq[n - p]
+            for nxt in back[u]:
+                if nxt > ref:
+                    add((*seq, nxt), 1)
+                elif nxt == ref and (n + 1) % p == 0:
+                    add((*seq, nxt), (n + 1) // p)
+            if n + 1 < L_max:
+                ids, heads = out[u]
+                for j in range(len(ids) - 1, bisect_left(ids, ref) - 1, -1):
+                    nxt = ids[j]
+                    stack.append((n, nxt, heads[j], p if nxt == ref else n + 1))
+    return [pair for pairs in by_length for pair in pairs]
 
 
 def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
                     unoriented: UnorientedGraph | None = None,
                     budget: int | None = None) -> LoopCatalog:
-    """Exhaustive catalog of loop classes with length <= L_max in the domain;
-    an unoriented catalog is the counterpart of the oriented one."""
+    """Exhaustive catalog of loop classes with length <= L_max in the domain.
+
+    The oriented keys are the necklaces that `_enumerate_oriented_keys`
+    finds, already in (n, key) order, each with J = n/p for its period p; an
+    unoriented catalog is the counterpart of the oriented one.
+    """
     if budget is None:
         budget = DEFAULT_CLASS_BUDGET
     if L_max < 0:
@@ -298,11 +346,14 @@ def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
     if mode == "unoriented" and unoriented is None:
         raise GraphError("unoriented enumeration needs an UnorientedGraph")
     g = domain.g
+    masses = {}                       # (n, J) -> g^{-n} / J; few distinct
     classes = []
-    for seq in _enumerate_oriented_keys(domain, L_max, budget):
+    for seq, J in _enumerate_oriented_keys(domain, L_max, budget):
         n = len(seq)
-        J = repetition_count(seq)
-        classes.append(LoopClass(seq, n, J, Fraction(1, g ** n * J)))
+        mass = masses.get((n, J))
+        if mass is None:
+            mass = masses[n, J] = Fraction(1, g ** n * J)
+        classes.append(LoopClass(seq, n, J, mass))
     try:
         tb = tail_bound(domain, L_max)
     except GraphError:

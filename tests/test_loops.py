@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -253,6 +254,49 @@ def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
     # equality compares key, n, J~, mass and oriented_keys
     assert {c.key: c for c in ucat.classes} == expected
     assert 2 * ucat.total_mass == cat.total_mass
+
+
+def _brute_force_classes(dom, L):
+    """(n, key, J, mass) of every oriented class up to length L: each closed
+    walk of in-domain edges kept when it is its own smallest rotation, with J
+    from trying every period, sorted by (n, key)."""
+    out = {v: dom.out_edges(v) for v in dom.vertices}
+    walks = [((e.id,), e.tail, e.head) for v in dom.vertices for e in out[v]]
+    found = []
+    for n in range(1, L + 1):
+        for seq, start, end in walks:
+            if end == start and seq == _rotations_minimum(seq):
+                period = min(p for p in range(1, n + 1)
+                             if seq == seq[:p] * (n // p))
+                J = n // period
+                found.append((n, seq, J, Fraction(1, dom.g ** n * J)))
+        walks = [(seq + (e.id,), start, e.head)
+                 for seq, start, end in walks for e in out[end]]
+    return sorted(found)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_small_domains(), st.integers(0, 7))
+def test_enumeration_matches_brute_force(dom_ug, L):
+    dom, _ = dom_ug
+    cat = enumerate_loops(dom, L)
+    assert ([(c.n, c.key, c.J, c.mass) for c in cat.classes]
+            == _brute_force_classes(dom, L))
+    k = len(cat)
+    if k:
+        with pytest.raises(BudgetExceededError):
+            enumerate_loops(dom, L, budget=k - 1)
+    assert len(enumerate_loops(dom, L, budget=k)) == k
+
+
+def test_deep_enumeration():
+    # one self-edge in the domain: one class (0,)*n per length, J = n; the
+    # search must not recurse once per step
+    g = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 0)])
+    L = sys.getrecursionlimit() + 100
+    cat = enumerate_loops(Domain(g, [0]), L)
+    assert [(c.key, c.n, c.J, c.mass) for c in cat.classes] == [
+        ((0,) * n, n, n, Fraction(1, 2 ** n * n)) for n in range(1, L + 1)]
 
 
 def test_counterpart_needs_unoriented_view(triangle_domain):
