@@ -48,6 +48,8 @@ def _parse_intensity(value: str) -> float:
 
 def _parse_jobs(value: str) -> tuple[str, ...]:
     jobs = tuple(value.replace(",", " ").split())
+    if not jobs:
+        raise ValueError("expected at least one job")
     for j in jobs:
         if j not in JOBS:
             raise ValueError(f"unknown job {j!r} (valid: {', '.join(JOBS)})")

@@ -423,6 +423,15 @@ def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
     assert not (out / "report.json").exists()
 
 
+def test_empty_jobs_exits_2(tmp_path, capsys):
+    # a config that runs no job would write an empty report and pass
+    golden = os.path.join(os.path.dirname(__file__), "data", "golden_exact.cfg")
+    out = tmp_path / "out"
+    assert main(["run", golden, "--set", "jobs=", "--out", str(out)]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("path", sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "data", "*.cfg"))
     + glob.glob(os.path.join(os.path.dirname(__file__), "..", "perfbench",
