@@ -236,7 +236,7 @@ class LoopCatalog:
                 if seq in reversals:
                     continue
                 rev = minimal_rotation([iota[e] for e in reversed(seq)])
-                if rev < seq:
+                if rev not in self.by_key:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")
                 if seq == rev:
@@ -283,14 +283,15 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
     keys of each length come out in lexicographic order.  The stack is
     explicit, since a path can be L_max steps deep.
     """
-    out, into = {}, {v: {u: [] for u in domain.vertices} for v in domain.vertices}
+    if L_max < 1:
+        return []
+    out = {}
+    into = {v: {u: [] for u in domain.vertices} for v in domain.vertices}
     for v in domain.vertices:
         edges = sorted(domain.out_edges(v), key=lambda e: e.id)
         out[v] = ([e.id for e in edges], [e.head for e in edges])
         for e in edges:
             into[e.head][v].append(e.id)
-    if L_max < 1:
-        return []
     by_length = [[] for _ in range(L_max + 1)]
     found = 0
 

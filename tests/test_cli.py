@@ -403,7 +403,7 @@ def test_verify_lejan_one_site(tmp_path):
     ("flag", "mode", "exakt"), ("set", "l_max", "abc"),
     ("set", "samples", "1e5"), ("set", "alpha", "1/0"),
     ("set", "removed_edges", "1"), ("set", "domain", "1 x"),
-    ("set", "g", "two")])
+    ("set", "g", "two"), ("set", "jobs", "")])
 def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
     # an unknown key or a malformed value is refused before any job runs
     out = tmp_path / "bad"
@@ -420,15 +420,6 @@ def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
-    assert not (out / "report.json").exists()
-
-
-def test_empty_jobs_exits_2(tmp_path, capsys):
-    # a config that runs no job would write an empty report and pass
-    golden = os.path.join(os.path.dirname(__file__), "data", "golden_exact.cfg")
-    out = tmp_path / "out"
-    assert main(["run", golden, "--set", "jobs=", "--out", str(out)]) == 2
-    assert "jobs" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

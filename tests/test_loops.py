@@ -304,6 +304,16 @@ def test_counterpart_needs_unoriented_view(triangle_domain):
         enumerate_loops(triangle_domain, 4).counterpart()
 
 
+def test_counterpart_needs_reversal_closed_domain():
+    # removing 0->1 but not 1->0 leaves the loop 1->0->2->1 without its reversal
+    g = complete_graph(4)
+    ug = unoriented_view(g, pair_reversals(g))
+    removed = [e.id for e in g.edges if (e.tail, e.head) == (0, 1)]
+    dom = Domain(g, [0, 1, 2], removed_edges=removed)
+    with pytest.raises(GraphError):
+        enumerate_loops(dom, 3, unoriented=ug).counterpart()
+
+
 def test_workspace_enumerates_domain_once(tmp_path, monkeypatch):
     calls = []
     enumerate_keys = loops._enumerate_oriented_keys
