@@ -50,7 +50,7 @@ for _ in range(10000):
 eta = feasible_etas(cat, {1}, {2}, 2)[1]
 dist = exact_conditional_beta(cat, {1}, {2}, eta)
 print(f"conditional hookup law given a 2-excursion conditioning: "
-      f"{len(dist.support)} outcomes, total mass {float(dist.total()):.6f}")
+      f"{len(dist)} outcomes, total mass {float(sum(dist.values())):.6f}")
 
 # And the packaged verification: the conditional law is equal, as Fractions,
 # to the truncated-soup law (the bridge measure restricted to hookups whose

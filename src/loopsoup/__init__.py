@@ -26,7 +26,7 @@ from .bridges import (Bridge, UnorderedBridgeFamily, ZBridgeFamily,
 from .excursions import (CrossingSet, EdgeJumpRecord, ExcursionDecomposition,
                          ct_excursions, decompose, extract_crossings,
                          record_edge_jumps, reassemble)
-from .exact import DiscreteDistribution, occupation_law, tv_distance
+from .exact import occupation_law, tv_distance
 from .gff import sample_gff
 from .wilson import pop_cycles, wilson_ust
 from .verify import (TestReport, exact_conditional_beta, verify_ct_excursions,

@@ -69,7 +69,7 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
     ug = ws.unoriented
     classes = ug.classes_inside(ws.domain)
     fs = FieldSampler(cat, classes, sites)
-    jumps, visits, times = fs.sample(cfg.alpha, cfg.samples, rng)
+    jumps, visits, times = fs.sample(float(cfg.alpha), cfg.samples, rng)
     rows = []
     for j, k in enumerate(classes):
         vals, counts = _hist_int(jumps[:, j])
@@ -115,16 +115,11 @@ def _job_enumerate(ws: Workspace, seed: int, outdir: str):
     return [os.path.basename(f1), os.path.basename(f2)]
 
 
-def _q(x) -> Fraction:
-    """A config intensity as the rational the exact oracles take."""
-    return Fraction(x).limit_denominator(64)
-
-
 def _job_crossings(ws: Workspace, cfg, seed: int, mode: str):
     sets = [set(cfg.f1), set(cfg.f2)] + ([set(cfg.f3)] if cfg.f3 else [])
     return [V.verify_prop1bis_3bis(
         ws.catalog(mode), sets, mode=cfg.mode,
-        intensity=_q(cfg.alpha if mode == "oriented" else cfg.c),
+        intensity=cfg.alpha if mode == "oriented" else cfg.c,
         samples=cfg.samples, seed=seed,
         max_targets=6 if cfg.mode == "exact" else None)]
 
@@ -140,15 +135,14 @@ def _markov_partitions(ws: Workspace):
 def _job_occupation_markov(ws: Workspace, cfg, seed: int):
     part_u, part_o = _markov_partitions(ws)
     reports = [
-        V.verify_occupation_markov(ws.domain, set(cfg.f1), part_u,
-                                   intensity_kind="c", intensity=_q(cfg.c)),
-        V.verify_occupation_markov(ws.domain, set(cfg.f1), part_o,
-                                   intensity_kind="alpha",
+        V.verify_occupation_markov(ws.domain, part_u, intensity_kind="c",
+                                   intensity=cfg.c),
+        V.verify_occupation_markov(ws.domain, part_o, intensity_kind="alpha",
                                    intensity=Fraction(1), cap=8)]
     if part_u[2]:
         reports.append(V.verify_occupation_markov(
-            ws.domain, set(cfg.f1), part_u, intensity_kind="c",
-            intensity=_q(cfg.c), tilt_edge_group=part_u[2][0]))
+            ws.domain, part_u, intensity_kind="c", intensity=cfg.c,
+            tilt_edge_group=part_u[2][0]))
     return reports
 
 
@@ -158,26 +152,26 @@ def _job_occupation_markov(ws: Workspace, cfg, seed: int):
 _VERIFY_JOBS = {
     "prop1": lambda ws, cfg, seed: [V.verify_prop1(
         ws.catalog("oriented"), set(cfg.f1), set(cfg.f2), mode=cfg.mode,
-        intensity=_q(cfg.alpha), samples=cfg.samples, seed=seed)],
+        intensity=cfg.alpha, samples=cfg.samples, seed=seed)],
     "prop2": lambda ws, cfg, seed: [V.verify_prop2(
         ws.catalog("unoriented"), set(cfg.f1), set(cfg.f2), mode=cfg.mode,
-        intensity=_q(cfg.c), samples=cfg.samples, seed=seed)],
+        intensity=cfg.c, samples=cfg.samples, seed=seed)],
     "prop1bis": lambda ws, cfg, seed: _job_crossings(ws, cfg, seed, "oriented"),
     "prop3bis": lambda ws, cfg, seed: _job_crossings(ws, cfg, seed,
                                                      "unoriented"),
     "prop5": lambda ws, cfg, seed: [V.verify_prop5(
         ws.catalog("unoriented"), ws.removed_classes(), mode=cfg.mode,
-        intensity=_q(cfg.c), samples=cfg.samples, seed=seed)],
+        intensity=cfg.c, samples=cfg.samples, seed=seed)],
     "occupation-markov": _job_occupation_markov,
     "lejan": lambda ws, cfg, seed: [V.verify_lejan(
         ws.catalog("oriented"), samples=cfg.samples, seed=seed,
-        intensity=cfg.alpha)],
+        intensity=float(cfg.alpha))],
     "ct-excursions": lambda ws, cfg, seed: [V.verify_ct_excursions(
         ws.catalog("unoriented"), cfg.sites or list(ws.domain.vertices)[:2],
-        samples=cfg.samples, seed=seed, intensity=cfg.c)],
+        samples=cfg.samples, seed=seed, intensity=float(cfg.c))],
     "random-currents": lambda ws, cfg, seed: [V.verify_random_currents(
         ws.catalog("unoriented"), samples=cfg.samples, seed=seed,
-        intensity=cfg.c, oriented_catalog=ws.catalog("oriented"))],
+        intensity=float(cfg.c), oriented_catalog=ws.catalog("oriented"))],
     "wilson": lambda ws, cfg, seed: [V.verify_wilson(
         ws.graph, cfg.root, ws.catalog("oriented"), runs=cfg.samples,
         seed=seed)],

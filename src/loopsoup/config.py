@@ -42,8 +42,8 @@ def _parse_optional_int(value: str) -> int | None:
     return int(value) if value.strip() else None
 
 
-def _parse_intensity(value: str) -> float:
-    return float(Fraction(value))
+def _parse_intensity(value: str) -> Fraction:
+    return Fraction(value)
 
 
 def _parse_jobs(value: str) -> tuple[str, ...]:
@@ -85,14 +85,15 @@ class ExperimentConfig:
     removed: tuple[tuple[int, int], ...] = _key(_parse_pairs, "",
                                                 "removed_edges")
     root: int | None = _key(_parse_optional_int, "")
-    alpha: float = _key(_parse_intensity, "1")
-    c: float = _key(_parse_intensity, "1")
+    alpha: Fraction = _key(_parse_intensity, "1")
+    c: Fraction = _key(_parse_intensity, "1")
     l_max: int = _key(int, "8")
     samples: int = _key(int, "100000")
     mode: str = _key(_parse_mode, "exact")
 
     def resolved(self) -> dict:
-        return asdict(self)
+        """The keys as report.json records them, intensities as floats."""
+        return {**asdict(self), "alpha": float(self.alpha), "c": float(self.c)}
 
 
 # config file key -> its ExperimentConfig field

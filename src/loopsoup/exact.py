@@ -52,24 +52,6 @@ class OracleError(GraphError):
     pass
 
 
-@dataclass
-class DiscreteDistribution:
-    """Finite distribution over canonical configuration keys.
-
-    Probabilities are exact rationals (or floats in float mode).  The law is
-    that of the truncated soup, so no mass lies outside the support.
-    """
-
-    support: tuple
-    probabilities: tuple
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.support, self.probabilities))
-
-    def total(self):
-        return sum(self.probabilities)
-
-
 def tv_distance(p: dict, q: dict, q_missing_mass: float = 0.0) -> float:
     """Total variation distance; q may be sub-normalized by q_missing_mass."""
     keys = set(p) | set(q)

@@ -19,9 +19,11 @@ the next piece on its loop.  The cuts differ only in where they cut:
 Continuous-time excursions cut loops at a marked site set: every arc between
 consecutive site visits is an excursion skeleton there.
 
-Reassembly is the inverse operation.  `hookup_loops` is the one walk that
-closes pieces (excursions or jumps) and bridges into loops along a hookup;
-reassembly canonicalizes those loops, and the exact oracles read their lengths.
+Reassembly is the inverse operation.  `_hookup_walk` is the one walk along a
+hookup, into cycles of pieces (excursions or jumps) and bridges: on it,
+`hookup_loops` closes them into loops for reassembly to canonicalize,
+`hookup_loop_lengths` measures them for the exact oracles, and
+`hookup_cycle_key` keys them.
 
 Hookup keys: relabeling occurrences of identical excursions (or identical
 jumps, or the two ends of a palindromic unoriented piece) is unobservable in
@@ -376,53 +378,68 @@ def _slot_joins(hookup):
     return list(zip(hookup.pairing, hookup.bridges))
 
 
-def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
-    """The closed loops a hookup makes of pieces and bridges, as edge sequences.
-
-    Piece j owns endpoint slots 2j (its start) and 2j+1 (its end).  An
-    oriented hookup joins the end of piece j to the start of piece sigma[j]
-    through bridge j; an unoriented one pairs slots, and the walk traverses
-    each piece and bridge in the direction it enters them.  Raises
-    DecompositionError at any junction whose endpoints do not match.
+def _hookup_walk(joins, n):
+    """The cycles of a hookup of n pieces, each a list of (entry slot, arc
+    after the piece) steps.  Piece j owns slots 2j and 2j+1, and the joins
+    ((a, b), arc) pair every slot once (unchecked); a step leaves its piece
+    by the other slot and follows that slot's arc to the next entry slot.
     """
+    partner = {}
+    for (a, b), arc in joins:
+        partner[a], partner[b] = (b, arc), (a, arc)
+    cycles, done = [], set()
+    for first in range(n):
+        if first in done:
+            continue
+        steps, slot = [], 2 * first
+        while not steps or slot != 2 * first:
+            done.add(slot >> 1)
+            nxt, arc = partner[slot ^ 1]
+            steps.append((slot, arc))
+            slot = nxt
+        cycles.append(steps)
+    return cycles
+
+
+def hookup_loop_lengths(pieces, hookup) -> list[int]:
+    """The lengths of the loops a hookup closes, pieces plus arcs, read off
+    the walk without building a loop or checking a junction."""
+    return [sum(len(pieces[s >> 1]) + len(arc) for s, arc in steps)
+            for steps in _hookup_walk(_slot_joins(hookup), len(pieces))]
+
+
+def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
+    """The closed loops a hookup makes of pieces and bridges, as edge
+    sequences: its walk, traversing each piece (slot 2j its start, 2j+1 its
+    end) and bridge in the direction it enters them.  Raises
+    DecompositionError at a slot joined twice or never, or where a loop
+    breaks at a junction."""
     if isinstance(hookup, OrientedHookup):
         involution = None           # nothing is traversed backwards
     elif involution is None:
         raise DecompositionError("an unoriented hookup needs an involution")
-    partner, bridge_of = {}, {}
-    for (a, b), br in _slot_joins(hookup):
-        if a in partner or b in partner:
-            raise DecompositionError("slot paired twice")
-        partner[a], partner[b] = b, a
-        bridge_of[a] = bridge_of[b] = br
-    if set(partner) != set(range(2 * len(pieces))):
+    joins = _slot_joins(hookup)
+    slots = [s for pair, _ in joins for s in pair]
+    if len(set(slots)) < len(slots):
+        raise DecompositionError("slot paired twice")
+    if set(slots) != set(range(2 * len(pieces))):
         raise DecompositionError("pairing must cover all slots")
     edge = graph.edge_by_id
-    ends = [v for p in pieces for v in (edge[p[0]].tail, edge[p[-1]].head)]
-    loops, visited = [], set()
-    for start in range(2 * len(pieces)):
-        if start in visited:
-            continue
+    loops = []
+    for steps in _hookup_walk(joins, len(pieces)):
         seq: tuple[int, ...] = ()
-        slot = start
-        while True:
-            # the piece owning `slot`, from `slot` to its mate, then the
-            # bridge from the mate to its partner
-            j, side = divmod(slot, 2)
-            mate = slot ^ 1
-            visited.update((slot, mate))
-            seq += pieces[j] if side == 0 else involution.reverse_path(pieces[j])
-            slot, br = partner[mate], bridge_of[mate]
-            at = (ends[mate], ends[slot])
-            ab = (edge[br[0]].tail, edge[br[-1]].head) if br else at[:1] * 2
-            if ab == at:
-                seq += br
-            elif involution is not None and ab[::-1] == at:
-                seq += involution.reverse_path(br)
-            else:
-                raise DecompositionError("bridge endpoints do not match the hookup")
-            if slot == start:
-                break
+        for slot, br in steps:
+            piece = pieces[slot >> 1]
+            seq += involution.reverse_path(piece) if slot & 1 else piece
+            # an unoriented bridge runs on from where the piece stopped
+            backwards = br and edge[br[0]].tail != edge[seq[-1]].head
+            if backwards and involution is not None:
+                br = involution.reverse_path(br)
+            seq += br
+        try:
+            loop_vertices(graph, seq)
+        except InvalidLoopError as exc:
+            raise DecompositionError(f"a junction does not match: {exc}") from exc
         loops.append(seq)
     return loops
 
@@ -430,26 +447,14 @@ def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]
 def reassemble(eta, beta, graph, involution=None):
     """Reassemble pieces eta and hookup beta into the sorted loop-class keys
     they encode."""
+    # hookup_loops checks that every loop closes, so none is refused below
     loops = hookup_loops(graph, eta, beta, involution)
-    try:
-        if isinstance(beta, OrientedHookup):
-            keys = [canonicalize_oriented(graph, seq).key for seq in loops]
-        else:
-            keys = [canonicalize_unoriented(graph, seq, involution).key
-                    for seq in loops]
-    except InvalidLoopError as exc:
-        raise DecompositionError(f"hookup endpoints do not match: {exc}") from exc
+    if isinstance(beta, OrientedHookup):
+        keys = [canonicalize_oriented(graph, seq).key for seq in loops]
+    else:
+        keys = [canonicalize_unoriented(graph, seq, involution).key
+                for seq in loops]
     return tuple(sorted(keys))
-
-
-def reassemble_oriented(graph, eta, hookup: OrientedHookup):
-    """Concatenate excursions and bridges into loops; returns sorted class keys."""
-    return reassemble(eta, hookup, graph)
-
-
-def reassemble_unoriented(graph, involution, eta, hookup: UnorientedHookup):
-    """Glue unoriented excursions along the pairing; returns sorted class keys."""
-    return reassemble(eta, hookup, graph, involution)
 
 
 # -- continuous-time excursions ---------------------------------------------------
@@ -500,9 +505,8 @@ def ct_excursions(ct_soup, sites):
 def hookup_cycle_key(tokens, joins, oriented, flippable=()):
     """(sorted canonical cycles, number of relabelings fixing the hookup).
 
-    Piece j carries tokens[j] and owns slots 2j and 2j+1; the joins
-    ((a, b), arc) pair every slot once, and split the hookup into cycles of
-    (token, direction, arc after the piece) items: direction +1 for a piece
+    The walk of the joins splits the hookup into cycles of (tokens[j],
+    direction, arc after the piece) items: direction +1 for a piece j
     entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
     cycle is keyed by its minimal rotation, or when unoriented by the
     smaller of that and the minimal rotation of its reversal (each piece
@@ -512,22 +516,10 @@ def hookup_cycle_key(tokens, joins, oriented, flippable=()):
     cycles, m the multiplicity and J the rotations fixing the cycle,
     doubled when it equals its reversal.
     """
-    partner = {}
-    for (a, b), arc in joins:
-        partner[a], partner[b] = (b, arc), (a, arc)
-    cycles, done = [], set()
-    for first in range(len(tokens)):
-        if first in done:
-            continue
-        items, slot = [], 2 * first
-        while True:
-            j = slot >> 1
-            done.add(j)
-            d = 0 if j in flippable else 1 - 2 * (slot & 1)
-            slot, arc = partner[slot ^ 1]
-            items.append((tokens[j], d, arc))
-            if slot == 2 * first:
-                break
+    cycles = []
+    for steps in _hookup_walk(joins, len(tokens)):
+        items = [(tokens[s >> 1], 0 if s >> 1 in flippable else 1 - 2 * (s & 1),
+                  arc) for s, arc in steps]
         fwd = minimal_rotation(items)
         J = repetition_count(fwd)
         if not oriented:
@@ -535,9 +527,11 @@ def hookup_cycle_key(tokens, joins, oriented, flippable=()):
                                      in reversed(list(enumerate(items)))])
             fwd, J = min(fwd, back), 2 * J if fwd == back else J
         cycles.append((fwd, J))
-    fixing = math.prod(math.factorial(m) * J ** m
-                       for (_, J), m in Counter(cycles).items())
-    return tuple(sorted(c for c, _ in cycles)), fixing
+    # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
+    cycles.sort()
+    fixing = math.prod(J * cycles[:i + 1].count((c, J))
+                       for i, (c, J) in enumerate(cycles))
+    return tuple(c for c, _ in cycles), fixing
 
 
 def matching_key(labels, joins, oriented):
@@ -553,11 +547,6 @@ def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
     """Key of (sigma, bridges) under relabeling slots with equal entries of
     eta (identical excursions, or equal (X_j, Y_j) pairs)."""
     return hookup_cycle_key(eta, _slot_joins(hookup), True)[0]
-
-
-def xy_orbit_key(X, Y, hookup: OrientedHookup):
-    """Key of (sigma, bridges) under slot relabelings preserving (X_j, Y_j)."""
-    return oriented_hookup_orbit_key(tuple(zip(X, Y)), hookup)
 
 
 def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,

@@ -59,12 +59,6 @@ class LoopSoup:
     def n_loops(self) -> int:
         return sum(self.counts.values())
 
-    def loops(self):
-        for key, cnt in sorted(self.counts.items()):
-            cls = self.catalog.by_key[key]
-            for _ in range(cnt):
-                yield cls
-
     def total_steps(self) -> int:
         return sum(self.catalog.by_key[k].n * c for k, c in self.counts.items())
 

@@ -47,12 +47,11 @@ import numpy as np
 from scipy import stats as sps
 
 from . import stats
-from .exact import (DiscreteDistribution, OracleError, conditional_multiset_law,
-                    occupation_law, side_orbit_key, side_pair_orbit,
-                    tv_distance, unordered_bridge_law, validate_eta,
-                    z_bridge_law)
+from .exact import (OracleError, conditional_multiset_law, occupation_law,
+                    side_orbit_key, side_pair_orbit, tv_distance,
+                    unordered_bridge_law, validate_eta, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
-                         extract_crossings_counts, hookup_loops,
+                         extract_crossings_counts, hookup_loop_lengths,
                          loop_skeletons, oriented_hookup_orbit_key,
                          path_endpoints, record_edge_jumps_counts,
                          unoriented_hookup_orbit_key)
@@ -195,18 +194,16 @@ class Cut:
         """(truncated-soup law of the hookup keys of bin b, infeasible mass).
 
         The law is the bridge measure restricted to the configurations whose
-        loops, as the hookup walker closes them, all fit in L_max, then
+        loops, as the hookup walk measures them, all fit in L_max, then
         renormalized: the exact conditional law of the truncated soup.  The
         infeasible mass is the bridge mass left out, bridges too long to
         enumerate included (no loop holding one fits).
         """
         pieces, configs, flippable = self.bridge_configs(b)
-        graph = self.catalog.domain.graph
         law: dict = {}
         for (s, paths), pr in configs.items():
             hook = (OrientedHookup if self.oriented else UnorientedHookup)(s, paths)
-            loops = hookup_loops(graph, pieces, hook, self.inv)
-            if max(map(len, loops)) > self.catalog.L_max:
+            if max(hookup_loop_lengths(pieces, hook)) > self.catalog.L_max:
                 continue
             if self.oriented:
                 key = oriented_hookup_orbit_key(pieces, hook)
@@ -501,12 +498,13 @@ def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
 
 
 def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
-                           intensity: Fraction = Fraction(1)) -> DiscreteDistribution:
+                           intensity: Fraction = Fraction(1)) -> dict:
     """Conditional law of the hookup given the excursions, from first principles.
 
     Enumerates every truncated-soup multiset whose decomposition equals eta,
     weighted by its exact Poisson probability, and marginalizes onto the
-    hookup (canonical up to relabeling identical excursions).
+    hookup (canonical up to relabeling identical excursions).  Returns
+    {hookup key: Fraction} in sorted-key order.
     """
     eta = tuple(sorted(tuple(p) for p in eta))
     validate_eta(catalog, eta, F1, F2)
@@ -514,9 +512,7 @@ def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
                                 Counter(eta))
     if b != eta:
         raise OracleError("internal: decomposition mismatch")
-    support = sorted(dist)
-    return DiscreteDistribution(tuple(support),
-                                tuple(dist[k] for k in support))
+    return {k: dist[k] for k in sorted(dist)}
 
 
 def feasible_etas(catalog: LoopCatalog, F1, F2, max_excursions: int):
@@ -753,21 +749,22 @@ def check_markov_partition(edge_partition) -> None:
                           "variable, so there is nothing to test")
 
 
-def verify_occupation_markov(domain: Domain, F1, edge_partition,
+def verify_occupation_markov(domain: Domain, edge_partition,
                              intensity_kind: str = "c",
                              intensity=Fraction(1), cap: int = 12,
                              tilt_edge_group: int | None = None,
                              tilt: Fraction = Fraction(1, 2),
                              allow_marginal: bool = False,
                              expect_fail: bool = False) -> TestReport:
-    """Edge-occupation fields inside and outside F1 are conditionally
-    independent given the boundary jump counts, computed exactly from the
-    jump-count generating function.
+    """Edge-occupation fields inside and outside a vertex set are
+    conditionally independent given the boundary jump counts, computed
+    exactly from the jump-count generating function.
 
     edge_partition = (groups, idx_in, idx_bd, idx_out): variable groups and
-    the index split into inside/boundary/outside variables.  Site occupation
-    times are measurable over visit counts, which the edge fields determine,
-    so edge-level independence carries the site fields along.
+    the index split into inside/boundary/outside variables, which is all the
+    check reads of the vertex set.  Site occupation times are measurable
+    over visit counts, which the edge fields determine, so edge-level
+    independence carries the site fields along.
     """
     check_markov_partition(edge_partition)
     groups, idx_in, idx_bd, idx_out = edge_partition

@@ -156,13 +156,13 @@ def test_criterion_5_occupation_markov():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep_u = verify_occupation_markov(ws.domain, {1, 2}, part,
+    rep_u = verify_occupation_markov(ws.domain, part,
                                      intensity_kind="c", cap=12)
     part_o = markov_edge_partition(ws, oriented=True)
-    rep_o = verify_occupation_markov(ws.domain, {1, 2}, part_o,
+    rep_o = verify_occupation_markov(ws.domain, part_o,
                                      intensity_kind="alpha",
                                      intensity=Fraction(1), cap=9)
-    tilt = verify_occupation_markov(ws.domain, {1, 2}, part,
+    tilt = verify_occupation_markov(ws.domain, part,
                                     intensity_kind="c", cap=12,
                                     tilt_edge_group=part[2][0],
                                     tilt=Fraction(1, 2))

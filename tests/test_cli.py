@@ -330,6 +330,19 @@ def test_nonpositive_intensity_exits_2(tmp_path, capsys, flag, value):
     assert not (out / "report.json").exists()
 
 
+def test_exact_check_takes_the_intensity_as_written(tmp_path):
+    # alpha = 1/100 is checked at 1/100, not at a rational near 0.01; the
+    # check fails away from alpha = 1, and the config records the float
+    out = tmp_path / "q"
+    rc = main(["verify", "prop1", "--graph", "complete:5", "--domain", "1 2 3",
+               "--f1", "1", "--f2", "2", "--l-max", "6", "--seed", "0",
+               "--alpha", "1/100", "--out", str(out)])
+    bundle = json.loads((out / "report.json").read_text())
+    assert rc == 1
+    assert bundle["reports"][0]["details"]["intensity"] == "1/100"
+    assert bundle["config"]["alpha"] == 0.01
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     rc = main(["run", missing, "--out", str(tmp_path / "none")])

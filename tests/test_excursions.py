@@ -14,9 +14,7 @@ from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  EdgeJumpRecord, ExcursionDecomposition,
                                  OrientedHookup, UnorientedHookup,
                                  _path_vertices, decompose_counts, extract_crossings_counts,
-                                 path_endpoints, reassemble_oriented,
-                                 reassemble_unoriented,
-                                 record_edge_jumps_counts)
+                                 path_endpoints, record_edge_jumps_counts)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import LoopSoup
@@ -85,7 +83,7 @@ def test_hand_built_two_loop_decomposition():
     # B visits F2 at 5 and F1 at 3 -> one whole-loop excursion
     assert d.M == 2 and d.N == 2
     assert sorted(d.X) == [1, 5] and sorted(d.Y) == [1, 5]
-    back = reassemble_oriented(g, d.eta, d.beta_truth)
+    back = reassemble(d.eta, d.beta_truth, g)
     assert back == d.touching_multiset == tuple(sorted([A.key, B.key]))
 
 
@@ -99,8 +97,8 @@ def test_reassemble_identity_vs_swap(k5, triangle_catalogs):
     eta = (exc, exc)
     ident = OrientedHookup((0, 1), ((), ()))
     swapped = OrientedHookup((1, 0), ((), ()))
-    loops_id = reassemble_oriented(g, eta, ident)
-    loops_sw = reassemble_oriented(g, eta, swapped)
+    loops_id = reassemble(eta, ident, g)
+    loops_sw = reassemble(eta, swapped, g)
     assert len(loops_id) == 2 and len(loops_sw) == 1
     assert sum(len(k) for k in loops_id) == sum(len(k) for k in loops_sw) == 4
 
@@ -115,11 +113,11 @@ def test_reassemble_round_trip_random(k5, triangle_catalogs):
         d = decompose(soup, {1}, {2})
         if d.N:
             hits += 1
-            assert reassemble_oriented(g, d.eta, d.beta_truth) == d.touching_multiset
+            assert reassemble(d.eta, d.beta_truth, g) == d.touching_multiset
         u = sample_unoriented_soup(ucat, 1.0, rng)
         du = decompose(u, {1}, {2})
         if du.N:
-            assert reassemble_unoriented(g, inv, du.eta, du.beta_truth) == \
+            assert reassemble(du.eta, du.beta_truth, g, inv) == \
                    du.touching_multiset
     assert hits > 50
 
@@ -129,7 +127,7 @@ def test_reassemble_endpoint_mismatch(k5):
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     e21 = inv(e12)
     with pytest.raises(DecompositionError):
-        reassemble_oriented(g, ((e21, e12),), OrientedHookup((0,), ((e12,),)))
+        reassemble(((e21, e12),), OrientedHookup((0,), ((e12,),)), g)
 
 
 def test_decompose_deterministic(triangle_catalogs):

@@ -19,8 +19,7 @@ from loopsoup.excursions import (DecompositionError, OrientedHookup,
                                  extract_crossings_counts, hookup_cycle_key,
                                  matching_key, oriented_hookup_orbit_key,
                                  path_endpoints, record_edge_jumps_counts,
-                                 unoriented_hookup_orbit_key, xy_orbit_key,
-                                 z_orbit_key)
+                                 unoriented_hookup_orbit_key, z_orbit_key)
 from loopsoup.verify import CrossingCut, EdgeCut, ExcursionCut
 
 # -- reference keys: every relabeling, the smallest image ------------------------
@@ -156,7 +155,8 @@ def _hookup_keys(cut, pieces, hook, flippable=()):
         X, Y = [b for _, b in ends], [a for a, _ in ends]
         return [("hookup", oriented_hookup_orbit_key(pieces, hook),
                  _ref_oriented_hookup_orbit_key(pieces, hook)),
-                ("xy", xy_orbit_key(X, Y, hook), _ref_xy_orbit_key(X, Y, hook))]
+                ("xy", oriented_hookup_orbit_key(tuple(zip(X, Y)), hook),
+                 _ref_xy_orbit_key(X, Y, hook))]
     Z = tuple(v for e in ends for v in e)
     return [("hookup",
              unoriented_hookup_orbit_key(pieces, hook, flippable, cut.inv),

@@ -20,8 +20,8 @@ from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import side_orbit_key
 from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
-                                 extract_crossings_counts, hookup_loops,
-                                 reassemble)
+                                 extract_crossings_counts, hookup_loop_lengths,
+                                 hookup_loops, reassemble)
 from loopsoup.rng import stream
 from loopsoup.verify import (MC_TV_TOL, CrossingCut, EdgeCut, ExcursionCut,
                              _conditional_keys, _mc_driver, _verdict,
@@ -48,9 +48,10 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
     cut = ExcursionCut(cat, {1}, {2})
     for eta in feasible_etas(cat, {1}, {2}, 1)[:4]:
         dist = exact_conditional_beta(cat, {1}, {2}, eta)
-        assert dist.total() == 1
+        assert sum(dist.values()) == 1
+        assert list(dist) == sorted(dist)
         law, infeasible = cut.oracle(eta)
-        assert dist.as_dict() == law
+        assert dist == law
         assert 0 < infeasible < 1
     with pytest.raises(Exception):
         exact_conditional_beta(cat, {1}, {2}, [(99999,)])
@@ -67,7 +68,8 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
     hookup law, pushed to endpoint-preserving orbits."""
     from collections import Counter, defaultdict
     from loopsoup.exact import conditional_multiset_law
-    from loopsoup.excursions import decompose_counts, xy_orbit_key
+    from loopsoup.excursions import (decompose_counts,
+                                     oriented_hookup_orbit_key)
     from loopsoup.verify import ExcursionCut
     cat = ws_k12.catalog("oriented")
     cut = ExcursionCut(cat, {1}, {2})
@@ -81,7 +83,8 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
         for ms, wt in w.items():
             d = decompose_counts(cat, dict(ms), {1}, {2})
             XY = (d.X, d.Y)
-            key = xy_orbit_key(d.X, d.Y, d.beta_truth)
+            key = oriented_hookup_orbit_key(tuple(zip(d.X, d.Y)),
+                                            d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
         _, infeasible = cut.oracle(eta)
         by_xy[XY].append((dist, float(infeasible)))
@@ -342,7 +345,8 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
     when one of the classes it reassembles into is missing from the
     catalog: the mass the truncated-soup law leaves out.  The loops use every
     edge of the pieces and bridges once (up to reversal when unoriented),
-    which reassembly over the same walker could not notice."""
+    which reassembly over the same walk could not notice, and have the
+    lengths the oracles read off the walk, which checks no junction."""
     cut = data.draw(st.sampled_from(_oracle_cuts(k5, triangle_catalogs)))
     edge = (lambda e: e) if cut.oriented else k5[2].edge_class
     single = [c.key for c in cut.catalog.classes
@@ -357,6 +361,7 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
     for s, paths in configs:
         hook = hookup(s, paths)
         loops = hookup_loops(graph, pieces, hook, cut.inv)
+        assert hookup_loop_lengths(pieces, hook) == list(map(len, loops))
         assert Counter(map(edge, (e for lp in loops for e in lp))) == \
                Counter(map(edge, (e for p in pieces + paths for e in p)))
         longest = max(map(len, loops))
@@ -413,15 +418,15 @@ def test_occupation_markov_exact_and_tilt():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep = verify_occupation_markov(ws.domain, {1, 2}, part,
+    rep = verify_occupation_markov(ws.domain, part,
                                    intensity_kind="c", cap=12)
     assert rep.passed and rep.details["minors_violated"] == 0
-    tilted = verify_occupation_markov(ws.domain, {1, 2}, part,
+    tilted = verify_occupation_markov(ws.domain, part,
                                       intensity_kind="c", cap=12,
                                       tilt_edge_group=part[2][0])
     assert tilted.passed
     part_o = markov_edge_partition(ws, oriented=True)
-    rep_o = verify_occupation_markov(ws.domain, {1, 2}, part_o,
+    rep_o = verify_occupation_markov(ws.domain, part_o,
                                      intensity_kind="alpha",
                                      intensity=Fraction(1), cap=8)
     assert rep_o.passed
@@ -442,11 +447,11 @@ def test_occupation_markov_control_fails_on_cycle():
     dom = Domain(g, [1, 2, 3, 4])
     groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
     part = (groups, [0], [1, 3], [2])
-    rep = verify_occupation_markov(dom, {1, 2}, part, intensity_kind="c",
+    rep = verify_occupation_markov(dom, part, intensity_kind="c",
                                    intensity=Fraction(1), cap=12,
                                    allow_marginal=True)
     assert rep.passed
-    bad = verify_occupation_markov(dom, {1, 2}, part, intensity_kind="c",
+    bad = verify_occupation_markov(dom, part, intensity_kind="c",
                                    intensity=Fraction(2), cap=12,
                                    allow_marginal=True, expect_fail=True)
     assert bad.passed
@@ -463,7 +468,7 @@ def test_occupation_markov_checking_no_minor_fails():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep = verify_occupation_markov(ws.domain, {0, 1}, part, cap=2)
+    rep = verify_occupation_markov(ws.domain, part, cap=2)
     assert rep.details["minors_checked"] == 0
     assert rep.verdict == "fail"
 
