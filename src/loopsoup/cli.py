@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import verify as V
 from .config import (JOBS, KEYS, ConfigError, ExperimentConfig, Workspace,
                      build_workspace, config_from_dict, job_seed, parse_config)
+from .graph import GraphError
 from .rng import stream
 from .soups import FieldSampler
 from .wilson import check_root
@@ -270,15 +271,9 @@ def main(argv=None) -> int:
         raw = {k: v for k, v in vars(args).items() if k in KEYS}
         cfg = config_from_dict(raw, origin="<cli>")
         return run(cfg, args.out, budget)
-    except ConfigError as exc:
+    except (ConfigError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
-        from .graph import GraphError
-        if isinstance(exc, GraphError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .bridges import enumerate_bridges, pairing_weights, permutation_weights
-from .excursions import hookup_cycle_key, matching_key
+from .excursions import hookup_cycle_key, matching_key, path_vertices
 from .graph import Domain, GraphError, green_function
 from .loops import LoopCatalog
 
@@ -108,9 +108,7 @@ def validate_eta(catalog: LoopCatalog, eta, F1, F2) -> None:
     for path in eta:
         if not path:
             raise OracleError("empty excursion")
-        verts = [graph.edge_by_id[path[0]].tail]
-        for eid in path:
-            verts.append(graph.edge_by_id[eid].head)
+        verts = path_vertices(graph, path)
         if verts[0] not in F2 or verts[-1] not in F2:
             raise OracleError(f"excursion endpoint not in the cut set: {path}")
         if any(v in F2 for v in verts[1:-1]):

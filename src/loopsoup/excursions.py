@@ -41,15 +41,14 @@ from dataclasses import dataclass
 
 from .graph import GraphError
 from .loops import (InvalidLoopError, LoopCatalog, canonicalize_oriented,
-                    canonicalize_unoriented, loop_vertices, minimal_rotation,
-                    repetition_count)
+                    canonicalize_unoriented, loop_vertices, necklace)
 
 
 class DecompositionError(GraphError):
     pass
 
 
-def _path_vertices(graph, path) -> tuple[int, ...]:
+def path_vertices(graph, path) -> tuple[int, ...]:
     """All n+1 vertices along an open edge path."""
     if not path:
         return ()
@@ -63,7 +62,7 @@ def _path_vertices(graph, path) -> tuple[int, ...]:
 
 
 def path_endpoints(graph, path) -> tuple[int, int]:
-    v = _path_vertices(graph, path)
+    v = path_vertices(graph, path)
     return v[0], v[-1]
 
 
@@ -508,25 +507,20 @@ def hookup_cycle_key(tokens, joins, oriented, flippable=()):
     The walk of the joins splits the hookup into cycles of (tokens[j],
     direction, arc after the piece) items: direction +1 for a piece j
     entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
-    cycle is keyed by its minimal rotation, or when unoriented by the
-    smaller of that and the minimal rotation of its reversal (each piece
-    turns round and the arc before it now follows it).  Hookups differ by
-    a relabeling of identical pieces (and flips) exactly when their keys
-    are equal.  The relabelings fixing one are prod m! J^m over its distinct
-    cycles, m the multiplicity and J the rotations fixing the cycle,
-    doubled when it equals its reversal.
+    cycle is keyed like a loop class by `loops.necklace`, given when
+    unoriented its reversal (each piece turns round and the arc before it
+    now follows it).  Hookups differ by a relabeling of identical pieces
+    (and flips) exactly when their keys are equal.  The relabelings fixing
+    one are prod m! J^m over its distinct cycles, m the multiplicity and J
+    the rotations fixing the cycle, doubled when it equals its reversal.
     """
     cycles = []
     for steps in _hookup_walk(joins, len(tokens)):
         items = [(tokens[s >> 1], 0 if s >> 1 in flippable else 1 - 2 * (s & 1),
                   arc) for s, arc in steps]
-        fwd = minimal_rotation(items)
-        J = repetition_count(fwd)
-        if not oriented:
-            back = minimal_rotation([(t, -d, items[i - 1][2]) for i, (t, d, _)
-                                     in reversed(list(enumerate(items)))])
-            fwd, J = min(fwd, back), 2 * J if fwd == back else J
-        cycles.append((fwd, J))
+        back = None if oriented else [(t, -d, items[i - 1][2]) for i, (t, d, _)
+                                      in enumerate(items)][::-1]
+        cycles.append(necklace(items, back))
     # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
     cycles.sort()
     fixing = math.prod(J * cycles[:i + 1].count((c, J))

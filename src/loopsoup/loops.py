@@ -17,11 +17,13 @@ the mass is nu(L~) = g^{-n} / J~, which is also the image of mu/2 under
 forgetting orientation.
 
 Over the alphabet of edge ids, an oriented class is a necklace: its key is
-its least rotation.  Catalogs enumerate every class up to a length cap inside
-a domain by the prenecklace search of Fredricksen, Kessler and Maiorana
-(Ruskey, Savage and Wang 1992), which only extends paths that are prefixes of
-some key.  A closed prefix of n steps and period p is a key exactly when p
-divides n, and then J = n/p.  Classes carry exact rational masses, and the
+its least rotation.  `necklace` computes it with J, or given the reversal
+the unoriented key with J~, for loop classes, Wilson's cycles and hookup
+cycles alike.  Catalogs enumerate every class up to a length cap inside a
+domain by the prenecklace search of Fredricksen, Kessler and Maiorana
+(Ruskey, Savage and Wang 1992), which only extends paths that are prefixes
+of some key.  A closed prefix of n steps and period p is a key exactly when
+p divides n, and then J = n/p.  Classes carry exact rational masses, and the
 catalog an analytic bound on the mass of omitted longer loops.
 """
 
@@ -70,23 +72,24 @@ def rho_mass(graph, edge_seq) -> Fraction:
     return Fraction(1, g ** n * n)
 
 
-def minimal_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    """The smallest rotation; it starts at an occurrence of the smallest id."""
+def necklace(seq, reverse=None) -> tuple[tuple, int]:
+    """(key, J): the least rotation of a cyclic sequence and the number of
+    rotations fixing it.  Those equal to the key start at the smallest entry,
+    so J counts such candidates.  Given the reversal, the key is the smaller
+    of both least rotations, and J doubles when they are equal."""
     seq = tuple(seq)
     m = min(seq)
     if seq.count(m) == 1:
         i = seq.index(m)
-        return seq[i:] + seq[:i]
-    return min(seq[i:] + seq[:i] for i, e in enumerate(seq) if e == m)
-
-
-def repetition_count(seq: tuple[int, ...]) -> int:
-    """Largest J such that seq is J copies of its first n/J entries."""
-    n = len(seq)
-    for p in sorted(d for d in range(1, n + 1) if n % d == 0):
-        if seq == seq[:p] * (n // p):
-            return n // p
-    return 1
+        key, J = seq[i:] + seq[:i], 1
+    else:
+        rots = [seq[i:] + seq[:i] for i, e in enumerate(seq) if e == m]
+        key = min(rots)
+        J = rots.count(key)
+    if reverse is not None:
+        back = necklace(reverse)[0]
+        key, J = min(key, back), 2 * J if key == back else J
+    return key, J
 
 
 # -- loop classes ------------------------------------------------------------
@@ -96,7 +99,7 @@ def repetition_count(seq: tuple[int, ...]) -> int:
 class LoopClass:
     """Oriented unrooted loop class with its canonical rooted representative."""
 
-    key: tuple[int, ...]          # minimal rotation of the edge-id sequence
+    key: tuple[int, ...]          # least rotation of the edge-id sequence
     n: int
     J: int
     mass: Fraction                # mu = g^{-n} / J
@@ -128,10 +131,8 @@ class UnorientedLoopClass:
 def canonicalize_oriented(graph, edge_seq) -> LoopClass:
     loop_vertices(graph, edge_seq)
     g = graph.require_regular()
-    seq = minimal_rotation(tuple(edge_seq))
-    n = len(seq)
-    J = repetition_count(seq)
-    return LoopClass(seq, n, J, Fraction(1, g ** n * J))
+    seq, J = necklace(edge_seq)
+    return LoopClass(seq, len(seq), J, Fraction(1, g ** len(seq) * J))
 
 
 def canonicalize_unoriented(graph, edge_seq, involution) -> UnorientedLoopClass:
@@ -139,22 +140,11 @@ def canonicalize_unoriented(graph, edge_seq, involution) -> UnorientedLoopClass:
         raise InvalidLoopError("unoriented canonicalization needs an involution")
     loop_vertices(graph, edge_seq)
     g = graph.require_regular()
-    fwd = minimal_rotation(tuple(edge_seq))
-    rev = minimal_rotation(involution.reverse_path(edge_seq))
-    n = len(fwd)
-    J = repetition_count(fwd)
-    if fwd == rev:
-        jt = 2 * J
-        keys = (fwd,)
-    else:
-        jt = J
-        keys = tuple(sorted((fwd, rev)))
-    return UnorientedLoopClass(min(fwd, rev), n, jt, Fraction(1, g ** n * jt), keys)
-
-
-def unoriented_key(edge_seq, involution) -> tuple[int, ...]:
-    return min(minimal_rotation(tuple(edge_seq)),
-               minimal_rotation(involution.reverse_path(edge_seq)))
+    rev = involution.reverse_path(edge_seq)
+    key, jt = necklace(edge_seq, rev)
+    keys = {necklace(edge_seq)[0], necklace(rev)[0]}
+    return UnorientedLoopClass(key, len(key), jt, Fraction(1, g ** len(key) * jt),
+                               tuple(sorted(keys)))
 
 
 # -- catalogs ----------------------------------------------------------------
@@ -235,7 +225,7 @@ class LoopCatalog:
                 seq = cls.key
                 if seq in reversals:
                     continue
-                rev = minimal_rotation([iota[e] for e in reversed(seq)])
+                rev = necklace([iota[e] for e in reversed(seq)])[0]
                 if rev not in self.by_key:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")

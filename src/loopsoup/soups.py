@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Domain, GraphError
-from .loops import LoopCatalog, loop_vertices
+from .loops import LoopCatalog, loop_vertices, necklace
 
 
 ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_count_rows`
@@ -133,10 +133,9 @@ def forget_orientation(soup: LoopSoup) -> LoopSoup:
         raise SoupError("soup is not oriented")
     ucat = soup.catalog.counterpart()
     inv = ucat.unoriented_graph.involution
-    from .loops import unoriented_key
     counts: dict = {}
     for key, cnt in soup.counts.items():
-        ukey = unoriented_key(key, inv)
+        ukey = necklace(key, inv.reverse_path(key))[0]
         if ukey not in ucat.by_key:
             raise SoupError(f"unoriented image of {key} missing from catalog")
         counts[ukey] = counts.get(ukey, 0) + cnt

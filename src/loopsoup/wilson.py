@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .graph import GraphError, OrientedMultigraph
-from .loops import minimal_rotation
+from .loops import necklace
 
 
 class WilsonError(GraphError):
@@ -108,7 +108,7 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng,
                 # erase the cycle from w's position to here
                 cyc = tuple(path_e[i:]) + (e,)
                 seq = rotations.get(cyc) or rotations.setdefault(
-                    cyc, minimal_rotation(cyc))
+                    cyc, necklace(cyc)[0])
                 erased[seq] += 1
                 for drop in path_v[i + 1:]:
                     state[drop] = -1
@@ -185,5 +185,5 @@ def pop_cycles(soup, rng) -> Counter:
             if head == v:
                 break
             w = head
-        popped[minimal_rotation(tuple(cyc))] += 1
+        popped[necklace(cyc)[0]] += 1
     return popped

@@ -13,8 +13,9 @@ from loopsoup import (Domain, build_graph, canonicalize_oriented,
 from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  EdgeJumpRecord, ExcursionDecomposition,
                                  OrientedHookup, UnorientedHookup,
-                                 _path_vertices, decompose_counts, extract_crossings_counts,
-                                 path_endpoints, record_edge_jumps_counts)
+                                 decompose_counts, extract_crossings_counts,
+                                 path_endpoints, path_vertices,
+                                 record_edge_jumps_counts)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import LoopSoup
@@ -334,7 +335,7 @@ def _ref_decompose_counts(catalog, counts, F1, F2):
         if not (set(verts) & F1) or not (set(verts) & F2):
             continue
         arcs = _ref_cyclic_arcs(key, verts, F2)
-        flags = [any(v in F1 for v in _path_vertices(graph, edges)[1:-1])
+        flags = [any(v in F1 for v in path_vertices(graph, edges)[1:-1])
                  for _, edges in arcs]
         if not any(flags):
             continue

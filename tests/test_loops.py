@@ -16,7 +16,7 @@ from loopsoup import loops
 from loopsoup.cli import run
 from loopsoup.config import config_from_dict
 from loopsoup.loops import (BudgetExceededError, InvalidLoopError,
-                            loop_vertices, minimal_rotation, repetition_count)
+                            loop_vertices, necklace)
 
 
 def frac_matmul(A, B):
@@ -205,10 +205,10 @@ def test_catalog_export_jsonl(tmp_path, triangle_catalogs):
 
 
 def test_minimal_rotation_and_period():
-    assert minimal_rotation((3, 1, 2)) == (1, 2, 3)
-    assert repetition_count((1, 2, 1, 2)) == 2
-    assert repetition_count((1, 2, 3)) == 1
-    assert repetition_count((7,)) == 1
+    assert necklace((3, 1, 2)) == ((1, 2, 3), 1)
+    assert necklace((2, 1, 2, 1)) == ((1, 2, 1, 2), 2)
+    assert necklace((1, 2, 3)) == ((1, 2, 3), 1)
+    assert necklace((7,)) == ((7,), 1)
 
 
 def _rotations_minimum(seq):
@@ -217,13 +217,19 @@ def _rotations_minimum(seq):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans())
-def test_minimal_rotation_property(seq, as_list):
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=12), st.booleans(),
+       st.booleans())
+def test_minimal_rotation_property(seq, as_list, reverse):
     # three symbols, so the smallest one usually repeats
     arg = seq if as_list else tuple(seq)
-    got = minimal_rotation(arg)
-    assert type(got) is tuple
-    assert got == _rotations_minimum(arg)
+    key, J = necklace(arg, arg[::-1] if reverse else None)
+    assert type(key) is tuple
+    # every rotation, and with the reversal every reflection too
+    images = [tuple(s[i:] + s[:i]) for s in ([seq, seq[::-1]] if reverse
+                                             else [seq])
+              for i in range(len(seq))]
+    assert key == min(images)
+    assert J == images.count(key) == images.count(tuple(seq))
 
 
 @st.composite

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
-                      enumerate_loops, green_function, pair_reversals,
-                      regularize_degree, sample_gff, unoriented_view,
-                      verify_ct_excursions, verify_lejan,
+from loopsoup import (Domain, GraphError, build_graph, complete_graph,
+                      cycle_graph, enumerate_loops, green_function,
+                      pair_reversals, regularize_degree, sample_gff,
+                      unoriented_view, verify_ct_excursions, verify_lejan,
                       verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_prop5_degenerate, verify_random_currents,
@@ -61,6 +61,11 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
     e13 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 3))
     with pytest.raises(Exception):
         exact_conditional_beta(cat, {1}, {2}, [(e13,)])
+    # an excursion whose edges do not meet is refused where it breaks
+    e21, e32 = (next(e.id for e in g.edges if (e.tail, e.head) == pair)
+                for pair in ((2, 1), (3, 2)))
+    with pytest.raises(GraphError, match="breaks the path"):
+        exact_conditional_beta(cat, {1}, {2}, [(e21, e32)])
 
 
 def test_prop1_conditional_depends_only_on_endpoints(ws_k12):

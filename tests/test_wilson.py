@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from loopsoup import (Domain, build_graph, cycle_graph, enumerate_loops,
                       pop_cycles, regularize_degree, sample_oriented_soup,
                       verify_wilson, wilson_ust)
-from loopsoup.loops import loop_vertices, minimal_rotation
+from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
 from loopsoup.soups import LoopSoup
 from loopsoup.wilson import WilsonError, _EdgeDice, check_root
@@ -60,7 +60,7 @@ def _ref_wilson_ust(graph, root, dice):
             w = e.head
             if w in index:
                 i = index[w]
-                erased[minimal_rotation(tuple(path_e[i:]) + (e.id,))] += 1
+                erased[necklace(tuple(path_e[i:]) + (e.id,))[0]] += 1
                 for drop in path_v[i + 1:]:
                     del index[drop]
                 del path_v[i + 1:]
@@ -120,7 +120,7 @@ def _ref_pop_cycles(soup, rng):
                 tops[x] = stacks[x][0]
             else:
                 del tops[x]
-        popped[minimal_rotation(tuple(cyc))] += 1
+        popped[necklace(cyc)[0]] += 1
     return popped
 
 
