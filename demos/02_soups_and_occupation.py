@@ -35,7 +35,7 @@ print("oriented occupation (in = out at every vertex):",
 u = forget_orientation(soup)
 print("forgetting orientation keeps the loops:", u.n_loops == soup.n_loops)
 o = orient_randomly(sample_unoriented_soup(ucat, 1.0, rng), rng)
-print("re-oriented c=1 soup is an alpha=1/2 soup:", o.intensity)
+print("re-oriented c=1 soup (an alpha=1/2 soup) is", o.catalog.mode)
 
 # Continuous time: mean occupation is alpha G(x,x) / g.
 green = green_function(dom)

@@ -52,12 +52,15 @@ def path_vertices(graph, path) -> tuple[int, ...]:
     """All n+1 vertices along an open edge path."""
     if not path:
         return ()
-    verts = [graph.edge_by_id[path[0]].tail]
-    for eid in path:
-        e = graph.edge_by_id[eid]
-        if e.tail != verts[-1]:
-            raise DecompositionError(f"edge {eid} breaks the path")
-        verts.append(e.head)
+    try:
+        verts = [graph.edge_by_id[path[0]].tail]
+        for eid in path:
+            e = graph.edge_by_id[eid]
+            if e.tail != verts[-1]:
+                raise DecompositionError(f"edge {eid} breaks the path")
+            verts.append(e.head)
+    except KeyError as err:
+        raise DecompositionError(f"edge {err.args[0]} is not in the graph") from None
     return tuple(verts)
 
 

@@ -55,12 +55,15 @@ def loop_vertices(graph, edge_seq) -> tuple[int, ...]:
     if not edge_seq:
         raise InvalidLoopError("loops have at least one step")
     verts = []
-    for i, eid in enumerate(edge_seq):
-        e = graph.edge_by_id[eid]
-        verts.append(e.tail)
-        nxt = graph.edge_by_id[edge_seq[(i + 1) % len(edge_seq)]]
-        if e.head != nxt.tail:
-            raise InvalidLoopError(f"edge {eid} head {e.head} != next tail {nxt.tail}")
+    try:
+        for i, eid in enumerate(edge_seq):
+            e = graph.edge_by_id[eid]
+            verts.append(e.tail)
+            nxt = graph.edge_by_id[edge_seq[(i + 1) % len(edge_seq)]]
+            if e.head != nxt.tail:
+                raise InvalidLoopError(f"edge {eid} head {e.head} != next tail {nxt.tail}")
+    except KeyError as err:
+        raise InvalidLoopError(f"edge {err.args[0]} is not in the graph") from None
     return tuple(verts)
 
 

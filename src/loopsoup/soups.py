@@ -44,12 +44,11 @@ class SoupError(GraphError):
 
 @dataclass
 class LoopSoup:
-    """A sampled multiset of loop classes with occurrence counts."""
+    """A sampled multiset of loop classes with occurrence counts; its
+    catalog's mode says whether the soup is oriented."""
 
     catalog: LoopCatalog
     counts: dict[tuple[int, ...], int]
-    intensity_kind: str            # "alpha" | "c"
-    intensity: float
 
     @property
     def L_max(self) -> int:
@@ -118,13 +117,13 @@ def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
 def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:
     """Independent Poisson(alpha * mu(L)) count per oriented class."""
     counts = next(soup_count_rows(catalog, "oriented", alpha, 1, rng))
-    return LoopSoup(catalog, counts, "alpha", alpha)
+    return LoopSoup(catalog, counts)
 
 
 def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng) -> LoopSoup:
     """Independent Poisson(c * nu(L~)) count per unoriented class."""
     counts = next(soup_count_rows(catalog, "unoriented", c, 1, rng))
-    return LoopSoup(catalog, counts, "c", c)
+    return LoopSoup(catalog, counts)
 
 
 def forget_orientation(soup: LoopSoup) -> LoopSoup:
@@ -139,7 +138,7 @@ def forget_orientation(soup: LoopSoup) -> LoopSoup:
         if ukey not in ucat.by_key:
             raise SoupError(f"unoriented image of {key} missing from catalog")
         counts[ukey] = counts.get(ukey, 0) + cnt
-    return LoopSoup(ucat, counts, "c", 2 * soup.intensity)
+    return LoopSoup(ucat, counts)
 
 
 def orient_randomly(soup: LoopSoup, rng) -> LoopSoup:
@@ -166,17 +165,17 @@ def orient_randomly(soup: LoopSoup, rng) -> LoopSoup:
                 counts[keys[0]] = counts.get(keys[0], 0) + heads
             if cnt - heads:
                 counts[keys[1]] = counts.get(keys[1], 0) + cnt - heads
-    return LoopSoup(ocat, counts, "alpha", soup.intensity / 2)
+    return LoopSoup(ocat, counts)
 
 
 def merge_soups(a: LoopSoup, b: LoopSoup) -> LoopSoup:
     """Superpose two independent soups (intensities add)."""
-    if a.catalog is not b.catalog or a.intensity_kind != b.intensity_kind:
-        raise SoupError("soups must share a catalog and intensity kind")
+    if a.catalog is not b.catalog:
+        raise SoupError("soups must share a catalog")
     counts = dict(a.counts)
     for k, v in b.counts.items():
         counts[k] = counts.get(k, 0) + v
-    return LoopSoup(a.catalog, counts, a.intensity_kind, a.intensity + b.intensity)
+    return LoopSoup(a.catalog, counts)
 
 
 def restrict_soup(soup: LoopSoup, subdomain: Domain,
@@ -189,7 +188,7 @@ def restrict_soup(soup: LoopSoup, subdomain: Domain,
             if key not in subcatalog.by_key:
                 raise SoupError(f"class {key} missing from subdomain catalog")
             counts[key] = cnt
-    return LoopSoup(subcatalog, counts, soup.intensity_kind, soup.intensity)
+    return LoopSoup(subcatalog, counts)
 
 
 # -- occupation fields -------------------------------------------------------
@@ -280,7 +279,7 @@ class ContinuousTimeSoup:
         return out
 
 
-def _trivial_shape(mode: str, intensity: float) -> float:
+def trivial_shape(mode: str, intensity: float) -> float:
     """Gamma shape of the trivial occupation per site: alpha, or c/2."""
     return intensity if mode == "oriented" else intensity / 2.0
 
@@ -308,7 +307,7 @@ def sample_ct_soup(catalog: LoopCatalog, intensity: float,
               for _ in range(cnt)]
         for key, cnt in sorted(jump.counts.items())
     }
-    shape = _trivial_shape(catalog.mode, intensity)
+    shape = trivial_shape(catalog.mode, intensity)
     trivial = {v: float(t) for v, t in zip(
         catalog.domain.vertices,
         rng.gamma(shape=shape, scale=1.0 / g, size=catalog.domain.size),
@@ -340,7 +339,7 @@ def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
             runs = rng.geometric(p=1.0 - w, size=n) - 1
             occs.append((1.0 + runs) / M)
         holding[key] = occs
-    shape = _trivial_shape(catalog.mode, intensity)
+    shape = trivial_shape(catalog.mode, intensity)
     trivial = {}
     for v in catalog.domain.vertices:
         steps = int(rng.negative_binomial(shape, 1.0 - w))
@@ -426,6 +425,6 @@ class FieldSampler:
         sums = self.class_sums(np.hstack([self.class_jumps, self.class_visits]),
                                intensity, n_samples, rng)
         jumps, visits = sums[:, :E], sums[:, E:]
-        times = rng.gamma(shape=visits + _trivial_shape(self.catalog.mode,
+        times = rng.gamma(shape=visits + trivial_shape(self.catalog.mode,
                                                        intensity)) / self.g
         return jumps, visits, times

@@ -58,7 +58,7 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog, enumerate_loops
 from .rng import stream
-from .soups import FieldSampler, LoopSoup, soup_count_rows
+from .soups import FieldSampler, LoopSoup, soup_count_rows, trivial_shape
 from .wilson import _EdgeDice, check_root, pop_cycles, wilson_ust
 
 CMI_TOL = 1e-12
@@ -843,12 +843,13 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
 
 
 def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
-    """Unoriented excursion skeletons between marked sites with masses g^{-n}.
+    """Excursion skeletons between marked sites with masses g^{-n}.
 
     A skeleton from x to y jumps out of x, stays off the marked set inside,
-    and jumps into y.  Unoriented skeletons are keyed by the smaller of the
-    path and its reversal; the two orientations of an asymmetric skeleton
-    are one object (mass still g^{-n}).
+    and jumps into y; it is keyed with its site pair (x, y).  Given the
+    involution (unoriented soups) a skeleton is keyed by the smaller of the
+    path and its reversal, with its pair sorted: the two orientations of an
+    asymmetric skeleton are one object (mass still g^{-n}).
     """
     siteset = set(sites)
     menu: dict = {}
@@ -857,10 +858,10 @@ def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
         while stack:
             v, path = stack.pop()
             if path and v in siteset:
-                key = involution.unoriented_path(path)
-                pair = tuple(sorted((x, v)))
-                if key not in menu:
-                    menu[key] = (pair, Fraction(1, domain.g ** len(path)))
+                key, pair = path, (x, v)
+                if involution is not None:
+                    key, pair = involution.unoriented_path(path), tuple(sorted(pair))
+                menu.setdefault(key, (pair, Fraction(1, domain.g ** len(path))))
                 continue
             if len(path) < max_len:
                 for e in domain.out_edges(v):
@@ -868,31 +869,69 @@ def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):
     return menu
 
 
-def _current_oracle_pvalues(rows, pairs, masses, T, rng, keep=slice(None)):
-    """Test sampled currents against the conditioned-current oracle.
+def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
+                      samples: int, seed: int, name: str):
+    """Test the excursion skeletons between marked sites against the
+    conditioned-current law, taken from the catalog's mode.
 
-    Column k of `rows` counts the jumps (or excursions) of mass masses[k]
-    between the sites of column indices pairs[k] = (a, b) of the rescaled
-    occupations T.  Given T, the oracle draws the columns as independent
-    Poisson(phi_a phi_b m), phi = sqrt(2 T), halved when a == b, conditioned
-    on even endpoint counts at every site.  The rows in `keep` are compared
-    by two-sample chi-square, per quantile bin of the total occupation with
-    enough samples and then pooled.  Returns whether every kept row has even
-    endpoint counts, and the p-values with the pooled one last.
+    Given the rescaled occupations T at the sites, the skeletons of n steps
+    from site a to site b are independent Poisson(phi_a phi_b g^{-n})
+    counts, conditioned per site: unoriented, phi = sqrt(2 T), halved on
+    diagonal pairs, and even endpoint counts; oriented (alpha = 1),
+    phi = sqrt(T) and in = out.  With every vertex marked each skeleton is
+    one jump: the random-current representation.
+
+    The soups come from stream (seed, name), and the oracle, one rejection
+    sample per soup at its occupations, from (seed, name/oracle).  Soups
+    holding a skeleton beyond SKELETON_CAP are left out (long skeletons keep
+    the condition too, but have no column).  The rest are compared by
+    two-sample chi-square per quantile bin of the total occupation with
+    enough samples, and pooled.  Returns whether every compared soup meets
+    the condition, whether the pooled skeleton counts within each site pair
+    follow the mass ratios, and the p-values with the pooled one last.
     """
-    ends = np.zeros((len(pairs), T.shape[1]), dtype=np.int64)
+    oriented = catalog.mode == "oriented"
+    dom = catalog.domain
+    inv = None if oriented else catalog.unoriented_graph.involution
+    sites = sorted(sites)
+    site_ix = {v: i for i, v in enumerate(sites)}
+    menu = _excursion_skeleton_menu(dom, sites, inv, SKELETON_CAP)
+    if not menu:
+        raise OracleError("no excursion skeleton joins the sites: nothing to test")
+    skels = sorted(menu)
+    skel_ix = {k: i for i, k in enumerate(skels)}
+    nsk = len(skels)
+    # per-class skeleton counts (loops cut at the site set), skeletons beyond
+    # the cap in column nsk
+    fs = FieldSampler(catalog, [], sites)
+    class_sk = np.zeros((len(catalog), nsk + 1), dtype=np.int64)
+    for i, cls in enumerate(catalog.classes):
+        for sk in loop_skeletons(dom.graph, cls.key, site_ix, inv):
+            class_sk[i, skel_ix.get(sk, nsk)] += 1
+    rng = stream(seed, name)
+    sums = fs.class_sums(np.hstack([class_sk, fs.class_visits]), intensity,
+                         samples, rng)
+    T = rng.gamma(shape=sums[:, nsk + 1:]
+                  + trivial_shape(catalog.mode, intensity))     # rescaled
+    keep = sums[:, nsk] == 0
+    pairs = [tuple(site_ix[v] for v in menu[sk][0]) for sk in skels]
+    ends = np.zeros((nsk, len(sites)), dtype=np.int64)
     for k, (a, b) in enumerate(pairs):
-        ends[k, a] += 1
+        ends[k, a] += -1 if oriented else 1     # oriented: out of a, into b
         ends[k, b] += 1
 
-    def even(draw):
-        return ((draw @ ends) % 2 == 0).all(axis=1)
+    def meets(draw):            # in = out, or even endpoint counts, everywhere
+        d = draw @ ends
+        return ((d if oriented else d % 2) == 0).all(axis=1)
 
     x, y = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    phi = np.sqrt(2.0 * T)
-    lam = phi[:, x] * phi[:, y] * (np.where(x == y, 0.5, 1.0) * masses)
-    oracle = stats.sample_conditioned_poisson(lam, even, rng, max_iter=2000)
-    rows, oracle, occupation = rows[keep], oracle[keep], T.sum(axis=1)[keep]
+    masses = np.array([float(menu[sk][1]) for sk in skels])
+    phi = np.sqrt((1.0 if oriented else 2.0) * T)
+    half = 1.0 if oriented else np.where(x == y, 0.5, 1.0)
+    oracle = stats.sample_conditioned_poisson(
+        phi[:, x] * phi[:, y] * (half * masses), meets,
+        stream(seed, f"{name}/oracle"), max_iter=5000)
+    rows, oracle, occupation = sums[keep, :nsk], oracle[keep], T.sum(axis=1)[keep]
 
     def test(a, b):
         return stats.chi2_two_sample(Counter(map(tuple, a)),
@@ -907,75 +946,42 @@ def _current_oracle_pvalues(rows, pairs, masses, T, rng, keep=slice(None)):
         _, dof_b, p = test(rows[m], oracle[m])
         if dof_b > 0:
             pvals.append(p)
-    return bool(even(rows).all()), pvals + [test(rows, oracle)[2]]
+    pvals.append(test(rows, oracle)[2])
+    # pooled frequency ratios within site pairs against the mass ratios
+    ratio_ok = True
+    pair_groups: dict = defaultdict(list)
+    for k, sk in enumerate(skels):
+        pair_groups[menu[sk][0]].append(k)
+    tot_counts = rows.sum(axis=0).tolist()
+    for k0, *ks in pair_groups.values():
+        for k in ks:
+            r = float(menu[skels[k]][1] / menu[skels[k0]][1])
+            c1, c0 = tot_counts[k], tot_counts[k0]
+            if abs(c1 - r * c0) > 3 * math.sqrt(max(c1 + r * r * c0, 1.0)):
+                ratio_ok = False
+    return bool(meets(rows).all()), ratio_ok, pvals
 
 
 def verify_ct_excursions(catalog: LoopCatalog, sites,
                          samples: int = 2 * 10 ** 4, seed: int = 0,
-                         intensity: float = 1.0) -> TestReport:
+                         intensity: float = 1.0,
+                         expect_fail: bool = False) -> TestReport:
     """Conditionally on the occupation times at the marked sites, the
     excursion skeletons form a Poisson process with intensity
     |phi_i| |phi_j| g^{-n} per site pair (half that on diagonal pairs),
     |phi_i| = sqrt(2 T_i), conditioned on even endpoint counts per site.
 
-    Checked by pairing every soup sample with one rejection-oracle sample at
-    the same occupations and comparing the skeleton count laws (two-sample
-    chi-square, pooled and per occupation bin), plus the pooled
-    skeleton-frequency ratios, which must match the mass ratios g^{-n}.
+    Checked by `_skeleton_pvalues`: against one rejection-oracle sample per
+    soup at the same occupations, and by the skeleton-frequency ratios.
     """
     if catalog.mode != "unoriented":
         raise OracleError("the excursion law is stated for unoriented soups")
-    dom = catalog.domain
-    inv = catalog.unoriented_graph.involution
-    sites = sorted(sites)
-    site_ix = {v: i for i, v in enumerate(sites)}
-    menu = _excursion_skeleton_menu(dom, sites, inv, SKELETON_CAP)
-    if not menu:
-        raise OracleError("no excursion skeleton joins the sites: nothing to test")
-    skels = sorted(menu)
-    skel_ix = {k: i for i, k in enumerate(skels)}
-    nsk = len(skels)
-
-    # per-class skeleton counts (loops cut at the site set), skeletons beyond
-    # the cap in column nsk
-    fs = FieldSampler(catalog, [], sites)
-    class_sk = np.zeros((len(catalog), nsk + 1), dtype=np.int64)
-    marked = set(sites)
-    for i, cls in enumerate(catalog.classes):
-        for sk in loop_skeletons(dom.graph, cls.key, marked, inv):
-            class_sk[i, skel_ix.get(sk, nsk)] += 1
-    rng = stream(seed, "ct-excursions")
-    sums = fs.class_sums(np.hstack([class_sk, fs.class_visits]), intensity,
-                         samples, rng)
-    T = rng.gamma(shape=sums[:, nsk + 1:] + intensity / 2.0)   # rescaled
-    # Long skeletons carry endpoints too (every visit is one arrival and one
-    # departure, so the counts stay even), but the capped checks use only
-    # the samples without them.
-    no_long = sums[:, nsk] == 0
-    pairs = [tuple(site_ix[v] for v in menu[sk][0]) for sk in skels]
-    parity_ok, pvals = _current_oracle_pvalues(
-        sums[:, :nsk], pairs, [float(menu[sk][1]) for sk in skels], T,
-        stream(seed, "ct-excursions/oracle"), no_long)
+    parity_ok, ratio_ok, pvals = _skeleton_pvalues(
+        catalog, sites, intensity, samples, seed, "ct-excursions")
     worst, threshold, chi2_ok = _bonferroni(pvals)
-    # pooled frequency-ratio check within site pairs
-    ratio_ok = True
-    pair_groups: dict = defaultdict(list)
-    for k, sk in enumerate(skels):
-        pair_groups[menu[sk][0]].append(k)
-    tot_counts = sums[no_long, :nsk].sum(axis=0)
-    for pair, ks in pair_groups.items():
-        if len(ks) < 2:
-            continue
-        k0 = ks[0]
-        for k in ks[1:]:
-            r = float(menu[skels[k]][1] / menu[skels[k0]][1])
-            c1, c0 = float(tot_counts[k]), float(tot_counts[k0])
-            se = math.sqrt(max(c1 + r * r * c0, 1.0))
-            if abs(c1 - r * c0) > 3 * se:
-                ratio_ok = False
     return _verdict("ct-excursions", "mc", worst, threshold,
                     parity_ok and ratio_ok and chi2_ok, catalog, samples, seed,
-                    parity_ok=parity_ok, ratio_ok=ratio_ok,
+                    expect_fail, parity_ok=parity_ok, ratio_ok=ratio_ok,
                     pooled_p=pvals[-1], bins_tested=len(pvals))
 
 
@@ -987,60 +993,31 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
     are independent Poisson per unoriented edge with mean
     |phi_x| |phi_y| k_e / g (half that for self-edges), conditioned on even
     incident totals at every site; the oriented variant at alpha = 1 uses
-    sqrt(T_x T_y) k_e / g per oriented edge conditioned on in = out.
+    sqrt(T_x T_y) k_e / g per oriented edge conditioned on in = out.  Both
+    are the skeleton check `_skeleton_pvalues` at every site.
     """
-    if catalog.mode != "unoriented":
-        raise OracleError("random currents are stated for the unoriented soup")
-    dom = catalog.domain
-    g = dom.g
-    ug = catalog.unoriented_graph
-    sites = list(dom.vertices)
-    site_ix = {v: i for i, v in enumerate(sites)}
-    classes = ug.classes_inside(dom)
-    if not classes:
-        raise OracleError("no edge lies inside the domain, so there are no "
-                          "currents to test")
-    fs = FieldSampler(catalog, classes, sites)
-    jumps, _, times = fs.sample(intensity, samples,
-                                stream(seed, "random-currents"))
-    pairs = [tuple(site_ix[v] for v in ug.class_endpoints(ck))
-             for ck in classes]
-    even_ok, pvals = _current_oracle_pvalues(
-        jumps, pairs, [1 / g] * len(classes), times * g,
-        stream(seed, "random-currents/oracle"))
+    if catalog.mode != "unoriented" or (oriented_catalog is not None
+                                        and oriented_catalog.mode != "oriented"):
+        raise OracleError("random currents take an unoriented catalog and, "
+                          "for the in = out variant, an oriented one")
+    even_ok, ratio_ok, pvals = _skeleton_pvalues(
+        catalog, catalog.domain.vertices, intensity, samples, seed,
+        "random-currents")
     details = {"even_degrees": even_ok, "pooled_p": pvals[-1],
                "bins_tested": len(pvals)}
     inout_ok = True
     if oriented_catalog is not None:
         # the oriented statement is specific to alpha = 1
-        oedges = sorted((e for v in sites for e in dom.out_edges(v)),
-                        key=lambda e: e.id)
-        fso = FieldSampler(oriented_catalog, [(e.id,) for e in oedges], sites)
-        jo, _, to = fso.sample(1.0, samples,
-                               stream(seed, "random-currents/oriented"))
-        flow = np.zeros((len(oedges), len(sites)), dtype=np.int64)
-        for j, e in enumerate(oedges):
-            flow[j, site_ix[e.head]] += 1
-            flow[j, site_ix[e.tail]] -= 1
-
-        def balanced(draw):             # in = out at every site
-            return (draw @ flow == 0).all(axis=1)
-
-        inout_ok = bool(balanced(jo).all())
-        phio = np.sqrt(to * g)
-        lam_o = (phio[:, [site_ix[e.tail] for e in oedges]]
-                 * phio[:, [site_ix[e.head] for e in oedges]] / g)
-        oracle_o = stats.sample_conditioned_poisson(
-            lam_o, balanced, stream(seed, "random-currents/oriented-oracle"),
-            max_iter=5000)
-        _, _, p_oriented = stats.chi2_two_sample(
-            Counter(map(tuple, jo)), Counter(map(tuple, oracle_o)))
-        pvals.append(p_oriented)
-        details.update(inout_ok=inout_ok, oriented_p=p_oriented)
+        inout_ok, ratio_o, p_oriented = _skeleton_pvalues(
+            oriented_catalog, oriented_catalog.domain.vertices, 1.0, samples,
+            seed, "random-currents/oriented")
+        ratio_ok = ratio_ok and ratio_o
+        pvals += p_oriented
+        details.update(inout_ok=inout_ok, oriented_p=p_oriented[-1])
     worst, threshold, chi2_ok = _bonferroni(pvals)
     return _verdict("random-currents", "mc", worst, threshold,
-                    even_ok and inout_ok and chi2_ok, catalog, samples, seed,
-                    expect_fail, **details)
+                    even_ok and inout_ok and ratio_ok and chi2_ok, catalog,
+                    samples, seed, expect_fail, ratio_ok=ratio_ok, **details)
 
 
 # -- Wilson cross-check ------------------------------------------------------------
@@ -1062,6 +1039,10 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     otherwise).  One walk table serves every run, so the checks run once.
     """
     check_root(graph, root, catalog.domain.vertices)
+    # refuses an unoriented catalog before any walk; the soups are drawn a
+    # chunk at a time as read, so each chunk's popping draws follow it
+    rng_s = stream(seed, "wilson/soup")
+    soup_rows = soup_count_rows(catalog, "oriented", 1.0, runs, rng_s)
     ug = catalog.unoriented_graph
     edge_class = {e.id: ug.edge_class(e.id) for e in graph.edges}
 
@@ -1081,14 +1062,10 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     p0 = 1.0 / n_trees
     se = math.sqrt(runs * p0 * (1 - p0))
     tree_ok = all(abs(c - runs * p0) <= 3 * se for c in trees.values())
-    # the soups are drawn a chunk at a time, so each chunk's popping draws
-    # follow its soups in the stream
-    rng_s = stream(seed, "wilson/soup")
     s_keys: Counter = Counter()
     s_naive: Counter = Counter()
-    for counts in soup_count_rows(catalog, "oriented", 1.0, runs, rng_s):
-        s_keys[short(pop_cycles(LoopSoup(catalog, counts, "alpha", 1.0),
-                                rng_s))] += 1
+    for counts in soup_rows:
+        s_keys[short(pop_cycles(LoopSoup(catalog, counts), rng_s))] += 1
         s_naive[short(counts)] += 1
     tv = stats.empirical_tv(w_keys, s_keys)
     tv_naive = stats.empirical_tv(w_keys, s_naive)

@@ -23,7 +23,7 @@ from loopsoup.soups import LoopSoup
 
 def test_empty_decomposition(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {}, "alpha", 1.0)
+    soup = LoopSoup(cat, {})
     d = decompose(soup, {1}, {2})
     assert d.N == d.M == 0 and d.eta == ()
     assert reassemble(d.eta, d.beta_truth, graph=cat.domain.graph) == ()
@@ -31,7 +31,7 @@ def test_empty_decomposition(triangle_catalogs):
 
 def test_overlapping_sets_rejected(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {}, "alpha", 1.0)
+    soup = LoopSoup(cat, {})
     with pytest.raises(DecompositionError):
         decompose(soup, {1}, {1, 2})
 
@@ -146,7 +146,7 @@ def test_decompose_deterministic(triangle_catalogs):
 
 def test_crossings_empty_and_balance(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {}, "alpha", 1.0)
+    soup = LoopSoup(cat, {})
     cs = extract_crossings(soup, {1}, {2})
     assert not cs.instances
     rng = stream(32, "bal")
@@ -200,7 +200,7 @@ def test_record_edge_jumps(k5, triangle_catalogs):
     g, inv, ug = k5
     cat, ucat = triangle_catalogs
     cls12 = next(k for k in ug.edge_classes if ug.class_endpoints(k) == (1, 2))
-    soup = LoopSoup(ucat, {}, "c", 1.0)
+    soup = LoopSoup(ucat, {})
     rec = record_edge_jumps(soup, [cls12])
     assert rec.counts == (0,) and rec.Z == ()
     rng = stream(34, "jumps")
@@ -226,7 +226,7 @@ def test_record_self_edge_doubles():
     cat = enumerate_loops(dom, 4, "unoriented", unoriented=ug)
     self_cls = ug.edge_class(0)
     one = canonicalize_unoriented(g, (0,), inv)
-    rec = record_edge_jumps(LoopSoup(cat, {one.key: 1}, "c", 1.0), [self_cls])
+    rec = record_edge_jumps(LoopSoup(cat, {one.key: 1}), [self_cls])
     assert rec.counts == (1,)
     assert rec.Z == (0, 0)
     assert rec.self_edge_slots == ((0, 1),)
@@ -269,7 +269,7 @@ def test_ct_excursion_single_visit(k5, triangle_catalogs):
     cls = canonicalize_unoriented(g, (e13, inv(e13)), inv)
     ct = sample_ct_soup(ucat, 1.0, stream(37, "x"))
     from loopsoup.soups import ContinuousTimeSoup
-    ct = ContinuousTimeSoup(LoopSoup(ucat, {cls.key: 1}, "c", 1.0),
+    ct = ContinuousTimeSoup(LoopSoup(ucat, {cls.key: 1}),
                             {cls.key: [__import__('numpy').ones(2)]},
                             {v: 0.0 for v in ucat.domain.vertices})
     skels, local, parity = ct_excursions(ct, [1])

@@ -40,6 +40,8 @@ def test_rho_invalid_loop():
         rho_mass(g, (0, 0))
     with pytest.raises(InvalidLoopError):
         rho_mass(g, ())
+    with pytest.raises(InvalidLoopError, match="edge 7 is not in the graph"):
+        rho_mass(g, (7,))
 
 
 def test_canonicalize_double_cover():

@@ -155,7 +155,7 @@ def test_round_trip_and_noop(triangle_catalogs):
     # a reversal-symmetric class has a single preimage: the coin is a no-op
     sym = next(c for c in ucat.classes if len(c.oriented_keys) == 1)
     from loopsoup.soups import LoopSoup
-    u = LoopSoup(ucat, {sym.key: 3}, "c", 1.0)
+    u = LoopSoup(ucat, {sym.key: 3})
     o = orient_randomly(u, rng)
     assert o.counts == {sym.oriented_keys[0]: 3}
 
@@ -168,7 +168,7 @@ def test_orientation_coin_is_fair(triangle_catalogs):
     n = 100000
     heads = 0
     for _ in range(n):
-        o = orient_randomly(LoopSoup(ucat, {tri.key: 1}, "c", 1.0), rng)
+        o = orient_randomly(LoopSoup(ucat, {tri.key: 1}), rng)
         heads += o.counts.get(tri.oriented_keys[0], 0)
     assert abs(heads - n / 2) < 3 * math.sqrt(n * 0.25)
 
@@ -209,20 +209,20 @@ def test_occupation_field_basics(k5, triangle_catalogs):
     g, inv, ug = k5
     cat, ucat = triangle_catalogs
     from loopsoup.soups import LoopSoup
-    empty = occupation_field(LoopSoup(cat, {}, "alpha", 1.0))
+    empty = occupation_field(LoopSoup(cat, {}))
     assert empty.edge_jumps == {}
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     e21 = inv(e12)
     key = tuple(sorted(((e12, e21), (e21, e12)))[0])
     from loopsoup import canonicalize_oriented
     cls = canonicalize_oriented(g, (e12, e21))
-    f = occupation_field(LoopSoup(cat, {cls.key: 1}, "alpha", 1.0))
+    f = occupation_field(LoopSoup(cat, {cls.key: 1}))
     assert f.edge_jumps[e12] == 1 and f.edge_jumps[e21] == 1
     pair = f.oriented_pairs[ug.edge_class(e12)]
     assert tuple(sorted(pair)) == (1, 1)
     ucls = next(c for c in ucat.classes if c.n == 2
                 and ug.edge_class(c.key[0]) == ug.edge_class(e12))
-    fu = occupation_field(LoopSoup(ucat, {ucls.key: 1}, "c", 1.0))
+    fu = occupation_field(LoopSoup(ucat, {ucls.key: 1}))
     assert fu.edge_jumps[ug.edge_class(e12)] == 2
 
 

@@ -53,13 +53,13 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
         law, infeasible = cut.oracle(eta)
         assert dist == law
         assert 0 < infeasible < 1
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError, match="edge 99999 is not in the graph"):
         exact_conditional_beta(cat, {1}, {2}, [(99999,)])
     # infeasible conditionings are rejected: an excursion path whose
     # endpoint misses the cut set
     g = ws_k12.graph
     e13 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 3))
-    with pytest.raises(Exception):
+    with pytest.raises(GraphError, match="endpoint not in the cut set"):
         exact_conditional_beta(cat, {1}, {2}, [(e13,)])
     # an excursion whose edges do not meet is refused where it breaks
     e21, e32 = (next(e.id for e in g.edges if (e.tail, e.head) == pair)
@@ -535,6 +535,26 @@ def test_random_currents(k5_cats):
     bad = verify_random_currents(ucat, samples=40000, seed=55, intensity=2.0,
                                  expect_fail=True)
     assert bad.passed
+    # a catalog of the wrong mode is refused, not tested
+    with pytest.raises(GraphError, match="oriented one"):
+        verify_random_currents(ucat, samples=200, oriented_catalog=ucat)
+
+
+def test_random_currents_ratio_gate():
+    """On path:4 padded to g = 3, vertex 0 carries two stationary self-edges
+    of equal mass, so the ratio gate compares two skeletons of one site pair
+    (0, 0), unoriented and oriented."""
+    ws = build_workspace(config_from_dict({
+        "graph": "path:4", "domain": "0 1 2", "g": "3",
+        "jobs": "random-currents", "seed": "0", "l_max": "8",
+    }))
+    ucat, ocat = ws.catalog("unoriented"), ws.catalog("oriented")
+    rep = verify_random_currents(ucat, samples=20000, seed=0,
+                                 oriented_catalog=ocat)
+    assert rep.passed and rep.details["ratio_ok"]
+    bad = verify_random_currents(ucat, samples=20000, seed=1, intensity=2.0,
+                                 oriented_catalog=ocat, expect_fail=True)
+    assert bad.passed and bad.details["positive_control"]
 
 
 def test_ct_excursions(k5_cats):
@@ -554,8 +574,9 @@ def test_ct_excursions_control():
     }))
     ucat = ws.catalog("unoriented")
     bad = verify_ct_excursions(ucat, [1, 2], samples=20000, seed=0,
-                               intensity=2.0)
-    assert not bad.passed and bad.statistic < bad.tolerance
+                               intensity=2.0, expect_fail=True)
+    assert bad.passed and bad.details["positive_control"]
+    assert bad.statistic < bad.tolerance
     assert verify_ct_excursions(ucat, [1, 2], samples=20000, seed=0,
                                 intensity=1.0).passed
 

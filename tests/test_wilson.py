@@ -15,11 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, cycle_graph, enumerate_loops,
-                      pop_cycles, regularize_degree, sample_oriented_soup,
-                      verify_wilson, wilson_ust)
+                      pair_reversals, pop_cycles, regularize_degree,
+                      sample_oriented_soup, unoriented_view, verify_wilson,
+                      wilson_ust)
+from loopsoup import verify
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
-from loopsoup.soups import LoopSoup
+from loopsoup.soups import LoopSoup, SoupError
 from loopsoup.wilson import WilsonError, _EdgeDice, check_root
 
 
@@ -194,7 +196,7 @@ def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
         assert list(popped.items()) == list(ref.items())
         assert _state(rng) == _state(ref_rng)
     before = _state(rng)
-    assert pop_cycles(LoopSoup(cat, {}, "alpha", 1.0), rng) == Counter()
+    assert pop_cycles(LoopSoup(cat, {}), rng) == Counter()
     assert _state(rng) == before
 
 
@@ -206,3 +208,17 @@ def test_verify_wilson_refuses_a_domain_other_than_every_other_vertex():
         cat = enumerate_loops(Domain(graph, domain), 6)
         with pytest.raises(WilsonError, match="every vertex but the root"):
             verify_wilson(graph, root, cat, runs=10)
+
+
+def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch):
+    """Wilson's cycles are compared with an oriented soup: an unoriented
+    catalog is refused before a single walk is made."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked before refusing the catalog")
+
+    monkeypatch.setattr(verify, "wilson_ust", refuse)
+    graph = cycle_graph(4)
+    cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
+                          unoriented=unoriented_view(graph, pair_reversals(graph)))
+    with pytest.raises(SoupError, match="not oriented"):
+        verify_wilson(graph, 0, cat.counterpart(), runs=20000)
