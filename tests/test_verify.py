@@ -538,12 +538,9 @@ def test_random_currents(k5_cats):
     # a catalog of the wrong mode is refused, not tested
     with pytest.raises(GraphError, match="oriented one"):
         verify_random_currents(ucat, samples=200, oriented_catalog=ucat)
-
-
-def test_random_currents_ratio_gate():
-    """On path:4 padded to g = 3, vertex 0 carries two stationary self-edges
-    of equal mass, so the ratio gate compares two skeletons of one site pair
-    (0, 0), unoriented and oriented."""
+    # on path:4 padded to g = 3, vertex 0 carries two stationary self-edges
+    # of equal mass, so the ratio gate compares two skeletons of one site
+    # pair (0, 0), unoriented and oriented
     ws = build_workspace(config_from_dict({
         "graph": "path:4", "domain": "0 1 2", "g": "3",
         "jobs": "random-currents", "seed": "0", "l_max": "8",
