@@ -426,5 +426,5 @@ class FieldSampler:
                                intensity, n_samples, rng)
         jumps, visits = sums[:, :E], sums[:, E:]
         times = rng.gamma(shape=visits + trivial_shape(self.catalog.mode,
-                                                       intensity)) / self.g
+                                                      intensity)) / self.g
         return jumps, visits, times
