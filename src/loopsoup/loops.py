@@ -30,6 +30,7 @@ catalog an analytic bound on the mass of omitted longer loops.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,7 @@ from fractions import Fraction
 from .graph import Domain, GraphError, UnorientedGraph
 
 DEFAULT_CLASS_BUDGET = 10 ** 6
+_TAIL_TERMS = 1000       # terms tail_bound sums before it bounds the rest
 
 
 class BudgetExceededError(GraphError):
@@ -361,13 +363,19 @@ def tail_bound(domain: Domain, L_max: int) -> float:
     """Upper bound on the mu-mass of loops longer than L_max.
 
     trace(P^n) <= |D| lambda^n for the nonnegative matrix P, so the omitted
-    mass sum_{n>L} trace(P^n)/n is at most |D| sum_{n>L} lambda^n / n,
-    evaluated in closed form.  The nu-mass omitted is at most half of this.
+    mass sum_{n>L} trace(P^n)/n is at most |D| sum_{n>L} lambda^n / n.  Of
+    two rounded-up bounds on it the smaller is kept: the terms summed one by
+    one plus a geometric bound on the rest, precise however small the tail,
+    and -log(1 - lambda) minus the partial sum, tight as lambda nears 1.
+    The nu-mass omitted is at most half of this.
     """
     lam = domain.spectral_radius()
     if lam >= 1.0:
         raise GraphError("tail bound requires spectral radius < 1")
-    if lam == 0.0:
-        return 0.0
-    partial = sum(lam ** n / n for n in range(1, L_max + 1))
-    return domain.size * (-math.log1p(-lam) - partial)
+    N = L_max + _TAIL_TERMS
+    rest = lam ** (N + 1) / ((N + 1) * (1.0 - lam))     # >= sum_{n > N}
+    up = 1.0 + 8 * sys.float_info.epsilon   # covers the roundings of each bound
+    direct = (math.fsum(lam ** n / n for n in range(L_max + 1, N + 1)) + rest) * up
+    closed = (-math.log1p(-lam) * up
+              - math.fsum(lam ** n / n for n in range(1, L_max + 1)))
+    return domain.size * min(direct, closed)

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,15 +184,24 @@ def test_tail_bound_examples(self_edge_domain):
 
 
 def test_tail_bound_monotone(triangle_domain):
-    bounds = [tail_bound(triangle_domain, L) for L in (4, 8, 12, 16)]
+    bounds = [tail_bound(triangle_domain, L) for L in (4, 8, 12, 16, 60)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+    # at L_max 60 the tail, 3 sum_{n>60} lambda^n / n = 4.2e-20, lies far
+    # below the rounding of -log(1 - lambda); the terms past 260 are < 1e-78
+    lam = Fraction(triangle_domain.spectral_radius())
+    exact = 3 * sum(lam ** n / n for n in range(61, 261))
+    assert exact <= Fraction(bounds[-1]) <= exact * (1 + Fraction(1, 10 ** 9))
 
 
 def test_tail_bound_dominates_omitted(triangle_domain):
     cat8 = enumerate_loops(triangle_domain, 8)
     cat16 = enumerate_loops(triangle_domain, 16)
-    omitted = float(cat16.total_mass - cat8.total_mass)
-    assert omitted <= tail_bound(triangle_domain, 8)
+    bound = tail_bound(triangle_domain, 8)
+    assert float(cat16.total_mass - cat8.total_mass) <= bound
+    # the whole loop mass is -log det(I - P_D)
+    P = triangle_domain.transition_matrix()
+    whole = -math.log(np.linalg.det(np.eye(len(P)) - P))
+    assert whole - float(cat8.total_mass) <= bound
 
 
 def test_catalog_export_jsonl(tmp_path, triangle_catalogs):
