@@ -10,7 +10,6 @@ check exactly from the jump-count generating function.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from loopsoup import (cycle_graph, enumerate_loops, pop_cycles,
                       sample_oriented_soup, verify_occupation_markov,
@@ -53,6 +52,5 @@ print("occupation-field Markov property:", rep.verdict,
       " windowed CMI:", f"{rep.statistic:.2e}",
       " exact minors violated:", rep.details["minors_violated"])
 rep_t = verify_occupation_markov(ws2.domain, part, intensity_kind="c",
-                                 cap=12, tilt_edge_group=part[2][0],
-                                 tilt=Fraction(1, 2))
+                                 cap=12, tilt_edge_group=part[2][0])
 print("tilted by theta^N on a boundary edge, still Markov:", rep_t.verdict)

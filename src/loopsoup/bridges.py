@@ -311,13 +311,9 @@ def family_to_json(family, timed: "TimedBridgeFamily | None" = None) -> dict:
     return out
 
 
-def attach_holding_times(family, rng, g: int | None = None,
-                         domain: Domain | None = None) -> TimedBridgeFamily:
+def attach_holding_times(family, rng, domain: Domain) -> TimedBridgeFamily:
     """Give each bridge of length n its n-1 interior Exp(mean 1/g) durations."""
-    if g is None:
-        if domain is None:
-            raise BridgeError("need g or a domain")
-        g = domain.g
+    g = domain.g
     times = []
     for b in family.bridges:
         k = max(0, b.n - 1)

@@ -9,6 +9,7 @@ from .exact import OracleError
 
 MIN_EXPECTED = 5.0     # chi-square categories expected below this are pooled
 MAX_BINS = 50          # most quantile bins
+POISSON_ROUNDS = 5000  # rejection rounds before a conditioned-Poisson draw gives up
 
 
 def chi2_gof(observed: dict, expected_probs: dict, n: int):
@@ -111,23 +112,22 @@ def quantile_bins(values: np.ndarray, min_per_bin: int = 200) -> np.ndarray:
 # -- conditioned-Poisson oracles ------------------------------------------------
 
 
-def sample_conditioned_poisson(lam: np.ndarray, accept, rng,
-                               max_iter: int) -> np.ndarray:
+def sample_conditioned_poisson(lam: np.ndarray, accept, rng) -> np.ndarray:
     """Independent Poisson(lam[i, e]) rows, each conditioned on `accept`.
 
     accept maps an integer draw matrix to a boolean mask of the rows that
     satisfy the condition.  Sampling is by rejection, which is exact; it
-    gives up after max_iter rounds with an OracleError.
+    gives up after POISSON_ROUNDS rounds with an OracleError.
     """
     n, m = lam.shape
     out = np.zeros((n, m), dtype=np.int64)
     todo = np.arange(n)
-    for _ in range(max_iter):
+    for _ in range(POISSON_ROUNDS):
         if todo.size == 0:
             return out
         draw = rng.poisson(lam[todo])
         ok = accept(draw)
         out[todo[ok]] = draw[ok]
         todo = todo[~ok]
-    raise OracleError(f"conditioned-Poisson rejection gave up after {max_iter} "
+    raise OracleError(f"conditioned-Poisson rejection gave up after {POISSON_ROUNDS} "
                       f"rounds with {todo.size} of {n} rows still rejected")

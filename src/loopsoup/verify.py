@@ -67,6 +67,7 @@ MC_TV_TOL = 0.01
 MIN_BIN_SAMPLES = 200
 SKELETON_CAP = 6         # longest excursion skeleton ct-excursions tests
 WILSON_LENGTH_CAP = 4    # longest cycle the Wilson cross-check compares
+TILT = Fraction(1, 2)    # theta of the tilted occupation-Markov check
 
 
 @dataclass
@@ -753,7 +754,6 @@ def verify_occupation_markov(domain: Domain, edge_partition,
                              intensity_kind: str = "c",
                              intensity=Fraction(1), cap: int = 12,
                              tilt_edge_group: int | None = None,
-                             tilt: Fraction = Fraction(1, 2),
                              allow_marginal: bool = False,
                              expect_fail: bool = False) -> TestReport:
     """Edge-occupation fields inside and outside a vertex set are
@@ -775,9 +775,8 @@ def verify_occupation_markov(domain: Domain, edge_partition,
     law = occupation_law(domain, groups, exponent, cap,
                          allow_marginal=allow_marginal)
     if tilt_edge_group is not None:
-        tilt = Fraction(tilt)
         law = type(law)(law.groups, law.cap,
-                        {n: w * tilt ** n[tilt_edge_group]
+                        {n: w * TILT ** n[tilt_edge_group]
                          for n, w in law.weights.items()}, law.scalar)
     # the window's bounds sum to the cap, so every cell weight in it is exact
     b = cap // 3
@@ -930,7 +929,7 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
     half = 1.0 if oriented else np.where(x == y, 0.5, 1.0)
     oracle = stats.sample_conditioned_poisson(
         phi[:, x] * phi[:, y] * (half * masses), meets,
-        stream(seed, f"{name}/oracle"), max_iter=5000)
+        stream(seed, f"{name}/oracle"))
     rows, oracle, occupation = sums[keep, :nsk], oracle[keep], T.sum(axis=1)[keep]
 
     def test(a, b):

@@ -164,8 +164,7 @@ def test_criterion_5_occupation_markov():
                                      intensity=Fraction(1), cap=9)
     tilt = verify_occupation_markov(ws.domain, part,
                                     intensity_kind="c", cap=12,
-                                    tilt_edge_group=part[2][0],
-                                    tilt=Fraction(1, 2))
+                                    tilt_edge_group=part[2][0])
     dt = time.time() - t0
     ok = (rep_u.passed and rep_o.passed and tilt.passed
           and max(rep_u.statistic, rep_o.statistic, tilt.statistic) <= 1e-12

@@ -25,4 +25,4 @@ def test_conditioned_poisson_gives_up_with_oracle_error():
     never = lambda draw: np.zeros(len(draw), dtype=bool)   # noqa: E731
     with pytest.raises(OracleError, match="3 of 3 rows still rejected"):
         sample_conditioned_poisson(np.ones((3, 2)), never,
-                                   np.random.default_rng(0), max_iter=5)
+                                   np.random.default_rng(0))
