@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, build_graph, complete_graph,
-                      cycle_graph, enumerate_loops, green_function,
+from loopsoup import (Domain, GraphError, build_graph, green_function,
                       pair_reversals, regularize_degree, sample_gff,
                       unoriented_view, verify_ct_excursions, verify_lejan,
                       verify_occupation_markov, verify_prop1,
