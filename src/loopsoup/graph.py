@@ -19,10 +19,9 @@ Both are supported; graph files must say which they use (via ``rev``).
 
 Domains are vertex subsets (optionally minus some edges).  The walk killed
 on exiting the domain has transition matrix ``P_D`` with entries
-``#edges(x -> y) / g``, and when its spectral radius is below one the Green's
-function ``G_D = sum_{n>=0} P_D^n`` is finite and solves
-``(I - P_D) G_D = I``.  The radius is certified from above by one
-eigenvalue solve and a Collatz-Wielandt ratio.
+``#edges(x -> y) / g``.  When its spectral radius, bounded from above by a
+Collatz-Wielandt ratio, is below one, the Green's function
+``G_D = sum_{n>=0} P_D^n`` is finite and solves ``(I - P_D) G_D = I``.
 """
 
 from __future__ import annotations
@@ -316,7 +315,8 @@ class Domain:
         self._radius: float | None = None
         if not allow_recurrent and self.spectral_radius() > _RADIUS_REJECT:
             raise RecurrentDomainError(
-                f"spectral radius {self.spectral_radius():.12f} too close to 1")
+                f"spectral radius {self.spectral_radius():.12f} too close to 1"
+            )
 
     # -- walk structure ----------------------------------------------------
 
