@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .exact import OracleError
 
@@ -50,7 +52,7 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int):
     exp *= obs.sum() / exp.sum()
     stat = float(((obs - exp) ** 2 / exp).sum())
     dof = len(obs) - 1
-    return stat, dof, float(sps.chi2.sf(stat, dof))
+    return stat, dof, chi2_sf(stat, dof)
 
 
 def chi2_two_sample(counts_a: dict, counts_b: dict):
@@ -81,7 +83,36 @@ def chi2_two_sample(counts_a: dict, counts_b: dict):
     eb = tot * nb / (na + nb)
     stat = float((((a - ea) ** 2) / ea).sum() + (((b - eb) ** 2) / eb).sum())
     dof = len(keep) - 1
-    return stat, dof, float(sps.chi2.sf(stat, dof))
+    return stat, dof, chi2_sf(stat, dof)
+
+
+def chi2_sf(stat: float, dof: int) -> float:
+    """Upper tail P(X > stat), stat >= 0, of the chi-square law with dof
+    degrees of freedom; NaN when dof <= 0, as scipy.stats.chi2.sf gives."""
+    return float(special.chdtrc(dof, stat)) if dof > 0 else math.nan
+
+
+def fisher_2x2(table) -> float:
+    """Two-sided p-value of Fisher's exact test on a 2x2 table of counts.
+
+    With row sums r1, r2 and first column sum c1, the table with x in its
+    corner has weight w(x) = C(r1, x) C(r2, c1 - x); the p-value sums the
+    weights no larger than the observed one over their total C(r1 + r2, c1).
+    The weights are exact integers, each from the last by one ratio, and
+    the quotient is rounded once.  A zero margin gives 1.0.
+    """
+    (a, b), (c, d) = (map(int, row) for row in table)
+    r1, r2, c1 = a + b, c + d, a + c
+    if 0 in (r1, r2, c1, b + d):
+        return 1.0
+    lo = max(0, c1 - r2)
+    w = math.comb(r1, lo) * math.comb(r2, c1 - lo)
+    weights = []
+    for x in range(lo, min(r1, c1) + 1):
+        weights.append(w)
+        w = w * (r1 - x) * (c1 - x) // ((x + 1) * (r2 - c1 + x + 1))
+    observed = weights[a - lo]
+    return sum(v for v in weights if v <= observed) / sum(weights)
 
 
 def empirical_tv(counts_a: dict, counts_b: dict) -> float:
@@ -90,10 +121,6 @@ def empirical_tv(counts_a: dict, counts_b: dict) -> float:
     keys = set(counts_a) | set(counts_b)
     return 0.5 * sum(abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb)
                      for k in keys)
-
-
-def ks_distance(samples, cdf) -> float:
-    return float(sps.kstest(samples, cdf).statistic)
 
 
 def three_sigma(mean_hat: float, target: float, se: float,

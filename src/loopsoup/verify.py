@@ -44,7 +44,6 @@ from functools import cached_property
 from itertools import combinations, product, zip_longest
 
 import numpy as np
-from scipy import stats as sps
 
 from . import stats
 from .exact import (OracleError, conditional_multiset_law, occupation_law,
@@ -649,8 +648,8 @@ def _independence_chi2(rows, n_sides):
     joint = Counter(tuple(label[r[i]] for i, label, _ in active) for r in rows)
     cats = [sorted(m, key=repr) for _, _, m in active]
     if e_min < 1:
-        return float(sps.fisher_exact(
-            [[joint.get((x, y), 0) for y in cats[1]] for x in cats[0]])[1])
+        return stats.fisher_2x2(
+            [[joint.get((x, y), 0) for y in cats[1]] for x in cats[0]])
     dof = (math.prod(len(c) for c in cats) - 1
            - sum(len(c) - 1 for c in cats))
     stat = 0.0
@@ -659,7 +658,7 @@ def _independence_chi2(rows, n_sides):
         for (_, _, m), k in zip(active, cell):
             e *= m[k] / n
         stat += (joint.get(cell, 0) - e) ** 2 / e
-    return float(sps.chi2.sf(stat, dof))
+    return stats.chi2_sf(stat, dof)
 
 
 def verify_residual_independence(catalog: LoopCatalog, sets) -> TestReport:
@@ -802,6 +801,7 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
     Checked per site by Kolmogorov-Smirnov against Gamma(1/2, scale G(x,x))
     and at first and second moments (Wick) with truncation allowances.
     """
+    from scipy import stats as sps   # only this check needs scipy.stats
     dom = catalog.domain
     g = dom.g
     sites = list(dom.vertices)
@@ -817,7 +817,7 @@ def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
     details = {}
     for j, x in enumerate(sites):
         gxx = green(x, x)
-        ks = stats.ks_distance(T[:, j], sps.gamma(a=0.5, scale=gxx).cdf)
+        ks = float(sps.kstest(T[:, j], sps.gamma(a=0.5, scale=gxx).cdf).statistic)
         ks_worst = max(ks_worst, ks)
         mean_ok = stats.three_sigma(
             float(T[:, j].mean()), 0.5 * gxx,

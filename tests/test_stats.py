@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from loopsoup.exact import OracleError
-from loopsoup.stats import chi2_gof, sample_conditioned_poisson
+from loopsoup.stats import (chi2_gof, chi2_sf, fisher_2x2,
+                            sample_conditioned_poisson)
 
 
 def test_chi2_gof_ignores_how_categories_are_written():
@@ -26,3 +30,31 @@ def test_conditioned_poisson_gives_up_with_oracle_error():
     with pytest.raises(OracleError, match="3 of 3 rows still rejected"):
         sample_conditioned_poisson(np.ones((3, 2)), never,
                                    np.random.default_rng(0))
+
+
+def test_chi2_sf_is_scipys_chi2_sf():
+    """Bit for bit on dof 1-200 over x >= 0, and NaN at dof 0 as scipy."""
+    xs = [0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 7.0, 19.9, 64.0, 150.0, 333.3,
+          1e3, 1e5, 1e300, math.inf]
+    for dof in range(1, 201):
+        for x in xs:
+            assert chi2_sf(x, dof) == float(sps.chi2.sf(x, dof)), (x, dof)
+    assert math.isnan(chi2_sf(3.0, 0)) and math.isnan(sps.chi2.sf(3.0, 0))
+
+
+def test_fisher_2x2_matches_scipy():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        table = rng.integers(0, rng.choice([4, 20, 200]), size=(2, 2))
+        p = fisher_2x2(table.tolist())
+        assert p == pytest.approx(sps.fisher_exact(table)[1], rel=1e-12, abs=0)
+
+
+def test_fisher_2x2_zero_margin_and_exact_value():
+    for table in ([[0, 0], [3, 4]], [[3, 4], [0, 0]], [[0, 5], [0, 2]],
+                  [[5, 0], [2, 0]], [[0, 0], [0, 0]]):
+        assert fisher_2x2(table) == 1.0
+    # margins 4, 4, 4: weights 1, 16, 36, 16, 1 over C(8, 4) = 70; the
+    # observed corner 3 has weight 16, so p = (1 + 16 + 16 + 1) / 70
+    assert fisher_2x2([[3, 1], [1, 3]]) == 17 / 35
+    assert fisher_2x2([[1, 3], [3, 1]]) == 17 / 35
