@@ -237,10 +237,21 @@ def _spectral_radius(P: np.ndarray) -> float:
 
     rho(P) <= max_i (Pv)_i / v_i for every positive v (Collatz-Wielandt).
     With r just above LAPACK's eigenvalues, v = (r I - P)^{-1} 1 makes the
-    ratio, rounded up, tight; r widens where rounding spoils v (nilpotent P).
-    Rows of P sum to at most 1, so 1 is a bound: a trapped walk reads 1.0.
+    ratio, rounded up, tight; r widens where rounding spoils v.  Rows of P
+    sum to at most 1, so 1 is a bound: a trapped walk reads 1.0.  When the
+    support of P has no directed cycle, P is nilpotent and the radius is
+    exactly 0: peeling the vertices with no step to a live vertex then
+    empties the graph.
     """
     n = P.shape[0]
+    live = np.ones(n, dtype=bool)
+    while live.any():
+        peel = live & ~(P[:, live] > 0).any(axis=1)
+        if not peel.any():
+            break
+        live &= ~peel
+    else:
+        return 0.0
     est = float(np.abs(np.linalg.eigvals(P)).max())
     margin = 1e-9
     while (r := est * (1.0 + margin) + margin * 1e-3) < 1.0:
