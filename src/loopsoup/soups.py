@@ -94,6 +94,15 @@ def _chunk_rows(catalog: LoopCatalog, rate: float, m: int, rng) -> list:
             for a, b in zip(ends, ends[1:])]
 
 
+def _refuse(catalog: LoopCatalog, mode: str, intensity: float) -> None:
+    """SoupError for a catalog of the other mode or a nonpositive intensity."""
+    if catalog.mode != mode:
+        raise SoupError(f"catalog is not {mode}")
+    if intensity <= 0:
+        name = "alpha" if mode == "oriented" else "c"
+        raise SoupError(f"{name} must be positive")
+
+
 def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
                     n_samples: int, rng):
     """Iterator over the count dicts of n_samples independent soups.
@@ -104,26 +113,30 @@ def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
     A catalog of the other mode or a nonpositive intensity raises SoupError
     here, before anything is drawn.
     """
-    if catalog.mode != mode:
-        raise SoupError(f"catalog is not {mode}")
-    if intensity <= 0:
-        name = "alpha" if mode == "oriented" else "c"
-        raise SoupError(f"{name} must be positive")
+    _refuse(catalog, mode, intensity)
     return (row for start in range(0, n_samples, ROW_CHUNK)
             for row in _chunk_rows(catalog, intensity,
                                    min(ROW_CHUNK, n_samples - start), rng))
 
 
+def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> LoopSoup:
+    """The one-row case of `soup_count_rows`: the same draws and the same
+    dict, its counts in class order, from one `_class_draws` call."""
+    _refuse(catalog, mode, intensity)
+    _, idx = _class_draws(catalog.mass_arrays()[1], intensity, 1, rng)
+    classes = catalog.classes
+    return LoopSoup(catalog, {classes[i].key: k
+                              for i, k in sorted(Counter(idx.tolist()).items())})
+
+
 def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:
     """Independent Poisson(alpha * mu(L)) count per oriented class."""
-    counts = next(soup_count_rows(catalog, "oriented", alpha, 1, rng))
-    return LoopSoup(catalog, counts)
+    return _one_soup(catalog, "oriented", alpha, rng)
 
 
 def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng) -> LoopSoup:
     """Independent Poisson(c * nu(L~)) count per unoriented class."""
-    counts = next(soup_count_rows(catalog, "unoriented", c, 1, rng))
-    return LoopSoup(catalog, counts)
+    return _one_soup(catalog, "unoriented", c, rng)
 
 
 def forget_orientation(soup: LoopSoup) -> LoopSoup:
