@@ -8,8 +8,6 @@ time every visit carries an exponential holding time and each site also
 collects the occupation of the zero-jump loops.
 """
 
-import numpy as np
-
 from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,
                       forget_orientation, green_function, occupation_field,
                       orient_randomly, pair_reversals, sample_ct_soup,

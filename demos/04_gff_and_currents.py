@@ -9,7 +9,6 @@ means |phi_x||phi_y|/g, constrained to even degrees: the random-current
 law.
 """
 
-import numpy as np
 from scipy import stats as sps
 
 from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,

@@ -9,11 +9,8 @@ independent across a vertex cut given the boundary jump counts, which we
 check exactly from the jump-count generating function.
 """
 
-from collections import Counter
-
-from loopsoup import (cycle_graph, enumerate_loops, pop_cycles,
-                      sample_oriented_soup, verify_occupation_markov,
-                      verify_wilson, wilson_ust)
+from loopsoup import (pop_cycles, sample_oriented_soup,
+                      verify_occupation_markov, verify_wilson, wilson_ust)
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.rng import stream

@@ -1,9 +1,7 @@
 import pytest
-from fractions import Fraction
 
 from loopsoup import (Domain, Involution, build_graph, complete_graph,
-                      cycle_graph, enumerate_loops, pair_reversals,
-                      unoriented_view)
+                      enumerate_loops, pair_reversals, unoriented_view)
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
-                      enumerate_loops, green_function, pair_reversals,
-                      regularize_degree, sample_bridge, sample_unordered_bridge,
-                      sample_z_bridge, unoriented_view, verify_ct_excursions,
+                      enumerate_loops, green_function, regularize_degree,
+                      sample_bridge, sample_unordered_bridge, sample_z_bridge,
                       verify_lejan, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_prop5_degenerate, verify_random_currents,

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
 from loopsoup import (Bridge, Domain, RecurrentDomainError,
                       attach_holding_times, bridge_probability, build_graph,
                       complete_graph, cycle_graph, enumerate_bridges,
-                      green_function, pair_reversals, regularize_degree,
-                      sample_bridge, sample_unordered_bridge, sample_z_bridge)
+                      green_function, regularize_degree, sample_bridge,
+                      sample_unordered_bridge, sample_z_bridge)
 from loopsoup.bridges import (BridgeError, _doob_table, all_pairings,
                               bridge_probability_exact, pairing_weights,
                               permutation_weights)

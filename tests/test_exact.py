@@ -3,13 +3,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, enumerate_loops, green_function,
-                      occupation_law, tv_distance)
+from loopsoup import Domain, build_graph, occupation_law, tv_distance
 from loopsoup.exact import (OracleError, _binomial_series, _det, _mul,
                             conditional_multiset_law, unordered_bridge_law,
                             z_bridge_law)

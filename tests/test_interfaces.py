@@ -1,9 +1,7 @@
 """Dump formats and cross-cutting invariants."""
 
 import json
-import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -13,8 +11,6 @@ from loopsoup import (Domain, attach_holding_times, decompose, enumerate_loops,
                       verify_prop1)
 from loopsoup.bridges import family_to_json
 from loopsoup.cli import main as cli_main
-from loopsoup.excursions import _cyclic_arcs, path_endpoints
-from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import export_soup_jsonl, occupation_to_json, occupation_field
 

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +15,7 @@ from loopsoup import (Domain, GraphError, build_graph, canonicalize_oriented,
 from loopsoup import loops
 from loopsoup.cli import run
 from loopsoup.config import config_from_dict
-from loopsoup.loops import (BudgetExceededError, InvalidLoopError,
-                            loop_vertices, necklace)
+from loopsoup.loops import BudgetExceededError, InvalidLoopError, necklace
 
 
 def frac_matmul(A, B):

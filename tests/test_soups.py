@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
