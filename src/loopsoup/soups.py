@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -85,12 +86,11 @@ def _chunk_rows(catalog: LoopCatalog, rate: float, m: int, rng) -> list:
     nonzero counts in class order."""
     classes = catalog.classes
     counts, idx = _class_draws(catalog.mass_arrays()[1], rate, m, rng)
-    pairs, vals = np.unique(np.repeat(np.arange(m), counts) * len(classes)
-                            + idx, return_counts=True)
-    rows, cols = np.divmod(pairs, len(classes))
-    cols, vals = cols.tolist(), vals.tolist()
-    ends = np.searchsorted(rows, np.arange(m + 1)).tolist()
-    return [{classes[i].key: k for i, k in zip(cols[a:b], vals[a:b])}
+    idx = idx.tolist()
+    ends = [0, *accumulate(counts.tolist())]
+    # most soups hold no loop or one, and a Counter costs more than either
+    return [{} if a == b else {classes[idx[a]].key: 1} if b - a == 1 else
+            {classes[i].key: k for i, k in sorted(Counter(idx[a:b]).items())}
             for a, b in zip(ends, ends[1:])]
 
 
@@ -120,13 +120,9 @@ def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
 
 
 def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> LoopSoup:
-    """The one-row case of `soup_count_rows`: the same draws and the same
-    dict, its counts in class order, from one `_class_draws` call."""
+    """The one-row case of `soup_count_rows`."""
     _refuse(catalog, mode, intensity)
-    _, idx = _class_draws(catalog.mass_arrays()[1], intensity, 1, rng)
-    classes = catalog.classes
-    return LoopSoup(catalog, {classes[i].key: k
-                              for i, k in sorted(Counter(idx.tolist()).items())})
+    return LoopSoup(catalog, _chunk_rows(catalog, intensity, 1, rng)[0])
 
 
 def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:

@@ -5,6 +5,7 @@ Each fixture under tests/data/ is a config plus the report.json that
 Each pinned output is stored as `<fixture>.<file name>`.
 """
 
+import json
 import os
 
 import pytest
@@ -40,3 +41,17 @@ def test_report_matches_golden_fixture(tmp_path, name):
         with open(os.path.join(DATA, f"{name}.{out}"), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / out).read_bytes() == expected, out
+
+
+def test_exact_reports_share_one_convention(tmp_path):
+    """An exact verdict is an exact equality: every report whose mode starts
+    with "exact" carries tolerance 0.0, and statistic 0.0 when it passes."""
+    for name in ("golden_exact", "golden_occupation"):
+        out = tmp_path / name
+        assert run(parse_config(os.path.join(DATA, f"{name}.cfg")), str(out)) == 0
+        reports = json.loads((out / "report.json").read_text())["reports"]
+        exact = [r for r in reports if r["mode"].startswith("exact")]
+        assert exact, name
+        for r in exact:
+            assert r["tolerance"] == 0.0, (name, r["prop"])
+            assert r["verdict"] != "pass" or r["statistic"] == 0.0, (name, r["prop"])

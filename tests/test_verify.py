@@ -17,14 +17,14 @@ from loopsoup import (Domain, GraphError, build_graph, green_function,
 from loopsoup import excursions
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
-from loopsoup.exact import side_orbit_key
+from loopsoup.exact import OccupationLaw, side_orbit_key
 from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
 from loopsoup.verify import (MC_TV_TOL, CrossingCut, EdgeCut, ExcursionCut,
-                             _conditional_keys, _mc_driver, _verdict,
-                             exact_conditional_beta, feasible_etas,
+                             _conditional_keys, _markov_defect, _mc_driver,
+                             _verdict, exact_conditional_beta, feasible_etas,
                              verify_residual_independence)
 
 
@@ -424,7 +424,7 @@ def test_occupation_markov_exact_and_tilt():
     part = markov_edge_partition(ws, oriented=False)
     rep = verify_occupation_markov(ws.domain, part,
                                    intensity_kind="c", cap=12)
-    assert rep.passed and rep.details["minors_violated"] == 0
+    assert rep.passed and rep.details["cells_violated"] == 0
     tilted = verify_occupation_markov(ws.domain, part,
                                       intensity_kind="c", cap=12,
                                       tilt_edge_group=part[2][0])
@@ -438,7 +438,7 @@ def test_occupation_markov_exact_and_tilt():
 
 def test_occupation_markov_control_fails_on_cycle():
     """On a domain with a two-edge boundary the single-component field at
-    c = 2 is not Markov; the exact minors must violate."""
+    c = 2 is not Markov; the exact product check must fail on some cell."""
     edges = []
     eid = 0
     for a, b in [(1, 2), (2, 3), (3, 4), (4, 1), (1, 0)]:
@@ -459,13 +459,14 @@ def test_occupation_markov_control_fails_on_cycle():
                                    intensity=Fraction(2), cap=12,
                                    allow_marginal=True, expect_fail=True)
     assert bad.passed
-    assert bad.details["minors_checked"] == 57
-    assert bad.details["minors_violated"] == 9
+    assert bad.details["cells_checked"] == 66
+    assert bad.details["cells_violated"] == 9
 
 
-def test_occupation_markov_checking_no_minor_fails():
-    """At cap 2 the window of the 2-D grid split holds no full 2x2 minor:
-    nothing is tested, so the run fails instead of passing vacuously."""
+def test_occupation_markov_checking_no_cell_fails():
+    """At cap 2 the window of the 2-D grid split holds no boundary block
+    with two rows and two columns: nothing is tested, so the run fails
+    instead of passing vacuously."""
     cfg = config_from_dict({
         "graph": "grid:2x3", "domain": "0 1 2 3 4", "jobs": "occupation-markov",
         "seed": "0", "f1": "0 1",
@@ -473,8 +474,29 @@ def test_occupation_markov_checking_no_minor_fails():
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
     rep = verify_occupation_markov(ws.domain, part, cap=2)
-    assert rep.details["minors_checked"] == 0
+    assert rep.details["cells_checked"] == 0
     assert rep.verdict == "fail"
+
+
+def test_markov_defect_decides_each_boundary_block_exactly():
+    """A block [[a, 0], [0, d]] holds no 2x2 minor of present cells, yet it
+    is no product and fails; a product block passes; a one-row block tests
+    nothing.  Variables are (inside, boundary, outside), all within the
+    window of cap 6 (at most 2 inside, 2 outside and 2 on the boundary)."""
+    def law(cells):
+        return OccupationLaw((), 6, {n: Fraction(w) for n, w in cells.items()},
+                             1.0)
+
+    diagonal = law({(0, 0, 0): 3, (1, 0, 1): 5})
+    stat, checked, bad = _markov_defect(diagonal, [0], [1], [2])
+    assert (checked, bad) == (4, 4)
+    # the projection puts 9/8, 15/8, 15/8, 25/8 of the mass 8 on the cells
+    assert stat == float(Fraction(15, 32))
+    product_block = law({(i, b, o): (1 + i) * (2 + o) * (1 + b)
+                         for i in range(3) for o in range(2) for b in range(2)})
+    assert _markov_defect(product_block, [0], [1], [2]) == (0.0, 12, 0)
+    one_row = law({(1, 0, 0): 2, (1, 0, 2): 7, (1, 1, 1): 1})
+    assert _markov_defect(one_row, [0], [1], [2]) == (0.0, 0, 0)
 
 
 @pytest.fixture(scope="module")
