@@ -20,14 +20,15 @@ statement cuts loops: ExcursionCut (Props. 1 and 2), EdgeCut (Prop. 5) and
 CrossingCut (Props. 1bis and 3bis) give each class's contribution, cut a
 class multiset into its bin and hookup key, and give the truncated-soup
 law of a bin from the bridge laws in `exact`.  `_verify_cut` runs a cut in
-either mode: `_exact_driver` decides, per feasible target, that the
-conditional law of the keys equals that law; `_mc_driver` samples soups,
-cuts the touching ones into bins and tests each bin (goodness of fit against
-the oracle, or independence of the sides for crossings) under one Bonferroni
-correction.
+either mode: exactly, it decides per feasible target that the conditional
+law of the keys equals that law; by Monte Carlo (`_mc_driver`) it samples
+soups, cuts the touching ones into bins and tests every bin that holds
+MIN_BIN_SAMPLES soups (goodness of fit against the oracle, or independence
+of the sides for crossings) under one Bonferroni correction.  The sample
+floor is the only rule: every other bin counts as skipped.
 
 A cut touches only what it needs.  Its `candidates` (every catalog class it
-splits, with contribution) are built on first use by the exact driver and
+splits, with contribution) are built on first use by the exact mode and
 `targets`.  The Monte Carlo driver never builds them: it asks the memoized
 `touches(key)` of the classes its soups hold, draws the soups in batched
 rows (`soups.soup_count_rows`), and cuts each distinct touching
@@ -175,13 +176,6 @@ class Cut:
     # an exact report counts and lists its targets as <noun>s_tested, per_<noun>
     noun = "target"
 
-    def bin_order(self, item):
-        """Sort key of a (bin, key counts) pair: the order bins are tested in."""
-        return item[0]
-
-    def testable(self, b) -> bool:
-        return True
-
     def bin_p(self, b, counts: Counter, n: int):
         """p-value of the sampled keys of a bin against its law, or None."""
         law, _ = self.oracle(b)
@@ -237,10 +231,10 @@ class ExcursionCut(Cut):
         return Counter(decompose_counts(self.catalog, {key: 1},
                                         self.F1, self.F2).eta)
 
-    def cut(self, counts, max_size=None):
-        """(eta, hookup key), or None without excursions or beyond max_size."""
+    def cut(self, counts):
+        """(eta, hookup key), or None without excursions."""
         d = decompose_counts(self.catalog, counts, self.F1, self.F2)
-        if not d.N or (max_size is not None and d.N > max_size):
+        if not d.N:
             return None
         if self.oriented:
             return d.eta, oriented_hookup_orbit_key(d.eta, d.beta_truth)
@@ -295,11 +289,10 @@ class EdgeCut(Cut):
             pieces.extend([(eid,) if e.tail <= e.head else (self.inv(eid),)] * n)
         return tuple(pieces)
 
-    def cut(self, counts, max_size=None):
-        """(jump counts, hookup key), or None without jumps or beyond max_size."""
+    def cut(self, counts):
+        """(jump counts, hookup key), or None without jumps."""
         rec = record_edge_jumps_counts(self.catalog, counts, self.removed)
-        total = sum(rec.counts)
-        if not total or (max_size is not None and total > max_size):
+        if not any(rec.counts):
             return None
         return rec.counts, unoriented_hookup_orbit_key(
             self._pieces(rec.counts), rec.hookup, rec.self_edge_slots, self.inv)
@@ -323,15 +316,7 @@ class CrossingCut(Cut):
     bins are crossing configurations, keyed by the per-set completions.
 
     Monte Carlo bins test independence of the sides instead of an oracle.
-    Bins whose crossings eat into the truncation budget (fewer than `slack`
-    spare steps below L_max) are skipped: for those the truncated soup
-    genuinely couples the sides through the leftover length budget, a pure
-    cutoff artifact.  The exact mode has no such skip: the conditional law
-    it checks is equal to the truncated-soup law, which carries the
-    coupling.
     """
-
-    slack = 6
 
     def __init__(self, catalog: LoopCatalog, sets):
         self.sets = tuple(frozenset(s) for s in sets)
@@ -341,7 +326,7 @@ class CrossingCut(Cut):
         return Counter(extract_crossings_counts(self.catalog, {key: 1},
                                                 self.sets).instances)
 
-    def cut(self, counts, max_size=None):
+    def cut(self, counts):
         """(crossing key, per-side completion keys), or None without crossings."""
         cs = extract_crossings_counts(self.catalog, counts, self.sets)
         if not cs.instances:
@@ -351,18 +336,11 @@ class CrossingCut(Cut):
 
     target_order = staticmethod(repr)
 
-    def bin_order(self, item):
-        return -sum(item[1].values())
-
     def label(self, ck) -> dict:
         return {"crossings": sum(len(v) for _, v in ck)}
 
-    def testable(self, ck) -> bool:
-        cross_steps = sum(len(p) for _, paths in ck for p in paths)
-        return cross_steps <= self.catalog.L_max - self.slack
-
     def bin_p(self, ck, counts: Counter, n: int):
-        return _independence_chi2(list(counts.elements()), len(self.sets))
+        return _independence_chi2(counts, len(self.sets))
 
     def laws(self, intensity: Fraction, target: Counter):
         """(report entry, conditional law of the joint completion given the
@@ -412,30 +390,13 @@ def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
     return cond, b
 
 
-def _exact_driver(cut: Cut, intensity: Fraction, targets: list):
-    """Decide, per target, that the conditional law equals the truncated-soup
-    law of its bin, as Fractions; returns (every pair equal, worst total
-    variation, per-target entries).
-
-    The total variations are floats for display: each is exactly 0.0 when
-    its two laws are equal, and the verdict is the equality itself.
-    """
-    if not targets:
-        raise OracleError("no feasible conditioning target: nothing to check")
-    equal, worst, entries = True, 0.0, []
-    for target in targets:
-        entry, cond, law = cut.laws(intensity, target)
-        tv = tv_distance(cond, law)
-        equal = equal and cond == law
-        worst = max(worst, tv)
-        entries.append({**entry, "tv": tv})
-    return equal, worst, entries
-
-
 def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
-               max_size, expect_fail: bool, /, **details) -> TestReport:
-    """Sample soups, cut those touching the cut into bins of hookup keys, test
-    every bin with enough samples, and Bonferroni-correct over the bins.
+               expect_fail: bool) -> TestReport:
+    """Sample soups, cut those touching the cut into bins of hookup keys, and
+    test, in bin-key order, every bin that holds MIN_BIN_SAMPLES soups, under
+    one Bonferroni correction.  Every other bin counts as skipped, and so
+    does a bin whose test has no degree of freedom: tested + skipped is the
+    number of bins.
 
     Classes the cut does not split leave the cut unchanged, so each soup is
     cut on its touching classes alone, once per distinct sub-multiset.
@@ -450,19 +411,15 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
         if not sub:
             continue
         if sub not in cuts:
-            cuts[sub] = cut.cut(dict(sub), max_size)
+            cuts[sub] = cut.cut(dict(sub))
         got = cuts[sub]
         if got is not None:
             bins[got[0]][got[1]] += 1
     pvals = []
-    skipped = 0
     tested = []
-    for b, counts in sorted(bins.items(), key=cut.bin_order):
+    for b, counts in sorted(bins.items()):
         n_bin = sum(counts.values())
-        if n_bin < MIN_BIN_SAMPLES or not cut.testable(b):
-            skipped += 1
-            continue
-        p = cut.bin_p(b, counts, n_bin)
+        p = cut.bin_p(b, counts, n_bin) if n_bin >= MIN_BIN_SAMPLES else None
         if p is not None:
             pvals.append(p)
             tested.append({**cut.label(b), "n": n_bin, "p": p})
@@ -472,21 +429,36 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
                         note="no bin had enough samples")
     worst, threshold, ok = _bonferroni(pvals)
     return _verdict(prop, "mc", worst, threshold, ok, catalog, samples, seed,
-                    expect_fail, bins_tested=len(pvals), bins_skipped=skipped,
-                    bins=tested, **details)
+                    expect_fail, bins_tested=len(pvals),
+                    bins_skipped=len(bins) - len(pvals), bins=tested,
+                    intensity=intensity)
 
 
 def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
                 expect_fail, targets=None) -> TestReport:
-    """Check one cut, exactly (over `targets`, by default every target of at
-    most max_size pieces) or by Monte Carlo (bins of at most max_size pieces
-    where the cut bounds them; crossing bins are not bounded)."""
+    """Check one cut by Monte Carlo (`_mc_driver`), or exactly: decide, per
+    target (by default every target of at most max_size pieces), that the
+    conditional law of the keys equals the truncated-soup law of its bin,
+    as Fractions.
+
+    The total variations are floats for display: each is exactly 0.0 when
+    its two laws are equal, and the verdict is the equality itself.
+    """
     if mode != "exact":
         return _mc_driver(prop, cut, float(intensity), samples, seed,
-                          max_size, expect_fail, intensity=float(intensity))
+                          expect_fail)
     intensity = Fraction(intensity)
-    equal, worst, entries = _exact_driver(
-        cut, intensity, cut.targets(max_size) if targets is None else targets)
+    if targets is None:
+        targets = cut.targets(max_size)
+    if not targets:
+        raise OracleError("no feasible conditioning target: nothing to check")
+    equal, worst, entries = True, 0.0, []
+    for target in targets:
+        entry, cond, law = cut.laws(intensity, target)
+        tv = tv_distance(cond, law)
+        equal = equal and cond == law
+        worst = max(worst, tv)
+        entries.append({**entry, "tv": tv})
     return _verdict(prop, "exact", worst, 0.0, equal, cut.catalog,
                     expect_fail=expect_fail, intensity=str(intensity),
                     **{f"{cut.noun}s_tested": len(entries),
@@ -569,10 +541,8 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
     that uniform pairing law, with empty bridges.
     """
     cut = EdgeCut(catalog, catalog.unoriented_graph.classes_inside(catalog.domain))
-    equal, worst, per_target = _exact_driver(cut, Fraction(intensity),
-                                             cut.targets(max_jumps))
-    return _verdict("prop5", "exact-degenerate", worst, 0.0, equal, catalog,
-                    targets_tested=len(per_target))
+    return _verify_cut("prop5", cut, "exact", intensity, max_jumps, 0, None,
+                       False)
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
@@ -611,8 +581,9 @@ def verify_prop1bis_3bis(catalog: LoopCatalog, sets, mode: str = "exact",
                        targets)
 
 
-def _independence_chi2(rows, n_sides):
-    """Test that the per-side keys of the rows are independent.
+def _independence_chi2(table: Counter, n_sides):
+    """Test that the sides of a contingency table, a Counter of per-side key
+    tuples, are independent.
 
     Each side's rarest categories are pooled, rarest into next rarest, until
     the smallest expected cell count n prod_i (min marginal_i / n) is at
@@ -623,11 +594,13 @@ def _independence_chi2(rows, n_sides):
     key dominating both sides), Fisher's exact test replaces the chi-square.
     None when fewer than two sides have two categories.
     """
-    n = len(rows)
+    n = sum(table.values())
     # per side: its index, the pooled label of every key, the label counts
     sides = []
     for i in range(n_sides):
-        marg = Counter(r[i] for r in rows)
+        marg: Counter = Counter()
+        for r, m in table.items():
+            marg[r[i]] += m
         sides.append((i, {k: k for k in marg}, marg))
     while True:
         active = [s for s in sides if len(s[2]) > 1]
@@ -644,7 +617,9 @@ def _independence_chi2(rows, n_sides):
             if label[k] == a:
                 label[k] = b
         marg[b] += marg.pop(a)
-    joint = Counter(tuple(label[r[i]] for i, label, _ in active) for r in rows)
+    joint: Counter = Counter()
+    for r, m in table.items():
+        joint[tuple(label[r[i]] for i, label, _ in active)] += m
     cats = [sorted(m, key=repr) for _, _, m in active]
     if e_min < 1:
         return stats.fisher_2x2(

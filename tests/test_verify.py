@@ -22,9 +22,11 @@ from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
-from loopsoup.verify import (MC_TV_TOL, CrossingCut, EdgeCut, ExcursionCut,
-                             _conditional_keys, _markov_defect, _mc_driver,
-                             _verdict, exact_conditional_beta, feasible_etas,
+from loopsoup.soups import soup_count_rows
+from loopsoup.verify import (MC_TV_TOL, MIN_BIN_SAMPLES, CrossingCut,
+                             EdgeCut, ExcursionCut, _conditional_keys,
+                             _markov_defect, _mc_driver, _verdict,
+                             exact_conditional_beta, feasible_etas,
                              verify_residual_independence)
 
 
@@ -281,16 +283,15 @@ def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs, data):
         + data.draw(st.lists(st.sampled_from(others), max_size=3))))
     counts = dict(Counter(soup))
     sub = {k: v for k, v in sorted(counts.items()) if cut.touches(k)}
-    max_size = data.draw(st.sampled_from([None, 1, 2, 4]))
 
-    assert cut.cut(counts, max_size) == cut.cut(sub, max_size)
+    assert cut.cut(counts) == cut.cut(sub)
 
 
 def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
     """A Monte Carlo run asks `touches` of the sampled classes and never
     cuts the whole catalog; the exact side still builds `candidates`."""
     for cut in _triangle_cuts(k5, triangle_catalogs):
-        rep = _mc_driver("lazy", cut, 1.0, 3000, 0, 2, False)
+        rep = _mc_driver("lazy", cut, 1.0, 3000, 0, False)
         assert rep.samples == 3000
         assert "candidates" not in cut.__dict__
         assert cut._touches and len(cut._touches) < len(cut.catalog)
@@ -313,14 +314,14 @@ def test_mc_control_with_no_testable_bin_fails(triangle_catalogs):
     # 100 soups cannot fill a bin of MIN_BIN_SAMPLES: nothing is tested, so
     # even a control that must fail does not pass
     cut = ExcursionCut(triangle_catalogs[0], {1}, {2})
-    rep = _mc_driver("prop1", cut, 1.0, 100, 0, 2, True)
+    rep = _mc_driver("prop1", cut, 1.0, 100, 0, True)
     assert rep.details["note"] == "no bin had enough samples"
     assert rep.details["positive_control"] and not rep.passed
 
 
 def test_crossing_cut_keys_every_two_copy_soup(triangle_catalogs):
-    """Two copies of any K5-triangle class that crosses get side keys, the
-    untestable bins included: no orbit is too large to key."""
+    """Two copies of any K5-triangle class that crosses get side keys, every
+    bin included: no orbit is too large to key."""
     cat, ucat = triangle_catalogs
     keyed = 0
     for cut in (CrossingCut(cat, [{1}, {2}]), CrossingCut(ucat, [{1}, {3}])):
@@ -401,18 +402,53 @@ def test_residual_coupling(ws_k12):
     assert rep.passed
 
 
-def test_three_set_independence_mc():
-    """Three marked sets on a 5-vertex domain: the three completions are
-    conditionally independent given the crossings (three-way chi-square)."""
+THREE_SETS = [{1}, {3}, {5}]
+
+
+@pytest.fixture(scope="module")
+def three_set_run():
+    """The unoriented catalog of three marked sets on a 5-vertex domain, and
+    its Monte Carlo crossing report at 400,000 soups, seed 71."""
     cfg = config_from_dict({
         "graph": "complete:9", "domain": "1 2 3 4 5", "jobs": "prop3bis",
         "seed": "0", "l_max": "8", "f1": "1", "f2": "3", "f3": "5",
     })
-    ws = build_workspace(cfg)
-    rep = verify_prop1bis_3bis(ws.catalog("unoriented"), [{1}, {3}, {5}],
-                               mode="mc", samples=400000, seed=71)
+    ucat = build_workspace(cfg).catalog("unoriented")
+    rep = verify_prop1bis_3bis(ucat, THREE_SETS, mode="mc", samples=400000,
+                               seed=71)
+    return ucat, rep
+
+
+def test_three_set_independence_mc(three_set_run):
+    """Three marked sets on a 5-vertex domain: the three completions are
+    conditionally independent given the crossings (three-way chi-square)."""
+    _, rep = three_set_run
     assert rep.details["bins_tested"] >= 1
     assert rep.passed
+
+
+def test_mc_driver_tests_every_bin_at_the_floor(three_set_run):
+    """The sample floor is the Monte Carlo driver's one bin rule: recounted
+    from the same soups, every bin holding MIN_BIN_SAMPLES soups is tested,
+    in bin-key order, and tested + skipped is the number of bins."""
+    ucat, rep = three_set_run
+    cut = CrossingCut(ucat, THREE_SETS)
+    cuts: dict = {}
+    bins: Counter = Counter()
+    for counts in soup_count_rows(ucat, "unoriented", 1.0, rep.samples,
+                                  stream(rep.seed, rep.prop)):
+        sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
+        if not sub:
+            continue
+        if sub not in cuts:
+            cuts[sub] = cut.cut(dict(sub))
+        if cuts[sub] is not None:
+            bins[cuts[sub][0]] += 1
+    d = rep.details
+    assert d["bins_tested"] + d["bins_skipped"] == len(bins)
+    large = [{**cut.label(b), "n": n} for b, n in sorted(bins.items())
+             if n >= MIN_BIN_SAMPLES]
+    assert [{k: v for k, v in e.items() if k != "p"} for e in d["bins"]] == large
 
 
 def test_occupation_markov_exact_and_tilt():
@@ -641,11 +677,11 @@ def test_independence_chi2_calibrated_on_independent_sides(weights, n):
     pvals = []
     for _ in range(400):
         a, b = rng.choice(len(weights), size=(2, n), p=weights)
-        pvals.append(_independence_chi2(list(zip(a.tolist(), b.tolist())), 2))
+        pvals.append(_independence_chi2(Counter(zip(a.tolist(), b.tolist())), 2))
     assert all(p is not None for p in pvals)
     assert sum(p < 1e-3 for p in pvals) <= 2
     assert sum(p < 1e-2 for p in pvals) <= 12
     # dependent sides: the second copies the first half of the time
     a, b = rng.choice(len(weights), size=(2, n), p=weights)
     b = np.where(rng.random(n) < 0.5, a, b)
-    assert _independence_chi2(list(zip(a.tolist(), b.tolist())), 2) < 1e-6
+    assert _independence_chi2(Counter(zip(a.tolist(), b.tolist())), 2) < 1e-6
