@@ -15,7 +15,10 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import verify as V
+from .bridges import sample_bridge
 from .config import (JOBS, KEYS, ConfigError, ExperimentConfig, Workspace,
                      build_workspace, config_from_dict, job_seed, parse_config)
 from .graph import GraphError
@@ -78,7 +81,6 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
     files.append(_write_csv(os.path.join(outdir, "occupation_edge_hist.csv"),
                             ["edge", "jumps", "count"], rows))
     rows = []
-    import numpy as np
     for j, v in enumerate(sites):
         hist, edges = np.histogram(times[:, j], bins=40)
         rows += [(v, float(edges[i]), float(edges[i + 1]), int(hist[i]))
@@ -87,7 +89,6 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
                             ["site", "lo", "hi", "count"], rows))
     # single-bridge length law between the first two domain vertices (from
     # the vertex to itself on a one-vertex domain)
-    from .bridges import sample_bridge
     x, y = (cfg.f1[0], cfg.f2[0]) if cfg.f1 and cfg.f2 else (sites * 2)[:2]
     lengths = {}
     brng = stream(seed, "sample-soup/bridges")
@@ -101,7 +102,6 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
 
 
 def _hist_int(col):
-    import numpy as np
     vals, counts = np.unique(col, return_counts=True)
     return [int(v) for v in vals], [int(c) for c in counts]
 

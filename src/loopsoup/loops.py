@@ -35,6 +35,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graph import Domain, GraphError, UnorientedGraph
 
 DEFAULT_CLASS_BUDGET = 10 ** 6
@@ -186,7 +188,6 @@ class LoopCatalog:
     def mass_arrays(self):
         """(masses, cumulative masses) as float arrays, cached."""
         if self._mass_arrays is None:
-            import numpy as np
             masses = np.array([c.mass_float for c in self.classes])
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays

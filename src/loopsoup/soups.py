@@ -26,6 +26,7 @@ soups in one such call.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -361,7 +362,6 @@ def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
 
 def export_soup_jsonl(soup, path) -> None:
     """One line per class occurrence group: key, count, holding times if any."""
-    import json
     ct = soup if isinstance(soup, ContinuousTimeSoup) else None
     base = ct.jump_soup if ct else soup
     with open(path, "w") as fh:
