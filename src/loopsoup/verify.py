@@ -541,8 +541,8 @@ def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
     that uniform pairing law, with empty bridges.
     """
     cut = EdgeCut(catalog, catalog.unoriented_graph.classes_inside(catalog.domain))
-    return _verify_cut("prop5", cut, "exact", intensity, max_jumps, 0, None,
-                       False)
+    return _verify_cut("prop5", cut, "exact", intensity, max_jumps,
+                       samples=0, seed=None, expect_fail=False)
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
