@@ -5,13 +5,15 @@ The soup at intensity t gives every loop class an independent Poisson count
 with mean t times its measure.  Forgetting orientations halves the bookkeeping
 (c = 2 alpha); re-orienting with fair coins brings it back.  In continuous
 time every visit carries an exponential holding time and each site also
-collects the occupation of the zero-jump loops.
+collects the occupation of the zero-jump loops; `FieldSampler` draws these
+occupation fields in bulk and knows their exact Laplace transform.
 """
 
+import numpy as np
+
 from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,
-                      forget_orientation, green_function, occupation_field,
-                      orient_randomly, pair_reversals, sample_ct_soup,
-                      sample_ct_soup_by_discretization, sample_oriented_soup,
+                      forget_orientation, green_function, orient_randomly,
+                      pair_reversals, sample_oriented_soup,
                       sample_unoriented_soup, unoriented_view)
 from loopsoup.rng import stream
 
@@ -26,9 +28,6 @@ rng = stream(2024, "demo-soups")
 soup = sample_oriented_soup(cat, 1.0, rng)
 print("one alpha=1 soup sample:", soup.n_loops, "loops,",
       soup.total_steps(), "jumps")
-field = occupation_field(soup)
-print("oriented occupation (in = out at every vertex):",
-      field.vertex_flow(g))
 
 u = forget_orientation(soup)
 print("forgetting orientation keeps the loops:", u.n_loops == soup.n_loops)
@@ -42,9 +41,8 @@ _, _, times = fs.sample(0.5, 200000, rng)
 print("E[occupation at 1] =", times[:, 0].mean().round(4),
       " alpha G(1,1)/g =", round(0.5 * green(1, 1) / dom.g, 4))
 
-# The discretization sampler realizes the same law as the M -> infinity
-# limit of a chain with M extra stationary edges per site.
-ct = sample_ct_soup(cat, 0.5, rng)
-ct64 = sample_ct_soup_by_discretization(cat, 0.5, 64, rng)
-print("direct site times:", {v: round(t, 3) for v, t in ct.site_times().items()})
-print("M=64 site times:  ", {v: round(t, 3) for v, t in ct64.site_times().items()})
+# The joint law is exact: E exp(-<lam, T>) of the rescaled times T = g *
+# times, from the catalog's classes and the trivial Gamma field.
+lam = np.ones(3)
+print("E exp(-<1, T>): sampled", np.exp(-(times * dom.g) @ lam).mean().round(4),
+      " exact", fs.laplace(0.5, lam)[0].round(4))

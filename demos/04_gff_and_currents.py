@@ -39,7 +39,8 @@ print("two-sample KS distance:", round(ks, 4))
 
 report = verify_lejan(cat, samples=100000, seed=1)
 print("isomorphism verified:", report.verdict,
-      " worst per-site KS:", round(report.statistic, 4))
+      " worst Laplace p over", report.details["points_tested"], "points:",
+      round(report.statistic, 4))
 
 # Random currents: even degree at every vertex, and conditionally on the
 # occupation the jumps are even-conditioned independent Poissons.

@@ -14,18 +14,15 @@ from .graph import (Domain, Edge, GraphError, GreenMatrix, Involution,
 from .loops import (LoopCatalog, LoopClass, UnorientedLoopClass,
                     canonicalize_oriented, canonicalize_unoriented,
                     enumerate_loops, rho_mass, tail_bound)
-from .soups import (ContinuousTimeSoup, FieldSampler, LoopSoup,
-                    OccupationField, forget_orientation, merge_soups,
-                    occupation_field, orient_randomly, restrict_soup,
-                    sample_ct_soup, sample_ct_soup_by_discretization,
-                    sample_oriented_soup, sample_unoriented_soup)
+from .soups import (FieldSampler, LoopSoup, forget_orientation, merge_soups,
+                    orient_randomly, restrict_soup, sample_oriented_soup,
+                    sample_unoriented_soup)
 from .bridges import (Bridge, UnorderedBridgeFamily, ZBridgeFamily,
-                      attach_holding_times, bridge_probability,
-                      enumerate_bridges, sample_bridge,
+                      bridge_probability, enumerate_bridges, sample_bridge,
                       sample_unordered_bridge, sample_z_bridge)
 from .excursions import (CrossingSet, EdgeJumpRecord, ExcursionDecomposition,
-                         ct_excursions, decompose, extract_crossings,
-                         record_edge_jumps, reassemble)
+                         decompose, extract_crossings, record_edge_jumps,
+                         reassemble)
 from .exact import occupation_law, tv_distance
 from .gff import sample_gff
 from .wilson import pop_cycles, wilson_ust

@@ -286,36 +286,3 @@ def sample_z_bridge(domain: Domain, Z, rng) -> ZBridgeFamily:
     bridges = tuple(sample_bridge(domain, Z[a], Z[b], rng) for a, b in t)
     return ZBridgeFamily(Z, t, bridges)
 
-
-# -- continuous-time decoration ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TimedBridgeFamily:
-    family: UnorderedBridgeFamily | ZBridgeFamily
-    interior_times: tuple[tuple[float, ...], ...]
-
-
-def family_to_json(family, timed: "TimedBridgeFamily | None" = None) -> dict:
-    """Dump format: permutation or pairing, per-bridge paths, durations."""
-    out: dict = {"bridges": [list(b.path) for b in family.bridges]}
-    if isinstance(family, UnorderedBridgeFamily):
-        out["permutation"] = list(family.permutation)
-        out["X"] = list(family.X)
-        out["Y"] = list(family.Y)
-    else:
-        out["pairing"] = [list(p) for p in family.pairing]
-        out["Z"] = list(family.Z)
-    if timed is not None:
-        out["interior_times"] = [list(t) for t in timed.interior_times]
-    return out
-
-
-def attach_holding_times(family, rng, domain: Domain) -> TimedBridgeFamily:
-    """Give each bridge of length n its n-1 interior Exp(mean 1/g) durations."""
-    g = domain.g
-    times = []
-    for b in family.bridges:
-        k = max(0, b.n - 1)
-        times.append(tuple(float(t) for t in rng.exponential(scale=1.0 / g, size=k)))
-    return TimedBridgeFamily(family, tuple(times))

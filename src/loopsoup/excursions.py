@@ -475,32 +475,6 @@ def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]
     return [involution.unoriented_path(arc) for arc in arcs]
 
 
-def ct_excursions(ct_soup, sites):
-    """Cut the loops of a continuous-time soup at a marked site set.
-
-    Returns (skeletons, local_times, endpoint_parity): the excursion jump
-    skeletons (canonical paths), the total occupation at each site, and the
-    number of excursion endpoints at each site (always even for a soup).
-    """
-    soup = ct_soup.jump_soup
-    catalog = soup.catalog
-    graph = catalog.domain.graph
-    sites = sorted(set(sites))
-    siteset = set(sites)
-    inv = catalog.unoriented_graph.involution if catalog.mode == "unoriented" else None
-    cut = []
-    parity = {v: 0 for v in sites}
-    for key, cnt in soup.counts.items():
-        for skel in loop_skeletons(graph, key, siteset, inv):
-            cut += [skel] * cnt
-            a, b = path_endpoints(graph, skel)
-            parity[a] += cnt
-            parity[b] += cnt
-    times = ct_soup.site_times()
-    local = {v: times.get(v, 0.0) for v in sites}
-    return sorted(cut), local, parity
-
-
 # -- hookup orbit keys -------------------------------------------------------------
 
 

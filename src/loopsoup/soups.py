@@ -6,14 +6,12 @@ independent Poisson(t * m(L)) occurrence count.  Forgetting the orientation
 of an alpha-soup yields a c = 2 alpha soup, and re-orienting the loops of a
 c-soup with fair coins recovers the alpha = c/2 soup.
 
-The continuous-time soup decorates every visit of every loop with an
-independent exponential holding time of mean 1/g and adds, per vertex, the
-occupation of the purely-stationary ("trivial") loops, which is sampled as a
+In continuous time every visit of every loop holds an independent
+exponential time of mean 1/g, stationary self-jumps included, and each
+vertex adds the occupation of the purely-stationary ("trivial") loops, a
 Gamma(shape, scale 1/g) variable with shape alpha (oriented) or c/2
-(unoriented).  The Gamma law is not asserted; it is validated against the
-discretization sampler below, which realizes the continuous-time chain as the
-M -> infinity limit of discrete chains with M extra stationary edges per
-vertex.
+(unoriented).  `FieldSampler` draws these occupation fields in bulk, and
+`FieldSampler.laplace` gives their exact joint Laplace transform.
 
 Every soup is drawn the standard point-process way: one Poisson total of
 i.i.d. class draws, each class picked with probability proportional to its
@@ -26,7 +24,6 @@ soups in one such call.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -201,194 +198,12 @@ def restrict_soup(soup: LoopSoup, subdomain: Domain,
     return LoopSoup(subcatalog, counts)
 
 
-# -- occupation fields -------------------------------------------------------
-
-
-@dataclass
-class OccupationField:
-    """Jump counts per edge (and site occupation times in continuous time).
-
-    Oriented mode records a count per oriented edge id plus the per-class
-    pair view (N_1(e), N_2(e)); unoriented mode records a count per
-    unoriented edge class key.
-    """
-
-    mode: str
-    edge_jumps: dict
-    oriented_pairs: dict | None = None
-    site_times: dict | None = None
-
-    def vertex_flow(self, graph) -> dict[int, tuple[int, int]]:
-        """(in-jumps, out-jumps) per vertex; only meaningful in oriented mode."""
-        flow: dict[int, list[int]] = {}
-        for eid, n in self.edge_jumps.items():
-            e = graph.edge_by_id[eid]
-            flow.setdefault(e.head, [0, 0])[0] += n
-            flow.setdefault(e.tail, [0, 0])[1] += n
-        return {v: (i, o) for v, (i, o) in flow.items()}
-
-
-def occupation_field(soup) -> OccupationField:
-    """Tally the soup's jumps (and site times for a continuous-time soup)."""
-    if isinstance(soup, ContinuousTimeSoup):
-        base = occupation_field(soup.jump_soup)
-        base.site_times = soup.site_times()
-        return base
-    cat = soup.catalog
-    jumps: Counter = Counter()
-    if cat.mode == "unoriented":
-        ug = cat.unoriented_graph
-        for key, cnt in soup.counts.items():
-            for eid in key:
-                jumps[ug.edge_class(eid)] += cnt
-        return OccupationField("unoriented", dict(jumps))
-    for key, cnt in soup.counts.items():
-        for eid in key:
-            jumps[eid] += cnt
-    if cat.mode == "oriented":
-        pairs = None
-        if cat.unoriented_graph is not None:
-            ug = cat.unoriented_graph
-            grouped: dict = {}
-            for eid, n in jumps.items():
-                grouped.setdefault(ug.edge_class(eid), Counter())[eid] = n
-            pairs = {
-                ckey: tuple(grouped[ckey].get(member, 0)
-                            for member in (ckey if ckey[0] != ckey[1] else (ckey[0],)))
-                for ckey in grouped
-            }
-        return OccupationField("oriented", dict(jumps), oriented_pairs=pairs)
-    raise SoupError(f"unknown catalog mode {cat.mode!r}")
-
-
 # -- continuous time ---------------------------------------------------------
-
-
-@dataclass
-class ContinuousTimeSoup:
-    """Discrete jump soup decorated with holding times.
-
-    holding_times[key] is a list with one array per occurrence of the class;
-    the array holds one positive duration per visited site along the loop.
-    trivial_field is the occupation of the zero-jump loops at each vertex.
-    """
-
-    jump_soup: LoopSoup
-    holding_times: dict[tuple[int, ...], list[np.ndarray]]
-    trivial_field: dict[int, float]
-
-    def site_times(self) -> dict[int, float]:
-        cat = self.jump_soup.catalog
-        graph = cat.domain.graph
-        out = dict(self.trivial_field)
-        for key, arrays in self.holding_times.items():
-            verts = [graph.edge_by_id[eid].tail for eid in key]
-            for arr in arrays:
-                for v, t in zip(verts, arr):
-                    out[v] = out.get(v, 0.0) + float(t)
-        return out
 
 
 def trivial_shape(mode: str, intensity: float) -> float:
     """Gamma shape of the trivial occupation per site: alpha, or c/2."""
     return intensity if mode == "oriented" else intensity / 2.0
-
-
-def _jump_soup(catalog: LoopCatalog, intensity: float, rng):
-    sampler = (sample_oriented_soup if catalog.mode == "oriented"
-               else sample_unoriented_soup)
-    return sampler(catalog, intensity, rng)
-
-
-def sample_ct_soup(catalog: LoopCatalog, intensity: float,
-                   rng) -> ContinuousTimeSoup:
-    """Continuous-time soup: jump soup + Exp(1/g) holding times + trivial field.
-
-    `intensity` is alpha for an oriented catalog and c for an unoriented one.
-    Every step of a loop counts as a visit of its departure site, stationary
-    self-jumps included, so a run of stationary steps accumulates several
-    holding times at one site; the discretization sampler below forces this
-    convention and validates it.
-    """
-    g = catalog.domain.g
-    jump = _jump_soup(catalog, intensity, rng)
-    holding = {
-        key: [rng.exponential(scale=1.0 / g, size=catalog.by_key[key].n)
-              for _ in range(cnt)]
-        for key, cnt in sorted(jump.counts.items())
-    }
-    shape = trivial_shape(catalog.mode, intensity)
-    trivial = {v: float(t) for v, t in zip(
-        catalog.domain.vertices,
-        rng.gamma(shape=shape, scale=1.0 / g, size=catalog.domain.size),
-    )}
-    return ContinuousTimeSoup(jump, holding, trivial)
-
-
-def sample_ct_soup_by_discretization(catalog: LoopCatalog, intensity: float,
-                                     M: int, rng) -> ContinuousTimeSoup:
-    """Reference sampler: discrete chain with M extra stationary edges per site.
-
-    On the augmented graph each step has probability M/(g+M) of being an
-    added stationary jump, and time runs in units of 1/M.  Projected onto the
-    original edges the jump soup is exactly the base soup (so the jump law is
-    M-independent); runs of added stationary jumps become the holding times
-    (1 + r)/M, and the purely-stationary loops contribute a negative-binomial
-    total of steps per site.
-    """
-    if M < 1:
-        raise SoupError("M must be >= 1")
-    g = catalog.domain.g
-    w = M / (g + M)         # per-step probability of an added stationary jump
-    jump = _jump_soup(catalog, intensity, rng)
-    holding = {}
-    for key, cnt in sorted(jump.counts.items()):
-        n = catalog.by_key[key].n
-        occs = []
-        for _ in range(cnt):
-            runs = rng.geometric(p=1.0 - w, size=n) - 1
-            occs.append((1.0 + runs) / M)
-        holding[key] = occs
-    shape = trivial_shape(catalog.mode, intensity)
-    trivial = {}
-    for v in catalog.domain.vertices:
-        steps = int(rng.negative_binomial(shape, 1.0 - w))
-        trivial[v] = steps / M
-    return ContinuousTimeSoup(jump, holding, trivial)
-
-
-# -- dump formats -------------------------------------------------------------
-
-
-def export_soup_jsonl(soup, path) -> None:
-    """One line per class occurrence group: key, count, holding times if any."""
-    ct = soup if isinstance(soup, ContinuousTimeSoup) else None
-    base = ct.jump_soup if ct else soup
-    with open(path, "w") as fh:
-        for key, cnt in sorted(base.counts.items()):
-            row = {"class": list(key), "count": cnt}
-            if ct is not None:
-                row["holding_times"] = [[float(t) for t in arr]
-                                        for arr in ct.holding_times[key]]
-            fh.write(json.dumps(row) + "\n")
-        if ct is not None:
-            fh.write(json.dumps({"trivial_field":
-                                 {str(v): t for v, t in sorted(ct.trivial_field.items())}})
-                     + "\n")
-
-
-def occupation_to_json(field: OccupationField) -> dict:
-    out = {"mode": field.mode,
-           "edge_jumps": {str(k): v for k, v in sorted(field.edge_jumps.items())}}
-    if field.oriented_pairs is not None:
-        out["oriented_pairs"] = {str(k): list(v)
-                                 for k, v in sorted(field.oriented_pairs.items())}
-    if field.site_times is not None:
-        out["site_times"] = {str(v): t for v, t in sorted(field.site_times.items())}
-    return out
-
-
-# -- vectorized sampling for verification runs -------------------------------
 
 
 class FieldSampler:
@@ -437,3 +252,17 @@ class FieldSampler:
         times = rng.gamma(shape=visits + trivial_shape(self.catalog.mode,
                                                       intensity)) / self.g
         return jumps, visits, times
+
+    def laplace(self, intensity: float, lam) -> np.ndarray:
+        """E exp(-<lam, T>) of the rescaled site times T = g * times, exactly,
+        for each row of lam ([K, S], lam >= 0, sites in `sites` order).
+
+        Given the visits V, T_x is Gamma(V_x + shape, 1) at each site, and
+        the visits are Poisson sums of the class rows, so the transform is
+        exp(t sum_c m(c) (prod_x (1 + lam_x)^-visits - 1)) prod_x
+        (1 + lam_x)^-shape over the catalog's classes, t the intensity.
+        """
+        logs = np.log1p(np.atleast_2d(np.asarray(lam, dtype=float)))
+        loops = np.expm1(-logs @ self.class_visits.T) @ self.catalog.mass_arrays()[0]
+        shape = trivial_shape(self.catalog.mode, intensity)
+        return np.exp(intensity * loops - shape * logs.sum(axis=1))

@@ -123,11 +123,6 @@ def empirical_tv(counts_a: dict, counts_b: dict) -> float:
                      for k in keys)
 
 
-def three_sigma(mean_hat: float, target: float, se: float,
-                allowance: float = 0.0) -> bool:
-    return abs(mean_hat - target) <= 3.0 * se + allowance
-
-
 def quantile_bins(values: np.ndarray, min_per_bin: int = 200) -> np.ndarray:
     """Bin indices by quantiles so every bin holds at least `min_per_bin`."""
     n = len(values)

@@ -66,6 +66,7 @@ MC_TV_TOL = 0.01
 MIN_BIN_SAMPLES = 200
 SKELETON_CAP = 6         # longest excursion skeleton ct-excursions tests
 WILSON_LENGTH_CAP = 4    # longest cycle the Wilson cross-check compares
+LEJAN_T = (0.25, 1.0, 4.0)   # Laplace points t of the lejan check, per ray
 TILT = Fraction(1, 2)    # theta of the tilted occupation-Markov check
 
 
@@ -445,6 +446,9 @@ def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
     its two laws are equal, and the verdict is the equality itself.
     """
     if mode != "exact":
+        # refused before any draw, as exact mode refuses it
+        if not any(cut.touches(cls.key) for cls in cut.catalog.classes):
+            raise OracleError("no catalog class meets the cut: nothing to check")
         return _mc_driver(prop, cut, float(intensity), samples, seed,
                           expect_fail)
     intensity = Fraction(intensity)
@@ -752,52 +756,53 @@ def verify_occupation_markov(domain: Domain, edge_partition,
 # -- continuous time: GFF square, excursions, random currents --------------------
 
 
+def laplace_points(size: int) -> np.ndarray:
+    """The lejan check's points lam ([K, size]): t on each site and t on all
+    sites together, t in LEJAN_T; on one site the two coincide."""
+    rays = np.eye(size) if size == 1 else np.vstack([np.eye(size), np.ones(size)])
+    return np.vstack([t * rays for t in LEJAN_T])
+
+
+def laplace_pvalues(fs: FieldSampler, intensity: float, T: np.ndarray,
+                    lam: np.ndarray) -> list[float]:
+    """Two-sided z-test p-value, per row of lam, of the sample mean of
+    Y = exp(-<lam, T>) over the rescaled site times T ([n, S]) against the
+    law of `fs` at `intensity`.  Y lies in (0, 1], and its mean L(lam) and
+    variance L(2 lam) - L(lam)^2 are exact (`FieldSampler.laplace`)."""
+    mean = fs.laplace(intensity, lam)
+    var = fs.laplace(intensity, 2 * lam) - mean ** 2
+    z = (np.exp(-T @ lam.T).mean(axis=0) - mean) / np.sqrt(var / len(T))
+    return [math.erfc(abs(v) / math.sqrt(2)) for v in z.tolist()]
+
+
 def verify_lejan(catalog: LoopCatalog, samples: int = 10 ** 5, seed: int = 0,
                  intensity: float = 0.5, expect_fail: bool = False) -> TestReport:
-    """At alpha = 1/2 the rescaled occupation field (unit-mean holding times)
-    is the half-square of the Gaussian free field with covariance G_D.
+    """At alpha = 1/2 the rescaled occupation field T (unit-mean holding
+    times) is the half-square of the Gaussian free field with covariance
+    G_D: E exp(-<lam, T>) = det(I + G_D Lam)^(-1/2).
 
-    Checked per site by Kolmogorov-Smirnov against Gamma(1/2, scale G(x,x))
-    and at first and second moments (Wick) with truncation allowances.
+    The field is drawn at `intensity` and tested against the alpha = 1/2
+    law of the catalog's truncated soup at the `laplace_points`, one z-test
+    each (`laplace_pvalues`) under one Bonferroni line.  The truncated and
+    untruncated transforms differ by at most half the omitted mu-mass, so by
+    half the tail bound; the largest gap at the points is reported with that
+    bound.
     """
-    from scipy import stats as sps   # only this check needs scipy.stats
+    if catalog.mode != "oriented":
+        raise OracleError("the isomorphism is stated for oriented soups")
     dom = catalog.domain
-    g = dom.g
-    sites = list(dom.vertices)
-    fs = FieldSampler(catalog, [], sites)
-    rng = stream(seed, "lejan")
-    _, _, times = fs.sample(intensity, samples, rng)
-    T = times * g
-    green = green_function(dom)
-    lam = dom.spectral_radius()
-    # mean-occupation deficit of the omitted loops, in rescaled units
-    tail_mean = intensity * dom.size * lam ** (catalog.L_max + 1) / (1 - lam)
-    ks_worst = 0.0
-    details = {}
-    for j, x in enumerate(sites):
-        gxx = green(x, x)
-        ks = float(sps.kstest(T[:, j], sps.gamma(a=0.5, scale=gxx).cdf).statistic)
-        ks_worst = max(ks_worst, ks)
-        mean_ok = stats.three_sigma(
-            float(T[:, j].mean()), 0.5 * gxx,
-            float(T[:, j].std(ddof=1)) / math.sqrt(samples), tail_mean)
-        details[f"site_{x}"] = {"ks": ks, "mean": float(T[:, j].mean()),
-                                "target_mean": 0.5 * gxx, "mean_ok": mean_ok}
-    means_ok = all(d["mean_ok"] for d in details.values())
-    # pairwise Wick moment on the first two sites; a one-site domain takes
-    # the diagonal pair, where the same formula gives 3 G(x, x)^2 / 4
-    j = min(1, len(sites) - 1)
-    x, y = sites[0], sites[j]
-    txy = T[:, 0] * T[:, j]
-    exy = float(txy.mean())
-    wick = (green(x, x) * green(y, y) + 2 * green(x, y) ** 2) / 4
-    se = float(txy.std(ddof=1)) / math.sqrt(samples)
-    wick_ok = stats.three_sigma(exy, wick, se, 2 * tail_mean)
-    return _verdict("lejan", "mc", ks_worst, MC_TV_TOL,
-                    ks_worst < MC_TV_TOL and means_ok and wick_ok, catalog,
-                    samples, seed, expect_fail, wick_moment=exy,
-                    wick_target=wick, wick_ok=wick_ok,
-                    tail_mean_allowance=tail_mean, **details)
+    fs = FieldSampler(catalog, [], dom.vertices)
+    _, _, times = fs.sample(intensity, samples, stream(seed, "lejan"))
+    lam = laplace_points(dom.size)
+    pvals = laplace_pvalues(fs, 0.5, times * dom.g, lam)
+    worst, threshold, ok = _bonferroni(pvals)
+    det = np.linalg.det(np.eye(dom.size)
+                        + green_function(dom).values * lam[:, None, :])
+    gap = np.abs(fs.laplace(0.5, lam) - det ** -0.5).max()
+    return _verdict("lejan", "mc", worst, threshold, ok, catalog, samples,
+                    seed, expect_fail, points_tested=len(pvals),
+                    untruncated_gap=float(gap),
+                    untruncated_gap_bound=0.5 * catalog.tail_bound)
 
 
 def _excursion_skeleton_menu(domain: Domain, sites, involution, max_len: int):

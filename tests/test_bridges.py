@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Bridge, Domain, RecurrentDomainError,
-                      attach_holding_times, bridge_probability, build_graph,
-                      complete_graph, cycle_graph, enumerate_bridges,
-                      green_function, regularize_degree, sample_bridge,
+                      bridge_probability, build_graph, complete_graph,
+                      cycle_graph, enumerate_bridges, green_function,
+                      regularize_degree, sample_bridge,
                       sample_unordered_bridge, sample_z_bridge)
 from loopsoup.bridges import (BridgeError, _doob_table, all_pairings,
                               bridge_probability_exact, pairing_weights,
@@ -212,30 +212,6 @@ def test_g_power_K_characterization(k12):
         c1, c0 = emp[cfg], emp[ref]
         se = math.sqrt(c1 + r * r * c0)
         assert abs(c1 - r * c0) <= 3 * se
-
-
-def test_attach_holding_times(k5):
-    g, inv, ug = k5
-    dom = Domain(g, [1, 2, 3])
-    rng = stream(11, "times")
-    fam = sample_unordered_bridge(dom, [1, 2], [2, 3], rng)
-    timed = attach_holding_times(fam, rng, domain=dom)
-    for b, ts in zip(fam.bridges, timed.interior_times):
-        assert len(ts) == max(0, b.n - 1)
-    # n = 5 bridges carry 4 iid interior Exp(1/g) durations
-    all_times = []
-    for _ in range(4000):
-        f = sample_unordered_bridge(dom, [1], [2], rng)
-        t = attach_holding_times(f, rng, domain=dom)
-        if f.bridges[0].n == 5:
-            assert len(t.interior_times[0]) == 4
-            all_times.extend(t.interior_times[0])
-        if f.bridges[0].n <= 1:
-            assert t.interior_times[0] == ()
-    if len(all_times) > 200:
-        m = float(np.mean(all_times))
-        se = float(np.std(all_times)) / math.sqrt(len(all_times))
-        assert abs(m - 1 / dom.g) < 3 * se
 
 
 def test_budget_errors(k5):

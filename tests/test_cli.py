@@ -317,6 +317,19 @@ def test_exact_check_without_targets_exits_2(tmp_path, prop, extra):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("prop", ["prop1", "prop1bis"])
+def test_mc_check_without_touching_class_exits_2(tmp_path, capsys, prop):
+    # F1 and F2 lie 4 steps apart, so no loop of at most 4 steps meets both:
+    # refused before any soup is drawn, as exact mode refuses it
+    out = tmp_path / prop
+    rc = main(["verify", prop, "--graph", "path:6", "--domain", "0 1 2 3 4",
+               "--f1", "0", "--f2", "4", "--l-max", "4", "--mode", "mc",
+               "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert "no catalog class meets the cut" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "0"), ("--alpha", "-1"),
                                          ("--c", "0")])
 def test_nonpositive_intensity_exits_2(tmp_path, capsys, flag, value):
@@ -400,15 +413,15 @@ def test_sample_soup_outputs(tmp_path):
 
 
 def test_verify_lejan_one_site(tmp_path):
-    """A one-site domain takes the Wick moment on the diagonal pair and
-    writes a report instead of ending in a traceback."""
+    """On a one-site domain the site and all-sites points coincide: three
+    points are tested, and the run passes."""
     out = tmp_path / "lejan1"
     rc = main(["verify", "lejan", "--graph", "complete:5", "--domain", "1",
                "--alpha", "1/2", "--seed", "0", "--samples", "20000",
                "--out", str(out)])
-    assert rc in (0, 1)
+    assert rc == 0
     rep = json.loads((out / "report.json").read_text())["reports"][0]
-    assert rep["prop"] == "lejan"
+    assert rep["prop"] == "lejan" and rep["details"]["points_tested"] == 3
 
 
 @pytest.mark.parametrize("where, key, value", [

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, canonicalize_oriented,
-                      canonicalize_unoriented, ct_excursions, decompose,
-                      enumerate_loops, extract_crossings, record_edge_jumps,
-                      reassemble, sample_ct_soup, sample_oriented_soup,
-                      sample_unoriented_soup, unoriented_view)
+                      canonicalize_unoriented, decompose, enumerate_loops,
+                      extract_crossings, record_edge_jumps, reassemble,
+                      sample_oriented_soup, sample_unoriented_soup,
+                      unoriented_view)
 from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  EdgeJumpRecord, ExcursionDecomposition,
                                  OrientedHookup, UnorientedHookup,
                                  decompose_counts, extract_crossings_counts,
-                                 path_endpoints, path_vertices,
+                                 loop_skeletons, path_endpoints, path_vertices,
                                  record_edge_jumps_counts)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
@@ -246,35 +246,29 @@ def test_all_edges_removed_decomposes_to_single_jumps(k5, triangle_catalogs):
 
 
 def test_ct_excursions_parity(triangle_catalogs):
+    """Cut at a site set, every unoriented class leaves an even number of
+    skeleton ends at each site, so every soup does; a loop that avoids the
+    sites leaves none."""
     cat, ucat = triangle_catalogs
-    rng = stream(36, "ctexc")
-    sites = [1, 2]
-    for _ in range(300):
-        ct = sample_ct_soup(ucat, 1.0, rng)
-        skels, local, parity = ct_excursions(ct, sites)
-        for v in sites:
-            assert parity[v] % 2 == 0
-        assert set(local) == set(sites)
-    # a loop never visiting the sites contributes nothing
-    three_only = [c for c in ucat.classes
-                  if set(loop_vertices(ucat.domain.graph, c.key)) == {3}]
-    assert three_only == []   # K5 triangle has no loops at a single vertex
+    g = ucat.domain.graph
+    inv = ucat.unoriented_graph.involution
+    for sites in ({1}, {1, 2}, {1, 2, 3}):
+        for cls in ucat.classes:
+            skels = loop_skeletons(g, cls.key, sites, inv)
+            ends = Counter(v for sk in skels for v in path_endpoints(g, sk))
+            assert set(ends) <= sites
+            assert all(n % 2 == 0 for n in ends.values())
+            assert bool(skels) == bool(sites & set(loop_vertices(g, cls.key)))
 
 
 def test_ct_excursion_single_visit(k5, triangle_catalogs):
     g, inv, ug = k5
-    cat, ucat = triangle_catalogs
-    # loop 1 -> 3 -> 1 visits site 1 once: one excursion from 1 to 1
+    # loop 1 -> 3 -> 1 visits site 1 once: one skeleton from 1 to 1
     e13 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 3))
     cls = canonicalize_unoriented(g, (e13, inv(e13)), inv)
-    ct = sample_ct_soup(ucat, 1.0, stream(37, "x"))
-    from loopsoup.soups import ContinuousTimeSoup
-    ct = ContinuousTimeSoup(LoopSoup(ucat, {cls.key: 1}),
-                            {cls.key: [__import__('numpy').ones(2)]},
-                            {v: 0.0 for v in ucat.domain.vertices})
-    skels, local, parity = ct_excursions(ct, [1])
-    assert len(skels) == 1 and parity[1] == 2
-    assert local[1] > 0
+    skels = loop_skeletons(g, cls.key, {1}, inv)
+    assert len(skels) == 1 and path_endpoints(g, skels[0]) == (1, 1)
+    assert len(skels[0]) == 2
 
 
 # -- reference cuts ---------------------------------------------------------------

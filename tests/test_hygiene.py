@@ -1,6 +1,7 @@
 """Checks on the source tree itself: what `import loopsoup` loads, where
-imports stand, module-level imports that nothing reads, and the names the
-benchmark's tracer wraps."""
+imports stand, module-level imports that nothing reads, the names the
+benchmark's tracer wraps, and the definitions the command line does not
+reach."""
 
 import ast
 import importlib
@@ -13,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs most of a second to import; only the lejan check
-    needs it, and it imports it when run."""
+    """scipy.stats costs most of a second to import, and nothing under src/
+    needs it."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", "import loopsoup, loopsoup.cli, sys; "
@@ -47,13 +48,12 @@ def test_no_unused_module_level_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
-# The one import inside a function: scipy.stats, which only the lejan check
-# needs (see test_import_does_not_load_scipy_stats).
-LOCAL_IMPORTS = {"src/loopsoup/verify.py:verify_lejan"}
+# Functions under src/ that import inside their body: none.
+LOCAL_IMPORTS = set()
 
 
 def test_imports_stand_at_module_level():
-    """No function under src/ imports, except the lejan check's scipy.stats."""
+    """No function under src/ imports."""
     found = set()
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -84,3 +84,89 @@ def test_traced_names_resolve():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+# Definitions under src/ that `cli.main` does not reach, each with what
+# needs it.  Keep this exact: code that nothing on this list or the command
+# line needs is deleted, not listed.
+_BRIDGES = "the bridge-laws workload, criterion 9 and test_bridges"
+UNREACHED_FROM_CLI = {
+    "bridges.UnorderedBridgeFamily": _BRIDGES,
+    "bridges.ZBridgeFamily": _BRIDGES,
+    "bridges._check_bridge": _BRIDGES,
+    "bridges._family_draw": _BRIDGES,
+    "bridges.bridge_probability": "test_bridges",
+    "bridges.bridge_probability_exact": _BRIDGES,
+    "bridges.sample_unordered_bridge": _BRIDGES + ", demo 03",
+    "bridges.sample_z_bridge": _BRIDGES,
+    "exact.side_bridge_law": "the benchmark's traced names; goes with its "
+                             "entry there (ROADMAP item 1)",
+    "exact._side_arrivals_departures": "exact.side_bridge_law",
+    "exact.validate_eta": "verify.exact_conditional_beta",
+    "excursions.decompose": "test_excursions, test_interfaces, demo 03",
+    "excursions.extract_crossings": "test_excursions, test_interfaces",
+    "excursions.hookup_loops": "excursions.reassemble, test_verify",
+    "excursions.reassemble": "test_excursions, test_verify",
+    "excursions.record_edge_jumps": "test_excursions",
+    "excursions.z_orbit_key": "test_orbit_keys, test_verify",
+    "gff.sample_gff": "test_verify, demo 04",
+    "graph.build_graph": "the bridge-laws workload, tests, conftest",
+    "graph.write_graph_file": "test_graph's file round trip",
+    "loops.canonicalize_oriented": "tests, demo 01",
+    "loops.canonicalize_unoriented": "tests, demo 01",
+    "loops.rho_mass": "test_loops, demo 01",
+    "soups._one_soup": "soups.sample_oriented_soup, sample_unoriented_soup",
+    "soups.forget_orientation": "test_soups, demo 02",
+    "soups.merge_soups": "test_soups",
+    "soups.orient_randomly": "test_soups, demo 02",
+    "soups.restrict_soup": "test_soups",
+    "soups.sample_oriented_soup": "tests, demos 02, 03 and 05, the "
+                                  "benchmark's traced names",
+    "soups.sample_unoriented_soup": "tests, demo 02, the benchmark's "
+                                    "traced names",
+    "verify.exact_conditional_beta": "test_verify, demo 03",
+    "verify.feasible_etas": "test_verify, demo 03",
+    "verify.verify_prop5_degenerate": "criterion 3, test_verify",
+    "verify.verify_residual_independence": "test_verify",
+}
+
+
+def _definitions() -> dict:
+    """`module.name` -> the names it mentions, for every top-level function,
+    class and module-level table under src/loopsoup (a class mentions what
+    its methods mention)."""
+    defs = {}
+    for path in sorted((ROOT / "src" / "loopsoup").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            mentions = {n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node)
+                        if isinstance(n, (ast.Name, ast.Attribute))}
+            defs.update((f"{path.stem}.{name}", mentions) for name in names)
+    return defs
+
+
+def test_unreached_definitions_are_listed():
+    """A definition reaches every definition of the package whose name it
+    mentions, in any module.  What `cli.main` does not reach must be exactly
+    UNREACHED_FROM_CLI: new unreached code and stale entries both fail."""
+    defs = _definitions()
+    by_name: dict = {}
+    for qual in defs:
+        by_name.setdefault(qual.partition(".")[2], []).append(qual)
+    reached, todo = {"cli.main"}, ["cli.main"]
+    while todo:
+        for name in defs[todo.pop()]:
+            new = set(by_name.get(name, ())) - reached
+            reached |= new
+            todo += new
+    assert set(defs) - reached == set(UNREACHED_FROM_CLI)

@@ -1,56 +1,20 @@
-"""Dump formats and cross-cutting invariants."""
+"""The decomposition dump format and cross-cutting invariants."""
 
 import json
 from collections import Counter
 
 import pytest
 
-from loopsoup import (Domain, attach_holding_times, decompose, enumerate_loops,
-                      extract_crossings, sample_ct_soup, sample_oriented_soup,
-                      sample_unordered_bridge, sample_z_bridge,
-                      verify_prop1)
-from loopsoup.bridges import family_to_json
+from loopsoup import (Domain, decompose, enumerate_loops, extract_crossings,
+                      sample_oriented_soup, verify_prop1)
 from loopsoup.cli import main as cli_main
 from loopsoup.rng import stream
-from loopsoup.soups import export_soup_jsonl, occupation_to_json, occupation_field
-
-
-def test_soup_dump_jsonl(tmp_path, triangle_catalogs):
-    cat, _ = triangle_catalogs
-    rng = stream(60, "dump")
-    ct = sample_ct_soup(cat, 1.0, rng)
-    p = tmp_path / "soup.jsonl"
-    export_soup_jsonl(ct, p)
-    rows = [json.loads(l) for l in p.read_text().strip().split("\n")]
-    assert "trivial_field" in rows[-1]
-    for row in rows[:-1]:
-        key = tuple(row["class"])
-        assert row["count"] == ct.jump_soup.counts[key]
-        assert len(row["holding_times"]) == row["count"]
-        assert all(len(arr) == len(key) for arr in row["holding_times"])
-
-
-def test_occupation_json(triangle_catalogs):
-    cat, _ = triangle_catalogs
-    rng = stream(61, "occ")
-    soup = sample_oriented_soup(cat, 1.0, rng)
-    d = occupation_to_json(occupation_field(soup))
-    assert d["mode"] == "oriented"
-    json.dumps(d)
 
 
 def test_family_and_decomposition_json(k5, triangle_catalogs):
     g, inv, ug = k5
     cat, ucat = triangle_catalogs
-    dom = cat.domain
     rng = stream(62, "fam")
-    fam = sample_unordered_bridge(dom, (1, 2), (2, 3), rng)
-    timed = attach_holding_times(fam, rng, domain=dom)
-    d = family_to_json(fam, timed)
-    assert set(d) == {"bridges", "permutation", "X", "Y", "interior_times"}
-    zfam = sample_z_bridge(dom, (1, 1, 2, 2), rng)
-    dz = family_to_json(zfam)
-    assert "pairing" in dz and len(dz["Z"]) == 4
     for _ in range(500):
         soup = sample_oriented_soup(cat, 1.0, rng)
         dec = decompose(soup, {1}, {2})

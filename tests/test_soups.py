@@ -3,16 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
-from loopsoup import (Domain, FieldSampler, build_graph, enumerate_loops,
+from loopsoup import (Domain, FieldSampler, enumerate_loops,
                       forget_orientation, green_function, merge_soups,
-                      occupation_field, orient_randomly, restrict_soup,
-                      sample_ct_soup, sample_ct_soup_by_discretization,
-                      sample_oriented_soup, sample_unoriented_soup)
+                      orient_randomly, restrict_soup, sample_oriented_soup,
+                      sample_unoriented_soup)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import ROW_CHUNK, SoupError, soup_count_rows
+from loopsoup.verify import (CHI2_SIGNIFICANCE, laplace_points,
+                             laplace_pvalues)
 
 
 @pytest.fixture(scope="module")
@@ -205,35 +205,39 @@ def test_restriction_is_exact_thinning(k5, triangle_catalogs):
 
 
 def test_occupation_field_basics(k5, triangle_catalogs):
+    """FieldSampler's class rows: the 2-cycle 1 -> 2 -> 1 jumps once along
+    each of its edges and visits sites 1 and 2 once, and its unoriented
+    class jumps twice across the unoriented edge 1-2."""
     g, inv, ug = k5
     cat, ucat = triangle_catalogs
-    from loopsoup.soups import LoopSoup
-    empty = occupation_field(LoopSoup(cat, {}))
-    assert empty.edge_jumps == {}
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     e21 = inv(e12)
-    key = tuple(sorted(((e12, e21), (e21, e12)))[0])
-    from loopsoup import canonicalize_oriented
-    cls = canonicalize_oriented(g, (e12, e21))
-    f = occupation_field(LoopSoup(cat, {cls.key: 1}))
-    assert f.edge_jumps[e12] == 1 and f.edge_jumps[e21] == 1
-    pair = f.oriented_pairs[ug.edge_class(e12)]
-    assert tuple(sorted(pair)) == (1, 1)
-    ucls = next(c for c in ucat.classes if c.n == 2
-                and ug.edge_class(c.key[0]) == ug.edge_class(e12))
-    fu = occupation_field(LoopSoup(ucat, {ucls.key: 1}))
-    assert fu.edge_jumps[ug.edge_class(e12)] == 2
+    fs = FieldSampler(cat, [(e12,), (e21,)], [1, 2, 3])
+    i = next(i for i, c in enumerate(cat.classes) if sorted(c.key) == sorted(
+        (e12, e21)))
+    assert fs.class_jumps[i].tolist() == [1, 1]
+    assert fs.class_visits[i].tolist() == [1, 1, 0]
+    ufs = FieldSampler(ucat, [ug.edge_class(e12)], [1, 2, 3])
+    j = next(j for j, c in enumerate(ucat.classes) if c.n == 2
+             and ug.edge_class(c.key[0]) == ug.edge_class(e12))
+    assert ufs.class_jumps[j].tolist() == [2]
+    assert ufs.class_visits[j].tolist() == [1, 1, 0]
 
 
 def test_in_equals_out_every_sample(k5, triangle_catalogs):
+    """Every sampled soup jumps into each vertex as often as out of it,
+    counted off its class keys."""
     g, inv, ug = k5
     cat, _ = triangle_catalogs
     rng = stream(15, "flow")
     for _ in range(500):
         s = sample_oriented_soup(cat, 1.0, rng)
-        flow = occupation_field(s).vertex_flow(g)
-        for v, (i, o) in flow.items():
-            assert i == o
+        net = Counter()
+        for key, cnt in s.counts.items():
+            for eid in key:
+                net[g.edge_by_id[eid].head] += cnt
+                net[g.edge_by_id[eid].tail] -= cnt
+        assert not any(net.values())
 
 
 def test_oriented_jump_expectation(k5, triangle_catalogs):
@@ -254,16 +258,6 @@ def test_oriented_jump_expectation(k5, triangle_catalogs):
     assert abs(jumps[:, 0].mean() - target) <= 3 * se + tail
 
 
-def test_ct_soup_structure(triangle_catalogs):
-    cat, _ = triangle_catalogs
-    rng = stream(17, "ct")
-    ct = sample_ct_soup(cat, 0.5, rng)
-    for key, occs in ct.holding_times.items():
-        n = cat.by_key[key].n
-        assert all(len(arr) == n and (arr > 0).all() for arr in occs)
-    assert set(ct.trivial_field) == set(cat.domain.vertices)
-
-
 def test_ct_mean_occupation(triangle_catalogs):
     """E[site time] = alpha G(x,x) / g, trivial and loop parts combined."""
     cat, _ = triangle_catalogs
@@ -282,102 +276,64 @@ def test_ct_mean_occupation(triangle_catalogs):
 
 
 def test_fieldsampler_matches_explicit_ct(triangle_catalogs):
-    """The Gamma(visits + shape) shortcut agrees with summing exponentials."""
+    """FieldSampler's rescaled site times follow their exact joint Laplace
+    transform at every lejan point (alpha = 1/2, l_max 8)."""
     cat, _ = triangle_catalogs
-    rng = stream(19, "explicit")
-    n = 30000
-    direct = np.empty(n)
-    for i in range(n):
-        ct = sample_ct_soup(cat, 0.5, rng)
-        direct[i] = ct.site_times().get(1, 0.0)
-    fs = FieldSampler(cat, [], [1])
-    _, _, times = fs.sample(0.5, n, stream(20, "fast"))
-    ks = sps.ks_2samp(direct, times[:, 0]).statistic
-    assert ks < 0.015
+    dom = cat.domain
+    fs = FieldSampler(cat, [], dom.vertices)
+    _, _, times = fs.sample(0.5, 30000, stream(20, "fast"))
+    pvals = laplace_pvalues(fs, 0.5, times * dom.g, laplace_points(dom.size))
+    assert min(pvals) > CHI2_SIGNIFICANCE / len(pvals)
 
 
-def test_discretization_m1_matches_augmented_catalog(self_edge_domain):
-    """At M = 1 the discretization is the discrete soup on the augmented
-    graph with unit-time steps; compare jump+time laws computed both ways."""
-    g, dom = self_edge_domain
-    cat = enumerate_loops(dom, 9)
-    rng = stream(21, "disc")
-    n = 50000
-    jumps = np.empty(n)
-    times = np.empty(n)
-    for i in range(n):
-        ct = sample_ct_soup_by_discretization(cat, 1.0, 1, rng)
-        jumps[i] = ct.jump_soup.total_steps()
-        times[i] = ct.site_times().get(0, 0.0)
-    # augmented graph: one extra stationary self-edge, g = 3
-    g2 = build_graph(2, [(0, 0, 0), (1, 0, 1), (4, 0, 0, True),
-                         (2, 1, 1), (3, 1, 1), (5, 1, 1)])
-    dom2 = Domain(g2, [0])
-    cat2 = enumerate_loops(dom2, 14)
-    rng2 = stream(22, "aug")
-    jumps2 = np.empty(n)
-    times2 = np.empty(n)
-    for i in range(n):
-        s = sample_oriented_soup(cat2, 1.0, rng2)
-        total = s.total_steps()
-        real = sum(c * sum(1 for eid in k if eid != 4)
-                   for k, c in s.counts.items())
-        jumps2[i] = real
-        times2[i] = total
-    # jump law along the original self-edge is M-independent
-    ja = Counter(jumps.astype(int).tolist())
-    jb = Counter(jumps2.astype(int).tolist())
-    keys = set(ja) | set(jb)
-    tv = 0.5 * sum(abs(ja.get(k, 0) - jb.get(k, 0)) for k in keys) / n
-    assert tv < 0.02
-    ks = sps.ks_2samp(times, times2).statistic
-    assert ks < 0.015
+@pytest.mark.parametrize("where, l_max", [
+    ("self_edge", 4), ("self_edge", 9), ("self_edge", 20), ("triangle", 8),
+    ("triangle", 12)])
+def test_laplace_transform_within_omitted_mass(request, k5, where, l_max):
+    """0 <= L(lam) - det(I + G Lam)^-alpha <= alpha * (omitted mu-mass) at
+    every lejan point, for alpha 1/2 and 1.  On the self-edge domain every
+    class is a run of stationary self-jumps, so this fixes the convention
+    that each such jump is a visit.  The unoriented catalog at c = 2 alpha
+    gives the same transform."""
+    if where == "self_edge":
+        dom = request.getfixturevalue("self_edge_domain")[1]
+        cat = enumerate_loops(dom, l_max)
+    else:
+        dom = request.getfixturevalue("triangle_domain")
+        cat = enumerate_loops(dom, l_max, unoriented=k5[2])
+    I = np.eye(dom.size)
+    omitted = (-np.linalg.slogdet(I - dom.transition_matrix())[1]
+               - float(cat.total_mass))
+    lam = laplace_points(dom.size)
+    det = np.linalg.det(I + green_function(dom).values * lam[:, None, :])
+    fs = FieldSampler(cat, [], dom.vertices)
+    for alpha in (0.5, 1.0):
+        gap = fs.laplace(alpha, lam) - det ** -alpha
+        assert (gap >= -1e-12).all() and (gap <= alpha * omitted + 1e-12).all()
+        if where == "triangle":
+            ufs = FieldSampler(cat.counterpart(), [], dom.vertices)
+            assert np.allclose(ufs.laplace(2 * alpha, lam),
+                               fs.laplace(alpha, lam), rtol=1e-12, atol=0)
 
 
-def test_discretization_converges_to_direct(triangle_catalogs):
-    cat, _ = triangle_catalogs
-    n = 40000
-    rng = stream(23, "m64")
-    m64 = np.empty(n)
-    for i in range(n):
-        ct = sample_ct_soup_by_discretization(cat, 0.5, 64, rng)
-        m64[i] = ct.site_times().get(1, 0.0)
-    fs = FieldSampler(cat, [], [1])
-    _, _, times = fs.sample(0.5, n, stream(24, "direct-ct"))
-    se = math.sqrt(m64.var() / n + times[:, 0].var() / n)
-    # M-discretization biases each holding time up by O(1/M)
-    assert abs(m64.mean() - times[:, 0].mean()) < 3 * se + 2.0 / 64
-
-
-def test_trivial_field_gamma_vs_discretization(self_edge_domain):
-    """Zero catalog: occupation is the trivial field alone.  The direct
-    Gamma(alpha, 1/g) draw is validated against the purely-stationary
-    negative-binomial limit of the discretization sampler: matching first two
-    moments at alpha = 1/2 (where the density blows up at zero, so KS against
-    a 1/M lattice converges too slowly to test directly) and matching KS at
-    alpha = 1 where the limit density is bounded."""
+def test_trivial_field_gamma_laplace(self_edge_domain):
+    """Zero catalog: the occupation is the trivial field alone,
+    Gamma(alpha, 1/g), whose transform is (1 + lam)^-alpha; tested at
+    alpha 1/2 (where the density blows up at zero) and 1."""
     g, dom = self_edge_domain
     cat0 = enumerate_loops(dom, 0)
     assert len(cat0) == 0
-    n = 50000
+    fs = FieldSampler(cat0, [], [0])
+    lam = laplace_points(1)
     rng = stream(25, "gamma")
-    direct = np.array([sample_ct_soup(cat0, 0.5, rng).trivial_field[0]
-                       for _ in range(n)])
-    ks_gamma = sps.kstest(direct, sps.gamma(a=0.5, scale=1 / dom.g).cdf).statistic
-    assert ks_gamma < 0.01
-    rng2 = stream(26, "nb")
-    M = 512
-    disc = np.array([sample_ct_soup_by_discretization(cat0, 0.5, M, rng2)
-                     .trivial_field[0] for _ in range(n)])
-    se = math.sqrt(direct.var() / n + disc.var() / n)
-    assert abs(direct.mean() - disc.mean()) < 3 * se + 1.0 / M
-    sev = math.sqrt(2.0 * (direct.var() ** 2 + disc.var() ** 2) / n)
-    assert abs(direct.var() - disc.var()) < 3 * sev + 1.0 / M
-    d1 = np.array([sample_ct_soup(cat0, 1.0, rng).trivial_field[0]
-                   for _ in range(n)])
-    disc1 = np.array([sample_ct_soup_by_discretization(cat0, 1.0, M, rng2)
-                      .trivial_field[0] for _ in range(n)])
-    assert sps.ks_2samp(d1, disc1).statistic < 0.02
+    for alpha in (0.5, 1.0):
+        assert np.allclose(fs.laplace(alpha, lam), (1 + lam[:, 0]) ** -alpha,
+                           rtol=1e-15, atol=0)
+        _, _, times = fs.sample(alpha, 50000, rng)
+        pvals = laplace_pvalues(fs, alpha, times * dom.g, lam)
+        assert min(pvals) > CHI2_SIGNIFICANCE / len(pvals)
+
+
 
 
 def test_soup_errors(triangle_catalogs):

@@ -23,7 +23,7 @@ from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
 from loopsoup.soups import soup_count_rows
-from loopsoup.verify import (MC_TV_TOL, MIN_BIN_SAMPLES, CrossingCut,
+from loopsoup.verify import (MIN_BIN_SAMPLES, CrossingCut,
                              EdgeCut, ExcursionCut, _conditional_keys,
                              _markov_defect, _mc_driver, _verdict,
                              exact_conditional_beta, feasible_etas,
@@ -579,8 +579,13 @@ def test_lejan_and_control(k5_cats):
     assert rep.passed
     bad = verify_lejan(cat, samples=60000, seed=53, intensity=1.0,
                        expect_fail=True)
-    # the control's verdict is the whole check flipped; its KS gate must fail
-    assert bad.passed and bad.statistic >= MC_TV_TOL
+    # the control's verdict is the whole check flipped; its Laplace z-tests
+    # must fail
+    assert bad.passed and bad.statistic < bad.tolerance
+    # the isomorphism is stated for oriented soups; an unoriented catalog is
+    # refused, not tested against the alpha = 1/2 law
+    with pytest.raises(GraphError, match="oriented soups"):
+        verify_lejan(k5_cats.catalog("unoriented"), samples=200)
 
 
 def test_random_currents(k5_cats):
