@@ -23,6 +23,8 @@ def test_family_and_decomposition_json(k5, triangle_catalogs):
             assert j["N"] == dec.N and len(j["eta"]) == dec.N
             json.dumps(j)
             break
+    else:
+        pytest.fail("no soup had an excursion")
 
 
 def test_crossings_recomputable_from_eta(k5, triangle_catalogs):

@@ -213,8 +213,8 @@ def test_occupation_field_basics(k5, triangle_catalogs):
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     e21 = inv(e12)
     fs = FieldSampler(cat, [(e12,), (e21,)], [1, 2, 3])
-    i = next(i for i, c in enumerate(cat.classes) if sorted(c.key) == sorted(
-        (e12, e21)))
+    i = next(i for i, c in enumerate(cat.classes)
+             if sorted(c.key) == sorted((e12, e21)))
     assert fs.class_jumps[i].tolist() == [1, 1]
     assert fs.class_visits[i].tolist() == [1, 1, 0]
     ufs = FieldSampler(ucat, [ug.edge_class(e12)], [1, 2, 3])
