@@ -12,12 +12,12 @@ arithmetic.
 from collections import Counter
 from fractions import Fraction
 
-from loopsoup import (Domain, complete_graph, decompose, enumerate_loops,
-                      green_function, pair_reversals, sample_bridge,
-                      sample_oriented_soup, sample_unordered_bridge,
-                      unoriented_view, verify_prop1)
+from loopsoup import (Domain, complete_graph, enumerate_loops, green_function,
+                      pair_reversals, sample_bridge, sample_oriented_soup,
+                      sample_unordered_bridge, unoriented_view, verify_prop1)
+from loopsoup.excursions import decompose_counts
 from loopsoup.rng import stream
-from loopsoup.verify import exact_conditional_beta, feasible_etas
+from loopsoup.verify import ExcursionCut
 
 g = complete_graph(12)            # heavy leakage: little infeasible mass
 iota = pair_reversals(g)
@@ -38,7 +38,7 @@ print("unordered family: permutation", fam.permutation,
 # Decompose soup samples at the cut sets F1 = {1}, F2 = {2}.
 for _ in range(10000):
     soup = sample_oriented_soup(cat, 1.0, rng)
-    d = decompose(soup, {1}, {2})
+    d = decompose_counts(cat, soup.counts, {1}, {2})
     if d.N >= 2:
         print(f"a soup with {d.M} touching loop(s) and {d.N} excursions:")
         print("  excursion endpoint vectors X =", d.X, " Y =", d.Y)
@@ -47,8 +47,8 @@ for _ in range(10000):
 
 # The exact conditional oracle: enumerate every truncated soup matching a
 # conditioning and marginalize onto the hookup.
-eta = feasible_etas(cat, {1}, {2}, 2)[1]
-dist = exact_conditional_beta(cat, {1}, {2}, eta)
+cut = ExcursionCut(cat, {1}, {2})
+_, dist, _ = cut.laws(Fraction(1), cut.targets(2)[1])
 print(f"conditional hookup law given a 2-excursion conditioning: "
       f"{len(dist)} outcomes, total mass {float(sum(dist.values())):.6f}")
 

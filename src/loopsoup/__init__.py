@@ -18,19 +18,17 @@ from .soups import (FieldSampler, LoopSoup, forget_orientation, merge_soups,
                     orient_randomly, restrict_soup, sample_oriented_soup,
                     sample_unoriented_soup)
 from .bridges import (Bridge, UnorderedBridgeFamily, ZBridgeFamily,
-                      bridge_probability, enumerate_bridges, sample_bridge,
-                      sample_unordered_bridge, sample_z_bridge)
+                      enumerate_bridges, sample_bridge, sample_unordered_bridge,
+                      sample_z_bridge)
 from .excursions import (CrossingSet, EdgeJumpRecord, ExcursionDecomposition,
-                         decompose, extract_crossings, record_edge_jumps,
                          reassemble)
 from .exact import occupation_law, tv_distance
 from .gff import sample_gff
 from .wilson import pop_cycles, wilson_ust
-from .verify import (TestReport, exact_conditional_beta, verify_ct_excursions,
-                     verify_lejan, verify_occupation_markov, verify_prop1,
+from .verify import (TestReport, verify_ct_excursions, verify_lejan,
+                     verify_occupation_markov, verify_prop1,
                      verify_prop1bis_3bis, verify_prop2, verify_prop5,
-                     verify_prop5_degenerate, verify_random_currents,
-                     verify_wilson)
+                     verify_random_currents, verify_wilson)
 from .rng import stream
 
 __version__ = "0.1.0"

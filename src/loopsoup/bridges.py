@@ -73,17 +73,6 @@ def _check_bridge(domain: Domain, bridge: Bridge) -> None:
         raise BridgeError("zero-length bridge needs equal endpoints")
 
 
-def bridge_probability(domain: Domain, bridge: Bridge,
-                       green: GreenMatrix | None = None) -> float:
-    """g^{-n} / G_D(x, y); zero-weight paths (leaving the domain) are rejected."""
-    _check_bridge(domain, bridge)
-    green = green or green_function(domain)
-    gxy = green(bridge.x, bridge.y)
-    if gxy == 0.0:
-        raise BridgeError(f"target {bridge.y} unreachable from {bridge.x}")
-    return domain.g ** (-bridge.n) / gxy
-
-
 def bridge_probability_exact(domain: Domain, bridge: Bridge,
                              green: GreenMatrix) -> Fraction:
     _check_bridge(domain, bridge)

@@ -140,6 +140,9 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
         raise ConfigError(f"{origin}: intensities alpha and c must be positive")
     if cfg.samples < 1:
         raise ConfigError(f"{origin}: samples must be at least 1")
+    if "lejan" in cfg.jobs and cfg.alpha != Fraction(1, 2):
+        raise ConfigError(f"{origin}: lejan tests Le Jan's isomorphism, which "
+                          f"holds at alpha = 1/2, not {cfg.alpha}")
     dom = set(cfg.domain)
     for name in ("f1", "f2", "f3", "sites"):
         vals = set(getattr(cfg, name))

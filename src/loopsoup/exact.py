@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .bridges import enumerate_bridges, pairing_weights, permutation_weights
-from .excursions import hookup_cycle_key, matching_key, path_vertices
+from .excursions import hookup_cycle_key, matching_key
 from .graph import Domain, GraphError, green_function
 from .loops import LoopCatalog
 
@@ -52,11 +52,10 @@ class OracleError(GraphError):
     pass
 
 
-def tv_distance(p: dict, q: dict, q_missing_mass: float = 0.0) -> float:
-    """Total variation distance; q may be sub-normalized by q_missing_mass."""
+def tv_distance(p: dict, q: dict) -> float:
+    """Total variation distance between two laws given as dicts."""
     keys = set(p) | set(q)
-    acc = sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys)
-    return 0.5 * (acc + float(q_missing_mass))
+    return 0.5 * sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys)
 
 
 # -- conditioned multiset enumeration -----------------------------------------
@@ -100,21 +99,6 @@ def _assemble_multisets(candidates, target: Counter):
                 chosen.pop()
 
     yield from rec(0, target, [])
-
-
-def validate_eta(catalog: LoopCatalog, eta, F1, F2) -> None:
-    graph = catalog.domain.graph
-    F1, F2 = set(F1), set(F2)
-    for path in eta:
-        if not path:
-            raise OracleError("empty excursion")
-        verts = path_vertices(graph, path)
-        if verts[0] not in F2 or verts[-1] not in F2:
-            raise OracleError(f"excursion endpoint not in the cut set: {path}")
-        if any(v in F2 for v in verts[1:-1]):
-            raise OracleError(f"excursion interior re-enters the cut set: {path}")
-        if not any(v in F1 for v in verts[1:-1]):
-            raise OracleError(f"excursion never reaches the target set: {path}")
 
 
 def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,

@@ -175,18 +175,6 @@ class ExcursionDecomposition:
     beta_truth: OrientedHookup | UnorientedHookup
     touching_multiset: tuple               # sorted class keys with multiplicity
 
-    def to_json(self) -> dict:
-        out = {"mode": self.mode, "M": self.M, "N": self.N,
-               "eta": [list(p) for p in self.eta],
-               "bridges": [list(b) for b in self.beta_truth.bridges]}
-        if self.mode == "oriented":
-            out.update(X=list(self.X), Y=list(self.Y),
-                       permutation=list(self.beta_truth.sigma))
-        else:
-            out.update(Z=list(self.Z),
-                       pairing=[list(p) for p in self.beta_truth.pairing])
-        return out
-
 
 def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDecomposition:
     F1, F2 = frozenset(F1), frozenset(F2)
@@ -220,10 +208,6 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
     Z, beta = _unoriented_hookup(graph, rows, canon, inv)
     return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching),
                                   len(rows), None, None, Z, beta, touching)
-
-
-def decompose(soup, F1, F2) -> ExcursionDecomposition:
-    return decompose_counts(soup.catalog, soup.counts, F1, F2)
 
 
 # -- crossings -----------------------------------------------------------------
@@ -318,10 +302,6 @@ def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> Crossi
                        endpoint_slots, sides)
 
 
-def extract_crossings(soup, F1, F2) -> CrossingSet:
-    return extract_crossings_counts(soup.catalog, soup.counts, (F1, F2))
-
-
 # -- removed-edge jump records ---------------------------------------------------
 
 
@@ -362,10 +342,6 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
                        if edge[r[2][0]].is_self_edge)
     return EdgeJumpRecord(removed, tuple(jump_counts.get(c, 0) for c in removed),
                           Z, hookup, self_pairs)
-
-
-def record_edge_jumps(soup, removed_classes) -> EdgeJumpRecord:
-    return record_edge_jumps_counts(soup.catalog, soup.counts, removed_classes)
 
 
 # -- reassembly ------------------------------------------------------------------
@@ -530,8 +506,3 @@ def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
         flips.update(j for j, path in enumerate(eta)
                      if path and path == involution.reverse_path(path))
     return hookup_cycle_key(eta, _slot_joins(hookup), False, flips)[0]
-
-
-def z_orbit_key(Z, hookup: UnorientedHookup):
-    """Key of (pairing, bridges) under slot relabelings preserving Z values."""
-    return matching_key(Z, _slot_joins(hookup), False)

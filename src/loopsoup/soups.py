@@ -50,10 +50,6 @@ class LoopSoup:
     counts: dict[tuple[int, ...], int]
 
     @property
-    def L_max(self) -> int:
-        return self.catalog.L_max
-
-    @property
     def n_loops(self) -> int:
         return sum(self.counts.values())
 

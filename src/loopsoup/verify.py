@@ -49,14 +49,14 @@ import numpy as np
 from . import stats
 from .exact import (OracleError, conditional_multiset_law, occupation_law,
                     side_orbit_key, side_pair_orbit, tv_distance,
-                    unordered_bridge_law, validate_eta, z_bridge_law)
+                    unordered_bridge_law, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
                          extract_crossings_counts, hookup_loop_lengths,
                          loop_skeletons, oriented_hookup_orbit_key,
                          path_endpoints, record_edge_jumps_counts,
                          unoriented_hookup_orbit_key)
 from .graph import Domain, green_function
-from .loops import LoopCatalog, enumerate_loops
+from .loops import LoopCatalog
 from .rng import stream
 from .soups import FieldSampler, LoopSoup, soup_count_rows, trivial_shape
 from .wilson import _EdgeDice, check_root, pop_cycles, wilson_ust
@@ -472,31 +472,6 @@ def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
 # -- excursion resampling ------------------------------------------------------------
 
 
-def exact_conditional_beta(catalog: LoopCatalog, F1, F2, eta,
-                           intensity: Fraction = Fraction(1)) -> dict:
-    """Conditional law of the hookup given the excursions, from first principles.
-
-    Enumerates every truncated-soup multiset whose decomposition equals eta,
-    weighted by its exact Poisson probability, and marginalizes onto the
-    hookup (canonical up to relabeling identical excursions).  Returns
-    {hookup key: Fraction} in sorted-key order.
-    """
-    eta = tuple(sorted(tuple(p) for p in eta))
-    validate_eta(catalog, eta, F1, F2)
-    dist, b = _conditional_keys(ExcursionCut(catalog, F1, F2), intensity,
-                                Counter(eta))
-    if b != eta:
-        raise OracleError("internal: decomposition mismatch")
-    return {k: dist[k] for k in sorted(dist)}
-
-
-def feasible_etas(catalog: LoopCatalog, F1, F2, max_excursions: int):
-    """All excursion vectors with at most max_excursions entries realizable by
-    multisets of touching catalog classes."""
-    return [tuple(sorted(t.elements()))
-            for t in ExcursionCut(catalog, F1, F2).targets(max_excursions)]
-
-
 def verify_prop1(catalog: LoopCatalog, F1, F2, mode: str = "exact",
                  intensity=Fraction(1), max_excursions: int = 2,
                  samples: int = 10 ** 6, seed: int = 0,
@@ -533,20 +508,6 @@ def verify_prop5(catalog: LoopCatalog, removed, mode: str = "exact",
     without those edges."""
     return _verify_cut("prop5", EdgeCut(catalog, removed), mode, intensity,
                        max_jumps, samples, seed, expect_fail)
-
-
-def verify_prop5_degenerate(catalog: LoopCatalog, intensity=Fraction(1),
-                            max_jumps: int = 3) -> TestReport:
-    """All-edges-removed case: the hookup pairs the jump endpoints uniformly
-    at random among the pairings matching endpoint vertices.
-
-    With every in-domain edge removed the Green's function of what is left
-    is the identity, so the bridge measure of the removed-edge cut is exactly
-    that uniform pairing law, with empty bridges.
-    """
-    cut = EdgeCut(catalog, catalog.unoriented_graph.classes_inside(catalog.domain))
-    return _verify_cut("prop5", cut, "exact", intensity, max_jumps,
-                       samples=0, seed=None, expect_fail=False)
 
 
 # -- crossing independence (the symmetric two-sided resampling) --------------------
@@ -637,22 +598,6 @@ def _independence_chi2(table: Counter, n_sides):
             e *= m[k] / n
         stat += (joint.get(cell, 0) - e) ** 2 / e
     return stats.chi2_sf(stat, dof)
-
-
-def verify_residual_independence(catalog: LoopCatalog, sets) -> TestReport:
-    """Loops missing one of the sets form soups of the complements, coupled to
-    share the loops avoiding both: exact identity of class rates."""
-    edge_by_id = catalog.domain.graph.edge_by_id
-    worst = 0
-    for F in sets:
-        sub_cat = enumerate_loops(catalog.domain.without_vertices(F),
-                                  catalog.L_max, catalog.mode,
-                                  unoriented=catalog.unoriented_graph)
-        mine = {c.key: c.mass for c in catalog.classes
-                if not any(edge_by_id[eid].tail in F for eid in c.key)}
-        if mine != {c.key: c.mass for c in sub_cat.classes}:
-            worst = 1
-    return _verdict("residual-coupling", "exact", worst, 0, worst == 0, catalog)
 
 
 # -- occupation-field spatial Markov property ----------------------------------

@@ -240,6 +240,17 @@ def test_samples_below_one_exits_2(tmp_path, capsys, job, args):
     assert not (out / "report.json").exists()
 
 
+def test_lejan_away_from_half_exits_2(tmp_path, capsys):
+    # the isomorphism holds at alpha = 1/2 only; the default alpha is 1
+    out = tmp_path / "lj"
+    rc = main(["verify", "lejan", "--graph", "complete:5", "--domain", "1 2 3",
+               "--l-max", "8", "--samples", "20000", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "alpha = 1/2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_random_currents_without_inner_edges_exits_2(tmp_path):
     # vertices 1 and 3 of the 5-cycle share no edge: no current to test
     out = tmp_path / "rc"

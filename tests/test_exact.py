@@ -261,6 +261,6 @@ def test_conditional_multiset_law_refuses_nonpositive_intensity(
 
 def test_tv_distance():
     p = {"a": 0.5, "b": 0.5}
-    q = {"a": 0.5, "b": 0.25}
-    assert abs(tv_distance(p, q, 0.25) - 0.25) < 1e-12
+    q = {"a": 0.5, "b": 0.25, "c": 0.25}
+    assert abs(tv_distance(p, q) - 0.25) < 1e-12
     assert tv_distance(p, p) == 0.0

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, build_graph, canonicalize_oriented,
-                      canonicalize_unoriented, decompose, enumerate_loops,
-                      extract_crossings, record_edge_jumps, reassemble,
+                      canonicalize_unoriented, enumerate_loops, reassemble,
                       sample_oriented_soup, sample_unoriented_soup,
                       unoriented_view)
 from loopsoup.excursions import (CrossingSet, DecompositionError,
@@ -18,22 +17,19 @@ from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  record_edge_jumps_counts)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
-from loopsoup.soups import LoopSoup
 
 
 def test_empty_decomposition(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {})
-    d = decompose(soup, {1}, {2})
+    d = decompose_counts(cat, {}, {1}, {2})
     assert d.N == d.M == 0 and d.eta == ()
     assert reassemble(d.eta, d.beta_truth, graph=cat.domain.graph) == ()
 
 
 def test_overlapping_sets_rejected(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {})
     with pytest.raises(DecompositionError):
-        decompose(soup, {1}, {1, 2})
+        decompose_counts(cat, {}, {1}, {1, 2})
 
 
 def test_empty_crossing_set_rejected(triangle_catalogs):
@@ -111,12 +107,12 @@ def test_reassemble_round_trip_random(k5, triangle_catalogs):
     hits = 0
     for _ in range(2000):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose(soup, {1}, {2})
+        d = decompose_counts(soup.catalog, soup.counts, {1}, {2})
         if d.N:
             hits += 1
             assert reassemble(d.eta, d.beta_truth, g) == d.touching_multiset
         u = sample_unoriented_soup(ucat, 1.0, rng)
-        du = decompose(u, {1}, {2})
+        du = decompose_counts(u.catalog, u.counts, {1}, {2})
         if du.N:
             assert reassemble(du.eta, du.beta_truth, g, inv) == \
                    du.touching_multiset
@@ -136,8 +132,8 @@ def test_decompose_deterministic(triangle_catalogs):
     rng = stream(31, "det")
     for _ in range(200):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d1 = decompose(soup, {1}, {2})
-        d2 = decompose(soup, {1}, {2})
+        d1 = decompose_counts(soup.catalog, soup.counts, {1}, {2})
+        d2 = decompose_counts(soup.catalog, soup.counts, {1}, {2})
         assert d1.eta == d2.eta and d1.X == d2.X and d1.Y == d2.Y
         assert d1.beta_truth == d2.beta_truth
         assert d1.N >= d1.M
@@ -146,13 +142,12 @@ def test_decompose_deterministic(triangle_catalogs):
 
 def test_crossings_empty_and_balance(triangle_catalogs):
     cat, _ = triangle_catalogs
-    soup = LoopSoup(cat, {})
-    cs = extract_crossings(soup, {1}, {2})
+    cs = extract_crossings_counts(cat, {}, ({1}, {2}))
     assert not cs.instances
     rng = stream(32, "bal")
     for _ in range(400):
         s = sample_oriented_soup(cat, 1.0, rng)
-        cs = extract_crossings(s, {1}, {2})
+        cs = extract_crossings_counts(s.catalog, s.counts, ({1}, {2}))
         n12 = len(cs.crossings.get((0, 1), ()))
         n21 = len(cs.crossings.get((1, 0), ()))
         assert n12 == n21
@@ -166,8 +161,8 @@ def test_crossing_endpoints_match_decomposition(triangle_catalogs):
     hits = 0
     for _ in range(1500):
         s = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose(s, {1}, {2})
-        cs = extract_crossings(s, {1}, {2})
+        d = decompose_counts(s.catalog, s.counts, {1}, {2})
+        cs = extract_crossings_counts(s.catalog, s.counts, ({1}, {2}))
         if d.N == 0:
             assert not cs.instances
             continue
@@ -200,14 +195,13 @@ def test_record_edge_jumps(k5, triangle_catalogs):
     g, inv, ug = k5
     cat, ucat = triangle_catalogs
     cls12 = next(k for k in ug.edge_classes if ug.class_endpoints(k) == (1, 2))
-    soup = LoopSoup(ucat, {})
-    rec = record_edge_jumps(soup, [cls12])
+    rec = record_edge_jumps_counts(ucat, {}, [cls12])
     assert rec.counts == (0,) and rec.Z == ()
     rng = stream(34, "jumps")
     hits = 0
     for _ in range(800):
         s = sample_unoriented_soup(ucat, 1.0, rng)
-        rec = record_edge_jumps(s, [cls12])
+        rec = record_edge_jumps_counts(s.catalog, s.counts, [cls12])
         n = rec.counts[0]
         assert len(rec.Z) == 2 * n
         if n:
@@ -226,7 +220,7 @@ def test_record_self_edge_doubles():
     cat = enumerate_loops(dom, 4, "unoriented", unoriented=ug)
     self_cls = ug.edge_class(0)
     one = canonicalize_unoriented(g, (0,), inv)
-    rec = record_edge_jumps(LoopSoup(cat, {one.key: 1}), [self_cls])
+    rec = record_edge_jumps_counts(cat, {one.key: 1}, [self_cls])
     assert rec.counts == (1,)
     assert rec.Z == (0, 0)
     assert rec.self_edge_slots == ((0, 1),)
@@ -240,7 +234,7 @@ def test_all_edges_removed_decomposes_to_single_jumps(k5, triangle_catalogs):
     rng = stream(35, "hats")
     for _ in range(300):
         s = sample_unoriented_soup(ucat, 1.0, rng)
-        rec = record_edge_jumps(s, removed)
+        rec = record_edge_jumps_counts(s.catalog, s.counts, removed)
         assert sum(rec.counts) == s.total_steps()
         assert all(b == () for b in rec.hookup.bridges)
 
@@ -472,7 +466,8 @@ def test_cuts_match_reference_walks(triangle_catalogs,
                                     paired_self_edge_catalogs, data):
     """The shared cutting walk gives records equal to the per-cut walks it
     replaced, on random multisets of the K5 triangle and of a graph with
-    paired and fixed self-edges, in both modes."""
+    paired and fixed self-edges, in both modes; reassembling the
+    decomposition returns the touching classes."""
     catalogs = triangle_catalogs + paired_self_edge_catalogs
     cat = data.draw(st.sampled_from(catalogs))
     keys = sorted(c.key for c in cat.classes)
@@ -481,8 +476,11 @@ def test_cuts_match_reference_walks(triangle_catalogs,
     verts = data.draw(st.permutations(cat.domain.vertices))
     cut = data.draw(st.integers(1, len(verts) - 1))
     F1, F2 = verts[:cut], verts[cut:]
-    assert asdict(decompose_counts(cat, counts, F1, F2)) == \
-        asdict(_ref_decompose_counts(cat, counts, F1, F2))
+    d = decompose_counts(cat, counts, F1, F2)
+    assert asdict(d) == asdict(_ref_decompose_counts(cat, counts, F1, F2))
+    inv = cat.unoriented_graph.involution if cat.mode == "unoriented" else None
+    assert reassemble(d.eta, d.beta_truth, cat.domain.graph, inv) == \
+        d.touching_multiset
     # the marked sets of a crossing cut need not cover the domain
     sets = [F1, F2[:data.draw(st.integers(1, len(F2)))]]
     if len(sets[1]) < len(F2):

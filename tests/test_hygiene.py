@@ -95,20 +95,14 @@ UNREACHED_FROM_CLI = {
     "bridges.ZBridgeFamily": _BRIDGES,
     "bridges._check_bridge": _BRIDGES,
     "bridges._family_draw": _BRIDGES,
-    "bridges.bridge_probability": "test_bridges",
     "bridges.bridge_probability_exact": _BRIDGES,
     "bridges.sample_unordered_bridge": _BRIDGES + ", demo 03",
     "bridges.sample_z_bridge": _BRIDGES,
     "exact.side_bridge_law": "the benchmark's traced names; goes with its "
                              "entry there (ROADMAP item 1)",
     "exact._side_arrivals_departures": "exact.side_bridge_law",
-    "exact.validate_eta": "verify.exact_conditional_beta",
-    "excursions.decompose": "test_excursions, test_interfaces, demo 03",
-    "excursions.extract_crossings": "test_excursions, test_interfaces",
     "excursions.hookup_loops": "excursions.reassemble, test_verify",
     "excursions.reassemble": "test_excursions, test_verify",
-    "excursions.record_edge_jumps": "test_excursions",
-    "excursions.z_orbit_key": "test_orbit_keys, test_verify",
     "gff.sample_gff": "test_verify, demo 04",
     "graph.build_graph": "the bridge-laws workload, tests, conftest",
     "graph.write_graph_file": "test_graph's file round trip",
@@ -124,10 +118,6 @@ UNREACHED_FROM_CLI = {
                                   "benchmark's traced names",
     "soups.sample_unoriented_soup": "tests, demo 02, the benchmark's "
                                     "traced names",
-    "verify.exact_conditional_beta": "test_verify, demo 03",
-    "verify.feasible_etas": "test_verify, demo 03",
-    "verify.verify_prop5_degenerate": "criterion 3, test_verify",
-    "verify.verify_residual_independence": "test_verify",
 }
 
 

@@ -1,30 +1,15 @@
-"""The decomposition dump format and cross-cutting invariants."""
+"""Cross-cutting invariants: the crossings as a function of the excursions,
+the infeasible mass against the length cap, job order and the class budget."""
 
 import json
 from collections import Counter
 
 import pytest
 
-from loopsoup import (Domain, decompose, enumerate_loops, extract_crossings,
-                      sample_oriented_soup, verify_prop1)
+from loopsoup import Domain, enumerate_loops, sample_oriented_soup, verify_prop1
 from loopsoup.cli import main as cli_main
+from loopsoup.excursions import decompose_counts, extract_crossings_counts
 from loopsoup.rng import stream
-
-
-def test_family_and_decomposition_json(k5, triangle_catalogs):
-    g, inv, ug = k5
-    cat, ucat = triangle_catalogs
-    rng = stream(62, "fam")
-    for _ in range(500):
-        soup = sample_oriented_soup(cat, 1.0, rng)
-        dec = decompose(soup, {1}, {2})
-        if dec.N:
-            j = dec.to_json()
-            assert j["N"] == dec.N and len(j["eta"]) == dec.N
-            json.dumps(j)
-            break
-    else:
-        pytest.fail("no soup had an excursion")
 
 
 def test_crossings_recomputable_from_eta(k5, triangle_catalogs):
@@ -37,8 +22,8 @@ def test_crossings_recomputable_from_eta(k5, triangle_catalogs):
     hits = 0
     for _ in range(2000):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose(soup, F1, F2)
-        cs = extract_crossings(soup, F1, F2)
+        d = decompose_counts(soup.catalog, soup.counts, F1, F2)
+        cs = extract_crossings_counts(soup.catalog, soup.counts, (F1, F2))
         from_eta = Counter()
         for path in d.eta:
             verts = [g.edge_by_id[path[0]].tail]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, build_graph, canonicalize_oriented,
@@ -274,6 +274,19 @@ def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
     # equality compares key, n, J~, mass and oriented_keys
     assert {c.key: c for c in ucat.classes} == expected
     assert 2 * ucat.total_mass == cat.total_mass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_domains(), st.integers(0, 8))
+def test_tail_bound_dominates_omitted_property(dom_ug, l_max):
+    """The bound of test_tail_bound_dominates_omitted on every transient
+    small domain and cap."""
+    dom, _ = dom_ug
+    assume(dom.spectral_radius() < 1)
+    P = dom.transition_matrix()
+    whole = -np.linalg.slogdet(np.eye(len(P)) - P)[1]
+    omitted = whole - float(enumerate_loops(dom, l_max).total_mass)
+    assert -1e-12 <= omitted <= tail_bound(dom, l_max) + 1e-12
 
 
 def _brute_force_classes(dom, L):

@@ -19,7 +19,7 @@ from loopsoup.excursions import (DecompositionError, OrientedHookup,
                                  extract_crossings_counts, hookup_cycle_key,
                                  matching_key, oriented_hookup_orbit_key,
                                  path_endpoints, record_edge_jumps_counts,
-                                 unoriented_hookup_orbit_key, z_orbit_key)
+                                 unoriented_hookup_orbit_key)
 from loopsoup.verify import CrossingCut, EdgeCut, ExcursionCut
 
 # -- reference keys: every relabeling, the smallest image ------------------------
@@ -161,7 +161,8 @@ def _hookup_keys(cut, pieces, hook, flippable=()):
     return [("hookup",
              unoriented_hookup_orbit_key(pieces, hook, flippable, cut.inv),
              _ref_unoriented_hookup_orbit_key(pieces, hook, flippable, cut.inv)),
-            ("z", z_orbit_key(Z, hook), _ref_z_orbit_key(Z, hook))]
+            ("z", matching_key(Z, zip(hook.pairing, hook.bridges), False),
+             _ref_z_orbit_key(Z, hook))]
 
 
 def _multiset_keys(cut, counts):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, build_graph, green_function,
-                      pair_reversals, regularize_degree, sample_gff,
-                      unoriented_view, verify_ct_excursions, verify_lejan,
-                      verify_occupation_markov, verify_prop1,
+from loopsoup import (Domain, GraphError, build_graph, enumerate_loops,
+                      green_function, pair_reversals, regularize_degree,
+                      sample_gff, unoriented_view, verify_ct_excursions,
+                      verify_lejan, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
-                      verify_prop5_degenerate, verify_random_currents,
-                      verify_wilson, wilson_ust)
+                      verify_random_currents, verify_wilson, wilson_ust)
 from loopsoup import excursions
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
@@ -25,9 +24,7 @@ from loopsoup.rng import stream
 from loopsoup.soups import soup_count_rows
 from loopsoup.verify import (MIN_BIN_SAMPLES, CrossingCut,
                              EdgeCut, ExcursionCut, _conditional_keys,
-                             _markov_defect, _mc_driver, _verdict,
-                             exact_conditional_beta, feasible_etas,
-                             verify_residual_independence)
+                             _markov_defect, _mc_driver, _verdict)
 
 
 @pytest.fixture(scope="module")
@@ -44,29 +41,12 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
     law (the bridge measure restricted to hookups whose loops fit in L_max,
     renormalized), Fraction by Fraction (here: single-excursion
     conditionings reduce to single bridges)."""
-    from loopsoup.verify import ExcursionCut
-    cat = ws_k12.catalog("oriented")
-    cut = ExcursionCut(cat, {1}, {2})
-    for eta in feasible_etas(cat, {1}, {2}, 1)[:4]:
-        dist = exact_conditional_beta(cat, {1}, {2}, eta)
-        assert sum(dist.values()) == 1
-        assert list(dist) == sorted(dist)
-        law, infeasible = cut.oracle(eta)
-        assert dist == law
-        assert 0 < infeasible < 1
-    with pytest.raises(GraphError, match="edge 99999 is not in the graph"):
-        exact_conditional_beta(cat, {1}, {2}, [(99999,)])
-    # infeasible conditionings are rejected: an excursion path whose
-    # endpoint misses the cut set
-    g = ws_k12.graph
-    e13 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 3))
-    with pytest.raises(GraphError, match="endpoint not in the cut set"):
-        exact_conditional_beta(cat, {1}, {2}, [(e13,)])
-    # an excursion whose edges do not meet is refused where it breaks
-    e21, e32 = (next(e.id for e in g.edges if (e.tail, e.head) == pair)
-                for pair in ((2, 1), (3, 2)))
-    with pytest.raises(GraphError, match="breaks the path"):
-        exact_conditional_beta(cat, {1}, {2}, [(e21, e32)])
+    cut = ExcursionCut(ws_k12.catalog("oriented"), {1}, {2})
+    for target in cut.targets(1)[:4]:
+        entry, cond, law = cut.laws(Fraction(1), target)
+        assert sum(cond.values()) == 1
+        assert cond == law
+        assert 0 < entry["infeasible"] < 1
 
 
 def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
@@ -76,13 +56,13 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
     from loopsoup.exact import conditional_multiset_law
     from loopsoup.excursions import (decompose_counts,
                                      oriented_hookup_orbit_key)
-    from loopsoup.verify import ExcursionCut
     cat = ws_k12.catalog("oriented")
     cut = ExcursionCut(cat, {1}, {2})
     cands = cut.candidates
     by_xy = defaultdict(list)
-    for eta in feasible_etas(cat, {1}, {2}, 2):
-        w = conditional_multiset_law(cat, Fraction(1), cands, Counter(eta))
+    for target in cut.targets(2):
+        eta = tuple(sorted(target.elements()))
+        w = conditional_multiset_law(cat, Fraction(1), cands, target)
         total = sum(w.values())
         dist = {}
         XY = None
@@ -143,7 +123,10 @@ def test_prop5_exact_and_degenerate(ws_k12):
     bad = verify_prop5(ucat, [cls12], mode="exact", intensity=Fraction(2),
                        expect_fail=True)
     assert bad.passed
-    deg = verify_prop5_degenerate(ucat, max_jumps=3)
+    # with every inner edge removed, G is the identity and the bridge
+    # measure is the uniform matching of the jump ends, with empty bridges
+    deg = verify_prop5(ucat, ucat.unoriented_graph.classes_inside(ucat.domain),
+                       max_jumps=3)
     assert deg.passed
 
 
@@ -151,22 +134,23 @@ def test_prop2_z_measurability(ws_k12):
     """Distinct excursion vectors sharing the extremity vector induce the
     same conditional hookup law (pushed to extremity-preserving orbits)."""
     from loopsoup.exact import conditional_multiset_law
-    from loopsoup.excursions import decompose_counts, z_orbit_key
-    from loopsoup.verify import ExcursionCut
-    from collections import Counter, defaultdict
+    from loopsoup.excursions import decompose_counts, matching_key
+    from collections import defaultdict
     ucat = ws_k12.catalog("unoriented")
     cut = ExcursionCut(ucat, {1}, {2})
     cands = cut.candidates
     by_Z = defaultdict(list)
-    for eta in feasible_etas(ucat, {1}, {2}, 2):
-        w = conditional_multiset_law(ucat, Fraction(1), cands, Counter(eta))
+    for target in cut.targets(2):
+        eta = tuple(sorted(target.elements()))
+        w = conditional_multiset_law(ucat, Fraction(1), cands, target)
         total = sum(w.values())
         dist = {}
         Z = None
         for ms, wt in w.items():
             d = decompose_counts(ucat, dict(ms), {1}, {2})
             Z = d.Z
-            key = z_orbit_key(d.Z, d.beta_truth)
+            hook = d.beta_truth
+            key = matching_key(d.Z, zip(hook.pairing, hook.bridges), False)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
         _, infeasible = cut.oracle(eta)
         by_Z[Z].append((dist, float(infeasible)))
@@ -397,9 +381,17 @@ def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
 
 
 def test_residual_coupling(ws_k12):
-    rep = verify_residual_independence(ws_k12.catalog("oriented"),
-                                       [{1}, {2}])
-    assert rep.passed
+    """Loops missing one of the sets form soups of the complements, coupled
+    to share the loops avoiding both: for each set F, the catalog classes
+    that avoid F, with their masses, are the catalog of the domain minus F."""
+    cat = ws_k12.catalog("oriented")
+    edge_by_id = cat.domain.graph.edge_by_id
+    for F in ({1}, {2}):
+        sub = enumerate_loops(cat.domain.without_vertices(F), cat.L_max,
+                              cat.mode, unoriented=cat.unoriented_graph)
+        mine = {c.key: c.mass for c in cat.classes
+                if not any(edge_by_id[eid].tail in F for eid in c.key)}
+        assert mine == {c.key: c.mass for c in sub.classes}
 
 
 THREE_SETS = [{1}, {3}, {5}]
@@ -539,7 +531,7 @@ def test_markov_defect_decides_each_boundary_block_exactly():
 def k5_cats():
     cfg = config_from_dict({
         "graph": "complete:5", "domain": "1 2 3", "jobs": "lejan",
-        "seed": "0", "l_max": "12",
+        "alpha": "1/2", "seed": "0", "l_max": "12",
     })
     ws = build_workspace(cfg)
     return ws
