@@ -58,8 +58,9 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
-from .soups import FieldSampler, LoopSoup, soup_count_rows, trivial_shape
-from .wilson import _EdgeDice, check_root, pop_cycles, wilson_ust
+from .soups import FieldSampler, soup_count_rows, trivial_shape
+from .wilson import (_EdgeDice, _StackPops, check_root,
+                     spanning_tree_count, wilson_runs)
 
 CHI2_SIGNIFICANCE = 1e-3
 MC_TV_TOL = 0.01
@@ -935,16 +936,22 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
                   seed: int = 0) -> TestReport:
     """Wilson's algorithm against the unit-intensity oriented soup.
 
-    (a) The spanning-tree marginal is uniform (each tree within three
-    standard errors of 1/#trees).  (b) The erased-cycle multiset restricted
-    to short cycles matches the soup resolved into simple cycles through the
-    arrow-stack correspondence (uniformly interleaved stacks, popped), with
-    total variation below the Monte Carlo tolerance.  The raw class-multiset
-    comparison is reported for transparency; it is NOT expected to vanish
-    because erased cycles are always simple while soup loops may wind.
+    (a) The spanning-tree marginal is uniform: each tree is within three
+    standard errors of 1/#trees, and every one of the g^|D| det(I - P_D)
+    trees (directed matrix-tree theorem, in exact integers) is drawn, so a
+    tree never drawn fails the check.  (b) The erased-cycle multiset
+    restricted to short cycles matches the soup resolved into simple cycles
+    through the arrow-stack correspondence (uniformly interleaved stacks,
+    popped), with total variation below the Monte Carlo tolerance.  The raw
+    class-multiset comparison is reported for transparency; it is NOT
+    expected to vanish because erased cycles are always simple while soup
+    loops may wind.
 
     The catalog's domain must be every vertex but the root (WilsonError
-    otherwise).  One walk table serves every run, so the checks run once.
+    otherwise).  One walk table serves every run, so the checks run once,
+    and `wilson_runs` walks all the runs in one pass.  Runs and soups are
+    counted by raw tree and cycle sequence, and each distinct one is mapped
+    to its report key afterwards, in order of first appearance.
     """
     check_root(graph, root, catalog.domain.vertices)
     # refuses an unoriented catalog before any walk; the soups are drawn a
@@ -952,30 +959,36 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     rng_s = stream(seed, "wilson/soup")
     soup_rows = soup_count_rows(catalog, "oriented", 1.0, runs, rng_s)
     ug = catalog.unoriented_graph
-    edge_class = {e.id: ug.edge_class(e.id) for e in graph.edges}
 
     def short(counts):          # the multiset's cycles up to WILSON_LENGTH_CAP
         return tuple(sorted([kc for kc in counts.items()
                              if len(kc[0]) <= WILSON_LENGTH_CAP]))
 
-    rng = stream(seed, "wilson")
-    dice = _EdgeDice(graph, root, rng)
+    def short_counts(by_sequence):      # runs by cycle sequence -> by short()
+        out: Counter = Counter()
+        for cycles, c in by_sequence.items():
+            out[short(Counter(cycles))] += c
+        return out
+
+    dice = _EdgeDice(graph, root, stream(seed, "wilson"))
+    tree_runs, erased_runs = wilson_runs(dice, runs)
     trees: Counter = Counter()
-    w_keys: Counter = Counter()
-    for _ in range(runs):
-        tree, erased = wilson_ust(graph, root, rng, dice=dice)
-        trees[tuple(sorted([edge_class[e] for e in tree.values()]))] += 1
-        w_keys[short(erased)] += 1
+    for exits, c in tree_runs.items():
+        trees[tuple(sorted([ug.edge_class(e) for e in exits
+                            if e is not None]))] += c
     n_trees = len(trees)
     p0 = 1.0 / n_trees
     se = math.sqrt(runs * p0 * (1 - p0))
-    tree_ok = all(abs(c - runs * p0) <= 3 * se for c in trees.values())
-    s_keys: Counter = Counter()
+    tree_ok = (n_trees == spanning_tree_count(graph, root)
+               and all(abs(c - runs * p0) <= 3 * se for c in trees.values()))
+    pops = _StackPops(catalog, rng_s, dice.rotations)
+    popped: Counter = Counter()
     s_naive: Counter = Counter()
     for counts in soup_rows:
-        s_keys[short(pop_cycles(LoopSoup(catalog, counts), rng_s))] += 1
+        popped[pops(counts)] += 1
         s_naive[short(counts)] += 1
-    tv = stats.empirical_tv(w_keys, s_keys)
+    w_keys = short_counts(erased_runs)
+    tv = stats.empirical_tv(w_keys, short_counts(popped))
     tv_naive = stats.empirical_tv(w_keys, s_naive)
     return _verdict("wilson", "mc", tv, MC_TV_TOL, tree_ok and tv < MC_TV_TOL,
                     catalog, runs, seed, tree_marginal_uniform=tree_ok,

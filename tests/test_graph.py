@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, Involution, RecurrentDomainError,
                       build_graph, cycle_graph, green_function, pair_reversals,
@@ -183,6 +185,28 @@ def test_spectral_radius_matches_eigvals():
             assert eig <= lam <= eig * (1 + 2e-9) + 2e-12
 
 
+@st.composite
+def _substochastic(draw):
+    """A random n x n matrix, n <= 5, with rows summing to at most 0.9."""
+    n = draw(st.integers(1, 5))
+    P = np.array(draw(st.lists(st.floats(0, 1), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    return P * (0.9 / max(P.sum(axis=1).max(), 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_substochastic(), st.randoms(use_true_random=False))
+def test_spectral_radius_bounds_eigvals_property(P, rnd):
+    """The certified radius is at least LAPACK's max |eigvals| and at most
+    1; the strictly upper triangle, relabeled at random, is nilpotent and
+    has radius exactly 0."""
+    lam = _spectral_radius(P)
+    assert max(abs(np.linalg.eigvals(P))) <= lam <= 1.0
+    perm = list(range(len(P)))
+    rnd.shuffle(perm)
+    assert _spectral_radius(np.triu(P, 1)[np.ix_(perm, perm)]) == 0.0
+
+
 def test_involution_validation():
     g = build_graph(2, [(0, 0, 1), (1, 1, 0)])
     inv = Involution(g, {0: 1, 1: 0})
@@ -228,6 +252,43 @@ def test_graph_file_round_trip(tmp_path, k5):
     assert [(e.id, e.tail, e.head, e.stationary) for e in g2.edges] == \
            [(e.id, e.tail, e.head, e.stationary) for e in g.edges]
     assert all(inv2(e.id) == inv(e.id) for e in g.edges)
+
+
+@st.composite
+def _graphs_with_involutions(draw):
+    """A random multigraph on at most 5 vertices, its edges paired with
+    their reversals: self-edges fixed, or paired two by two.  Edge ids are
+    a random permutation, and some edges are stationary."""
+    n = draw(st.integers(1, 5))
+    fix = draw(st.booleans())
+    ends = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=8)):
+        ends.append([(u, v)] if u == v and fix else [(u, v), (v, u)])
+    ids = draw(st.permutations(range(sum(map(len, ends)))))
+    edges, mapping, it = [], {}, iter(ids)
+    for pair in ends:
+        pair_ids = [next(it) for _ in pair]
+        for eid, (u, v) in zip(pair_ids, pair):
+            edges.append((eid, u, v, draw(st.booleans())))
+        mapping.update(zip(pair_ids, reversed(pair_ids)))
+    graph = build_graph(n, edges)
+    return graph, Involution(graph, mapping)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_graphs_with_involutions())
+def test_graph_file_round_trip_property(tmp_path_factory, graph_inv):
+    """A graph file written with its involution parses back to the same
+    edges, degree and involution."""
+    graph, inv = graph_inv
+    path = tmp_path_factory.mktemp("graph") / "g.graph"
+    write_graph_file(path, graph, inv)
+    g2, inv2 = parse_graph_file(path)
+    assert [(e.id, e.tail, e.head, e.stationary) for e in g2.edges] == \
+           [(e.id, e.tail, e.head, e.stationary) for e in graph.edges]
+    assert (g2.n_vertices, g2.g) == (graph.n_vertices, graph.g)
+    assert (inv2.mapping if inv2 is not None else {}) == inv.mapping
 
 
 def test_graph_file_parse_errors(tmp_path):

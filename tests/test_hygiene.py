@@ -109,6 +109,7 @@ UNREACHED_FROM_CLI = {
     "loops.canonicalize_oriented": "tests, demo 01",
     "loops.canonicalize_unoriented": "tests, demo 01",
     "loops.rho_mass": "test_loops, demo 01",
+    "soups.LoopSoup": "soups._one_soup and the soup operations, tests",
     "soups._one_soup": "soups.sample_oriented_soup, sample_unoriented_soup",
     "soups.forget_orientation": "test_soups, demo 02",
     "soups.merge_soups": "test_soups",
@@ -118,6 +119,9 @@ UNREACHED_FROM_CLI = {
                                   "benchmark's traced names",
     "soups.sample_unoriented_soup": "tests, demo 02, the benchmark's "
                                     "traced names",
+    "wilson.pop_cycles": "test_wilson, demo 05, the benchmark's traced names",
+    "wilson.wilson_ust": "test_wilson, test_verify, demo 05, the benchmark's "
+                         "traced names",
 }
 
 

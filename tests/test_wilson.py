@@ -4,25 +4,29 @@ The references below are the straightforward forms of the two samplers: one
 edge choice looked up per step through dicts, and arrow stacks kept as
 deques.  The table-driven `wilson_ust` and `pop_cycles` must return the same
 trees and Counters, in the same insertion order, and leave the generator in
-the same state.
+the same state; `verify_wilson`, which walks all its runs in one pass and
+caches the pops of lone loops, must report what the references give run by
+run on the same streams.
 """
 
 from collections import Counter, deque
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, cycle_graph, enumerate_loops,
-                      pair_reversals, pop_cycles, regularize_degree,
-                      sample_oriented_soup, unoriented_view, verify_wilson,
-                      wilson_ust)
-from loopsoup import verify
+from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
+                      enumerate_loops, pair_reversals, pop_cycles,
+                      regularize_degree, sample_oriented_soup, unoriented_view,
+                      verify_wilson, wilson_ust)
+from loopsoup import stats, verify
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
-from loopsoup.soups import LoopSoup, SoupError
-from loopsoup.wilson import WilsonError, _EdgeDice, check_root
+from loopsoup.soups import LoopSoup, SoupError, soup_count_rows
+from loopsoup.wilson import (WilsonError, _EdgeDice, check_root,
+                             spanning_tree_count)
 
 
 class _RefDice:
@@ -216,9 +220,77 @@ def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("walked before refusing the catalog")
 
-    monkeypatch.setattr(verify, "wilson_ust", refuse)
+    monkeypatch.setattr(verify, "wilson_runs", refuse)
     graph = cycle_graph(4)
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
                           unoriented=unoriented_view(graph, pair_reversals(graph)))
     with pytest.raises(SoupError, match="not oriented"):
         verify_wilson(graph, 0, cat.counterpart(), runs=20000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rooted_graphs())
+def test_spanning_tree_count_matches_the_exit_choices(graph_root):
+    """The matrix-tree count equals the number of choices of one exit edge
+    per non-root vertex that lead every vertex to the root."""
+    graph, root = graph_root
+    verts = [v for v in graph.vertices if v != root]
+    trees = 0
+    for exits in product(*(graph.out_edges[v] for v in verts)):
+        head = {v: e.head for v, e in zip(verts, exits)}
+        reach = {root}
+        for _ in verts:
+            reach |= {v for v in verts if head[v] in reach}
+        trees += len(reach) == graph.n_vertices
+    assert spanning_tree_count(graph, root) == trees
+
+
+def test_a_tree_never_drawn_fails_the_tree_check():
+    """complete:4 rooted at 0 has 16 spanning trees; 8 runs cannot draw
+    them all, so the tree marginal cannot be uniform."""
+    graph = complete_graph(4)
+    assert spanning_tree_count(graph, 0) == 16
+    assert spanning_tree_count(cycle_graph(4), 0) == 4
+    cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
+                          unoriented=unoriented_view(graph, pair_reversals(graph)))
+    rep = verify_wilson(graph, 0, cat, runs=8, seed=0)
+    assert rep.details["n_trees"] <= 8
+    assert rep.details["tree_marginal_uniform"] is False
+    assert not rep.passed
+
+
+def _short(counts):
+    return tuple(sorted([kc for kc in counts.items()
+                         if len(kc[0]) <= verify.WILSON_LENGTH_CAP]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("graph, l_max", [(cycle_graph(4), 14),
+                                          (complete_graph(4), 8)],
+                         ids=["cycle:4", "complete:4"])
+def test_verify_wilson_matches_the_references(graph, l_max, seed):
+    """The job path (one walk over all runs, trees and erasure sequences
+    keyed raw and mapped back, lone-loop pops cached by class and rotation)
+    reports the statistic, naive TV and tree frequencies that the per-step
+    walk and the deque stacks give run by run on the same streams.
+    complete:4 has simple 3-cycles, and 3,000 runs repeat (class, rotation)
+    pairs, so the cache is hit."""
+    runs = 3000
+    ug = unoriented_view(graph, pair_reversals(graph))
+    cat = enumerate_loops(Domain(graph, [1, 2, 3]), l_max, unoriented=ug)
+    dice = _RefDice(graph, stream(seed, "wilson"))
+    trees, w_keys = Counter(), Counter()
+    for _ in range(runs):
+        tree, erased = _ref_wilson_ust(graph, 0, dice)
+        trees[tuple(sorted([ug.edge_class(e) for e in tree.values()]))] += 1
+        w_keys[_short(erased)] += 1
+    rng_s = stream(seed, "wilson/soup")
+    s_keys, s_naive = Counter(), Counter()
+    for counts in soup_count_rows(cat, "oriented", 1.0, runs, rng_s):
+        s_keys[_short(_ref_pop_cycles(LoopSoup(cat, counts), rng_s))] += 1
+        s_naive[_short(counts)] += 1
+    rep = verify_wilson(graph, 0, cat, runs=runs, seed=seed)
+    assert rep.statistic == stats.empirical_tv(w_keys, s_keys)
+    assert rep.details["naive_multiset_tv"] == stats.empirical_tv(w_keys, s_naive)
+    assert rep.details["tree_frequencies"] == {
+        str(k): v / runs for k, v in sorted(trees.items())}
