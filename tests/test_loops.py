@@ -363,13 +363,15 @@ def test_workspace_enumerates_domain_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-# sha256 of the two catalogs the mc-resampling benchmark exports (complete:8,
-# domain 1-4, l_max 12: 69,960 oriented and 36,072 unoriented rows, ~14 MB)
+# sha256 and row count of the two catalogs the mc-resampling benchmark
+# exports (complete:8, domain 1-4, l_max 12), 14,432,502 bytes together
 K8_CATALOG_SHA256 = {
-    "catalog_oriented.jsonl":
+    "catalog_oriented.jsonl": (
         "2a9e48cd97999d21c6e91ef0a64ffb9709c3f3b15342958d90d0f578121716bb",
-    "catalog_unoriented.jsonl":
+        69960),
+    "catalog_unoriented.jsonl": (
         "d178bd772dfd47fa2144a883091babaff1a01606fb535faaf716f4aea2b03016",
+        36072),
 }
 
 
@@ -377,6 +379,10 @@ def test_k8_catalog_exports_are_pinned(tmp_path):
     cfg = config_from_dict({"graph": "complete:8", "domain": "1 2 3 4",
                             "l_max": "12", "seed": "0", "jobs": "enumerate"})
     assert run(cfg, str(tmp_path)) == 0
-    for name, digest in K8_CATALOG_SHA256.items():
+    size = 0
+    for name, (digest, rows) in K8_CATALOG_SHA256.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+        assert data.count(b"\n") == rows, name
+        size += len(data)
+    assert size == 14432502
