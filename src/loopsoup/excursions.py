@@ -454,18 +454,17 @@ def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]
 # -- hookup orbit keys -------------------------------------------------------------
 
 
-def hookup_cycle_key(tokens, joins, oriented, flippable=()):
-    """(sorted canonical cycles, number of relabelings fixing the hookup).
+def _hookup_cycles(tokens, joins, oriented, flippable=()) -> list:
+    """The (canonical cycle, J) pairs of a hookup, sorted.
 
     The walk of the joins splits the hookup into cycles of (tokens[j],
     direction, arc after the piece) items: direction +1 for a piece j
     entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
     cycle is keyed like a loop class by `loops.necklace`, given when
     unoriented its reversal (each piece turns round and the arc before it
-    now follows it).  Hookups differ by a relabeling of identical pieces
-    (and flips) exactly when their keys are equal.  The relabelings fixing
-    one are prod m! J^m over its distinct cycles, m the multiplicity and J
-    the rotations fixing the cycle, doubled when it equals its reversal.
+    now follows it), with J the rotations fixing it, doubled when it equals
+    its reversal.  Hookups differ by a relabeling of identical pieces (and
+    flips) exactly when their sorted cycles are equal.
     """
     cycles = []
     for steps in _hookup_walk(joins, len(tokens)):
@@ -474,8 +473,18 @@ def hookup_cycle_key(tokens, joins, oriented, flippable=()):
         back = None if oriented else [(t, -d, items[i - 1][2]) for i, (t, d, _)
                                       in enumerate(items)][::-1]
         cycles.append(necklace(items, back))
-    # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
     cycles.sort()
+    return cycles
+
+
+def hookup_cycle_key(tokens, joins, oriented, flippable=()):
+    """(sorted canonical cycles, number of relabelings fixing the hookup).
+
+    The cycles are `_hookup_cycles`'.  The relabelings fixing the hookup are
+    prod m! J^m over its distinct cycles, m the multiplicity.
+    """
+    cycles = _hookup_cycles(tokens, joins, oriented, flippable)
+    # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
     fixing = math.prod(J * cycles[:i + 1].count((c, J))
                        for i, (c, J) in enumerate(cycles))
     return tuple(c for c, _ in cycles), fixing
@@ -493,7 +502,7 @@ def matching_key(labels, joins, oriented):
 def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
     """Key of (sigma, bridges) under relabeling slots with equal entries of
     eta (identical excursions, or equal (X_j, Y_j) pairs)."""
-    return hookup_cycle_key(eta, _slot_joins(hookup), True)[0]
+    return tuple(c for c, _ in _hookup_cycles(eta, _slot_joins(hookup), True))
 
 
 def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
@@ -505,4 +514,5 @@ def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
     if involution is not None:
         flips.update(j for j, path in enumerate(eta)
                      if path and path == involution.reverse_path(path))
-    return hookup_cycle_key(eta, _slot_joins(hookup), False, flips)[0]
+    return tuple(c for c, _ in _hookup_cycles(eta, _slot_joins(hookup), False,
+                                              flips))

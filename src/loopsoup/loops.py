@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,32 +99,62 @@ def necklace(seq, reverse=None) -> tuple[tuple, int]:
     return key, J
 
 
+def _least_rotation(seq: tuple) -> tuple:
+    """The least rotation of a nonempty tuple: `necklace`'s key without J."""
+    m = min(seq)
+    i = seq.index(m)
+    if seq.count(m) == 1:
+        return seq[i:] + seq[:i]
+    return min(seq[j:] + seq[:j] for j in range(i, len(seq)) if seq[j] == m)
+
+
 # -- loop classes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LoopClass:
-    """Oriented unrooted loop class with its canonical rooted representative."""
+def _same_type_eq(self, other) -> bool:
+    # False, not NotImplemented: a plain tuple would then compare fields
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_type_ne(self, other) -> bool:
+    return not _same_type_eq(self, other)
+
+
+class LoopClass(NamedTuple):
+    """Oriented unrooted loop class with its canonical rooted representative.
+
+    A NamedTuple for cheap construction (catalogs build tens of thousands),
+    compared like a frozen dataclass: equal only to a class of its own type
+    with equal fields, and hashed as the tuple of its fields.
+    """
 
     key: tuple[int, ...]          # least rotation of the edge-id sequence
     n: int
     J: int
     mass: Fraction                # mu = g^{-n} / J
 
+    __eq__ = _same_type_eq
+    __ne__ = _same_type_ne
+    __hash__ = tuple.__hash__
+
     @property
     def mass_float(self) -> float:
         return float(self.mass)
 
 
-@dataclass(frozen=True)
-class UnorientedLoopClass:
-    """Unoriented unrooted loop class; key is minimal over rotations and reversal."""
+class UnorientedLoopClass(NamedTuple):
+    """Unoriented unrooted loop class; key is minimal over rotations and
+    reversal.  Compared and hashed like `LoopClass`."""
 
     key: tuple[int, ...]
     n: int
     J_tilde: int
     mass: Fraction                # nu = g^{-n} / J~
     oriented_keys: tuple[tuple[int, ...], ...]   # one key when self-reversed, else two
+
+    __eq__ = _same_type_eq
+    __ne__ = _same_type_ne
+    __hash__ = tuple.__hash__
 
     @property
     def J(self) -> int:
@@ -185,10 +215,29 @@ class LoopCatalog:
     def total_mass(self) -> Fraction:
         return sum((c.mass for c in self.classes), Fraction(0))
 
+    def _per_shape(self, make) -> list:
+        """make(n, J) for every class, in class order, computed once per
+        distinct (n, J): a catalog has few (n, J) but many classes."""
+        made: dict = {}
+        out = []
+        for c in self.classes:
+            shape = c.n, c.J
+            value = made.get(shape)
+            if value is None:
+                value = made[shape] = make(*shape)
+            out.append(value)
+        return out
+
     def mass_arrays(self):
-        """(masses, cumulative masses) as float arrays, cached."""
+        """(masses, cumulative masses) as float arrays, cached.
+
+        A class's mass is 1 / (g^n J), and int true division rounds
+        correctly, so each float equals `float` of the class's Fraction.
+        """
         if self._mass_arrays is None:
-            masses = np.array([c.mass_float for c in self.classes])
+            g = self.domain.g
+            masses = np.array(self._per_shape(lambda n, J: 1 / (g ** n * J)),
+                              dtype=float)
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays
 
@@ -231,7 +280,7 @@ class LoopCatalog:
                 seq = cls.key
                 if seq in reversals:
                     continue
-                rev = necklace([iota[e] for e in reversed(seq)])[0]
+                rev = _least_rotation(tuple([iota[e] for e in reversed(seq)]))
                 if rev not in self.by_key:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")
@@ -249,19 +298,25 @@ class LoopCatalog:
         return self._counterpart
 
     def export_jsonl(self, path) -> None:
-        """One JSON object per class, each written with one format string.
+        """One JSON object per class, one line each, streamed to the file.
 
-        A class's mass is 1 / (g^n J), so its text and its float come from
-        that denominator (int division rounds correctly, like `float` of the
-        Fraction).
+        A class's mass is 1 / (g^n J), so everything after its edges (n, J,
+        the mass's text and its float) is one string per distinct (n, J);
+        int true division rounds correctly, like `float` of the Fraction.
+        The edges are joined from the edge ids' cached texts.
         """
         g = self.domain.g
+
+        def tail(n, J):
+            den = g ** n * J
+            mass = f"1/{den}" if den != 1 else "1"
+            return (f'], "n": {n}, "J": {J}, "mass": "{mass}", '
+                    f'"mass_float": {1 / den!r}}}\n')
+
+        ids = {eid: str(eid) for eid in self.domain.graph.edge_by_id}
         with open(path, "w") as fh:
-            for c in self.classes:
-                den = g ** c.n * c.J
-                mass = f"1/{den}" if den != 1 else "1"
-                fh.write(f'{{"edges": {list(c.key)}, "n": {c.n}, "J": {c.J}, '
-                         f'"mass": "{mass}", "mass_float": {1 / den!r}}}\n')
+            fh.writelines('{"edges": [' + ", ".join([ids[e] for e in c.key]) + t
+                          for c, t in zip(self.classes, self._per_shape(tail)))
 
     def __len__(self) -> int:
         return len(self.classes)

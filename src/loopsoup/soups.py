@@ -16,10 +16,14 @@ Gamma(shape, scale 1/g) variable with shape alpha (oriented) or c/2
 Every soup is drawn the standard point-process way: one Poisson total of
 i.i.d. class draws, each class picked with probability proportional to its
 mass.  The class counts are then independent Poisson(t * m(L)) variables.
-`soup_count_rows` draws many soups, ROW_CHUNK at a time: one `rng.poisson`
+`soup_chunks` draws many soups, ROW_CHUNK at a time: one `rng.poisson`
 call for the chunk's totals and one `rng.random` call for all its class
-draws.  A single soup is the one-row case, and `FieldSampler` draws all its
-soups in one such call.
+draws.  Its readers take the chunks whole or one soup at a time.  The Monte
+Carlo resampling driver reads the chunks' arrays, since most soups never
+touch its cut.  `soup_count_rows` splits them into one count dict per soup,
+for readers that take the soups one by one and may draw between chunks
+(Wilson's cycle popping); a single soup is its one-row case.
+`FieldSampler` draws all its soups in one such call.
 """
 
 from __future__ import annotations
@@ -75,11 +79,9 @@ def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
     return counts, np.searchsorted(cum[:-1], rng.random(k) * total, side="right")
 
 
-def _chunk_rows(catalog: LoopCatalog, rate: float, m: int, rng) -> list:
-    """Count dicts of m soups from one `_class_draws` call, each holding the
-    nonzero counts in class order."""
-    classes = catalog.classes
-    counts, idx = _class_draws(catalog.mass_arrays()[1], rate, m, rng)
+def _chunk_rows(classes, counts, idx) -> list:
+    """Count dicts of a chunk's soups (`_class_draws` output), each holding
+    the nonzero counts in class order."""
     idx = idx.tolist()
     ends = [0, *accumulate(counts.tolist())]
     # most soups hold no loop or one, and a Counter costs more than either
@@ -97,26 +99,39 @@ def _refuse(catalog: LoopCatalog, mode: str, intensity: float) -> None:
         raise SoupError(f"{name} must be positive")
 
 
-def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
-                    n_samples: int, rng):
-    """Iterator over the count dicts of n_samples independent soups.
+def soup_chunks(catalog: LoopCatalog, mode: str, intensity: float,
+                n_samples: int, rng):
+    """Iterator over the chunks of n_samples independent soups, ROW_CHUNK
+    soups per `_class_draws` call, each chunk its (counts, idx) arrays: the
+    soups' loop counts and the class indices of their loops, soup after soup.
 
     `intensity` is alpha for an oriented catalog and c for an unoriented
-    one.  The soups are drawn ROW_CHUNK at a time as the iterator advances,
-    so draws made between chunks follow the chunk's soups in the stream.
-    A catalog of the other mode or a nonpositive intensity raises SoupError
-    here, before anything is drawn.
+    one.  Each chunk is drawn as the iterator advances, so draws made between
+    chunks follow the chunk's soups in the stream.  A catalog of the other
+    mode or a nonpositive intensity raises SoupError here, before anything
+    is drawn.
     """
     _refuse(catalog, mode, intensity)
-    return (row for start in range(0, n_samples, ROW_CHUNK)
-            for row in _chunk_rows(catalog, intensity,
-                                   min(ROW_CHUNK, n_samples - start), rng))
+    cum = catalog.mass_arrays()[1]
+    return (_class_draws(cum, intensity, min(ROW_CHUNK, n_samples - start), rng)
+            for start in range(0, n_samples, ROW_CHUNK))
+
+
+def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
+                    n_samples: int, rng):
+    """Iterator over the count dicts of the soups of `soup_chunks` (same
+    arguments, same draws), one soup at a time."""
+    classes = catalog.classes
+    return (row for counts, idx in soup_chunks(catalog, mode, intensity,
+                                               n_samples, rng)
+            for row in _chunk_rows(classes, counts, idx))
 
 
 def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> LoopSoup:
     """The one-row case of `soup_count_rows`."""
     _refuse(catalog, mode, intensity)
-    return LoopSoup(catalog, _chunk_rows(catalog, intensity, 1, rng)[0])
+    counts, idx = _class_draws(catalog.mass_arrays()[1], intensity, 1, rng)
+    return LoopSoup(catalog, _chunk_rows(catalog.classes, counts, idx)[0])
 
 
 def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:

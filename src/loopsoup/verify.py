@@ -29,10 +29,11 @@ floor is the only rule: every other bin counts as skipped.
 
 A cut touches only what it needs.  Its `candidates` (every catalog class it
 splits, with contribution) are built on first use by the exact mode and
-`targets`.  The Monte Carlo driver never builds them: it asks the memoized
-`touches(key)` of the classes its soups hold, draws the soups in batched
-rows (`soups.soup_count_rows`), and cuts each distinct touching
-sub-multiset once.
+`targets`.  The Monte Carlo driver never builds them.  It reads the soups a
+chunk of class-index arrays at a time (`soups.soup_chunks`), asks
+`touches(key)` once of each class drawn, keeps only the touching draws, and
+visits, in soup order, just the soups that hold one, cutting each distinct
+touching sub-multiset once.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
-from .soups import FieldSampler, soup_count_rows, trivial_shape
+from .soups import FieldSampler, soup_chunks, soup_count_rows, trivial_shape
 from .wilson import (_EdgeDice, _StackPops, check_root,
                      spanning_tree_count, wilson_runs)
 
@@ -392,31 +393,55 @@ def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
     return cond, b
 
 
-def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
-               expect_fail: bool) -> TestReport:
-    """Sample soups, cut those touching the cut into bins of hookup keys, and
-    test, in bin-key order, every bin that holds MIN_BIN_SAMPLES soups, under
-    one Bonferroni correction.  Every other bin counts as skipped, and so
-    does a bin whose test has no degree of freedom: tested + skipped is the
-    number of bins.
+def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:
+    """Bin key -> Counter of hookup keys, over `samples` soups of the stream.
 
     Classes the cut does not split leave the cut unchanged, so each soup is
-    cut on its touching classes alone, once per distinct sub-multiset.
+    cut on its touching classes alone, once per distinct sub-multiset.  The
+    soups come a chunk of arrays at a time (`soups.soup_chunks`), and most
+    hold no touching class: the touching draws are masked out of each chunk
+    with a per-class memo of `cut.touches`, asked only of the classes drawn,
+    and only soups holding one are visited, in soup order.
     """
-    catalog = cut.catalog
-    rows = soup_count_rows(catalog, "oriented" if cut.oriented else "unoriented",
-                           intensity, samples, stream(seed, prop))
+    classes = cut.catalog.classes
+    chunks = soup_chunks(cut.catalog,
+                         "oriented" if cut.oriented else "unoriented",
+                         intensity, samples, rng)
+    touching = np.full(len(classes), -1, dtype=np.int8)    # -1: not asked yet
     cuts: dict = {}         # sorted touching sub-multiset -> its cut
     bins: dict = defaultdict(Counter)
-    for counts in rows:
-        sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
-        if not sub:
+    for counts, idx in chunks:
+        for i in np.unique(idx[touching[idx] < 0]).tolist():
+            touching[i] = cut.touches(classes[i].key)
+        hit = touching[idx] == 1
+        if not hit.any():
             continue
-        if sub not in cuts:
-            cuts[sub] = cut.cut(dict(sub))
-        got = cuts[sub]
-        if got is not None:
-            bins[got[0]][got[1]] += 1
+        owners = np.repeat(np.arange(len(counts)), counts)[hit].tolist()
+        drawn = idx[hit].tolist()
+        ends = [j for j in range(1, len(owners)) if owners[j] != owners[j - 1]]
+        for a, b in zip([0, *ends], [*ends, len(owners)]):
+            if b - a == 1:
+                sub = ((classes[drawn[a]].key, 1),)
+            else:
+                sub = tuple(sorted(Counter(classes[i].key
+                                           for i in drawn[a:b]).items()))
+            if sub not in cuts:
+                cuts[sub] = cut.cut(dict(sub))
+            got = cuts[sub]
+            if got is not None:
+                bins[got[0]][got[1]] += 1
+    return bins
+
+
+def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
+               expect_fail: bool) -> TestReport:
+    """Sample soups, cut those touching the cut into bins of hookup keys
+    (`_mc_bins`), and test, in bin-key order, every bin that holds
+    MIN_BIN_SAMPLES soups, under one Bonferroni correction.  Every other bin
+    counts as skipped, and so does a bin whose test has no degree of
+    freedom: tested + skipped is the number of bins.
+    """
+    bins = _mc_bins(cut, intensity, samples, stream(seed, prop))
     pvals = []
     tested = []
     for b, counts in sorted(bins.items()):
@@ -425,6 +450,7 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
         if p is not None:
             pvals.append(p)
             tested.append({**cut.label(b), "n": n_bin, "p": p})
+    catalog = cut.catalog
     if not pvals:
         return _verdict(prop, "mc", 1.0, CHI2_SIGNIFICANCE, None, catalog,
                         samples, seed, expect_fail,

@@ -218,6 +218,33 @@ def test_catalog_export_jsonl(tmp_path, triangle_catalogs):
     assert Fraction(row["mass"]) == cat.classes[0].mass
 
 
+def _reference_export(cat) -> bytes:
+    """A catalog's JSONL export written line by line, one format string per
+    class from its Fraction mass."""
+    g = cat.domain.g
+    out = []
+    for c in cat.classes:
+        den = g ** c.n * c.J
+        mass = f"1/{den}" if den != 1 else "1"
+        out.append(f'{{"edges": {list(c.key)}, "n": {c.n}, "J": {c.J}, '
+                   f'"mass": "{mass}", "mass_float": {float(c.mass)!r}}}\n')
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_export_and_mass_arrays_match_the_per_class_reference(
+        tmp_path, triangle_catalogs, paired_self_edge_catalogs, which):
+    """The per-(n, J) export and float masses equal, byte for byte and bit
+    for bit, what each class's own Fraction gives."""
+    for cat in (triangle_catalogs[which], paired_self_edge_catalogs[which]):
+        p = tmp_path / f"{cat.mode}.jsonl"
+        cat.export_jsonl(p)
+        assert p.read_bytes() == _reference_export(cat)
+        masses = cat.mass_arrays()[0]
+        assert masses.tobytes() == np.array(
+            [float(c.mass) for c in cat.classes]).tobytes()
+
+
 def test_minimal_rotation_and_period():
     assert necklace((3, 1, 2)) == ((1, 2, 3), 1)
     assert necklace((2, 1, 2, 1)) == ((1, 2, 1, 2), 2)
@@ -274,6 +301,17 @@ def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
     # equality compares key, n, J~, mass and oriented_keys
     assert {c.key: c for c in ucat.classes} == expected
     assert 2 * ucat.total_mass == cat.total_mass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_domains(), st.integers(0, 8))
+def test_unoriented_class_keeps_both_orientations(dom_ug, L):
+    """Every unoriented class lists its key and the necklace of the key's
+    reversal as its oriented keys, once when they are equal."""
+    dom, ug = dom_ug
+    for u in enumerate_loops(dom, L, "unoriented", unoriented=ug).classes:
+        back = necklace(ug.involution.reverse_path(u.key))[0]
+        assert u.oriented_keys == ((u.key,) if back == u.key else (u.key, back))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
+import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, build_graph, enumerate_loops,
+from loopsoup import (Domain, GraphError, build_graph, complete_graph,
+                      enumerate_loops,
                       green_function, pair_reversals, regularize_degree,
                       sample_gff, unoriented_view, verify_ct_excursions,
                       verify_lejan, verify_occupation_markov, verify_prop1,
@@ -22,9 +24,10 @@ from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
 from loopsoup.soups import soup_count_rows
-from loopsoup.verify import (MIN_BIN_SAMPLES, CrossingCut,
-                             EdgeCut, ExcursionCut, _conditional_keys,
-                             _markov_defect, _mc_driver, _verdict)
+from loopsoup.verify import (CHI2_SIGNIFICANCE, MIN_BIN_SAMPLES, CrossingCut,
+                             EdgeCut, ExcursionCut, _bonferroni,
+                             _conditional_keys, _markov_defect, _mc_bins,
+                             _mc_driver, _verdict)
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +284,86 @@ def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
         assert cut._touches and len(cut._touches) < len(cut.catalog)
         cut.targets(2)
         assert "candidates" in cut.__dict__
+
+
+def _per_soup_driver(prop, cut, intensity, samples, seed, expect_fail):
+    """The Monte Carlo driver as one loop over `soup_count_rows` rows: each
+    soup's touching sub-multiset is sorted and cut, once per distinct one,
+    then every bin of MIN_BIN_SAMPLES soups is tested in bin-key order.
+    Returns (bins, report, soups holding more than one touching class)."""
+    mode = "oriented" if cut.oriented else "unoriented"
+    cuts: dict = {}
+    bins: dict = defaultdict(Counter)
+    several = 0
+    for counts in soup_count_rows(cut.catalog, mode, intensity, samples,
+                                  stream(seed, prop)):
+        sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
+        if not sub:
+            continue
+        several += len(sub) > 1
+        if sub not in cuts:
+            cuts[sub] = cut.cut(dict(sub))
+        if cuts[sub] is not None:
+            bins[cuts[sub][0]][cuts[sub][1]] += 1
+    pvals, tested = [], []
+    for b, counts in sorted(bins.items()):
+        n_bin = sum(counts.values())
+        p = cut.bin_p(b, counts, n_bin) if n_bin >= MIN_BIN_SAMPLES else None
+        if p is not None:
+            pvals.append(p)
+            tested.append({**cut.label(b), "n": n_bin, "p": p})
+    if not pvals:
+        return bins, _verdict(prop, "mc", 1.0, CHI2_SIGNIFICANCE, None,
+                              cut.catalog, samples, seed, expect_fail,
+                              note="no bin had enough samples"), several
+    worst, threshold, ok = _bonferroni(pvals)
+    return bins, _verdict(prop, "mc", worst, threshold, ok, cut.catalog,
+                          samples, seed, expect_fail, bins_tested=len(pvals),
+                          bins_skipped=len(bins) - len(pvals), bins=tested,
+                          intensity=intensity), several
+
+
+@pytest.fixture(scope="module")
+def k8_crossing_catalog():
+    """The oriented catalog of the benchmark's crossing case: complete:8,
+    domain 1-4, l_max 12 (69,960 classes)."""
+    g = complete_graph(8)
+    return enumerate_loops(Domain(g, [1, 2, 3, 4]), 12, "oriented",
+                           unoriented=unoriented_view(g, pair_reversals(g)))
+
+
+@pytest.mark.parametrize("case", ["prop1", "prop2", "prop5", "alpha2",
+                                  "prop1bis"])
+def test_chunked_driver_matches_per_soup_driver(case, k5, triangle_catalogs,
+                                                k8_crossing_catalog):
+    """The chunked Monte Carlo driver fills the same bins, each Counter in
+    the same order, and writes the same report bytes as a per-soup loop on
+    the same stream: the K5 triangle's three cuts, the alpha = 2 control,
+    and a crossing cut on K8 where soups hold several touching classes."""
+    cat, ucat = triangle_catalogs
+    ug = k5[2]
+    cls12 = next(k for k in ug.edge_classes if ug.class_endpoints(k) == (1, 2))
+    prop, make, intensity, samples, control = {
+        "prop1": ("prop1", lambda: ExcursionCut(cat, {1}, {2}), 1.0, 20000,
+                  False),
+        "prop2": ("prop2", lambda: ExcursionCut(ucat, {1}, {2}), 1.0, 20000,
+                  False),
+        "prop5": ("prop5", lambda: EdgeCut(ucat, [cls12]), 1.0, 20000, False),
+        "alpha2": ("prop1", lambda: ExcursionCut(cat, {1}, {2}), 2.0, 20000,
+                   True),
+        "prop1bis": ("prop1bis",
+                     lambda: CrossingCut(k8_crossing_catalog, [{1}, {3}]),
+                     1.0, 10000, False),
+    }[case]
+    seed = 5
+    bins, rep, several = _per_soup_driver(prop, make(), intensity, samples,
+                                          seed, control)
+    assert several > 0 and rep.details["bins_tested"] > 0
+    chunked = _mc_bins(make(), intensity, samples, stream(seed, prop))
+    assert ([(b, list(c.items())) for b, c in chunked.items()]
+            == [(b, list(c.items())) for b, c in bins.items()])
+    got = _mc_driver(prop, make(), intensity, samples, seed, control)
+    assert json.dumps(got.to_json()) == json.dumps(rep.to_json())
 
 
 @pytest.mark.parametrize("ok, expect_fail, verdict", [
