@@ -79,6 +79,15 @@ def rho_mass(graph, edge_seq) -> Fraction:
     return Fraction(1, g ** n * n)
 
 
+def _least_rotation(seq: tuple) -> tuple:
+    """The least rotation of a nonempty tuple: `necklace`'s key without J."""
+    m = min(seq)
+    i = seq.index(m)
+    if seq.count(m) == 1:
+        return seq[i:] + seq[:i]
+    return min(seq[j:] + seq[:j] for j in range(i, len(seq)) if seq[j] == m)
+
+
 def necklace(seq, reverse=None) -> tuple[tuple, int]:
     """(key, J): the least rotation of a cyclic sequence and the number of
     rotations fixing it.  Those equal to the key start at the smallest entry,
@@ -94,18 +103,9 @@ def necklace(seq, reverse=None) -> tuple[tuple, int]:
         key = min(rots)
         J = rots.count(key)
     if reverse is not None:
-        back = necklace(reverse)[0]
+        back = _least_rotation(tuple(reverse))
         key, J = min(key, back), 2 * J if key == back else J
     return key, J
-
-
-def _least_rotation(seq: tuple) -> tuple:
-    """The least rotation of a nonempty tuple: `necklace`'s key without J."""
-    m = min(seq)
-    i = seq.index(m)
-    if seq.count(m) == 1:
-        return seq[i:] + seq[:i]
-    return min(seq[j:] + seq[:j] for j in range(i, len(seq)) if seq[j] == m)
 
 
 # -- loop classes ------------------------------------------------------------

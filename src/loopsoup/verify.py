@@ -43,7 +43,8 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, zip_longest
+from itertools import groupby, product, zip_longest
+from operator import itemgetter
 
 import numpy as np
 
@@ -417,14 +418,10 @@ def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:
         if not hit.any():
             continue
         owners = np.repeat(np.arange(len(counts)), counts)[hit].tolist()
-        drawn = idx[hit].tolist()
-        ends = [j for j in range(1, len(owners)) if owners[j] != owners[j - 1]]
-        for a, b in zip([0, *ends], [*ends, len(owners)]):
-            if b - a == 1:
-                sub = ((classes[drawn[a]].key, 1),)
-            else:
-                sub = tuple(sorted(Counter(classes[i].key
-                                           for i in drawn[a:b]).items()))
+        for _, soup in groupby(zip(owners, idx[hit].tolist()), itemgetter(0)):
+            keys = [classes[i].key for _, i in soup]
+            sub = (((keys[0], 1),) if len(keys) == 1
+                   else tuple(sorted(Counter(keys).items())))
             if sub not in cuts:
                 cuts[sub] = cut.cut(dict(sub))
             got = cuts[sub]

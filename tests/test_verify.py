@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, build_graph, complete_graph,
-                      enumerate_loops,
-                      green_function, pair_reversals, regularize_degree,
-                      sample_gff, unoriented_view, verify_ct_excursions,
-                      verify_lejan, verify_occupation_markov, verify_prop1,
+                      enumerate_loops, green_function, pair_reversals,
+                      regularize_degree, sample_gff, unoriented_view,
+                      verify_ct_excursions, verify_lejan,
+                      verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_random_currents, verify_wilson, wilson_ust)
 from loopsoup import excursions
@@ -508,17 +508,8 @@ def test_mc_driver_tests_every_bin_at_the_floor(three_set_run):
     in bin-key order, and tested + skipped is the number of bins."""
     ucat, rep = three_set_run
     cut = CrossingCut(ucat, THREE_SETS)
-    cuts: dict = {}
-    bins: Counter = Counter()
-    for counts in soup_count_rows(ucat, "unoriented", 1.0, rep.samples,
-                                  stream(rep.seed, rep.prop)):
-        sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
-        if not sub:
-            continue
-        if sub not in cuts:
-            cuts[sub] = cut.cut(dict(sub))
-        if cuts[sub] is not None:
-            bins[cuts[sub][0]] += 1
+    bins = {b: sum(keys.values()) for b, keys in _per_soup_driver(
+        rep.prop, cut, 1.0, rep.samples, rep.seed, False)[0].items()}
     d = rep.details
     assert d["bins_tested"] + d["bins_skipped"] == len(bins)
     large = [{**cut.label(b), "n": n} for b, n in sorted(bins.items())
