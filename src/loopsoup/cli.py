@@ -62,10 +62,10 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
     cat = ws.catalog("oriented")
     rng = stream(seed, "sample-soup")
     spectrum = {}
-    for c in cat.classes:
+    for c, mass in zip(cat.classes, cat.mass_arrays()[0].tolist()):
         spectrum.setdefault(c.n, [0, 0.0])
         spectrum[c.n][0] += 1
-        spectrum[c.n][1] += c.mass_float
+        spectrum[c.n][1] += mass
     files = [_write_csv(os.path.join(outdir, "loop_length_spectrum.csv"),
                         ["length", "classes", "total_mass"],
                         [(n, k, m) for n, (k, m) in sorted(spectrum.items())])]

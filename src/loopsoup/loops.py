@@ -137,10 +137,6 @@ class LoopClass(NamedTuple):
     __ne__ = _same_type_ne
     __hash__ = tuple.__hash__
 
-    @property
-    def mass_float(self) -> float:
-        return float(self.mass)
-
 
 class UnorientedLoopClass(NamedTuple):
     """Unoriented unrooted loop class; key is minimal over rotations and
@@ -159,10 +155,6 @@ class UnorientedLoopClass(NamedTuple):
     @property
     def J(self) -> int:
         return self.J_tilde
-
-    @property
-    def mass_float(self) -> float:
-        return float(self.mass)
 
 
 def canonicalize_oriented(graph, edge_seq) -> LoopClass:
