@@ -18,12 +18,11 @@ i.i.d. class draws, each class picked with probability proportional to its
 mass.  The class counts are then independent Poisson(t * m(L)) variables.
 `soup_chunks` draws many soups, ROW_CHUNK at a time: one `rng.poisson`
 call for the chunk's totals and one `rng.random` call for all its class
-draws.  Its readers take the chunks whole or one soup at a time.  The Monte
-Carlo resampling driver reads the chunks' arrays, since most soups never
-touch its cut.  `soup_count_rows` splits them into one count dict per soup,
-for readers that take the soups one by one and may draw between chunks
-(Wilson's cycle popping); a single soup is its one-row case.
-`FieldSampler` draws all its soups in one such call.
+draws.  The Monte Carlo resampling driver reads the chunks' arrays, since
+most soups never touch its cut.  `soup_count_rows` splits them into one
+count dict per soup, for readers that take the soups one by one and may
+draw between chunks (Wilson's cycle popping); a single soup is its one-row
+case.  `FieldSampler` draws all its soups in one such call.
 """
 
 from __future__ import annotations
