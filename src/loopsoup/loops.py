@@ -228,8 +228,7 @@ class LoopCatalog:
         """
         if self._mass_arrays is None:
             g = self.domain.g
-            masses = np.array(self._per_shape(lambda n, J: 1 / (g ** n * J)),
-                              dtype=float)
+            masses = np.array(self._per_shape(lambda n, J: 1 / (g ** n * J)))
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays
 
