@@ -33,8 +33,10 @@ def _parse_ints(value: str) -> tuple[int, ...]:
 def _parse_pairs(value: str) -> tuple[tuple[int, int], ...]:
     out = []
     for tok in value.replace(",", " ").split():
-        a, b = tok.split("-")
-        out.append((int(a), int(b)))
+        a, b = map(int, tok.split("-"))
+        if (a, b) in out or (b, a) in out:
+            raise ValueError(f"edge {a}-{b} is given twice")
+        out.append((a, b))
     return tuple(out)
 
 

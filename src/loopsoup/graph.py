@@ -22,6 +22,9 @@ on exiting the domain has transition matrix ``P_D`` with entries
 ``#edges(x -> y) / g``.  When its spectral radius, bounded from above by a
 Collatz-Wielandt ratio, is below one, the Green's function
 ``G_D = sum_{n>=0} P_D^n`` is finite and solves ``(I - P_D) G_D = I``.
+In exact mode ``G_D = g (g I - A_D)^{-1}``, ``A_D = g P_D`` the integer edge
+counts, from one fraction-free elimination (`bareiss`), which also gives
+`wilson.spanning_tree_count` its determinant.
 """
 
 from __future__ import annotations
@@ -267,22 +270,27 @@ def _spectral_radius(P: np.ndarray) -> float:
     return 1.0
 
 
-def _fraction_inverse(M: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Invert a Fraction matrix by Gauss-Jordan elimination with pivoting."""
+def bareiss(M: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a square integer matrix, by fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) of [M | I]: each division by the
+    previous pivot is exact, and the last pivot is the determinant up to the
+    sign of the row swaps.  (0, []) when M is singular."""
     n = len(M)
-    A = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k]), None)
         if piv is None:
-            raise RecurrentDomainError("recurrent domain: I - P_D is singular")
-        A[col], A[piv] = A[piv], A[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
+            return 0, []
+        if piv != k:
+            A[k], A[piv], sign = A[piv], A[k], -sign
+        pk, p = A[k], A[k][k]
+        for i, row in enumerate(A):
+            if i != k:
+                f = row[k]
+                A[i] = [(p * a - f * b) // prev for a, b in zip(row, pk)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in A]
 
 
 class Domain:
@@ -410,10 +418,12 @@ def green_function(domain: Domain, exact: bool = False) -> GreenMatrix:
         if domain.size > EXACT_SIZE_LIMIT:
             raise GraphError(f"exact mode limited to domains of size {EXACT_SIZE_LIMIT}")
         if domain._G_exact is None:
-            P = domain.transition_matrix_exact()
-            n = domain.size
-            M = [[Fraction(int(i == j)) - P[i][j] for j in range(n)] for i in range(n)]
-            domain._G_exact = _fraction_inverse(M)
+            g = domain.g
+            det, adj = bareiss([[g * (i == j) - int(g * p) for j, p in enumerate(row)]
+                                for i, row in enumerate(domain.transition_matrix_exact())])
+            if det == 0:
+                raise RecurrentDomainError("recurrent domain: I - P_D is singular")
+            domain._G_exact = [[Fraction(g * a, det) for a in row] for row in adj]
         exact_values = domain._G_exact
     return GreenMatrix(domain, domain._G_float, exact_values)
 

@@ -111,21 +111,10 @@ def necklace(seq, reverse=None) -> tuple[tuple, int]:
 # -- loop classes ------------------------------------------------------------
 
 
-def _same_type_eq(self, other) -> bool:
-    # False, not NotImplemented: a plain tuple would then compare fields
-    return type(other) is type(self) and tuple.__eq__(self, other)
-
-
-def _same_type_ne(self, other) -> bool:
-    return not _same_type_eq(self, other)
-
-
 class LoopClass(NamedTuple):
     """Oriented unrooted loop class with its canonical rooted representative.
 
-    A NamedTuple for cheap construction (catalogs build tens of thousands),
-    compared like a frozen dataclass: equal only to a class of its own type
-    with equal fields, and hashed as the tuple of its fields.
+    A NamedTuple, for cheap construction: catalogs build tens of thousands.
     """
 
     key: tuple[int, ...]          # least rotation of the edge-id sequence
@@ -133,24 +122,16 @@ class LoopClass(NamedTuple):
     J: int
     mass: Fraction                # mu = g^{-n} / J
 
-    __eq__ = _same_type_eq
-    __ne__ = _same_type_ne
-    __hash__ = tuple.__hash__
-
 
 class UnorientedLoopClass(NamedTuple):
-    """Unoriented unrooted loop class; key is minimal over rotations and
-    reversal.  Compared and hashed like `LoopClass`."""
+    """Unoriented unrooted loop class, a NamedTuple like `LoopClass`; its
+    key is least over rotations and reversal."""
 
     key: tuple[int, ...]
     n: int
     J_tilde: int
     mass: Fraction                # nu = g^{-n} / J~
     oriented_keys: tuple[tuple[int, ...], ...]   # one key when self-reversed, else two
-
-    __eq__ = _same_type_eq
-    __ne__ = _same_type_ne
-    __hash__ = tuple.__hash__
 
     @property
     def J(self) -> int:

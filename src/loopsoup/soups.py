@@ -37,7 +37,7 @@ from .graph import Domain, GraphError
 from .loops import LoopCatalog, loop_vertices, necklace
 
 
-ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_count_rows`
+ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_chunks`
 
 
 class SoupError(GraphError):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .exact import OracleError
+from .exact import OracleError, tv_distance
 
 MIN_EXPECTED = 5.0     # chi-square categories expected below this are pooled
 MAX_BINS = 50          # most quantile bins
@@ -116,14 +116,14 @@ def fisher_2x2(table) -> float:
 
 
 def empirical_tv(counts_a: dict, counts_b: dict) -> float:
+    """Total variation distance between the frequencies of two samples."""
     na = sum(counts_a.values())
     nb = sum(counts_b.values())
-    keys = set(counts_a) | set(counts_b)
-    return 0.5 * sum(abs(counts_a.get(k, 0) / na - counts_b.get(k, 0) / nb)
-                     for k in keys)
+    return tv_distance({k: c / na for k, c in counts_a.items()},
+                       {k: c / nb for k, c in counts_b.items()})
 
 
-def quantile_bins(values: np.ndarray, min_per_bin: int = 200) -> np.ndarray:
+def quantile_bins(values: np.ndarray, min_per_bin: int) -> np.ndarray:
     """Bin indices by quantiles so every bin holds at least `min_per_bin`."""
     n = len(values)
     k = max(1, min(MAX_BINS, n // min_per_bin))

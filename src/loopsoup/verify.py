@@ -275,6 +275,8 @@ class EdgeCut(Cut):
         if catalog.mode != "unoriented":
             raise OracleError("the removed-edge resampling works on unoriented soups")
         self.removed = tuple(sorted(tuple(k) for k in removed))
+        if len(set(self.removed)) < len(self.removed):
+            raise OracleError("a removed edge class is given twice")
         self.sub = catalog.domain.without_edges(
             {eid for ck in self.removed for eid in ck})
         super().__init__(catalog)

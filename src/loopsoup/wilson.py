@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graph import GraphError, OrientedMultigraph
+from .graph import GraphError, OrientedMultigraph, bareiss
 from .loops import necklace
 
 
@@ -59,8 +59,8 @@ def spanning_tree_count(graph: OrientedMultigraph, root: int) -> int:
     By the directed matrix-tree theorem it is det(g I - A_D) = g^|D|
     det(I - P_D), where A_D counts the edges between the vertices D other
     than the root (a self-edge counts in g and in A_D, so it cancels).  The
-    determinant is taken by fraction-free elimination (Bareiss 1968), in
-    exact integers; it is 0 when some vertex cannot reach the root.
+    determinant is `graph.bareiss`'s, in exact integers; it is 0 when some
+    vertex cannot reach the root.
     """
     g = graph.require_regular()
     verts = [v for v in graph.vertices if v != root]
@@ -69,18 +69,7 @@ def spanning_tree_count(graph: OrientedMultigraph, root: int) -> int:
     for e in graph.edges:
         if e.tail != root and e.head != root:
             M[index[e.tail]][index[e.head]] -= 1
-    sign, prev = 1, 1
-    for k in range(len(M)):
-        piv = next((r for r in range(k, len(M)) if M[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv], sign = M[piv], M[k], -sign
-        for i in range(k + 1, len(M)):
-            for j in range(k + 1, len(M)):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * prev
+    return bareiss(M)[0]
 
 
 class _EdgeDice:

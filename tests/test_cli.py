@@ -439,8 +439,8 @@ def test_verify_lejan_one_site(tmp_path):
     ("file", "lmax", "4"), ("file", "mode", "exakt"), ("set", "mode", "exakt"),
     ("flag", "mode", "exakt"), ("set", "l_max", "abc"),
     ("set", "samples", "1e5"), ("set", "alpha", "1/0"),
-    ("set", "removed_edges", "1"), ("set", "domain", "1 x"),
-    ("set", "g", "two"), ("set", "jobs", "")])
+    ("set", "removed_edges", "1"), ("set", "removed_edges", "1-2 2-1"),
+    ("set", "domain", "1 x"), ("set", "g", "two"), ("set", "jobs", "")])
 def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
     # an unknown key or a malformed value is refused before any job runs
     out = tmp_path / "bad"

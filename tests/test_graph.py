@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, Involution, RecurrentDomainError,
-                      build_graph, cycle_graph, green_function, pair_reversals,
-                      parse_graph_file, path_graph, regularize_degree,
-                      unoriented_view, write_graph_file)
-from loopsoup.graph import _spectral_radius
+                      build_graph, complete_graph, cycle_graph, green_function,
+                      grid_graph, pair_reversals, parse_graph_file, path_graph,
+                      regularize_degree, unoriented_view, write_graph_file)
+from loopsoup.graph import EXACT_SIZE_LIMIT, _RADIUS_REJECT, _spectral_radius
 from loopsoup.rng import stream
 
 
@@ -140,13 +140,31 @@ def test_green_matrix_solve_vs_path_sum():
     assert np.abs(gr.values - S).max() < 1e-12 + tail
 
 
-def test_green_exact_identity(triangle_domain):
-    gr = green_function(triangle_domain, exact=True)
-    P = triangle_domain.transition_matrix_exact()
-    n = triangle_domain.size
+@st.composite
+def _transient_domains(draw):
+    """A transient domain of a small path, cycle or complete graph, its
+    degree padded with self-edges."""
+    make = draw(st.sampled_from([path_graph, cycle_graph, complete_graph]))
+    graph = make(draw(st.integers(3, 5)))
+    graph = regularize_degree(graph, max(graph.out_degree.values()))
+    dom = Domain(graph, draw(st.sets(st.sampled_from(graph.vertices), min_size=1)),
+                 allow_recurrent=True)
+    assume(dom.spectral_radius() <= _RADIUS_REJECT)
+    return dom
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_transient_domains())
+@example(Domain(regularize_degree(grid_graph(4, 4), 4), range(EXACT_SIZE_LIMIT)))
+def test_green_exact_identity(dom):
+    """(I - P_D) G == I in exact arithmetic; Bareiss divides with `//`,
+    which would floor an inexact quotient without a word."""
+    G = green_function(dom, exact=True).exact_values
+    P = dom.transition_matrix_exact()
+    n = dom.size
     for i in range(n):
         for j in range(n):
-            s = sum((Fraction(int(i == k)) - P[i][k]) * gr.exact_values[k][j]
+            s = sum((Fraction(int(i == k)) - P[i][k]) * G[k][j]
                     for k in range(n))
             assert s == Fraction(int(i == j))
 

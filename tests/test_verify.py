@@ -131,6 +131,10 @@ def test_prop5_exact_and_degenerate(ws_k12):
     deg = verify_prop5(ucat, ucat.unoriented_graph.classes_inside(ucat.domain),
                        max_jumps=3)
     assert deg.passed
+    # a class removed twice is refused in both modes, not cut twice
+    for mode in ("exact", "mc"):
+        with pytest.raises(GraphError, match="given twice"):
+            verify_prop5(ucat, [cls12, cls12], mode=mode, samples=200)
 
 
 def test_prop2_z_measurability(ws_k12):
