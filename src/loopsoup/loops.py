@@ -29,9 +29,11 @@ catalog an analytic bound on the mass of omitted longer loops.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -160,14 +162,25 @@ def canonicalize_unoriented(graph, edge_seq, involution) -> UnorientedLoopClass:
 # -- catalogs ----------------------------------------------------------------
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector: catalog tuples hold no cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class LoopCatalog:
     """All loop classes of length <= L_max inside a domain.
 
     mode is "oriented" or "unoriented".  A catalog holds its classes, given
-    in (n, key) order, and the departure lists of those a reader asks for
-    (`departures`, for cycle popping); readers take any other geometry from
-    the class keys.  An unoriented catalog is always the counterpart of an
-    oriented one, so a domain is enumerated once.
+    in (n, key) order; readers take their geometry from the class keys.  An
+    unoriented catalog is always the counterpart of an oriented one, so a
+    domain is enumerated once.
     """
 
     def __init__(self, domain: Domain, L_max: int, mode: str,
@@ -182,7 +195,6 @@ class LoopCatalog:
         self.by_key = {c.key: c for c in self.classes}
         self._counterpart: LoopCatalog | None = None
         self._mass_arrays = None          # lazy (masses, cumsum) cache
-        self._departures: dict = {}       # lazy class key -> departures
 
     @property
     def total_mass(self) -> Fraction:
@@ -213,24 +225,7 @@ class LoopCatalog:
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays
 
-    def departures(self, key) -> list:
-        """The departure lists of class `key` rooted at each of its steps.
-
-        Entry r is, per vertex in order of first visit from step r, the
-        (edge id, head) of the steps leaving it, in order; cached.
-        """
-        deps = self._departures.get(key)
-        if deps is None:
-            graph = self.domain.graph
-            verts = loop_vertices(graph, key)
-            deps = self._departures[key] = []
-            for r in range(len(key)):
-                dep: dict = {}
-                for eid, v in zip(key[r:] + key[:r], verts[r:] + verts[:r]):
-                    dep.setdefault(v, []).append((eid, graph.edge_by_id[eid].head))
-                deps.append(tuple(dep.items()))
-        return deps
-
+    @_gc_paused()
     def counterpart(self) -> "LoopCatalog":
         """The catalog of the other orientation mode on the same domain.
 
@@ -352,6 +347,7 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
     return [pair for pairs in by_length for pair in pairs]
 
 
+@_gc_paused()
 def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
                     unoriented: UnorientedGraph | None = None,
                     budget: int | None = None) -> LoopCatalog:

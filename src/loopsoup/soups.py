@@ -18,11 +18,10 @@ i.i.d. class draws, each class picked with probability proportional to its
 mass.  The class counts are then independent Poisson(t * m(L)) variables.
 `soup_chunks` draws many soups, ROW_CHUNK at a time: one `rng.poisson`
 call for the chunk's totals and one `rng.random` call for all its class
-draws.  The Monte Carlo resampling driver reads the chunks' arrays, since
-most soups never touch its cut.  `soup_count_rows` splits them into one
-count dict per soup, for readers that take the soups one by one and may
-draw between chunks (Wilson's cycle popping); a single soup is its one-row
-case.  `FieldSampler` draws all its soups in one such call.
+draws.  Its readers, the Monte Carlo resampling driver and Wilson's cycle
+popping, take the chunks' arrays as they are; a single soup is the one-row
+case, made a count dict.  `FieldSampler` draws all its soups in one such
+call.
 """
 
 from __future__ import annotations
@@ -116,18 +115,8 @@ def soup_chunks(catalog: LoopCatalog, mode: str, intensity: float,
             for start in range(0, n_samples, ROW_CHUNK))
 
 
-def soup_count_rows(catalog: LoopCatalog, mode: str, intensity: float,
-                    n_samples: int, rng):
-    """Iterator over the count dicts of the soups of `soup_chunks` (same
-    arguments, same draws), one soup at a time."""
-    classes = catalog.classes
-    return (row for counts, idx in soup_chunks(catalog, mode, intensity,
-                                               n_samples, rng)
-            for row in _chunk_rows(classes, counts, idx))
-
-
 def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> LoopSoup:
-    """The one-row case of `soup_count_rows`."""
+    """The one-soup case of `soup_chunks`, as a `LoopSoup`."""
     _refuse(catalog, mode, intensity)
     counts, idx = _class_draws(catalog.mass_arrays()[1], intensity, 1, rng)
     return LoopSoup(catalog, _chunk_rows(catalog.classes, counts, idx)[0])

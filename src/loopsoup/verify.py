@@ -60,9 +60,9 @@ from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
-from .soups import FieldSampler, soup_chunks, soup_count_rows, trivial_shape
-from .wilson import (_EdgeDice, _StackPops, check_root,
-                     spanning_tree_count, wilson_runs)
+from .soups import FieldSampler, soup_chunks, trivial_shape
+from .wilson import (_multisets, check_root, popped_blocks,
+                     spanning_tree_count, wilson_blocks)
 
 CHI2_SIGNIFICANCE = 1e-3
 MC_TV_TOL = 0.01
@@ -973,47 +973,46 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     loops may wind.
 
     The catalog's domain must be every vertex but the root (WilsonError
-    otherwise).  One walk table serves every run, so the checks run once,
-    and `wilson_runs` walks all the runs in one pass.  Runs and soups are
-    counted by raw tree and cycle sequence, and each distinct one is mapped
-    to its report key afterwards, in order of first appearance.
+    otherwise).  Both sides pop in lockstep, a block at a time
+    (`wilson.wilson_blocks`, `wilson.popped_blocks`); runs, soups and raw
+    class multisets are counted by distinct row, each mapped to its report
+    key once per block.
     """
     check_root(graph, root, catalog.domain.vertices)
     # refuses an unoriented catalog before any walk; the soups are drawn a
-    # chunk at a time as read, so each chunk's popping draws follow it
+    # block at a time as popped, so each block's popping draws follow it
     rng_s = stream(seed, "wilson/soup")
-    soup_rows = soup_count_rows(catalog, "oriented", 1.0, runs, rng_s)
-    ug = catalog.unoriented_graph
+    chunks = soup_chunks(catalog, "oriented", 1.0, runs, rng_s)
+    classes, ug = catalog.classes, catalog.unoriented_graph
 
-    def short(counts):          # the multiset's cycles up to WILSON_LENGTH_CAP
-        return tuple(sorted([kc for kc in counts.items()
-                             if len(kc[0]) <= WILSON_LENGTH_CAP]))
+    def short(keys):        # a multiset's cycles up to WILSON_LENGTH_CAP
+        return tuple(sorted(Counter(
+            [k for k in keys if len(k) <= WILSON_LENGTH_CAP]).items()))
 
-    def short_counts(by_sequence):      # runs by cycle sequence -> by short()
-        out: Counter = Counter()
-        for cycles, c in by_sequence.items():
-            out[short(Counter(cycles))] += c
-        return out
+    def tally(into, distinct, of, key):     # runs by distinct value -> by key
+        for d, c in zip(distinct, np.bincount(of, minlength=len(distinct))):
+            into[key(d)] += int(c)
 
-    dice = _EdgeDice(graph, root, stream(seed, "wilson"))
-    tree_runs, erased_runs = wilson_runs(dice, runs)
-    trees: Counter = Counter()
-    for exits, c in tree_runs.items():
-        trees[tuple(sorted([ug.edge_class(e) for e in exits
-                            if e is not None]))] += c
+    trees, w_keys, popped, s_naive = Counter(), Counter(), Counter(), Counter()
+    for tree_d, tree_of, erased, erased_of in wilson_blocks(
+            graph, root, runs, stream(seed, "wilson")):
+        tally(trees, tree_d, tree_of, lambda exits: tuple(sorted(
+            [ug.edge_class(e) for e in exits if e is not None])))
+        tally(w_keys, erased, erased_of, short)
     n_trees = len(trees)
     p0 = 1.0 / n_trees
     se = math.sqrt(runs * p0 * (1 - p0))
     tree_ok = (n_trees == spanning_tree_count(graph, root)
                and all(abs(c - runs * p0) <= 3 * se for c in trees.values()))
-    pops = _StackPops(catalog, rng_s, dice.rotations)
-    popped: Counter = Counter()
-    s_naive: Counter = Counter()
-    for counts in soup_rows:
-        popped[pops(counts)] += 1
-        s_naive[short(counts)] += 1
-    w_keys = short_counts(erased_runs)
-    tv = stats.empirical_tv(w_keys, short_counts(popped))
+    is_short = np.array([c.n <= WILSON_LENGTH_CAP for c in classes], dtype=bool)
+    for counts, idx, pops, pops_of in popped_blocks(catalog, chunks, rng_s):
+        tally(popped, pops, pops_of, short)
+        keep = is_short[idx]
+        tally(s_naive, *_multisets(np.repeat(np.arange(len(counts)),
+                                             counts)[keep], idx[keep],
+                                   len(counts)),
+              lambda m: short([classes[i].key for i in m]))
+    tv = stats.empirical_tv(w_keys, popped)
     tv_naive = stats.empirical_tv(w_keys, s_naive)
     return _verdict("wilson", "mc", tv, MC_TV_TOL, tree_ok and tv < MC_TV_TOL,
                     catalog, runs, seed, tree_marginal_uniform=tree_ok,

@@ -5,24 +5,31 @@ current partial tree).  Every cycle erased along the way is recorded with its
 edges; over a full run the multiset of erased cycles, viewed as unrooted
 oriented loop classes on the non-root vertices, has the law of the unit
 intensity oriented loop soup there.  The soup side of that correspondence is
-cycle popping (`_StackPops`): a soup resolved into the simple cycles the walk
-would erase.  The trees are uniform over the `spanning_tree_count` trees.
+cycle popping: a soup resolved into the simple cycles the walk would erase.
+The trees are uniform over the `spanning_tree_count` trees.
 
-The walk reads a table (`_EdgeDice`) built once per (graph, root), which
-checks the graph when it is built, and `wilson_runs` walks any number of runs
-on it in one pass; `wilson_ust` is its one-run case.  A job of many runs
-checks the graph once and builds no per-run dict or Counter.  Popping is one
-object per (catalog, stream) likewise, and `pop_cycles` is its one-soup case.
-A job passes the walk's necklace memo to its popping, so that both sides key
-each cycle once.
+Both sides pop the cycles of per-vertex stacks of exits (Wilson 1996;
+Propp-Wilson 1998), and by the cycle-popping lemma the popped cycles and the
+final tree depend on the stacks alone, not on the order of popping.  So one
+kernel, `_lockstep`, pops every cycle of a block of up to BLOCK runs or soups
+per round: i.i.d. uniform exits for walks (`wilson_blocks`), interleaved
+departure lists for soups (`popped_blocks`).  Runs are keyed exactly by
+integer rows, and each distinct cycle or tree is mapped to its key once.
+`wilson_ust` and `pop_cycles` are the one-run cases.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
+
+import numpy as np
 
 from .graph import GraphError, OrientedMultigraph, bareiss
 from .loops import necklace
+from .soups import ROW_CHUNK
+
+BLOCK = 4096        # runs, or soups, popped in lockstep at a time
 
 
 class WilsonError(GraphError):
@@ -72,219 +79,227 @@ def spanning_tree_count(graph: OrientedMultigraph, root: int) -> int:
     return bareiss(M)[0]
 
 
-class _EdgeDice:
-    """The walk table of one (graph, root), checked once when built.
-
-    It holds the (head, edge id) of the out-edges by vertex, and per vertex a
-    buffer of uniform choices among them with its read position, drawn from
-    `rng` in blocks in the order the walk first needs them.  `rotations`
-    memoizes the necklace keys of erased cycles, and of popped ones when a
-    job shares it with its popping."""
-
-    def __init__(self, graph: OrientedMultigraph, root: int, rng,
-                 block: int = 65536):
-        self.g = graph.require_regular()
-        check_root(graph, root)
-        self.graph, self.root, self.rng, self.block = graph, root, rng, block
-        self.out = [[(e.head, e.id) for e in graph.out_edges[v]]
-                    for v in graph.vertices]
-        self.buf: list[list[int]] = [[] for _ in graph.vertices]
-        self.pos = [0] * len(graph.vertices)
-        self.rotations: dict[tuple, tuple] = {}
-
-    def refill(self, v: int) -> list[int]:
-        self.buf[v] = buf = self.rng.integers(0, self.g, size=self.block).tolist()
-        return buf
+def _edge_arrays(edges):
+    """The ids, heads and tails of `edges`, by position."""
+    return np.array([(e.id, e.head, e.tail) for e in edges],
+                    dtype=np.intp).reshape(-1, 3).T
 
 
-def wilson_runs(dice: _EdgeDice, runs: int) -> tuple[dict, dict]:
-    """`runs` runs of Wilson's algorithm on the walk table `dice`, in one pass.
+def _lockstep(heads, top, advance):
+    """Pop the cycles of the stack tops of a block of runs, in lockstep.
 
-    Returns (trees, erased), run counts by key.  A tree keys as the tuple of
-    the edge ids each vertex exits through, indexed by vertex (None at the
-    root).  A run's erased cycles key as the tuple of their necklace keys in
-    erasure order, so a run that erases no cycle or one keys as () or
-    (key,) with no dict, Counter or sort.
+    top[r, v] is the edge position of the top of run r's stack at vertex v,
+    or -1 for none (the root, an empty stack); heads[p] is the head of edge
+    position p.  Each round the tops form a functional graph f on the n
+    vertices and a sink, where a vertex with no top goes.  With 2^k >= n,
+    f^(2^k) maps every vertex onto a cycle, so the cycles' vertices are its
+    image, and the least of f^0(v), ..., f^(2^k - 1)(v) labels v's cycle.
+    Every cycle's tops are popped at once, advance(runs, vertices) giving
+    the new tops, and a run whose tops hold no cycle is done.
+
+    Returns the final tops by run (each run's tree), and the popped cycles:
+    their runs, and rows of edge position + 1 at their vertices, 0
+    elsewhere, which code the cycles exactly.
     """
-    out, buf, pos, rotations = dice.out, dice.buf, dice.pos, dice.rotations
-    root = dice.root
-    starts = [v for v in dice.graph.vertices if v != root]
-    # -2: in the tree, -1: off the path, i >= 0: position i on the path
-    fresh = [-1] * len(out)
-    fresh[root] = -2
-    exits = [None] * len(out)       # every run sets every non-root entry
-    trees: dict[tuple, int] = {}
-    erased: dict[tuple, int] = {}
-    for _ in range(runs):
-        state = fresh.copy()
-        cycles: tuple = ()
-        for start in starts:
-            if state[start] == -2:
-                continue
-            path_v = [start]
-            path_e: list[int] = []
-            state[start] = 0
-            v = start
-            while True:
-                b, p = buf[v], pos[v]
-                if p == len(b):
-                    b, p = dice.refill(v), 0
-                pos[v] = p + 1
-                w, e = out[v][b[p]]
-                i = state[w]
-                if i >= 0:
-                    # erase the cycle from w's position to here
-                    cyc = tuple(path_e[i:]) + (e,)
-                    cycles += (rotations.get(cyc) or rotations.setdefault(
-                        cyc, necklace(cyc)[0]),)
-                    for drop in path_v[i + 1:]:
-                        state[drop] = -1
-                    del path_v[i + 1:]
-                    del path_e[i:]
-                else:
-                    path_e.append(e)
-                    if i == -2:
-                        break
-                    state[w] = len(path_v)
-                    path_v.append(w)
-                v = w
-            for u, e in zip(path_v, path_e):
-                exits[u] = e
-                state[u] = -2
-        key = tuple(exits)
-        trees[key] = trees.get(key, 0) + 1
-        erased[cycles] = erased.get(cycles, 0) + 1
-    return trees, erased
+    size, n = top.shape
+    heads = np.append(heads, n)             # no top (-1): to the sink
+    final = np.empty_like(top)
+    runs = np.arange(size)
+    cycles = []
+    while len(runs):
+        m = len(runs)
+        base = np.arange(0, m * (n + 1), n + 1)[:, None]
+        f = np.empty((m, n + 1), dtype=np.intp)
+        f[:, :n] = heads[top]
+        f[:, n] = n
+        f = (f + base).ravel()              # f as positions in the block
+        low = np.arange(m * (n + 1))
+        for _ in range((n - 1).bit_length()):
+            low = np.minimum(low, low[f])
+            f = f[f]
+        on = np.zeros(m * (n + 1), dtype=bool)
+        on[f] = True
+        on = on.reshape(m, n + 1)[:, :n]
+        low = low.reshape(m, n + 1)[:, :n] - base
+        done = ~on.any(axis=1)
+        final[runs[done]] = top[done]
+        lead = on & (low == np.arange(n))
+        r, v = np.nonzero(on)
+        rows = np.zeros((np.count_nonzero(lead), n), dtype=top.dtype)
+        rows[(np.cumsum(lead) - 1).reshape(lead.shape)[r, low[r, v]], v] = (
+            top[r, v] + 1)
+        cycles.append((runs[np.nonzero(lead)[0]], rows))
+        top[r, v] = advance(runs[r], v)
+        top, runs = top[~done], runs[~done]
+    return final, *map(np.concatenate, zip(*cycles))
 
 
-def wilson_ust(graph: OrientedMultigraph, root: int, rng,
-               dice: "_EdgeDice | None" = None):
+def _distinct_rows(table):
+    """(the distinct rows of an integer table with entries >= -1, in order;
+    each row's index among them), exactly: the rows are folded into int64
+    by mixed-radix digits, re-ranked before a column could overflow it."""
+    code = np.zeros(len(table), dtype=np.int64)
+    bound = 1                               # code < bound
+    for col in table.T:
+        base = int(col.max(initial=-1)) + 2
+        if bound * base >= 2 ** 62:
+            distinct, code = np.unique(code, return_inverse=True)
+            bound = len(distinct)
+        code = code * base + (col + 1)
+        bound *= base
+    _, first, of = np.unique(code, return_index=True, return_inverse=True)
+    return table[first], of
+
+
+def _multisets(owner, items, size: int):
+    """The multisets of nonnegative ints `items` held by `size` owners:
+    (the distinct multisets as ascending tuples, each owner's index among
+    them), keyed by the rows of sorted items, padded with -1."""
+    order = np.argsort(owner * (int(items.max(initial=0)) + 1) + items)
+    owner, items = owner[order], items[order]
+    held = np.bincount(owner, minlength=size)
+    table = np.full((size, held.max(initial=0)), -1)
+    table[owner, np.arange(len(owner)) - np.repeat(np.cumsum(held) - held,
+                                                   held)] = items
+    distinct, of = _distinct_rows(table)
+    return [tuple(x for x in row if x >= 0) for row in distinct.tolist()], of
+
+
+def _popped(cyc_runs, cyc_rows, size: int, ids, heads, necklaces: dict):
+    """The popped cycles of `_lockstep` as each run's multiset of necklace
+    keys: (the distinct multisets as tuples of keys, each run's index among
+    them).  `necklaces` memoizes the key of each cycle code."""
+    codes, code_of = _distinct_rows(cyc_rows)
+    codes = list(map(tuple, codes.tolist()))
+    ids, heads = ids.tolist(), heads.tolist()
+    for code in codes:
+        if code not in necklaces:
+            p = first = next(p for p in code if p) - 1
+            cycle = []
+            while not cycle or p != first:
+                cycle.append(ids[p])
+                p = code[heads[p]] - 1
+            necklaces[code] = necklace(cycle)[0]
+    keys = [necklaces[code] for code in codes]
+    multisets, of = _multisets(cyc_runs, code_of, size)
+    return [tuple([keys[c] for c in m]) for m in multisets], of
+
+
+def wilson_blocks(graph: OrientedMultigraph, root: int, runs: int, rng):
+    """Iterator over `runs` runs of Wilson's algorithm rooted at `root`, a
+    block of at most BLOCK runs at a time, popped by `_lockstep` from stacks
+    of i.i.d. uniform exits: one `rng.integers` call per round draws the new
+    tops.  The graph is checked once.
+
+    Per block it yields (trees, tree_of, erased, erased_of): the distinct
+    trees, each the tuple of the edge ids the vertices exit through, indexed
+    by vertex (None at the root); the distinct multisets of erased cycles,
+    each a tuple of necklace keys; and each run's index into both.
+    """
+    g = graph.require_regular()
+    check_root(graph, root)
+    ids, heads, _ = _edge_arrays(graph.edges)
+    out = np.searchsorted(ids, [[e.id for e in graph.out_edges[v]]
+                                for v in graph.vertices])
+    walkers = np.array([v for v in graph.vertices if v != root], dtype=np.intp)
+    necklaces: dict = {}
+    for start in range(0, runs, BLOCK):
+        size = min(BLOCK, runs - start)
+        top = np.full((size, graph.n_vertices), -1)
+        top[:, walkers] = out[walkers, rng.integers(g, size=(size, len(walkers)))]
+        final, cyc_runs, cyc_rows = _lockstep(
+            heads, top, lambda r, v: out[v, rng.integers(g, size=len(v))])
+        trees, tree_of = _distinct_rows(final)
+        yield ([tuple([None if p < 0 else int(ids[p]) for p in t])
+                for t in trees.tolist()], tree_of,
+               *_popped(cyc_runs, cyc_rows, size, ids, heads, necklaces))
+
+
+def _soup_stacks(keys, lens, tails, n: int, counts, idx, rng):
+    """The arrow stacks of the soups (counts, idx) on n vertices, as
+    (at, nxt, edge): soup s's stack at v runs from edge[at[s, v]] on through
+    nxt to the -1 at edge[-1], top first, in edge positions; class c's edge
+    positions are keys[c, :lens[c]].  One `rng.integers` call
+    roots every loop occurrence at a uniform step, and one `rng.permutation`
+    call draws the keys that interleave the departure lists at each vertex
+    uniformly: each list takes its keys in ascending order along its steps.
+    """
+    n_occ = lens[idx]
+    rot = rng.integers(n_occ)
+    step_occ = np.repeat(np.arange(len(idx)), n_occ)
+    step = np.arange(len(step_occ)) - np.repeat(np.cumsum(n_occ) - n_occ, n_occ)
+    e = keys[idx[step_occ], (rot[step_occ] + step) % n_occ[step_occ]]
+    group = np.repeat(np.arange(len(counts)), counts)[step_occ] * n + tails[e]
+    order = np.argsort(group, kind="stable")    # by (soup, vertex, loop, step)
+    group, occ = group[order], step_occ[order]
+    T = len(order)
+    new = np.diff(group, prepend=-1) != 0                   # a stack starts
+    spread = np.cumsum(new | (np.diff(occ, prepend=-1) != 0)) * T   # a list
+    key = np.sort(spread + rng.permutation(T)) - spread
+    order = order[np.argsort(group * T + key)]
+    at = np.full(len(counts) * n, T)
+    at[group[new]] = np.flatnonzero(new)
+    nxt = np.arange(1, T + 1)
+    nxt[np.flatnonzero(new)[1:] - 1] = T
+    nxt[-1:] = T
+    return at.reshape(-1, n), nxt, np.append(e[order], -1)
+
+
+def popped_blocks(catalog, chunks, rng):
+    """Iterator over the soups of `chunks` (`soups.soup_chunks` arrays of the
+    oriented `catalog`) popped into the cycles Wilson's algorithm erases, a
+    block of at most BLOCK soups at a time: `_soup_stacks`, `_lockstep`.
+
+    Per block it yields (counts, idx, popped, popped_of): the block's soup
+    arrays, the distinct multisets of popped cycles (tuples of necklace
+    keys) and each soup's index among them.  Popping cannot stall: the
+    arrows left balance in- and out-degrees at every vertex.
+    """
+    graph = catalog.domain.graph
+    ids, heads, tails = _edge_arrays(graph.edges)
+    lens = np.array([c.n for c in catalog.classes], dtype=np.intp)
+    keys = np.zeros((len(lens), lens.max(initial=0)), dtype=np.intp)
+    keys[np.arange(keys.shape[1]) < lens[:, None]] = np.searchsorted(
+        ids, [e for c in catalog.classes for e in c.key])
+    necklaces: dict = {}
+    chunks = iter(chunks)
+    for block in iter(lambda: list(islice(chunks, max(1, BLOCK // ROW_CHUNK))),
+                      []):
+        counts = np.concatenate([c for c, _ in block])
+        idx = np.concatenate([i for _, i in block])
+        at, nxt, edge = _soup_stacks(keys, lens, tails, graph.n_vertices,
+                                     counts, idx, rng)
+
+        def pop(r, v):
+            at[r, v] = nxt[at[r, v]]
+            return edge[at[r, v]]
+
+        final, cyc_runs, cyc_rows = _lockstep(heads, edge[at], pop)
+        if (final >= 0).any():
+            raise WilsonError("stack popping stalled on unbalanced arrows")
+        yield (counts, idx, *_popped(cyc_runs, cyc_rows, len(counts), ids,
+                                     heads, necklaces))
+
+
+def wilson_ust(graph: OrientedMultigraph, root: int, rng):
     """One run of Wilson's algorithm rooted at `root`: the one-run case of
-    `wilson_runs`.
+    `wilson_blocks`.
 
-    Returns (tree, erased) where tree maps each non-root vertex to the edge
-    id it exits through, in the order the walk joined them to the tree, and
-    erased is a Counter of canonical oriented loop keys of all cycles erased
-    during the run.  The walk draws from `dice`, the table of (graph, root),
-    whose checks ran once when it was built; without one, a table drawing
-    from `rng` is built for this run.
+    Returns (tree, erased): tree maps each non-root vertex, in order, to the
+    edge id it exits through; erased counts the necklace keys erased.
     """
-    if dice is None:
-        dice = _EdgeDice(graph, root, rng)
-    elif dice.graph is not graph or dice.root != root:
-        raise WilsonError("the walk table belongs to another graph or root")
-    (exits,), (cycles,) = wilson_runs(dice, 1)
-    tree: dict[int, int] = {}
-    for start in graph.vertices:
-        # each start's loop-erased path joined the tree in path order
-        u = start
-        while u != root and u not in tree:
-            tree[u] = exits[u]
-            u = graph.edge_by_id[exits[u]].head
-    return tree, Counter(cycles)
-
-
-class _StackPops:
-    """Cycle popping of the soups of one catalog, drawing from `rng`.
-
-    Wilson's walk path is self-avoiding, so every erased cycle is simple; a
-    soup loop that winds or self-crosses never appears verbatim.  The exact
-    correspondence runs through the arrow-stack picture: write every loop
-    occurrence (uniformly re-rooted) as per-vertex departure lists, interleave
-    the lists at each vertex uniformly at random into stacks, and repeatedly
-    pop the cycles formed by the stack tops.  The popped multiset has the law
-    of the erased-cycle multiset of a Wilson run at unit intensity.
-
-    Popping cannot stall: the remaining arrows always balance in- and
-    out-degrees at every vertex, so the top arrows of the nonempty stacks
-    contain a cycle until everything is consumed.
-
-    An empty soup pops nothing and draws nothing.  A lone loop puts one
-    departure list on each vertex, so its shuffles are drawn but reorder
-    nothing, and its popped cycles are cached by (class key, rotation):
-    at most one entry per step of each class.  `necklaces` memoizes the
-    keys of popped cycles; pass the walk's `rotations` to share it.  Each
-    class's departure lists come from the catalog, which builds them once.
-    """
-
-    def __init__(self, catalog, rng, necklaces: dict | None = None):
-        self.catalog, self.rng = catalog, rng
-        self.necklaces = {} if necklaces is None else necklaces
-        self.lone: dict[tuple, tuple] = {}
-
-    def __call__(self, counts: dict) -> tuple:
-        """The necklace keys of the cycles popped from the soup `counts`,
-        in popping order."""
-        if not counts:
-            return ()
-        rng = self.rng
-        if len(counts) == 1:
-            (key, cnt), = counts.items()
-            if cnt == 1:
-                r = int(rng.integers(len(key)))
-                hit = self.lone.get((key, r))
-                if hit is None:
-                    deps = self.catalog.departures(key)[r]
-                    hit = self.lone[key, r] = (
-                        [len(lst) for _, lst in deps if len(lst) > 1],
-                        self._pop({v: lst[::-1] for v, lst in deps}))
-                # numpy's shuffle of k slots draws k - 1 intervals, none for k = 1
-                for k in hit[0]:
-                    rng.shuffle([0] * k)
-                return hit[1]
-        queues: dict[int, list] = {}
-        departures = self.catalog.departures
-        for key, cnt in sorted(counts.items()):
-            deps = departures(key)
-            for _ in range(cnt):
-                for v, lst in deps[int(rng.integers(len(key)))]:
-                    queues.setdefault(v, []).append(lst)
-        stacks: dict[int, list] = {}
-        for v, qs in queues.items():
-            slots = []
-            for i, lst in enumerate(qs):
-                slots += [i] * len(lst)
-            rng.shuffle(slots)
-            its = [iter(lst) for lst in qs]
-            stacks[v] = [next(its[i]) for i in slots][::-1]    # top is last
-        return self._pop(stacks)
-
-    def _pop(self, stacks: dict) -> tuple:
-        """Pop the cycles of the stack tops until the stacks (lists of
-        (edge id, head), top last) are empty."""
-        necklaces = self.necklaces
-        popped = []
-        tops = {v: s[-1] for v, s in stacks.items()}
-        while tops:
-            v = next(iter(tops))
-            seen = set()
-            while v in tops and v not in seen:
-                seen.add(v)
-                v = tops[v][1]
-            if v not in tops:
-                raise WilsonError("stack popping stalled on unbalanced arrows")
-            cyc = []
-            w = v
-            while True:
-                e, head = tops[w]
-                cyc.append(e)
-                stack = stacks[w]
-                stack.pop()
-                if stack:
-                    tops[w] = stack[-1]
-                else:
-                    del tops[w]
-                if head == v:
-                    break
-                w = head
-            cyc = tuple(cyc)
-            popped.append(necklaces.get(cyc)
-                          or necklaces.setdefault(cyc, necklace(cyc)[0]))
-        return tuple(popped)
+    (trees, _, erased, _), = wilson_blocks(graph, root, 1, rng)
+    return ({v: e for v, e in enumerate(trees[0]) if e is not None},
+            Counter(erased[0]))
 
 
 def pop_cycles(soup, rng) -> Counter:
     """Resolve a soup sample into the simple cycles Wilson's algorithm
     erases, as a Counter of their necklace keys: the one-soup case of
-    `_StackPops`."""
-    return Counter(_StackPops(soup.catalog, rng)(soup.counts))
+    `popped_blocks`."""
+    index = {c.key: i for i, c in enumerate(soup.catalog.classes)}
+    idx = np.array([index[k] for k, c in sorted(soup.counts.items())
+                    for _ in range(c)], dtype=np.intp)
+    (_, _, popped, _), = popped_blocks(soup.catalog,
+                                       [(np.array([len(idx)]), idx)], rng)
+    return Counter(popped[0])

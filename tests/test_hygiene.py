@@ -110,6 +110,8 @@ UNREACHED_FROM_CLI = {
     "loops.canonicalize_unoriented": "tests, demo 01",
     "loops.rho_mass": "test_loops, demo 01",
     "soups.LoopSoup": "soups._one_soup and the soup operations, tests",
+    "soups._chunk_rows": "soups._one_soup, test_soups, test_verify, "
+                         "test_wilson",
     "soups._one_soup": "soups.sample_oriented_soup, sample_unoriented_soup",
     "soups.forget_orientation": "test_soups, demo 02",
     "soups.merge_soups": "test_soups",
@@ -119,8 +121,10 @@ UNREACHED_FROM_CLI = {
                                   "benchmark's traced names",
     "soups.sample_unoriented_soup": "tests, demo 02, the benchmark's "
                                     "traced names",
-    "wilson.pop_cycles": "test_wilson, demo 05, the benchmark's traced names",
-    "wilson.wilson_ust": "test_wilson, test_verify, demo 05, the benchmark's "
+    "wilson.pop_cycles": "the one-soup case of wilson.popped_blocks: "
+                         "test_wilson, demo 05, the benchmark's traced names",
+    "wilson.wilson_ust": "the one-run case of wilson.wilson_blocks: "
+                         "test_wilson, test_verify, demo 05, the benchmark's "
                          "traced names",
 }
 

@@ -10,7 +10,7 @@ from loopsoup import (Domain, FieldSampler, enumerate_loops,
                       sample_unoriented_soup)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
-from loopsoup.soups import ROW_CHUNK, SoupError, soup_count_rows
+from loopsoup.soups import ROW_CHUNK, SoupError, _chunk_rows, soup_chunks
 from loopsoup.verify import (CHI2_SIGNIFICANCE, laplace_points,
                              laplace_pvalues)
 
@@ -73,8 +73,8 @@ def test_count_independence(triangle_catalogs):
 
 @pytest.mark.parametrize("mode", ["oriented", "unoriented"])
 def test_row_sampler_matches_one_soup_draws(triangle_catalogs, mode):
-    """Rows equal the soups of direct numpy calls, chunk by chunk across a
-    chunk boundary: one Poisson call for the totals, then one uniform call
+    """The count dicts of the chunks' rows equal the soups of direct numpy
+    calls, chunk by chunk across a chunk boundary: one Poisson call for the totals, then one uniform call
     for the class draws, searched in the cumulative masses.  They leave the
     generator where those calls leave it, and one soup is the one-row case."""
     cat = triangle_catalogs[mode == "unoriented"]
@@ -95,7 +95,8 @@ def test_row_sampler_matches_one_soup_draws(triangle_catalogs, mode):
 
     n = ROW_CHUNK + 37
     r1, r2, r3, r4 = (stream(8, "rows") for _ in range(4))
-    rows = list(soup_count_rows(cat, mode, 0.7, n, r1))
+    rows = [row for counts, idx in soup_chunks(cat, mode, 0.7, n, r1)
+            for row in _chunk_rows(cat.classes, counts, idx)]
     assert rows == reference(r2, n)
     assert 0 < sum(map(bool, rows)) < n
     assert r1.random() == r2.random()
@@ -346,7 +347,7 @@ def test_soup_errors(triangle_catalogs):
     with pytest.raises(SoupError):
         sample_oriented_soup(cat, 0.0, rng)
     with pytest.raises(SoupError):
-        soup_count_rows(ucat, "unoriented", -1.0, 10, rng)
+        soup_chunks(ucat, "unoriented", -1.0, 10, rng)
     # every check runs before anything is drawn
     assert rng.random() == stream(27, "err").random()
 

@@ -23,7 +23,7 @@ from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
                                  extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
-from loopsoup.soups import soup_count_rows
+from loopsoup.soups import _chunk_rows, soup_chunks
 from loopsoup.verify import (CHI2_SIGNIFICANCE, MIN_BIN_SAMPLES, CrossingCut,
                              EdgeCut, ExcursionCut, _bonferroni,
                              _conditional_keys, _markov_defect, _mc_bins,
@@ -291,16 +291,19 @@ def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
 
 
 def _per_soup_driver(prop, cut, intensity, samples, seed, expect_fail):
-    """The Monte Carlo driver as one loop over `soup_count_rows` rows: each
-    soup's touching sub-multiset is sorted and cut, once per distinct one,
-    then every bin of MIN_BIN_SAMPLES soups is tested in bin-key order.
+    """The Monte Carlo driver as one loop over the count dicts of the
+    `soup_chunks` rows: each soup's touching sub-multiset is sorted and cut,
+    once per distinct one, then every bin of MIN_BIN_SAMPLES soups is
+    tested in bin-key order.
     Returns (bins, report, soups holding more than one touching class)."""
     mode = "oriented" if cut.oriented else "unoriented"
     cuts: dict = {}
     bins: dict = defaultdict(Counter)
     several = 0
-    for counts in soup_count_rows(cut.catalog, mode, intensity, samples,
-                                  stream(seed, prop)):
+    rows = (row for c, idx in soup_chunks(cut.catalog, mode, intensity,
+                                          samples, stream(seed, prop))
+            for row in _chunk_rows(cut.catalog.classes, c, idx))
+    for counts in rows:
         sub = tuple(sorted((k, n) for k, n in counts.items() if cut.touches(k)))
         if not sub:
             continue

@@ -1,16 +1,23 @@
-"""Wilson's walk and cycle popping, draw for draw against per-step references.
+"""Wilson's walk and cycle popping in lockstep, against per-step references
+and exact laws.
 
-The references below are the straightforward forms of the two samplers: one
-edge choice looked up per step through dicts, and arrow stacks kept as
-deques.  The table-driven `wilson_ust` and `pop_cycles` must return the same
-trees and Counters, in the same insertion order, and leave the generator in
-the same state; `verify_wilson`, which walks all its runs in one pass and
-caches the pops of lone loops, must report what the references give run by
-run on the same streams.
+The references below are the straightforward forms of the two samplers: a
+walk that reads one exit per step from per-vertex stacks and erases each
+loop as it closes, and arrow stacks kept as deques, popped one cycle at a
+time.  By the cycle-popping lemma both pop, from the same stacks, the cycles
+and the tree that `wilson._lockstep` pops in lockstep.  So the tests record
+the stacks the kernel pops (`_recorded`) and feed them to the references.
+The stacks' own law is tested apart: the walk's erased cycles and trees
+against exact laws, and a soup's rotations and interleavings against the
+enumerated uniform law.  `verify_wilson` must report what the blocks of
+runs and soups give run by run.
 """
 
-from collections import Counter, deque
-from itertools import product
+from collections import Counter, defaultdict, deque
+from contextlib import contextmanager
+from fractions import Fraction
+from itertools import permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -21,33 +28,53 @@ from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
                       enumerate_loops, pair_reversals, pop_cycles,
                       regularize_degree, sample_oriented_soup, unoriented_view,
                       verify_wilson, wilson_ust)
-from loopsoup import stats, verify
+from loopsoup import stats, verify, wilson
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
-from loopsoup.soups import LoopSoup, SoupError, soup_count_rows
-from loopsoup.wilson import (WilsonError, _EdgeDice, check_root,
-                             spanning_tree_count)
+from loopsoup.soups import LoopSoup, SoupError, _chunk_rows, soup_chunks
+from loopsoup.wilson import (WilsonError, _distinct_rows, check_root,
+                             popped_blocks, spanning_tree_count, wilson_blocks)
 
 
-class _RefDice:
-    """Per-vertex blocks of edge choices, looked up one step at a time."""
+@contextmanager
+def _recorded():
+    """Within it, `wilson._lockstep` records the stacks it pops: a list per
+    block, holding per run a list of stacks by vertex, each the tops it held
+    in order, as edge positions (`_ids` makes them edge ids)."""
+    blocks = []
+    lockstep = wilson._lockstep
 
-    def __init__(self, graph, rng, block=65536):
-        self.rng = rng
-        self.block = block
-        self.choices = {v: graph.out_edges[v] for v in graph.vertices}
-        self.buf = {}
-        self.pos = {}
+    def spy(heads, top, advance):
+        stacks = [[[p] if p >= 0 else [] for p in row] for row in top.tolist()]
+        blocks.append(stacks)
+
+        def popped(runs, verts):
+            new = advance(runs, verts)
+            for r, v, p in zip(runs.tolist(), verts.tolist(), new.tolist()):
+                if p >= 0:
+                    stacks[r][v].append(p)
+            return new
+        return lockstep(heads, top, popped)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wilson, "_lockstep", spy)
+        yield blocks
+
+
+def _ids(graph, stacks):
+    """Recorded stacks by vertex, edge positions made edge ids."""
+    return {v: [graph.edges[p].id for p in s] for v, s in enumerate(stacks)}
+
+
+class _StackDice:
+    """A walk's exits read one per step off fixed stacks of edge ids."""
+
+    def __init__(self, graph, stacks):
+        self.graph = graph
+        self.stacks = {v: deque(s) for v, s in stacks.items()}
 
     def step(self, v):
-        buf = self.buf.get(v)
-        pos = self.pos.get(v, 0)
-        if buf is None or pos >= len(buf):
-            self.buf[v] = buf = self.rng.integers(0, len(self.choices[v]),
-                                                  size=self.block)
-            self.pos[v] = pos = 0
-        self.pos[v] = pos + 1
-        return self.choices[v][buf[pos]]
+        return self.graph.edge_by_id[self.stacks[v].popleft()]
 
 
 def _ref_wilson_ust(graph, root, dice):
@@ -82,27 +109,10 @@ def _ref_wilson_ust(graph, root, dice):
     return tree, erased
 
 
-def _ref_pop_cycles(soup, rng):
-    graph = soup.catalog.domain.graph
-    queues = {}
-    for key, cnt in sorted(soup.counts.items()):
-        verts = loop_vertices(graph, key)
-        n = len(key)
-        for _ in range(cnt):
-            r = int(rng.integers(n))
-            dep = {}
-            for eid, v in zip(key[r:] + key[:r], verts[r:] + verts[:r]):
-                dep.setdefault(v, []).append(eid)
-            for v, lst in dep.items():
-                queues.setdefault(v, []).append(lst)
-    stacks = {}
-    for v, qs in queues.items():
-        slots = []
-        for i, lst in enumerate(qs):
-            slots += [i] * len(lst)
-        rng.shuffle(slots)
-        its = [iter(lst) for lst in qs]
-        stacks[v] = deque(next(its[i]) for i in slots)
+def _ref_pop(graph, stacks):
+    """Pop the cycles of deque stacks of edge ids (top first) one at a time
+    until they are empty; a Counter of their necklace keys."""
+    stacks = {v: deque(s) for v, s in stacks.items()}
     popped = Counter()
     tops = {v: s[0] for v, s in stacks.items() if s}
     while tops:
@@ -162,46 +172,66 @@ def _state(rng):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_rooted_graphs(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
-def test_wilson_ust_matches_the_per_step_walk(graph_root, seed, block):
-    """Shared tables with small blocks (refills mid-run) and a fresh table
-    per run both replay the reference walk draw for draw."""
+@given(_rooted_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_wilson_ust_matches_the_per_step_walk(graph_root, seed):
+    """On the stacks the kernel pops, 20 runs in one block and then the
+    one-run case, the per-step walk draws the same tree and erases the same
+    cycles, and it reads every entry: the tree's exits last."""
     graph, root = graph_root
-    rng, ref_rng = stream(seed, "w"), stream(seed, "w")
-    dice = _EdgeDice(graph, root, rng, block=block)
-    ref_dice = _RefDice(graph, ref_rng, block=block)
-    for _ in range(20):
-        tree, erased = wilson_ust(graph, root, rng, dice=dice)
-        ref_tree, ref_erased = _ref_wilson_ust(graph, root, ref_dice)
-        assert list(tree.items()) == list(ref_tree.items())
-        assert list(erased.items()) == list(ref_erased.items())
-    assert _state(rng) == _state(ref_rng)
-    tree, erased = wilson_ust(graph, root, rng)
-    ref_tree, ref_erased = _ref_wilson_ust(graph, root, _RefDice(graph, ref_rng))
-    assert (tree, erased) == (ref_tree, ref_erased)
-    assert _state(rng) == _state(ref_rng)
+    with _recorded() as blocks:
+        (trees, tree_of, erased, erased_of), = wilson_blocks(
+            graph, root, 20, stream(seed, "w"))
+        one = wilson_ust(graph, root, stream(seed, "one"))
+    runs = [({v: e for v, e in enumerate(trees[t]) if e is not None},
+             Counter(erased[m])) for t, m in zip(tree_of, erased_of)]
+    assert len(blocks) == 2 and len(blocks[0]) == 20
+    for (tree, cycles), stacks in zip(runs + [one], blocks[0] + blocks[1]):
+        dice = _StackDice(graph, _ids(graph, stacks))
+        assert (tree, cycles) == _ref_wilson_ust(graph, root, dice)
+        assert not any(dice.stacks.values())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_rooted_graphs(), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([1.0, 3.0]))
 def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
-    """Popped Counters and generator states agree on soups of the domain of
-    every vertex but the root, up to length 6; an empty soup draws nothing."""
+    """On the stacks the kernel draws, which hold each soup's steps once
+    each, the deque stacks pop the same cycles: 10 soups of the domain of
+    every vertex but the root, up to length 6, in one block, then the
+    one-soup case.  An empty soup pops nothing and draws nothing."""
     graph, root = graph_root
     domain = Domain(graph, [v for v in graph.vertices if v != root])
     cat = enumerate_loops(domain, 6)
-    soups = stream(seed, "soups")
-    rng, ref_rng = stream(seed, "pop"), stream(seed, "pop")
-    for _ in range(10):
-        soup = sample_oriented_soup(cat, alpha, soups)
-        popped = pop_cycles(soup, rng)
-        ref = _ref_pop_cycles(soup, ref_rng)
-        assert list(popped.items()) == list(ref.items())
-        assert _state(rng) == _state(ref_rng)
+    rng = stream(seed, "pop")
+    soup = sample_oriented_soup(cat, alpha, stream(seed, "one"))
+    with _recorded() as blocks:
+        (counts, idx, popped, of), = popped_blocks(
+            cat, soup_chunks(cat, "oriented", alpha, 10, rng), rng)
+        one = pop_cycles(soup, rng)
+    rows = _chunk_rows(cat.classes, counts, idx) + [soup.counts]
+    got = [Counter(popped[m]) for m in of] + [one]
+    assert len(blocks) == 2 and len(blocks[0]) == 10
+    for row, cycles, stacks in zip(rows, got, blocks[0] + blocks[1]):
+        stacks = _ids(graph, stacks)
+        assert (sorted(e for s in stacks.values() for e in s)
+                == sorted(e for key, c in row.items() for e in key * c))
+        assert cycles == _ref_pop(graph, stacks)
     before = _state(rng)
     assert pop_cycles(LoopSoup(cat, {}), rng) == Counter()
     assert _state(rng) == before
+
+
+@pytest.mark.parametrize("width, high", [(3, 4), (40, 10), (2, 2 ** 40)])
+def test_distinct_rows_match_numpy_unique(width, high):
+    """Rows keyed by folding them into one int64 are the rows np.unique
+    finds, in the same order, including tables whose fold must be re-ranked
+    on the way (11^40 and (2^40)^2 exceed 2^62)."""
+    table = stream(width, "rows").integers(-1, high, size=(500, width))
+    table[250:] = table[:250]
+    distinct, of = _distinct_rows(table)
+    expected, inverse = np.unique(table, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, expected)
+    assert np.array_equal(of, inverse)
 
 
 def test_verify_wilson_refuses_a_domain_other_than_every_other_vertex():
@@ -220,12 +250,69 @@ def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("walked before refusing the catalog")
 
-    monkeypatch.setattr(verify, "wilson_runs", refuse)
+    monkeypatch.setattr(wilson, "_lockstep", refuse)
     graph = cycle_graph(4)
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
                           unoriented=unoriented_view(graph, pair_reversals(graph)))
     with pytest.raises(SoupError, match="not oriented"):
         verify_wilson(graph, 0, cat.counterpart(), runs=20000)
+
+
+def _ref_stack_law(graph, keys):
+    """The exact law of the stacks of one soup holding the loops `keys`:
+    each loop rooted at a uniform step, the steps it leaves each vertex by
+    listed in order, and the lists at each vertex interleaved uniformly.
+    As {stacks: probability}, the stacks a tuple by vertex of tuples of
+    edge ids, top first."""
+    law = defaultdict(Fraction)
+    for roots in product(*(range(len(key)) for key in keys)):
+        lists = {v: [] for v in graph.vertices}
+        for key, r in zip(keys, roots):
+            leaving = defaultdict(list)
+            for e in key[r:] + key[:r]:
+                leaving[graph.edge_by_id[e].tail].append(e)
+            for v, lst in leaving.items():
+                lists[v].append(lst)
+        by_vertex = []
+        for v in graph.vertices:
+            labels = [i for i, lst in enumerate(lists[v]) for _ in lst]
+            stacks = []
+            for order in sorted(set(permutations(labels))):
+                its = [iter(lst) for lst in lists[v]]
+                stacks.append(tuple(next(its[i]) for i in order))
+            by_vertex.append(stacks)
+        weight = Fraction(1, np.prod([len(k) for k in keys]) *
+                          np.prod([len(s) for s in by_vertex]))
+        for stacks in product(*by_vertex):
+            law[stacks] += weight
+    return law
+
+
+def test_soup_stacks_root_and_interleave_uniformly():
+    """The stacks the soup side draws for one soup of cycle:4's domain 1-3,
+    holding the 2-cycle 1-2-1 and the loop 1-2-3-2-1, 6,000 times in one
+    block, against the enumerated law of uniform roots and uniform
+    interleavings.  At vertex 2 the long loop leaves twice, in an order
+    its root sets, and the 2-cycle once.  This tests how the stacks are
+    built, on one fixed soup; it is not a law test of the popped soup,
+    which the truncation of the catalog biases."""
+    graph = cycle_graph(4)
+    cat = enumerate_loops(Domain(graph, [1, 2, 3]), 4)
+    idx = [i for i, c in enumerate(cat.classes)
+           if sorted(loop_vertices(graph, c.key)) in ([1, 2], [1, 2, 2, 3])]
+    assert len(idx) == 2
+    n = 6000
+    with _recorded() as blocks:
+        for _ in popped_blocks(cat, [(np.full(n, 2), np.tile(idx, n))],
+                               stream(0, "stacks")):
+            pass
+    observed = Counter(tuple(tuple(graph.edges[p].id for p in s)
+                             for s in stacks) for stacks in blocks[0])
+    law = _ref_stack_law(graph, [cat.classes[i].key for i in idx])
+    assert set(observed) <= set(law)
+    _, _, p = stats.chi2_gof(observed, {k: float(w) for k, w in law.items()},
+                             n)
+    assert p > verify.CHI2_SIGNIFICANCE
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -269,28 +356,71 @@ def _short(counts):
                                           (complete_graph(4), 8)],
                          ids=["cycle:4", "complete:4"])
 def test_verify_wilson_matches_the_references(graph, l_max, seed):
-    """The job path (one walk over all runs, trees and erasure sequences
-    keyed raw and mapped back, lone-loop pops cached by class and rotation)
-    reports the statistic, naive TV and tree frequencies that the per-step
-    walk and the deque stacks give run by run on the same streams.
-    complete:4 has simple 3-cycles, and 3,000 runs repeat (class, rotation)
-    pairs, so the cache is hit."""
+    """The job path (blocks of runs and soups, trees and multisets counted
+    by distinct row and mapped to report keys afterwards, raw class
+    multisets keyed from the soups' arrays) reports the statistic, naive TV
+    and tree frequencies that the blocks give run by run and soup by soup
+    on the same streams.  complete:4 has simple 3-cycles.  The counts are
+    tallied in another order, so the TVs sum their terms in another
+    order."""
     runs = 3000
     ug = unoriented_view(graph, pair_reversals(graph))
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), l_max, unoriented=ug)
-    dice = _RefDice(graph, stream(seed, "wilson"))
     trees, w_keys = Counter(), Counter()
-    for _ in range(runs):
-        tree, erased = _ref_wilson_ust(graph, 0, dice)
-        trees[tuple(sorted([ug.edge_class(e) for e in tree.values()]))] += 1
-        w_keys[_short(erased)] += 1
+    for tree_d, tree_of, erased, erased_of in wilson_blocks(
+            graph, 0, runs, stream(seed, "wilson")):
+        for t, m in zip(tree_of, erased_of):
+            trees[tuple(sorted([ug.edge_class(e) for e in tree_d[t]
+                                if e is not None]))] += 1
+            w_keys[_short(Counter(erased[m]))] += 1
     rng_s = stream(seed, "wilson/soup")
     s_keys, s_naive = Counter(), Counter()
-    for counts in soup_count_rows(cat, "oriented", 1.0, runs, rng_s):
-        s_keys[_short(_ref_pop_cycles(LoopSoup(cat, counts), rng_s))] += 1
-        s_naive[_short(counts)] += 1
+    for counts, idx, popped, of in popped_blocks(
+            cat, soup_chunks(cat, "oriented", 1.0, runs, rng_s), rng_s):
+        for row, m in zip(_chunk_rows(cat.classes, counts, idx), of):
+            s_keys[_short(Counter(popped[m]))] += 1
+            s_naive[_short(row)] += 1
     rep = verify_wilson(graph, 0, cat, runs=runs, seed=seed)
-    assert rep.statistic == stats.empirical_tv(w_keys, s_keys)
-    assert rep.details["naive_multiset_tv"] == stats.empirical_tv(w_keys, s_naive)
+    # equal up to the order in which the float differences are summed
+    assert rep.statistic == pytest.approx(stats.empirical_tv(w_keys, s_keys),
+                                          rel=0, abs=1e-12)
+    assert rep.details["naive_multiset_tv"] == pytest.approx(
+        stats.empirical_tv(w_keys, s_naive), rel=0, abs=1e-12)
     assert rep.details["tree_frequencies"] == {
         str(k): v / runs for k, v in sorted(trees.items())}
+
+
+def test_erased_cycles_follow_the_exact_heap_law():
+    """cycle:4 rooted at 0: every simple cycle of the domain 1-3 is one of
+    the 2-cycles on {1, 2} and {2, 3}, D(z) = 1 - (z_12 + z_23)/4, and the
+    counts (a, b) they are erased have P = 1/2 C(a+b, a) 4^-(a+b), so the
+    total N = a + b is geometric, P(N = k) = 2^-(k+1)."""
+    graph = cycle_graph(4)
+    runs = 20000
+    totals, pairs = Counter(), Counter()
+    for _, _, erased, of in wilson_blocks(graph, 0, runs, stream(0, "heap")):
+        for m, c in zip(erased, np.bincount(of, minlength=len(erased))):
+            on = Counter(1 in loop_vertices(graph, key) for key in m)
+            assert all(len(key) == 2 for key in m)
+            totals[len(m)] += int(c)
+            pairs[on[True], on[False]] += int(c)
+    _, _, p_total = stats.chi2_gof(
+        totals, {k: 2.0 ** -(k + 1) for k in range(40)}, runs)
+    _, _, p_pairs = stats.chi2_gof(
+        pairs, {(a, b): comb(a + b, a) * 4.0 ** -(a + b) / 2
+                for a in range(30) for b in range(30)}, runs)
+    assert min(p_total, p_pairs) > verify.CHI2_SIGNIFICANCE
+
+
+def test_trees_are_uniform_over_the_matrix_tree_count():
+    """complete:5 rooted at 0 has 5^3 = 125 spanning trees: every one is
+    drawn, with uniform frequencies."""
+    graph = complete_graph(5)
+    runs = 20000
+    trees = Counter()
+    for tree_d, of, _, _ in wilson_blocks(graph, 0, runs, stream(0, "trees")):
+        for t, c in zip(tree_d, np.bincount(of, minlength=len(tree_d))):
+            trees[t] += int(c)
+    assert len(trees) == spanning_tree_count(graph, 0) == 125
+    _, _, p = stats.chi2_gof(trees, {t: 1 / 125 for t in trees}, runs)
+    assert p > verify.CHI2_SIGNIFICANCE
