@@ -27,7 +27,7 @@ PINNED_OUTPUTS = {
 
 # Exit codes other than 0.  golden_wilson pins the Wilson walk and popped
 # soup streams; its 20,000 runs are too few for the 0.01 gate on the
-# empirical TV between two samples (TV 0.0168), so its report fails.
+# empirical TV between two samples (TV 0.0127), so its report fails.
 EXIT_CODES = {"golden_wilson": 1}
 
 
