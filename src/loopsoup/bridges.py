@@ -18,20 +18,23 @@ Permutations and pairings are enumerated exhaustively (budgets below);
 exactness matters more than scale here.
 
 The samplers build their tables once and cache them on the domain.  The Doob
-table towards y holds, per vertex v, the stop weight, the float total of the
-row, the (G_D(head, y), edge id, head) moves in ``domain.out_edges`` order
-and the fallback edge for numerical slack; a bridge draw walks it with one
-uniform per step.  Each family keeps its sorted permutations or pairings and
-their CDF per endpoint tuple, and draws one by ``searchsorted`` exactly as
+table towards y lists, per vertex v, every segment of up to k Doob moves
+from v: one that stops (only at y, possibly after passing through y) or one
+of exactly k moves, with its edge ids, end vertex and the float CDF of the
+segment probabilities.  k is the largest value whose rows hold at most
+SEGMENT_BUDGET segments, so a bridge draw takes one uniform per segment of
+moves.  Each family keeps its sorted permutations or pairings and their CDF
+per endpoint tuple, and draws one by ``bisect_right`` exactly as
 ``rng.choice(p=...)`` would.  Endpoints are checked when a table is built.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .graph import Domain, GraphError, GreenMatrix, green_function
 
 PERMUTATION_BUDGET = 8      # max N for N! enumeration
 PAIRING_BUDGET = 12         # max 2N for (2N-1)!! enumeration
+SEGMENT_BUDGET = 256        # max segments in a row of a Doob table
 
 
 class BridgeError(GraphError):
@@ -99,13 +103,17 @@ def enumerate_bridges(domain: Domain, x: int, y: int,
 
 
 def _doob_table(domain: Domain, y: int) -> dict:
-    """The Doob transition table towards y, built once per (domain, y).
+    """The multi-step Doob table towards y, built once per (domain, y).
 
-    Maps each domain vertex v with G_D(v, y) > 0 to (stop, total, moves,
-    slack): the stop weight (g at v = y, else 0), the float total
-    stop + sum of the move weights, the moves (G_D(head, y), edge id, head)
-    in ``domain.out_edges(v)`` order, and the slack fallback (edge id, head)
-    of the last move with positive weight.
+    Maps each domain vertex v with G_D(v, y) > 0 to (cdf, segments).  The
+    segments list every sequence of Doob moves from v that stops or makes k
+    moves, as (edge ids, end vertex, stopped), depth first: at each vertex
+    the moves in ``domain.out_edges`` order, then the stop.  The one-step
+    probabilities are G_D(w, y) / (g G_D(z, y)) for a move z -> w and
+    g / (g G_D(y, y)) for the stop; moves to a w with G_D(w, y) = 0 are
+    dropped.  ``cdf`` accumulates the products of the one-step probabilities
+    along each segment, its last entry set to 1.  k is the largest value, at
+    most SEGMENT_BUDGET, whose rows all hold at most SEGMENT_BUDGET segments.
     """
     key = ("doob", y)
     table = domain._bridge_tables.get(key)
@@ -113,23 +121,47 @@ def _doob_table(domain: Domain, y: int) -> dict:
         if y not in domain.vertex_set:
             raise BridgeError("bridge endpoints must lie in the domain")
         green = green_function(domain)
+        g = domain.g
+        stop = g / (g * green(y, y))
+        moves = {v: [] for v in domain.vertices if green(v, y) > 0.0}
+        for v, row in moves.items():
+            gv = g * green(v, y)
+            row.extend((green(e.head, y) / gv, e.id, e.head)
+                       for e in domain.out_edges(v) if e.head in moves)
+        # segment counts per row, one more move at a time
+        counts = dict.fromkeys(moves, 1)
+        k = 0
+        while k < SEGMENT_BUDGET:
+            more = {v: (v == y) + sum(counts[h] for _, _, h in row)
+                    for v, row in moves.items()}
+            if k and max(more.values()) > SEGMENT_BUDGET:
+                break
+            counts, k = more, k + 1
+
+        def expand(v, path, p, depth, out):
+            if depth == k:
+                out.append((p, (path, v, False)))
+                return
+            for q, eid, head in moves[v]:
+                expand(head, path + (eid,), p * q, depth + 1, out)
+            if v == y:
+                out.append((p * stop, (path, v, True)))
+
         table = {}
-        for v in domain.vertices:
-            if green(v, y) <= 0.0:
-                continue
-            moves = tuple((green(e.head, y), e.id, e.head)
-                          for e in domain.out_edges(v))
-            stop = float(domain.g) if v == y else 0.0
-            total = stop + sum(w for w, _, _ in moves)
-            slack = next(((eid, head) for w, eid, head in reversed(moves)
-                          if w > 0), None)
-            table[v] = (stop, total, moves, slack)
+        for v in moves:
+            out = []
+            expand(v, (), 1.0, 0, out)
+            probs, segments = zip(*out)
+            cdf = list(accumulate(probs))
+            cdf[-1] = 1.0
+            table[v] = (cdf, segments)
         domain._bridge_tables[key] = table
     return table
 
 
 def sample_bridge(domain: Domain, x: int, y: int, rng) -> Bridge:
-    """Draw from the bridge law by walking the Doob table towards y."""
+    """Draw from the bridge law, one segment of the Doob table towards y
+    per uniform."""
     table = _doob_table(domain, y)
     if x not in domain.vertex_set:
         raise BridgeError("bridge endpoints must lie in the domain")
@@ -139,19 +171,11 @@ def sample_bridge(domain: Domain, x: int, y: int, rng) -> Bridge:
     path: list[int] = []
     v = x
     while True:
-        stop, total, moves, slack = table[v]
-        u = random() * total
-        if u < stop:
+        cdf, segments = table[v]
+        eids, v, stopped = segments[bisect_right(cdf, random())]
+        path += eids
+        if stopped:
             return Bridge(x, y, tuple(path))
-        u -= stop
-        for w, eid, head in moves:
-            if u < w:
-                break
-            u -= w
-        else:  # numerical slack lands on the last positive-weight edge
-            eid, head = slack
-        path.append(eid)
-        v = head
 
 
 def _family_draw(domain: Domain, key, vertices, weights_of, rng):
@@ -173,9 +197,9 @@ def _family_draw(domain: Domain, key, vertices, weights_of, rng):
             raise BridgeError(f"no {key[0]} has positive weight")
         cdf = (w / total).cumsum()
         cdf /= cdf[-1]
-        entry = domain._bridge_tables[key] = (keys, cdf)
+        entry = domain._bridge_tables[key] = (keys, cdf.tolist())
     keys, cdf = entry
-    return keys[int(cdf.searchsorted(rng.random(), side="right"))]
+    return keys[bisect_right(cdf, rng.random())]
 
 
 # -- unordered (permutation-weighted) families --------------------------------

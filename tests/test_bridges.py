@@ -11,9 +11,9 @@ from loopsoup import (Bridge, Domain, RecurrentDomainError, build_graph,
                       complete_graph, cycle_graph, enumerate_bridges,
                       green_function, regularize_degree, sample_bridge,
                       sample_unordered_bridge, sample_z_bridge)
-from loopsoup.bridges import (BridgeError, _doob_table, all_pairings,
-                              bridge_probability_exact, pairing_weights,
-                              permutation_weights)
+from loopsoup.bridges import (SEGMENT_BUDGET, BridgeError, _doob_table,
+                              all_pairings, bridge_probability_exact,
+                              pairing_weights, permutation_weights)
 from loopsoup.rng import stream
 
 
@@ -249,36 +249,59 @@ def test_bad_family_endpoints_raise_bridge_error():
         sample_bridge(dom, 4, 1, rng)
 
 
-# -- the Doob tables against the per-step walk they replaced -------------------
+# -- the Doob segment tables ------------------------------------------------------
 
 
 def _reference_bridge(domain, x, y, rng):
-    """The Doob walk as it was before the tables: out-edges and Green's
-    values looked up afresh at every step."""
-    green = green_function(domain)
+    """A plain walk over the segment table: one uniform per segment, found
+    by a linear scan of the row's CDF."""
+    table = _doob_table(domain, y)
     path = []
     v = x
     while True:
-        edges = domain.out_edges(v)
-        weights = [green(e.head, y) for e in edges]
-        stop = float(domain.g) if v == y else 0.0
-        total = stop + sum(weights)
-        u = rng.random() * total
-        if u < stop:
+        cdf, segments = table[v]
+        u = rng.random()
+        eids, v, stopped = segments[next(i for i, c in enumerate(cdf) if u < c)]
+        path.extend(eids)
+        if stopped:
             return Bridge(x, y, tuple(path))
-        u -= stop
-        for e, w in zip(edges, weights):
-            if u < w:
-                path.append(e.id)
-                v = e.head
-                break
-            u -= w
-        else:
-            for e, w in reversed(list(zip(edges, weights))):
-                if w > 0:
-                    path.append(e.id)
-                    v = e.head
-                    break
+
+
+def _check_segment_rows(dom):
+    """Every Doob row lists walks in the domain whose exact probabilities sum
+    to exactly one, and each float CDF increment is within 1e-12 of its
+    segment's probability.  The one-step probabilities G(head, y) /
+    (g G(tail, y)) of j moves from v to w multiply to g^{-j} G(w, y) / G(v, y),
+    and the stop at w = y multiplies that by 1 / G(y, y)."""
+    green = green_function(dom, exact=True)
+    for y in dom.vertices:
+        table = _doob_table(dom, y)
+        assert set(table) == {v for v in dom.vertices if green.exact(v, y) > 0}
+        # the unstopped segments all make k moves, the stopped ones fewer
+        moves = {len(eids) for _, segments in table.values()
+                 for eids, _, stopped in segments if not stopped}
+        assert len(moves) <= 1
+        k = min(moves, default=SEGMENT_BUDGET)
+        assert k == 1 or max(len(segments) for _, segments in table.values()) \
+            <= SEGMENT_BUDGET
+        for v, (cdf, segments) in table.items():
+            assert len(cdf) == len(segments) and cdf[-1] == 1.0
+            total, previous = Fraction(0), 0.0
+            for c, (eids, end, stopped) in zip(cdf, segments):
+                w = v
+                for eid in eids:
+                    e = dom.graph.edge_by_id[eid]
+                    assert e.tail == w and dom.allows_edge(e)
+                    w = e.head
+                assert w == end
+                assert end == y and len(eids) < k or not stopped
+                p = (1 if stopped else green.exact(end, y)) \
+                    / (dom.g ** len(eids) * green.exact(v, y))
+                assert p > 0
+                assert abs((c - previous) - float(p)) <= 1e-12
+                total += p
+                previous = c
+            assert total == 1
 
 
 def _reference_choice(weights, rng):
@@ -303,27 +326,13 @@ def _criterion_9_fixtures():
 DRAWS = 2000
 
 
-def test_doob_rows_match_the_per_step_expressions():
-    """Each table row holds the floats the per-step walk computed, in
-    out-edge order and with the same summation order."""
+def test_doob_segments_are_exact_on_the_fixtures():
     singles, dk, d4 = _criterion_9_fixtures()
     for dom in [d for d, _, _ in singles] + [dk, d4]:
-        green = green_function(dom)
-        for y in dom.vertices:
-            rows = _doob_table(dom, y)
-            for v in dom.vertices:
-                if green(v, y) <= 0.0:
-                    assert v not in rows
-                    continue
-                edges = dom.out_edges(v)
-                weights = [green(e.head, y) for e in edges]
-                stop = float(dom.g) if v == y else 0.0
-                assert rows[v][:3] == (
-                    stop, stop + sum(weights),
-                    tuple((w, e.id, e.head) for e, w in zip(edges, weights)))
+        _check_segment_rows(dom)
 
 
-def test_samplers_match_the_per_step_walk_draw_for_draw():
+def test_samplers_match_the_segment_walk_draw_for_draw():
     singles, dk, d4 = _criterion_9_fixtures()
     for k, (dom, x, y) in enumerate(singles):
         rng, ref = stream(k, "doob-table"), stream(k, "doob-table")
@@ -376,20 +385,11 @@ def _regular_domains(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_regular_domains(), st.data())
 def test_doob_rows_and_length_laws_property(dom, data):
-    """Every Doob row sums to one in exact arithmetic,
-    delta(v, y) + (1/g) sum_e G(head e, y) = G(v, y); and the exact length
-    law of the bridges up to a cap is at most 1 and grows with the cap."""
+    """Every Doob row's segments are exact (`_check_segment_rows`); and the
+    exact length law of the bridges up to a cap is at most 1 and grows with
+    the cap."""
+    _check_segment_rows(dom)
     green = green_function(dom, exact=True)
-    for y in dom.vertices:
-        rows = _doob_table(dom, y)
-        for v in dom.vertices:
-            if v not in rows:
-                assert green.exact(v, y) == 0
-                continue
-            stop, _, moves, _ = rows[v]
-            mass = Fraction(stop) + sum(green.exact(head, y)
-                                        for _, _, head in moves)
-            assert mass / (dom.g * green.exact(v, y)) == 1
     x = data.draw(st.sampled_from(dom.vertices))
     y = data.draw(st.sampled_from(dom.vertices))
     assume(green.exact(x, y) > 0)

@@ -1,3 +1,4 @@
+import csv
 import glob
 import json
 import os
@@ -6,9 +7,13 @@ import sys
 
 import pytest
 
-from loopsoup.cli import main
+from loopsoup.bridges import bridge_probability_exact, enumerate_bridges
+from loopsoup.cli import main, run_job
 from loopsoup.config import (ConfigError, build_workspace, config_from_dict,
                              job_seed, parse_config)
+from loopsoup.graph import green_function
+from loopsoup.stats import chi2_gof
+from loopsoup.verify import CHI2_SIGNIFICANCE
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -421,6 +426,26 @@ def test_sample_soup_outputs(tmp_path):
     for f in ("loop_length_spectrum.csv", "occupation_edge_hist.csv",
               "occupation_site_hist.csv", "bridge_length_hist.csv"):
         assert (out / f).exists()
+
+
+def test_sample_soup_bridge_lengths_follow_the_exact_law(tmp_path):
+    """golden_ct's sample-soup job, at its seed and size, draws bridges from
+    its first domain vertex to its second; their length histogram fits the
+    exact length law (the golden fixture pins the same bytes)."""
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "data",
+                                    "golden_ct.cfg"))
+    ws = build_workspace(cfg)
+    run_job(ws, "sample-soup", cfg.jobs.index("sample-soup"), str(tmp_path))
+    with open(tmp_path / "bridge_length_hist.csv") as fh:
+        lengths = {int(n): int(c) for n, c in list(csv.reader(fh))[1:]}
+    x, y = ws.domain.vertices[:2]
+    green = green_function(ws.domain, exact=True)
+    law = {}
+    for b in enumerate_bridges(ws.domain, x, y, 12):
+        law[b.n] = law.get(b.n, 0) + bridge_probability_exact(ws.domain, b,
+                                                               green)
+    _, _, p = chi2_gof(lengths, law, sum(lengths.values()))
+    assert p > CHI2_SIGNIFICANCE
 
 
 def test_verify_lejan_one_site(tmp_path):
