@@ -249,7 +249,7 @@ def test_bad_family_endpoints_raise_bridge_error():
         sample_bridge(dom, 4, 1, rng)
 
 
-# -- the Doob segment tables ------------------------------------------------------
+# -- the Doob segment tables ----------------------------------------------------
 
 
 def _reference_bridge(domain, x, y, rng):
@@ -294,7 +294,7 @@ def _check_segment_rows(dom):
                     assert e.tail == w and dom.allows_edge(e)
                     w = e.head
                 assert w == end
-                assert end == y and len(eids) < k or not stopped
+                assert not stopped or (end == y and len(eids) < k)
                 p = (1 if stopped else green.exact(end, y)) \
                     / (dom.g ** len(eids) * green.exact(v, y))
                 assert p > 0
