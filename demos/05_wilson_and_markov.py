@@ -9,7 +9,7 @@ independent across a vertex cut given the boundary jump counts, which we
 check exactly from the jump-count generating function.
 """
 
-from loopsoup import (pop_cycles, sample_oriented_soup,
+from loopsoup import (markov_law, pop_cycles, sample_oriented_soup,
                       verify_occupation_markov, verify_wilson, wilson_ust)
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
@@ -44,11 +44,12 @@ cfg2 = config_from_dict({
 })
 ws2 = build_workspace(cfg2)
 part = markov_edge_partition(ws2, oriented=False)
-rep = verify_occupation_markov(ws2.domain, part, intensity_kind="c", cap=12)
+law = markov_law(ws2.domain, part, intensity_kind="c", cap=12)
+rep = verify_occupation_markov(law, part, intensity_kind="c")
 print("occupation-field Markov property:", rep.verdict,
       " TV to the Markov projection:", rep.statistic,
       " cells violated:", rep.details["cells_violated"], "of",
       rep.details["cells_checked"])
-rep_t = verify_occupation_markov(ws2.domain, part, intensity_kind="c",
-                                 cap=12, tilt_edge_group=part[2][0])
+rep_t = verify_occupation_markov(law, part, intensity_kind="c",
+                                 tilt_edge_group=part[2][0])
 print("tilted by theta^N on a boundary edge, still Markov:", rep_t.verdict)

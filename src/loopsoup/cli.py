@@ -134,16 +134,17 @@ def _markov_partitions(ws: Workspace):
 
 
 def _job_occupation_markov(ws: Workspace, cfg, seed: int):
+    """The c-soup check, the oriented one at alpha = 1 and, with a boundary,
+    the c-soup check tilted on its first boundary group, which reads the
+    same law as the untilted one."""
     part_u, part_o = _markov_partitions(ws)
-    reports = [
-        V.verify_occupation_markov(ws.domain, part_u, intensity_kind="c",
-                                   intensity=cfg.c),
-        V.verify_occupation_markov(ws.domain, part_o, intensity_kind="alpha",
-                                   intensity=Fraction(1), cap=8)]
+    law_u = V.markov_law(ws.domain, part_u, "c", cfg.c)
+    law_o = V.markov_law(ws.domain, part_o, "alpha", Fraction(1), cap=8)
+    reports = [V.verify_occupation_markov(law_u, part_u, "c", cfg.c),
+               V.verify_occupation_markov(law_o, part_o, "alpha", Fraction(1))]
     if part_u[2]:
         reports.append(V.verify_occupation_markov(
-            ws.domain, part_u, intensity_kind="c", intensity=cfg.c,
-            tilt_edge_group=part_u[2][0]))
+            law_u, part_u, "c", cfg.c, tilt_edge_group=part_u[2][0]))
     return reports
 
 

@@ -21,9 +21,11 @@ consecutive site visits is an excursion skeleton there.
 
 Reassembly is the inverse operation.  `_hookup_walk` is the one walk along a
 hookup, into cycles of pieces (excursions or jumps) and bridges: on it,
-`hookup_loops` closes them into loops for reassembly to canonicalize,
-`hookup_loop_lengths` measures them for the exact oracles, and
-`hookup_cycle_key` keys them.
+`hookup_loops` closes them into loops for reassembly to canonicalize, and
+`hookup_cycle_key` keys them.  The exact oracles read a bridge
+configuration's walk (`hookup_walk`) once, when its bridge family is
+tabulated, and then measure its loops (`hookup_loop_lengths`) and key it
+(`walk_orbit_key`) for every bin sharing its endpoint vector.
 
 Hookup keys: relabeling occurrences of identical excursions (or identical
 jumps, or the two ends of a palindromic unoriented piece) is unobservable in
@@ -379,11 +381,16 @@ def _hookup_walk(joins, n):
     return cycles
 
 
-def hookup_loop_lengths(pieces, hookup) -> list[int]:
-    """The lengths of the loops a hookup closes, pieces plus arcs, read off
-    the walk without building a loop or checking a junction."""
+def hookup_walk(hookup, n) -> list:
+    """The walk of a hookup of n pieces (`_hookup_walk` of its joins)."""
+    return _hookup_walk(_slot_joins(hookup), n)
+
+
+def hookup_loop_lengths(pieces, walk) -> list[int]:
+    """The lengths of the loops a hookup walk closes, pieces plus arcs, read
+    off the walk without building a loop or checking a junction."""
     return [sum(len(pieces[s >> 1]) + len(arc) for s, arc in steps)
-            for steps in _hookup_walk(_slot_joins(hookup), len(pieces))]
+            for steps in walk]
 
 
 def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
@@ -454,10 +461,10 @@ def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]
 # -- hookup orbit keys -------------------------------------------------------------
 
 
-def _hookup_cycles(tokens, joins, oriented, flippable=()) -> list:
+def _hookup_cycles(tokens, walk, oriented, flippable=()) -> list:
     """The (canonical cycle, J) pairs of a hookup, sorted.
 
-    The walk of the joins splits the hookup into cycles of (tokens[j],
+    The walk splits the hookup into cycles of (tokens[j],
     direction, arc after the piece) items: direction +1 for a piece j
     entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
     cycle is keyed like a loop class by `loops.necklace`, given when
@@ -467,7 +474,7 @@ def _hookup_cycles(tokens, joins, oriented, flippable=()) -> list:
     flips) exactly when their sorted cycles are equal.
     """
     cycles = []
-    for steps in _hookup_walk(joins, len(tokens)):
+    for steps in walk:
         items = [(tokens[s >> 1], 0 if s >> 1 in flippable else 1 - 2 * (s & 1),
                   arc) for s, arc in steps]
         back = None if oriented else [(t, -d, items[i - 1][2]) for i, (t, d, _)
@@ -483,7 +490,8 @@ def hookup_cycle_key(tokens, joins, oriented, flippable=()):
     The cycles are `_hookup_cycles`'.  The relabelings fixing the hookup are
     prod m! J^m over its distinct cycles, m the multiplicity.
     """
-    cycles = _hookup_cycles(tokens, joins, oriented, flippable)
+    cycles = _hookup_cycles(tokens, _hookup_walk(joins, len(tokens)),
+                            oriented, flippable)
     # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
     fixing = math.prod(J * cycles[:i + 1].count((c, J))
                        for i, (c, J) in enumerate(cycles))
@@ -499,10 +507,27 @@ def matching_key(labels, joins, oriented):
                         for (x, y), arc in ends))
 
 
+def flipped_pieces(eta, flippable=(), involution=None) -> set:
+    """The pieces whose ends are indistinguishable: those of the
+    (slot_a, slot_b) pairs in `flippable` (self-edge jumps) and, with an
+    involution, the palindromic pieces."""
+    flips = {a // 2 for a, _ in flippable}
+    if involution is not None:
+        flips.update(j for j, path in enumerate(eta)
+                     if path and path == involution.reverse_path(path))
+    return flips
+
+
+def walk_orbit_key(eta, walk, oriented, flips=()):
+    """Key of a hookup of the pieces eta, given by its walk, under
+    relabeling identical pieces and flipping the pieces in `flips`."""
+    return tuple(c for c, _ in _hookup_cycles(eta, walk, oriented, flips))
+
+
 def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
     """Key of (sigma, bridges) under relabeling slots with equal entries of
     eta (identical excursions, or equal (X_j, Y_j) pairs)."""
-    return tuple(c for c, _ in _hookup_cycles(eta, _slot_joins(hookup), True))
+    return walk_orbit_key(eta, hookup_walk(hookup, len(eta)), True)
 
 
 def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
@@ -510,9 +535,5 @@ def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
     """Key of (pairing, bridges) under excursion relabeling and end flips of
     the pieces in `flippable` ((slot_a, slot_b) pairs of indistinguishable
     ends: self-edge jumps) and, with an involution, of palindromic pieces."""
-    flips = {a // 2 for a, _ in flippable}
-    if involution is not None:
-        flips.update(j for j, path in enumerate(eta)
-                     if path and path == involution.reverse_path(path))
-    return tuple(c for c, _ in _hookup_cycles(eta, _slot_joins(hookup), False,
-                                              flips))
+    return walk_orbit_key(eta, hookup_walk(hookup, len(eta)), False,
+                          flipped_pieces(eta, flippable, involution))

@@ -53,10 +53,11 @@ from .exact import (OracleError, conditional_multiset_law, occupation_law,
                     side_orbit_key, side_pair_orbit, tv_distance,
                     unordered_bridge_law, z_bridge_law)
 from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
-                         extract_crossings_counts, hookup_loop_lengths,
-                         loop_skeletons, oriented_hookup_orbit_key,
-                         path_endpoints, record_edge_jumps_counts,
-                         unoriented_hookup_orbit_key)
+                         extract_crossings_counts, flipped_pieces,
+                         hookup_loop_lengths, hookup_walk, loop_skeletons,
+                         oriented_hookup_orbit_key, path_endpoints,
+                         record_edge_jumps_counts,
+                         unoriented_hookup_orbit_key, walk_orbit_key)
 from .graph import Domain, green_function
 from .loops import LoopCatalog
 from .rng import stream
@@ -137,6 +138,7 @@ class Cut:
         self.oriented = catalog.mode == "oriented"
         self.inv = None if self.oriented else catalog.unoriented_graph.involution
         self._touches: dict = {}
+        self._tables: dict = {}
 
     @cached_property
     def candidates(self) -> list:
@@ -187,26 +189,46 @@ class Cut:
         _, dof, p = stats.chi2_gof(counts, expected, n)
         return p if dof > 0 else None
 
+    def bridge_table(self, b):
+        """(pieces of bin b, its bridge-family table, flippable slot pairs).
+
+        The bridge measure depends on the pieces only through their endpoint
+        vector, so its table is built once per vector and shared by the bins
+        with that vector: one (hookup, probability, walk) entry per labeled
+        configuration, the walk read once (`hookup_walk`).
+        """
+        pieces, ends, flippable = self.bridge_ends(b)
+        table = self._tables.get(ends)
+        if table is None:
+            L_max = self.catalog.L_max
+            if self.oriented:
+                configs, _ = unordered_bridge_law(self.sub, *ends, L_max)
+            else:
+                configs, _ = z_bridge_law(self.sub, ends, self.inv, L_max)
+            hookup = OrientedHookup if self.oriented else UnorientedHookup
+            hooks = [(hookup(*c), pr) for c, pr in configs.items()]
+            table = self._tables[ends] = [
+                (hook, pr, hookup_walk(hook, len(pieces))) for hook, pr in hooks]
+        return pieces, table, flippable
+
     def oracle(self, b):
         """(truncated-soup law of the hookup keys of bin b, infeasible mass).
 
         The law is the bridge measure restricted to the configurations whose
-        loops, as the hookup walk measures them, all fit in L_max, then
-        renormalized: the exact conditional law of the truncated soup.  The
-        infeasible mass is the bridge mass left out, bridges too long to
-        enumerate included (no loop holding one fits).
+        loops, measured on their tabulated walks with the lengths of b's
+        pieces, all fit in L_max, then renormalized: the exact conditional
+        law of the truncated soup.  The infeasible mass is the bridge mass
+        left out, bridges too long to enumerate included (no loop holding
+        one fits).
         """
-        pieces, configs, flippable = self.bridge_configs(b)
+        pieces, table, flippable = self.bridge_table(b)
+        flips = () if self.oriented else flipped_pieces(pieces, flippable,
+                                                        self.inv)
         law: dict = {}
-        for (s, paths), pr in configs.items():
-            hook = (OrientedHookup if self.oriented else UnorientedHookup)(s, paths)
-            if max(hookup_loop_lengths(pieces, hook)) > self.catalog.L_max:
+        for _, pr, walk in table:
+            if max(hookup_loop_lengths(pieces, walk)) > self.catalog.L_max:
                 continue
-            if self.oriented:
-                key = oriented_hookup_orbit_key(pieces, hook)
-            else:
-                key = unoriented_hookup_orbit_key(pieces, hook, flippable,
-                                                  self.inv)
+            key = walk_orbit_key(pieces, walk, self.oriented, flips)
             law[key] = law.get(key, 0) + pr
         feasible = sum(law.values())
         return {k: v / feasible for k, v in law.items()}, 1 - feasible
@@ -252,18 +274,15 @@ class ExcursionCut(Cut):
     def label(self, eta) -> dict:
         return {"eta_lengths": [len(p) for p in eta]}
 
-    def bridge_configs(self, eta):
-        """(pieces, bridge-measure configurations, flippable slot pairs)."""
+    def bridge_ends(self, eta):
+        """(pieces, endpoint vector, flippable slot pairs): the vector is
+        (X, Y) for the unordered bridges X_j -> Y_sigma(j) when oriented,
+        the extremities Z when unoriented."""
         graph = self.catalog.domain.graph
         ends = [path_endpoints(graph, p) for p in eta]
         if self.oriented:
-            configs, _ = unordered_bridge_law(self.sub, [b for _, b in ends],
-                                              [a for a, _ in ends],
-                                              self.catalog.L_max)
-        else:
-            configs, _ = z_bridge_law(self.sub, tuple(v for e in ends for v in e),
-                                      self.inv, self.catalog.L_max)
-        return eta, configs, ()
+            return eta, (tuple(b for _, b in ends), tuple(a for a, _ in ends)), ()
+        return eta, tuple(v for e in ends for v in e), ()
 
 
 class EdgeCut(Cut):
@@ -306,15 +325,14 @@ class EdgeCut(Cut):
     def label(self, jumps) -> dict:
         return {"jumps": {str(c): n for c, n in zip(self.removed, jumps) if n}}
 
-    def bridge_configs(self, jumps):
+    def bridge_ends(self, jumps):
         graph = self.catalog.domain.graph
         pieces = self._pieces(jumps)
         Z = tuple(v for p in pieces for v in path_endpoints(graph, p))
         # self-edge jumps have indistinguishable ends
         flips = tuple((2 * i, 2 * i + 1) for i in range(len(pieces))
                       if Z[2 * i] == Z[2 * i + 1])
-        configs, _ = z_bridge_law(self.sub, Z, self.inv, self.catalog.L_max)
-        return pieces, configs, flips
+        return pieces, Z, flips
 
 
 class CrossingCut(Cut):
@@ -688,30 +706,39 @@ def check_markov_partition(edge_partition) -> None:
                           "variable, so there is nothing to test")
 
 
-def verify_occupation_markov(domain: Domain, edge_partition,
-                             intensity_kind: str = "c",
-                             intensity=Fraction(1), cap: int = 12,
+def markov_law(domain: Domain, edge_partition, intensity_kind: str = "c",
+               intensity=Fraction(1), cap: int = 12,
+               allow_marginal: bool = False):
+    """The exact jump-count law a Markov check of `edge_partition` reads:
+    `occupation_law` on the partition's groups, at exponent c/2 for a
+    c-soup (`intensity_kind` "c") or alpha for an oriented one ("alpha").
+    Build it once and check it, tilted or not, as often as needed."""
+    check_markov_partition(edge_partition)
+    exponent = Fraction(intensity)
+    if intensity_kind == "c":
+        exponent /= 2
+    return occupation_law(domain, edge_partition[0], exponent, cap,
+                          allow_marginal=allow_marginal)
+
+
+def verify_occupation_markov(law, edge_partition, intensity_kind: str = "c",
+                             intensity=Fraction(1),
                              tilt_edge_group: int | None = None,
-                             allow_marginal: bool = False,
                              expect_fail: bool = False) -> TestReport:
     """Edge-occupation fields inside and outside a vertex set are
-    conditionally independent given the boundary jump counts, computed
-    exactly from the jump-count generating function.
+    conditionally independent given the boundary jump counts, decided
+    exactly on `law`, the jump-count law `markov_law` built at
+    (intensity_kind, intensity), which the report names.
 
     edge_partition = (groups, idx_in, idx_bd, idx_out): variable groups and
     the index split into inside/boundary/outside variables, which is all the
     check reads of the vertex set.  Site occupation times are measurable
     over visit counts, which the edge fields determine, so edge-level
-    independence carries the site fields along.
+    independence carries the site fields along.  With `tilt_edge_group` the
+    check reads the law tilted by TILT^(jumps of that group), a copy: `law`
+    is left as it was.
     """
-    check_markov_partition(edge_partition)
-    groups, idx_in, idx_bd, idx_out = edge_partition
-    if intensity_kind == "c":
-        exponent = Fraction(intensity) / 2
-    else:
-        exponent = Fraction(intensity)
-    law = occupation_law(domain, groups, exponent, cap,
-                         allow_marginal=allow_marginal)
+    _, idx_in, idx_bd, idx_out = edge_partition
     if tilt_edge_group is not None:
         law = type(law)(law.groups, law.cap,
                         {n: w * TILT ** n[tilt_edge_group]
@@ -721,7 +748,7 @@ def verify_occupation_markov(domain: Domain, edge_partition,
                     bad == 0 if checked else None, expect_fail=expect_fail,
                     cells_checked=checked, cells_violated=bad,
                     intensity_kind=intensity_kind, intensity=str(intensity),
-                    cap=cap, tilted=tilt_edge_group is not None)
+                    cap=law.cap, tilted=tilt_edge_group is not None)
 
 
 # -- continuous time: GFF square, excursions, random currents --------------------

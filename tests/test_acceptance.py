@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 
 from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
-                      enumerate_loops, green_function, regularize_degree,
-                      sample_bridge, sample_unordered_bridge, sample_z_bridge,
+                      enumerate_loops, green_function, markov_law,
+                      regularize_degree, sample_bridge,
+                      sample_unordered_bridge, sample_z_bridge,
                       verify_lejan, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_random_currents, verify_wilson)
@@ -154,14 +155,14 @@ def test_criterion_5_occupation_markov():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep_u = verify_occupation_markov(ws.domain, part,
-                                     intensity_kind="c", cap=12)
+    law_u = markov_law(ws.domain, part, intensity_kind="c", cap=12)
+    rep_u = verify_occupation_markov(law_u, part, intensity_kind="c")
     part_o = markov_edge_partition(ws, oriented=True)
-    rep_o = verify_occupation_markov(ws.domain, part_o,
-                                     intensity_kind="alpha",
-                                     intensity=Fraction(1), cap=9)
-    tilt = verify_occupation_markov(ws.domain, part,
-                                    intensity_kind="c", cap=12,
+    law_o = markov_law(ws.domain, part_o, intensity_kind="alpha",
+                       intensity=Fraction(1), cap=9)
+    rep_o = verify_occupation_markov(law_o, part_o, intensity_kind="alpha",
+                                     intensity=Fraction(1))
+    tilt = verify_occupation_markov(law_u, part, intensity_kind="c",
                                     tilt_edge_group=part[2][0])
     dt = time.time() - t0
     ok = (rep_u.passed and rep_o.passed and tilt.passed

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from loopsoup import cli, verify
 from loopsoup.bridges import bridge_probability_exact, enumerate_bridges
-from loopsoup.cli import main, run_job
+from loopsoup.cli import main, markov_edge_partition, run_job
 from loopsoup.config import (ConfigError, build_workspace, config_from_dict,
                              job_seed, parse_config)
 from loopsoup.graph import green_function
@@ -492,6 +493,40 @@ def test_bad_config_key_exits_2_naming_it(tmp_path, capsys, where, key, value):
 def test_shipped_configs_parse(path):
     cfg = parse_config(path)
     assert cfg.jobs and cfg.mode in ("exact", "mc")
+
+
+def test_occupation_job_builds_each_law_once(monkeypatch):
+    """The untilted and tilted c-soup checks of the occupation-Markov job
+    read one law: the job builds two laws (c-soup and oriented), not three.
+    Each c-soup report is the check of a freshly built law, tilted for the
+    third, and tilting leaves the shared law as it was."""
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "data",
+                                    "golden_occupation.cfg"))
+    ws = build_workspace(cfg)
+    built = []
+    occupation_law = verify.occupation_law
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return occupation_law(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "occupation_law", counting)
+    untilted, _, tilted = cli._job_occupation_markov(ws, cfg, 0)
+    assert len(built) == 2
+    part = markov_edge_partition(ws, oriented=False)
+    law = verify.markov_law(ws.domain, part, "c", cfg.c)
+    weights = dict(law.weights)
+    fresh_tilted = verify.verify_occupation_markov(
+        law, part, "c", cfg.c, tilt_edge_group=part[2][0])
+    assert law.weights == weights
+    assert tilted.details["tilted"] and not untilted.details["tilted"]
+    assert tilted.statistic == fresh_tilted.statistic
+    assert tilted.details["cells_checked"] == \
+        fresh_tilted.details["cells_checked"] == \
+        untilted.details["cells_checked"] > 0
+    assert tilted.to_json() == fresh_tilted.to_json()
+    assert untilted.to_json() == \
+        verify.verify_occupation_markov(law, part, "c", cfg.c).to_json()
 
 
 TWO_VERTICES = """

@@ -14,8 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsoup.exact import _assemble_multisets, side_orbit_key, side_pair_orbit
-from loopsoup.excursions import (DecompositionError, OrientedHookup,
-                                 UnorientedHookup, decompose_counts,
+from loopsoup.excursions import (DecompositionError, decompose_counts,
                                  extract_crossings_counts, hookup_cycle_key,
                                  matching_key, oriented_hookup_orbit_key,
                                  path_endpoints, record_edge_jumps_counts,
@@ -218,11 +217,9 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
             pairs.setdefault(name, []).append((new, ref))
     if not isinstance(cut, CrossingCut) and sum(target.values()) <= 2:
         b, _ = cut.cut(counts)
-        pieces, configs, flippable = cut.bridge_configs(b)
-        hookup = OrientedHookup if cut.oriented else UnorientedHookup
-        for s, paths in islice(configs, 300):
-            for name, new, ref in _hookup_keys(cut, pieces, hookup(s, paths),
-                                               flippable):
+        pieces, table, flippable = cut.bridge_table(b)
+        for hook, _, _ in islice(table, 300):
+            for name, new, ref in _hookup_keys(cut, pieces, hook, flippable):
                 pairs.setdefault("oracle " + name, []).append((new, ref))
     for found in pairs.values():
         _same_orbits(found)

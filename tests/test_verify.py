@@ -12,15 +12,14 @@ from loopsoup import (Domain, GraphError, build_graph, complete_graph,
                       enumerate_loops, green_function, pair_reversals,
                       regularize_degree, sample_gff, unoriented_view,
                       verify_ct_excursions, verify_lejan,
-                      verify_occupation_markov, verify_prop1,
+                      markov_law, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_random_currents, verify_wilson, wilson_ust)
-from loopsoup import excursions
+from loopsoup import excursions, verify
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import OccupationLaw, side_orbit_key
-from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
-                                 extract_crossings_counts, hookup_loop_lengths,
+from loopsoup.excursions import (extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
 from loopsoup.soups import _chunk_rows, soup_chunks
@@ -88,6 +87,36 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
             # their distance is bounded by the two infeasible masses
             assert tv <= 1e-9 + (r_ref + r) / (1 - max(r_ref, r))
     assert compared >= 1
+
+
+@pytest.mark.parametrize("mode", ["oriented", "unoriented"])
+def test_bridge_families_tabulated_once_per_endpoint_vector(
+        ws_k12, monkeypatch, mode):
+    """An exact excursion check builds one bridge family per endpoint vector
+    of its bins, not one per bin: on the K12 triangle the vectors are one
+    and two excursions at F2 = {2}, (2,) -> (2,) and (2, 2) -> (2, 2)
+    oriented, Z = (2, 2) and (2, 2, 2, 2) unoriented.  Every bin's law from
+    the shared tables equals, as Fractions, the law of a cut built for that
+    bin alone."""
+    calls = Counter()
+    for law in (verify.unordered_bridge_law, verify.z_bridge_law):
+        def counting(*args, law=law):
+            calls[law.__name__] += 1
+            return law(*args)
+        monkeypatch.setattr(verify, law.__name__, counting)
+    cat = ws_k12.catalog(mode)
+    check = verify_prop1 if mode == "oriented" else verify_prop2
+    rep = check(cat, {1}, {2}, mode="exact")
+    assert rep.passed
+    name = "unordered_bridge_law" if mode == "oriented" else "z_bridge_law"
+    assert calls == {name: 2}
+    cut = ExcursionCut(cat, {1}, {2})
+    bins = [_conditional_keys(cut, Fraction(1), t)[1] for t in cut.targets(2)]
+    assert len(bins) == rep.details["etas_tested"] > 2
+    assert len({cut.bridge_ends(b)[1] for b in bins}) == 2
+    for b in bins:
+        assert cut.oracle(b) == ExcursionCut(cat, {1}, {2}).oracle(b)
+    assert calls == {name: 2 + 2 + len(bins)}
 
 
 def test_prop1_exact_and_control(ws_k12):
@@ -425,24 +454,24 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
     catalog: the mass the truncated-soup law leaves out.  The loops use every
     edge of the pieces and bridges once (up to reversal when unoriented),
     which reassembly over the same walk could not notice, and have the
-    lengths the oracles read off the walk, which checks no junction."""
+    lengths the oracles read off the tabulated walk, which checks no
+    junction."""
     cut = data.draw(st.sampled_from(_oracle_cuts(k5, triangle_catalogs)))
     edge = (lambda e: e) if cut.oriented else k5[2].edge_class
     single = [c.key for c in cut.catalog.classes
               if sum(cut.contribution(c.key).values()) == 1]
     soup = data.draw(st.lists(st.sampled_from(single), min_size=1, max_size=2))
     b, _ = cut.cut(dict(Counter(soup)))
-    pieces, configs, _ = cut.bridge_configs(b)
+    pieces, table, _ = cut.bridge_table(b)
     cat = cut.catalog
     graph = cat.domain.graph
-    hookup = OrientedHookup if cut.oriented else UnorientedHookup
-    assert configs
-    for s, paths in configs:
-        hook = hookup(s, paths)
+    assert table
+    for hook, _, walk in table:
         loops = hookup_loops(graph, pieces, hook, cut.inv)
-        assert hookup_loop_lengths(pieces, hook) == list(map(len, loops))
+        assert hookup_loop_lengths(pieces, walk) == list(map(len, loops))
         assert Counter(map(edge, (e for lp in loops for e in lp))) == \
-               Counter(map(edge, (e for p in pieces + paths for e in p)))
+               Counter(map(edge, (e for p in pieces + hook.bridges
+                                  for e in p)))
         longest = max(map(len, loops))
         keys = reassemble(pieces, hook, graph, cut.inv)
         assert (longest > cat.L_max) == any(k not in cat.by_key for k in keys)
@@ -450,24 +479,27 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
 
 def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
     """The oracles read loop lengths off the hookup walker and build no loop
-    class."""
+    class, neither when they tabulate a bridge family nor when they read
+    the table."""
     bins = []
-    for cut in _oracle_cuts(k5, triangle_catalogs):
+    for i, cut in enumerate(_oracle_cuts(k5, triangle_catalogs)):
         for target in cut.targets(2)[:4]:
             b = _conditional_keys(cut, Fraction(1), target)[1]
-            bins.append((cut, b, cut.oracle(b)))
+            bins.append((i, b, cut.oracle(b)))
 
     def refuse(*args):
         raise AssertionError("an oracle canonicalized a loop")
 
     monkeypatch.setattr(excursions, "canonicalize_oriented", refuse)
     monkeypatch.setattr(excursions, "canonicalize_unoriented", refuse)
-    for cut, b, before in bins:
-        assert cut.oracle(b) == before
+    cuts = _oracle_cuts(k5, triangle_catalogs)      # tables built anew
+    for i, b, before in bins:
+        assert cuts[i].oracle(b) == before
     # the walker's length check removes mass beyond the bridges too long to
     # enumerate, in every bin
-    for cut, b, (_, infeasible) in bins:
-        assert infeasible > 1 - sum(cut.bridge_configs(b)[1].values())
+    for i, b, (_, infeasible) in bins:
+        table = cuts[i].bridge_table(b)[1]
+        assert infeasible > 1 - sum(pr for _, pr, _ in table)
 
 
 def test_residual_coupling(ws_k12):
@@ -531,17 +563,17 @@ def test_occupation_markov_exact_and_tilt():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep = verify_occupation_markov(ws.domain, part,
-                                   intensity_kind="c", cap=12)
+    law = markov_law(ws.domain, part, intensity_kind="c", cap=12)
+    rep = verify_occupation_markov(law, part, intensity_kind="c")
     assert rep.passed and rep.details["cells_violated"] == 0
-    tilted = verify_occupation_markov(ws.domain, part,
-                                      intensity_kind="c", cap=12,
+    tilted = verify_occupation_markov(law, part, intensity_kind="c",
                                       tilt_edge_group=part[2][0])
     assert tilted.passed
     part_o = markov_edge_partition(ws, oriented=True)
-    rep_o = verify_occupation_markov(ws.domain, part_o,
-                                     intensity_kind="alpha",
-                                     intensity=Fraction(1), cap=8)
+    law_o = markov_law(ws.domain, part_o, intensity_kind="alpha",
+                       intensity=Fraction(1), cap=8)
+    rep_o = verify_occupation_markov(law_o, part_o, intensity_kind="alpha",
+                                     intensity=Fraction(1))
     assert rep_o.passed
 
 
@@ -560,13 +592,15 @@ def test_occupation_markov_control_fails_on_cycle():
     dom = Domain(g, [1, 2, 3, 4])
     groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
     part = (groups, [0], [1, 3], [2])
-    rep = verify_occupation_markov(dom, part, intensity_kind="c",
-                                   intensity=Fraction(1), cap=12,
-                                   allow_marginal=True)
+    law = markov_law(dom, part, intensity_kind="c", intensity=Fraction(1),
+                     cap=12, allow_marginal=True)
+    rep = verify_occupation_markov(law, part, intensity_kind="c",
+                                   intensity=Fraction(1))
     assert rep.passed
-    bad = verify_occupation_markov(dom, part, intensity_kind="c",
-                                   intensity=Fraction(2), cap=12,
-                                   allow_marginal=True, expect_fail=True)
+    law2 = markov_law(dom, part, intensity_kind="c", intensity=Fraction(2),
+                      cap=12, allow_marginal=True)
+    bad = verify_occupation_markov(law2, part, intensity_kind="c",
+                                   intensity=Fraction(2), expect_fail=True)
     assert bad.passed
     assert bad.details["cells_checked"] == 66
     assert bad.details["cells_violated"] == 9
@@ -582,7 +616,7 @@ def test_occupation_markov_checking_no_cell_fails():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep = verify_occupation_markov(ws.domain, part, cap=2)
+    rep = verify_occupation_markov(markov_law(ws.domain, part, cap=2), part)
     assert rep.details["cells_checked"] == 0
     assert rep.verdict == "fail"
 
