@@ -53,9 +53,12 @@ class OracleError(GraphError):
 
 
 def tv_distance(p: dict, q: dict) -> float:
-    """Total variation distance between two laws given as dicts."""
+    """Total variation distance between two laws given as dicts, summed
+    exactly rounded (`math.fsum`), so it does not depend on the order the
+    dicts were filled in."""
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys)
+    return 0.5 * math.fsum(abs(float(p.get(k, 0)) - float(q.get(k, 0)))
+                           for k in keys)
 
 
 # -- conditioned multiset enumeration -----------------------------------------
