@@ -44,6 +44,9 @@ for _ in range(10000):
         print("  excursion endpoint vectors X =", d.X, " Y =", d.Y)
         print("  realized hookup permutation:", d.beta_truth.sigma)
         break
+else:
+    print("no soup among the 10,000 drawn had two excursions between {1} "
+          "and {2}")
 
 # The exact conditional oracle: enumerate every truncated soup matching a
 # conditioning and marginalize onto the hookup.
