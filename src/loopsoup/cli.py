@@ -134,9 +134,8 @@ def _markov_partitions(ws: Workspace):
 
 
 def _job_occupation_markov(ws: Workspace, cfg, seed: int):
-    """The c-soup check, the oriented one at alpha = 1 and, with a boundary,
-    the c-soup check tilted on its first boundary group, which reads the
-    same law as the untilted one."""
+    """The c-soup and oriented checks; with a boundary, the c-soup check
+    tilted on its first boundary group, on the untilted check's law."""
     part_u, part_o = _markov_partitions(ws)
     law_u = V.markov_law(ws.domain, part_u, "c", cfg.c)
     law_o = V.markov_law(ws.domain, part_o, "alpha", Fraction(1), cap=8)

@@ -129,8 +129,9 @@ class Cut:
     A kind says what a catalog class contributes (the Counter of pieces it is
     cut into), cuts a class multiset into its bin (the conditioned pieces)
     and the orbit key of its hookup, and gives the truncated-soup law of the
-    keys in a bin.  The kinds are ExcursionCut (Props. 1 and 2), EdgeCut
-    (Prop. 5) and CrossingCut (Props. 1bis and 3bis).
+    keys in a bin, from a bridge-family table built once per endpoint
+    vector (`bridge_table`).  The kinds are ExcursionCut (Props. 1 and 2),
+    EdgeCut (Prop. 5) and CrossingCut (Props. 1bis and 3bis).
     """
 
     def __init__(self, catalog: LoopCatalog):

@@ -119,6 +119,29 @@ def test_bridge_families_tabulated_once_per_endpoint_vector(
     assert calls == {name: 2 + 2 + len(bins)}
 
 
+def test_bins_read_the_table_of_their_own_endpoint_vector(
+        k5, triangle_catalogs):
+    """Where bins of one size differ in their endpoint vertices (F2 = {2, 3}
+    on the K5 triangle, in both modes, and jumps across the edges {1, 2}
+    and {2, 3}), every bin's law from one cut's shared tables equals, as
+    Fractions, the law of a cut built for that bin alone."""
+    cat, ucat = triangle_catalogs
+    ug = k5[2]
+    removed = [k for k in ug.edge_classes
+               if ug.class_endpoints(k) in ((1, 2), (2, 3))]
+    for make in (lambda: ExcursionCut(cat, {1}, {2, 3}),
+                 lambda: ExcursionCut(ucat, {1}, {2, 3}),
+                 lambda: EdgeCut(ucat, removed)):
+        cut = make()
+        bins = [_conditional_keys(cut, Fraction(1), t)[1]
+                for t in cut.targets(2)]
+        sizes = {cut.bridge_ends(b)[1]: len(cut.bridge_ends(b)[0])
+                 for b in bins}
+        assert len(sizes) > len(set(sizes.values()))
+        for b in bins:
+            assert cut.oracle(b) == make().oracle(b)
+
+
 def test_prop1_exact_and_control(ws_k12):
     cat = ws_k12.catalog("oriented")
     rep = verify_prop1(cat, {1}, {2}, mode="exact")
