@@ -507,7 +507,7 @@ def matching_key(labels, joins, oriented):
                         for (x, y), arc in ends))
 
 
-def flipped_pieces(eta, flippable=(), involution=None) -> set:
+def flipped_pieces(eta, flippable, involution) -> set:
     """The pieces whose ends are indistinguishable: those of the
     (slot_a, slot_b) pairs in `flippable` (self-edge jumps) and, with an
     involution, the palindromic pieces."""
