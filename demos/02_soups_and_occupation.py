@@ -2,8 +2,9 @@
 """Sampling loop soups and watching their occupation fields.
 
 The soup at intensity t gives every loop class an independent Poisson count
-with mean t times its measure.  Forgetting orientations halves the bookkeeping
-(c = 2 alpha); re-orienting with fair coins brings it back.  In continuous
+with mean t times its measure.  Each unoriented class carries half the mass
+of its oriented preimages, so forgetting the orientations of an alpha-soup
+gives the c = 2 alpha soup, and fair coins bring them back.  In continuous
 time every visit carries an exponential holding time and each site also
 collects the occupation of the zero-jump loops; `FieldSampler` draws these
 occupation fields in bulk and knows their exact Laplace transform.
@@ -12,9 +13,8 @@ occupation fields in bulk and knows their exact Laplace transform.
 import numpy as np
 
 from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,
-                      forget_orientation, green_function, orient_randomly,
-                      pair_reversals, sample_oriented_soup,
-                      sample_unoriented_soup, unoriented_view)
+                      green_function, pair_reversals, sample_oriented_soup,
+                      unoriented_view)
 from loopsoup.rng import stream
 
 g = complete_graph(5)
@@ -25,14 +25,15 @@ cat = enumerate_loops(dom, 10, unoriented=ug)   # keep iota around so the
 ucat = cat.counterpart()                        # unoriented view is derivable
 rng = stream(2024, "demo-soups")
 
-soup = sample_oriented_soup(cat, 1.0, rng)
-print("one alpha=1 soup sample:", soup.n_loops, "loops,",
-      soup.total_steps(), "jumps")
+soup = sample_oriented_soup(cat, 1.0, rng)      # {class key: count}
+print("one alpha=1 soup sample:", sum(soup.values()), "loops,",
+      sum(cat.by_key[k].n * c for k, c in soup.items()), "jumps")
 
-u = forget_orientation(soup)
-print("forgetting orientation keeps the loops:", u.n_loops == soup.n_loops)
-o = orient_randomly(sample_unoriented_soup(ucat, 1.0, rng), rng)
-print("re-oriented c=1 soup (an alpha=1/2 soup) is", o.catalog.mode)
+print("nu(L~) = sum of mu / 2 over its orientations, every class:",
+      all(2 * u.mass == sum(cat.by_key[k].mass for k in u.oriented_keys)
+          for u in ucat.classes))
+print("so the c = 2 alpha soup is the alpha-soup unoriented:",
+      2 * ucat.total_mass == cat.total_mass)
 
 # Continuous time: mean occupation is alpha G(x,x) / g.
 green = green_function(dom)

@@ -38,7 +38,7 @@ print("unordered family: permutation", fam.permutation,
 # Decompose soup samples at the cut sets F1 = {1}, F2 = {2}.
 for _ in range(10000):
     soup = sample_oriented_soup(cat, 1.0, rng)
-    d = decompose_counts(cat, soup.counts, {1}, {2})
+    d = decompose_counts(cat, soup, {1}, {2})
     if d.N >= 2:
         print(f"a soup with {d.M} touching loop(s) and {d.N} excursions:")
         print("  excursion endpoint vectors X =", d.X, " Y =", d.Y)

@@ -14,9 +14,7 @@ from .graph import (Domain, Edge, GraphError, GreenMatrix, Involution,
 from .loops import (LoopCatalog, LoopClass, UnorientedLoopClass,
                     canonicalize_oriented, canonicalize_unoriented,
                     enumerate_loops, rho_mass, tail_bound)
-from .soups import (FieldSampler, LoopSoup, forget_orientation, merge_soups,
-                    orient_randomly, restrict_soup, sample_oriented_soup,
-                    sample_unoriented_soup)
+from .soups import FieldSampler, sample_oriented_soup, sample_unoriented_soup
 from .bridges import (Bridge, UnorderedBridgeFamily, ZBridgeFamily,
                       enumerate_bridges, sample_bridge, sample_unordered_bridge,
                       sample_z_bridge)

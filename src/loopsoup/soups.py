@@ -2,9 +2,10 @@
 
 A soup with intensity t * m (m the class measure: mu for oriented soups with
 t = alpha, nu for unoriented soups with t = c) gives every class an
-independent Poisson(t * m(L)) occurrence count.  Forgetting the orientation
-of an alpha-soup yields a c = 2 alpha soup, and re-orienting the loops of a
-c-soup with fair coins recovers the alpha = c/2 soup.
+independent Poisson(t * m(L)) occurrence count.  The two modes are tied by
+a catalog identity, `LoopCatalog.counterpart`: nu(L~) is half the mu-mass
+of its oriented preimages, so forgetting the orientation of an alpha-soup
+gives the c = 2 alpha soup, and a fair coin per loop undoes it.
 
 In continuous time every visit of every loop holds an independent
 exponential time of mean 1/g, stationary self-jumps included, and each
@@ -27,13 +28,12 @@ call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .graph import Domain, GraphError
-from .loops import LoopCatalog, loop_vertices, necklace
+from .graph import GraphError
+from .loops import LoopCatalog, loop_vertices
 
 
 ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_chunks`
@@ -41,22 +41,6 @@ ROW_CHUNK = 1000        # soups per `_class_draws` call in `soup_chunks`
 
 class SoupError(GraphError):
     pass
-
-
-@dataclass
-class LoopSoup:
-    """A sampled multiset of loop classes with occurrence counts; its
-    catalog's mode says whether the soup is oriented."""
-
-    catalog: LoopCatalog
-    counts: dict[tuple[int, ...], int]
-
-    @property
-    def n_loops(self) -> int:
-        return sum(self.counts.values())
-
-    def total_steps(self) -> int:
-        return sum(self.catalog.by_key[k].n * c for k, c in self.counts.items())
 
 
 def _class_draws(cum: np.ndarray, rate: float, n_samples: int, rng):
@@ -115,86 +99,23 @@ def soup_chunks(catalog: LoopCatalog, mode: str, intensity: float,
             for start in range(0, n_samples, ROW_CHUNK))
 
 
-def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> LoopSoup:
-    """The one-soup case of `soup_chunks`, as a `LoopSoup`."""
+def _one_soup(catalog: LoopCatalog, mode: str, intensity: float, rng) -> dict:
+    """The one-soup case of `soup_chunks`, as a count dict."""
     _refuse(catalog, mode, intensity)
     counts, idx = _class_draws(catalog.mass_arrays()[1], intensity, 1, rng)
-    return LoopSoup(catalog, _chunk_rows(catalog.classes, counts, idx)[0])
+    return _chunk_rows(catalog.classes, counts, idx)[0]
 
 
-def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> LoopSoup:
-    """Independent Poisson(alpha * mu(L)) count per oriented class."""
+def sample_oriented_soup(catalog: LoopCatalog, alpha: float, rng) -> dict:
+    """Independent Poisson(alpha * mu(L)) count per oriented class, as
+    {class key: count} over the classes that occur."""
     return _one_soup(catalog, "oriented", alpha, rng)
 
 
-def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng) -> LoopSoup:
-    """Independent Poisson(c * nu(L~)) count per unoriented class."""
+def sample_unoriented_soup(catalog: LoopCatalog, c: float, rng) -> dict:
+    """Independent Poisson(c * nu(L~)) count per unoriented class, as
+    {class key: count} over the classes that occur."""
     return _one_soup(catalog, "unoriented", c, rng)
-
-
-def forget_orientation(soup: LoopSoup) -> LoopSoup:
-    """Project an oriented soup onto unoriented classes (intensity c = 2 alpha)."""
-    if soup.catalog.mode != "oriented":
-        raise SoupError("soup is not oriented")
-    ucat = soup.catalog.counterpart()
-    inv = ucat.unoriented_graph.involution
-    counts: dict = {}
-    for key, cnt in soup.counts.items():
-        ukey = necklace(key, inv.reverse_path(key))[0]
-        if ukey not in ucat.by_key:
-            raise SoupError(f"unoriented image of {key} missing from catalog")
-        counts[ukey] = counts.get(ukey, 0) + cnt
-    return LoopSoup(ucat, counts)
-
-
-def orient_randomly(soup: LoopSoup, rng) -> LoopSoup:
-    """Give every unoriented loop a uniform orientation (intensity alpha = c/2).
-
-    Classes equal to their own reversal have a single oriented preimage and
-    the coin is skipped.
-    """
-    if soup.catalog.mode != "unoriented":
-        raise SoupError("soup is not unoriented")
-    ocat = soup.catalog.counterpart()
-    counts: dict = {}
-    for key, cnt in sorted(soup.counts.items()):
-        ucls = soup.catalog.by_key[key]
-        keys = ucls.oriented_keys
-        for k in keys:
-            if k not in ocat.by_key:
-                raise SoupError(f"oriented preimage {k} missing from catalog")
-        if len(keys) == 1:
-            counts[keys[0]] = counts.get(keys[0], 0) + cnt
-        else:
-            heads = int(rng.binomial(cnt, 0.5))
-            if heads:
-                counts[keys[0]] = counts.get(keys[0], 0) + heads
-            if cnt - heads:
-                counts[keys[1]] = counts.get(keys[1], 0) + cnt - heads
-    return LoopSoup(ocat, counts)
-
-
-def merge_soups(a: LoopSoup, b: LoopSoup) -> LoopSoup:
-    """Superpose two independent soups (intensities add)."""
-    if a.catalog is not b.catalog:
-        raise SoupError("soups must share a catalog")
-    counts = dict(a.counts)
-    for k, v in b.counts.items():
-        counts[k] = counts.get(k, 0) + v
-    return LoopSoup(a.catalog, counts)
-
-
-def restrict_soup(soup: LoopSoup, subdomain: Domain,
-                  subcatalog: LoopCatalog) -> LoopSoup:
-    """Keep only the loops lying entirely inside `subdomain` (exact thinning)."""
-    counts = {}
-    for key, cnt in soup.counts.items():
-        if all(subdomain.allows_edge(soup.catalog.domain.graph.edge_by_id[eid])
-               for eid in key):
-            if key not in subcatalog.by_key:
-                raise SoupError(f"class {key} missing from subdomain catalog")
-            counts[key] = cnt
-    return LoopSoup(subcatalog, counts)
 
 
 # -- continuous time ---------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .graph import GraphError, OrientedMultigraph, bareiss
 from .loops import necklace
-from .soups import ROW_CHUNK
+from .soups import ROW_CHUNK, SoupError
 
 BLOCK = 4096        # runs, or soups, popped in lockstep at a time
 
@@ -293,13 +293,16 @@ def wilson_ust(graph: OrientedMultigraph, root: int, rng):
             Counter(erased[0]))
 
 
-def pop_cycles(soup, rng) -> Counter:
-    """Resolve a soup sample into the simple cycles Wilson's algorithm
-    erases, as a Counter of their necklace keys: the one-soup case of
-    `popped_blocks`."""
-    index = {c.key: i for i, c in enumerate(soup.catalog.classes)}
-    idx = np.array([index[k] for k, c in sorted(soup.counts.items())
+def pop_cycles(catalog, counts: dict, rng) -> Counter:
+    """Resolve one soup of the oriented `catalog`, {class key: count}, into
+    the simple cycles Wilson's algorithm erases, as a Counter of their
+    necklace keys: the one-soup case of `popped_blocks`.  A catalog that is
+    not oriented raises SoupError before anything is drawn."""
+    if catalog.mode != "oriented":
+        raise SoupError("catalog is not oriented")
+    index = {c.key: i for i, c in enumerate(catalog.classes)}
+    idx = np.array([index[k] for k, c in sorted(counts.items())
                     for _ in range(c)], dtype=np.intp)
-    (_, _, popped, _), = popped_blocks(soup.catalog,
-                                       [(np.array([len(idx)]), idx)], rng)
+    (_, _, popped, _), = popped_blocks(catalog, [(np.array([len(idx)]), idx)],
+                                       rng)
     return Counter(popped[0])

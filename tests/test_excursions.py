@@ -107,12 +107,12 @@ def test_reassemble_round_trip_random(k5, triangle_catalogs):
     hits = 0
     for _ in range(2000):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose_counts(soup.catalog, soup.counts, {1}, {2})
+        d = decompose_counts(cat, soup, {1}, {2})
         if d.N:
             hits += 1
             assert reassemble(d.eta, d.beta_truth, g) == d.touching_multiset
         u = sample_unoriented_soup(ucat, 1.0, rng)
-        du = decompose_counts(u.catalog, u.counts, {1}, {2})
+        du = decompose_counts(ucat, u, {1}, {2})
         if du.N:
             assert reassemble(du.eta, du.beta_truth, g, inv) == \
                    du.touching_multiset
@@ -132,8 +132,8 @@ def test_decompose_deterministic(triangle_catalogs):
     rng = stream(31, "det")
     for _ in range(200):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d1 = decompose_counts(soup.catalog, soup.counts, {1}, {2})
-        d2 = decompose_counts(soup.catalog, soup.counts, {1}, {2})
+        d1 = decompose_counts(cat, soup, {1}, {2})
+        d2 = decompose_counts(cat, soup, {1}, {2})
         assert d1.eta == d2.eta and d1.X == d2.X and d1.Y == d2.Y
         assert d1.beta_truth == d2.beta_truth
         assert d1.N >= d1.M
@@ -147,7 +147,7 @@ def test_crossings_empty_and_balance(triangle_catalogs):
     rng = stream(32, "bal")
     for _ in range(400):
         s = sample_oriented_soup(cat, 1.0, rng)
-        cs = extract_crossings_counts(s.catalog, s.counts, ({1}, {2}))
+        cs = extract_crossings_counts(cat, s, ({1}, {2}))
         n12 = len(cs.crossings.get((0, 1), ()))
         n21 = len(cs.crossings.get((1, 0), ()))
         assert n12 == n21
@@ -161,8 +161,8 @@ def test_crossing_endpoints_match_decomposition(triangle_catalogs):
     hits = 0
     for _ in range(1500):
         s = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose_counts(s.catalog, s.counts, {1}, {2})
-        cs = extract_crossings_counts(s.catalog, s.counts, ({1}, {2}))
+        d = decompose_counts(cat, s, {1}, {2})
+        cs = extract_crossings_counts(cat, s, ({1}, {2}))
         if d.N == 0:
             assert not cs.instances
             continue
@@ -201,7 +201,7 @@ def test_record_edge_jumps(k5, triangle_catalogs):
     hits = 0
     for _ in range(800):
         s = sample_unoriented_soup(ucat, 1.0, rng)
-        rec = record_edge_jumps_counts(s.catalog, s.counts, [cls12])
+        rec = record_edge_jumps_counts(ucat, s, [cls12])
         n = rec.counts[0]
         assert len(rec.Z) == 2 * n
         if n:
@@ -234,8 +234,9 @@ def test_all_edges_removed_decomposes_to_single_jumps(k5, triangle_catalogs):
     rng = stream(35, "hats")
     for _ in range(300):
         s = sample_unoriented_soup(ucat, 1.0, rng)
-        rec = record_edge_jumps_counts(s.catalog, s.counts, removed)
-        assert sum(rec.counts) == s.total_steps()
+        rec = record_edge_jumps_counts(ucat, s, removed)
+        assert sum(rec.counts) == sum(ucat.by_key[k].n * c
+                                      for k, c in s.items())
         assert all(b == () for b in rec.hookup.bridges)
 
 

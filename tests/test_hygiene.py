@@ -109,18 +109,14 @@ UNREACHED_FROM_CLI = {
     "loops.canonicalize_oriented": "tests, demo 01",
     "loops.canonicalize_unoriented": "tests, demo 01",
     "loops.rho_mass": "test_loops, demo 01",
-    "soups.LoopSoup": "soups._one_soup and the soup operations, tests",
     "soups._chunk_rows": "soups._one_soup, test_soups, test_verify, "
                          "test_wilson",
     "soups._one_soup": "soups.sample_oriented_soup, sample_unoriented_soup",
-    "soups.forget_orientation": "test_soups, demo 02",
-    "soups.merge_soups": "test_soups",
-    "soups.orient_randomly": "test_soups, demo 02",
-    "soups.restrict_soup": "test_soups",
-    "soups.sample_oriented_soup": "tests, demos 02, 03 and 05, the "
-                                  "benchmark's traced names",
-    "soups.sample_unoriented_soup": "tests, demo 02, the benchmark's "
-                                    "traced names",
+    "soups.sample_oriented_soup": "test_excursions, test_interfaces, "
+                                  "test_soups, test_wilson, demos 02, 03 and "
+                                  "05, the benchmark's traced names",
+    "soups.sample_unoriented_soup": "test_excursions, test_soups, the "
+                                    "benchmark's traced names",
     "wilson.pop_cycles": "the one-soup case of wilson.popped_blocks: "
                          "test_wilson, demo 05, the benchmark's traced names",
     "wilson.wilson_ust": "the one-run case of wilson.wilson_blocks: "

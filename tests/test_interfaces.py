@@ -22,8 +22,8 @@ def test_crossings_recomputable_from_eta(k5, triangle_catalogs):
     hits = 0
     for _ in range(2000):
         soup = sample_oriented_soup(cat, 1.0, rng)
-        d = decompose_counts(soup.catalog, soup.counts, F1, F2)
-        cs = extract_crossings_counts(soup.catalog, soup.counts, (F1, F2))
+        d = decompose_counts(cat, soup, F1, F2)
+        cs = extract_crossings_counts(cat, soup, (F1, F2))
         from_eta = Counter()
         for path in d.eta:
             verts = [g.edge_by_id[path[0]].tail]

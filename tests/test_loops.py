@@ -139,15 +139,6 @@ def test_trace_identity_k3_exact():
         assert cat.total_mass == tot
 
 
-def test_nu_is_half_mu(triangle_catalogs):
-    cat, ucat = triangle_catalogs
-    assert 2 * ucat.total_mass == cat.total_mass
-    # per-class projection identity: nu-mass = sum of mu/2 over preimages
-    for ucls in ucat.classes:
-        mu_sum = sum(cat.by_key[k].mass for k in ucls.oriented_keys)
-        assert ucls.mass == mu_sum / 2
-
-
 def test_k_fold_self_loops(self_edge_domain):
     g, dom = self_edge_domain
     cat = enumerate_loops(dom, 6)
@@ -301,6 +292,22 @@ def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
     # equality compares key, n, J~, mass and oriented_keys
     assert {c.key: c for c in ucat.classes} == expected
     assert 2 * ucat.total_mass == cat.total_mass
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_domains(), st.integers(0, 8))
+def test_nu_is_half_mu(triangle_catalogs, dom_ug, L):
+    """nu(L~) is half the mu-mass of its oriented preimages, class by class,
+    so the c = 2 alpha unoriented soup has the intensity of the alpha-soup
+    with its orientations forgotten: on the K5 triangle and on every small
+    domain and cap."""
+    dom, ug = dom_ug
+    drawn = enumerate_loops(dom, L, unoriented=ug)
+    for cat, ucat in (triangle_catalogs, (drawn, drawn.counterpart())):
+        assert 2 * ucat.total_mass == cat.total_mass
+        for ucls in ucat.classes:
+            mu_sum = sum(cat.by_key[k].mass for k in ucls.oriented_keys)
+            assert ucls.mass == mu_sum / 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -4,10 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loopsoup import (Domain, FieldSampler, enumerate_loops,
-                      forget_orientation, green_function, merge_soups,
-                      orient_randomly, restrict_soup, sample_oriented_soup,
-                      sample_unoriented_soup)
+from loopsoup import (Domain, FieldSampler, enumerate_loops, green_function,
+                      sample_oriented_soup, sample_unoriented_soup)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 from loopsoup.soups import ROW_CHUNK, SoupError, _chunk_rows, soup_chunks
@@ -30,7 +28,7 @@ def test_poisson_ratio_formula(self_edge_catalog):
     counts = Counter()
     for _ in range(n):
         s = sample_oriented_soup(cat, 1.0, rng)
-        counts[tuple(sorted(s.counts.items()))] += 1
+        counts[tuple(sorted(s.items()))] += 1
     p0 = counts[()] / n
     for key, c in counts.most_common(8):
         if not key:
@@ -49,7 +47,7 @@ def test_empty_soup_probability(self_edge_catalog):
     alpha = 0.25
     n = 100000
     empty = sum(1 for _ in range(n)
-                if not sample_oriented_soup(cat, alpha, rng).counts)
+                if not sample_oriented_soup(cat, alpha, rng))
     target = math.exp(-alpha * float(cat.total_mass))
     se = math.sqrt(n * target * (1 - target))
     assert abs(empty - n * target) < 3 * se
@@ -64,8 +62,8 @@ def test_count_independence(triangle_catalogs):
     b = np.zeros(n)
     for i in range(n):
         s = sample_oriented_soup(cat, 1.0, rng)
-        a[i] = s.counts.get(keys[0], 0)
-        b[i] = s.counts.get(keys[1], 0)
+        a[i] = s.get(keys[0], 0)
+        b[i] = s.get(keys[1], 0)
     cov = np.cov(a, b)[0, 1]
     se = a.std() * b.std() / math.sqrt(n)
     assert abs(cov) < 3 * se + 1e-4
@@ -100,109 +98,10 @@ def test_row_sampler_matches_one_soup_draws(triangle_catalogs, mode):
     assert rows == reference(r2, n)
     assert 0 < sum(map(bool, rows)) < n
     assert r1.random() == r2.random()
-    singles = [sampler(cat, 0.7, r3).counts for _ in range(50)]
+    singles = [sampler(cat, 0.7, r3) for _ in range(50)]
     assert singles == [reference(r4, 1)[0] for _ in range(50)]
     assert 0 < sum(map(bool, singles)) < 50
     assert r3.random() == r4.random()
-
-
-def test_forget_orientation_law(triangle_catalogs):
-    """Forgetting orientation of an alpha-soup gives the c = 2 alpha law."""
-    cat, ucat = triangle_catalogs
-    n = 100000
-    r1, r2 = stream(6, "forget"), stream(7, "direct")
-    c1 = Counter()
-    for _ in range(n):
-        s = forget_orientation(sample_oriented_soup(cat, 0.5, r1))
-        c1[tuple(sorted(s.counts.items()))] += 1
-    c2 = Counter()
-    for _ in range(n):
-        s = sample_unoriented_soup(ucat, 1.0, r2)
-        c2[tuple(sorted(s.counts.items()))] += 1
-    keys = set(c1) | set(c2)
-    tv = 0.5 * sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys) / n
-    assert tv < 0.01
-
-
-def test_orient_randomly_law(triangle_catalogs):
-    """Re-orienting a c-soup gives the alpha = c/2 oriented law."""
-    cat, ucat = triangle_catalogs
-    n = 100000
-    r1, r2 = stream(8, "orient"), stream(9, "direct-o")
-    c1 = Counter()
-    for _ in range(n):
-        s = orient_randomly(sample_unoriented_soup(ucat, 1.0, r1), r1)
-        c1[tuple(sorted(s.counts.items()))] += 1
-    c2 = Counter()
-    for _ in range(n):
-        s = sample_oriented_soup(cat, 0.5, r2)
-        c2[tuple(sorted(s.counts.items()))] += 1
-    keys = set(c1) | set(c2)
-    tv = 0.5 * sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys) / n
-    assert tv < 0.01
-
-
-def test_round_trip_and_noop(triangle_catalogs):
-    cat, ucat = triangle_catalogs
-    rng = stream(10, "rt")
-    for _ in range(200):
-        s = sample_oriented_soup(cat, 1.0, rng)
-        assert forget_orientation(s).n_loops == s.n_loops
-        u = sample_unoriented_soup(ucat, 1.0, rng)
-        o = orient_randomly(u, rng)
-        back = forget_orientation(o)
-        assert back.counts == u.counts   # forget is a left inverse pointwise
-    # a reversal-symmetric class has a single preimage: the coin is a no-op
-    sym = next(c for c in ucat.classes if len(c.oriented_keys) == 1)
-    from loopsoup.soups import LoopSoup
-    u = LoopSoup(ucat, {sym.key: 3})
-    o = orient_randomly(u, rng)
-    assert o.counts == {sym.oriented_keys[0]: 3}
-
-
-def test_orientation_coin_is_fair(triangle_catalogs):
-    cat, ucat = triangle_catalogs
-    tri = next(c for c in ucat.classes if len(c.oriented_keys) == 2)
-    from loopsoup.soups import LoopSoup
-    rng = stream(11, "coin")
-    n = 100000
-    heads = 0
-    for _ in range(n):
-        o = orient_randomly(LoopSoup(ucat, {tri.key: 1}), rng)
-        heads += o.counts.get(tri.oriented_keys[0], 0)
-    assert abs(heads - n / 2) < 3 * math.sqrt(n * 0.25)
-
-
-def test_poisson_additivity(triangle_catalogs):
-    cat, _ = triangle_catalogs
-    n = 60000
-    r1, r2 = stream(12, "a"), stream(13, "b")
-    c1 = Counter()
-    for _ in range(n):
-        s = merge_soups(sample_oriented_soup(cat, 0.4, r1),
-                        sample_oriented_soup(cat, 0.6, r1))
-        c1[tuple(sorted(s.counts.items()))] += 1
-    c2 = Counter(tuple(sorted(sample_oriented_soup(cat, 1.0, r2).counts.items()))
-                 for _ in range(n))
-    keys = set(c1) | set(c2)
-    tv = 0.5 * sum(abs(c1.get(k, 0) - c2.get(k, 0)) for k in keys) / n
-    assert tv < 0.02
-
-
-def test_restriction_is_exact_thinning(k5, triangle_catalogs):
-    g, inv, ug = k5
-    cat, _ = triangle_catalogs
-    sub = cat.domain.without_vertices([3])
-    subcat = enumerate_loops(sub, cat.L_max, "oriented", unoriented=ug)
-    # classes inside the subdomain carry identical masses in both catalogs
-    for cls in subcat.classes:
-        assert cat.by_key[cls.key].mass == cls.mass
-    rng = stream(14, "thin")
-    for _ in range(300):
-        s = sample_oriented_soup(cat, 1.0, rng)
-        r = restrict_soup(s, sub, subcat)
-        for k in r.counts:
-            assert set(loop_vertices(g, k)) <= sub.vertex_set
 
 
 def test_occupation_field_basics(k5, triangle_catalogs):
@@ -234,7 +133,7 @@ def test_in_equals_out_every_sample(k5, triangle_catalogs):
     for _ in range(500):
         s = sample_oriented_soup(cat, 1.0, rng)
         net = Counter()
-        for key, cnt in s.counts.items():
+        for key, cnt in s.items():
             for eid in key:
                 net[g.edge_by_id[eid].head] += cnt
                 net[g.edge_by_id[eid].tail] -= cnt

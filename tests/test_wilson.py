@@ -31,7 +31,7 @@ from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
 from loopsoup import stats, verify, wilson
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
-from loopsoup.soups import LoopSoup, SoupError, _chunk_rows, soup_chunks
+from loopsoup.soups import SoupError, _chunk_rows, soup_chunks
 from loopsoup.wilson import (WilsonError, _distinct_rows, check_root,
                              popped_blocks, spanning_tree_count, wilson_blocks)
 
@@ -207,8 +207,8 @@ def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
     with _recorded() as blocks:
         (counts, idx, popped, of), = popped_blocks(
             cat, soup_chunks(cat, "oriented", alpha, 10, rng), rng)
-        one = pop_cycles(soup, rng)
-    rows = _chunk_rows(cat.classes, counts, idx) + [soup.counts]
+        one = pop_cycles(cat, soup, rng)
+    rows = _chunk_rows(cat.classes, counts, idx) + [soup]
     got = [Counter(popped[m]) for m in of] + [one]
     assert len(blocks) == 2 and len(blocks[0]) == 10
     for row, cycles, stacks in zip(rows, got, blocks[0] + blocks[1]):
@@ -217,7 +217,22 @@ def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
                 == sorted(e for key, c in row.items() for e in key * c))
         assert cycles == _ref_pop(graph, stacks)
     before = _state(rng)
-    assert pop_cycles(LoopSoup(cat, {}), rng) == Counter()
+    assert pop_cycles(cat, {}, rng) == Counter()
+    assert _state(rng) == before
+
+
+def test_pop_cycles_refuses_an_unoriented_catalog():
+    """Wilson's cycles are oriented: a soup of unoriented classes is refused
+    before anything is drawn, not popped as if its keys were oriented."""
+    g = complete_graph(5)
+    cat = enumerate_loops(Domain(g, [1, 2, 3]), 6,
+                          unoriented=unoriented_view(g, pair_reversals(g)))
+    ucat = cat.counterpart()
+    key = next(c.key for c in ucat.classes if c.n == 3)
+    rng = stream(0, "refuse")
+    before = _state(rng)
+    with pytest.raises(SoupError, match="not oriented"):
+        pop_cycles(ucat, {key: 2}, rng)
     assert _state(rng) == before
 
 
