@@ -5,7 +5,9 @@ Two independent computations are compared everywhere:
 * the conditional side: enumerate every multiset of catalog loop classes
   whose cut (excursions, crossings, or removed-edge jumps) matches the
   conditioning event, weighted by its exact Poisson probability
-  prod (t m(L))^u / u!, and push forward onto the hookup;
+  prod (t m(L))^u / u!, and push forward onto the hookup.  In a soup's own
+  hookup each loop closes exactly one cycle, so the hookup is keyed by the
+  cycles of its classes, each class cut once, alone: no multiset is cut;
 
 * the bridge-measure side: enumerate permutations (or pairings) and bridge
   paths with their closed-form probabilities g^{-K} / Z, Z the Green-product
@@ -64,21 +66,15 @@ def tv_distance(p: dict, q: dict) -> float:
 # -- conditioned multiset enumeration -----------------------------------------
 
 
-def _poisson_weight(intensity: Fraction, mass: Fraction, u: int) -> Fraction:
-    return (intensity * mass) ** u / math.factorial(u)
-
-
 def _assemble_multisets(candidates, target: Counter):
     """All ways to write `target` as a sum of candidate contribution Counters.
 
-    candidates: list of (key, mass, contribution Counter).  Yields tuples of
-    (key, mass, count).  Contributions are nonempty, so the recursion depth
+    candidates: list of (key, mass, contribution Counter, ...).  Yields tuples
+    of (key, mass, count).  Contributions are nonempty, so the recursion depth
     is bounded by the target size.
     """
     found = 0
     target = Counter({k: c for k, c in target.items() if c > 0})
-    fitting = [c for c in candidates
-               if all(target[k] >= v for k, v in c[2].items())]
 
     def rec(start, remaining, chosen):
         nonlocal found
@@ -88,8 +84,8 @@ def _assemble_multisets(candidates, target: Counter):
                 raise OracleError("conditioned-multiset budget exceeded")
             yield tuple(chosen)
             return
-        for j in range(start, len(fitting)):
-            key, mass, contrib = fitting[j]
+        for j in range(start, len(candidates)):
+            key, mass, contrib = candidates[j][:3]
             u_max = min(remaining[k] // c for k, c in contrib.items())
             for u in range(u_max, 0, -1):
                 rem = Counter(remaining)
@@ -105,22 +101,24 @@ def _assemble_multisets(candidates, target: Counter):
 
 
 def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,
-                             candidates, target: Counter) -> dict:
-    """Unnormalized conditional weights of class multisets matching `target`."""
+                             candidates, target: Counter,
+                             poisson: dict | None = None) -> dict:
+    """Conditional law of the class multisets matching `target`, memoizing
+    the Poisson weight of each (key, count) in `poisson`."""
     if intensity <= 0:
         raise OracleError(f"intensity {intensity} must be positive")
+    poisson = {} if poisson is None else poisson
     weights: dict = {}
     for combo in _assemble_multisets(candidates, target):
-        w = Fraction(1)
-        counts = {}
         for key, mass, u in combo:
-            w *= _poisson_weight(intensity, mass, u)
-            counts[key] = u
-        ms = tuple(sorted((k, u) for k, u in counts.items()))
-        weights[ms] = weights.get(ms, Fraction(0)) + w
+            if (key, u) not in poisson:
+                poisson[key, u] = (intensity * mass) ** u / math.factorial(u)
+        weights[tuple(sorted((key, u) for key, _, u in combo))] = math.prod(
+            poisson[key, u] for key, _, u in combo)
     if not weights:
         raise OracleError("conditioning event has zero weight at this truncation")
-    return weights
+    total = sum(weights.values())
+    return {ms: w / total for ms, w in weights.items()}
 
 
 # -- bridge-measure enumeration ------------------------------------------------
@@ -210,15 +208,15 @@ def side_orbit_key(cs, i):
 
 def side_pair_orbit(cs, involution):
     """(key of all sides under simultaneous relabeling of identical
-    crossings, number of labeled bridge configurations it stands for).
+    crossings, relabelings fixing it, arcs whose count doubles).
 
     Crossing s owns slot 2s on the first set of its pair and 2s+1 on the
     second, so the sides join the crossings into one hookup
-    (`hookup_cycle_key`).  The count is the number of distinct relabelings,
-    doubled for every unoriented arc that returns to its vertex and differs
-    from its reversal: the side stores the arc up to reversal, and both
-    orientations join the same two slots.  `involution` reverses arcs (None
-    for oriented sides).
+    (`hookup_cycle_key`).  An unoriented arc that returns to its vertex and
+    differs from its reversal doubles the configurations the key stands
+    for: the side stores the arc up to reversal, and both orientations join
+    the same two slots.  `involution` reverses arcs (None for oriented
+    sides).
     """
     oriented = cs.mode == "oriented"
     joins = []
@@ -227,13 +225,11 @@ def side_pair_orbit(cs, involution):
                 for _, s in cs.endpoint_slots[i]]
         joins += [((slot[a], slot[b]), arc) for (a, b), arc in side]
     key, fixing = hookup_cycle_key(cs.instances, joins, oriented)
-    relabelings = math.prod(map(math.factorial,
-                                Counter(cs.instances).values()))
     flips = 0 if oriented else sum(
         1 for i, side in cs.sides.items() for (a, b), arc in side
         if cs.endpoints(i)[a] == cs.endpoints(i)[b]
         and arc != involution.reverse_path(arc))
-    return key, relabelings // fixing << flips
+    return key, fixing, flips
 
 
 def _side_arrivals_departures(cs, i):

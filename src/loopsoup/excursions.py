@@ -485,13 +485,16 @@ def _hookup_cycles(tokens, walk, oriented, flippable=()) -> list:
 
 
 def hookup_cycle_key(tokens, joins, oriented, flippable=()):
-    """(sorted canonical cycles, number of relabelings fixing the hookup).
+    """`cycles_key` of the hookup's `_hookup_cycles`."""
+    return cycles_key(_hookup_cycles(tokens, _hookup_walk(joins, len(tokens)),
+                                     oriented, flippable))
 
-    The cycles are `_hookup_cycles`'.  The relabelings fixing the hookup are
-    prod m! J^m over its distinct cycles, m the multiplicity.
-    """
-    cycles = _hookup_cycles(tokens, _hookup_walk(joins, len(tokens)),
-                            oriented, flippable)
+
+def cycles_key(cycles):
+    """(sorted canonical cycles, number of relabelings fixing a hookup with
+    these (cycle, J) pairs): prod m! J^m over the distinct cycles, m the
+    multiplicity."""
+    cycles = sorted(cycles)
     # sorted, the k-th copy of a cycle follows k - 1 copies: prod k J = m! J^m
     fixing = math.prod(J * cycles[:i + 1].count((c, J))
                        for i, (c, J) in enumerate(cycles))

@@ -28,9 +28,9 @@ of the sides for crossings) under one Bonferroni correction.  The sample
 floor is the only rule: every other bin counts as skipped.
 
 A cut touches only what it needs.  Its `candidates` (every catalog class it
-splits, with contribution) are built on first use by the exact mode and
-`targets`.  The Monte Carlo driver never builds them.  It reads the soups a
-chunk of class-index arrays at a time (`soups.soup_chunks`), asks
+splits, with contribution and cycle) are built on first use by the exact
+mode and `targets`.  The Monte Carlo driver never builds them.  It reads the
+soups a chunk of class-index arrays at a time (`soups.soup_chunks`), asks
 `touches(key)` once of each class drawn, keeps only the touching draws, and
 visits, in soup order, just the soups that hold one, cutting each distinct
 touching sub-multiset once.
@@ -52,11 +52,11 @@ from . import stats
 from .exact import (OracleError, conditional_multiset_law, occupation_law,
                     side_orbit_key, side_pair_orbit, tv_distance,
                     unordered_bridge_law, z_bridge_law)
-from .excursions import (OrientedHookup, UnorientedHookup, decompose_counts,
-                         extract_crossings_counts, flipped_pieces,
-                         hookup_loop_lengths, hookup_walk, loop_skeletons,
-                         oriented_hookup_orbit_key, path_endpoints,
-                         record_edge_jumps_counts,
+from .excursions import (OrientedHookup, UnorientedHookup, cycles_key,
+                         decompose_counts, extract_crossings_counts,
+                         flipped_pieces, hookup_loop_lengths, hookup_walk,
+                         loop_skeletons, oriented_hookup_orbit_key,
+                         path_endpoints, record_edge_jumps_counts,
                          unoriented_hookup_orbit_key, walk_orbit_key)
 from .graph import Domain, green_function
 from .loops import LoopCatalog
@@ -131,7 +131,9 @@ class Cut:
     and the orbit key of its hookup, and gives the truncated-soup law of the
     keys in a bin, from a bridge-family table built once per endpoint
     vector (`bridge_table`).  The kinds are ExcursionCut (Props. 1 and 2),
-    EdgeCut (Prop. 5) and CrossingCut (Props. 1bis and 3bis).
+    EdgeCut (Prop. 5) and CrossingCut (Props. 1bis and 3bis).  In a soup's
+    own hookup each loop the cut splits closes exactly one cycle, so the
+    exact side keys a multiset by its classes' cycles and cuts none.
     """
 
     def __init__(self, catalog: LoopCatalog):
@@ -140,20 +142,46 @@ class Cut:
         self.inv = None if self.oriented else catalog.unoriented_graph.involution
         self._touches: dict = {}
         self._tables: dict = {}
+        self._poisson: dict = defaultdict(dict)   # per intensity, per check
 
     @cached_property
     def candidates(self) -> list:
-        """(key, mass, contribution) for every catalog class the cut splits.
-
-        Built on first use, by the exact oracles and `targets`; it cuts every
-        class of the catalog, which the Monte Carlo driver never needs.
-        """
+        """(key, mass, contribution, record) for every catalog class the cut
+        splits, from one cut of the class alone (`class_cut`).  Built on
+        first use, by the exact oracles and `targets`; the Monte Carlo
+        driver never needs it."""
         out = []
         for cls in self.catalog.classes:
-            contrib = self.contribution(cls.key)
-            if contrib:
-                out.append((cls.key, cls.mass, contrib))
+            got = self.class_cut(cls.key)
+            if got is not None:
+                out.append((cls.key, cls.mass, *got))
         return out
+
+    @cached_property
+    def records(self) -> dict:
+        """Class key -> its record, for the classes in `candidates`."""
+        return {key: rec for key, _, _, rec in self.candidates}
+
+    @cached_property
+    def _by_piece(self) -> dict:
+        """Piece -> the positions in `candidates` of the classes holding it."""
+        index = defaultdict(list)
+        for j, cand in enumerate(self.candidates):
+            for piece in cand[2]:
+                index[piece].append(j)
+        return index
+
+    def fitting(self, target: Counter) -> list:
+        """The candidates whose contributions fit in `target`, in order."""
+        cands = self.candidates
+        holding = {j for piece in target for j in self._by_piece.get(piece, ())}
+        return [cands[j] for j in sorted(holding)
+                if all(target[k] >= v for k, v in cands[j][2].items())]
+
+    def key_of(self, ms):
+        """Hookup key of the class multiset ms, (key, count) pairs: its
+        classes' cycles (`records`), each repeated count times, sorted."""
+        return tuple(sorted(c for k, u in ms for c in (self.records[k],) * u))
 
     def touches(self, key) -> bool:
         """Whether the cut splits class `key` (memoized per class)."""
@@ -167,7 +195,7 @@ class Cut:
         sums of two contributions of size <= max_size / 2, in target order."""
         found = set()
         halves = []
-        for _, _, contrib in self.candidates:
+        for _, _, contrib, _ in self.candidates:
             size = sum(contrib.values())
             if size <= max_size:
                 found.add(tuple(sorted(contrib.items())))
@@ -235,9 +263,15 @@ class Cut:
         return {k: v / feasible for k, v in law.items()}, 1 - feasible
 
     def laws(self, intensity: Fraction, target: Counter):
-        """(report entry, conditional law of the hookup keys given `target`,
-        truncated-soup law of its bin)."""
-        cond, b = _conditional_keys(self, intensity, target)
+        """(report entry, conditional law of the hookup keys given `target`
+        (`key_of`), truncated-soup law of its bin)."""
+        cond: dict = {}
+        for ms, p in conditional_multiset_law(
+                self.catalog, intensity, self.fitting(target), target,
+                self._poisson[intensity]).items():
+            key = self.key_of(ms)
+            cond[key] = cond.get(key, 0) + p
+        b = self.bin_of(target)
         law, infeasible = self.oracle(b)
         return {**self.label(b), "infeasible": float(infeasible)}, cond, law
 
@@ -268,9 +302,16 @@ class ExcursionCut(Cut):
         return d.eta, unoriented_hookup_orbit_key(d.eta, d.beta_truth,
                                                   involution=self.inv)
 
+    def class_cut(self, key):
+        got = self.cut({key: 1})
+        return got and (Counter(got[0]), got[1][0])
+
     @staticmethod
     def target_order(items):
         return tuple(sorted(Counter(dict(items)).elements()))
+
+    def bin_of(self, target: Counter):
+        return self.target_order(target.items())
 
     def label(self, eta) -> dict:
         return {"eta_lengths": [len(p) for p in eta]}
@@ -323,6 +364,13 @@ class EdgeCut(Cut):
         return rec.counts, unoriented_hookup_orbit_key(
             self._pieces(rec.counts), rec.hookup, rec.self_edge_slots, self.inv)
 
+    def class_cut(self, key):
+        got = self.cut({key: 1})
+        return got and (self.contribution(key), got[1][0])
+
+    def bin_of(self, target: Counter):
+        return tuple(target[c] for c in self.removed)
+
     def label(self, jumps) -> dict:
         return {"jumps": {str(c): n for c, n in zip(self.removed, jumps) if n}}
 
@@ -367,31 +415,44 @@ class CrossingCut(Cut):
     def bin_p(self, ck, counts: Counter, n: int):
         return _independence_chi2(counts, len(self.sets))
 
+    def class_cut(self, key):
+        """Its record is (cycle, J, flips), `side_pair_orbit` of it alone."""
+        cs = extract_crossings_counts(self.catalog, {key: 1}, self.sets)
+        if cs.instances:
+            (cycle,), J, flips = side_pair_orbit(cs, self.inv)
+            return Counter(cs.instances), (cycle, J, flips)
+
+    def completion(self, ms, relabelings: int):
+        """`side_pair_orbit`'s key and count of the class multiset ms, from
+        its classes' records; relabelings is prod_t n_t! over the crossings."""
+        rec = self.records
+        key, fixing = cycles_key([rec[k][:2] for k, u in ms for _ in range(u)])
+        return key, relabelings // fixing << sum(u * rec[k][2] for k, u in ms)
+
     def laws(self, intensity: Fraction, target: Counter):
         """(report entry, conditional law of the joint completion given the
         crossings `target`, its truncated-soup law).
 
         The joint completion is every side's hookup, up to relabeling
-        identical crossings at once (`side_pair_orbit`); for oriented soups
-        it is the class multiset itself.  It stands for a number of labeled
-        configurations of the per-side bridge measures, each of mass
-        g^-(its bridge steps) over a normalizer shared by the bin; the law
-        renormalizes over the completions the catalog realizes, those whose
-        loops all fit in L_max.
+        identical crossings at once; for oriented soups it is the class
+        multiset itself.  Each loop closes exactly one of its cycles, so its
+        key, and the number of labeled configurations of the per-side bridge
+        measures it stands for, are read off the classes (`completion`),
+        each configuration of mass g^-(its bridge steps) over a normalizer
+        shared by the bin; the law renormalizes over the completions the
+        catalog realizes, those whose loops all fit in L_max.
         """
-        weights = conditional_multiset_law(self.catalog, intensity,
-                                           self.candidates, target)
         g = self.catalog.domain.g
         cross_steps = sum(len(p) * n for (_, p), n in target.items())
-        total = sum(weights.values())
+        relabelings = math.prod(map(math.factorial, target.values()))
         cond: dict = {}
         bridge: dict = {}
-        for ms, w in weights.items():
-            counts = dict(ms)
-            cs = extract_crossings_counts(self.catalog, counts, self.sets)
-            key, n = side_pair_orbit(cs, self.inv)
-            steps = sum(len(k) * u for k, u in counts.items())
-            cond[key] = cond.get(key, 0) + w / total
+        for ms, p in conditional_multiset_law(
+                self.catalog, intensity, self.fitting(target), target,
+                self._poisson[intensity]).items():
+            key, n = self.completion(ms, relabelings)
+            steps = sum(len(k) * u for k, u in ms)
+            cond[key] = cond.get(key, 0) + p
             # multisets sharing a key (the orientations of a returning arc)
             # share its configurations
             bridge[key] = n * Fraction(1, g ** (steps - cross_steps))
@@ -401,18 +462,6 @@ class CrossingCut(Cut):
 
 
 # -- the drivers -------------------------------------------------------------------
-
-
-def _conditional_keys(cut: Cut, intensity: Fraction, target: Counter):
-    """Conditional law of the hookup keys given `target`, and its bin."""
-    weights = conditional_multiset_law(cut.catalog, intensity, cut.candidates,
-                                       target)
-    total = sum(weights.values())
-    cond: dict = {}
-    for ms, w in weights.items():
-        b, key = cut.cut(dict(ms))
-        cond[key] = cond.get(key, Fraction(0)) + w / total
-    return cond, b
 
 
 def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:

@@ -11,10 +11,13 @@ from loopsoup import (Bridge, Domain, RecurrentDomainError, build_graph,
                       complete_graph, cycle_graph, enumerate_bridges,
                       green_function, regularize_degree, sample_bridge,
                       sample_unordered_bridge, sample_z_bridge)
+from loopsoup import stats
 from loopsoup.bridges import (SEGMENT_BUDGET, BridgeError, _doob_table,
                               all_pairings, bridge_probability_exact,
                               pairing_weights, permutation_weights)
+from loopsoup.exact import unordered_bridge_law
 from loopsoup.rng import stream
+from loopsoup.verify import CHI2_SIGNIFICANCE
 
 
 def test_zero_length_bridge_probability():
@@ -191,8 +194,9 @@ def test_z_bridge_pairing_frequencies():
 
 
 def test_g_power_K_characterization(k12):
-    """Sampled unordered-family configurations occur with frequency
-    proportional to g^{-K} (configurations enumerated to length 4)."""
+    """Sampled unordered-family configurations of total length <= 4 follow
+    the exact law g^{-K} / Z restricted to them, renormalized: one
+    chi-square over all 35 configurations."""
     g, inv, ug = k12
     dom = Domain(g, [1, 2, 3])
     rng = stream(10, "gk")
@@ -203,16 +207,14 @@ def test_g_power_K_characterization(k12):
         fam = sample_unordered_bridge(dom, X, Y, rng)
         if fam.total_length <= 4:
             emp[(fam.permutation, tuple(b.path for b in fam.bridges))] += 1
-    configs = sorted(emp, key=lambda k: -emp[k])[:12]
-    # pairwise frequency ratios match g^{-(K1 - K2)}
-    ref = configs[0]
-    K_ref = sum(len(p) for p in ref[1])
-    for cfg in configs[1:]:
-        K = sum(len(p) for p in cfg[1])
-        r = float(dom.g) ** (K_ref - K)
-        c1, c0 = emp[cfg], emp[ref]
-        se = math.sqrt(c1 + r * r * c0)
-        assert abs(c1 - r * c0) <= 3 * se
+    configs, _ = unordered_bridge_law(dom, X, Y, 4)
+    law = {c: p for c, p in configs.items() if sum(map(len, c[1])) <= 4}
+    total = sum(law.values())
+    law = {c: p / total for c, p in law.items()}
+    assert len(law) == 35
+    assert set(emp) <= set(law)
+    _, dof, p = stats.chi2_gof(emp, law, sum(emp.values()))
+    assert dof > 0 and p > CHI2_SIGNIFICANCE
 
 
 def test_budget_errors(k5):

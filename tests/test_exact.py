@@ -242,7 +242,7 @@ def test_z_bridge_law_accumulates_reversals(k5):
 def test_conditional_multiset_law_single_class(sharp_triangle):
     dom, cat, ucat = sharp_triangle
     cands = ExcursionCut(cat, {1}, {2}).candidates
-    key, mass, contrib = cands[0]
+    key, mass, contrib, _ = cands[0]
     w = conditional_multiset_law(cat, Fraction(1), cands, Counter(contrib))
     assert ((key, 1),) in w
     with pytest.raises(OracleError):

@@ -1,5 +1,6 @@
 """Orbit keys as canonical cycles, against the relabeling enumerations they
-replaced.
+replaced, and multiset keys read off per-class records, against the cuts
+of whole multisets they replaced.
 
 Hookups used to be keyed by listing every relabeling of identical pieces
 (and every flip of flippable ones) and taking the smallest image.  Those
@@ -8,6 +9,7 @@ checked to split every bin into the same orbits.
 """
 
 import math
+from collections import Counter
 from itertools import islice, permutations, product
 
 from hypothesis import given, settings
@@ -164,9 +166,20 @@ def _hookup_keys(cut, pieces, hook, flippable=()):
              _ref_z_orbit_key(Z, hook))]
 
 
+def _pair_count(cs, involution):
+    """side_pair_orbit's key of a crossing set and its configuration count,
+    prod_t n_t! over the crossings // the relabelings fixing the key,
+    doubled per returning arc."""
+    key, fixing, flips = side_pair_orbit(cs, involution)
+    relabelings = math.prod(map(math.factorial,
+                                Counter(cs.instances).values()))
+    return key, relabelings // fixing << flips
+
+
 def _multiset_keys(cut, counts):
     """(name, new key, reference key) for every key of one class multiset;
-    side_pair_orbit's counts are compared on the spot."""
+    the configuration counts of side_pair_orbit (`_pair_count`) and of the
+    relabeling enumeration are compared on the spot."""
     cat = cut.catalog
     if isinstance(cut, ExcursionCut):
         d = decompose_counts(cat, counts, cut.F1, cut.F2)
@@ -176,7 +189,7 @@ def _multiset_keys(cut, counts):
         return _hookup_keys(cut, cut._pieces(rec.counts), rec.hookup,
                             rec.self_edge_slots)
     cs = extract_crossings_counts(cat, counts, cut.sets)
-    (key, n), (ref_key, ref_n) = (side_pair_orbit(cs, cut.inv),
+    (key, n), (ref_key, ref_n) = (_pair_count(cs, cut.inv),
                                   _ref_side_pair_orbit(cs, cut.inv))
     assert n == ref_n
     sides = range(len(cut.sets))
@@ -185,17 +198,11 @@ def _multiset_keys(cut, counts):
              tuple(_ref_side_orbit_key(cs, i) for i in sides))]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.data())
-def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
-        triangle_catalogs, paired_self_edge_catalogs, data):
-    """Within a random bin of an excursion, crossing or removed-edge cut of
-    the K5 triangle or of a graph with paired and fixed self-edges, in both
-    modes, every canonical-cycle key is equal exactly when its reference
-    key is, over the class multisets of the bin and over the bridge
-    configurations of its oracle; side_pair_orbit's counts are equal."""
-    cat = data.draw(st.sampled_from(triangle_catalogs
-                                    + paired_self_edge_catalogs))
+def _draw_bin(data, catalogs):
+    """(cut, target): a random excursion, crossing or removed-edge cut of
+    one of `catalogs`, and one of its targets of at most three pieces; None
+    when the cut has no target."""
+    cat = data.draw(st.sampled_from(catalogs))
     verts = data.draw(st.permutations(cat.domain.vertices))
     k = data.draw(st.integers(1, len(verts) - 1))
     F1, F2 = verts[:k], verts[k:]
@@ -208,8 +215,23 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
     cut = data.draw(st.sampled_from(kinds))
     targets = cut.targets(3)
     if not targets:
+        return None
+    return cut, data.draw(st.sampled_from(targets))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
+        triangle_catalogs, paired_self_edge_catalogs, data):
+    """Within a random bin of an excursion, crossing or removed-edge cut of
+    the K5 triangle or of a graph with paired and fixed self-edges, in both
+    modes, every canonical-cycle key is equal exactly when its reference
+    key is, over the class multisets of the bin and over the bridge
+    configurations of its oracle; the configuration counts are equal."""
+    drawn = _draw_bin(data, triangle_catalogs + paired_self_edge_catalogs)
+    if drawn is None:
         return
-    target = data.draw(st.sampled_from(targets))
+    cut, target = drawn
     pairs: dict = {}
     for combo in islice(_assemble_multisets(cut.candidates, target), 200):
         counts = {key: u for key, _, u in combo}
@@ -223,6 +245,34 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
                 pairs.setdefault("oracle " + name, []).append((new, ref))
     for found in pairs.values():
         _same_orbits(found)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_class_records_key_every_multiset_as_its_cut_does(
+        triangle_catalogs, paired_self_edge_catalogs, data):
+    """Every class multiset of a random bin (the bins of the test above),
+    keyed from the one-class records of its classes, gets the key of its
+    own cut; for crossings, the key and configuration count of
+    side_pair_orbit on the whole multiset, and the count of the relabeling
+    enumeration."""
+    drawn = _draw_bin(data, triangle_catalogs + paired_self_edge_catalogs)
+    if drawn is None:
+        return
+    cut, target = drawn
+    relabelings = math.prod(map(math.factorial, target.values()))
+    checked = 0
+    for combo in _assemble_multisets(cut.candidates, target):
+        ms = tuple(sorted((key, u) for key, _, u in combo))
+        if not isinstance(cut, CrossingCut):
+            assert cut.key_of(ms) == cut.cut(dict(ms))[1]
+        else:
+            cs = extract_crossings_counts(cut.catalog, dict(ms), cut.sets)
+            key, n = _pair_count(cs, cut.inv)
+            assert cut.completion(ms, relabelings) == (key, n)
+            assert n == _ref_side_pair_orbit(cs, cut.inv)[1]
+        checked += 1
+    assert checked
 
 
 def test_hookup_cycle_key_counts_the_relabelings_that_fix_it():

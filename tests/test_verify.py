@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from loopsoup import (Domain, GraphError, build_graph, complete_graph,
                       verify_random_currents, verify_wilson, wilson_ust)
 from loopsoup import excursions, verify
 from loopsoup.cli import markov_edge_partition
-from loopsoup.config import build_workspace, config_from_dict
+from loopsoup.config import build_workspace, config_from_dict, parse_config
 from loopsoup.exact import OccupationLaw, side_orbit_key
 from loopsoup.excursions import (extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
@@ -25,8 +26,7 @@ from loopsoup.rng import stream
 from loopsoup.soups import _chunk_rows, soup_chunks
 from loopsoup.verify import (CHI2_SIGNIFICANCE, MIN_BIN_SAMPLES, CrossingCut,
                              EdgeCut, ExcursionCut, _bonferroni,
-                             _conditional_keys, _markov_defect, _mc_bins,
-                             _mc_driver, _verdict)
+                             _markov_defect, _mc_bins, _mc_driver, _verdict)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ def test_bridge_families_tabulated_once_per_endpoint_vector(
     name = "unordered_bridge_law" if mode == "oriented" else "z_bridge_law"
     assert calls == {name: 2}
     cut = ExcursionCut(cat, {1}, {2})
-    bins = [_conditional_keys(cut, Fraction(1), t)[1] for t in cut.targets(2)]
+    bins = [cut.bin_of(t) for t in cut.targets(2)]
     assert len(bins) == rep.details["etas_tested"] > 2
     assert len({cut.bridge_ends(b)[1] for b in bins}) == 2
     for b in bins:
@@ -133,13 +133,59 @@ def test_bins_read_the_table_of_their_own_endpoint_vector(
                  lambda: ExcursionCut(ucat, {1}, {2, 3}),
                  lambda: EdgeCut(ucat, removed)):
         cut = make()
-        bins = [_conditional_keys(cut, Fraction(1), t)[1]
-                for t in cut.targets(2)]
+        bins = [cut.bin_of(t) for t in cut.targets(2)]
         sizes = {cut.bridge_ends(b)[1]: len(cut.bridge_ends(b)[0])
                  for b in bins}
         assert len(sizes) > len(set(sizes.values()))
         for b in bins:
             assert cut.oracle(b) == make().oracle(b)
+
+
+
+def _golden_exact_cuts():
+    """The five cuts of the golden_exact fixture: excursions in both modes,
+    its removed edge, and crossings in both modes."""
+    ws = build_workspace(parse_config(os.path.join(
+        os.path.dirname(__file__), "data", "golden_exact.cfg")))
+    cat, ucat = ws.catalog("oriented"), ws.catalog("unoriented")
+    return [ExcursionCut(cat, {1}, {2}), ExcursionCut(ucat, {1}, {2}),
+            EdgeCut(ucat, ws.removed_classes()), CrossingCut(cat, [{1}, {2}]),
+            CrossingCut(ucat, [{1}, {2}])]
+
+
+def test_piece_index_finds_the_fitting_candidates():
+    """For every target of the golden_exact cuts, the candidates looked up
+    by piece are exactly those a filter over all candidates keeps, in
+    candidate order."""
+    for cut in _golden_exact_cuts():
+        targets = cut.targets(4)
+        assert targets
+        for target in targets:
+            assert cut.fitting(target) == [
+                c for c in cut.candidates
+                if all(target[k] >= v for k, v in c[2].items())]
+
+
+def test_exact_checks_cut_each_class_alone_and_no_multiset(ws_k12,
+                                                           monkeypatch):
+    """An exact prop1 check and an exact prop3bis check, the latter as the
+    command line runs it, cut every catalog class once, alone, and no class
+    multiset: the multisets are keyed from the per-class records."""
+    calls = defaultdict(list)
+    for cut in (verify.decompose_counts, verify.extract_crossings_counts):
+        def counting(catalog, counts, *args, cut=cut):
+            calls[cut.__name__].append(tuple(counts.items()))
+            return cut(catalog, counts, *args)
+        monkeypatch.setattr(verify, cut.__name__, counting)
+    cat, ucat = ws_k12.catalog("oriented"), ws_k12.catalog("unoriented")
+    assert verify_prop1(cat, {1}, {2}, mode="exact").passed
+    rep = verify_prop1bis_3bis(ucat, [{1}, {2}], mode="exact", max_targets=6)
+    assert rep.passed and max(t["crossings"] for t in rep.details[
+        "per_target"]) == 4
+    assert sorted(calls["decompose_counts"]) == sorted(
+        ((c.key, 1),) for c in cat.classes)
+    assert sorted(calls["extract_crossings_counts"]) == sorted(
+        ((c.key, 1),) for c in ucat.classes)
 
 
 def test_prop1_exact_and_control(ws_k12):
@@ -507,7 +553,7 @@ def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
     bins = []
     for i, cut in enumerate(_oracle_cuts(k5, triangle_catalogs)):
         for target in cut.targets(2)[:4]:
-            b = _conditional_keys(cut, Fraction(1), target)[1]
+            b = cut.bin_of(target)
             bins.append((i, b, cut.oracle(b)))
 
     def refuse(*args):
