@@ -45,7 +45,6 @@ import numpy as np
 from .bridges import enumerate_bridges, pairing_weights, permutation_weights
 from .excursions import hookup_cycle_key, matching_key
 from .graph import Domain, GraphError, green_function
-from .loops import LoopCatalog
 
 MULTISET_BUDGET = 200000
 
@@ -71,14 +70,16 @@ def _assemble_multisets(candidates, target: Counter):
 
     candidates: list of (key, mass, contribution Counter, ...).  Yields tuples
     of (key, mass, count).  Contributions are nonempty, so the recursion depth
-    is bounded by the target size.
+    is bounded by the target size.  One Counter of what is left to cover is
+    subtracted from in place and restored on return.
     """
     found = 0
-    target = Counter({k: c for k, c in target.items() if c > 0})
+    remaining = Counter({k: c for k, c in target.items() if c > 0})
+    sizes = [sum(cand[2].values()) for cand in candidates]
 
-    def rec(start, remaining, chosen):
+    def rec(start, left, chosen):
         nonlocal found
-        if not remaining:
+        if not left:
             found += 1
             if found > MULTISET_BUDGET:
                 raise OracleError("conditioned-multiset budget exceeded")
@@ -88,20 +89,18 @@ def _assemble_multisets(candidates, target: Counter):
             key, mass, contrib = candidates[j][:3]
             u_max = min(remaining[k] // c for k, c in contrib.items())
             for u in range(u_max, 0, -1):
-                rem = Counter(remaining)
                 for k, c in contrib.items():
-                    rem[k] -= c * u
-                    if rem[k] == 0:
-                        del rem[k]
+                    remaining[k] -= c * u
                 chosen.append((key, mass, u))
-                yield from rec(j + 1, rem, chosen)
+                yield from rec(j + 1, left - sizes[j] * u, chosen)
                 chosen.pop()
+                for k, c in contrib.items():
+                    remaining[k] += c * u
 
-    yield from rec(0, target, [])
+    yield from rec(0, remaining.total(), [])
 
 
-def conditional_multiset_law(catalog: LoopCatalog, intensity: Fraction,
-                             candidates, target: Counter,
+def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
                              poisson: dict | None = None) -> dict:
     """Conditional law of the class multisets matching `target`, memoizing
     the Poisson weight of each (key, count) in `poisson`."""

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 
 def _name_entropy(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:16], "big")
 
 
-def stream(seed: int, name: str = "") -> np.random.Generator:
+def stream(seed: int, name: str = "") -> Generator:
     """Return the Philox generator for stream `name` under master `seed`."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_name_entropy(name),))
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence(entropy=seed, spawn_key=(_name_entropy(name),))
+    return Generator(Philox(seq))

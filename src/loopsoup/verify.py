@@ -267,7 +267,7 @@ class Cut:
         (`key_of`), truncated-soup law of its bin)."""
         cond: dict = {}
         for ms, p in conditional_multiset_law(
-                self.catalog, intensity, self.fitting(target), target,
+                intensity, self.fitting(target), target,
                 self._poisson[intensity]).items():
             key = self.key_of(ms)
             cond[key] = cond.get(key, 0) + p
@@ -448,7 +448,7 @@ class CrossingCut(Cut):
         cond: dict = {}
         bridge: dict = {}
         for ms, p in conditional_multiset_law(
-                self.catalog, intensity, self.fitting(target), target,
+                intensity, self.fitting(target), target,
                 self._poisson[intensity]).items():
             key, n = self.completion(ms, relabelings)
             steps = sum(len(k) * u for k, u in ms)
@@ -482,7 +482,7 @@ def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:
     cuts: dict = {}         # sorted touching sub-multiset -> its cut
     bins: dict = defaultdict(Counter)
     for counts, idx in chunks:
-        for i in np.unique(idx[touching[idx] < 0]).tolist():
+        for i in set(idx[touching[idx] < 0].tolist()):
             touching[i] = cut.touches(classes[i].key)
         hit = touching[idx] == 1
         if not hit.any():

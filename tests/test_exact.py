@@ -243,11 +243,10 @@ def test_conditional_multiset_law_single_class(sharp_triangle):
     dom, cat, ucat = sharp_triangle
     cands = ExcursionCut(cat, {1}, {2}).candidates
     key, mass, contrib, _ = cands[0]
-    w = conditional_multiset_law(cat, Fraction(1), cands, Counter(contrib))
+    w = conditional_multiset_law(Fraction(1), cands, Counter(contrib))
     assert ((key, 1),) in w
     with pytest.raises(OracleError):
-        conditional_multiset_law(cat, Fraction(1), cands,
-                                 Counter({("bogus",): 1}))
+        conditional_multiset_law(Fraction(1), cands, Counter({("bogus",): 1}))
 
 
 @pytest.mark.parametrize("intensity", [Fraction(0), Fraction(-1)])
@@ -256,7 +255,7 @@ def test_conditional_multiset_law_refuses_nonpositive_intensity(
     dom, cat, ucat = sharp_triangle
     cands = ExcursionCut(cat, {1}, {2}).candidates
     with pytest.raises(OracleError, match="positive"):
-        conditional_multiset_law(cat, intensity, cands, Counter(cands[0][2]))
+        conditional_multiset_law(intensity, cands, Counter(cands[0][2]))
 
 
 def test_tv_distance():

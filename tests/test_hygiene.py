@@ -5,6 +5,7 @@ reach."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,15 +14,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_does_not_load_scipy_stats():
-    """scipy.stats costs most of a second to import, and nothing under src/
-    needs it."""
+def test_import_loads_no_scipy_and_preloads_numpy_random():
+    """`import loopsoup, loopsoup.cli` loads no scipy module at all: the
+    chi-square tail is computed in pure Python, and scipy's import costs
+    most of the package's.  It does load numpy.random, so no random stream
+    pays for that import inside a timed run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", "import loopsoup, loopsoup.cli, sys; "
-         "print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import loopsoup, loopsoup.cli, json, sys; "
+         "print(json.dumps([sorted(m for m in sys.modules "
+         "if m.partition('.')[0] == 'scipy'), 'numpy.random' in sys.modules]))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"]
+    assert json.loads(out) == [[], True]
 
 
 def _unused_imports(path: Path) -> list[str]:

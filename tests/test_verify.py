@@ -64,7 +64,7 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
     by_xy = defaultdict(list)
     for target in cut.targets(2):
         eta = tuple(sorted(target.elements()))
-        w = conditional_multiset_law(cat, Fraction(1), cands, target)
+        w = conditional_multiset_law(Fraction(1), cands, target)
         total = sum(w.values())
         dist = {}
         XY = None
@@ -247,7 +247,7 @@ def test_prop2_z_measurability(ws_k12):
     by_Z = defaultdict(list)
     for target in cut.targets(2):
         eta = tuple(sorted(target.elements()))
-        w = conditional_multiset_law(ucat, Fraction(1), cands, target)
+        w = conditional_multiset_law(Fraction(1), cands, target)
         total = sum(w.values())
         dist = {}
         Z = None
