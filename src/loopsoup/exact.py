@@ -75,11 +75,10 @@ def _assemble_multisets(candidates, target: Counter):
     """
     found = 0
     remaining = Counter({k: c for k, c in target.items() if c > 0})
-    sizes = [sum(cand[2].values()) for cand in candidates]
 
-    def rec(start, left, chosen):
+    def rec(start, chosen):
         nonlocal found
-        if not left:
+        if not any(remaining.values()):
             found += 1
             if found > MULTISET_BUDGET:
                 raise OracleError("conditioned-multiset budget exceeded")
@@ -92,12 +91,12 @@ def _assemble_multisets(candidates, target: Counter):
                 for k, c in contrib.items():
                     remaining[k] -= c * u
                 chosen.append((key, mass, u))
-                yield from rec(j + 1, left - sizes[j] * u, chosen)
+                yield from rec(j + 1, chosen)
                 chosen.pop()
                 for k, c in contrib.items():
                     remaining[k] += c * u
 
-    yield from rec(0, remaining.total(), [])
+    yield from rec(0, [])
 
 
 def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
