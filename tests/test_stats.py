@@ -47,7 +47,7 @@ def test_chi2_sf_matches_a_200_bit_reference():
     """Relative error <= 1e-12 on dof 1-200 wherever the tail is >= 1e-290
     (a value in [0, 1] elsewhere), exactly 1.0 at x = 0 and 0.0 at x = inf,
     and NaN at dof 0."""
-    xs = [0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 7.0, 19.9, 64.0, 150.0, 333.3,
+    xs = [0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 2.5, 7.0, 19.9, 64.0, 150.0, 333.3,
           1e3, 1e5, 1e300, math.inf]
     with mpmath.workprec(200):
         for dof in range(1, 201):
