@@ -32,8 +32,9 @@ EXIT_CODES = {"golden_wilson": 1}
 
 
 @pytest.mark.parametrize("name", ["golden_exact", "golden_mc",
-                                  "golden_occupation", "golden_ct",
-                                  "golden_catalog", "golden_wilson"])
+                                  "golden_mc_crossings", "golden_occupation",
+                                  "golden_ct", "golden_catalog",
+                                  "golden_wilson"])
 def test_report_matches_golden_fixture(tmp_path, name):
     cfg = parse_config(os.path.join(DATA, f"{name}.cfg"))
     assert run(cfg, str(tmp_path)) == EXIT_CODES.get(name, 0)
