@@ -17,23 +17,25 @@ or not.  Sets of p-values share one Bonferroni line, `_bonferroni`.
 
 The resampling checks share one structure, defined here.  A Cut says how a
 statement cuts loops: ExcursionCut (Props. 1 and 2), EdgeCut (Prop. 5) and
-CrossingCut (Props. 1bis and 3bis) give each class's contribution, cut a
-class multiset into its bin and hookup key, and give the truncated-soup
-law of a bin from the bridge laws in `exact`.  `_verify_cut` runs a cut in
+CrossingCut (Props. 1bis and 3bis) cut a catalog class alone into its
+contribution and record, and give the truncated-soup law of a bin from the
+bridge laws in `exact`.  In a soup's own hookup each loop the cut splits
+closes exactly one cycle, so both modes bin and key a class multiset from
+its classes' records and cut no multiset.  `_verify_cut` runs a cut in
 either mode: exactly, it decides per feasible target that the conditional
 law of the keys equals that law; by Monte Carlo (`_mc_driver`) it samples
-soups, cuts the touching ones into bins and tests every bin that holds
+soups, bins the touching ones and tests every bin that holds
 MIN_BIN_SAMPLES soups (goodness of fit against the oracle, or independence
 of the sides for crossings) under one Bonferroni correction.  The sample
 floor is the only rule: every other bin counts as skipped.
 
-A cut touches only what it needs.  Its `candidates` (every catalog class it
-splits, with contribution and cycle) are built on first use by the exact
-mode and `targets`.  The Monte Carlo driver never builds them.  It reads the
-soups a chunk of class-index arrays at a time (`soups.soup_chunks`), asks
-`touches(key)` once of each class drawn, keeps only the touching draws, and
-visits, in soup order, just the soups that hold one, cutting each distinct
-touching sub-multiset once.
+A cut touches only what it needs.  It cuts each class at most once, on
+first use (`cut_of`).  Its `candidates` (every catalog class it splits)
+are built by the exact mode and `targets`; the Monte Carlo driver never
+builds them.  It reads the soups a chunk of class-index arrays at a time
+(`soups.soup_chunks`), asks `touches(key)` once of each class drawn, keeps
+only the touching draws, and visits, in soup order, just the soups that
+hold one, keying each distinct touching sub-multiset once (`bin_key`).
 """
 
 from __future__ import annotations
@@ -126,41 +128,44 @@ def _bonferroni(pvals):
 class Cut:
     """One way of cutting loops into pieces, and the hookup law given them.
 
-    A kind says what a catalog class contributes (the Counter of pieces it is
-    cut into), cuts a class multiset into its bin (the conditioned pieces)
-    and the orbit key of its hookup, and gives the truncated-soup law of the
-    keys in a bin, from a bridge-family table built once per endpoint
-    vector (`bridge_table`).  The kinds are ExcursionCut (Props. 1 and 2),
-    EdgeCut (Prop. 5) and CrossingCut (Props. 1bis and 3bis).  In a soup's
-    own hookup each loop the cut splits closes exactly one cycle, so the
-    exact side keys a multiset by its classes' cycles and cuts none.
+    A kind cuts a catalog class alone (`class_cut`) into its contribution
+    (the Counter of pieces it is cut into) and its record (the cycle its
+    loop closes), and gives the truncated-soup law of the keys in a bin,
+    from a bridge-family table built once per endpoint vector
+    (`bridge_table`).  The kinds are ExcursionCut (Props. 1 and 2), EdgeCut
+    (Prop. 5) and CrossingCut (Props. 1bis and 3bis).  In a soup's own
+    hookup each loop the cut splits closes exactly one cycle, so a class
+    multiset's bin is that of its classes' summed contributions and its key
+    is their cycles, sorted, or for crossings each side's joins
+    (`bin_key`): neither mode cuts a multiset.
     """
 
     def __init__(self, catalog: LoopCatalog):
         self.catalog = catalog
         self.oriented = catalog.mode == "oriented"
         self.inv = None if self.oriented else catalog.unoriented_graph.involution
-        self._touches: dict = {}
+        self._class_cuts: dict = {}
         self._tables: dict = {}
         self._poisson: dict = defaultdict(dict)   # per intensity, per check
 
     @cached_property
     def candidates(self) -> list:
         """(key, mass, contribution, record) for every catalog class the cut
-        splits, from one cut of the class alone (`class_cut`).  Built on
-        first use, by the exact oracles and `targets`; the Monte Carlo
-        driver never needs it."""
+        splits (`cut_of`).  Built on first use, by the exact oracles and
+        `targets`; the Monte Carlo driver never needs it."""
         out = []
         for cls in self.catalog.classes:
-            got = self.class_cut(cls.key)
+            got = self.cut_of(cls.key)
             if got is not None:
                 out.append((cls.key, cls.mass, *got))
         return out
 
-    @cached_property
-    def records(self) -> dict:
-        """Class key -> its record, for the classes in `candidates`."""
-        return {key: rec for key, _, _, rec in self.candidates}
+    def cut_of(self, key):
+        """`class_cut(key)`: (contribution, record) of class `key` cut alone,
+        or None when the cut does not split it; memoized per class."""
+        if key not in self._class_cuts:
+            self._class_cuts[key] = self.class_cut(key)
+        return self._class_cuts[key]
 
     @cached_property
     def _by_piece(self) -> dict:
@@ -179,16 +184,21 @@ class Cut:
                 if all(target[k] >= v for k, v in cands[j][2].items())]
 
     def key_of(self, ms):
-        """Hookup key of the class multiset ms, (key, count) pairs: its
-        classes' cycles (`records`), each repeated count times, sorted."""
-        return tuple(sorted(c for k, u in ms for c in (self.records[k],) * u))
+        """Hookup key of the class multiset ms, (key, count) pairs of
+        touching classes: their cycles, each repeated count times, sorted."""
+        return tuple(sorted(c for k, u in ms for c in (self.cut_of(k)[1],) * u))
+
+    def bin_key(self, ms):
+        """(bin, hookup key) of the class multiset ms: the bin of its
+        classes' summed contributions (`bin_of`) and `key_of`."""
+        pieces = Counter()
+        for k, u in ms:
+            pieces.update({p: n * u for p, n in self.cut_of(k)[0].items()})
+        return self.bin_of(pieces), self.key_of(ms)
 
     def touches(self, key) -> bool:
-        """Whether the cut splits class `key` (memoized per class)."""
-        hit = self._touches.get(key)
-        if hit is None:
-            hit = self._touches[key] = bool(self.contribution(key))
-        return hit
+        """Whether the cut splits class `key`."""
+        return self.cut_of(key) is not None
 
     def targets(self, max_size: int) -> list[Counter]:
         """Conditioning targets: single contributions of size <= max_size and
@@ -288,23 +298,16 @@ class ExcursionCut(Cut):
         self.sub = catalog.domain.without_vertices(F1)
         super().__init__(catalog)
 
-    def contribution(self, key) -> Counter:
-        return Counter(decompose_counts(self.catalog, {key: 1},
-                                        self.F1, self.F2).eta)
-
-    def cut(self, counts):
-        """(eta, hookup key), or None without excursions."""
-        d = decompose_counts(self.catalog, counts, self.F1, self.F2)
+    def class_cut(self, key):
+        d = decompose_counts(self.catalog, {key: 1}, self.F1, self.F2)
         if not d.N:
             return None
         if self.oriented:
-            return d.eta, oriented_hookup_orbit_key(d.eta, d.beta_truth)
-        return d.eta, unoriented_hookup_orbit_key(d.eta, d.beta_truth,
-                                                  involution=self.inv)
-
-    def class_cut(self, key):
-        got = self.cut({key: 1})
-        return got and (Counter(got[0]), got[1][0])
+            (cycle,) = oriented_hookup_orbit_key(d.eta, d.beta_truth)
+        else:
+            (cycle,) = unoriented_hookup_orbit_key(d.eta, d.beta_truth,
+                                                   involution=self.inv)
+        return Counter(d.eta), cycle
 
     @staticmethod
     def target_order(items):
@@ -342,10 +345,6 @@ class EdgeCut(Cut):
             {eid for ck in self.removed for eid in ck})
         super().__init__(catalog)
 
-    def contribution(self, key) -> Counter:
-        ug = self.catalog.unoriented_graph
-        return Counter(ck for ck in map(ug.edge_class, key) if ck in self.removed)
-
     def _pieces(self, jumps):
         """Single-jump paths, one per instance, running small endpoint to large."""
         graph = self.catalog.domain.graph
@@ -356,17 +355,13 @@ class EdgeCut(Cut):
             pieces.extend([(eid,) if e.tail <= e.head else (self.inv(eid),)] * n)
         return tuple(pieces)
 
-    def cut(self, counts):
-        """(jump counts, hookup key), or None without jumps."""
-        rec = record_edge_jumps_counts(self.catalog, counts, self.removed)
+    def class_cut(self, key):
+        rec = record_edge_jumps_counts(self.catalog, {key: 1}, self.removed)
         if not any(rec.counts):
             return None
-        return rec.counts, unoriented_hookup_orbit_key(
+        (cycle,) = unoriented_hookup_orbit_key(
             self._pieces(rec.counts), rec.hookup, rec.self_edge_slots, self.inv)
-
-    def class_cut(self, key):
-        got = self.cut({key: 1})
-        return got and (self.contribution(key), got[1][0])
+        return Counter({c: n for c, n in zip(self.removed, rec.counts) if n}), cycle
 
     def bin_of(self, target: Counter):
         return tuple(target[c] for c in self.removed)
@@ -395,18 +390,6 @@ class CrossingCut(Cut):
         self.sets = tuple(frozenset(s) for s in sets)
         super().__init__(catalog)
 
-    def contribution(self, key) -> Counter:
-        return Counter(extract_crossings_counts(self.catalog, {key: 1},
-                                                self.sets).instances)
-
-    def cut(self, counts):
-        """(crossing key, per-side completion keys), or None without crossings."""
-        cs = extract_crossings_counts(self.catalog, counts, self.sets)
-        if not cs.instances:
-            return None
-        return cs.crossing_key(), tuple(side_orbit_key(cs, i)
-                                        for i in range(len(self.sets)))
-
     target_order = staticmethod(repr)
 
     def label(self, ck) -> dict:
@@ -416,18 +399,33 @@ class CrossingCut(Cut):
         return _independence_chi2(counts, len(self.sets))
 
     def class_cut(self, key):
-        """Its record is (cycle, J, flips), `side_pair_orbit` of it alone."""
+        """Its record is (cycle, J, flips), `side_pair_orbit` of it alone,
+        and the joins of each side, `side_orbit_key` of it alone."""
         cs = extract_crossings_counts(self.catalog, {key: 1}, self.sets)
-        if cs.instances:
-            (cycle,), J, flips = side_pair_orbit(cs, self.inv)
-            return Counter(cs.instances), (cycle, J, flips)
+        if not cs.instances:
+            return None
+        (cycle,), J, flips = side_pair_orbit(cs, self.inv)
+        sides = tuple(side_orbit_key(cs, i) for i in range(len(self.sets)))
+        return Counter(cs.instances), (cycle, J, flips, sides)
+
+    def bin_of(self, target: Counter):
+        """The crossing key: the crossings grouped by pair, sorted."""
+        return tuple((pair, tuple(p for _, p in group)) for pair, group
+                     in groupby(sorted(target.elements()), itemgetter(0)))
+
+    def key_of(self, ms):
+        """Per-side completion keys of the class multiset ms: each side's
+        joins, the sorted union of its classes' (`side_orbit_key`)."""
+        recs = [(self.cut_of(k)[1][3], u) for k, u in ms]
+        return tuple(tuple(sorted(j for sides, u in recs for j in sides[i] * u))
+                     for i in range(len(self.sets)))
 
     def completion(self, ms, relabelings: int):
         """`side_pair_orbit`'s key and count of the class multiset ms, from
         its classes' records; relabelings is prod_t n_t! over the crossings."""
-        rec = self.records
-        key, fixing = cycles_key([rec[k][:2] for k, u in ms for _ in range(u)])
-        return key, relabelings // fixing << sum(u * rec[k][2] for k, u in ms)
+        recs = [(self.cut_of(k)[1], u) for k, u in ms]
+        key, fixing = cycles_key([rec[:2] for rec, u in recs for _ in range(u)])
+        return key, relabelings // fixing << sum(u * rec[2] for rec, u in recs)
 
     def laws(self, intensity: Fraction, target: Counter):
         """(report entry, conditional law of the joint completion given the
@@ -467,19 +465,20 @@ class CrossingCut(Cut):
 def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:
     """Bin key -> Counter of hookup keys, over `samples` soups of the stream.
 
-    Classes the cut does not split leave the cut unchanged, so each soup is
-    cut on its touching classes alone, once per distinct sub-multiset.  The
-    soups come a chunk of arrays at a time (`soups.soup_chunks`), and most
-    hold no touching class: the touching draws are masked out of each chunk
-    with a per-class memo of `cut.touches`, asked only of the classes drawn,
-    and only soups holding one are visited, in soup order.
+    Classes the cut does not split add no piece, so each soup is keyed by
+    its touching classes alone (`Cut.bin_key`), once per distinct
+    sub-multiset.  The soups come a chunk of arrays at a time
+    (`soups.soup_chunks`), and most hold no touching class: the touching
+    draws are masked out of each chunk with a per-class memo of
+    `cut.touches`, asked only of the classes drawn, and only soups holding
+    one are visited, in soup order.
     """
     classes = cut.catalog.classes
     chunks = soup_chunks(cut.catalog,
                          "oriented" if cut.oriented else "unoriented",
                          intensity, samples, rng)
     touching = np.full(len(classes), -1, dtype=np.int8)    # -1: not asked yet
-    cuts: dict = {}         # sorted touching sub-multiset -> its cut
+    keyed: dict = {}        # sorted touching sub-multiset -> its bin_key
     bins: dict = defaultdict(Counter)
     for counts, idx in chunks:
         for i in set(idx[touching[idx] < 0].tolist()):
@@ -492,17 +491,16 @@ def _mc_bins(cut: Cut, intensity: float, samples: int, rng) -> dict:
             keys = [classes[i].key for _, i in soup]
             sub = (((keys[0], 1),) if len(keys) == 1
                    else tuple(sorted(Counter(keys).items())))
-            if sub not in cuts:
-                cuts[sub] = cut.cut(dict(sub))
-            got = cuts[sub]
-            if got is not None:
-                bins[got[0]][got[1]] += 1
+            if sub not in keyed:
+                keyed[sub] = cut.bin_key(sub)
+            b, key = keyed[sub]
+            bins[b][key] += 1
     return bins
 
 
 def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
                expect_fail: bool) -> TestReport:
-    """Sample soups, cut those touching the cut into bins of hookup keys
+    """Sample soups, bin the hookup keys of those touching the cut
     (`_mc_bins`), and test, in bin-key order, every bin that holds
     MIN_BIN_SAMPLES soups, under one Bonferroni correction.  Every other bin
     counts as skipped, and so does a bin whose test has no degree of

@@ -2,6 +2,46 @@ import pytest
 
 from loopsoup import (Domain, Involution, build_graph, complete_graph,
                       enumerate_loops, pair_reversals, unoriented_view)
+from loopsoup.exact import side_orbit_key
+from loopsoup.excursions import (decompose_counts, extract_crossings_counts,
+                                 oriented_hookup_orbit_key,
+                                 record_edge_jumps_counts,
+                                 unoriented_hookup_orbit_key)
+from loopsoup.verify import EdgeCut, ExcursionCut
+
+
+def _whole_cut(cut, counts):
+    """(bin, hookup key) of the class multiset `counts` (key -> count), from
+    one cut of the whole multiset by `excursions`' cutters and orbit keys;
+    None when the cut splits none of its classes."""
+    cat = cut.catalog
+    if isinstance(cut, ExcursionCut):
+        d = decompose_counts(cat, counts, cut.F1, cut.F2)
+        if not d.N:
+            return None
+        if cut.oriented:
+            return d.eta, oriented_hookup_orbit_key(d.eta, d.beta_truth)
+        return d.eta, unoriented_hookup_orbit_key(d.eta, d.beta_truth,
+                                                  involution=cut.inv)
+    if isinstance(cut, EdgeCut):
+        rec = record_edge_jumps_counts(cat, counts, cut.removed)
+        if not any(rec.counts):
+            return None
+        return rec.counts, unoriented_hookup_orbit_key(
+            cut._pieces(rec.counts), rec.hookup, rec.self_edge_slots, cut.inv)
+    cs = extract_crossings_counts(cat, counts, cut.sets)
+    if not cs.instances:
+        return None
+    return cs.crossing_key(), tuple(side_orbit_key(cs, i)
+                                    for i in range(len(cut.sets)))
+
+
+@pytest.fixture(scope="session")
+def whole_cut():
+    """The reference a cut's `bin_key` is checked against: the bin and key
+    of a class multiset read off one cut of the whole multiset, with no
+    per-class record."""
+    return _whole_cut
 
 
 @pytest.fixture(scope="session")

@@ -222,7 +222,7 @@ def _draw_bin(data, catalogs):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
-        triangle_catalogs, paired_self_edge_catalogs, data):
+        triangle_catalogs, paired_self_edge_catalogs, whole_cut, data):
     """Within a random bin of an excursion, crossing or removed-edge cut of
     the K5 triangle or of a graph with paired and fixed self-edges, in both
     modes, every canonical-cycle key is equal exactly when its reference
@@ -238,7 +238,7 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
         for name, new, ref in _multiset_keys(cut, counts):
             pairs.setdefault(name, []).append((new, ref))
     if not isinstance(cut, CrossingCut) and sum(target.values()) <= 2:
-        b, _ = cut.cut(counts)
+        b, _ = whole_cut(cut, counts)
         pieces, table, flippable = cut.bridge_table(b)
         for hook, _, _ in islice(table, 300):
             for name, new, ref in _hookup_keys(cut, pieces, hook, flippable):
@@ -250,12 +250,13 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_class_records_key_every_multiset_as_its_cut_does(
-        triangle_catalogs, paired_self_edge_catalogs, data):
+        triangle_catalogs, paired_self_edge_catalogs, whole_cut, data):
     """Every class multiset of a random bin (the bins of the test above),
-    keyed from the one-class records of its classes, gets the key of its
-    own cut; for crossings, the key and configuration count of
-    side_pair_orbit on the whole multiset, and the count of the relabeling
-    enumeration."""
+    keyed from the one-class records of its classes, gets the bin and key
+    of its own cut (`whole_cut`), the per-side keys of the Monte Carlo
+    crossing check included; for crossings also the key and configuration
+    count of side_pair_orbit on the whole multiset, and the count of the
+    relabeling enumeration."""
     drawn = _draw_bin(data, triangle_catalogs + paired_self_edge_catalogs)
     if drawn is None:
         return
@@ -264,9 +265,8 @@ def test_class_records_key_every_multiset_as_its_cut_does(
     checked = 0
     for combo in _assemble_multisets(cut.candidates, target):
         ms = tuple(sorted((key, u) for key, _, u in combo))
-        if not isinstance(cut, CrossingCut):
-            assert cut.key_of(ms) == cut.cut(dict(ms))[1]
-        else:
+        assert cut.bin_key(ms) == whole_cut(cut, dict(ms))
+        if isinstance(cut, CrossingCut):
             cs = extract_crossings_counts(cut.catalog, dict(ms), cut.sets)
             key, n = _pair_count(cs, cut.inv)
             assert cut.completion(ms, relabelings) == (key, n)

@@ -19,7 +19,7 @@ from loopsoup import (Domain, GraphError, build_graph, complete_graph,
 from loopsoup import excursions, verify
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict, parse_config
-from loopsoup.exact import OccupationLaw, side_orbit_key
+from loopsoup.exact import OccupationLaw
 from loopsoup.excursions import (extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
@@ -360,9 +360,11 @@ def _triangle_cuts(k5, triangle_catalogs):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
-def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs, data):
-    """A soup cuts exactly as its sub-multiset of touching classes does, the
-    fact the Monte Carlo driver's memo rests on."""
+def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs,
+                                              whole_cut, data):
+    """A soup's whole cut (`whole_cut`) is `bin_key` of its sub-multiset of
+    touching classes, keyed from their one-class records: the facts the
+    Monte Carlo driver's memo and keys rest on."""
     cut = data.draw(st.sampled_from(_triangle_cuts(k5, triangle_catalogs)))
     keys = [c.key for c in cut.catalog.classes]
     touching = [k for k in keys if cut.touches(k)]
@@ -371,28 +373,51 @@ def test_cut_depends_only_on_touching_classes(k5, triangle_catalogs, data):
         data.draw(st.lists(st.sampled_from(touching), max_size=2))
         + data.draw(st.lists(st.sampled_from(others), max_size=3))))
     counts = dict(Counter(soup))
-    sub = {k: v for k, v in sorted(counts.items()) if cut.touches(k)}
+    sub = tuple((k, v) for k, v in sorted(counts.items()) if cut.touches(k))
 
-    assert cut.cut(counts) == cut.cut(sub)
+    assert whole_cut(cut, counts) == (cut.bin_key(sub) if sub else None)
 
 
 def test_mc_driver_leaves_candidates_unbuilt(k5, triangle_catalogs):
-    """A Monte Carlo run asks `touches` of the sampled classes and never
-    cuts the whole catalog; the exact side still builds `candidates`."""
+    """A Monte Carlo run cuts the sampled classes alone (`cut_of`) and never
+    the whole catalog; the exact side still builds `candidates`."""
     for cut in _triangle_cuts(k5, triangle_catalogs):
         rep = _mc_driver("lazy", cut, 1.0, 3000, 0, False)
         assert rep.samples == 3000
         assert "candidates" not in cut.__dict__
-        assert cut._touches and len(cut._touches) < len(cut.catalog)
+        assert cut._class_cuts and len(cut._class_cuts) < len(cut.catalog)
         cut.targets(2)
         assert "candidates" in cut.__dict__
 
 
-def _per_soup_driver(prop, cut, intensity, samples, seed, expect_fail):
+def test_mc_checks_cut_each_class_alone_and_no_multiset(k5, triangle_catalogs,
+                                                        monkeypatch):
+    """A Monte Carlo run of each K5-triangle cut, excursions and crossings in
+    both modes and the removed edge, cuts each class it draws at most once,
+    alone, and no class multiset: soups are binned and keyed from the
+    per-class records (`Cut.bin_key`)."""
+    calls = defaultdict(list)
+    for cutter in (verify.decompose_counts, verify.extract_crossings_counts,
+                   verify.record_edge_jumps_counts):
+        def counting(catalog, counts, *args, cutter=cutter):
+            calls[cutter.__name__].append(tuple(counts.items()))
+            return cutter(catalog, counts, *args)
+        monkeypatch.setattr(verify, cutter.__name__, counting)
+    for cut in _triangle_cuts(k5, triangle_catalogs):
+        calls.clear()
+        rep = _mc_driver("alone", cut, 1.0, 20000, 0, False)
+        assert rep.details["bins_tested"] >= 1
+        made = [c for per_cutter in calls.values() for c in per_cutter]
+        assert made and all(len(c) == 1 and c[0][1] == 1 for c in made)
+        assert len(set(made)) == len(made)
+
+
+def _per_soup_driver(whole_cut, prop, cut, intensity, samples, seed,
+                     expect_fail):
     """The Monte Carlo driver as one loop over the count dicts of the
-    `soup_chunks` rows: each soup's touching sub-multiset is sorted and cut,
-    once per distinct one, then every bin of MIN_BIN_SAMPLES soups is
-    tested in bin-key order.
+    `soup_chunks` rows: each soup's touching sub-multiset is sorted and cut
+    whole (`whole_cut`), once per distinct one, then every bin of
+    MIN_BIN_SAMPLES soups is tested in bin-key order.
     Returns (bins, report, soups holding more than one touching class)."""
     mode = "oriented" if cut.oriented else "unoriented"
     cuts: dict = {}
@@ -407,7 +432,7 @@ def _per_soup_driver(prop, cut, intensity, samples, seed, expect_fail):
             continue
         several += len(sub) > 1
         if sub not in cuts:
-            cuts[sub] = cut.cut(dict(sub))
+            cuts[sub] = whole_cut(cut, dict(sub))
         if cuts[sub] is not None:
             bins[cuts[sub][0]][cuts[sub][1]] += 1
     pvals, tested = [], []
@@ -440,7 +465,8 @@ def k8_crossing_catalog():
 @pytest.mark.parametrize("case", ["prop1", "prop2", "prop5", "alpha2",
                                   "prop1bis"])
 def test_chunked_driver_matches_per_soup_driver(case, k5, triangle_catalogs,
-                                                k8_crossing_catalog):
+                                                k8_crossing_catalog,
+                                                whole_cut):
     """The chunked Monte Carlo driver fills the same bins, each Counter in
     the same order, and writes the same report bytes as a per-soup loop on
     the same stream: the K5 triangle's three cuts, the alpha = 2 control,
@@ -461,8 +487,8 @@ def test_chunked_driver_matches_per_soup_driver(case, k5, triangle_catalogs,
                      1.0, 10000, False),
     }[case]
     seed = 5
-    bins, rep, several = _per_soup_driver(prop, make(), intensity, samples,
-                                          seed, control)
+    bins, rep, several = _per_soup_driver(whole_cut, prop, make(), intensity,
+                                          samples, seed, control)
     assert several > 0 and rep.details["bins_tested"] > 0
     chunked = _mc_bins(make(), intensity, samples, stream(seed, prop))
     assert ([(b, list(c.items())) for b, c in chunked.items()]
@@ -491,18 +517,19 @@ def test_mc_control_with_no_testable_bin_fails(triangle_catalogs):
     assert rep.details["positive_control"] and not rep.passed
 
 
-def test_crossing_cut_keys_every_two_copy_soup(triangle_catalogs):
+def test_crossing_cut_keys_every_two_copy_soup(triangle_catalogs, whole_cut):
     """Two copies of any K5-triangle class that crosses get side keys, every
-    bin included: no orbit is too large to key."""
+    bin included: no orbit is too large to key, and `bin_key` keys them as
+    the cut of the pair does."""
     cat, ucat = triangle_catalogs
     keyed = 0
     for cut in (CrossingCut(cat, [{1}, {2}]), CrossingCut(ucat, [{1}, {3}])):
         for cls in cut.catalog.classes:
-            got = cut.cut({cls.key: 2})
-            if got is None:
+            if not cut.touches(cls.key):
+                assert whole_cut(cut, {cls.key: 2}) is None
                 continue
-            cs = extract_crossings_counts(cut.catalog, {cls.key: 2}, cut.sets)
-            assert got[1] == tuple(side_orbit_key(cs, i) for i in range(2))
+            got = cut.bin_key(((cls.key, 2),))
+            assert got == whole_cut(cut, {cls.key: 2})
             assert None not in got[1]
             keyed += 1
     assert keyed == 134
@@ -517,7 +544,7 @@ def _oracle_cuts(k5, triangle_catalogs):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_walker_flags_exactly_the_loops_beyond_the_catalog(
-        k5, triangle_catalogs, data):
+        k5, triangle_catalogs, whole_cut, data):
     """An oracle configuration's longest walker loop exceeds L_max exactly
     when one of the classes it reassembles into is missing from the
     catalog: the mass the truncated-soup law leaves out.  The loops use every
@@ -527,10 +554,10 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
     junction."""
     cut = data.draw(st.sampled_from(_oracle_cuts(k5, triangle_catalogs)))
     edge = (lambda e: e) if cut.oriented else k5[2].edge_class
-    single = [c.key for c in cut.catalog.classes
-              if sum(cut.contribution(c.key).values()) == 1]
+    single = [key for key, _, contrib, _ in cut.candidates
+              if sum(contrib.values()) == 1]
     soup = data.draw(st.lists(st.sampled_from(single), min_size=1, max_size=2))
-    b, _ = cut.cut(dict(Counter(soup)))
+    b, _ = whole_cut(cut, dict(Counter(soup)))
     pieces, table, _ = cut.bridge_table(b)
     cat = cut.catalog
     graph = cat.domain.graph
@@ -610,14 +637,14 @@ def test_three_set_independence_mc(three_set_run):
     assert rep.passed
 
 
-def test_mc_driver_tests_every_bin_at_the_floor(three_set_run):
+def test_mc_driver_tests_every_bin_at_the_floor(three_set_run, whole_cut):
     """The sample floor is the Monte Carlo driver's one bin rule: recounted
     from the same soups, every bin holding MIN_BIN_SAMPLES soups is tested,
     in bin-key order, and tested + skipped is the number of bins."""
     ucat, rep = three_set_run
     cut = CrossingCut(ucat, THREE_SETS)
     bins = {b: sum(keys.values()) for b, keys in _per_soup_driver(
-        rep.prop, cut, 1.0, rep.samples, rep.seed, False)[0].items()}
+        whole_cut, rep.prop, cut, 1.0, rep.samples, rep.seed, False)[0].items()}
     d = rep.details
     assert d["bins_tested"] + d["bins_skipped"] == len(bins)
     large = [{**cut.label(b), "n": n} for b, n in sorted(bins.items())
