@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -234,21 +235,30 @@ def test_unreachable_target():
                         (4, 2, 3), (5, 2, 3), (6, 3, 3), (7, 3, 3)])
     dom = Domain(g, [0, 1])
     rng = stream(12, "unreach")
-    with pytest.raises(BridgeError):
-        sample_bridge(dom, 1, 0, rng)   # edges only run forward
+    # edges only run forward
+    with pytest.raises(BridgeError, match="unreachable"):
+        sample_bridge(dom, 1, 0, rng)
+    with pytest.raises(BridgeError, match="no permutation has positive weight"):
+        sample_unordered_bridge(dom, (1,), (0,), rng)
+    with pytest.raises(BridgeError, match="no pairing has positive weight"):
+        sample_z_bridge(dom, (1, 0), rng)
 
 
 def test_bad_family_endpoints_raise_bridge_error():
     dom = Domain(complete_graph(5), [1, 2, 3])
     rng = stream(13, "bad-endpoints")
-    with pytest.raises(BridgeError):
+    outside = "bridge endpoints must lie in the domain"
+    with pytest.raises(BridgeError, match=outside):
         sample_z_bridge(dom, (1, 4), rng)
-    with pytest.raises(BridgeError):
+    with pytest.raises(BridgeError, match=outside):
         sample_unordered_bridge(dom, (1,), (4,), rng)
-    with pytest.raises(BridgeError):
+    with pytest.raises(BridgeError, match=outside):
         sample_bridge(dom, 1, 4, rng)
-    with pytest.raises(BridgeError):
+    with pytest.raises(BridgeError, match=outside):
         sample_bridge(dom, 4, 1, rng)
+    sample_bridge(dom, 1, 2, rng)   # the tables towards 1 and 2 now exist
+    with pytest.raises(BridgeError, match=outside):
+        sample_bridge(dom, 4, 2, rng)
 
 
 # -- the Doob segment tables ----------------------------------------------------
@@ -359,6 +369,63 @@ def test_samplers_match_the_segment_walk_draw_for_draw():
         assert fam.pairing == t
         assert fam.bridges == tuple(_reference_bridge(d4, Z[a], Z[b], ref)
                                     for a, b in t)
+
+
+# sha256 of the plain-tuple draws of `test_bridge_streams_are_pinned`
+PINNED_STREAMS = {
+    "single[0]":
+        "513b9f054f3fb02f8e0dfb24f264e04933b6d8fce693f91088e26bf7c0549591",
+    "single[1]":
+        "843454e2479803ebe4a2e77ef527fc5205ec8fdf145f233b534cf286fdfd0897",
+    "single[2]":
+        "da596ee14e511c6b03db4094b880cff34c0cc86e233d7841dfdaba5330cfd974",
+    "permutation":
+        "a4b3b96e3e4afc36e59acaac7e32a1e2ef73e579feaf77915874e196980b3e69",
+    "pairing":
+        "7b628fc89f0d9546b6f91499666138c0998bcf45146257ee7608f2fdea15066c",
+}
+
+
+def _fields(record, names):
+    """The record's fields as a plain tuple, after checking that it is
+    immutable and hashes as that tuple, and that every path in it is a
+    tuple."""
+    fields = tuple(getattr(record, name) for name in names)
+    assert hash(record) == hash(fields)
+    with pytest.raises(AttributeError):
+        setattr(record, names[-1], None)
+    for bridge in getattr(record, "bridges", (record,)):
+        assert type(bridge.path) is tuple
+    return fields
+
+
+def test_bridge_streams_are_pinned():
+    """The draws of all three samplers at fixed seeds hash to fixed digests:
+    (x, y, path) of single bridges on criterion 9's fixtures, (permutation,
+    paths) on the K12 triangle and (pairing, paths) on the degree-3 domain.
+    The digests hash plain tuples, not record reprs."""
+    singles, dk, d4 = _criterion_9_fixtures()
+    draws = {}
+    for k, (dom, x, y) in enumerate(singles):
+        rng = stream(k, "pinned-streams")
+        draws[f"single[{k}]"] = [
+            _fields(sample_bridge(dom, x, y, rng), ("x", "y", "path"))
+            for _ in range(DRAWS)]
+    rng = stream(3, "pinned-streams")
+    draws["permutation"] = [
+        (s, tuple(b.path for b in bridges)) for _, _, s, bridges in (
+            _fields(sample_unordered_bridge(dk, (1, 2), (1, 3), rng),
+                    ("X", "Y", "permutation", "bridges"))
+            for _ in range(DRAWS))]
+    rng = stream(4, "pinned-streams")
+    draws["pairing"] = [
+        (t, tuple(b.path for b in bridges)) for _, t, bridges in (
+            _fields(sample_z_bridge(d4, (1, 2, 3, 4), rng),
+                    ("Z", "pairing", "bridges"))
+            for _ in range(DRAWS))]
+    digests = {name: hashlib.sha256(repr(d).encode()).hexdigest()
+               for name, d in draws.items()}
+    assert digests == PINNED_STREAMS
 
 
 # -- properties on random regular graphs ----------------------------------------
