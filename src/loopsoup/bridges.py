@@ -25,16 +25,18 @@ segment probabilities.  k is the largest value whose rows hold at most
 SEGMENT_BUDGET segments, so a bridge draw takes one uniform per segment of
 moves.  Each family keeps its sorted permutations or pairings and their CDF
 per endpoint tuple, and draws one by ``bisect_right`` exactly as
-``rng.choice(p=...)`` would.  Endpoints are checked when a table is built.
+``rng.choice(p=...)`` would.  The records are NamedTuples and a cached draw
+costs one lookup per table plus one uniform per segment (endpoints are
+checked only when a lookup misses): ``rng.random()`` is the floor left.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +51,7 @@ class BridgeError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(NamedTuple):
     """A path from x to y inside a domain, as an edge-id sequence."""
 
     x: int
@@ -161,52 +162,48 @@ def _doob_table(domain: Domain, y: int) -> dict:
 
 def sample_bridge(domain: Domain, x: int, y: int, rng) -> Bridge:
     """Draw from the bridge law, one segment of the Doob table towards y
-    per uniform."""
-    table = _doob_table(domain, y)
-    if x not in domain.vertex_set:
-        raise BridgeError("bridge endpoints must lie in the domain")
-    if x not in table:
+    per uniform.  The endpoints are checked only when a lookup misses."""
+    table = domain._bridge_tables.get(("doob", y)) or _doob_table(domain, y)
+    row = table.get(x)
+    if row is None:
+        if x not in domain.vertex_set:
+            raise BridgeError("bridge endpoints must lie in the domain")
         raise BridgeError(f"target {y} unreachable from {x}")
     random = rng.random
-    path: list[int] = []
-    v = x
-    while True:
+    cdf, segments = row
+    eids, v, stopped = segments[bisect_right(cdf, random())]
+    if stopped:
+        return Bridge(x, y, eids)
+    path = list(eids)
+    while not stopped:
         cdf, segments = table[v]
         eids, v, stopped = segments[bisect_right(cdf, random())]
         path += eids
-        if stopped:
-            return Bridge(x, y, tuple(path))
+    return Bridge(x, y, tuple(path))
 
 
-def _family_draw(domain: Domain, key, vertices, weights_of, rng):
-    """One key of a bridge-family weight table, drawn as ``rng.choice(p=...)``
-    over the sorted keys would draw it.
-
-    The sorted keys and the CDF (built as ``Generator.choice`` builds it) are
-    cached per (domain, key); ``weights_of(green)`` gives the weight table.
-    """
-    entry = domain._bridge_tables.get(key)
-    if entry is None:
-        if not set(vertices) <= domain.vertex_set:
-            raise BridgeError("bridge endpoints must lie in the domain")
-        weights = weights_of(green_function(domain))
-        keys = sorted(weights)
-        w = np.array([float(weights[k]) for k in keys])
-        total = float(w.sum())
-        if total <= 0.0:
-            raise BridgeError(f"no {key[0]} has positive weight")
-        cdf = (w / total).cumsum()
-        cdf /= cdf[-1]
-        entry = domain._bridge_tables[key] = (keys, cdf.tolist())
-    keys, cdf = entry
-    return keys[bisect_right(cdf, rng.random())]
+def _family_table(domain: Domain, key, vertices, weights_of, *args):
+    """Cache and return the sorted keys of the weight table
+    ``weights_of(green, *args)`` and their CDF, built as ``Generator.choice``
+    builds it: ``bisect_right`` of a uniform then draws a key as
+    ``rng.choice(p=...)`` over the sorted keys would."""
+    if not set(vertices) <= domain.vertex_set:
+        raise BridgeError("bridge endpoints must lie in the domain")
+    weights = weights_of(green_function(domain), *args)
+    keys = sorted(weights)
+    w = np.array([float(weights[k]) for k in keys])
+    total = float(w.sum())
+    if total <= 0.0:
+        raise BridgeError(f"no {key[0]} has positive weight")
+    cdf = (w / total).cumsum()
+    cdf /= cdf[-1]
+    return domain._bridge_tables.setdefault(key, (keys, cdf.tolist()))
 
 
 # -- unordered (permutation-weighted) families --------------------------------
 
 
-@dataclass(frozen=True)
-class UnorderedBridgeFamily:
+class UnorderedBridgeFamily(NamedTuple):
     """Permutation s plus bridges, bridge j running x_j -> y_{s[j]} (0-based)."""
 
     X: tuple[int, ...]
@@ -236,18 +233,18 @@ def permutation_weights(green, X, Y) -> dict[tuple[int, ...], float | Fraction]:
 
 def sample_unordered_bridge(domain: Domain, X, Y, rng) -> UnorderedBridgeFamily:
     X, Y = tuple(X), tuple(Y)
-    s = _family_draw(domain, ("permutation", X, Y), X + Y,
-                     lambda green: permutation_weights(green, X, Y), rng)
-    bridges = tuple(sample_bridge(domain, X[j], Y[s[j]], rng)
-                    for j in range(len(X)))
-    return UnorderedBridgeFamily(X, Y, s, bridges)
+    key = ("permutation", X, Y)
+    keys, cdf = domain._bridge_tables.get(key) or _family_table(
+        domain, key, X + Y, permutation_weights, X, Y)
+    s = keys[bisect_right(cdf, rng.random())]
+    return UnorderedBridgeFamily(X, Y, s, tuple(
+        [sample_bridge(domain, X[j], Y[s[j]], rng) for j in range(len(X))]))
 
 
 # -- unoriented Z-bridge (pairing-weighted) families ---------------------------
 
 
-@dataclass(frozen=True)
-class ZBridgeFamily:
+class ZBridgeFamily(NamedTuple):
     """Perfect pairing of the 2N entries of Z plus one unoriented bridge per pair.
 
     Pairs are stored sorted by smaller slot; each bridge runs from the pair's
@@ -294,8 +291,10 @@ def pairing_weights(green, Z) -> dict[tuple, float | Fraction]:
 
 def sample_z_bridge(domain: Domain, Z, rng) -> ZBridgeFamily:
     Z = tuple(Z)
-    t = _family_draw(domain, ("pairing", Z), Z,
-                     lambda green: pairing_weights(green, Z), rng)
-    bridges = tuple(sample_bridge(domain, Z[a], Z[b], rng) for a, b in t)
-    return ZBridgeFamily(Z, t, bridges)
+    key = ("pairing", Z)
+    keys, cdf = domain._bridge_tables.get(key) or _family_table(
+        domain, key, Z, pairing_weights, Z)
+    t = keys[bisect_right(cdf, rng.random())]
+    return ZBridgeFamily(Z, t, tuple(
+        [sample_bridge(domain, Z[a], Z[b], rng) for a, b in t]))
 

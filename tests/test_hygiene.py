@@ -98,7 +98,7 @@ UNREACHED_FROM_CLI = {
     "bridges.UnorderedBridgeFamily": _BRIDGES,
     "bridges.ZBridgeFamily": _BRIDGES,
     "bridges._check_bridge": _BRIDGES,
-    "bridges._family_draw": _BRIDGES,
+    "bridges._family_table": _BRIDGES,
     "bridges.bridge_probability_exact": _BRIDGES,
     "bridges.sample_unordered_bridge": _BRIDGES + ", demo 03",
     "bridges.sample_z_bridge": _BRIDGES,
