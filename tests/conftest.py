@@ -10,6 +10,21 @@ from loopsoup.excursions import (decompose_counts, extract_crossings_counts,
 from loopsoup.verify import EdgeCut, ExcursionCut
 
 
+def pytest_collection_modifyitems(items):
+    """Ignore one known DeprecationWarning in every test.
+
+    When a Hypothesis test fails, the plugin's report hook triggers
+    ``mypy_extensions.TypedDict is deprecated``; under ``-W error`` that ends
+    the session with INTERNALERROR and no summary.  An ini filter cannot
+    help, as ``-W`` is applied after the ini filters; an item mark is
+    applied after both.  Every other DeprecationWarning still fails its
+    test."""
+    ignore = pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    for item in items:
+        item.add_marker(ignore)
+
+
 def _whole_cut(cut, counts):
     """(bin, hookup key) of the class multiset `counts` (key -> count), from
     one cut of the whole multiset by `excursions`' cutters and orbit keys;
