@@ -9,13 +9,13 @@ loop-measure quantities are finite.
 
 from fractions import Fraction
 
-from loopsoup import (Domain, canonicalize_oriented, canonicalize_unoriented,
-                      complete_graph, enumerate_loops, green_function,
-                      pair_reversals, rho_mass, tail_bound, unoriented_view)
+from loopsoup import (Domain, UnorientedGraph, canonicalize_oriented,
+                      canonicalize_unoriented, complete_graph, enumerate_loops,
+                      green_function, pair_reversals, rho_mass, tail_bound)
 
 g = complete_graph(5)
 iota = pair_reversals(g)
-ug = unoriented_view(g, iota)
+ug = UnorientedGraph(g, iota)
 dom = Domain(g, [1, 2, 3])
 
 print("g =", g.g, " spectral radius of the killed walk:", dom.spectral_radius())
@@ -44,8 +44,8 @@ print("directed triangle: J~ =", tri.J_tilde,
 
 # Catalogs enumerate everything up to a length cap, with exact masses and a
 # bound on what the cap leaves out.
-cat = enumerate_loops(dom, 8)
-ucat = enumerate_loops(dom, 8, "unoriented", unoriented=ug)
+cat = enumerate_loops(dom, 8, unoriented=ug)
+ucat = cat.counterpart()                # the same classes, reversals merged
 print(f"classes up to length 8: {len(cat)} oriented, {len(ucat)} unoriented")
 print("total mu-mass:", cat.total_mass, "=", float(cat.total_mass))
 print("2 * total nu-mass == total mu-mass:",

@@ -12,17 +12,17 @@ occupation fields in bulk and knows their exact Laplace transform.
 
 import numpy as np
 
-from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,
-                      green_function, pair_reversals, sample_oriented_soup,
-                      unoriented_view)
+from loopsoup import (Domain, FieldSampler, UnorientedGraph, complete_graph,
+                      enumerate_loops, green_function, pair_reversals,
+                      sample_oriented_soup)
 from loopsoup.rng import stream
 
 g = complete_graph(5)
 iota = pair_reversals(g)
-ug = unoriented_view(g, iota)
+ug = UnorientedGraph(g, iota)
 dom = Domain(g, [1, 2, 3])
-cat = enumerate_loops(dom, 10, unoriented=ug)   # keep iota around so the
-ucat = cat.counterpart()                        # unoriented view is derivable
+cat = enumerate_loops(dom, 10, unoriented=ug)   # keep ug around so the
+ucat = cat.counterpart()                        # unoriented catalog is derivable
 rng = stream(2024, "demo-soups")
 
 soup = sample_oriented_soup(cat, 1.0, rng)      # {class key: count}

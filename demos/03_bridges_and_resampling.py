@@ -12,16 +12,17 @@ arithmetic.
 from collections import Counter
 from fractions import Fraction
 
-from loopsoup import (Domain, complete_graph, enumerate_loops, green_function,
-                      pair_reversals, sample_bridge, sample_oriented_soup,
-                      sample_unordered_bridge, unoriented_view, verify_prop1)
+from loopsoup import (Domain, UnorientedGraph, complete_graph, enumerate_loops,
+                      green_function, pair_reversals, sample_bridge,
+                      sample_oriented_soup, sample_unordered_bridge,
+                      verify_prop1)
 from loopsoup.excursions import decompose_counts
 from loopsoup.rng import stream
 from loopsoup.verify import ExcursionCut
 
 g = complete_graph(12)            # heavy leakage: little infeasible mass
 iota = pair_reversals(g)
-ug = unoriented_view(g, iota)
+ug = UnorientedGraph(g, iota)
 dom = Domain(g, [1, 2, 3])
 cat = enumerate_loops(dom, 6, unoriented=ug)
 rng = stream(7, "demo-bridges")

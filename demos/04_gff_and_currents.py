@@ -11,14 +11,14 @@ law.
 
 from scipy import stats as sps
 
-from loopsoup import (Domain, FieldSampler, complete_graph, enumerate_loops,
-                      green_function, pair_reversals, sample_gff,
-                      unoriented_view, verify_lejan, verify_random_currents)
+from loopsoup import (Domain, FieldSampler, UnorientedGraph, complete_graph,
+                      enumerate_loops, green_function, pair_reversals,
+                      sample_gff, verify_lejan, verify_random_currents)
 from loopsoup.rng import stream
 
 g = complete_graph(5)
 iota = pair_reversals(g)
-ug = unoriented_view(g, iota)
+ug = UnorientedGraph(g, iota)
 dom = Domain(g, [1, 2, 3])
 cat = enumerate_loops(dom, 14, unoriented=ug)
 ucat = cat.counterpart()

@@ -22,14 +22,14 @@ cfg = config_from_dict({
 ws = build_workspace(cfg)
 rng = stream(5, "demo-wilson")
 
-tree, erased = wilson_ust(ws.graph, 0, rng)
+tree, erased = wilson_ust(ws.domain.graph, 0, rng)
 print("one Wilson run: tree =", tree, " erased cycles =", dict(erased))
 
 cat = ws.catalog("oriented")
 resolved = pop_cycles(cat, sample_oriented_soup(cat, 1.0, rng), rng)
 print("one soup sample resolved into simple cycles:", dict(resolved))
 
-report = verify_wilson(ws.graph, 0, cat, runs=200000, seed=6)
+report = verify_wilson(ws.domain.graph, 0, cat, runs=200000, seed=6)
 print("Wilson cross-check:", report.verdict,
       " tree marginal uniform:", report.details["tree_marginal_uniform"],
       " TV(erased, resolved soup):", round(report.statistic, 4))

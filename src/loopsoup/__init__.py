@@ -7,10 +7,10 @@ Monte Carlo against independent oracles.
 """
 
 from .graph import (Domain, Edge, GraphError, GreenMatrix, Involution,
-                    OrientedMultigraph, RecurrentDomainError, build_graph,
-                    complete_graph, cycle_graph, green_function, grid_graph,
-                    pair_reversals, parse_graph_file, path_graph,
-                    regularize_degree, unoriented_view, write_graph_file)
+                    OrientedMultigraph, RecurrentDomainError, UnorientedGraph,
+                    build_graph, complete_graph, cycle_graph, green_function,
+                    grid_graph, pair_reversals, parse_graph_file, path_graph,
+                    regularize_degree, write_graph_file)
 from .loops import (LoopCatalog, LoopClass, UnorientedLoopClass,
                     canonicalize_oriented, canonicalize_unoriented,
                     enumerate_loops, rho_mass, tail_bound)

@@ -174,7 +174,7 @@ _VERIFY_JOBS = {
         ws.catalog("unoriented"), samples=cfg.samples, seed=seed,
         intensity=float(cfg.c), oriented_catalog=ws.catalog("oriented"))],
     "wilson": lambda ws, cfg, seed: [V.verify_wilson(
-        ws.graph, cfg.root, ws.catalog("oriented"), runs=cfg.samples,
+        ws.domain.graph, cfg.root, ws.catalog("oriented"), runs=cfg.samples,
         seed=seed)],
 }
 
@@ -199,7 +199,7 @@ def run(cfg: ExperimentConfig, outdir: str,
     if "occupation-markov" in cfg.jobs:
         _markov_partitions(ws)      # refuse before any job runs
     if "wilson" in cfg.jobs:
-        check_root(ws.graph, cfg.root, cfg.domain)
+        check_root(ws.domain.graph, cfg.root, cfg.domain)
     if "prop5" in cfg.jobs:
         ws.removed_classes()
     reports, files = [], []

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import graph as graph_mod
-from .graph import (Domain, Involution, OrientedMultigraph, pair_reversals,
-                    parse_graph_file, regularize_degree, unoriented_view)
+from .graph import (Domain, Involution, OrientedMultigraph, UnorientedGraph,
+                    pair_reversals, parse_graph_file, regularize_degree)
 from .loops import enumerate_loops
 
 JOBS = ("prop1", "prop1bis", "prop2", "prop3bis", "prop5",
@@ -192,9 +192,7 @@ class Workspace:
     """Everything a job needs, built once from a config."""
 
     config: ExperimentConfig
-    graph: OrientedMultigraph
-    involution: Involution
-    unoriented: "object"
+    unoriented: UnorientedGraph
     domain: Domain
     class_budget: int | None = None       # None: loops.DEFAULT_CLASS_BUDGET
     _catalog: "object" = None             # the oriented catalog, once built
@@ -203,7 +201,7 @@ class Workspace:
         """The oriented catalog or its counterpart, from one enumeration."""
         if self._catalog is None:
             self._catalog = enumerate_loops(
-                self.domain, self.config.l_max, "oriented",
+                self.domain, self.config.l_max,
                 unoriented=self.unoriented, budget=self.class_budget)
         return self._catalog if mode == "oriented" else self._catalog.counterpart()
 
@@ -231,11 +229,11 @@ def build_workspace(cfg: ExperimentConfig,
         # a file's own reversals; the stationary padding edges stay fixed
         involution = Involution(graph, {e.id: involution.mapping.get(e.id, e.id)
                                         for e in graph.edges})
-    unoriented = unoriented_view(graph, involution)
+    unoriented = UnorientedGraph(graph, involution)
     # pure enumeration works on recurrent domains (no Green's function needed)
     allow_recurrent = set(cfg.jobs) <= {"enumerate"}
     domain = Domain(graph, cfg.domain, allow_recurrent=allow_recurrent)
-    return Workspace(cfg, graph, involution, unoriented, domain, class_budget)
+    return Workspace(cfg, unoriented, domain, class_budget)
 
 
 def job_seed(master: int, job: str, index: int) -> int:

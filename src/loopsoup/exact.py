@@ -382,6 +382,8 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     rational part (1 + u)^{-intensity} is built degree by degree in one pass
     of Miller's recurrence over the integers (`_binomial_series`).
     """
+    if intensity <= 0:
+        raise OracleError(f"intensity {intensity} must be positive")
     groups = [tuple(g) for g in edge_groups]
     var_of = {}
     for i, grp in enumerate(groups):

@@ -98,15 +98,12 @@ class OrientedMultigraph:
 
 
 def build_graph(n_vertices: int, edge_list) -> OrientedMultigraph:
-    """Build a graph from (id, tail, head[, stationary]) tuples or Edge values."""
+    """Build a graph from (id, tail, head[, stationary]) tuples."""
     edges = []
     for item in edge_list:
-        if isinstance(item, Edge):
-            edges.append(item)
-        else:
-            eid, tail, head = item[:3]
-            stat = bool(item[3]) if len(item) > 3 else False
-            edges.append(Edge(int(eid), int(tail), int(head), stat))
+        eid, tail, head = item[:3]
+        stat = bool(item[3]) if len(item) > 3 else False
+        edges.append(Edge(int(eid), int(tail), int(head), stat))
     return OrientedMultigraph(n_vertices, edges)
 
 
@@ -166,29 +163,21 @@ class Involution:
         return min(tuple(path), self.reverse_path(path))
 
 
-def pair_reversals(graph: OrientedMultigraph, fix_self_edges: bool = True) -> Involution:
+def pair_reversals(graph: OrientedMultigraph) -> Involution:
     """Construct an involution by greedily pairing x->y edges with y->x edges.
 
-    Self-edges are involution-fixed when ``fix_self_edges`` (each counts once
-    toward the degree); otherwise they are paired among themselves two by two
-    (each unoriented self-loop then counts twice).
+    Self-edges are involution-fixed (each counts once toward the degree);
+    paired self-loops come from a graph file's ``rev``.
     """
     mapping: dict[int, int] = {}
     pools: dict[tuple[int, int], list[int]] = {}
     for e in graph.edges:
-        if e.is_self_edge and fix_self_edges:
+        if e.is_self_edge:
             mapping[e.id] = e.id
         else:
             pools.setdefault((e.tail, e.head), []).append(e.id)
     for (t, h), ids in sorted(pools.items()):
-        if t == h:
-            if len(ids) % 2:
-                raise InvolutionError(f"odd number of self-edges to pair at vertex {t}")
-            ids = sorted(ids)
-            for a, b in zip(ids[0::2], ids[1::2]):
-                mapping[a] = b
-                mapping[b] = a
-        elif t < h:
+        if t < h:
             other = sorted(pools.get((h, t), []))
             ids = sorted(ids)
             if len(ids) != len(other):
@@ -229,10 +218,6 @@ class UnorientedGraph:
         return [k for k, members in self.edge_classes.items()
                 if all(domain.allows_edge(self.graph.edge_by_id[e])
                        for e in members)]
-
-
-def unoriented_view(graph: OrientedMultigraph, involution: Involution) -> UnorientedGraph:
-    return UnorientedGraph(graph, involution)
 
 
 def _spectral_radius(P: np.ndarray) -> float:

@@ -348,23 +348,19 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
 
 
 @_gc_paused()
-def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
+def enumerate_loops(domain: Domain, L_max: int, *,
                     unoriented: UnorientedGraph | None = None,
                     budget: int | None = None) -> LoopCatalog:
-    """Exhaustive catalog of loop classes with length <= L_max in the domain.
+    """Exhaustive catalog of oriented loop classes with length <= L_max.
 
-    The oriented keys are the necklaces that `_enumerate_oriented_keys`
-    finds, already in (n, key) order, each with J = n/p for its period p; an
-    unoriented catalog is the counterpart of the oriented one.
+    The keys are the necklaces that `_enumerate_oriented_keys` finds,
+    already in (n, key) order, each with J = n/p for its period p; the
+    unoriented catalog is its `counterpart()`, built from ``unoriented``.
     """
     if budget is None:
         budget = DEFAULT_CLASS_BUDGET
     if L_max < 0:
         raise GraphError("L_max must be nonnegative")
-    if mode not in ("oriented", "unoriented"):
-        raise GraphError(f"unknown mode {mode!r}")
-    if mode == "unoriented" and unoriented is None:
-        raise GraphError("unoriented enumeration needs an UnorientedGraph")
     g = domain.g
     masses = {}                       # (n, J) -> g^{-n} / J; few distinct
     classes = []
@@ -378,9 +374,8 @@ def enumerate_loops(domain: Domain, L_max: int, mode: str = "oriented",
         tb = tail_bound(domain, L_max)
     except GraphError:
         tb = math.inf
-    catalog = LoopCatalog(domain, L_max, "oriented", classes, tb,
-                          unoriented_graph=unoriented)
-    return catalog if mode == "oriented" else catalog.counterpart()
+    return LoopCatalog(domain, L_max, "oriented", classes, tb,
+                       unoriented_graph=unoriented)
 
 
 def tail_bound(domain: Domain, L_max: int) -> float:

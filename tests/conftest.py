@@ -1,7 +1,7 @@
 import pytest
 
-from loopsoup import (Domain, Involution, build_graph, complete_graph,
-                      enumerate_loops, pair_reversals, unoriented_view)
+from loopsoup import (Domain, Involution, UnorientedGraph, build_graph,
+                      complete_graph, enumerate_loops, pair_reversals)
 from loopsoup.exact import side_orbit_key
 from loopsoup.excursions import (decompose_counts, extract_crossings_counts,
                                  oriented_hookup_orbit_key,
@@ -64,7 +64,7 @@ def k5():
     """Complete graph on 5 vertices (g = 4) with its reversal involution."""
     g = complete_graph(5)
     inv = pair_reversals(g)
-    return g, inv, unoriented_view(g, inv)
+    return g, inv, UnorientedGraph(g, inv)
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +77,7 @@ def triangle_domain(k5):
 @pytest.fixture(scope="session")
 def triangle_catalogs(k5, triangle_domain):
     g, inv, ug = k5
-    cat = enumerate_loops(triangle_domain, 8, "oriented", unoriented=ug)
+    cat = enumerate_loops(triangle_domain, 8, unoriented=ug)
     ucat = cat.counterpart()
     return cat, ucat
 
@@ -86,7 +86,7 @@ def triangle_catalogs(k5, triangle_domain):
 def k12():
     g = complete_graph(12)
     inv = pair_reversals(g)
-    return g, inv, unoriented_view(g, inv)
+    return g, inv, UnorientedGraph(g, inv)
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,7 @@ def sharp_triangle(k12):
     """Vertices {1,2,3} of K12 (g = 11): heavy leakage, little infeasible mass."""
     g, inv, ug = k12
     dom = Domain(g, [1, 2, 3])
-    cat = enumerate_loops(dom, 6, "oriented", unoriented=ug)
+    cat = enumerate_loops(dom, 6, unoriented=ug)
     return dom, cat, cat.counterpart()
 
 
@@ -114,6 +114,6 @@ def paired_self_edge_catalogs():
                         (4, 0, 0), (5, 0, 0), (6, 1, 1), (7, 2, 2), (8, 2, 2)])
     inv = Involution(g, {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 6, 7: 8,
                          8: 7})
-    cat = enumerate_loops(Domain(g, [0, 1]), 6, "oriented",
-                          unoriented=unoriented_view(g, inv))
+    cat = enumerate_loops(Domain(g, [0, 1]), 6,
+                          unoriented=UnorientedGraph(g, inv))
     return cat, cat.counterpart()

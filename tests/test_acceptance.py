@@ -211,7 +211,7 @@ def test_criterion_8_wilson():
         "seed": "0", "l_max": "14", "root": "0",
     })
     ws = build_workspace(cfg)
-    rep = verify_wilson(ws.graph, 0, ws.catalog("oriented"), runs=10 ** 6,
+    rep = verify_wilson(ws.domain.graph, 0, ws.catalog("oriented"), runs=10 ** 6,
                         seed=109)
     dt = time.time() - t0
     ok = rep.passed and rep.details["tree_marginal_uniform"] and dt < 600
@@ -230,7 +230,7 @@ def test_criterion_9_bridge_laws(ws_k5):
     g1 = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 1)])
     d1 = Domain(g1, [0])
     # fixture 2: triangle in complete:5
-    d2 = Domain(ws_k5.graph, [1, 2, 3])
+    d2 = Domain(ws_k5.domain.graph, [1, 2, 3])
     # fixture 3: path of four vertices in cycle:6
     g3 = cycle_graph(6)
     d3 = Domain(g3, [1, 2, 3, 4])

@@ -547,11 +547,11 @@ def test_graph_file_keeps_its_involution(tmp_path):
     cfg = config_from_dict({"graph": f"file:{path}", "domain": "0 1",
                             "jobs": "enumerate", "seed": "0", "l_max": "3"})
     ws = build_workspace(cfg)
-    assert ws.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
+    assert ws.unoriented.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
     assert len(ws.catalog("unoriented").classes) == 13
     # padding up to degree 4 adds one stationary self-edge per vertex, fixed
     cfg = config_from_dict({"graph": f"file:{path}", "domain": "0",
                             "jobs": "enumerate", "seed": "0", "g": "4"})
     ws = build_workspace(cfg)
-    assert ws.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4,
+    assert ws.unoriented.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4,
                                      6: 6, 7: 7}

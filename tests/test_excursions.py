@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, canonicalize_oriented,
-                      canonicalize_unoriented, enumerate_loops, reassemble,
-                      sample_oriented_soup, sample_unoriented_soup,
-                      unoriented_view)
+from loopsoup import (Domain, UnorientedGraph, build_graph,
+                      canonicalize_oriented, canonicalize_unoriented,
+                      enumerate_loops, reassemble, sample_oriented_soup,
+                      sample_unoriented_soup)
 from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  EdgeJumpRecord, ExcursionDecomposition,
                                  OrientedHookup, UnorientedHookup,
@@ -64,9 +64,9 @@ def test_hand_built_two_loop_decomposition():
         edges.append((eid + 1, b, a))
         eid += 2
     g = build_graph(6, edges)
-    from loopsoup import pair_reversals, unoriented_view
+    from loopsoup import pair_reversals
     inv = pair_reversals(g)
-    ug = unoriented_view(g, inv)
+    ug = UnorientedGraph(g, inv)
     dom = Domain(g, [1, 2, 3, 4, 5], allow_recurrent=True)
     cat = enumerate_loops(dom, 8, unoriented=ug)
     F1, F2 = {3}, {1, 5}
@@ -180,9 +180,9 @@ def test_oriented_single_loop_double_alternation():
     """A loop alternating between the two sets twice has two crossings each
     way."""
     g = build_graph(2, [(0, 0, 1), (1, 1, 0), (2, 0, 1), (3, 1, 0)])
-    from loopsoup import pair_reversals, unoriented_view
+    from loopsoup import pair_reversals
     inv = pair_reversals(g)
-    ug = unoriented_view(g, inv)
+    ug = UnorientedGraph(g, inv)
     dom = Domain(g, [0, 1], allow_recurrent=True)
     cat = enumerate_loops(dom, 4, unoriented=ug)
     loop = canonicalize_oriented(g, (0, 1, 2, 3))
@@ -213,11 +213,11 @@ def test_record_edge_jumps(k5, triangle_catalogs):
 def test_record_self_edge_doubles():
     """One jump along a removed self-edge contributes two equal endpoints."""
     g = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)])
-    from loopsoup import Involution, unoriented_view
+    from loopsoup import Involution
     inv = Involution(g, {0: 0, 1: 2, 2: 1, 3: 3})
-    ug = unoriented_view(g, inv)
+    ug = UnorientedGraph(g, inv)
     dom = Domain(g, [0])
-    cat = enumerate_loops(dom, 4, "unoriented", unoriented=ug)
+    cat = enumerate_loops(dom, 4, unoriented=ug).counterpart()
     self_cls = ug.edge_class(0)
     one = canonicalize_unoriented(g, (0,), inv)
     rec = record_edge_jumps_counts(cat, {one.key: 1}, [self_cls])

@@ -7,9 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, Involution, RecurrentDomainError,
-                      build_graph, complete_graph, cycle_graph, green_function,
-                      grid_graph, pair_reversals, parse_graph_file, path_graph,
-                      regularize_degree, unoriented_view, write_graph_file)
+                      UnorientedGraph, build_graph, complete_graph,
+                      cycle_graph, green_function, grid_graph, pair_reversals,
+                      parse_graph_file, path_graph, regularize_degree,
+                      write_graph_file)
 from loopsoup.graph import EXACT_SIZE_LIMIT, _RADIUS_REJECT, _spectral_radius
 from loopsoup.rng import stream
 
@@ -235,7 +236,7 @@ def test_involution_validation():
         Involution(g, {0: 1})          # incomplete
 
 
-def test_unoriented_view_classes(k5):
+def test_unoriented_graph_classes(k5):
     g, inv, ug = k5
     # one unoriented class per vertex pair
     assert len(ug.edge_classes) == 10
@@ -243,15 +244,21 @@ def test_unoriented_view_classes(k5):
     assert ug.class_endpoints(key) == (0, 1)
 
 
-def test_unoriented_self_edge_conventions():
-    # iota-fixed self-edge: one class counted once
+def test_unoriented_self_edge_conventions(tmp_path):
+    # iota-fixed self-edges, as pair_reversals makes them: one class each,
+    # counted once
     g = build_graph(1, [(0, 0, 0), (1, 0, 0)])
-    inv_fixed = Involution(g, {0: 0, 1: 1})
-    ug = unoriented_view(g, inv_fixed)
+    inv_fixed = pair_reversals(g)
+    assert inv_fixed.mapping == {0: 0, 1: 1}
+    ug = UnorientedGraph(g, inv_fixed)
     assert sorted(ug.edge_classes) == [(0, 0), (1, 1)]
-    # paired parallel self-edges: one class counted twice in the degree
-    inv_pair = pair_reversals(g, fix_self_edges=False)
-    ug2 = unoriented_view(g, inv_pair)
+    # paired parallel self-edges, as a graph file's rev gives them: one class
+    # counted twice in the degree
+    path = tmp_path / "paired.graph"
+    path.write_text("vertices 1\nedge 0 0 0 rev 1\nedge 1 0 0 rev 0\n")
+    g2, inv_pair = parse_graph_file(path)
+    assert inv_pair.mapping == {0: 1, 1: 0}
+    ug2 = UnorientedGraph(g2, inv_pair)
     assert sorted(ug2.edge_classes) == [(0, 1)]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import sys
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, build_graph, canonicalize_oriented,
-                      canonicalize_unoriented, complete_graph, cycle_graph,
-                      enumerate_loops, pair_reversals, path_graph,
-                      regularize_degree, rho_mass, tail_bound, unoriented_view)
+from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
+                      canonicalize_oriented, canonicalize_unoriented,
+                      complete_graph, cycle_graph, enumerate_loops,
+                      pair_reversals, path_graph, regularize_degree, rho_mass,
+                      tail_bound)
 from loopsoup import loops
 from loopsoup.cli import run
 from loopsoup.config import config_from_dict
@@ -272,7 +274,7 @@ def _small_domains(draw):
     graph = make(draw(st.integers(3, 5)))
     graph = regularize_degree(graph, max(graph.out_degree.values()))
     vertices = draw(st.sets(st.sampled_from(graph.vertices), min_size=1))
-    ug = unoriented_view(graph, pair_reversals(graph))
+    ug = UnorientedGraph(graph, pair_reversals(graph))
     return Domain(graph, vertices, allow_recurrent=True), ug
 
 
@@ -316,7 +318,7 @@ def test_unoriented_class_keeps_both_orientations(dom_ug, L):
     """Every unoriented class lists its key and the necklace of the key's
     reversal as its oriented keys, once when they are equal."""
     dom, ug = dom_ug
-    for u in enumerate_loops(dom, L, "unoriented", unoriented=ug).classes:
+    for u in enumerate_loops(dom, L, unoriented=ug).counterpart().classes:
         back = necklace(ug.involution.reverse_path(u.key))[0]
         assert u.oriented_keys == ((u.key,) if back == u.key else (u.key, back))
 
@@ -377,15 +379,27 @@ def test_deep_enumeration():
         ((0,) * n, n, n, Fraction(1, 2 ** n * n)) for n in range(1, L + 1)]
 
 
-def test_counterpart_needs_unoriented_view(triangle_domain):
+def test_counterpart_needs_unoriented_graph(triangle_domain):
     with pytest.raises(GraphError):
         enumerate_loops(triangle_domain, 4).counterpart()
+
+
+def test_enumerate_loops_takes_no_mode(triangle_domain):
+    """Enumeration has no mode: the unoriented catalog is the counterpart.
+    `unoriented` and `budget` are keyword-only, so any third positional
+    argument, a stale mode string included, fails loudly."""
+    params = inspect.signature(enumerate_loops).parameters
+    assert list(params) == ["domain", "L_max", "unoriented", "budget"]
+    assert {params[k].kind for k in ("unoriented", "budget")} == \
+        {inspect.Parameter.KEYWORD_ONLY}
+    with pytest.raises(TypeError):
+        enumerate_loops(triangle_domain, 4, None)
 
 
 def test_counterpart_needs_reversal_closed_domain():
     # removing 0->1 but not 1->0 leaves the loop 1->0->2->1 without its reversal
     g = complete_graph(4)
-    ug = unoriented_view(g, pair_reversals(g))
+    ug = UnorientedGraph(g, pair_reversals(g))
     removed = [e.id for e in g.edges if (e.tail, e.head) == (0, 1)]
     dom = Domain(g, [0, 1, 2], removed_edges=removed)
     with pytest.raises(GraphError):

@@ -285,7 +285,7 @@ def test_fieldsampler_top_uniform_draws_last_class():
     """A uniform draw just below 1 selects the last class, even on a catalog
     whose float masses sum above their cumulative sum's last entry."""
     from loopsoup import complete_graph
-    cat = enumerate_loops(Domain(complete_graph(6), [1, 2, 3]), 6, "oriented")
+    cat = enumerate_loops(Domain(complete_graph(6), [1, 2, 3]), 6)
     masses, cum = cat.mass_arrays()
     assert masses.sum() > cum[-1]
     fs = FieldSampler(cat, [], [1])

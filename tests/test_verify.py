@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, build_graph, complete_graph,
-                      enumerate_loops, green_function, pair_reversals,
-                      regularize_degree, sample_gff, unoriented_view,
+from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
+                      complete_graph, enumerate_loops, green_function,
+                      pair_reversals, regularize_degree, sample_gff,
                       verify_ct_excursions, verify_lejan,
                       markov_law, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
@@ -19,7 +19,7 @@ from loopsoup import (Domain, GraphError, build_graph, complete_graph,
 from loopsoup import excursions, verify
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict, parse_config
-from loopsoup.exact import OccupationLaw
+from loopsoup.exact import OccupationLaw, OracleError, occupation_law
 from loopsoup.excursions import (extract_crossings_counts, hookup_loop_lengths,
                                  hookup_loops, reassemble)
 from loopsoup.rng import stream
@@ -458,8 +458,8 @@ def k8_crossing_catalog():
     """The oriented catalog of the benchmark's crossing case: complete:8,
     domain 1-4, l_max 12 (69,960 classes)."""
     g = complete_graph(8)
-    return enumerate_loops(Domain(g, [1, 2, 3, 4]), 12, "oriented",
-                           unoriented=unoriented_view(g, pair_reversals(g)))
+    return enumerate_loops(Domain(g, [1, 2, 3, 4]), 12,
+                           unoriented=UnorientedGraph(g, pair_reversals(g)))
 
 
 @pytest.mark.parametrize("case", ["prop1", "prop2", "prop5", "alpha2",
@@ -606,7 +606,7 @@ def test_residual_coupling(ws_k12):
     edge_by_id = cat.domain.graph.edge_by_id
     for F in ({1}, {2}):
         sub = enumerate_loops(cat.domain.without_vertices(F), cat.L_max,
-                              cat.mode, unoriented=cat.unoriented_graph)
+                              unoriented=cat.unoriented_graph)
         mine = {c.key: c.mass for c in cat.classes
                 if not any(edge_by_id[eid].tail in F for eid in c.key)}
         assert mine == {c.key: c.mass for c in sub.classes}
@@ -684,7 +684,7 @@ def test_occupation_markov_control_fails_on_cycle():
         eid += 2
     g = regularize_degree(build_graph(5, edges), 3)
     inv = pair_reversals(g)
-    ug = unoriented_view(g, inv)
+    ug = UnorientedGraph(g, inv)
     dom = Domain(g, [1, 2, 3, 4])
     groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
     part = (groups, [0], [1, 3], [2])
@@ -736,6 +736,65 @@ def test_markov_defect_decides_each_boundary_block_exactly():
     assert _markov_defect(product_block, [0], [1], [2]) == (0.0, 12, 0)
     one_row = law({(1, 0, 0): 2, (1, 0, 2): 7, (1, 1, 1): 1})
     assert _markov_defect(one_row, [0], [1], [2]) == (0.0, 0, 0)
+
+
+@pytest.fixture(scope="module")
+def occupation_split():
+    """golden_occupation's domain and its unoriented Markov partition."""
+    ws = build_workspace(parse_config(os.path.join(
+        os.path.dirname(__file__), "data", "golden_occupation.cfg")))
+    return ws.domain, markov_edge_partition(ws, oriented=False)
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_markov_defect_tilts_in_place(occupation_split, c):
+    """Tilting inside `_markov_defect` gives what the check of a tilted copy
+    of the law gives, for an inside, a boundary and an outside group; at
+    c = 2 the statistic is nonzero, so the integer scaling is exercised."""
+    dom, part = occupation_split
+    _, idx_in, idx_bd, idx_out = part
+    law = markov_law(dom, part, "c", Fraction(c))
+    for group in (idx_in[0], idx_bd[0], idx_out[0]):
+        copy = OccupationLaw(law.groups, law.cap,
+                             {n: w * verify.TILT ** n[group]
+                              for n, w in law.weights.items()}, law.scalar)
+        tilted = _markov_defect(law, idx_in, idx_bd, idx_out, group)
+        assert tilted == _markov_defect(copy, idx_in, idx_bd, idx_out)
+        assert tilted[1] > 0 and (tilted[0] > 0) == (c == 2)
+
+
+def test_occupation_markov_refuses_laws_it_would_mislabel(occupation_split):
+    """A kind other than c or alpha, which would build the exponent-1 law
+    under another name, and a nonpositive intensity, which would build
+    signed weights, are refused."""
+    dom, part = occupation_split
+    with pytest.raises(OracleError, match="intensity kind 'C'"):
+        markov_law(dom, part, "C", Fraction(1), cap=6)
+    law = markov_law(dom, part, "c", Fraction(1), cap=6)
+    with pytest.raises(OracleError, match="intensity kind 'C'"):
+        verify_occupation_markov(law, part, "C", Fraction(1))
+    for c in (Fraction(-1), Fraction(0)):
+        with pytest.raises(OracleError, match="must be positive"):
+            markov_law(dom, part, "c", c, cap=6)
+    with pytest.raises(OracleError, match="must be positive"):
+        occupation_law(dom, part[0], Fraction(-1, 2), 6)
+
+
+def test_quiet_occupation_control_says_why_it_fails(occupation_split):
+    """At cap 5 the c = 2 control checks cells but violates none: it fails
+    with a note naming the window.  At cap 12 it violates cells, passes and
+    carries no note."""
+    dom, part = occupation_split
+    reports = {cap: verify_occupation_markov(
+        markov_law(dom, part, "c", Fraction(2), cap=cap), part, "c",
+        Fraction(2), expect_fail=True) for cap in (5, 12)}
+    quiet, loud = reports[5], reports[12]
+    assert quiet.verdict == "fail"
+    assert (quiet.details["cells_checked"], quiet.details["cells_violated"]) \
+        == (24, 0)
+    assert "window of cap 5" in quiet.details["note"]
+    assert loud.passed and loud.details["cells_violated"] > 0
+    assert "note" not in loud.details
 
 
 @pytest.fixture(scope="module")
@@ -849,7 +908,7 @@ def test_wilson_small():
         "seed": "0", "l_max": "14", "root": "0",
     })
     ws = build_workspace(cfg)
-    rep = verify_wilson(ws.graph, 0, ws.catalog("oriented"), runs=150000,
+    rep = verify_wilson(ws.domain.graph, 0, ws.catalog("oriented"), runs=150000,
                         seed=57)
     assert rep.passed
     assert rep.details["tree_marginal_uniform"]

@@ -24,10 +24,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
-                      enumerate_loops, pair_reversals, pop_cycles,
-                      regularize_degree, sample_oriented_soup, unoriented_view,
-                      verify_wilson, wilson_ust)
+from loopsoup import (Domain, UnorientedGraph, build_graph, complete_graph,
+                      cycle_graph, enumerate_loops, pair_reversals, pop_cycles,
+                      regularize_degree, sample_oriented_soup, verify_wilson,
+                      wilson_ust)
 from loopsoup import stats, verify, wilson
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
@@ -226,7 +226,7 @@ def test_pop_cycles_refuses_an_unoriented_catalog():
     before anything is drawn, not popped as if its keys were oriented."""
     g = complete_graph(5)
     cat = enumerate_loops(Domain(g, [1, 2, 3]), 6,
-                          unoriented=unoriented_view(g, pair_reversals(g)))
+                          unoriented=UnorientedGraph(g, pair_reversals(g)))
     ucat = cat.counterpart()
     key = next(c.key for c in ucat.classes if c.n == 3)
     rng = stream(0, "refuse")
@@ -268,7 +268,7 @@ def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch)
     monkeypatch.setattr(wilson, "_lockstep", refuse)
     graph = cycle_graph(4)
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
-                          unoriented=unoriented_view(graph, pair_reversals(graph)))
+                          unoriented=UnorientedGraph(graph, pair_reversals(graph)))
     with pytest.raises(SoupError, match="not oriented"):
         verify_wilson(graph, 0, cat.counterpart(), runs=20000)
 
@@ -354,7 +354,7 @@ def test_a_tree_never_drawn_fails_the_tree_check():
     assert spanning_tree_count(graph, 0) == 16
     assert spanning_tree_count(cycle_graph(4), 0) == 4
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
-                          unoriented=unoriented_view(graph, pair_reversals(graph)))
+                          unoriented=UnorientedGraph(graph, pair_reversals(graph)))
     rep = verify_wilson(graph, 0, cat, runs=8, seed=0)
     assert rep.details["n_trees"] <= 8
     assert rep.details["tree_marginal_uniform"] is False
@@ -379,7 +379,7 @@ def test_verify_wilson_matches_the_references(graph, l_max, seed):
     tallied in another order, so the TVs sum their terms in another
     order."""
     runs = 3000
-    ug = unoriented_view(graph, pair_reversals(graph))
+    ug = UnorientedGraph(graph, pair_reversals(graph))
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), l_max, unoriented=ug)
     trees, w_keys = Counter(), Counter()
     for tree_d, tree_of, erased, erased_of in wilson_blocks(
