@@ -44,8 +44,7 @@ print("isomorphism verified:", report.verdict,
 
 # Random currents: even degree at every vertex, and conditionally on the
 # occupation the jumps are even-conditioned independent Poissons.
-report = verify_random_currents(ucat, samples=50000, seed=2,
-                                oriented_catalog=cat)
+report = verify_random_currents(ucat, samples=50000, seed=2)
 print("random currents verified:", report.verdict,
       " even degrees:", report.details["even_degrees"],
       " oriented in=out:", report.details["inout_ok"])

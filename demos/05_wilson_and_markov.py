@@ -9,7 +9,7 @@ independent across a vertex cut given the boundary jump counts, which we
 check exactly from the jump-count generating function.
 """
 
-from loopsoup import (markov_law, pop_cycles, sample_oriented_soup,
+from loopsoup import (pop_cycles, sample_oriented_soup,
                       verify_occupation_markov, verify_wilson, wilson_ust)
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
@@ -29,7 +29,7 @@ cat = ws.catalog("oriented")
 resolved = pop_cycles(cat, sample_oriented_soup(cat, 1.0, rng), rng)
 print("one soup sample resolved into simple cycles:", dict(resolved))
 
-report = verify_wilson(ws.domain.graph, 0, cat, runs=200000, seed=6)
+report = verify_wilson(cat, 0, runs=200000, seed=6)
 print("Wilson cross-check:", report.verdict,
       " tree marginal uniform:", report.details["tree_marginal_uniform"],
       " TV(erased, resolved soup):", round(report.statistic, 4))
@@ -43,12 +43,10 @@ cfg2 = config_from_dict({
 })
 ws2 = build_workspace(cfg2)
 part = markov_edge_partition(ws2, oriented=False)
-law = markov_law(ws2.domain, part, intensity_kind="c", cap=12)
-rep = verify_occupation_markov(law, part, intensity_kind="c")
+rep, rep_t = verify_occupation_markov(ws2.domain, part, intensity_kind="c",
+                                      cap=12, tilt_edge_groups=part[2][:1])
 print("occupation-field Markov property:", rep.verdict,
       " TV to the Markov projection:", rep.statistic,
       " cells violated:", rep.details["cells_violated"], "of",
       rep.details["cells_checked"])
-rep_t = verify_occupation_markov(law, part, intensity_kind="c",
-                                 tilt_edge_group=part[2][0])
 print("tilted by theta^N on a boundary edge, still Markov:", rep_t.verdict)

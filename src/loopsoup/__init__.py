@@ -23,8 +23,8 @@ from .excursions import (CrossingSet, EdgeJumpRecord, ExcursionDecomposition,
 from .exact import occupation_law, tv_distance
 from .gff import sample_gff
 from .wilson import pop_cycles, wilson_ust
-from .verify import (TestReport, markov_law, verify_ct_excursions,
-                     verify_lejan, verify_occupation_markov, verify_prop1,
+from .verify import (TestReport, verify_ct_excursions, verify_lejan,
+                     verify_occupation_markov, verify_prop1,
                      verify_prop1bis_3bis, verify_prop2, verify_prop5,
                      verify_random_currents, verify_wilson)
 from .rng import stream

@@ -137,14 +137,11 @@ def _job_occupation_markov(ws: Workspace, cfg, seed: int):
     """The c-soup and oriented checks; with a boundary, the c-soup check
     tilted on its first boundary group, on the untilted check's law."""
     part_u, part_o = _markov_partitions(ws)
-    law_u = V.markov_law(ws.domain, part_u, "c", cfg.c)
-    law_o = V.markov_law(ws.domain, part_o, "alpha", Fraction(1), cap=8)
-    reports = [V.verify_occupation_markov(law_u, part_u, "c", cfg.c),
-               V.verify_occupation_markov(law_o, part_o, "alpha", Fraction(1))]
-    if part_u[2]:
-        reports.append(V.verify_occupation_markov(
-            law_u, part_u, "c", cfg.c, tilt_edge_group=part_u[2][0]))
-    return reports
+    untilted, *tilted = V.verify_occupation_markov(
+        ws.domain, part_u, "c", cfg.c, tilt_edge_groups=part_u[2][:1])
+    oriented = V.verify_occupation_markov(ws.domain, part_o, "alpha",
+                                          Fraction(1), cap=8)
+    return [untilted, *oriented, *tilted]
 
 
 # Job name -> function(ws, config, seed) returning the job's reports.  Every
@@ -172,10 +169,9 @@ _VERIFY_JOBS = {
         samples=cfg.samples, seed=seed, intensity=float(cfg.c))],
     "random-currents": lambda ws, cfg, seed: [V.verify_random_currents(
         ws.catalog("unoriented"), samples=cfg.samples, seed=seed,
-        intensity=float(cfg.c), oriented_catalog=ws.catalog("oriented"))],
+        intensity=float(cfg.c))],
     "wilson": lambda ws, cfg, seed: [V.verify_wilson(
-        ws.domain.graph, cfg.root, ws.catalog("oriented"), runs=cfg.samples,
-        seed=seed)],
+        ws.catalog("oriented"), cfg.root, runs=cfg.samples, seed=seed)],
 }
 
 # Jobs that write output files instead of reports: function(ws, seed, outdir).

@@ -153,12 +153,15 @@ def config_from_dict(raw: dict, origin: str = "<dict>") -> ExperimentConfig:
     if not {v for edge in cfg.removed for v in edge} <= dom:
         raise ConfigError(f"{origin}: removed edges must join domain vertices")
     jobs = set(cfg.jobs)
-    if jobs & {"prop1", "prop2", "prop1bis", "prop3bis"}:
-        f1, f2, f3 = set(cfg.f1), set(cfg.f2), set(cfg.f3)
-        if not f1 or not f2:
-            raise ConfigError(f"{origin}: marked sets f1 and f2 must be nonempty")
-        if f1 & f2 or f1 & f3 or f2 & f3:
-            raise ConfigError(f"{origin}: marked sets f1, f2, f3 must be disjoint")
+    f1, f2, f3 = set(cfg.f1), set(cfg.f2), set(cfg.f3)
+    marked = jobs & {"prop1", "prop2", "prop1bis", "prop3bis"}
+    if marked and (not f1 or not f2):
+        raise ConfigError(f"{origin}: marked sets f1 and f2 must be nonempty")
+    # occupation-markov reads f1 and f2 only (an empty f2 is the rest of
+    # the domain)
+    if ((marked or "occupation-markov" in jobs) and f1 & f2
+            or marked and (f1 | f2) & f3):
+        raise ConfigError(f"{origin}: marked sets f1, f2, f3 must be disjoint")
     if "wilson" in jobs and cfg.root is None:
         raise ConfigError(f"{origin}: wilson needs a root vertex")
     if "prop5" in jobs and not cfg.removed:

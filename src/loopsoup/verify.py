@@ -754,11 +754,6 @@ def _markov_defect(law, idx_in, idx_bd, idx_out,
     return float(gap / (2 * norm)) if norm else 0.0, checked, bad
 
 
-def _check_intensity_kind(kind: str) -> None:
-    if kind not in ("c", "alpha"):
-        raise OracleError(f"intensity kind {kind!r} is neither 'c' nor 'alpha'")
-
-
 def check_markov_partition(edge_partition) -> None:
     """Refuse a Markov-test partition with no inside or no outside variable."""
     _, idx_in, _, idx_out = edge_partition
@@ -767,52 +762,51 @@ def check_markov_partition(edge_partition) -> None:
                           "variable, so there is nothing to test")
 
 
-def markov_law(domain: Domain, edge_partition, intensity_kind: str = "c",
-               intensity=Fraction(1), cap: int = 12,
-               allow_marginal: bool = False):
-    """The exact jump-count law a Markov check of `edge_partition` reads:
-    `occupation_law` on the partition's groups, at exponent c/2 for a
-    c-soup (`intensity_kind` "c") or alpha for an oriented one ("alpha").
-    Build it once and check it, tilted or not, as often as needed."""
-    _check_intensity_kind(intensity_kind)
-    check_markov_partition(edge_partition)
-    exponent = Fraction(intensity)
-    if intensity_kind == "c":
-        exponent /= 2
-    return occupation_law(domain, edge_partition[0], exponent, cap,
-                          allow_marginal=allow_marginal)
-
-
-def verify_occupation_markov(law, edge_partition, intensity_kind: str = "c",
-                             intensity=Fraction(1),
-                             tilt_edge_group: int | None = None,
-                             expect_fail: bool = False) -> TestReport:
+def verify_occupation_markov(domain: Domain, edge_partition,
+                             intensity_kind: str = "c", intensity=Fraction(1),
+                             cap: int = 12, tilt_edge_groups=(),
+                             expect_fail: bool = False,
+                             allow_marginal: bool = False) -> list[TestReport]:
     """Edge-occupation fields inside and outside a vertex set are
     conditionally independent given the boundary jump counts, decided
-    exactly on `law`, the jump-count law `markov_law` built at
-    (intensity_kind, intensity), which the report names.
+    exactly on the jump-count law of a c-soup (`intensity_kind` "c") or of
+    an oriented soup ("alpha") at `intensity`.
 
     edge_partition = (groups, idx_in, idx_bd, idx_out): variable groups and
     the index split into inside/boundary/outside variables, which is all the
     check reads of the vertex set.  Site occupation times are measurable
     over visit counts, which the edge fields determine, so edge-level
-    independence carries the site fields along.  With `tilt_edge_group` the
-    check reads the law tilted by TILT^(jumps of that group); `law` is left
-    as it was.  A control that checks cells and violates none fails with a
-    note: its window is too small to see the defect.
+    independence carries the site fields along.  The law is built once, by
+    `occupation_law` on the partition's groups up to `cap` jumps at
+    exponent c/2 or alpha, and every report names it.  Returns the check of
+    the law, then one check per group of `tilt_edge_groups` of the law
+    tilted by TILT^(jumps of that group).  A control that checks cells and
+    violates none fails with a note: its window is too small to see the
+    defect.
     """
-    _check_intensity_kind(intensity_kind)
-    _, idx_in, idx_bd, idx_out = edge_partition
-    stat, checked, bad = _markov_defect(law, idx_in, idx_bd, idx_out,
-                                        tilt_edge_group)
-    quiet = expect_fail and checked and not bad
-    note = {"note": f"no cell violated: the window of cap {law.cap} is too "
-                    "small to see the defect"} if quiet else {}
-    return _verdict("occupation-markov", "exact", stat, 0.0,
-                    bad == 0 if checked else None, expect_fail=expect_fail,
-                    cells_checked=checked, cells_violated=bad,
-                    intensity_kind=intensity_kind, intensity=str(intensity),
-                    cap=law.cap, tilted=tilt_edge_group is not None, **note)
+    if intensity_kind not in ("c", "alpha"):
+        raise OracleError(f"intensity kind {intensity_kind!r} is neither "
+                          "'c' nor 'alpha'")
+    check_markov_partition(edge_partition)
+    exponent = Fraction(intensity)
+    if intensity_kind == "c":
+        exponent /= 2
+    groups, idx_in, idx_bd, idx_out = edge_partition
+    law = occupation_law(domain, groups, exponent, cap,
+                         allow_marginal=allow_marginal)
+    reports = []
+    for tilt in (None, *tilt_edge_groups):
+        stat, checked, bad = _markov_defect(law, idx_in, idx_bd, idx_out, tilt)
+        quiet = expect_fail and checked and not bad
+        note = {"note": f"no cell violated: the window of cap {cap} is too "
+                        "small to see the defect"} if quiet else {}
+        reports.append(_verdict(
+            "occupation-markov", "exact", stat, 0.0,
+            bad == 0 if checked else None, expect_fail=expect_fail,
+            cells_checked=checked, cells_violated=bad,
+            intensity_kind=intensity_kind, intensity=str(intensity), cap=cap,
+            tilted=tilt is not None, **note))
+    return reports
 
 
 # -- continuous time: GFF square, excursions, random currents --------------------
@@ -1012,45 +1006,43 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
 
 def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
                            seed: int = 0, intensity: float = 1.0,
-                           oriented_catalog: LoopCatalog | None = None,
                            expect_fail: bool = False) -> TestReport:
     """With every vertex marked, the jump counts given the occupation times
     are independent Poisson per unoriented edge with mean
     |phi_x| |phi_y| k_e / g (half that for self-edges), conditioned on even
     incident totals at every site; the oriented variant at alpha = 1 uses
     sqrt(T_x T_y) k_e / g per oriented edge conditioned on in = out.  Both
-    are the skeleton check `_skeleton_pvalues` at every site.
+    are the skeleton check `_skeleton_pvalues` at every site: the
+    unoriented one on `catalog` at `intensity`, the oriented one on its
+    `counterpart()`, the oriented soup it forgets the orientation of.
     """
-    if catalog.mode != "unoriented" or (oriented_catalog is not None
-                                        and oriented_catalog.mode != "oriented"):
-        raise OracleError("random currents take an unoriented catalog and, "
-                          "for the in = out variant, an oriented one")
-    even_ok, ratio_ok, pvals = _skeleton_pvalues(
+    if catalog.mode != "unoriented":
+        raise OracleError("random currents take an unoriented catalog; the "
+                          "in = out variant runs on its oriented counterpart")
+    even_ok, ratio_u, p_u = _skeleton_pvalues(
         catalog, catalog.domain.vertices, intensity, samples, seed,
         "random-currents")
-    details = {"even_degrees": even_ok, "pooled_p": pvals[-1],
-               "bins_tested": len(pvals)}
-    inout_ok = True
-    if oriented_catalog is not None:
-        # the oriented statement is specific to alpha = 1
-        inout_ok, ratio_o, p_oriented = _skeleton_pvalues(
-            oriented_catalog, oriented_catalog.domain.vertices, 1.0, samples,
-            seed, "random-currents/oriented")
-        ratio_ok = ratio_ok and ratio_o
-        pvals += p_oriented
-        details.update(inout_ok=inout_ok, oriented_p=p_oriented[-1])
-    worst, threshold, chi2_ok = _bonferroni(pvals)
+    # the oriented statement is specific to alpha = 1
+    inout_ok, ratio_o, p_o = _skeleton_pvalues(
+        catalog.counterpart(), catalog.domain.vertices, 1.0, samples, seed,
+        "random-currents/oriented")
+    ratio_ok = ratio_u and ratio_o
+    worst, threshold, chi2_ok = _bonferroni(p_u + p_o)
     return _verdict("random-currents", "mc", worst, threshold,
                     even_ok and inout_ok and ratio_ok and chi2_ok, catalog,
-                    samples, seed, expect_fail, ratio_ok=ratio_ok, **details)
+                    samples, seed, expect_fail, ratio_ok=ratio_ok,
+                    even_degrees=even_ok, pooled_p=p_u[-1],
+                    bins_tested=len(p_u), inout_ok=inout_ok,
+                    oriented_p=p_o[-1])
 
 
 # -- Wilson cross-check ------------------------------------------------------------
 
 
-def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
+def verify_wilson(catalog: LoopCatalog, root, runs: int = 10 ** 6,
                   seed: int = 0) -> TestReport:
-    """Wilson's algorithm against the unit-intensity oriented soup.
+    """Wilson's algorithm on the catalog's graph against the unit-intensity
+    oriented soup.
 
     (a) The spanning-tree marginal is uniform: each tree is within three
     standard errors of 1/#trees, and every one of the g^|D| det(I - P_D)
@@ -1063,12 +1055,14 @@ def verify_wilson(graph, root, catalog: LoopCatalog, runs: int = 10 ** 6,
     expected to vanish because erased cycles are always simple while soup
     loops may wind.
 
-    The catalog's domain must be every vertex but the root (WilsonError
+    The walks run on `catalog.domain.graph`, the graph the soup lives on,
+    and the catalog's domain must be every vertex but the root (WilsonError
     otherwise).  Both sides pop in lockstep, a block at a time
     (`wilson.wilson_blocks`, `wilson.popped_blocks`); runs, soups and raw
     class multisets are counted by distinct row, each mapped to its report
     key once per block.
     """
+    graph = catalog.domain.graph
     check_root(graph, root, catalog.domain.vertices)
     # refuses an unoriented catalog before any walk; the soups are drawn a
     # block at a time as popped, so each block's popping draws follow it

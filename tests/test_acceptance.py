@@ -12,9 +12,8 @@ from fractions import Fraction
 import pytest
 
 from loopsoup import (Domain, build_graph, complete_graph, cycle_graph,
-                      enumerate_loops, green_function, markov_law,
-                      regularize_degree, sample_bridge,
-                      sample_unordered_bridge, sample_z_bridge,
+                      enumerate_loops, green_function, regularize_degree,
+                      sample_bridge, sample_unordered_bridge, sample_z_bridge,
                       verify_lejan, verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_random_currents, verify_wilson)
@@ -155,15 +154,13 @@ def test_criterion_5_occupation_markov():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    law_u = markov_law(ws.domain, part, intensity_kind="c", cap=12)
-    rep_u = verify_occupation_markov(law_u, part, intensity_kind="c")
+    rep_u, tilt = verify_occupation_markov(ws.domain, part,
+                                           intensity_kind="c", cap=12,
+                                           tilt_edge_groups=part[2][:1])
     part_o = markov_edge_partition(ws, oriented=True)
-    law_o = markov_law(ws.domain, part_o, intensity_kind="alpha",
-                       intensity=Fraction(1), cap=9)
-    rep_o = verify_occupation_markov(law_o, part_o, intensity_kind="alpha",
-                                     intensity=Fraction(1))
-    tilt = verify_occupation_markov(law_u, part, intensity_kind="c",
-                                    tilt_edge_group=part[2][0])
+    [rep_o] = verify_occupation_markov(ws.domain, part_o,
+                                       intensity_kind="alpha",
+                                       intensity=Fraction(1), cap=9)
     dt = time.time() - t0
     ok = (rep_u.passed and rep_o.passed and tilt.passed
           and max(rep_u.statistic, rep_o.statistic, tilt.statistic) == 0.0
@@ -194,8 +191,7 @@ def test_criterion_6_lejan(ws_k5):
 def test_criterion_7_random_currents(ws_k5):
     t0 = time.time()
     ucat = ws_k5.catalog("unoriented")
-    rep = verify_random_currents(ucat, samples=10 ** 5, seed=108,
-                                 oriented_catalog=ws_k5.catalog("oriented"))
+    rep = verify_random_currents(ucat, samples=10 ** 5, seed=108)
     dt = time.time() - t0
     ok = (rep.passed and rep.details["even_degrees"]
           and rep.details["inout_ok"] and dt < 300)
@@ -211,8 +207,7 @@ def test_criterion_8_wilson():
         "seed": "0", "l_max": "14", "root": "0",
     })
     ws = build_workspace(cfg)
-    rep = verify_wilson(ws.domain.graph, 0, ws.catalog("oriented"), runs=10 ** 6,
-                        seed=109)
+    rep = verify_wilson(ws.catalog("oriented"), 0, runs=10 ** 6, seed=109)
     dt = time.time() - t0
     ok = rep.passed and rep.details["tree_marginal_uniform"] and dt < 600
     _line(8, ok, f"Wilson cross-check: {rep.details['n_trees']} spanning "

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -313,6 +314,38 @@ def test_overlapping_marked_sets_refused_before_any_job_runs(
     assert not (out / "report.json").exists()
 
 
+def test_overlapping_markov_sets_refused_before_any_job_runs(
+        tmp_path, monkeypatch, capsys):
+    """f1 and f2 sharing a vertex leave no boundary between them, so a
+    correct law would fail every cell: the occupation-markov config is
+    refused before any job runs.  An empty f2 (the rest of the domain) and
+    disjoint sets are accepted."""
+    import loopsoup.verify as V
+
+    def markov(f1, f2, out):
+        return main(["verify", "occupation-markov", "--graph", "grid:2x3",
+                     "--domain", "0 1 2 3 4", "--f1", f1, "--f2", f2,
+                     "--seed", "0", "--out", str(out)])
+
+    calls = []
+    monkeypatch.setattr(V, "verify_occupation_markov",
+                        lambda *a, **kw: calls.append(a))
+    out = tmp_path / "overlap"
+    assert markov("0 1", "1 2 3 4", out) == 2
+    assert calls == []
+    assert "disjoint" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert config_from_dict({"graph": "grid:2x3", "domain": "0 1 2 3 4",
+                             "jobs": "occupation-markov", "seed": "0",
+                             "f1": "0 1", "f2": ""}).f2 == ()
+    # vertex 1 separates f1 = {0} from f2 = {2, 3, 4}: all three checks pass
+    monkeypatch.undo()
+    out = tmp_path / "apart"
+    assert markov("0", "2 3 4", out) == 0
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert len(reports) == 3 and all(r["verdict"] == "pass" for r in reports)
+
+
 def test_malformed_class_budget_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LOOPSOUP_CLASS_BUDGET", "abc")
     rc = main(["enumerate", "--graph", "complete:5", "--domain", "1 2 3",
@@ -498,8 +531,8 @@ def test_shipped_configs_parse(path):
 def test_occupation_job_builds_each_law_once(monkeypatch):
     """The untilted and tilted c-soup checks of the occupation-Markov job
     read one law: the job builds two laws (c-soup and oriented), not three.
-    Each c-soup report is the check of a freshly built law, tilted for the
-    third, and tilting leaves the shared law as it was."""
+    Its reports are the c-soup, oriented and tilted c-soup checks, as fresh
+    calls of the verifier give them."""
     cfg = parse_config(os.path.join(os.path.dirname(__file__), "data",
                                     "golden_occupation.cfg"))
     ws = build_workspace(cfg)
@@ -511,22 +544,19 @@ def test_occupation_job_builds_each_law_once(monkeypatch):
         return occupation_law(*args, **kwargs)
 
     monkeypatch.setattr(verify, "occupation_law", counting)
-    untilted, _, tilted = cli._job_occupation_markov(ws, cfg, 0)
+    reports = cli._job_occupation_markov(ws, cfg, 0)
     assert len(built) == 2
-    part = markov_edge_partition(ws, oriented=False)
-    law = verify.markov_law(ws.domain, part, "c", cfg.c)
-    weights = dict(law.weights)
-    fresh_tilted = verify.verify_occupation_markov(
-        law, part, "c", cfg.c, tilt_edge_group=part[2][0])
-    assert law.weights == weights
+    part_u, part_o = (markov_edge_partition(ws, oriented)
+                      for oriented in (False, True))
+    untilted, tilted = verify.verify_occupation_markov(
+        ws.domain, part_u, "c", cfg.c, tilt_edge_groups=part_u[2][:1])
+    [oriented] = verify.verify_occupation_markov(
+        ws.domain, part_o, "alpha", Fraction(1), cap=8)
+    assert [r.to_json() for r in reports] == \
+        [r.to_json() for r in (untilted, oriented, tilted)]
     assert tilted.details["tilted"] and not untilted.details["tilted"]
-    assert tilted.statistic == fresh_tilted.statistic
     assert tilted.details["cells_checked"] == \
-        fresh_tilted.details["cells_checked"] == \
         untilted.details["cells_checked"] > 0
-    assert tilted.to_json() == fresh_tilted.to_json()
-    assert untilted.to_json() == \
-        verify.verify_occupation_markov(law, part, "c", cfg.c).to_json()
 
 
 TWO_VERTICES = """

@@ -13,7 +13,7 @@ from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
                       complete_graph, enumerate_loops, green_function,
                       pair_reversals, regularize_degree, sample_gff,
                       verify_ct_excursions, verify_lejan,
-                      markov_law, verify_occupation_markov, verify_prop1,
+                      verify_occupation_markov, verify_prop1,
                       verify_prop1bis_3bis, verify_prop2, verify_prop5,
                       verify_random_currents, verify_wilson, wilson_ust)
 from loopsoup import excursions, verify
@@ -659,17 +659,15 @@ def test_occupation_markov_exact_and_tilt():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    law = markov_law(ws.domain, part, intensity_kind="c", cap=12)
-    rep = verify_occupation_markov(law, part, intensity_kind="c")
+    rep, tilted = verify_occupation_markov(ws.domain, part,
+                                           intensity_kind="c", cap=12,
+                                           tilt_edge_groups=part[2][:1])
     assert rep.passed and rep.details["cells_violated"] == 0
-    tilted = verify_occupation_markov(law, part, intensity_kind="c",
-                                      tilt_edge_group=part[2][0])
-    assert tilted.passed
+    assert tilted.passed and tilted.details["tilted"]
     part_o = markov_edge_partition(ws, oriented=True)
-    law_o = markov_law(ws.domain, part_o, intensity_kind="alpha",
-                       intensity=Fraction(1), cap=8)
-    rep_o = verify_occupation_markov(law_o, part_o, intensity_kind="alpha",
-                                     intensity=Fraction(1))
+    [rep_o] = verify_occupation_markov(ws.domain, part_o,
+                                       intensity_kind="alpha",
+                                       intensity=Fraction(1), cap=8)
     assert rep_o.passed
 
 
@@ -688,15 +686,13 @@ def test_occupation_markov_control_fails_on_cycle():
     dom = Domain(g, [1, 2, 3, 4])
     groups = [(0, 1), (2, 3), (4, 5), (6, 7)]
     part = (groups, [0], [1, 3], [2])
-    law = markov_law(dom, part, intensity_kind="c", intensity=Fraction(1),
-                     cap=12, allow_marginal=True)
-    rep = verify_occupation_markov(law, part, intensity_kind="c",
-                                   intensity=Fraction(1))
+    [rep] = verify_occupation_markov(dom, part, intensity_kind="c",
+                                     intensity=Fraction(1), cap=12,
+                                     allow_marginal=True)
     assert rep.passed
-    law2 = markov_law(dom, part, intensity_kind="c", intensity=Fraction(2),
-                      cap=12, allow_marginal=True)
-    bad = verify_occupation_markov(law2, part, intensity_kind="c",
-                                   intensity=Fraction(2), expect_fail=True)
+    [bad] = verify_occupation_markov(dom, part, intensity_kind="c",
+                                     intensity=Fraction(2), cap=12,
+                                     expect_fail=True, allow_marginal=True)
     assert bad.passed
     assert bad.details["cells_checked"] == 66
     assert bad.details["cells_violated"] == 9
@@ -712,7 +708,7 @@ def test_occupation_markov_checking_no_cell_fails():
     })
     ws = build_workspace(cfg)
     part = markov_edge_partition(ws, oriented=False)
-    rep = verify_occupation_markov(markov_law(ws.domain, part, cap=2), part)
+    [rep] = verify_occupation_markov(ws.domain, part, cap=2)
     assert rep.details["cells_checked"] == 0
     assert rep.verdict == "fail"
 
@@ -750,17 +746,20 @@ def occupation_split():
 def test_markov_defect_tilts_in_place(occupation_split, c):
     """Tilting inside `_markov_defect` gives what the check of a tilted copy
     of the law gives, for an inside, a boundary and an outside group; at
-    c = 2 the statistic is nonzero, so the integer scaling is exercised."""
+    c = 2 the statistic is nonzero, so the integer scaling is exercised.
+    The law itself is left as it was."""
     dom, part = occupation_split
     _, idx_in, idx_bd, idx_out = part
-    law = markov_law(dom, part, "c", Fraction(c))
+    law = occupation_law(dom, part[0], Fraction(c, 2), 12)
+    weights = dict(law.weights)
     for group in (idx_in[0], idx_bd[0], idx_out[0]):
         copy = OccupationLaw(law.groups, law.cap,
                              {n: w * verify.TILT ** n[group]
-                              for n, w in law.weights.items()}, law.scalar)
+                              for n, w in weights.items()}, law.scalar)
         tilted = _markov_defect(law, idx_in, idx_bd, idx_out, group)
         assert tilted == _markov_defect(copy, idx_in, idx_bd, idx_out)
         assert tilted[1] > 0 and (tilted[0] > 0) == (c == 2)
+        assert law.weights == weights
 
 
 def test_occupation_markov_refuses_laws_it_would_mislabel(occupation_split):
@@ -769,15 +768,28 @@ def test_occupation_markov_refuses_laws_it_would_mislabel(occupation_split):
     signed weights, are refused."""
     dom, part = occupation_split
     with pytest.raises(OracleError, match="intensity kind 'C'"):
-        markov_law(dom, part, "C", Fraction(1), cap=6)
-    law = markov_law(dom, part, "c", Fraction(1), cap=6)
-    with pytest.raises(OracleError, match="intensity kind 'C'"):
-        verify_occupation_markov(law, part, "C", Fraction(1))
+        verify_occupation_markov(dom, part, "C", Fraction(1), cap=6)
     for c in (Fraction(-1), Fraction(0)):
         with pytest.raises(OracleError, match="must be positive"):
-            markov_law(dom, part, "c", c, cap=6)
+            verify_occupation_markov(dom, part, "c", c, cap=6)
     with pytest.raises(OracleError, match="must be positive"):
         occupation_law(dom, part[0], Fraction(-1, 2), 6)
+
+
+def test_occupation_markov_report_names_the_law_it_checked(occupation_split):
+    """The check builds the law it reads, so its reports, tilted or not,
+    name that law: at c = 2 the untilted one reads kind c, intensity 2 and
+    fails 198 of 2,292 cells."""
+    dom, part = occupation_split
+    reports = verify_occupation_markov(dom, part, "c", Fraction(2),
+                                       tilt_edge_groups=part[2][:1])
+    assert [(r.details["intensity_kind"], r.details["intensity"],
+             r.details["cap"], r.details["tilted"]) for r in reports] == \
+        [("c", "2", 12, False), ("c", "2", 12, True)]
+    untilted = reports[0]
+    assert (untilted.details["cells_checked"],
+            untilted.details["cells_violated"]) == (2292, 198)
+    assert untilted.verdict == "fail"
 
 
 def test_quiet_occupation_control_says_why_it_fails(occupation_split):
@@ -786,8 +798,8 @@ def test_quiet_occupation_control_says_why_it_fails(occupation_split):
     carries no note."""
     dom, part = occupation_split
     reports = {cap: verify_occupation_markov(
-        markov_law(dom, part, "c", Fraction(2), cap=cap), part, "c",
-        Fraction(2), expect_fail=True) for cap in (5, 12)}
+        dom, part, "c", Fraction(2), cap=cap, expect_fail=True)[0]
+        for cap in (5, 12)}
     quiet, loud = reports[5], reports[12]
     assert quiet.verdict == "fail"
     assert (quiet.details["cells_checked"], quiet.details["cells_violated"]) \
@@ -852,16 +864,19 @@ def test_lejan_and_control(k5_cats):
 
 def test_random_currents(k5_cats):
     ucat = k5_cats.catalog("unoriented")
-    rep = verify_random_currents(ucat, samples=40000, seed=54,
-                                 oriented_catalog=k5_cats.catalog("oriented"))
+    rep = verify_random_currents(ucat, samples=40000, seed=54)
     assert rep.passed
-    assert rep.details["even_degrees"] and rep.details["inout_ok"]
+    assert rep.details["even_degrees"]
     bad = verify_random_currents(ucat, samples=40000, seed=55, intensity=2.0,
                                  expect_fail=True)
     assert bad.passed
-    # a catalog of the wrong mode is refused, not tested
-    with pytest.raises(GraphError, match="oriented one"):
-        verify_random_currents(ucat, samples=200, oriented_catalog=ucat)
+    # both run the in = out variant, on the catalog's oriented counterpart
+    for r in (rep, bad):
+        assert r.details["inout_ok"] is True
+        assert 0 <= r.details["oriented_p"] <= 1
+    # an oriented catalog is refused, not tested
+    with pytest.raises(GraphError, match="take an unoriented catalog"):
+        verify_random_currents(k5_cats.catalog("oriented"), samples=200)
     # on path:4 padded to g = 3, vertex 0 carries two stationary self-edges
     # of equal mass, so the ratio gate compares two skeletons of one site
     # pair (0, 0), unoriented and oriented
@@ -869,12 +884,11 @@ def test_random_currents(k5_cats):
         "graph": "path:4", "domain": "0 1 2", "g": "3",
         "jobs": "random-currents", "seed": "0", "l_max": "8",
     }))
-    ucat, ocat = ws.catalog("unoriented"), ws.catalog("oriented")
-    rep = verify_random_currents(ucat, samples=20000, seed=0,
-                                 oriented_catalog=ocat)
+    ucat = ws.catalog("unoriented")
+    rep = verify_random_currents(ucat, samples=20000, seed=0)
     assert rep.passed and rep.details["ratio_ok"]
     bad = verify_random_currents(ucat, samples=20000, seed=1, intensity=2.0,
-                                 oriented_catalog=ocat, expect_fail=True)
+                                 expect_fail=True)
     assert bad.passed and bad.details["positive_control"]
 
 
@@ -908,8 +922,7 @@ def test_wilson_small():
         "seed": "0", "l_max": "14", "root": "0",
     })
     ws = build_workspace(cfg)
-    rep = verify_wilson(ws.domain.graph, 0, ws.catalog("oriented"), runs=150000,
-                        seed=57)
+    rep = verify_wilson(ws.catalog("oriented"), 0, runs=150000, seed=57)
     assert rep.passed
     assert rep.details["tree_marginal_uniform"]
     assert rep.details["n_trees"] == 4

@@ -256,7 +256,7 @@ def test_verify_wilson_refuses_a_domain_other_than_every_other_vertex():
     for root, domain in ((0, [1, 2]), (2, [1, 2, 3])):
         cat = enumerate_loops(Domain(graph, domain), 6)
         with pytest.raises(WilsonError, match="every vertex but the root"):
-            verify_wilson(graph, root, cat, runs=10)
+            verify_wilson(cat, root, runs=10)
 
 
 def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch):
@@ -270,7 +270,7 @@ def test_verify_wilson_refuses_an_unoriented_catalog_before_walking(monkeypatch)
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
                           unoriented=UnorientedGraph(graph, pair_reversals(graph)))
     with pytest.raises(SoupError, match="not oriented"):
-        verify_wilson(graph, 0, cat.counterpart(), runs=20000)
+        verify_wilson(cat.counterpart(), 0, runs=20000)
 
 
 def _ref_stack_law(graph, keys):
@@ -355,7 +355,7 @@ def test_a_tree_never_drawn_fails_the_tree_check():
     assert spanning_tree_count(cycle_graph(4), 0) == 4
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), 6,
                           unoriented=UnorientedGraph(graph, pair_reversals(graph)))
-    rep = verify_wilson(graph, 0, cat, runs=8, seed=0)
+    rep = verify_wilson(cat, 0, runs=8, seed=0)
     assert rep.details["n_trees"] <= 8
     assert rep.details["tree_marginal_uniform"] is False
     assert not rep.passed
@@ -395,7 +395,7 @@ def test_verify_wilson_matches_the_references(graph, l_max, seed):
         for row, m in zip(_chunk_rows(cat.classes, counts, idx), of):
             s_keys[_short(Counter(popped[m]))] += 1
             s_naive[_short(row)] += 1
-    rep = verify_wilson(graph, 0, cat, runs=runs, seed=seed)
+    rep = verify_wilson(cat, 0, runs=runs, seed=seed)
     # equal up to the order in which the float differences are summed
     assert rep.statistic == pytest.approx(stats.empirical_tv(w_keys, s_keys),
                                           rel=0, abs=1e-12)
