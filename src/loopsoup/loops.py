@@ -35,6 +35,7 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -140,6 +141,11 @@ class UnorientedLoopClass(NamedTuple):
         return self.J_tilde
 
 
+# builds a record from a tuple of its fields, as `_make` does, without the
+# NamedTuple's Python-level __new__
+_new = tuple.__new__
+
+
 def canonicalize_oriented(graph, edge_seq) -> LoopClass:
     loop_vertices(graph, edge_seq)
     g = graph.require_regular()
@@ -234,30 +240,38 @@ class LoopCatalog:
         oriented classes, which are in (n, key) order, skips every key seen
         as an earlier class's reversal.  So the first of each pair is the
         smaller, it is the unoriented key, and the merged classes come out
-        in (n, key) order too.
+        in (n, key) order too.  A reversal's key is the first of its
+        rotations from its least entry that `by_key` holds: `by_key` holds
+        one rotation of each class, its least, so no other can hit.
         """
         if self._counterpart is None:
             if self.mode != "oriented" or self.unoriented_graph is None:
                 raise GraphError("the unoriented catalog is derived from an "
                                  "oriented one with an UnorientedGraph")
             iota = self.unoriented_graph.involution.mapping
+            by_key = self.by_key
             reversals = set()
             merged = []
-            for cls in self.classes:
-                seq = cls.key
+            for seq, n, J, mass in self.classes:
                 if seq in reversals:
                     continue
-                rev = _least_rotation(tuple([iota[e] for e in reversed(seq)]))
-                if rev not in self.by_key:
+                back = tuple([iota[e] for e in reversed(seq)])
+                m = min(back)
+                for i in range(back.index(m), n):
+                    if back[i] == m:
+                        rev = back[i:] + back[:i]
+                        if rev in by_key:
+                            break
+                else:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")
                 if seq == rev:
-                    merged.append(UnorientedLoopClass(
-                        seq, cls.n, 2 * cls.J, cls.mass / 2, (seq,)))
+                    merged.append(_new(UnorientedLoopClass,
+                                       (seq, n, 2 * J, mass / 2, (seq,))))
                 else:
                     reversals.add(rev)
-                    merged.append(UnorientedLoopClass(
-                        seq, cls.n, cls.J, cls.mass, (seq, rev)))
+                    merged.append(_new(UnorientedLoopClass,
+                                       (seq, n, J, mass, (seq, rev))))
             self._counterpart = LoopCatalog(
                 self.domain, self.L_max, "unoriented", merged,
                 self.tail_bound, unoriented_graph=self.unoriented_graph)
@@ -289,20 +303,20 @@ class LoopCatalog:
         return len(self.classes)
 
 
-def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
-    """The (key, J) pairs of the oriented classes in the domain, in (n, key)
-    order.
+def _search_classes(domain: Domain, L_max: int, budget: int) -> tuple:
+    """The oriented classes of the domain, in (n, key) order.
 
     A depth-first search over paths whose edge-id sequence is a prenecklace,
     carrying the period p of the prefix: the next edge id may not be below
     the one p steps back; an equal id keeps p and a larger one makes the
     whole prefix the period.  A step back to the first edge's tail closes a
-    key when p divides the length.  Out-edges are taken in id order, so the
-    keys of each length come out in lexicographic order.  The stack is
-    explicit, since a path can be L_max steps deep.
+    key when p divides the length, and its class joins its length's row at
+    once.  Out-edges are taken in id order, so the keys of each length come
+    out in lexicographic order.  The stack is explicit, since a path can be
+    L_max steps deep.
     """
     if L_max < 1:
-        return []
+        return ()
     out = {}
     into = {v: {u: [] for u in domain.vertices} for v in domain.vertices}
     for v in domain.vertices:
@@ -310,7 +324,10 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
         out[v] = ([e.id for e in edges], [e.head for e in edges])
         for e in edges:
             into[e.head][v].append(e.id)
-    by_length = [[] for _ in range(L_max + 1)]
+    g = domain.g
+    rows = [[] for _ in range(L_max + 1)]
+    simple = [None] * (L_max + 1)     # n -> g^{-n}, the mass when J = 1
+    masses = {}                       # (n, J) -> g^{-n} / J; few distinct
     found = 0
 
     def add(key, J):
@@ -318,7 +335,16 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
         found += 1
         if found > budget:
             raise BudgetExceededError(f"class budget {budget} exceeded")
-        by_length[len(key)].append((key, J))
+        n = len(key)
+        if J == 1:
+            mass = simple[n]
+            if mass is None:
+                mass = simple[n] = Fraction(1, g ** n)
+        else:
+            mass = masses.get((n, J))
+            if mass is None:
+                mass = masses[n, J] = Fraction(1, g ** n * J)
+        rows[n].append(_new(LoopClass, (key, n, J, mass)))
 
     seq = []
     starts = sorted((eid, v, head) for v in domain.vertices
@@ -344,7 +370,7 @@ def _enumerate_oriented_keys(domain: Domain, L_max: int, budget: int):
                 for j in range(len(ids) - 1, bisect_left(ids, ref) - 1, -1):
                     nxt = ids[j]
                     stack.append((n, nxt, heads[j], p if nxt == ref else n + 1))
-    return [pair for pairs in by_length for pair in pairs]
+    return tuple(chain.from_iterable(rows))
 
 
 @_gc_paused()
@@ -353,23 +379,15 @@ def enumerate_loops(domain: Domain, L_max: int, *,
                     budget: int | None = None) -> LoopCatalog:
     """Exhaustive catalog of oriented loop classes with length <= L_max.
 
-    The keys are the necklaces that `_enumerate_oriented_keys` finds,
-    already in (n, key) order, each with J = n/p for its period p; the
-    unoriented catalog is its `counterpart()`, built from ``unoriented``.
+    The classes are those `_search_classes` finds, already in (n, key)
+    order, each with J = n/p for its period p; the unoriented catalog is
+    its `counterpart()`, built from ``unoriented``.
     """
     if budget is None:
         budget = DEFAULT_CLASS_BUDGET
     if L_max < 0:
         raise GraphError("L_max must be nonnegative")
-    g = domain.g
-    masses = {}                       # (n, J) -> g^{-n} / J; few distinct
-    classes = []
-    for seq, J in _enumerate_oriented_keys(domain, L_max, budget):
-        n = len(seq)
-        mass = masses.get((n, J))
-        if mass is None:
-            mass = masses[n, J] = Fraction(1, g ** n * J)
-        classes.append(LoopClass(seq, n, J, mass))
+    classes = _search_classes(domain, L_max, budget)
     try:
         tb = tail_bound(domain, L_max)
     except GraphError:

@@ -895,8 +895,9 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
 
     Given the rescaled occupations T at the sites, the skeletons of n steps
     from site a to site b are independent Poisson(phi_a phi_b g^{-n})
-    counts, conditioned per site: unoriented, phi = sqrt(2 T), halved on
-    diagonal pairs, and even endpoint counts; oriented (alpha = 1),
+    counts, conditioned per site: unoriented, phi = sqrt(2 T), halved for
+    a skeleton that is its own reversal (any other merges two
+    orientations), and even endpoint counts; oriented (alpha = 1),
     phi = sqrt(T) and in = out.  With every vertex marked each skeleton is
     one jump: the random-current representation.
 
@@ -944,11 +945,11 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
         return ((d if oriented else d % 2) == 0).all(axis=1)
 
     x, y = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    masses = np.array([float(menu[sk][1]) for sk in skels])
+    rates = [menu[sk][1] if oriented or inv.reverse_path(sk) != sk
+             else menu[sk][1] / 2 for sk in skels]       # per phi_a phi_b
     phi = np.sqrt((1.0 if oriented else 2.0) * T)
-    half = 1.0 if oriented else np.where(x == y, 0.5, 1.0)
     oracle = stats.sample_conditioned_poisson(
-        phi[:, x] * phi[:, y] * (half * masses), meets,
+        phi[:, x] * phi[:, y] * np.array([float(r) for r in rates]), meets,
         stream(seed, f"{name}/oracle"))
     rows, oracle, occupation = sums[keep, :nsk], oracle[keep], T.sum(axis=1)[keep]
 
@@ -966,7 +967,7 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
         if dof_b > 0:
             pvals.append(p)
     pvals.append(test(rows, oracle)[2])
-    # pooled frequency ratios within site pairs against the mass ratios
+    # pooled frequency ratios within site pairs against the rate ratios
     ratio_ok = True
     pair_groups: dict = defaultdict(list)
     for k, sk in enumerate(skels):
@@ -974,7 +975,7 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
     tot_counts = rows.sum(axis=0).tolist()
     for k0, *ks in pair_groups.values():
         for k in ks:
-            r = float(menu[skels[k]][1] / menu[skels[k0]][1])
+            r = float(rates[k] / rates[k0])
             c1, c0 = tot_counts[k], tot_counts[k0]
             if abs(c1 - r * c0) > 3 * math.sqrt(max(c1 + r * r * c0, 1.0)):
                 ratio_ok = False
@@ -987,8 +988,9 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
                          expect_fail: bool = False) -> TestReport:
     """Conditionally on the occupation times at the marked sites, the
     excursion skeletons form a Poisson process with intensity
-    |phi_i| |phi_j| g^{-n} per site pair (half that on diagonal pairs),
-    |phi_i| = sqrt(2 T_i), conditioned on even endpoint counts per site.
+    |phi_i| |phi_j| g^{-n} per site pair (half that for a skeleton that
+    is its own reversal), |phi_i| = sqrt(2 T_i), conditioned on even
+    endpoint counts per site.
 
     Checked by `_skeleton_pvalues`: against one rejection-oracle sample per
     soup at the same occupations, and by the skeleton-frequency ratios.
@@ -1009,12 +1011,13 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
                            expect_fail: bool = False) -> TestReport:
     """With every vertex marked, the jump counts given the occupation times
     are independent Poisson per unoriented edge with mean
-    |phi_x| |phi_y| k_e / g (half that for self-edges), conditioned on even
-    incident totals at every site; the oriented variant at alpha = 1 uses
-    sqrt(T_x T_y) k_e / g per oriented edge conditioned on in = out.  Both
-    are the skeleton check `_skeleton_pvalues` at every site: the
-    unoriented one on `catalog` at `intensity`, the oriented one on its
-    `counterpart()`, the oriented soup it forgets the orientation of.
+    |phi_x| |phi_y| k_e / g (half that for self-edges the involution
+    fixes), conditioned on even incident totals at every site; the
+    oriented variant at alpha = 1 uses sqrt(T_x T_y) k_e / g per oriented
+    edge conditioned on in = out.  Both are the skeleton check
+    `_skeleton_pvalues` at every site: the unoriented one on `catalog` at
+    `intensity`, the oriented one on its `counterpart()`, the oriented soup
+    it forgets the orientation of.
     """
     if catalog.mode != "unoriented":
         raise OracleError("random currents take an unoriented catalog; the "

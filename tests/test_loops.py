@@ -280,20 +280,24 @@ def _small_domains(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_small_domains(), st.integers(0, 6))
-def test_unoriented_catalog_merges_oriented_classes(dom_ug, L):
+def test_unoriented_catalog_merges_oriented_classes(
+        paired_self_edge_catalogs, dom_ug, L):
     """The unoriented catalog is the set of unoriented classes of the
-    oriented keys, and carries exactly half the oriented mass."""
+    oriented keys, and carries exactly half the oriented mass: on every
+    small domain and cap, and with self-loops the involution pairs."""
     dom, ug = dom_ug
-    cat = enumerate_loops(dom, L, unoriented=ug)
-    ucat = cat.counterpart()
-    assert ucat.mode == "unoriented" and ucat.counterpart() is cat
-    expected = {}
-    for c in cat.classes:
-        u = canonicalize_unoriented(dom.graph, c.key, ug.involution)
-        expected[u.key] = u
-    # equality compares key, n, J~, mass and oriented_keys
-    assert {c.key: c for c in ucat.classes} == expected
-    assert 2 * ucat.total_mass == cat.total_mass
+    for cat in (enumerate_loops(dom, L, unoriented=ug),
+                paired_self_edge_catalogs[0]):
+        ucat = cat.counterpart()
+        assert ucat.mode == "unoriented" and ucat.counterpart() is cat
+        expected = {}
+        for c in cat.classes:
+            u = canonicalize_unoriented(cat.domain.graph, c.key,
+                                        cat.unoriented_graph.involution)
+            expected[u.key] = u
+        # equality compares key, n, J~, mass and oriented_keys
+        assert {c.key: c for c in ucat.classes} == expected
+        assert 2 * ucat.total_mass == cat.total_mass
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -314,13 +318,19 @@ def test_nu_is_half_mu(triangle_catalogs, dom_ug, L):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_small_domains(), st.integers(0, 8))
-def test_unoriented_class_keeps_both_orientations(dom_ug, L):
+def test_unoriented_class_keeps_both_orientations(
+        paired_self_edge_catalogs, dom_ug, L):
     """Every unoriented class lists its key and the necklace of the key's
-    reversal as its oriented keys, once when they are equal."""
+    reversal as its oriented keys, once when they are equal: on every small
+    domain and cap, and with self-loops the involution pairs."""
     dom, ug = dom_ug
-    for u in enumerate_loops(dom, L, unoriented=ug).counterpart().classes:
-        back = necklace(ug.involution.reverse_path(u.key))[0]
-        assert u.oriented_keys == ((u.key,) if back == u.key else (u.key, back))
+    for cat in (enumerate_loops(dom, L, unoriented=ug),
+                paired_self_edge_catalogs[0]):
+        inv = cat.unoriented_graph.involution
+        for u in cat.counterpart().classes:
+            back = necklace(inv.reverse_path(u.key))[0]
+            assert u.oriented_keys == ((u.key,) if back == u.key
+                                       else (u.key, back))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -408,13 +418,13 @@ def test_counterpart_needs_reversal_closed_domain():
 
 def test_workspace_enumerates_domain_once(tmp_path, monkeypatch):
     calls = []
-    enumerate_keys = loops._enumerate_oriented_keys
+    search = loops._search_classes
 
     def counted(*args):
         calls.append(args)
-        return enumerate_keys(*args)
+        return search(*args)
 
-    monkeypatch.setattr(loops, "_enumerate_oriented_keys", counted)
+    monkeypatch.setattr(loops, "_search_classes", counted)
     cfg = config_from_dict({"graph": "complete:5", "domain": "1 2 3",
                             "f1": "1", "f2": "2", "l_max": "4", "seed": "0",
                             "jobs": "prop1, prop2"})

@@ -916,6 +916,43 @@ def test_ct_excursions_control():
                                 intensity=1.0).passed
 
 
+def test_ct_excursions_one_site_keeps_asymmetric_skeletons_whole():
+    """With one site on the K5 triangle, the excursions 1-2-3-1 and
+    1-3-2-1 are one unoriented skeleton from 1 back to 1 that merges two
+    orientations: its rate is not halved, as a self-reversed one's is."""
+    ws = build_workspace(config_from_dict({
+        "graph": "complete:5", "domain": "1 2 3", "jobs": "ct-excursions",
+        "seed": "57", "l_max": "12", "sites": "1",
+    }))
+    rep = verify_ct_excursions(ws.catalog("unoriented"), [1], samples=20000,
+                               seed=57)
+    assert rep.passed
+    assert rep.details["parity_ok"] and rep.details["ratio_ok"]
+
+
+def test_random_currents_with_paired_self_loops(tmp_path):
+    """K4 with two self-loops per vertex that the involution pairs (g = 5):
+    each pair is one unoriented skeleton of one jump, at the full rate."""
+    lines = ["vertices 4", "degree 5"]
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    eid = {ab: i for i, ab in enumerate(pairs)}
+    lines += [f"edge {i} {a} {b} rev {eid[b, a]}" for (a, b), i in eid.items()]
+    for v in range(4):
+        e = len(pairs) + 2 * v
+        lines += [f"edge {e} {v} {v} rev {e + 1}",
+                  f"edge {e + 1} {v} {v} rev {e}"]
+    path = tmp_path / "k4_paired_loops.graph"
+    path.write_text("\n".join(lines) + "\n")
+    ws = build_workspace(config_from_dict({
+        "graph": f"file:{path}", "domain": "0 1 2", "jobs": "random-currents",
+        "seed": "58", "l_max": "8",
+    }))
+    rep = verify_random_currents(ws.catalog("unoriented"), samples=20000,
+                                 seed=58)
+    assert rep.passed
+    assert rep.details["ratio_ok"] and rep.details["inout_ok"]
+
+
 def test_wilson_small():
     cfg = config_from_dict({
         "graph": "cycle:4", "domain": "1 2 3", "jobs": "wilson",
