@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -90,11 +91,9 @@ def _job_sample_soup(ws: Workspace, seed: int, outdir: str):
     # single-bridge length law between the first two domain vertices (from
     # the vertex to itself on a one-vertex domain)
     x, y = (cfg.f1[0], cfg.f2[0]) if cfg.f1 and cfg.f2 else (sites * 2)[:2]
-    lengths = {}
     brng = stream(seed, "sample-soup/bridges")
-    for _ in range(min(cfg.samples, 20000)):
-        b = sample_bridge(ws.domain, x, y, brng)
-        lengths[b.n] = lengths.get(b.n, 0) + 1
+    lengths = Counter(sample_bridge(ws.domain, x, y, brng).n
+                      for _ in range(min(cfg.samples, 20000)))
     files.append(_write_csv(os.path.join(outdir, "bridge_length_hist.csv"),
                             ["length", "count"],
                             sorted(lengths.items())))

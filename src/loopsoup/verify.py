@@ -44,7 +44,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby, product, zip_longest
 from operator import itemgetter
 
@@ -1062,8 +1062,9 @@ def verify_wilson(catalog: LoopCatalog, root, runs: int = 10 ** 6,
     and the catalog's domain must be every vertex but the root (WilsonError
     otherwise).  Both sides pop in lockstep, a block at a time
     (`wilson.wilson_blocks`, `wilson.popped_blocks`); runs, soups and raw
-    class multisets are counted by distinct row, each mapped to its report
-    key once per block.
+    class multisets are counted by distinct row, and each distinct tree,
+    cycle multiset and raw class multiset is mapped to its report key once
+    per check, across blocks.
     """
     graph = catalog.domain.graph
     check_root(graph, root, catalog.domain.vertices)
@@ -1073,9 +1074,19 @@ def verify_wilson(catalog: LoopCatalog, root, runs: int = 10 ** 6,
     chunks = soup_chunks(catalog, "oriented", 1.0, runs, rng_s)
     classes, ug = catalog.classes, catalog.unoriented_graph
 
+    # the report keys, each computed once per distinct value per check
+    @cache
     def short(keys):        # a multiset's cycles up to WILSON_LENGTH_CAP
         return tuple(sorted(Counter(
             [k for k in keys if len(k) <= WILSON_LENGTH_CAP]).items()))
+
+    @cache
+    def tree_key(exits):
+        return tuple(sorted([ug.edge_class(e) for e in exits if e is not None]))
+
+    @cache
+    def raw_key(m):         # a multiset of class indices
+        return short(tuple([classes[i].key for i in m]))
 
     def tally(into, distinct, of, key):     # runs by distinct value -> by key
         for d, c in zip(distinct, np.bincount(of, minlength=len(distinct))):
@@ -1084,8 +1095,7 @@ def verify_wilson(catalog: LoopCatalog, root, runs: int = 10 ** 6,
     trees, w_keys, popped, s_naive = Counter(), Counter(), Counter(), Counter()
     for tree_d, tree_of, erased, erased_of in wilson_blocks(
             graph, root, runs, stream(seed, "wilson")):
-        tally(trees, tree_d, tree_of, lambda exits: tuple(sorted(
-            [ug.edge_class(e) for e in exits if e is not None])))
+        tally(trees, tree_d, tree_of, tree_key)
         tally(w_keys, erased, erased_of, short)
     n_trees = len(trees)
     p0 = 1.0 / n_trees
@@ -1098,8 +1108,7 @@ def verify_wilson(catalog: LoopCatalog, root, runs: int = 10 ** 6,
         keep = is_short[idx]
         tally(s_naive, *_multisets(np.repeat(np.arange(len(counts)),
                                              counts)[keep], idx[keep],
-                                   len(counts)),
-              lambda m: short([classes[i].key for i in m]))
+                                   len(counts)), raw_key)
     tv = stats.empirical_tv(w_keys, popped)
     tv_naive = stats.empirical_tv(w_keys, s_naive)
     return _verdict("wilson", "mc", tv, MC_TV_TOL, tree_ok and tv < MC_TV_TOL,

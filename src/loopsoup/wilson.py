@@ -14,7 +14,9 @@ final tree depend on the stacks alone, not on the order of popping.  So one
 kernel, `_lockstep`, pops every cycle of a block of up to BLOCK runs or soups
 per round: i.i.d. uniform exits for walks (`wilson_blocks`), interleaved
 departure lists for soups (`popped_blocks`).  Runs are keyed exactly by
-integer rows, and each distinct cycle or tree is mapped to its key once.
+integer rows, and each distinct cycle is mapped to its necklace key once
+per iterator, across blocks; `verify.verify_wilson` maps each distinct tree
+and multiset to its report key once per check.
 `wilson_ust` and `pop_cycles` are the one-run cases.
 """
 
@@ -90,47 +92,48 @@ def _lockstep(heads, top, advance):
 
     top[r, v] is the edge position of the top of run r's stack at vertex v,
     or -1 for none (the root, an empty stack); heads[p] is the head of edge
-    position p.  Each round the tops form a functional graph f on the n
-    vertices and a sink, where a vertex with no top goes.  With 2^k >= n,
-    f^(2^k) maps every vertex onto a cycle, so the cycles' vertices are its
-    image, and the least of f^0(v), ..., f^(2^k - 1)(v) labels v's cycle.
-    Every cycle's tops are popped at once, advance(runs, vertices) giving
-    the new tops, and a run whose tops hold no cycle is done.
+    position p.  Each round the m runs left are laid out flat, run r's
+    vertex v the cell r*n + v, and the tops form a functional graph f on
+    the cells and one shared sink m*n, where a cell with no top goes.  With
+    2^k >= n, f^(2^k) maps every cell onto a cycle, so the cycles' cells are
+    its image, and the least of f^0(c), ..., f^(2^k - 1)(c), its lead,
+    labels c's cycle.  Every cycle's tops are popped at once, in cell order,
+    advance(runs, vertices) giving the new tops, and a run that owns no
+    cycle cell is done.  `top` must be C-contiguous: its tops are written
+    through `top.ravel()`.
 
     Returns the final tops by run (each run's tree), and the popped cycles:
     their runs, and rows of edge position + 1 at their vertices, 0
-    elsewhere, which code the cycles exactly.
+    elsewhere, which code the cycles exactly, in the order of their leads.
     """
     size, n = top.shape
-    heads = np.append(heads, n)             # no top (-1): to the sink
+    heads = np.append(heads, size * n)      # no top (-1): past every cell
     final = np.empty_like(top)
     runs = np.arange(size)
     cycles = []
     while len(runs):
-        m = len(runs)
-        base = np.arange(0, m * (n + 1), n + 1)[:, None]
-        f = np.empty((m, n + 1), dtype=np.intp)
-        f[:, :n] = heads[top]
-        f[:, n] = n
-        f = (f + base).ravel()              # f as positions in the block
-        low = np.arange(m * (n + 1))
+        sink = len(runs) * n
+        f = heads[top] + np.arange(0, sink, n)[:, None]
+        f = np.append(np.minimum(f, sink, out=f), sink)
+        low = np.arange(sink + 1)
         for _ in range((n - 1).bit_length()):
             low = np.minimum(low, low[f])
             f = f[f]
-        on = np.zeros(m * (n + 1), dtype=bool)
+        on = np.zeros(sink + 1, dtype=bool)
         on[f] = True
-        on = on.reshape(m, n + 1)[:, :n]
-        low = low.reshape(m, n + 1)[:, :n] - base
-        done = ~on.any(axis=1)
-        final[runs[done]] = top[done]
-        lead = on & (low == np.arange(n))
-        r, v = np.nonzero(on)
-        rows = np.zeros((np.count_nonzero(lead), n), dtype=top.dtype)
-        rows[(np.cumsum(lead) - 1).reshape(lead.shape)[r, low[r, v]], v] = (
-            top[r, v] + 1)
-        cycles.append((runs[np.nonzero(lead)[0]], rows))
-        top[r, v] = advance(runs[r], v)
-        top, runs = top[~done], runs[~done]
+        cells = np.flatnonzero(on[:sink])   # row-major: by run, then vertex
+        r, v = np.divmod(cells, n)
+        owns = np.zeros(len(runs), dtype=bool)
+        owns[r] = True
+        final[runs[~owns]] = top[~owns]
+        lead = low[cells]
+        leads = cells[lead == cells]
+        rows = np.zeros((len(leads), n), dtype=top.dtype)
+        flat = top.ravel()
+        rows[np.searchsorted(leads, lead), v] = flat[cells] + 1
+        cycles.append((runs[leads // n], rows))
+        flat[cells] = advance(runs[r], v)
+        top, runs = top[owns], runs[owns]
     return final, *map(np.concatenate, zip(*cycles))
 
 

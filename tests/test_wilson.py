@@ -13,6 +13,7 @@ enumerated uniform law.  `verify_wilson` must report what the blocks of
 runs and soups give run by run.
 """
 
+import hashlib
 from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -32,7 +33,7 @@ from loopsoup import stats, verify, wilson
 from loopsoup.loops import loop_vertices, necklace
 from loopsoup.rng import stream
 from loopsoup.soups import SoupError, _chunk_rows, soup_chunks
-from loopsoup.wilson import (WilsonError, _distinct_rows, check_root,
+from loopsoup.wilson import (BLOCK, WilsonError, _distinct_rows, check_root,
                              popped_blocks, spanning_tree_count, wilson_blocks)
 
 
@@ -221,6 +222,53 @@ def test_pop_cycles_matches_the_deque_stacks(graph_root, seed, alpha):
     assert _state(rng) == before
 
 
+# sha256 of what `test_wilson_streams_are_pinned` reads off the blocks
+PINNED_STREAMS = {
+    "trees": "4e59184771127d63ab3386651c1054b1b4faef968ad903136ca6f43e87138e9a",
+    "tree_of":
+        "ecc096d6e6520340cc4372a378036cd77d38c636b0f72e986ce62a7d1d26d013",
+    "erased":
+        "6f1817e5631610ac45b06ee9e751ff23010137151d360ef6390947db91c5e6d5",
+    "erased_of":
+        "200f6481223b033c8a5ae4afedcd4430de1fa819433400e8bbb5d74eca64381f",
+    "counts":
+        "95f2441b46e9f559d6e5a2b9a7484edfe23d1f569c6aa9ea54297b86b377e1cf",
+    "idx": "0a255ecaa5967eb645e949c9dc057042fccc3b17e716bea5dacff6016ebe70a5",
+    "popped":
+        "efbffb9bc4b4cf41dcc9a05c7d4bba54efa8c31caf1a627f6da25c84cf14b169",
+    "popped_of":
+        "139bcba2bf36f4359dafa5e92bfdadd05f8d861a89a217c1a30c00e7e571d913",
+}
+
+
+def test_wilson_streams_are_pinned():
+    """Everything the blocks yield at fixed seeds hashes to fixed digests:
+    BLOCK + 7 runs of the walk on complete:5 rooted at 0, and as many soups
+    of its domain 1-4 up to length 6 popped, so each side crosses a block
+    boundary, and rounds pop 3- and 4-cycles and disjoint 2-cycles at once.
+    Arrays are hashed as (dtype, shape, entries), tuples as they are."""
+    def plain(x):
+        return (str(x.dtype), x.shape, x.tolist()) if isinstance(
+            x, np.ndarray) else x
+
+    graph = complete_graph(5)
+    cat = enumerate_loops(Domain(graph, [1, 2, 3, 4]), 6)
+    draws = {name: [] for name in PINNED_STREAMS}
+    rng = stream(1, "pinned-wilson")
+    for blocks, names in (
+            (wilson_blocks(graph, 0, BLOCK + 7, stream(0, "pinned-wilson")),
+             ("trees", "tree_of", "erased", "erased_of")),
+            (popped_blocks(cat, soup_chunks(cat, "oriented", 1.0, BLOCK + 7,
+                                            rng), rng),
+             ("counts", "idx", "popped", "popped_of"))):
+        for block in blocks:
+            for name, x in zip(names, block):
+                draws[name].append(plain(x))
+    assert all(len(d) == 2 for d in draws.values())
+    assert {name: hashlib.sha256(repr(d).encode()).hexdigest()
+            for name, d in draws.items()} == PINNED_STREAMS
+
+
 def test_pop_cycles_refuses_an_unoriented_catalog():
     """Wilson's cycles are oriented: a soup of unoriented classes is refused
     before anything is drawn, not popped as if its keys were oriented."""
@@ -366,19 +414,21 @@ def _short(counts):
                          if len(kc[0]) <= verify.WILSON_LENGTH_CAP]))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("graph, l_max", [(cycle_graph(4), 14),
-                                          (complete_graph(4), 8)],
-                         ids=["cycle:4", "complete:4"])
-def test_verify_wilson_matches_the_references(graph, l_max, seed):
+@pytest.mark.parametrize("graph, l_max, runs, seed", [
+    *(pytest.param(graph, l_max, 3000, seed, id=f"{name}-{seed}")
+      for name, graph, l_max in (("cycle:4", cycle_graph(4), 14),
+                                 ("complete:4", complete_graph(4), 8))
+      for seed in (0, 1, 2)),
+    pytest.param(complete_graph(4), 8, 5000, 0, id="complete:4-across-blocks-0")])
+def test_verify_wilson_matches_the_references(graph, l_max, runs, seed):
     """The job path (blocks of runs and soups, trees and multisets counted
-    by distinct row and mapped to report keys afterwards, raw class
+    by distinct row and mapped to report keys once per check, raw class
     multisets keyed from the soups' arrays) reports the statistic, naive TV
     and tree frequencies that the blocks give run by run and soup by soup
-    on the same streams.  complete:4 has simple 3-cycles.  The counts are
-    tallied in another order, so the TVs sum their terms in another
-    order."""
-    runs = 3000
+    on the same streams.  complete:4 has simple 3-cycles; 5,000 runs cross
+    a block boundary, so keys mapped in one block are reused in the next.
+    The counts are tallied in another order, so the TVs sum their terms in
+    another order."""
     ug = UnorientedGraph(graph, pair_reversals(graph))
     cat = enumerate_loops(Domain(graph, [1, 2, 3]), l_max, unoriented=ug)
     trees, w_keys = Counter(), Counter()
