@@ -16,20 +16,25 @@ Two independent computations are compared everywhere:
 This module holds the oracles: the conditioned multiset enumeration, the
 bridge-family laws, and the orbit keys and configuration counts of the
 sides of crossings.  The cuts that feed
-them and the drivers that compare the two sides live in `verify`.
+them and the drivers that compare the two sides live in `verify`.  Both
+sides are summed on integers: a multiset's Poisson weight, and a bridge
+configuration's g^{-K}, is an integer over one denominator per target or
+per bridge table, so a law builds one Fraction per entry.
 
 Occupation-field laws are computed without sampling from the probability
 generating function of the edge jump counts,
 
     E prod_e z_e^{N_e}  =  (det(I - P_z) / det(I - P))^{-t},
 
-expanded as a truncated multivariate power series, one total degree at a
-time.  The determinant is built on integer series (g (I - P_z) has integer
-entries), and the power is taken over the integers with the rational
-coefficients formed once at the end.  For half-integer exponents the series
-carries an irrational scalar prefactor that cancels from every conditional
-quantity, so the rational part is sufficient for exact
-conditional-independence checks.
+expanded as a truncated multivariate power series on a window of per-part
+degree bounds, bucket by bucket; the plain total-degree cap is the window
+of one part.  A check that reads a smaller window asks for it, and no
+coefficient outside it is computed.  The determinant is built on integer
+series (g (I - P_z) has integer entries), and the power is taken over the
+integers as numerators over the one denominator (Q q)^cap cap!.  For
+half-integer exponents the series carries an irrational scalar prefactor
+that cancels from every conditional quantity, so the rational part is
+sufficient for exact conditional-independence checks.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from operator import add, le, sub
 
 import numpy as np
 
@@ -101,97 +108,114 @@ def _assemble_multisets(candidates, target: Counter):
 
 def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
                              poisson: dict | None = None) -> dict:
-    """Conditional law of the class multisets matching `target`, memoizing
-    the Poisson weight of each (key, count) in `poisson`."""
+    """Conditional law of the class multisets matching `target`, as integer
+    weights over one common denominator: each multiset's weight over their
+    sum is its probability.
+
+    A multiset's Poisson weight prod (t m)^u / u! is the integer product
+    of its classes' numerators over that of their denominators, each pair
+    memoized per (key, count) in `poisson`; the common denominator is the
+    lcm of the multisets' denominators.
+    """
     if intensity <= 0:
         raise OracleError(f"intensity {intensity} must be positive")
     poisson = {} if poisson is None else poisson
-    weights: dict = {}
+    fractions: dict = {}
     for combo in _assemble_multisets(candidates, target):
+        num = den = 1
         for key, mass, u in combo:
-            if (key, u) not in poisson:
-                poisson[key, u] = (intensity * mass) ** u / math.factorial(u)
-        weights[tuple(sorted((key, u) for key, _, u in combo))] = math.prod(
-            poisson[key, u] for key, _, u in combo)
-    if not weights:
+            pair = poisson.get((key, u))
+            if pair is None:
+                x = intensity * mass
+                pair = poisson[key, u] = (x.numerator ** u,
+                                          x.denominator ** u * math.factorial(u))
+            num *= pair[0]
+            den *= pair[1]
+        fractions[tuple(sorted((key, u) for key, _, u in combo))] = num, den
+    if not fractions:
         raise OracleError("conditioning event has zero weight at this truncation")
-    total = sum(weights.values())
-    return {ms: w / total for ms, w in weights.items()}
+    common = math.lcm(*{den for _, den in fractions.values()})
+    return {ms: num * (common // den) for ms, (num, den) in fractions.items()}
 
 
 # -- bridge-measure enumeration ------------------------------------------------
 
 
-def _bridge_families(weights: dict, pairs_of, menu) -> dict:
-    """Labeled bridge families with exact probabilities.
+def _bridge_families(labels, pairs_of, menu) -> dict:
+    """Labeled bridge families with integer weights.
 
-    Every label of `weights` (a permutation or a pairing) joins the endpoint
+    Every label (a permutation or a pairing) joins the endpoint
     pairs pairs_of(label) by one path each, drawn from menu(pair) as
-    (path, mass) entries; a family's probability is the product of its path
-    masses over Z = sum(weights).
+    (path, integer weight) entries; a family's weight is the product of its
+    path weights.
     """
-    Z = sum(weights.values())
     menus: dict = {}
     configs: dict = {}
-    for label in weights:
+    for label in labels:
         pairs = pairs_of(label)
         for pair in pairs:
             if pair not in menus:
                 menus[pair] = menu(pair)
         for combo in product(*(menus[pair] for pair in pairs)):
-            mass = Fraction(1)
-            for _, m in combo:
-                mass *= m
-            configs[(label, tuple(path for path, _ in combo))] = mass / Z
+            configs[(label, tuple(path for path, _ in combo))] = math.prod(
+                m for _, m in combo)
     return configs
 
 
 def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
     """Labeled unordered-bridge configurations with exact probabilities.
 
-    Returns (configs, normalizer) where configs maps
-    (sigma, bridge-path-tuple) -> Fraction probability g^{-K} / Z and
-    Z = sum_s G(X, Y^s).  Unenumerated mass is 1 - sum(configs.values()).
+    Returns (configs, denominator): configs maps (sigma, bridge-path-tuple)
+    to an integer weight g^(N max_len - K), N = len(X), and the
+    configuration's probability g^{-K} / Z is its weight over the one
+    denominator g^(N max_len) Z, Z = sum_s G(X, Y^s).  Unenumerated mass is
+    1 - sum(configs.values()) / denominator.
     """
     weights = permutation_weights(green_function(domain, exact=True).exact,
                                   X, Y)
     Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no permutation has positive weight")
+    g = domain.g
 
     def menu(pair):
-        return [(b.path, Fraction(1, domain.g ** b.n))
+        return [(b.path, g ** (max_len - b.n))
                 for b in enumerate_bridges(domain, pair[0], pair[1], max_len)]
 
     return _bridge_families(
-        weights, lambda s: [(X[j], Y[s[j]]) for j in range(len(X))], menu), Z
+        weights, lambda s: [(X[j], Y[s[j]]) for j in range(len(X))],
+        menu), g ** (len(X) * max_len) * Z
 
 
 def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
     """Labeled Z-bridge configurations with exact probabilities.
 
-    Returns (configs, normalizer): configs maps
-    (pairing, unoriented-bridge-path-tuple) -> Fraction g^{-K}-style mass / Z.
-    Bridge paths are stored in canonical unoriented form; the mass of an
-    unoriented path accumulates both oriented representatives when they
-    differ (self-return paths), which keeps the g^{-K} bookkeeping exact.
+    Returns (configs, denominator): configs maps
+    (pairing, unoriented-bridge-path-tuple) to an integer weight, g^{-K}
+    scaled by g^(N max_len) for N = len(Z_vertices) / 2 bridges, and the
+    configuration's probability is its weight over the one denominator
+    g^(N max_len) Z, Z the pairing-weight sum.  Bridge paths are stored in
+    canonical unoriented form; the weight of an unoriented path accumulates
+    both oriented representatives when they differ (self-return paths),
+    which keeps the g^{-K} bookkeeping exact.
     """
     weights = pairing_weights(green_function(domain, exact=True).exact,
                               Z_vertices)
     Z = sum(weights.values())
     if Z == 0:
         raise OracleError("no pairing has positive weight")
+    g = domain.g
 
     def menu(pair):
         masses: dict = {}
         for br in enumerate_bridges(domain, pair[0], pair[1], max_len):
             ukey = involution.unoriented_path(br.path)
-            masses[ukey] = masses.get(ukey, Fraction(0)) + Fraction(1, domain.g ** br.n)
+            masses[ukey] = masses.get(ukey, 0) + g ** (max_len - br.n)
         return sorted(masses.items())
 
     return _bridge_families(
         weights, lambda t: [(Z_vertices[a], Z_vertices[b]) for a, b in t],
-        menu), Z
+        menu), g ** (len(Z_vertices) // 2 * max_len) * Z
 
 
 # -- crossing-side structures ----------------------------------------------------
@@ -241,131 +265,188 @@ def _side_arrivals_departures(cs, i):
 def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
     """The bridge-measure law of side i, pushed onto side orbit keys.
 
-    Returns (dist, remainder, normalizer): dist maps orbit keys to exact
-    probabilities; remainder is the un-enumerated bridge mass and normalizer
-    the Green-product sum Z over the side's bridge families (Fractions).
+    Returns (dist, remainder, denominator): dist maps orbit keys to exact
+    probabilities; remainder is the un-enumerated bridge mass and
+    denominator that of the side's bridge-family weights.
     """
     v = cs.endpoints(i)
     if cs.mode == "oriented":
         arrivals, departures = _side_arrivals_departures(cs, i)
-        configs, Z = unordered_bridge_law(
+        configs, denominator = unordered_bridge_law(
             domain_minus, [v[k] for k in arrivals],
             [v[k] for k in departures], max_len)
         structures = ((tuple(sorted(((arrivals[j], departures[s[j]]), paths[j])
-                                    for j in range(len(arrivals)))), pr)
-                      for (s, paths), pr in configs.items())
+                                    for j in range(len(arrivals)))), w)
+                      for (s, paths), w in configs.items())
     else:
-        configs, Z = z_bridge_law(domain_minus, v, involution, max_len)
-        structures = ((tuple(sorted(zip(t, paths))), pr)
-                      for (t, paths), pr in configs.items())
+        configs, denominator = z_bridge_law(domain_minus, v, involution,
+                                            max_len)
+        structures = ((tuple(sorted(zip(t, paths))), w)
+                      for (t, paths), w in configs.items())
     labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
     dist: dict = {}
-    total = Fraction(0)
-    for structure, pr in structures:
+    for structure, w in structures:
         key = matching_key(labels, structure, cs.mode == "oriented")
-        dist[key] = dist.get(key, Fraction(0)) + pr
-        total += pr
-    return dist, Fraction(1) - total, Z
+        dist[key] = dist.get(key, 0) + w
+    total = sum(dist.values())
+    return ({k: w / denominator for k, w in dist.items()},
+            1 - total / denominator, denominator)
 
 
 # -- truncated multivariate power series over the integers ----------------------
+#
+# A series lives on a window: per-part degree bounds, each variable in one
+# part.  It is a dict from a bucket, the vector of a monomial's degrees in
+# the parts, to the series' terms there, a dict from the packed monomial to
+# its integer coefficient.  Monomials are packed one byte per variable (no
+# exponent exceeds its part's bound, and the cap is at most 255), so
+# multiplying two is adding their codes and `int.to_bytes` unpacks one.
+# The window is an order ideal, so every coefficient in it depends on
+# coefficients in it alone.
 
 
-def _mul(a: list, b: list, cap: int) -> list:
-    """Product of two graded series, dropping every degree above `cap`.
+def _fits(bucket, bounds) -> bool:
+    return all(map(le, bucket, bounds))
 
-    A graded series is a list of dicts, one per total degree, from a packed
-    monomial code to its coefficient.  Monomials are packed base cap + 1
-    into one int (no exponent exceeds the cap), so multiplying two of them
-    is adding their codes.
-    """
-    out = [defaultdict(int) for _ in range(cap + 1)]
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j > cap:
-                break
-            o = out[i + j]
-            for ma, ca in ai.items():
-                for mb, cb in bj.items():
+
+def _pruned(series: dict) -> dict:
+    """The series without zero coefficients and empty buckets."""
+    out = {}
+    for k, terms in series.items():
+        terms = {m: c for m, c in terms.items() if c}
+        if terms:
+            out[k] = terms
+    return out
+
+
+def _mul(a: dict, b: dict, bounds: tuple) -> dict:
+    """Product of two series on the window `bounds`: two buckets whose sum
+    leaves the window are never multiplied."""
+    out: dict = defaultdict(lambda: defaultdict(int))
+    for ka, ta in a.items():
+        for kb, tb in b.items():
+            k = tuple(map(add, ka, kb))
+            if not _fits(k, bounds):
+                continue
+            o = out[k]
+            for ma, ca in ta.items():
+                for mb, cb in tb.items():
                     o[ma + mb] += ca * cb
-    return [{m: c for m, c in o.items() if c} for o in out]
+    return _pruned(out)
 
 
-def _det(mat: list, cap: int) -> list:
-    """Determinant of a matrix of graded series by cofactor expansion along
-    the first row (matrices here are tiny)."""
+def _det(mat: list, bounds: tuple) -> dict:
+    """Determinant of a matrix of series by cofactor expansion along the
+    first row (matrices here are tiny)."""
     if len(mat) == 1:
         return mat[0][0]
-    out = [defaultdict(int) for _ in range(cap + 1)]
+    out: dict = defaultdict(lambda: defaultdict(int))
     for j, entry in enumerate(mat[0]):
-        if not any(entry):
+        if not entry:
             continue
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         sign = -1 if j % 2 else 1
-        for o, part in zip(out, _mul(entry, _det(minor, cap), cap)):
-            for m, c in part.items():
+        for k, terms in _mul(entry, _det(minor, bounds), bounds).items():
+            o = out[k]
+            for m, c in terms.items():
                 o[m] += sign * c
-    return [{m: c for m, c in o.items() if c} for o in out]
+    return _pruned(out)
 
 
-def _binomial_series(U: list, Q: int, exponent: Fraction) -> list:
-    """(1 + U/Q)^exponent as a graded series with Fraction coefficients.
+def _binomial_series(U: dict, Q: int, exponent: Fraction,
+                     bounds: tuple) -> tuple[dict, int]:
+    """(1 + U/Q)^exponent on the window `bounds`, as integer numerators over
+    one denominator: returns (F, denominator), the coefficient of monomial m
+    in bucket k being F[k][m] / denominator.
 
-    U is a graded integer series without constant term and Q >= 1.  One
-    pass, degree by degree, by J.C.P. Miller's power recurrence (Knuth,
-    TAOCP vol. 2, sec. 4.7) lifted by the Euler operator E, which scales the
-    degree-d part by d: with u = U/Q, (1 + u) E f = a (E u) f gives f_0 = 1
-    and
+    U is an integer series without constant term and Q >= 1.  One pass,
+    bucket by bucket in order of total degree, by J.C.P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, sec. 4.7) lifted by the Euler operator
+    E, which scales the total-degree-d part by d: with u = U/Q,
+    (1 + u) E f = a (E u) f gives f_0 = 1 and
 
         d f_d = sum_{k=1..d} (a k - (d - k)) u_k f_{d-k},
 
     u_k the degree-k part of u.  With a = p/q the numerators
     F_d = (Q q)^d d! f_d are integers,
 
-        F_d = sum_k (p k - q (d - k)) (Q q)^{k-1} (d-1)!/(d-k)! U_k F_{d-k},
+        F_d = sum_k (p k - q (d - k)) (Q q)^{k-1} (d-1)!/(d-k)! U_k F_{d-k}.
 
-    so the pass runs on Python ints and the Fractions are built once at the
-    end.
+    The identity holds monomial by monomial, so each bucket of F is the sum
+    over the buckets of U below it, times the bucket of F they leave.  The
+    plain total-degree cap is the window of one part.  Each F_d is brought
+    to the common denominator (Q q)^D D!, D = sum(bounds), at the end.
     """
-    if U[0]:
+    zero = (0,) * len(bounds)
+    if zero in U:
         raise OracleError("series argument must vanish at the origin")
     p, q = exponent.numerator, exponent.denominator
     Qq = Q * q
-    F: list[dict] = [{0: 1}]
-    for d in range(1, len(U)):
+    terms = [(k, sum(k), t) for k, t in U.items() if _fits(k, bounds)]
+    F = {zero: {0: 1}}
+    for bucket in sorted(product(*(range(b + 1) for b in bounds)), key=sum):
+        d = sum(bucket)
         acc: dict = defaultdict(int)
-        for k in range(1, d + 1):
-            scale = (p * k - q * (d - k)) * Qq ** (k - 1) * math.perm(d - 1, k - 1)
-            for mu, cu in U[k].items():
+        for k, deg, tu in terms:
+            rest = F.get(tuple(map(sub, bucket, k)))
+            if rest is None:
+                continue
+            scale = (p * deg - q * (d - deg)) * Qq ** (deg - 1) \
+                * math.perm(d - 1, deg - 1)
+            for mu, cu in tu.items():
                 c = scale * cu
-                for mf, cf in F[d - k].items():
+                for mf, cf in rest.items():
                     acc[mu + mf] += c * cf
-        F.append({code: c for code, c in acc.items() if c})
-    return [{code: Fraction(c, Qq ** d * math.factorial(d))
-             for code, c in Fd.items()} for d, Fd in enumerate(F)]
+        acc = {m: c for m, c in acc.items() if c}
+        if acc:
+            F[bucket] = acc
+    top = sum(bounds)
+    lift = [Qq ** (top - d) * (math.factorial(top) // math.factorial(d))
+            for d in range(top + 1)]
+    return ({k: {m: c * lift[sum(k)] for m, c in t.items()}
+             for k, t in F.items()}, Qq ** top * math.factorial(top))
 
 
 @dataclass
 class OccupationLaw:
-    """Joint law of jump counts on tracked edge groups, up to a scalar.
+    """Joint law of jump counts on tracked edge groups, up to a scalar, on
+    a window of per-part degree bounds.
 
-    weights[n] is proportional to P(N = n) for every total degree <= cap;
-    the proportionality scalar (irrational for half-integer intensities)
-    cancels from all conditional quantities.  `scalar` is its float value so
-    absolute probabilities are available numerically.
+    numerators[n] / denominator is proportional to P(N = n) for every count
+    vector n in the window, and an n absent from it has weight 0; `weights`
+    are those Fractions.  `window` is a tuple of (variable indices, bound)
+    pairs; None is the one part of every variable, bounded by `cap`.  The
+    proportionality scalar (irrational for half-integer intensities)
+    cancels from all conditional quantities.  `scalar` is its float value
+    so absolute probabilities are available numerically.
     """
 
     groups: tuple
     cap: int
-    weights: dict
+    numerators: dict
     scalar: float
+    denominator: int = 1
+    window: tuple | None = None
+
+    @cached_property
+    def weights(self) -> dict:
+        return {n: Fraction(c, self.denominator)
+                for n, c in self.numerators.items()}
 
     def probability(self, n) -> float:
-        return self.scalar * float(self.weights.get(tuple(n), 0))
+        """P(N = n), for a count vector in the window; beyond it the law was
+        not computed, and asking is an error."""
+        n = tuple(n)
+        parts = self.window or ((range(len(n)), self.cap),)
+        if any(sum(n[i] for i in idx) > bound for idx, bound in parts):
+            raise OracleError(f"count vector {n} lies outside the window "
+                              "the law was computed on")
+        return self.scalar * (self.numerators.get(n, 0) / self.denominator)
 
 
 def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
-                   cap: int, allow_marginal: bool = False) -> OccupationLaw:
+                   cap: int, allow_marginal: bool = False,
+                   window=None) -> OccupationLaw:
     """Exact joint jump-count law on `edge_groups` for the soup at `intensity`.
 
     `intensity` is alpha for the oriented count field; for the unoriented
@@ -375,15 +456,22 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     rejected unless `allow_marginal`: leaving their variable at 1 yields the
     exact marginal law of the tracked counts.
 
+    The law is computed on `window`, (group indices, degree bound) pairs
+    whose parts partition the groups and whose bounds sum to `cap`; by
+    default the one part of every group, so every total degree <= cap.
+
     M = g (I - P_z) has integer entries: g on the diagonal, minus the
     edge's variable for each tracked in-domain edge and -1 for an untracked
-    one.  det M is expanded by cofactors over graded integer series; with D0
-    its constant term and u = det M / D0 - 1 = U / Q in lowest terms, the
-    rational part (1 + u)^{-intensity} is built degree by degree in one pass
-    of Miller's recurrence over the integers (`_binomial_series`).
+    one.  det M is expanded by cofactors over integer series on the window;
+    with D0 its constant term and u = det M / D0 - 1 = U / Q in lowest
+    terms, the rational part (1 + u)^{-intensity} is built bucket by bucket
+    in one pass of Miller's recurrence over the integers
+    (`_binomial_series`).
     """
     if intensity <= 0:
         raise OracleError(f"intensity {intensity} must be positive")
+    if not 0 <= cap <= 255:
+        raise OracleError(f"cap {cap} is outside 0..255")
     groups = [tuple(g) for g in edge_groups]
     var_of = {}
     for i, grp in enumerate(groups):
@@ -391,32 +479,49 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
             if eid in var_of:
                 raise OracleError(f"edge {eid} appears in two groups")
             var_of[eid] = i
+    if window is None:
+        window = ((range(len(groups)), cap),)
+    window = tuple((tuple(idx), bound) for idx, bound in window)
+    part_of = {i: j for j, (idx, _) in enumerate(window) for i in idx}
+    if sorted(i for idx, _ in window for i in idx) != list(range(len(groups))) \
+            or sum(bound for _, bound in window) != cap:
+        raise OracleError("the window's parts must partition the groups and "
+                          "its bounds sum to the cap")
+    bounds = tuple(bound for _, bound in window)
     n = domain.size
     tracked = set(var_of)
     in_domain = {e.id for v in domain.vertices for e in domain.out_edges(v)}
     if not in_domain <= tracked and not allow_marginal:
         raise OracleError("all in-domain edges must be tracked for an exact law")
-    place = [(cap + 1) ** k for k in range(len(groups))]
-    M = [[[defaultdict(int) for _ in range(cap + 1)] for _ in range(n)]
+    zero = (0,) * len(bounds)
+    M = [[defaultdict(lambda: defaultdict(int)) for _ in range(n)]
          for _ in range(n)]
     for v in domain.vertices:
         i = domain.index[v]
-        M[i][i][0][0] += domain.g
+        M[i][i][zero][0] += domain.g
         for e in domain.out_edges(v):
-            d, code = (1, place[var_of[e.id]]) if e.id in var_of else (0, 0)
-            if d <= cap:
-                M[i][domain.index[e.head]][d][code] -= 1
-    D = _det(M, cap)                  # g^n det(I - P_z)
-    D0 = D[0].get(0, 0)               # at z = 0 (no tracked jumps)
+            bucket, code = zero, 0
+            if e.id in var_of:
+                var = var_of[e.id]
+                bucket = tuple(int(j == part_of[var]) for j in range(len(bounds)))
+                code = 1 << 8 * var
+            if _fits(bucket, bounds):
+                M[i][domain.index[e.head]][bucket][code] -= 1
+    D = _det([[_pruned(entry) for entry in row] for row in M], bounds)
+    D0 = D.get(zero, {}).get(0, 0)    # g^n det(I - P_z) at z = 0
     if D0 <= 0:
         raise OracleError("degenerate determinant at the origin")
-    Q = D0 // math.gcd(D0, *(c for Dk in D[1:] for c in Dk.values()))
-    U = [{}] + [{m: c // (D0 // Q) for m, c in Dk.items()} for Dk in D[1:]]
-    series = _binomial_series(U, Q, -intensity)
-    weights = {tuple(code // w % (cap + 1) for w in place): c
-               for Fd in series for code, c in Fd.items()}
+    Q = D0 // math.gcd(D0, *(c for k, t in D.items() if k != zero
+                             for c in t.values()))
+    U = {k: {m: c // (D0 // Q) for m, c in t.items()}
+         for k, t in D.items() if k != zero}
+    F, denominator = _binomial_series(U, Q, -intensity, bounds)
+    nvars = len(groups)
+    numerators = {tuple(code.to_bytes(nvars, "little")): c
+                  for t in F.values() for code, c in t.items()}
     # true PGF = (D0 / (g^n det(I - P)))^{-intensity} * series
     P = domain.transition_matrix()
     det_ip = float(np.linalg.det(np.eye(n) - P))
     scalar = (float(Fraction(D0, domain.g ** n)) / det_ip) ** (-float(intensity))
-    return OccupationLaw(tuple(groups), cap, weights, scalar)
+    return OccupationLaw(tuple(groups), cap, numerators, scalar, denominator,
+                         window)

@@ -229,26 +229,30 @@ class Cut:
         return p if dof > 0 else None
 
     def bridge_table(self, b):
-        """(pieces of bin b, its bridge-family table, flippable slot pairs).
+        """(pieces of bin b, its bridge-family table, the table's
+        denominator, flippable slot pairs).
 
         The bridge measure depends on the pieces only through their endpoint
         vector, so its table is built once per vector and shared by the bins
-        with that vector: one (hookup, probability, walk) entry per labeled
-        configuration, the walk read once (`hookup_walk`).
+        with that vector: one (hookup, integer weight, walk) entry per
+        labeled configuration, the walk read once (`hookup_walk`); an
+        entry's probability is its weight over the denominator.
         """
         pieces, ends, flippable = self.bridge_ends(b)
-        table = self._tables.get(ends)
-        if table is None:
+        if ends not in self._tables:
             L_max = self.catalog.L_max
             if self.oriented:
-                configs, _ = unordered_bridge_law(self.sub, *ends, L_max)
+                configs, denominator = unordered_bridge_law(self.sub, *ends,
+                                                            L_max)
             else:
-                configs, _ = z_bridge_law(self.sub, ends, self.inv, L_max)
+                configs, denominator = z_bridge_law(self.sub, ends, self.inv,
+                                                    L_max)
             hookup = OrientedHookup if self.oriented else UnorientedHookup
-            hooks = [(hookup(*c), pr) for c, pr in configs.items()]
-            table = self._tables[ends] = [
-                (hook, pr, hookup_walk(hook, len(pieces))) for hook, pr in hooks]
-        return pieces, table, flippable
+            hooks = [(hookup(*c), w) for c, w in configs.items()]
+            self._tables[ends] = ([
+                (hook, w, hookup_walk(hook, len(pieces))) for hook, w in hooks],
+                denominator)
+        return pieces, *self._tables[ends], flippable
 
     def oracle(self, b):
         """(truncated-soup law of the hookup keys of bin b, infeasible mass).
@@ -258,32 +262,36 @@ class Cut:
         pieces, all fit in L_max, then renormalized: the exact conditional
         law of the truncated soup.  The infeasible mass is the bridge mass
         left out, bridges too long to enumerate included (no loop holding
-        one fits).
+        one fits).  Weights are summed as integers, and each law entry is
+        one Fraction.
         """
-        pieces, table, flippable = self.bridge_table(b)
+        pieces, table, denominator, flippable = self.bridge_table(b)
         flips = () if self.oriented else flipped_pieces(pieces, flippable,
                                                         self.inv)
         law: dict = {}
-        for _, pr, walk in table:
+        for _, w, walk in table:
             if max(hookup_loop_lengths(pieces, walk)) > self.catalog.L_max:
                 continue
             key = walk_orbit_key(pieces, walk, self.oriented, flips)
-            law[key] = law.get(key, 0) + pr
+            law[key] = law.get(key, 0) + w
         feasible = sum(law.values())
-        return {k: v / feasible for k, v in law.items()}, 1 - feasible
+        return ({k: Fraction(v, feasible) for k, v in law.items()},
+                1 - feasible / denominator)
 
     def laws(self, intensity: Fraction, target: Counter):
         """(report entry, conditional law of the hookup keys given `target`
         (`key_of`), truncated-soup law of its bin)."""
         cond: dict = {}
-        for ms, p in conditional_multiset_law(
+        for ms, w in conditional_multiset_law(
                 intensity, self.fitting(target), target,
                 self._poisson[intensity]).items():
             key = self.key_of(ms)
-            cond[key] = cond.get(key, 0) + p
+            cond[key] = cond.get(key, 0) + w
+        total = sum(cond.values())
         b = self.bin_of(target)
         law, infeasible = self.oracle(b)
-        return {**self.label(b), "infeasible": float(infeasible)}, cond, law
+        return ({**self.label(b), "infeasible": float(infeasible)},
+                {k: Fraction(v, total) for k, v in cond.items()}, law)
 
 
 class ExcursionCut(Cut):
@@ -437,26 +445,30 @@ class CrossingCut(Cut):
         key, and the number of labeled configurations of the per-side bridge
         measures it stands for, are read off the classes (`completion`),
         each configuration of mass g^-(its bridge steps) over a normalizer
-        shared by the bin; the law renormalizes over the completions the
-        catalog realizes, those whose loops all fit in L_max.
+        shared by the bin, summed as the integer g^(most steps - its steps);
+        the law renormalizes over the completions the catalog realizes,
+        those whose loops all fit in L_max.
         """
         g = self.catalog.domain.g
         cross_steps = sum(len(p) * n for (_, p), n in target.items())
         relabelings = math.prod(map(math.factorial, target.values()))
         cond: dict = {}
         bridge: dict = {}
-        for ms, p in conditional_multiset_law(
+        for ms, w in conditional_multiset_law(
                 intensity, self.fitting(target), target,
                 self._poisson[intensity]).items():
             key, n = self.completion(ms, relabelings)
-            steps = sum(len(k) * u for k, u in ms)
-            cond[key] = cond.get(key, 0) + p
+            cond[key] = cond.get(key, 0) + w
             # multisets sharing a key (the orientations of a returning arc)
             # share its configurations
-            bridge[key] = n * Fraction(1, g ** (steps - cross_steps))
+            bridge[key] = n, sum(len(k) * u for k, u in ms) - cross_steps
+        total = sum(cond.values())
+        top = max(steps for _, steps in bridge.values())
+        bridge = {k: n * g ** (top - steps) for k, (n, steps) in bridge.items()}
         z = sum(bridge.values())
         return ({"crossings": sum(target.values()), "support": len(cond)},
-                cond, {k: v / z for k, v in bridge.items()})
+                {k: Fraction(v, total) for k, v in cond.items()},
+                {k: Fraction(v, z) for k, v in bridge.items()})
 
 
 # -- the drivers -------------------------------------------------------------------
@@ -695,6 +707,12 @@ def _independence_chi2(table: Counter, n_sides):
 # -- occupation-field spatial Markov property ----------------------------------
 
 
+def _markov_bounds(cap: int) -> tuple[int, int]:
+    """(b, cap - 2b), b = cap // 3: the Markov window's bound on the inside
+    and the outside, and on the boundary."""
+    return cap // 3, cap - 2 * (cap // 3)
+
+
 def _markov_defect(law, idx_in, idx_bd, idx_out,
                    tilt_edge_group: int | None = None) -> tuple[float, int, int]:
     """Decide in integers that the inside and outside counts of a window of
@@ -702,38 +720,34 @@ def _markov_defect(law, idx_in, idx_bd, idx_out,
     are independent given the boundary counts.
 
     The window is {|inside| <= b} x {|boundary| <= cap - 2b} x
-    {|outside| <= b} with b = cap // 3.  Its bounds sum to the cap, so every
-    weight in it is exact and an absent cell weighs 0; restriction to a
-    product window preserves conditional independence.  The block of a
-    boundary value, with row sums R, column sums C and total T, is a product
-    exactly when w T == R(i) C(o) at every cell of rows x columns; a block
-    with one row or one column is a product whatever its weights, so it
-    tests nothing.  Returns the total variation between the window law and
-    its Markov projection (0.0 exactly when every block is a product), the
-    cells checked and the cells violated.
-    No count exceeds the cap, so for TILT = p/q a weight with k jumps in
-    the group is scaled by p^k q^(cap - k), TILT^k times the common q^cap.
+    {|outside| <= b} with b = cap // 3 (`_markov_bounds`), the window
+    `verify_occupation_markov` builds its law on.  Its bounds sum to the
+    cap, so every weight in it is exact and an absent cell weighs 0;
+    restriction to a product window preserves conditional independence.
+    The block of a boundary value, with row sums R, column sums C and total
+    T, is a product exactly when w T == R(i) C(o) at every cell of rows x
+    columns; a block with one row or one column is a product whatever its
+    weights, so it tests nothing.  Returns the total variation between the
+    window law and its Markov projection (0.0 exactly when every block is a
+    product), the cells checked and the cells violated.
+    The law's integer numerators share one denominator, which cancels.  No
+    count exceeds the cap, so for TILT = p/q a weight with k jumps in the
+    group is scaled by p^k q^(cap - k), TILT^k times the common q^cap.
     """
-    b = law.cap // 3
-    b_bd = law.cap - 2 * b
+    b, b_bd = _markov_bounds(law.cap)
     t, p, q = tilt_edge_group, TILT.numerator, TILT.denominator
-    factor = [1 if t is None else p ** k * q ** (law.cap - k)
-              for k in range(law.cap + 1)]
+    factor = [p ** k * q ** (law.cap - k) for k in range(law.cap + 1)]
+    inside, boundary, outside = (
+        (lambda n, idx=idx: tuple(map(n.__getitem__, idx)))
+        for idx in (idx_in, idx_bd, idx_out))
     blocks: dict = defaultdict(dict)
-    for n, w in law.weights.items():
-        i_ = tuple(n[k] for k in idx_in)
-        o_ = tuple(n[k] for k in idx_out)
-        bd = tuple(n[k] for k in idx_bd)
+    for n, w in law.numerators.items():
+        i_, bd, o_ = inside(n), boundary(n), outside(n)
         if sum(i_) <= b and sum(o_) <= b and sum(bd) <= b_bd:
-            blocks[bd][i_, o_] = w, factor[0 if t is None else n[t]]
-    # one common denominator makes every weight an integer
-    scale = math.lcm(*(w.denominator for M in blocks.values()
-                       for w, _ in M.values()))
+            blocks[bd][i_, o_] = w if t is None else w * factor[n[t]]
     norm = checked = bad = 0
     gap = Fraction(0)
     for M in blocks.values():
-        M = {c: w.numerator * (scale // w.denominator) * f
-             for c, (w, f) in M.items()}
         rows: dict = defaultdict(int)
         cols: dict = defaultdict(int)
         for (i, o), w in M.items():
@@ -777,8 +791,10 @@ def verify_occupation_markov(domain: Domain, edge_partition,
     check reads of the vertex set.  Site occupation times are measurable
     over visit counts, which the edge fields determine, so edge-level
     independence carries the site fields along.  The law is built once, by
-    `occupation_law` on the partition's groups up to `cap` jumps at
-    exponent c/2 or alpha, and every report names it.  Returns the check of
+    `occupation_law` on the partition's groups at exponent c/2 or alpha, on
+    the window `_markov_defect` reads (the parts inside, on the boundary
+    and outside, bounded by `_markov_bounds(cap)`), and every report names
+    it.  The partition's parts must hold every group.  Returns the check of
     the law, then one check per group of `tilt_edge_groups` of the law
     tilted by TILT^(jumps of that group).  A control that checks cells and
     violates none fails with a note: its window is too small to see the
@@ -792,8 +808,10 @@ def verify_occupation_markov(domain: Domain, edge_partition,
     if intensity_kind == "c":
         exponent /= 2
     groups, idx_in, idx_bd, idx_out = edge_partition
+    b, b_bd = _markov_bounds(cap)
     law = occupation_law(domain, groups, exponent, cap,
-                         allow_marginal=allow_marginal)
+                         allow_marginal=allow_marginal,
+                         window=((idx_in, b), (idx_bd, b_bd), (idx_out, b)))
     reports = []
     for tilt in (None, *tilt_edge_groups):
         stat, checked, bad = _markov_defect(law, idx_in, idx_bd, idx_out, tilt)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopsoup import Domain, build_graph, occupation_law, tv_distance
+from loopsoup import (Domain, build_graph, green_function, occupation_law,
+                      tv_distance)
+from loopsoup.bridges import pairing_weights, permutation_weights
+from loopsoup.cli import markov_edge_partition
+from loopsoup.config import build_workspace, config_from_dict
 from loopsoup.exact import (OracleError, _binomial_series, _det, _mul,
                             conditional_multiset_law, unordered_bridge_law,
                             z_bridge_law)
@@ -15,20 +20,21 @@ from loopsoup.rng import stream
 from loopsoup.verify import ExcursionCut
 
 
-def _graded(coeffs: dict, cap: int) -> list:
-    """Coefficients keyed by exponent tuples as a graded series, one dict
-    per total degree from the monomial packed base cap + 1."""
-    out = [{} for _ in range(cap + 1)]
+def _graded(coeffs: dict, cap: int) -> dict:
+    """Coefficients keyed by exponent tuples as a series on the window of
+    one part bounded by cap: buckets (total degree,), each monomial packed
+    one byte per variable."""
+    out: dict = {}
     for m, c in coeffs.items():
         if c:
-            out[sum(m)][sum(e * (cap + 1) ** j for j, e in enumerate(m))] = c
+            out.setdefault((sum(m),), {})[
+                sum(e << 8 * j for j, e in enumerate(m))] = c
     return out
 
 
-def _ungraded(series: list, nvars: int) -> dict:
-    base = len(series)
-    return {tuple(code // base ** j % base for j in range(nvars)): c
-            for part in series for code, c in part.items()}
+def _ungraded(series: dict, nvars: int, denominator: int = 1) -> dict:
+    return {tuple(code.to_bytes(nvars, "little")): Fraction(c, denominator)
+            for terms in series.values() for code, c in terms.items()}
 
 
 def _poly_mul(a: dict, b: dict, cap=None) -> dict:
@@ -45,24 +51,27 @@ def _poly_mul(a: dict, b: dict, cap=None) -> dict:
 def test_series_algebra():
     cap = 4
     p = {(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 1): 2}        # (1 + x)(1 + 2y)
+    window = (cap,)
     assert _ungraded(_mul(_graded({(0, 0): 1, (1, 0): 1}, cap),
-                          _graded({(0, 0): 1, (0, 1): 2}, cap), cap), 2) == p
+                          _graded({(0, 0): 1, (0, 1): 2}, cap), window),
+                     2) == p
     gp = _graded(p, cap)
-    q = _mul(_mul(gp, gp, cap), gp, cap)
+    q = _mul(_mul(gp, gp, window), gp, window)
     full = _poly_mul(_poly_mul(p, p), p)
     assert max(map(sum, full)) == 6
-    assert len(q) == cap + 1
+    assert sorted(q) == [(d,) for d in range(cap + 1)]
     assert _ungraded(q, 2) == {m: c for m, c in full.items() if sum(m) <= cap}
     x = _graded({(1,): 1}, cap)
     # (1+x)^{-1/2} = 1 - x/2 + 3x^2/8 - ...
-    s = _ungraded(_binomial_series(x, 1, Fraction(-1, 2)), 1)
+    F, denominator = _binomial_series(x, 1, Fraction(-1, 2), window)
+    s = _ungraded(F, 1, denominator)
     assert s[(1,)] == Fraction(-1, 2)
     assert s[(2,)] == Fraction(3, 8)
     # the same series at x/2
-    s = _ungraded(_binomial_series(x, 2, Fraction(-1, 2)), 1)
-    assert s[(2,)] == Fraction(3, 32)
+    F, denominator = _binomial_series(x, 2, Fraction(-1, 2), window)
+    assert _ungraded(F, 1, denominator)[(2,)] == Fraction(3, 32)
     with pytest.raises(OracleError):
-        _binomial_series(_graded({(0,): 1}, cap), 1, Fraction(1, 2))
+        _binomial_series(_graded({(0,): 1}, cap), 1, Fraction(1, 2), window)
 
 
 def _power_expansion(u, exponent, nvars, cap):
@@ -107,7 +116,8 @@ def test_binomial_series_property(series, a, b):
     u = {m: Fraction(c, Q) for m, c in U.items()}
 
     def power(e):
-        return _ungraded(_binomial_series(_graded(U, cap), Q, e), nvars)
+        F, denominator = _binomial_series(_graded(U, cap), Q, e, (cap,))
+        return _ungraded(F, nvars, denominator)
 
     fa = power(a)
     assert fa == _power_expansion(u, a, nvars, cap)
@@ -147,9 +157,9 @@ def test_det_coefficient_sum(case):
     unit = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
     mat = [[_graded({one: e[0], **dict(zip(unit, e[1:]))}, cap) for e in row]
            for row in entries]
-    det = _det(mat, cap)
-    assert len(det) == cap + 1
-    assert sum(c for part in det for c in part.values()) == \
+    det = _det(mat, (cap,))
+    assert all(d <= cap for (d,) in det)
+    assert sum(c for part in det.values() for c in part.values()) == \
         _leibniz([[sum(e) for e in row] for row in entries])
 
 
@@ -176,6 +186,67 @@ def test_occupation_law_two_vertex_even():
         assert law.weights[(2 * k,)] == Fraction(math.comb(2 * k, k), 16 ** k)
         assert (2 * k + 1,) not in law.weights
     assert abs(law.scalar - (3 / 4) ** 0.5) < 1e-12
+
+
+def test_occupation_law_refuses_counts_it_did_not_compute():
+    """A count vector beyond the cap, or outside the window of a windowed
+    law, was not computed: its probability is an error, not 0.0.  On the
+    self-edge law of cap 10 the count 11 has probability
+    2^{-1/2} C(22, 11) 8^{-11}, about 5.8e-5.  On two vertices, each
+    orientation of their edge its own variable, the count (4, 0) is
+    impossible: the full law of cap 6 says 0.0, the law on the window of 3
+    jumps each way refuses it."""
+    g = build_graph(2, [(0, 0, 0), (1, 0, 1), (2, 1, 1), (3, 1, 1)])
+    law = occupation_law(Domain(g, [0]), [(0,)], Fraction(1, 2), 10)
+    assert law.probability((10,)) == pytest.approx(
+        2 ** -0.5 * math.comb(20, 10) / 8 ** 10, rel=1e-12)
+    with pytest.raises(OracleError, match="outside the window"):
+        law.probability((11,))
+    g = build_graph(4, [(0, 0, 1), (1, 1, 0), (2, 0, 2), (3, 1, 3),
+                        (4, 2, 2), (5, 2, 2), (6, 3, 3), (7, 3, 3)])
+    dom = Domain(g, [0, 1])
+    full = occupation_law(dom, [(0,), (1,)], Fraction(1, 2), 6)
+    law = occupation_law(dom, [(0,), (1,)], Fraction(1, 2), 6,
+                         window=(((0,), 3), ((1,), 3)))
+    assert law.weights == {n: w for n, w in full.weights.items()
+                           if max(n) <= 3}
+    assert law.probability((3, 3)) == full.probability((3, 3)) > 0
+    assert full.probability((4, 0)) == 0.0
+    for n in ((4, 0), (0, 4), (3, 4), (7, 0)):
+        with pytest.raises(OracleError, match="outside the window"):
+            law.probability(n)
+    for window in ((((0,), 3),), (((0, 1), 3), ((1,), 3)),
+                   (((0,), 3), ((1,), 2))):
+        with pytest.raises(OracleError, match="partition"):
+            occupation_law(dom, [(0,), (1,)], Fraction(1, 2), 6, window=window)
+    # one byte packs an exponent
+    with pytest.raises(OracleError, match="outside 0..255"):
+        occupation_law(dom, [(0,), (1,)], Fraction(1, 2), 256)
+
+
+def _weights_digest(law) -> str:
+    return hashlib.sha256(repr(sorted(law.weights.items())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("graph, domain, oriented, exponent, cap, terms, digest", [
+    ("grid:2x3", "0 1 2 3 4", False, Fraction(1, 2), 12, 12750,
+     "dada10a5d7c7c29cec46ddc6b4d3a7f3d684ec2b655ea882f34a6590bd140873"),
+    ("grid:3x3", "0 1 2 3 4 5 6 7", True, Fraction(1), 6, 22328,
+     "795a7dd1ef08f2730122323797a43750fbc7aee97e18aaea1902c2036a80be9e"),
+])
+def test_occupation_law_weights_are_pinned(graph, domain, oriented, exponent,
+                                           cap, terms, digest):
+    """The law on the default window, every total degree <= cap, is pinned
+    by the sha256 of its sorted (count vector, Fraction) pairs: the c = 1
+    law of golden_occupation's grid and the oriented law of grid:3x3 minus
+    a corner (30 variables)."""
+    ws = build_workspace(config_from_dict({
+        "graph": graph, "domain": domain, "jobs": "occupation-markov",
+        "seed": "0", "f1": "0 1"}))
+    groups = markov_edge_partition(ws, oriented)[0]
+    law = occupation_law(ws.domain, groups, exponent, cap)
+    assert len(law.weights) == terms
+    assert _weights_digest(law) == digest
 
 
 def test_occupation_law_matches_sampler(triangle_catalogs, k5):
@@ -210,27 +281,32 @@ def test_occupation_law_requires_tracking(triangle_domain):
 def test_unordered_bridge_law_normalizes(sharp_triangle):
     dom, cat, ucat = sharp_triangle
     sub = dom.without_vertices({1})
-    configs, Z = unordered_bridge_law(sub, (2, 3), (3, 2), 8)
-    total = sum(configs.values())
+    configs, denominator = unordered_bridge_law(sub, (2, 3), (3, 2), 8)
+    total = Fraction(sum(configs.values()), denominator)
     assert 0 < total <= 1
     assert 1 - total < 1e-3     # heavy leak: nearly all mass enumerated
     # probability of a configuration is g^{-K} / Z
-    for (s, paths), pr in list(configs.items())[:20]:
+    Z = sum(permutation_weights(green_function(sub, exact=True).exact,
+                                (2, 3), (3, 2)).values())
+    for (s, paths), w in list(configs.items())[:20]:
         K = sum(len(p) for p in paths)
-        assert pr == Fraction(1, dom.g ** K) / Z
+        assert Fraction(w, denominator) == Fraction(1, dom.g ** K) / Z
 
 
 def test_z_bridge_law_accumulates_reversals(k5):
     """Self-return unoriented paths absorb both oriented representatives."""
     g, inv, ug = k5
     dom = Domain(g, [1, 2, 3])
-    configs, Z = z_bridge_law(dom, (1, 1), inv, 4)
+    configs, denominator = z_bridge_law(dom, (1, 1), inv, 4)
+    # one bridge: weights are g^{-K} masses scaled by g^4, over g^4 Z
+    assert denominator == 4 ** 4 * sum(pairing_weights(
+        green_function(dom, exact=True).exact, (1, 1)).values())
     # the path 1-2-1 appears once with twice the single-orientation mass...
     # no: its reversal is itself through iota, mass g^{-2}; the path 1-2-3-1
     # and 1-3-2-1 merge into one unoriented key with mass 2 g^{-3}
     masses = {}
-    for (t, paths), pr in configs.items():
-        masses[paths[0]] = pr * Z
+    for (t, paths), w in configs.items():
+        masses[paths[0]] = Fraction(w, 4 ** 4)
     two_step = [k for k in masses if len(k) == 2]
     three_step = [k for k in masses if len(k) == 3]
     for k in two_step:

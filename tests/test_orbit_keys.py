@@ -239,7 +239,7 @@ def test_orbit_keys_split_bins_like_the_relabeling_enumerations(
             pairs.setdefault(name, []).append((new, ref))
     if not isinstance(cut, CrossingCut) and sum(target.values()) <= 2:
         b, _ = whole_cut(cut, counts)
-        pieces, table, flippable = cut.bridge_table(b)
+        pieces, table, _, flippable = cut.bridge_table(b)
         for hook, _, _ in islice(table, 300):
             for name, new, ref in _hookup_keys(cut, pieces, hook, flippable):
                 pairs.setdefault("oracle " + name, []).append((new, ref))

@@ -3,10 +3,11 @@ import math
 import os
 from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
@@ -19,9 +20,14 @@ from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
 from loopsoup import excursions, verify
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict, parse_config
-from loopsoup.exact import OccupationLaw, OracleError, occupation_law
-from loopsoup.excursions import (extract_crossings_counts, hookup_loop_lengths,
-                                 hookup_loops, reassemble)
+from loopsoup.bridges import (enumerate_bridges, pairing_weights,
+                              permutation_weights)
+from loopsoup.exact import (OccupationLaw, OracleError, _assemble_multisets,
+                            occupation_law)
+from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
+                                 extract_crossings_counts, flipped_pieces,
+                                 hookup_loop_lengths, hookup_loops,
+                                 hookup_walk, reassemble, walk_orbit_key)
 from loopsoup.rng import stream
 from loopsoup.soups import _chunk_rows, soup_chunks
 from loopsoup.verify import (CHI2_SIGNIFICANCE, MIN_BIN_SAMPLES, CrossingCut,
@@ -164,6 +170,134 @@ def test_piece_index_finds_the_fitting_candidates():
             assert cut.fitting(target) == [
                 c for c in cut.candidates
                 if all(target[k] >= v for k, v in c[2].items())]
+
+
+# -- the Fraction oracles that the integer ones replaced, kept as a reference
+
+
+def _fraction_multiset_law(intensity, candidates, target):
+    """Conditional law of the class multisets matching `target`, each
+    weighted by prod (t m)^u / u! in Fractions, normalized."""
+    weights = {}
+    for combo in _assemble_multisets(candidates, target):
+        weights[tuple(sorted((key, u) for key, _, u in combo))] = math.prod(
+            (intensity * mass) ** u / math.factorial(u) for key, mass, u in combo)
+    total = sum(weights.values())
+    return {ms: w / total for ms, w in weights.items()}
+
+
+def _fraction_bridge_configs(cut, ends):
+    """(label, bridge-path tuple) -> g^{-K} / Z, in Fractions, for the
+    bridge family of an endpoint vector of the cut."""
+    dom, L = cut.sub, cut.catalog.L_max
+    green = green_function(dom, exact=True).exact
+    if cut.oriented:
+        X, Y = ends
+        weights = permutation_weights(green, X, Y)
+
+        def pairs_of(s):
+            return [(X[j], Y[s[j]]) for j in range(len(X))]
+
+        def menu(pair):
+            return [(b.path, Fraction(1, dom.g ** b.n))
+                    for b in enumerate_bridges(dom, *pair, L)]
+    else:
+        weights = pairing_weights(green, ends)
+
+        def pairs_of(t):
+            return [(ends[a], ends[b]) for a, b in t]
+
+        def menu(pair):
+            masses = {}
+            for br in enumerate_bridges(dom, *pair, L):
+                ukey = cut.inv.unoriented_path(br.path)
+                masses[ukey] = masses.get(ukey, 0) + Fraction(1, dom.g ** br.n)
+            return sorted(masses.items())
+    Z = sum(weights.values())
+    return {(label, tuple(path for path, _ in combo)):
+            math.prod(m for _, m in combo) / Z
+            for label in weights
+            for combo in product(*map(menu, pairs_of(label)))}
+
+
+def _fraction_oracle(cut, b):
+    """(truncated-soup law of bin b, infeasible mass), summed in Fractions."""
+    pieces, ends, flippable = cut.bridge_ends(b)
+    hookup = OrientedHookup if cut.oriented else UnorientedHookup
+    flips = () if cut.oriented else flipped_pieces(pieces, flippable, cut.inv)
+    law = {}
+    for config, pr in _fraction_bridge_configs(cut, ends).items():
+        walk = hookup_walk(hookup(*config), len(pieces))
+        if max(hookup_loop_lengths(pieces, walk)) > cut.catalog.L_max:
+            continue
+        key = walk_orbit_key(pieces, walk, cut.oriented, flips)
+        law[key] = law.get(key, 0) + pr
+    feasible = sum(law.values())
+    return {k: v / feasible for k, v in law.items()}, 1 - feasible
+
+
+def _fraction_laws(cut, intensity, target):
+    """(conditional law of the keys given `target`, truncated-soup law of
+    its bin), in Fractions, as `Cut.laws` and `CrossingCut.laws` give
+    them."""
+    ms_law = _fraction_multiset_law(intensity, cut.fitting(target), target)
+    cond = {}
+    if not isinstance(cut, CrossingCut):
+        for ms, p in ms_law.items():
+            key = cut.key_of(ms)
+            cond[key] = cond.get(key, 0) + p
+        return cond, _fraction_oracle(cut, cut.bin_of(target))[0]
+    g = cut.catalog.domain.g
+    cross_steps = sum(len(p) * n for (_, p), n in target.items())
+    relabelings = math.prod(map(math.factorial, target.values()))
+    bridge = {}
+    for ms, p in ms_law.items():
+        key, n = cut.completion(ms, relabelings)
+        cond[key] = cond.get(key, 0) + p
+        bridge[key] = n * Fraction(1, g ** (sum(len(k) * u for k, u in ms)
+                                            - cross_steps))
+    z = sum(bridge.values())
+    return cond, {k: v / z for k, v in bridge.items()}
+
+
+def test_integer_oracles_equal_their_fraction_reference():
+    """On every target of golden_exact's five cuts, at the intensity of the
+    check and of its control, the conditional law and the truncated-soup
+    law summed in integers equal, as dicts of Fractions, those summed in
+    Fractions, and so does the infeasible mass of every bin."""
+    for cut in _golden_exact_cuts():
+        targets = cut.targets(4 if isinstance(cut, CrossingCut) else 2)
+        assert targets
+        for target in targets:
+            for intensity in (Fraction(1), Fraction(2)):
+                _, cond, law = cut.laws(intensity, target)
+                assert (cond, law) == _fraction_laws(cut, intensity, target)
+            if not isinstance(cut, CrossingCut):
+                b = cut.bin_of(target)
+                assert cut.oracle(b) == _fraction_oracle(cut, b)
+
+
+def test_integer_oracles_equal_their_fraction_reference_on_mc_bins():
+    """On every bin whose oracle the benchmark's Monte Carlo K5 config
+    reads (those of MIN_BIN_SAMPLES soups), in each of its three checks,
+    the oracle's law and infeasible mass equal those summed in
+    Fractions."""
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), "..",
+                                    "perfbench", "configs", "mc_k5.cfg"))
+    ws = build_workspace(cfg)
+    cat, ucat = ws.catalog("oriented"), ws.catalog("unoriented")
+    checked = 0
+    for prop, cut, intensity in (
+            ("prop1", ExcursionCut(cat, {1}, {2}), cfg.alpha),
+            ("prop2", ExcursionCut(ucat, {1}, {2}), cfg.c),
+            ("prop5", EdgeCut(ucat, ws.removed_classes()), cfg.c)):
+        bins = _mc_bins(cut, float(intensity), cfg.samples,
+                        stream(cfg.seed, prop))
+        for b, counts in bins.items():
+            if sum(counts.values()) >= MIN_BIN_SAMPLES:
+                assert cut.oracle(b) == _fraction_oracle(cut, b)
+                checked += 1
+    assert checked == 7
 
 
 def test_exact_checks_cut_each_class_alone_and_no_multiset(ws_k12,
@@ -558,7 +692,7 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
               if sum(contrib.values()) == 1]
     soup = data.draw(st.lists(st.sampled_from(single), min_size=1, max_size=2))
     b, _ = whole_cut(cut, dict(Counter(soup)))
-    pieces, table, _ = cut.bridge_table(b)
+    pieces, table, _, _ = cut.bridge_table(b)
     cat = cut.catalog
     graph = cat.domain.graph
     assert table
@@ -594,8 +728,9 @@ def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
     # the walker's length check removes mass beyond the bridges too long to
     # enumerate, in every bin
     for i, b, (_, infeasible) in bins:
-        table = cuts[i].bridge_table(b)[1]
-        assert infeasible > 1 - sum(pr for _, pr, _ in table)
+        _, table, denominator, _ = cuts[i].bridge_table(b)
+        assert infeasible > 1 - Fraction(sum(w for _, w, _ in table),
+                                         denominator)
 
 
 def test_residual_coupling(ws_k12):
@@ -760,6 +895,63 @@ def test_markov_defect_tilts_in_place(occupation_split, c):
         assert tilted == _markov_defect(copy, idx_in, idx_bd, idx_out)
         assert tilted[1] > 0 and (tilted[0] > 0) == (c == 2)
         assert law.weights == weights
+
+
+# graph -> (vertex count, largest degree), for the windowed-law property
+_SMALL_GRAPHS = {"cycle:5": (5, 2), "path:4": (4, 2), "complete:4": (4, 3),
+                 "grid:2x3": (6, 3)}
+
+
+@st.composite
+def _markov_cases(draw):
+    """(config, oriented, cap, exponent): a domain of two to four vertices
+    of a small graph, padded by up to two stationary self-edges per vertex
+    beyond its largest degree, split by f1 and the rest."""
+    graph = draw(st.sampled_from(sorted(_SMALL_GRAPHS)))
+    size, degree = _SMALL_GRAPHS[graph]
+    domain = draw(st.lists(st.integers(0, size - 1), min_size=2,
+                           max_size=min(4, size - 1), unique=True))
+    f1 = draw(st.lists(st.sampled_from(domain), min_size=1,
+                       max_size=len(domain) - 1, unique=True))
+    config = {"graph": graph, "domain": " ".join(map(str, sorted(domain))),
+              "f1": " ".join(map(str, sorted(f1))),
+              "g": str(degree + draw(st.integers(0, 2))),
+              "jobs": "occupation-markov", "seed": "0"}
+    return (config, draw(st.booleans()), draw(st.integers(3, 8)),
+            draw(st.sampled_from([Fraction(1, 2), Fraction(1),
+                                  Fraction(3, 2)])))
+
+
+_SQUARE = {"graph": "grid:2x3", "domain": "0 1 3 4", "f1": "0 1", "g": "3",
+           "jobs": "occupation-markov", "seed": "0"}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_markov_cases())
+@example((_SQUARE, False, 8, Fraction(1)))
+@example((_SQUARE, True, 5, Fraction(3, 2)))
+def test_windowed_law_is_the_full_law_on_its_window(case):
+    """The law built on the Markov window of the cap equals the law of
+    every total degree <= cap restricted to that window, and
+    `_markov_defect` gives both the same statistic, cells checked and cells
+    violated, untilted and tilted on each group.  The square of grid:2x3
+    split across two boundary edges is not Markov at c = 2: the first
+    example violates 16 of its 108 cells."""
+    config, oriented, cap, exponent = case
+    ws = build_workspace(config_from_dict(config))
+    groups, idx_in, idx_bd, idx_out = markov_edge_partition(ws, oriented)
+    # the full law's size, C(variables + cap, cap), kept small
+    assume(math.comb(len(groups) + cap, cap) <= 5000)
+    b, b_bd = verify._markov_bounds(cap)
+    window = ((idx_in, b), (idx_bd, b_bd), (idx_out, b))
+    full = occupation_law(ws.domain, groups, exponent, cap)
+    law = occupation_law(ws.domain, groups, exponent, cap, window=window)
+    assert law.weights == {
+        n: w for n, w in full.weights.items()
+        if all(sum(n[i] for i in idx) <= bound for idx, bound in window)}
+    for tilt in (None, *range(len(groups))):
+        assert _markov_defect(law, idx_in, idx_bd, idx_out, tilt) == \
+            _markov_defect(full, idx_in, idx_bd, idx_out, tilt)
 
 
 def test_occupation_markov_refuses_laws_it_would_mislabel(occupation_split):
