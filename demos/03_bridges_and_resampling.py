@@ -42,8 +42,8 @@ for _ in range(10000):
     d = decompose_counts(cat, soup, {1}, {2})
     if d.N >= 2:
         print(f"a soup with {d.M} touching loop(s) and {d.N} excursions:")
-        print("  excursion endpoint vectors X =", d.X, " Y =", d.Y)
-        print("  realized hookup permutation:", d.beta_truth.sigma)
+        print("  excursion endpoint vector Z =", d.Z)
+        print("  realized hookup joins:", d.beta_truth)
         break
 else:
     print("no soup among the 10,000 drawn had two excursions between {1} "

@@ -11,7 +11,9 @@ Two independent computations are compared everywhere:
 
 * the bridge-measure side: enumerate permutations (or pairings) and bridge
   paths with their closed-form probabilities g^{-K} / Z, Z the Green-product
-  normalizer, and push forward through reassembly onto the same keys.
+  normalizer, each configuration keyed by its joins of endpoint slots (the
+  one hookup form of `excursions`), and push forward through reassembly
+  onto the same keys.
 
 This module holds the oracles: the conditioned multiset enumeration, the
 bridge-family laws, and the orbit keys and configuration counts of the
@@ -141,35 +143,38 @@ def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
 # -- bridge-measure enumeration ------------------------------------------------
 
 
-def _bridge_families(labels, pairs_of, menu) -> dict:
-    """Labeled bridge families with integer weights.
+def _bridge_families(labels, Z, menu) -> dict:
+    """Bridge families with integer weights, keyed by their joins.
 
-    Every label (a permutation or a pairing) joins the endpoint
-    pairs pairs_of(label) by one path each, drawn from menu(pair) as
-    (path, integer weight) entries; a family's weight is the product of its
-    path weights.
+    Every label (a permutation or a pairing, as its sorted slot pairs)
+    joins each of its slot pairs (a, b) by one path from Z[a] to Z[b],
+    drawn from menu((Z[a], Z[b])) as (path, integer weight) entries; a
+    family is the tuple of its ((a, b), path) joins, and its weight is the
+    product of its path weights.
     """
     menus: dict = {}
     configs: dict = {}
-    for label in labels:
-        pairs = pairs_of(label)
-        for pair in pairs:
+    for pairs in labels:
+        ends = [(Z[a], Z[b]) for a, b in pairs]
+        for pair in ends:
             if pair not in menus:
                 menus[pair] = menu(pair)
-        for combo in product(*(menus[pair] for pair in pairs)):
-            configs[(label, tuple(path for path, _ in combo))] = math.prod(
-                m for _, m in combo)
+        for combo in product(*(menus[pair] for pair in ends)):
+            configs[tuple(zip(pairs, (path for path, _ in combo)))] = \
+                math.prod(m for _, m in combo)
     return configs
 
 
 def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
-    """Labeled unordered-bridge configurations with exact probabilities.
+    """Unordered-bridge configurations with exact probabilities.
 
-    Returns (configs, denominator): configs maps (sigma, bridge-path-tuple)
-    to an integer weight g^(N max_len - K), N = len(X), and the
-    configuration's probability g^{-K} / Z is its weight over the one
-    denominator g^(N max_len) Z, Z = sum_s G(X, Y^s).  Unenumerated mass is
-    1 - sum(configs.values()) / denominator.
+    The slots are those of Z = (Y_0, X_0, Y_1, X_1, ...): piece j starts at
+    Y_j (slot 2j) and ends at X_j (slot 2j+1).  Returns (configs,
+    denominator): configs maps the joins ((2j+1, 2 sigma(j)), path), a
+    bridge X_j -> Y_sigma(j) each, to an integer weight g^(N max_len - K),
+    N = len(X), and the configuration's probability g^{-K} / Z is its
+    weight over the one denominator g^(N max_len) Z, Z = sum_s G(X, Y^s).
+    Unenumerated mass is 1 - sum(configs.values()) / denominator.
     """
     weights = permutation_weights(green_function(domain, exact=True).exact,
                                   X, Y)
@@ -182,22 +187,24 @@ def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
         return [(b.path, g ** (max_len - b.n))
                 for b in enumerate_bridges(domain, pair[0], pair[1], max_len)]
 
+    ends = [v for y, x in zip(Y, X) for v in (y, x)]
     return _bridge_families(
-        weights, lambda s: [(X[j], Y[s[j]]) for j in range(len(X))],
-        menu), g ** (len(X) * max_len) * Z
+        ([(2 * j + 1, 2 * s[j]) for j in range(len(X))] for s in weights),
+        ends, menu), g ** (len(X) * max_len) * Z
 
 
 def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
-    """Labeled Z-bridge configurations with exact probabilities.
+    """Z-bridge configurations with exact probabilities.
 
-    Returns (configs, denominator): configs maps
-    (pairing, unoriented-bridge-path-tuple) to an integer weight, g^{-K}
-    scaled by g^(N max_len) for N = len(Z_vertices) / 2 bridges, and the
-    configuration's probability is its weight over the one denominator
-    g^(N max_len) Z, Z the pairing-weight sum.  Bridge paths are stored in
-    canonical unoriented form; the weight of an unoriented path accumulates
-    both oriented representatives when they differ (self-return paths),
-    which keeps the g^{-K} bookkeeping exact.
+    Returns (configs, denominator): configs maps the joins ((a, b), path)
+    of a pairing of the slots of Z_vertices, the path an unoriented bridge
+    Z_a -- Z_b, to an integer weight, g^{-K} scaled by g^(N max_len) for
+    N = len(Z_vertices) / 2 bridges, and the configuration's probability
+    is its weight over the one denominator g^(N max_len) Z, Z the
+    pairing-weight sum.  Bridge paths are stored in canonical unoriented
+    form; the weight of an unoriented path accumulates both oriented
+    representatives when they differ (self-return paths), which keeps the
+    g^{-K} bookkeeping exact.
     """
     weights = pairing_weights(green_function(domain, exact=True).exact,
                               Z_vertices)
@@ -213,9 +220,8 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
             masses[ukey] = masses.get(ukey, 0) + g ** (max_len - br.n)
         return sorted(masses.items())
 
-    return _bridge_families(
-        weights, lambda t: [(Z_vertices[a], Z_vertices[b]) for a, b in t],
-        menu), g ** (len(Z_vertices) // 2 * max_len) * Z
+    return _bridge_families(weights, Z_vertices, menu), \
+        g ** (len(Z_vertices) // 2 * max_len) * Z
 
 
 # -- crossing-side structures ----------------------------------------------------
@@ -275,14 +281,13 @@ def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
         configs, denominator = unordered_bridge_law(
             domain_minus, [v[k] for k in arrivals],
             [v[k] for k in departures], max_len)
-        structures = ((tuple(sorted(((arrivals[j], departures[s[j]]), paths[j])
-                                    for j in range(len(arrivals)))), w)
-                      for (s, paths), w in configs.items())
+        structures = ((tuple(((arrivals[a // 2], departures[b // 2]), path)
+                             for (a, b), path in joins), w)
+                      for joins, w in configs.items())
     else:
         configs, denominator = z_bridge_law(domain_minus, v, involution,
                                             max_len)
-        structures = ((tuple(sorted(zip(t, paths))), w)
-                      for (t, paths), w in configs.items())
+        structures = configs.items()
     labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
     dist: dict = {}
     for structure, w in structures:

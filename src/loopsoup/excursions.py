@@ -10,7 +10,7 @@ the next piece on its loop.  The cuts differ only in where they cut:
   consecutive F2-visits whose interior meets F1; the runs are the
   complementary bridges (paths avoiding F1) that hook the excursions back
   into loops.  The decomposition records the excursions, their endpoint
-  vectors on F2, and the hookup actually realized by the soup.
+  vector on F2, and the hookup actually realized by the soup.
 * crossings: given disjoint marked sets, the arcs between consecutive marked
   visits that start and end in different sets; the runs are the side arcs.
 * edge jumps: given removed edge classes, the single steps across them; the
@@ -19,13 +19,22 @@ the next piece on its loop.  The cuts differ only in where they cut:
 Continuous-time excursions cut loops at a marked site set: every arc between
 consecutive site visits is an excursion skeleton there.
 
-Reassembly is the inverse operation.  `_hookup_walk` is the one walk along a
-hookup, into cycles of pieces (excursions or jumps) and bridges: on it,
-`hookup_loops` closes them into loops for reassembly to canonicalize, and
-`hookup_cycle_key` keys them.  The exact oracles read a bridge
-configuration's walk (`hookup_walk`) once, when its bridge family is
-tabulated, and then measure its loops (`hookup_loop_lengths`) and key it
-(`walk_orbit_key`) for every bin sharing its endpoint vector.
+One form serves both orientations.  Piece j (an excursion or a jump) owns
+slot 2j, its start, and slot 2j+1, its end, and the endpoint vector Z lists
+the slots' vertices: Z[2j] starts piece j and Z[2j+1] ends it.  A hookup is
+a perfect matching of the slots, the sorted tuple of its ((slot, slot),
+arc) joins.  An oriented join runs from exit 2j+1 to entry 2 sigma(j), so
+the hookup is a permutation sigma; an unoriented one pairs two slots,
+sorted, by an arc in unoriented form.  The cuts, the bridge laws of `exact`
+and the bridge tables of `verify` all build and read joins over one Z.
+
+Reassembly is the inverse operation.  `hookup_walk` is the one walk along
+a hookup, into cycles of pieces and bridges: on it, `hookup_loops` closes
+them into loops for reassembly to canonicalize, and `hookup_cycle_key`
+keys them.  The exact oracles read a bridge configuration's walk once,
+when its bridge family is tabulated, and then measure its loops
+(`hookup_loop_lengths`) and key it (`walk_orbit_key`) for every bin
+sharing its endpoint vector.
 
 Hookup keys: relabeling occurrences of identical excursions (or identical
 jumps, or the two ends of a palindromic unoriented piece) is unobservable in
@@ -122,12 +131,15 @@ def _cut_pieces(counts, loop_cut):
     return rows
 
 
-def _unoriented_hookup(graph, rows, canon, inv):
-    """Endpoint slots Z and the unoriented hookup realized by cut rows.
+def _hookup(graph, rows, canon, inv=None):
+    """Endpoint vector Z and the hookup realized by cut rows, as sorted joins.
 
     Piece j owns slots 2j and 2j+1 in the direction of canon(piece), swapped
-    when the piece was traversed against that form; the run after a piece
-    joins its exit slot to the entry slot of the next piece.
+    when the piece was traversed against that form, and Z lists the slots'
+    vertices; the run after a piece joins its exit slot to the entry slot of
+    the next piece.  With no involution a join runs from exit to entry,
+    ((2j+1, 2 sigma(j)), run); with one its slots are sorted and its run
+    is in unoriented form.
     """
     Z, entry, exit_ = [], {}, {}
     for j, (_, label, piece, _, _) in enumerate(rows):
@@ -135,32 +147,15 @@ def _unoriented_hookup(graph, rows, canon, inv):
         Z.extend(path_endpoints(graph, form))
         flip = form != piece
         entry[label], exit_[label] = 2 * j + flip, 2 * j + 1 - flip
-    pairs = []
+    joins = []
     for _, label, _, run, nxt in rows:
         a, b = exit_[label], entry[nxt]
-        pairs.append(((min(a, b), max(a, b)), inv.unoriented_path(run)))
-    pairs.sort()
-    return tuple(Z), UnorientedHookup(tuple(p for p, _ in pairs),
-                                      tuple(br for _, br in pairs))
+        joins.append(((a, b), run) if inv is None else
+                     ((min(a, b), max(a, b)), inv.unoriented_path(run)))
+    return tuple(Z), tuple(sorted(joins))
 
 
 # -- excursion decomposition ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrientedHookup:
-    """Permutation sigma plus bridge paths: bridge j runs X_j -> Y_{sigma[j]}."""
-
-    sigma: tuple[int, ...]
-    bridges: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class UnorientedHookup:
-    """Pairing of endpoint slots plus one unoriented bridge path per pair."""
-
-    pairing: tuple[tuple[int, int], ...]
-    bridges: tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -171,10 +166,8 @@ class ExcursionDecomposition:
     eta: tuple[tuple[int, ...], ...]      # canonical-form excursion paths, sorted
     M: int                                 # number of loops meeting both sets
     N: int                                 # number of excursions
-    X: tuple[int, ...] | None              # arrival points on F2 (oriented)
-    Y: tuple[int, ...] | None              # departure points on F2 (oriented)
-    Z: tuple[int, ...] | None              # 2N extremities on F2 (unoriented)
-    beta_truth: OrientedHookup | UnorientedHookup
+    Z: tuple[int, ...]                     # start and end of each, on F2
+    beta_truth: tuple                      # the realized hookup's joins
     touching_multiset: tuple               # sorted class keys with multiplicity
 
 
@@ -196,20 +189,11 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
         return [(canon(exc), exc, run) for exc, run in _flagged_runs(arcs, flags)]
 
     rows = _cut_pieces(counts, loop_cut)
-    eta = tuple(r[0] for r in rows)
     touching = tuple(sorted(r[1][0] for r in rows if r[1][2] == 0))
-    if oriented:
-        slot_of = {r[1]: j for j, r in enumerate(rows)}
-        ends = [path_endpoints(graph, r[2]) for r in rows]
-        beta = OrientedHookup(tuple(slot_of[r[4]] for r in rows),
-                              tuple(r[3] for r in rows))
-        return ExcursionDecomposition(
-            "oriented", F1, F2, eta, len(touching), len(rows),
-            tuple(b for _, b in ends), tuple(a for a, _ in ends), None, beta,
-            touching)
-    Z, beta = _unoriented_hookup(graph, rows, canon, inv)
-    return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching),
-                                  len(rows), None, None, Z, beta, touching)
+    return ExcursionDecomposition(catalog.mode, F1, F2,
+                                  tuple(r[0] for r in rows), len(touching),
+                                  len(rows), *_hookup(graph, rows, canon, inv),
+                                  touching)
 
 
 # -- crossings -----------------------------------------------------------------
@@ -312,7 +296,7 @@ class EdgeJumpRecord:
     removed: tuple                          # unoriented edge class keys, sorted
     counts: tuple[int, ...]                 # jumps per removed class
     Z: tuple[int, ...]                      # 2 * sum(counts) endpoint vertices
-    hookup: UnorientedHookup                # pairing of Z slots + D' bridge paths
+    hookup: tuple                           # joins of Z slots by D' bridge paths
     self_edge_slots: tuple[tuple[int, int], ...]   # flippable slot pairs
 
 
@@ -339,7 +323,7 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
 
     rows = _cut_pieces(counts, loop_cut)
     jump_counts = Counter(r[0] for r in rows)
-    Z, hookup = _unoriented_hookup(graph, rows, canon, inv)
+    Z, hookup = _hookup(graph, rows, canon, inv)
     self_pairs = tuple((2 * j, 2 * j + 1) for j, r in enumerate(rows)
                        if edge[r[2][0]].is_self_edge)
     return EdgeJumpRecord(removed, tuple(jump_counts.get(c, 0) for c in removed),
@@ -349,16 +333,7 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
 # -- reassembly ------------------------------------------------------------------
 
 
-def _slot_joins(hookup):
-    """The ((slot, slot), bridge) joins of a hookup; an oriented one joins the
-    end slot 2j+1 of piece j to the start slot of piece sigma[j]."""
-    if isinstance(hookup, OrientedHookup):
-        return [((2 * j + 1, 2 * s), br)
-                for j, (s, br) in enumerate(zip(hookup.sigma, hookup.bridges))]
-    return list(zip(hookup.pairing, hookup.bridges))
-
-
-def _hookup_walk(joins, n):
+def hookup_walk(joins, n):
     """The cycles of a hookup of n pieces, each a list of (entry slot, arc
     after the piece) steps.  Piece j owns slots 2j and 2j+1, and the joins
     ((a, b), arc) pair every slot once (unchecked); a step leaves its piece
@@ -381,11 +356,6 @@ def _hookup_walk(joins, n):
     return cycles
 
 
-def hookup_walk(hookup, n) -> list:
-    """The walk of a hookup of n pieces (`_hookup_walk` of its joins)."""
-    return _hookup_walk(_slot_joins(hookup), n)
-
-
 def hookup_loop_lengths(pieces, walk) -> list[int]:
     """The lengths of the loops a hookup walk closes, pieces plus arcs, read
     off the walk without building a loop or checking a junction."""
@@ -393,25 +363,25 @@ def hookup_loop_lengths(pieces, walk) -> list[int]:
             for steps in walk]
 
 
-def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]]:
-    """The closed loops a hookup makes of pieces and bridges, as edge
-    sequences: its walk, traversing each piece (slot 2j its start, 2j+1 its
-    end) and bridge in the direction it enters them.  Raises
-    DecompositionError at a slot joined twice or never, or where a loop
-    breaks at a junction."""
-    if isinstance(hookup, OrientedHookup):
-        involution = None           # nothing is traversed backwards
-    elif involution is None:
-        raise DecompositionError("an unoriented hookup needs an involution")
-    joins = _slot_joins(hookup)
+def hookup_loops(graph, pieces, joins, involution=None) -> list[tuple[int, ...]]:
+    """The closed loops the joins make of pieces and bridges, as edge
+    sequences: their walk, traversing each piece (slot 2j its start, 2j+1
+    its end) and bridge in the direction it enters them.  With no
+    involution the hookup is oriented: every join runs from an exit to an
+    entry and nothing is traversed backwards.  Raises DecompositionError at
+    a slot joined twice or never, at an oriented join of two entries or two
+    exits, or where a loop breaks at a junction."""
     slots = [s for pair, _ in joins for s in pair]
     if len(set(slots)) < len(slots):
         raise DecompositionError("slot paired twice")
     if set(slots) != set(range(2 * len(pieces))):
         raise DecompositionError("pairing must cover all slots")
+    if involution is None and any(a & 1 == b & 1 for (a, b), _ in joins):
+        raise DecompositionError(
+            "an oriented join runs from an exit to an entry")
     edge = graph.edge_by_id
     loops = []
-    for steps in _hookup_walk(joins, len(pieces)):
+    for steps in hookup_walk(joins, len(pieces)):
         seq: tuple[int, ...] = ()
         for slot, br in steps:
             piece = pieces[slot >> 1]
@@ -430,11 +400,11 @@ def hookup_loops(graph, pieces, hookup, involution=None) -> list[tuple[int, ...]
 
 
 def reassemble(eta, beta, graph, involution=None):
-    """Reassemble pieces eta and hookup beta into the sorted loop-class keys
-    they encode."""
+    """Reassemble pieces eta and the joins beta into the sorted loop-class
+    keys they encode; oriented with no involution."""
     # hookup_loops checks that every loop closes, so none is refused below
     loops = hookup_loops(graph, eta, beta, involution)
-    if isinstance(beta, OrientedHookup):
+    if involution is None:
         keys = [canonicalize_oriented(graph, seq).key for seq in loops]
     else:
         keys = [canonicalize_unoriented(graph, seq, involution).key
@@ -461,12 +431,12 @@ def loop_skeletons(graph, key, marked, involution=None) -> list[tuple[int, ...]]
 # -- hookup orbit keys -------------------------------------------------------------
 
 
-def _hookup_cycles(tokens, walk, oriented, flippable=()) -> list:
+def _hookup_cycles(tokens, walk, oriented, flips=()) -> list:
     """The (canonical cycle, J) pairs of a hookup, sorted.
 
     The walk splits the hookup into cycles of (tokens[j],
     direction, arc after the piece) items: direction +1 for a piece j
-    entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flippable`.  A
+    entered at slot 2j, -1 at 2j+1, 0 for the pieces in `flips`.  A
     cycle is keyed like a loop class by `loops.necklace`, given when
     unoriented its reversal (each piece turns round and the arc before it
     now follows it), with J the rotations fixing it, doubled when it equals
@@ -475,7 +445,7 @@ def _hookup_cycles(tokens, walk, oriented, flippable=()) -> list:
     """
     cycles = []
     for steps in walk:
-        items = [(tokens[s >> 1], 0 if s >> 1 in flippable else 1 - 2 * (s & 1),
+        items = [(tokens[s >> 1], 0 if s >> 1 in flips else 1 - 2 * (s & 1),
                   arc) for s, arc in steps]
         back = None if oriented else [(t, -d, items[i - 1][2]) for i, (t, d, _)
                                       in enumerate(items)][::-1]
@@ -484,10 +454,10 @@ def _hookup_cycles(tokens, walk, oriented, flippable=()) -> list:
     return cycles
 
 
-def hookup_cycle_key(tokens, joins, oriented, flippable=()):
+def hookup_cycle_key(tokens, joins, oriented, flips=()):
     """`cycles_key` of the hookup's `_hookup_cycles`."""
-    return cycles_key(_hookup_cycles(tokens, _hookup_walk(joins, len(tokens)),
-                                     oriented, flippable))
+    return cycles_key(_hookup_cycles(tokens, hookup_walk(joins, len(tokens)),
+                                     oriented, flips))
 
 
 def cycles_key(cycles):
@@ -527,16 +497,16 @@ def walk_orbit_key(eta, walk, oriented, flips=()):
     return tuple(c for c, _ in _hookup_cycles(eta, walk, oriented, flips))
 
 
-def oriented_hookup_orbit_key(eta, hookup: OrientedHookup):
-    """Key of (sigma, bridges) under relabeling slots with equal entries of
-    eta (identical excursions, or equal (X_j, Y_j) pairs)."""
-    return walk_orbit_key(eta, hookup_walk(hookup, len(eta)), True)
+def oriented_hookup_orbit_key(eta, joins):
+    """Key of an oriented hookup's joins under relabeling pieces with equal
+    entries of eta (identical excursions, or equal endpoint pairs)."""
+    return walk_orbit_key(eta, hookup_walk(joins, len(eta)), True)
 
 
-def unoriented_hookup_orbit_key(eta, hookup: UnorientedHookup,
-                                flippable=(), involution=None):
-    """Key of (pairing, bridges) under excursion relabeling and end flips of
-    the pieces in `flippable` ((slot_a, slot_b) pairs of indistinguishable
-    ends: self-edge jumps) and, with an involution, of palindromic pieces."""
-    return walk_orbit_key(eta, hookup_walk(hookup, len(eta)), False,
+def unoriented_hookup_orbit_key(eta, joins, flippable=(), involution=None):
+    """Key of an unoriented hookup's joins under excursion relabeling and
+    end flips of the pieces in `flippable` ((slot_a, slot_b) pairs of
+    indistinguishable ends: self-edge jumps) and, with an involution, of
+    palindromic pieces."""
+    return walk_orbit_key(eta, hookup_walk(joins, len(eta)), False,
                           flipped_pieces(eta, flippable, involution))

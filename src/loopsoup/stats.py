@@ -20,7 +20,9 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int):
     (may sum below one; the deficit becomes an implicit "other" bucket).
     Returns (statistic, dof, p_value).  Categories are summed in the order
     of (expected probability, observed count), so the result depends on the
-    partition and not on how a category is written.
+    partition and not on how a category is written.  Observations in a
+    pooled bucket where nothing is expected refute the law: the statistic
+    is infinite and p is 0.
     """
     cats = sorted(set(observed) | set(expected_probs),
                   key=lambda c: (float(expected_probs.get(c, 0.0)),
@@ -44,6 +46,8 @@ def chi2_gof(observed: dict, expected_probs: dict, n: int):
     if pool_e > 0:
         obs.append(int(pool_o))
         exp.append(pool_e)
+    elif pool_o > 0:
+        return math.inf, len(obs), 0.0
     if len(obs) < 2:
         return 0.0, 0, 1.0
     exp = np.asarray(exp, dtype=float)

@@ -54,11 +54,11 @@ from . import stats
 from .exact import (OracleError, conditional_multiset_law, occupation_law,
                     side_orbit_key, side_pair_orbit, tv_distance,
                     unordered_bridge_law, z_bridge_law)
-from .excursions import (OrientedHookup, UnorientedHookup, cycles_key,
-                         decompose_counts, extract_crossings_counts,
-                         flipped_pieces, hookup_loop_lengths, hookup_walk,
-                         loop_skeletons, oriented_hookup_orbit_key,
-                         path_endpoints, record_edge_jumps_counts,
+from .excursions import (cycles_key, decompose_counts,
+                         extract_crossings_counts, flipped_pieces,
+                         hookup_loop_lengths, hookup_walk, loop_skeletons,
+                         oriented_hookup_orbit_key, path_endpoints,
+                         record_edge_jumps_counts,
                          unoriented_hookup_orbit_key, walk_orbit_key)
 from .graph import Domain, green_function
 from .loops import LoopCatalog
@@ -113,6 +113,13 @@ def _verdict(prop, mode, stat, tol, ok, catalog=None, samples=0, seed=None,
         verdict="pass" if ok is not None and ok != expect_fail else "fail",
         details=details,
     )
+
+
+def _untested(prop, catalog, samples, seed, expect_fail, note, **details):
+    """The verdict of a Monte Carlo check that had no p-value to correct:
+    it tested nothing, and `note` says why."""
+    return _verdict(prop, "mc", 1.0, CHI2_SIGNIFICANCE, None, catalog,
+                    samples, seed, expect_fail, note=note, **details)
 
 
 def _bonferroni(pvals):
@@ -233,26 +240,25 @@ class Cut:
         denominator, flippable slot pairs).
 
         The bridge measure depends on the pieces only through their endpoint
-        vector, so its table is built once per vector and shared by the bins
-        with that vector: one (hookup, integer weight, walk) entry per
-        labeled configuration, the walk read once (`hookup_walk`); an
-        entry's probability is its weight over the denominator.
+        vector Z (`bridge_ends`), so its table is built once per vector and
+        shared by the bins with that vector: one (joins, integer weight,
+        walk) entry per configuration, the walk read once (`hookup_walk`);
+        an entry's probability is its weight over the denominator.  The
+        oriented table joins the ends Z[1::2] to the starts Z[0::2].
         """
-        pieces, ends, flippable = self.bridge_ends(b)
-        if ends not in self._tables:
+        pieces, Z, flippable = self.bridge_ends(b)
+        if Z not in self._tables:
             L_max = self.catalog.L_max
             if self.oriented:
-                configs, denominator = unordered_bridge_law(self.sub, *ends,
-                                                            L_max)
+                configs, denominator = unordered_bridge_law(
+                    self.sub, Z[1::2], Z[0::2], L_max)
             else:
-                configs, denominator = z_bridge_law(self.sub, ends, self.inv,
+                configs, denominator = z_bridge_law(self.sub, Z, self.inv,
                                                     L_max)
-            hookup = OrientedHookup if self.oriented else UnorientedHookup
-            hooks = [(hookup(*c), w) for c, w in configs.items()]
-            self._tables[ends] = ([
-                (hook, w, hookup_walk(hook, len(pieces))) for hook, w in hooks],
-                denominator)
-        return pieces, *self._tables[ends], flippable
+            self._tables[Z] = ([
+                (joins, w, hookup_walk(joins, len(pieces)))
+                for joins, w in configs.items()], denominator)
+        return pieces, *self._tables[Z], flippable
 
     def oracle(self, b):
         """(truncated-soup law of the hookup keys of bin b, infeasible mass).
@@ -328,14 +334,10 @@ class ExcursionCut(Cut):
         return {"eta_lengths": [len(p) for p in eta]}
 
     def bridge_ends(self, eta):
-        """(pieces, endpoint vector, flippable slot pairs): the vector is
-        (X, Y) for the unordered bridges X_j -> Y_sigma(j) when oriented,
-        the extremities Z when unoriented."""
+        """(pieces, endpoint vector Z, flippable slot pairs): Z[2j] starts
+        excursion j and Z[2j+1] ends it."""
         graph = self.catalog.domain.graph
-        ends = [path_endpoints(graph, p) for p in eta]
-        if self.oriented:
-            return eta, (tuple(b for _, b in ends), tuple(a for a, _ in ends)), ()
-        return eta, tuple(v for e in ends for v in e), ()
+        return eta, tuple(v for p in eta for v in path_endpoints(graph, p)), ()
 
 
 class EdgeCut(Cut):
@@ -382,9 +384,9 @@ class EdgeCut(Cut):
         pieces = self._pieces(jumps)
         Z = tuple(v for p in pieces for v in path_endpoints(graph, p))
         # self-edge jumps have indistinguishable ends
-        flips = tuple((2 * i, 2 * i + 1) for i in range(len(pieces))
-                      if Z[2 * i] == Z[2 * i + 1])
-        return pieces, Z, flips
+        flippable = tuple((2 * i, 2 * i + 1) for i in range(len(pieces))
+                          if Z[2 * i] == Z[2 * i + 1])
+        return pieces, Z, flippable
 
 
 class CrossingCut(Cut):
@@ -529,9 +531,8 @@ def _mc_driver(prop, cut: Cut, intensity: float, samples: int, seed: int,
             tested.append({**cut.label(b), "n": n_bin, "p": p})
     catalog = cut.catalog
     if not pvals:
-        return _verdict(prop, "mc", 1.0, CHI2_SIGNIFICANCE, None, catalog,
-                        samples, seed, expect_fail,
-                        note="no bin had enough samples")
+        return _untested(prop, catalog, samples, seed, expect_fail,
+                         "no bin had enough samples")
     worst, threshold, ok = _bonferroni(pvals)
     return _verdict(prop, "mc", worst, threshold, ok, catalog, samples, seed,
                     expect_fail, bins_tested=len(pvals),
@@ -926,7 +927,8 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
     two-sample chi-square per quantile bin of the total occupation with
     enough samples, and pooled.  Returns whether every compared soup meets
     the condition, whether the pooled skeleton counts within each site pair
-    follow the mass ratios, and the p-values with the pooled one last.
+    follow the mass ratios, the p-values of the tests with a degree of
+    freedom, and the pooled one (None without a degree of freedom).
     """
     oriented = catalog.mode == "oriented"
     dom = catalog.domain
@@ -984,7 +986,9 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
         _, dof_b, p = test(rows[m], oracle[m])
         if dof_b > 0:
             pvals.append(p)
-    pvals.append(test(rows, oracle)[2])
+    _, dof, pooled = test(rows, oracle)
+    if dof > 0:
+        pvals.append(pooled)
     # pooled frequency ratios within site pairs against the rate ratios
     ratio_ok = True
     pair_groups: dict = defaultdict(list)
@@ -997,7 +1001,11 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
             c1, c0 = tot_counts[k], tot_counts[k0]
             if abs(c1 - r * c0) > 3 * math.sqrt(max(c1 + r * r * c0, 1.0)):
                 ratio_ok = False
-    return bool(meets(rows).all()), ratio_ok, pvals
+    return (bool(meets(rows).all()), ratio_ok, pvals,
+            pooled if dof > 0 else None)
+
+
+NO_SKELETON_TEST = "no skeleton test had a degree of freedom"
 
 
 def verify_ct_excursions(catalog: LoopCatalog, sites,
@@ -1015,13 +1023,17 @@ def verify_ct_excursions(catalog: LoopCatalog, sites,
     """
     if catalog.mode != "unoriented":
         raise OracleError("the excursion law is stated for unoriented soups")
-    parity_ok, ratio_ok, pvals = _skeleton_pvalues(
+    parity_ok, ratio_ok, pvals, pooled = _skeleton_pvalues(
         catalog, sites, intensity, samples, seed, "ct-excursions")
+    if not pvals:
+        return _untested("ct-excursions", catalog, samples, seed, expect_fail,
+                         NO_SKELETON_TEST, parity_ok=parity_ok,
+                         ratio_ok=ratio_ok)
     worst, threshold, chi2_ok = _bonferroni(pvals)
     return _verdict("ct-excursions", "mc", worst, threshold,
                     parity_ok and ratio_ok and chi2_ok, catalog, samples, seed,
                     expect_fail, parity_ok=parity_ok, ratio_ok=ratio_ok,
-                    pooled_p=pvals[-1], bins_tested=len(pvals))
+                    pooled_p=pooled, bins_tested=len(pvals))
 
 
 def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
@@ -1040,21 +1052,25 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
     if catalog.mode != "unoriented":
         raise OracleError("random currents take an unoriented catalog; the "
                           "in = out variant runs on its oriented counterpart")
-    even_ok, ratio_u, p_u = _skeleton_pvalues(
+    even_ok, ratio_u, p_u, pooled_u = _skeleton_pvalues(
         catalog, catalog.domain.vertices, intensity, samples, seed,
         "random-currents")
     # the oriented statement is specific to alpha = 1
-    inout_ok, ratio_o, p_o = _skeleton_pvalues(
+    inout_ok, ratio_o, p_o, pooled_o = _skeleton_pvalues(
         catalog.counterpart(), catalog.domain.vertices, 1.0, samples, seed,
         "random-currents/oriented")
     ratio_ok = ratio_u and ratio_o
+    if not p_u + p_o:
+        return _untested("random-currents", catalog, samples, seed,
+                         expect_fail, NO_SKELETON_TEST, ratio_ok=ratio_ok,
+                         even_degrees=even_ok, inout_ok=inout_ok)
     worst, threshold, chi2_ok = _bonferroni(p_u + p_o)
     return _verdict("random-currents", "mc", worst, threshold,
                     even_ok and inout_ok and ratio_ok and chi2_ok, catalog,
                     samples, seed, expect_fail, ratio_ok=ratio_ok,
-                    even_degrees=even_ok, pooled_p=p_u[-1],
+                    even_degrees=even_ok, pooled_p=pooled_u,
                     bins_tested=len(p_u), inout_ok=inout_ok,
-                    oriented_p=p_o[-1])
+                    oriented_p=pooled_o)
 
 
 # -- Wilson cross-check ------------------------------------------------------------

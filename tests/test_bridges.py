@@ -207,9 +207,12 @@ def test_g_power_K_characterization(k12):
     for _ in range(n):
         fam = sample_unordered_bridge(dom, X, Y, rng)
         if fam.total_length <= 4:
-            emp[(fam.permutation, tuple(b.path for b in fam.bridges))] += 1
+            # bridge j joins the end of piece j to the start of piece s[j]
+            emp[tuple(((2 * j + 1, 2 * s), b.path) for j, (s, b)
+                      in enumerate(zip(fam.permutation, fam.bridges)))] += 1
     configs, _ = unordered_bridge_law(dom, X, Y, 4)
-    law = {c: p for c, p in configs.items() if sum(map(len, c[1])) <= 4}
+    law = {c: p for c, p in configs.items()
+           if sum(len(path) for _, path in c) <= 4}
     total = sum(law.values())
     law = {c: p / total for c, p in law.items()}
     assert len(law) == 35

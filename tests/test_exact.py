@@ -288,8 +288,11 @@ def test_unordered_bridge_law_normalizes(sharp_triangle):
     # probability of a configuration is g^{-K} / Z
     Z = sum(permutation_weights(green_function(sub, exact=True).exact,
                                 (2, 3), (3, 2)).values())
-    for (s, paths), w in list(configs.items())[:20]:
-        K = sum(len(p) for p in paths)
+    for joins, w in list(configs.items())[:20]:
+        # the end of piece j (slot 2j+1) joins the start of piece sigma(j)
+        assert [a for (a, _), _ in joins] == [1, 3]
+        assert sorted(b for (_, b), _ in joins) == [0, 2]
+        K = sum(len(p) for _, p in joins)
         assert Fraction(w, denominator) == Fraction(1, dom.g ** K) / Z
 
 
@@ -305,8 +308,9 @@ def test_z_bridge_law_accumulates_reversals(k5):
     # no: its reversal is itself through iota, mass g^{-2}; the path 1-2-3-1
     # and 1-3-2-1 merge into one unoriented key with mass 2 g^{-3}
     masses = {}
-    for (t, paths), w in configs.items():
-        masses[paths[0]] = Fraction(w, 4 ** 4)
+    for ((pair, path),), w in configs.items():
+        assert pair == (0, 1)
+        masses[path] = Fraction(w, 4 ** 4)
     two_step = [k for k in masses if len(k) == 2]
     three_step = [k for k in masses if len(k) == 3]
     for k in two_step:

@@ -11,10 +11,9 @@ from loopsoup import (Domain, UnorientedGraph, build_graph,
                       sample_unoriented_soup)
 from loopsoup.excursions import (CrossingSet, DecompositionError,
                                  EdgeJumpRecord, ExcursionDecomposition,
-                                 OrientedHookup, UnorientedHookup,
                                  decompose_counts, extract_crossings_counts,
-                                 loop_skeletons, path_endpoints, path_vertices,
-                                 record_edge_jumps_counts)
+                                 hookup_loops, loop_skeletons, path_endpoints,
+                                 path_vertices, record_edge_jumps_counts)
 from loopsoup.loops import loop_vertices
 from loopsoup.rng import stream
 
@@ -49,9 +48,8 @@ def test_whole_loop_excursion(k5, triangle_catalogs):
     d = decompose_counts(cat, {cls.key: 1}, {1}, {2})
     assert d.N == d.M == 1
     assert len(d.eta[0]) == 2
-    assert d.beta_truth.sigma == (0,)
-    assert d.beta_truth.bridges == ((),)
-    assert d.X == d.Y == (2,)
+    assert d.beta_truth == (((1, 0), ()),)
+    assert d.Z == (2, 2)
 
 
 def test_hand_built_two_loop_decomposition():
@@ -79,7 +77,7 @@ def test_hand_built_two_loop_decomposition():
     # by hand: A visits F2 at 1 and F1 at 3 -> one whole-loop excursion;
     # B visits F2 at 5 and F1 at 3 -> one whole-loop excursion
     assert d.M == 2 and d.N == 2
-    assert sorted(d.X) == [1, 5] and sorted(d.Y) == [1, 5]
+    assert sorted(d.Z[1::2]) == [1, 5] and sorted(d.Z[0::2]) == [1, 5]
     back = reassemble(d.eta, d.beta_truth, g)
     assert back == d.touching_multiset == tuple(sorted([A.key, B.key]))
 
@@ -92,8 +90,8 @@ def test_reassemble_identity_vs_swap(k5, triangle_catalogs):
     e21 = inv(e12)
     exc = (e21, e12)          # 2 -> 1 -> 2
     eta = (exc, exc)
-    ident = OrientedHookup((0, 1), ((), ()))
-    swapped = OrientedHookup((1, 0), ((), ()))
+    ident = (((1, 0), ()), ((3, 2), ()))
+    swapped = (((1, 2), ()), ((3, 0), ()))
     loops_id = reassemble(eta, ident, g)
     loops_sw = reassemble(eta, swapped, g)
     assert len(loops_id) == 2 and len(loops_sw) == 1
@@ -124,7 +122,27 @@ def test_reassemble_endpoint_mismatch(k5):
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     e21 = inv(e12)
     with pytest.raises(DecompositionError):
-        reassemble(((e21, e12),), OrientedHookup((0,), ((e12,),)), g)
+        reassemble(((e21, e12),), (((1, 0), (e12,)),), g)
+
+
+def test_hookup_loops_refuses_an_oriented_join_of_like_slots(k5):
+    """Oriented joins run from an exit (odd slot) to an entry (even slot):
+    joining two entries and two exits is refused, as is a slot joined
+    twice or never.  With an involution the same joins are an unoriented
+    pairing, which closes one loop."""
+    g, inv, ug = k5
+    e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
+    exc = (inv(e12), e12)          # 2 -> 1 -> 2
+    eta = (exc, exc)
+    like = (((0, 2), ()), ((1, 3), ()))
+    with pytest.raises(DecompositionError, match="exit to an entry"):
+        hookup_loops(g, eta, like)
+    assert len(hookup_loops(g, eta, like, inv)) == 1
+    assert len(hookup_loops(g, eta, (((1, 0), ()), ((3, 2), ())))) == 2
+    with pytest.raises(DecompositionError, match="twice"):
+        hookup_loops(g, eta, (((1, 0), ()), ((1, 2), ())))
+    with pytest.raises(DecompositionError, match="cover"):
+        hookup_loops(g, eta, (((1, 0), ()),))
 
 
 def test_decompose_deterministic(triangle_catalogs):
@@ -134,7 +152,7 @@ def test_decompose_deterministic(triangle_catalogs):
         soup = sample_oriented_soup(cat, 1.0, rng)
         d1 = decompose_counts(cat, soup, {1}, {2})
         d2 = decompose_counts(cat, soup, {1}, {2})
-        assert d1.eta == d2.eta and d1.X == d2.X and d1.Y == d2.Y
+        assert d1.eta == d2.eta and d1.Z == d2.Z
         assert d1.beta_truth == d2.beta_truth
         assert d1.N >= d1.M
         assert (d1.N == 0) == (d1.M == 0)
@@ -171,8 +189,8 @@ def test_crossing_endpoints_match_decomposition(triangle_catalogs):
                           if cs.instances[s_][0][1] == 1)
         departures = sorted(v for v, s_ in cs.endpoint_slots[1]
                             if cs.instances[s_][0][0] == 1)
-        assert arrivals == sorted(d.X)
-        assert departures == sorted(d.Y)
+        assert arrivals == sorted(d.Z[1::2])
+        assert departures == sorted(d.Z[0::2])
     assert hits > 100
 
 
@@ -237,7 +255,7 @@ def test_all_edges_removed_decomposes_to_single_jumps(k5, triangle_catalogs):
         rec = record_edge_jumps_counts(ucat, s, removed)
         assert sum(rec.counts) == sum(ucat.by_key[k].n * c
                                       for k, c in s.items())
-        assert all(b == () for b in rec.hookup.bridges)
+        assert all(b == () for _, b in rec.hookup)
 
 
 def test_ct_excursions_parity(triangle_catalogs):
@@ -309,8 +327,7 @@ def _ref_unoriented_hookup(links, exit_slot, entry_slot, inv):
         pairs.append((min(a, b), max(a, b)))
         bridges.append(min(bridge, inv.reverse_path(bridge)) if bridge else ())
     order = sorted(range(len(pairs)), key=lambda i: pairs[i])
-    return UnorientedHookup(tuple(pairs[i] for i in order),
-                            tuple(bridges[i] for i in order))
+    return tuple((pairs[i], bridges[i]) for i in order)
 
 
 def _ref_decompose_counts(catalog, counts, F1, F2):
@@ -348,9 +365,13 @@ def _ref_decompose_counts(catalog, counts, F1, F2):
             X.append(b)
             sigma[j] = slot_of[nxt]
             bridges[j] = bridge
+        # piece j starts at Y_j and ends at X_j; its end joins the start of
+        # piece sigma(j)
         return ExcursionDecomposition(
-            "oriented", F1, F2, eta, len(touching), N, tuple(X), tuple(Y),
-            None, OrientedHookup(tuple(sigma), tuple(bridges)),
+            "oriented", F1, F2, eta, len(touching), N,
+            tuple(v for y, x in zip(Y, X) for v in (y, x)),
+            tuple(((2 * j + 1, 2 * s), br)
+                  for j, (s, br) in enumerate(zip(sigma, bridges))),
             tuple(sorted(touching)))
     Z, start_slot, end_slot = [], {}, {}
     for j, (canon, key, occ, pos, exc, _, _) in enumerate(instances):
@@ -361,8 +382,7 @@ def _ref_decompose_counts(catalog, counts, F1, F2):
     beta = _ref_unoriented_hookup([(r[1:4], r[5], r[6]) for r in instances],
                                   end_slot, start_slot, inv)
     return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching), N,
-                                  None, None, tuple(Z), beta,
-                                  tuple(sorted(touching)))
+                                  tuple(Z), beta, tuple(sorted(touching)))
 
 
 def _ref_extract_crossings_counts(catalog, counts, sets):

@@ -46,34 +46,38 @@ def _ref_block_permutations(items):
         yield perm
 
 
-def _ref_oriented_hookup_orbit_key(eta, hookup):
+def _ref_oriented_hookup_orbit_key(eta, joins):
     N = len(eta)
+    # the join (2j+1, b) runs from the end of piece j to the start of b // 2
+    hook_sigma, hook_bridges = [0] * N, [()] * N
+    for (a, b), br in joins:
+        hook_sigma[a // 2], hook_bridges[a // 2] = b // 2, br
 
     def relabel(perm):
         sigma = [0] * N
         bridges = [()] * N
         for j in range(N):
-            sigma[perm[j]] = perm[hookup.sigma[j]]
-            bridges[perm[j]] = hookup.bridges[j]
-        return tuple(sigma), tuple(bridges)
+            sigma[perm[j]] = perm[hook_sigma[j]]
+            bridges[perm[j]] = hook_bridges[j]
+        return tuple(((2 * j + 1, 2 * s), br)
+                     for j, (s, br) in enumerate(zip(sigma, bridges)))
 
     return min(relabel(perm) for perm in _ref_block_permutations(eta))
 
 
-def _ref_xy_orbit_key(X, Y, hookup):
-    return _ref_oriented_hookup_orbit_key(tuple(zip(X, Y)), hookup)
+def _ref_xy_orbit_key(X, Y, joins):
+    return _ref_oriented_hookup_orbit_key(tuple(zip(X, Y)), joins)
 
 
-def _ref_pairing_orbit_min(hookup, slot_perms):
+def _ref_pairing_orbit_min(joins, slot_perms):
     def relabel(sp):
-        relabeled = sorted(((min(sp[a], sp[b]), max(sp[a], sp[b])), br)
-                           for (a, b), br in zip(hookup.pairing, hookup.bridges))
-        return (tuple(p for p, _ in relabeled), tuple(b for _, b in relabeled))
+        return tuple(sorted(((min(sp[a], sp[b]), max(sp[a], sp[b])), br)
+                            for (a, b), br in joins))
 
     return min(relabel(sp) for sp in slot_perms)
 
 
-def _ref_unoriented_hookup_orbit_key(eta, hookup, flippable=(),
+def _ref_unoriented_hookup_orbit_key(eta, joins, flippable=(),
                                      involution=None):
     N = len(eta)
     pal = []
@@ -98,11 +102,11 @@ def _ref_unoriented_hookup_orbit_key(eta, hookup, flippable=(),
                         sp[a], sp[b] = base[b], base[a]
                 yield sp
 
-    return _ref_pairing_orbit_min(hookup, slot_perms())
+    return _ref_pairing_orbit_min(joins, slot_perms())
 
 
-def _ref_z_orbit_key(Z, hookup):
-    return _ref_pairing_orbit_min(hookup, _ref_block_permutations(Z))
+def _ref_z_orbit_key(Z, joins):
+    return _ref_pairing_orbit_min(joins, _ref_block_permutations(Z))
 
 
 def _ref_relabel_side(structure, slot_instances, perm, oriented):
@@ -162,7 +166,7 @@ def _hookup_keys(cut, pieces, hook, flippable=()):
     return [("hookup",
              unoriented_hookup_orbit_key(pieces, hook, flippable, cut.inv),
              _ref_unoriented_hookup_orbit_key(pieces, hook, flippable, cut.inv)),
-            ("z", matching_key(Z, zip(hook.pairing, hook.bridges), False),
+            ("z", matching_key(Z, hook, False),
              _ref_z_orbit_key(Z, hook))]
 
 

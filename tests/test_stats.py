@@ -26,6 +26,22 @@ def test_chi2_gof_ignores_how_categories_are_written():
         assert relabeled == chi2_gof(observed, expected, n)
 
 
+def test_chi2_gof_refutes_observations_where_nothing_is_expected():
+    """300 of 1,300 observations on a key the law forbids, the law's
+    probabilities summing to 1: p is 0, not 1.  Alone in the pooled bucket
+    they would otherwise be dropped with it."""
+    stat, dof, p = chi2_gof({"a": 500, "b": 500, "z": 300},
+                            {"a": 0.5, "b": 0.5}, 1300)
+    assert (stat, dof, p) == (math.inf, 2, 0.0)
+    # a forbidden key never drawn is no evidence; the law fits exactly
+    assert chi2_gof({"a": 500, "b": 500}, {"a": 0.5, "b": 0.5, "z": 0.0},
+                    1000) == (0.0, 1, 1.0)
+    # pooled with a category of positive mass, the draws are tested as usual
+    stat, dof, p = chi2_gof({"a": 995, "y": 2, "z": 3},
+                            {"a": 0.998, "y": 0.002}, 1000)
+    assert dof == 1 and 0.0 < p < 0.05 and math.isfinite(stat)
+
+
 def test_conditioned_poisson_gives_up_with_oracle_error():
     never = lambda draw: np.zeros(len(draw), dtype=bool)   # noqa: E731
     with pytest.raises(OracleError, match="3 of 3 rows still rejected"):

@@ -24,8 +24,7 @@ from loopsoup.bridges import (enumerate_bridges, pairing_weights,
                               permutation_weights)
 from loopsoup.exact import (OccupationLaw, OracleError, _assemble_multisets,
                             occupation_law)
-from loopsoup.excursions import (OrientedHookup, UnorientedHookup,
-                                 extract_crossings_counts, flipped_pieces,
+from loopsoup.excursions import (extract_crossings_counts, flipped_pieces,
                                  hookup_loop_lengths, hookup_loops,
                                  hookup_walk, reassemble, walk_orbit_key)
 from loopsoup.rng import stream
@@ -76,9 +75,8 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
         XY = None
         for ms, wt in w.items():
             d = decompose_counts(cat, dict(ms), {1}, {2})
-            XY = (d.X, d.Y)
-            key = oriented_hookup_orbit_key(tuple(zip(d.X, d.Y)),
-                                            d.beta_truth)
+            XY = (d.Z[1::2], d.Z[0::2])
+            key = oriented_hookup_orbit_key(tuple(zip(*XY)), d.beta_truth)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
         _, infeasible = cut.oracle(eta)
         by_xy[XY].append((dist, float(infeasible)))
@@ -100,8 +98,8 @@ def test_bridge_families_tabulated_once_per_endpoint_vector(
         ws_k12, monkeypatch, mode):
     """An exact excursion check builds one bridge family per endpoint vector
     of its bins, not one per bin: on the K12 triangle the vectors are one
-    and two excursions at F2 = {2}, (2,) -> (2,) and (2, 2) -> (2, 2)
-    oriented, Z = (2, 2) and (2, 2, 2, 2) unoriented.  Every bin's law from
+    and two excursions at F2 = {2}, Z = (2, 2) and (2, 2, 2, 2) in both
+    modes.  Every bin's law from
     the shared tables equals, as Fractions, the law of a cut built for that
     bin alone."""
     calls = Counter()
@@ -148,6 +146,18 @@ def test_bins_read_the_table_of_their_own_endpoint_vector(
 
 
 
+def test_exact_excursion_checks_with_two_endpoint_vertices(
+        triangle_catalogs):
+    """With F2 = {2, 3} an excursion's start and end differ, so an oracle
+    that joined starts to ends, not ends to starts, would key bridges the
+    soup never builds: prop1 and prop2 hold exactly on every bin."""
+    cat, ucat = triangle_catalogs
+    for check, c in ((verify_prop1, cat), (verify_prop2, ucat)):
+        rep = check(c, {1}, {2, 3}, mode="exact")
+        assert rep.passed and rep.statistic == 0.0
+        assert rep.details["etas_tested"] > 5
+
+
 def _golden_exact_cuts():
     """The five cuts of the golden_exact fixture: excursions in both modes,
     its removed edge, and crossings in both modes."""
@@ -192,7 +202,7 @@ def _fraction_bridge_configs(cut, ends):
     dom, L = cut.sub, cut.catalog.L_max
     green = green_function(dom, exact=True).exact
     if cut.oriented:
-        X, Y = ends
+        X, Y = ends[1::2], ends[0::2]
         weights = permutation_weights(green, X, Y)
 
         def pairs_of(s):
@@ -223,11 +233,13 @@ def _fraction_bridge_configs(cut, ends):
 def _fraction_oracle(cut, b):
     """(truncated-soup law of bin b, infeasible mass), summed in Fractions."""
     pieces, ends, flippable = cut.bridge_ends(b)
-    hookup = OrientedHookup if cut.oriented else UnorientedHookup
     flips = () if cut.oriented else flipped_pieces(pieces, flippable, cut.inv)
     law = {}
-    for config, pr in _fraction_bridge_configs(cut, ends).items():
-        walk = hookup_walk(hookup(*config), len(pieces))
+    for (label, paths), pr in _fraction_bridge_configs(cut, ends).items():
+        # a permutation joins the end of piece j to the start of piece s[j]
+        pairs = ([(2 * j + 1, 2 * s) for j, s in enumerate(label)]
+                 if cut.oriented else label)
+        walk = hookup_walk(tuple(zip(pairs, paths)), len(pieces))
         if max(hookup_loop_lengths(pieces, walk)) > cut.catalog.L_max:
             continue
         key = walk_orbit_key(pieces, walk, cut.oriented, flips)
@@ -388,8 +400,7 @@ def test_prop2_z_measurability(ws_k12):
         for ms, wt in w.items():
             d = decompose_counts(ucat, dict(ms), {1}, {2})
             Z = d.Z
-            hook = d.beta_truth
-            key = matching_key(d.Z, zip(hook.pairing, hook.bridges), False)
+            key = matching_key(d.Z, d.beta_truth, False)
             dist[key] = dist.get(key, Fraction(0)) + wt / total
         _, infeasible = cut.oracle(eta)
         by_Z[Z].append((dist, float(infeasible)))
@@ -700,8 +711,8 @@ def test_walker_flags_exactly_the_loops_beyond_the_catalog(
         loops = hookup_loops(graph, pieces, hook, cut.inv)
         assert hookup_loop_lengths(pieces, walk) == list(map(len, loops))
         assert Counter(map(edge, (e for lp in loops for e in lp))) == \
-               Counter(map(edge, (e for p in pieces + hook.bridges
-                                  for e in p)))
+               Counter(map(edge, (e for p in pieces + tuple(
+                   arc for _, arc in hook) for e in p)))
         longest = max(map(len, loops))
         keys = reassemble(pieces, hook, graph, cut.inv)
         assert (longest > cat.L_max) == any(k not in cat.by_key for k in keys)
@@ -1106,6 +1117,23 @@ def test_ct_excursions_control():
     assert bad.statistic < bad.tolerance
     assert verify_ct_excursions(ucat, [1, 2], samples=20000, seed=0,
                                 intensity=1.0).passed
+
+
+def test_skeleton_checks_with_no_degree_of_freedom_test_nothing(k5_cats):
+    """Too few soups leave every two-sample test, the pooled one included,
+    with all categories in one bucket: no degree of freedom, nothing
+    tested.  The run fails with a note, a control too, and reports no
+    pooled p-value."""
+    ucat = k5_cats.catalog("unoriented")
+    for expect_fail in (False, True):
+        for rep in (verify_ct_excursions(ucat, [1, 2, 3], samples=1, seed=0,
+                                         expect_fail=expect_fail),
+                    verify_random_currents(ucat, samples=3, seed=0,
+                                           expect_fail=expect_fail)):
+            assert rep.verdict == "fail"
+            assert rep.details["note"] == \
+                "no skeleton test had a degree of freedom"
+            assert "pooled_p" not in rep.details
 
 
 def test_ct_excursions_one_site_keeps_asymmetric_skeletons_whole():
