@@ -139,25 +139,30 @@ def _doob_table(domain: Domain, y: int) -> dict:
                 break
             counts, k = more, k + 1
 
-        def expand(v, path, p, depth, out):
-            if depth == k:
-                out.append((p, (path, v, False)))
-                return
-            for q, eid, head in moves[v]:
-                expand(head, path + (eid,), p * q, depth + 1, out)
-            if v == y:
-                out.append((p * stop, (path, v, True)))
-
         table = {}
         for v in moves:
             out = []
-            expand(v, (), 1.0, 0, out)
+            _expand_segments(moves, y, stop, k, v, (), 1.0, out)
             probs, segments = zip(*out)
             cdf = list(accumulate(probs))
             cdf[-1] = 1.0
             table[v] = (cdf, segments)
         domain._bridge_tables[key] = table
     return table
+
+
+def _expand_segments(moves, y, stop, moves_left, v, path, p, out):
+    """Append to `out` the segments of `_doob_table`'s row from v that
+    follow `path`, of probability p; not a closure, since one that calls
+    itself is a cycle."""
+    if not moves_left:
+        out.append((p, (path, v, False)))
+        return
+    for q, eid, head in moves[v]:
+        _expand_segments(moves, y, stop, moves_left - 1, head, path + (eid,),
+                         p * q, out)
+    if v == y:
+        out.append((p * stop, (path, v, True)))
 
 
 def sample_bridge(domain: Domain, x: int, y: int, rng) -> Bridge:
@@ -268,18 +273,21 @@ def all_pairings(n: int):
     if n > PAIRING_BUDGET:
         raise BridgeError(f"2N={n} beyond pairing budget {PAIRING_BUDGET}")
 
-    def rec(items):
-        if not items:
-            yield ()
-            return
-        a = items[0]
-        for i in range(1, len(items)):
-            b = items[i]
-            rest = items[1:i] + items[i + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
+    return list(_pairings(tuple(range(n))))
 
-    return list(rec(tuple(range(n))))
+
+def _pairings(items):
+    """`all_pairings`' recursion, not a closure: one that calls itself is
+    a cycle."""
+    if not items:
+        yield ()
+        return
+    a = items[0]
+    for i in range(1, len(items)):
+        b = items[i]
+        rest = items[1:i] + items[i + 1:]
+        for tail in _pairings(rest):
+            yield ((a, b),) + tail
 
 
 def pairing_weights(green, Z) -> dict[tuple, float | Fraction]:

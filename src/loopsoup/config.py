@@ -198,15 +198,19 @@ class Workspace:
     unoriented: UnorientedGraph
     domain: Domain
     class_budget: int | None = None       # None: loops.DEFAULT_CLASS_BUDGET
-    _catalog: "object" = None             # the oriented catalog, once built
+    _catalogs: dict = field(default_factory=dict)     # mode -> built catalog
 
     def catalog(self, mode: str):
-        """The oriented catalog or its counterpart, from one enumeration."""
-        if self._catalog is None:
-            self._catalog = enumerate_loops(
-                self.domain, self.config.l_max,
-                unoriented=self.unoriented, budget=self.class_budget)
-        return self._catalog if mode == "oriented" else self._catalog.counterpart()
+        """The oriented catalog or its counterpart, from one enumeration;
+        both are kept, since an oriented catalog does not keep its merge."""
+        if mode not in self._catalogs:
+            self._catalogs[mode] = (
+                enumerate_loops(self.domain, self.config.l_max,
+                                unoriented=self.unoriented,
+                                budget=self.class_budget)
+                if mode == "oriented"
+                else self.catalog("oriented").counterpart())
+        return self._catalogs[mode]
 
     def removed_classes(self):
         out = []

@@ -82,30 +82,30 @@ def _assemble_multisets(candidates, target: Counter):
     is bounded by the target size.  One Counter of what is left to cover is
     subtracted from in place and restored on return.
     """
-    found = 0
     remaining = Counter({k: c for k, c in target.items() if c > 0})
+    for found, combo in enumerate(_covers(candidates, remaining, 0, []), 1):
+        if found > MULTISET_BUDGET:
+            raise OracleError("conditioned-multiset budget exceeded")
+        yield combo
 
-    def rec(start, chosen):
-        nonlocal found
-        if not any(remaining.values()):
-            found += 1
-            if found > MULTISET_BUDGET:
-                raise OracleError("conditioned-multiset budget exceeded")
-            yield tuple(chosen)
-            return
-        for j in range(start, len(candidates)):
-            key, mass, contrib = candidates[j][:3]
-            u_max = min(remaining[k] // c for k, c in contrib.items())
-            for u in range(u_max, 0, -1):
-                for k, c in contrib.items():
-                    remaining[k] -= c * u
-                chosen.append((key, mass, u))
-                yield from rec(j + 1, chosen)
-                chosen.pop()
-                for k, c in contrib.items():
-                    remaining[k] += c * u
 
-    yield from rec(0, [])
+def _covers(candidates, remaining: Counter, start: int, chosen: list):
+    """`_assemble_multisets`' recursion from candidate `start` on; its
+    state is passed, since a closure that calls itself is a cycle."""
+    if not any(remaining.values()):
+        yield tuple(chosen)
+        return
+    for j in range(start, len(candidates)):
+        key, mass, contrib = candidates[j][:3]
+        u_max = min(remaining[k] // c for k, c in contrib.items())
+        for u in range(u_max, 0, -1):
+            for k, c in contrib.items():
+                remaining[k] -= c * u
+            chosen.append((key, mass, u))
+            yield from _covers(candidates, remaining, j + 1, chosen)
+            chosen.pop()
+            for k, c in contrib.items():
+                remaining[k] += c * u
 
 
 def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,

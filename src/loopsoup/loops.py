@@ -170,11 +170,18 @@ def canonicalize_unoriented(graph, edge_seq, involution) -> UnorientedLoopClass:
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic garbage collector: catalog tuples hold no cycle."""
+    """Run a catalog build with the cyclic collector paused, then tenure
+    what it allocated: `gc.freeze()` and `gc.unfreeze()` move every tracked
+    object to the oldest generation, so no young-generation pass walks the
+    build's tuples, which hold no cycle.  Every other young object is
+    tenured too, and cyclic garbage among them waits for a full collection,
+    as does any object an earlier `gc.freeze()` held."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
+        gc.freeze()
+        gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -186,7 +193,8 @@ class LoopCatalog:
     mode is "oriented" or "unoriented".  A catalog holds its classes, given
     in (n, key) order; readers take their geometry from the class keys.  An
     unoriented catalog is always the counterpart of an oriented one, so a
-    domain is enumerated once.
+    domain is enumerated once, and it holds that oriented source; no link
+    runs the other way, so no catalog is part of a reference cycle.
     """
 
     def __init__(self, domain: Domain, L_max: int, mode: str,
@@ -199,7 +207,7 @@ class LoopCatalog:
         self.tail_bound = tail_bound_value
         self.unoriented_graph = unoriented_graph
         self.by_key = {c.key: c for c in self.classes}
-        self._counterpart: LoopCatalog | None = None
+        self._source: LoopCatalog | None = None   # an unoriented one's origin
         self._mass_arrays = None          # lazy (masses, cumsum) cache
 
     @property
@@ -231,9 +239,13 @@ class LoopCatalog:
             self._mass_arrays = (masses, np.cumsum(masses))
         return self._mass_arrays
 
-    @_gc_paused()
     def counterpart(self) -> "LoopCatalog":
         """The catalog of the other orientation mode on the same domain.
+
+        An unoriented catalog returns the oriented catalog it was merged
+        from.  An oriented one keeps no link to its merges, so reference
+        counting frees a dead pair; each call merges anew, and
+        `Workspace.catalog` keeps the merge it uses.
 
         Each unoriented class merges an oriented class with its reversal; a
         self-reversed one doubles J and halves its mass.  One pass over the
@@ -242,12 +254,16 @@ class LoopCatalog:
         smaller, it is the unoriented key, and the merged classes come out
         in (n, key) order too.  A reversal's key is the first of its
         rotations from its least entry that `by_key` holds: `by_key` holds
-        one rotation of each class, its least, so no other can hit.
+        one rotation of each class, its least, so no other can hit.  The
+        merged class lists that class's own key object, not the rotation
+        that found it.
         """
-        if self._counterpart is None:
-            if self.mode != "oriented" or self.unoriented_graph is None:
-                raise GraphError("the unoriented catalog is derived from an "
-                                 "oriented one with an UnorientedGraph")
+        if self._source is not None:
+            return self._source
+        if self.mode != "oriented" or self.unoriented_graph is None:
+            raise GraphError("the unoriented catalog is derived from an "
+                             "oriented one with an UnorientedGraph")
+        with _gc_paused():
             iota = self.unoriented_graph.involution.mapping
             by_key = self.by_key
             reversals = set()
@@ -259,12 +275,13 @@ class LoopCatalog:
                 m = min(back)
                 for i in range(back.index(m), n):
                     if back[i] == m:
-                        rev = back[i:] + back[:i]
-                        if rev in by_key:
+                        hit = by_key.get(back[i:] + back[:i])
+                        if hit is not None:
                             break
                 else:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")
+                rev = hit.key
                 if seq == rev:
                     merged.append(_new(UnorientedLoopClass,
                                        (seq, n, 2 * J, mass / 2, (seq,))))
@@ -272,11 +289,11 @@ class LoopCatalog:
                     reversals.add(rev)
                     merged.append(_new(UnorientedLoopClass,
                                        (seq, n, J, mass, (seq, rev))))
-            self._counterpart = LoopCatalog(
-                self.domain, self.L_max, "unoriented", merged,
-                self.tail_bound, unoriented_graph=self.unoriented_graph)
-            self._counterpart._counterpart = self
-        return self._counterpart
+            ucat = LoopCatalog(self.domain, self.L_max, "unoriented", merged,
+                               self.tail_bound,
+                               unoriented_graph=self.unoriented_graph)
+            ucat._source = self
+        return ucat
 
     def export_jsonl(self, path) -> None:
         """One JSON object per class, one line each, streamed to the file.

@@ -924,11 +924,12 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
     sample per soup at its occupations, from (seed, name/oracle).  Soups
     holding a skeleton beyond SKELETON_CAP are left out (long skeletons keep
     the condition too, but have no column).  The rest are compared by
-    two-sample chi-square per quantile bin of the total occupation with
-    enough samples, and pooled.  Returns whether every compared soup meets
-    the condition, whether the pooled skeleton counts within each site pair
-    follow the mass ratios, the p-values of the tests with a degree of
-    freedom, and the pooled one (None without a degree of freedom).
+    two-sample chi-square per quantile bin of the total occupation, and
+    pooled, each test only over MIN_BIN_SAMPLES soups or more, as in
+    `_mc_driver`.  Returns whether every compared soup meets the condition,
+    whether the pooled skeleton counts within each site pair follow the
+    mass ratios, the p-values of the tests with a degree of freedom, and
+    the pooled one (None when it was not run or had no degree of freedom).
     """
     oriented = catalog.mode == "oriented"
     dom = catalog.domain
@@ -986,9 +987,12 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
         _, dof_b, p = test(rows[m], oracle[m])
         if dof_b > 0:
             pvals.append(p)
-    _, dof, pooled = test(rows, oracle)
-    if dof > 0:
-        pvals.append(pooled)
+    pooled = None
+    if len(rows) >= MIN_BIN_SAMPLES:
+        _, dof, p = test(rows, oracle)
+        if dof > 0:
+            pooled = p
+            pvals.append(p)
     # pooled frequency ratios within site pairs against the rate ratios
     ratio_ok = True
     pair_groups: dict = defaultdict(list)
@@ -1001,11 +1005,10 @@ def _skeleton_pvalues(catalog: LoopCatalog, sites, intensity: float,
             c1, c0 = tot_counts[k], tot_counts[k0]
             if abs(c1 - r * c0) > 3 * math.sqrt(max(c1 + r * r * c0, 1.0)):
                 ratio_ok = False
-    return (bool(meets(rows).all()), ratio_ok, pvals,
-            pooled if dof > 0 else None)
+    return bool(meets(rows).all()), ratio_ok, pvals, pooled
 
 
-NO_SKELETON_TEST = "no skeleton test had a degree of freedom"
+NO_SKELETON_TEST = "no skeleton test had enough soups and a degree of freedom"
 
 
 def verify_ct_excursions(catalog: LoopCatalog, sites,
@@ -1069,7 +1072,7 @@ def verify_random_currents(catalog: LoopCatalog, samples: int = 10 ** 5,
                     even_ok and inout_ok and ratio_ok and chi2_ok, catalog,
                     samples, seed, expect_fail, ratio_ok=ratio_ok,
                     even_degrees=even_ok, pooled_p=pooled_u,
-                    bins_tested=len(p_u), inout_ok=inout_ok,
+                    bins_tested=len(p_u) + len(p_o), inout_ok=inout_ok,
                     oriented_p=pooled_o)
 
 

@@ -585,3 +585,46 @@ def test_graph_file_keeps_its_involution(tmp_path):
     ws = build_workspace(cfg)
     assert ws.unoriented.involution.mapping == {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4,
                                      6: 6, 7: 7}
+
+
+def test_runs_leave_no_catalog_garbage(tmp_path):
+    """Catalogs, their classes and loopsoup's functions are in no reference
+    cycle, so reference counting frees them: runs made with the cyclic
+    collector off leave none of them for a collection to find (golden_ct
+    draws Doob bridges, whose tables expand segments recursively).  An
+    unoriented catalog holds its oriented source, a workspace keeps both,
+    and each merged class lists the oriented classes' own key objects."""
+    import gc
+    import types
+    from collections import Counter
+
+    from loopsoup.loops import LoopCatalog, LoopClass, UnorientedLoopClass
+
+    data = os.path.join(os.path.dirname(__file__), "data")
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("golden_catalog", "golden_mc", "golden_exact",
+                     "golden_ct"):
+            cfg = parse_config(os.path.join(data, f"{name}.cfg"))
+            assert cli.run(cfg, str(tmp_path / name)) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        kept = [o for o in gc.garbage
+                if isinstance(o, (LoopCatalog, LoopClass, UnorientedLoopClass,
+                                  Counter))
+                or isinstance(o, types.FunctionType)
+                and o.__module__.startswith("loopsoup")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not kept, sorted({type(o).__name__ for o in kept})
+    ws = build_workspace(parse_config(os.path.join(data, "golden_catalog.cfg")))
+    cat, ucat = ws.catalog("oriented"), ws.catalog("unoriented")
+    assert ucat.counterpart() is cat
+    assert ws.catalog("unoriented") is ucat
+    for u in ucat.classes:
+        assert all(k is cat.by_key[k].key for k in u.oriented_keys)

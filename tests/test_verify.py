@@ -1119,21 +1119,29 @@ def test_ct_excursions_control():
                                 intensity=1.0).passed
 
 
-def test_skeleton_checks_with_no_degree_of_freedom_test_nothing(k5_cats):
-    """Too few soups leave every two-sample test, the pooled one included,
-    with all categories in one bucket: no degree of freedom, nothing
-    tested.  The run fails with a note, a control too, and reports no
-    pooled p-value."""
+def test_skeleton_checks_with_no_degree_of_freedom_test_nothing(
+        k5_cats, monkeypatch):
+    """Fewer than MIN_BIN_SAMPLES soups run no two-sample test, the pooled
+    one included, as `_mc_driver` tests no such bin: nothing is tested.
+    The run fails with a note, a control too, and reports no pooled
+    p-value.  At 20 soups on two sites the pooled test, were it run, would
+    pass (p = 1.0) with one degree of freedom."""
     ucat = k5_cats.catalog("unoriented")
+    calls = []
+    monkeypatch.setattr(verify.stats, "chi2_two_sample",
+                        lambda *a: calls.append(a))
     for expect_fail in (False, True):
         for rep in (verify_ct_excursions(ucat, [1, 2, 3], samples=1, seed=0,
+                                         expect_fail=expect_fail),
+                    verify_ct_excursions(ucat, [1, 2], samples=20, seed=0,
                                          expect_fail=expect_fail),
                     verify_random_currents(ucat, samples=3, seed=0,
                                            expect_fail=expect_fail)):
             assert rep.verdict == "fail"
             assert rep.details["note"] == \
-                "no skeleton test had a degree of freedom"
+                "no skeleton test had enough soups and a degree of freedom"
             assert "pooled_p" not in rep.details
+    assert not calls
 
 
 def test_ct_excursions_one_site_keeps_asymmetric_skeletons_whole():
