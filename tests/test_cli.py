@@ -1,9 +1,12 @@
 import csv
+import gc
 import glob
 import json
 import os
 import subprocess
 import sys
+import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from loopsoup.cli import main, markov_edge_partition, run_job
 from loopsoup.config import (ConfigError, build_workspace, config_from_dict,
                              job_seed, parse_config)
 from loopsoup.graph import green_function
+from loopsoup.loops import LoopCatalog, LoopClass, UnorientedLoopClass
 from loopsoup.stats import chi2_gof
 from loopsoup.verify import CHI2_SIGNIFICANCE
 
@@ -594,12 +598,6 @@ def test_runs_leave_no_catalog_garbage(tmp_path):
     draws Doob bridges, whose tables expand segments recursively).  An
     unoriented catalog holds its oriented source, a workspace keeps both,
     and each merged class lists the oriented classes' own key objects."""
-    import gc
-    import types
-    from collections import Counter
-
-    from loopsoup.loops import LoopCatalog, LoopClass, UnorientedLoopClass
-
     data = os.path.join(os.path.dirname(__file__), "data")
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
