@@ -52,7 +52,7 @@ else:
 # The exact conditional oracle: enumerate every truncated soup matching a
 # conditioning and marginalize onto the hookup.
 cut = ExcursionCut(cat, {1}, {2})
-_, dist, _ = cut.laws(Fraction(1), cut.targets(2)[1])
+dist = cut.laws(Fraction(1), cut.targets(2)[1])[1].weights
 print(f"conditional hookup law given a 2-excursion conditioning: "
       f"{len(dist)} outcomes, total mass {float(sum(dist.values())):.6f}")
 

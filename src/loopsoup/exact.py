@@ -17,11 +17,12 @@ Two independent computations are compared everywhere:
 
 This module holds the oracles: the conditioned multiset enumeration, the
 bridge-family laws, and the orbit keys and configuration counts of the
-sides of crossings.  The cuts that feed
-them and the drivers that compare the two sides live in `verify`.  Both
-sides are summed on integers: a multiset's Poisson weight, and a bridge
-configuration's g^{-K}, is an integer over one denominator per target or
-per bridge table, so a law builds one Fraction per entry.
+sides of crossings.  The cuts that feed them and the drivers that compare
+the two sides live in `verify`.  Every oracle returns one record, a `Law`:
+integer numerators (a multiset's Poisson weight, a bridge configuration's
+g^{-K}, a series coefficient) over one denominator.  The numerators may
+sum to less than it, and the rest is the law's `missing` mass; a Fraction
+per key is built only when `weights` is read.
 
 Occupation-field laws are computed without sampling from the probability
 generating function of the edge jump counts,
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -60,6 +61,42 @@ MULTISET_BUDGET = 200000
 
 class OracleError(GraphError):
     pass
+
+
+@dataclass(frozen=True)
+class Law:
+    """An exact law: key k has probability numerators[k] / denominator.
+
+    The numerators are integers, the denominator an integer or (for the
+    bridge laws) a Fraction, and the mass they leave out is `missing`.
+    """
+
+    numerators: dict
+    denominator: int | Fraction
+
+    @cached_property
+    def weights(self) -> dict:
+        """One Fraction per key."""
+        return {k: Fraction(c, self.denominator)
+                for k, c in self.numerators.items()}
+
+    @property
+    def missing(self) -> Fraction:
+        """The mass the law leaves out, exactly."""
+        return 1 - Fraction(sum(self.numerators.values()), self.denominator)
+
+    def given(self) -> Law:
+        """The law renormalized over its own keys."""
+        return Law(self.numerators, sum(self.numerators.values()))
+
+    def pushed(self, key_of) -> Law:
+        """The law summed by key_of(key), the keys in first-seen order
+        (`stats.chi2_gof` breaks ties and sums its floats in that order)."""
+        out: dict = {}
+        for k, c in self.numerators.items():
+            key = key_of(k)
+            out[key] = out.get(key, 0) + c
+        return Law(out, self.denominator)
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -109,15 +146,13 @@ def _covers(candidates, remaining: Counter, start: int, chosen: list):
 
 
 def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
-                             poisson: dict | None = None) -> dict:
-    """Conditional law of the class multisets matching `target`, as integer
-    weights over one common denominator: each multiset's weight over their
-    sum is its probability.
+                             poisson: dict | None = None) -> Law:
+    """Conditional law of the class multisets matching `target`.
 
     A multiset's Poisson weight prod (t m)^u / u! is the integer product
     of its classes' numerators over that of their denominators, each pair
-    memoized per (key, count) in `poisson`; the common denominator is the
-    lcm of the multisets' denominators.
+    memoized per (key, count) in `poisson`; the weights are brought to the
+    lcm of those denominators, and the law is them given the event.
     """
     if intensity <= 0:
         raise OracleError(f"intensity {intensity} must be positive")
@@ -137,7 +172,8 @@ def conditional_multiset_law(intensity: Fraction, candidates, target: Counter,
     if not fractions:
         raise OracleError("conditioning event has zero weight at this truncation")
     common = math.lcm(*{den for _, den in fractions.values()})
-    return {ms: num * (common // den) for ms, (num, den) in fractions.items()}
+    return Law({ms: num * (common // den)
+                for ms, (num, den) in fractions.items()}, common).given()
 
 
 # -- bridge-measure enumeration ------------------------------------------------
@@ -165,16 +201,15 @@ def _bridge_families(labels, Z, menu) -> dict:
     return configs
 
 
-def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
-    """Unordered-bridge configurations with exact probabilities.
+def unordered_bridge_law(domain: Domain, X, Y, max_len: int) -> Law:
+    """The law of the unordered-bridge configurations, max_len steps a bridge.
 
     The slots are those of Z = (Y_0, X_0, Y_1, X_1, ...): piece j starts at
-    Y_j (slot 2j) and ends at X_j (slot 2j+1).  Returns (configs,
-    denominator): configs maps the joins ((2j+1, 2 sigma(j)), path), a
-    bridge X_j -> Y_sigma(j) each, to an integer weight g^(N max_len - K),
-    N = len(X), and the configuration's probability g^{-K} / Z is its
-    weight over the one denominator g^(N max_len) Z, Z = sum_s G(X, Y^s).
-    Unenumerated mass is 1 - sum(configs.values()) / denominator.
+    Y_j (slot 2j) and ends at X_j (slot 2j+1).  A configuration is its
+    joins ((2j+1, 2 sigma(j)), path), a bridge X_j -> Y_sigma(j) each, and
+    its probability g^{-K} / Z is the integer g^(N max_len - K), N =
+    len(X), over the denominator g^(N max_len) Z, Z = sum_s G(X, Y^s).  The
+    law's missing mass is that of the bridges too long to enumerate.
     """
     weights = permutation_weights(green_function(domain, exact=True).exact,
                                   X, Y)
@@ -188,23 +223,22 @@ def unordered_bridge_law(domain: Domain, X, Y, max_len: int):
                 for b in enumerate_bridges(domain, pair[0], pair[1], max_len)]
 
     ends = [v for y, x in zip(Y, X) for v in (y, x)]
-    return _bridge_families(
+    return Law(_bridge_families(
         ([(2 * j + 1, 2 * s[j]) for j in range(len(X))] for s in weights),
-        ends, menu), g ** (len(X) * max_len) * Z
+        ends, menu), g ** (len(X) * max_len) * Z)
 
 
-def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
-    """Z-bridge configurations with exact probabilities.
+def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int) -> Law:
+    """The law of the Z-bridge configurations, max_len steps a bridge.
 
-    Returns (configs, denominator): configs maps the joins ((a, b), path)
-    of a pairing of the slots of Z_vertices, the path an unoriented bridge
-    Z_a -- Z_b, to an integer weight, g^{-K} scaled by g^(N max_len) for
-    N = len(Z_vertices) / 2 bridges, and the configuration's probability
-    is its weight over the one denominator g^(N max_len) Z, Z the
-    pairing-weight sum.  Bridge paths are stored in canonical unoriented
-    form; the weight of an unoriented path accumulates both oriented
-    representatives when they differ (self-return paths), which keeps the
-    g^{-K} bookkeeping exact.
+    A configuration is the joins ((a, b), path) of a pairing of the slots
+    of Z_vertices, the path an unoriented bridge Z_a -- Z_b, and its
+    numerator g^{-K} scaled by g^(N max_len), N = len(Z_vertices) / 2, is
+    over the denominator g^(N max_len) Z, Z the pairing-weight sum.  Paths
+    are stored in canonical unoriented form; the weight of an unoriented
+    path accumulates both oriented representatives when they differ
+    (self-return paths), which keeps the g^{-K} bookkeeping exact.  The
+    missing mass is that of the bridges too long to enumerate.
     """
     weights = pairing_weights(green_function(domain, exact=True).exact,
                               Z_vertices)
@@ -220,8 +254,8 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int):
             masses[ukey] = masses.get(ukey, 0) + g ** (max_len - br.n)
         return sorted(masses.items())
 
-    return _bridge_families(weights, Z_vertices, menu), \
-        g ** (len(Z_vertices) // 2 * max_len) * Z
+    return Law(_bridge_families(weights, Z_vertices, menu),
+               g ** (len(Z_vertices) // 2 * max_len) * Z)
 
 
 # -- crossing-side structures ----------------------------------------------------
@@ -260,42 +294,24 @@ def side_pair_orbit(cs, involution):
     return key, fixing, flips
 
 
-def _side_arrivals_departures(cs, i):
-    """Oriented side i: its arrival slots and its departure slots."""
+def side_bridge_law(domain_minus: Domain, cs, i, max_len: int,
+                    involution=None) -> Law:
+    """The bridge-measure law of side i, pushed onto side orbit keys; its
+    missing mass is the unenumerated bridge mass.  An oriented side joins
+    its arrival slots to its departure slots."""
+    v = cs.endpoints(i)
     slots = cs.endpoint_slots[i]
+    labels = [cs.instances[s] for _, s in slots]
+    if cs.mode != "oriented":
+        return z_bridge_law(domain_minus, v, involution, max_len).pushed(
+            lambda joins: matching_key(labels, joins, False))
     arrivals = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][1] == i]
     departures = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][0] == i]
-    return arrivals, departures
-
-
-def side_bridge_law(domain_minus: Domain, cs, i, max_len: int, involution=None):
-    """The bridge-measure law of side i, pushed onto side orbit keys.
-
-    Returns (dist, remainder, denominator): dist maps orbit keys to exact
-    probabilities; remainder is the un-enumerated bridge mass and
-    denominator that of the side's bridge-family weights.
-    """
-    v = cs.endpoints(i)
-    if cs.mode == "oriented":
-        arrivals, departures = _side_arrivals_departures(cs, i)
-        configs, denominator = unordered_bridge_law(
-            domain_minus, [v[k] for k in arrivals],
-            [v[k] for k in departures], max_len)
-        structures = ((tuple(((arrivals[a // 2], departures[b // 2]), path)
-                             for (a, b), path in joins), w)
-                      for joins, w in configs.items())
-    else:
-        configs, denominator = z_bridge_law(domain_minus, v, involution,
-                                            max_len)
-        structures = configs.items()
-    labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
-    dist: dict = {}
-    for structure, w in structures:
-        key = matching_key(labels, structure, cs.mode == "oriented")
-        dist[key] = dist.get(key, 0) + w
-    total = sum(dist.values())
-    return ({k: w / denominator for k, w in dist.items()},
-            1 - total / denominator, denominator)
+    return unordered_bridge_law(
+        domain_minus, [v[k] for k in arrivals], [v[k] for k in departures],
+        max_len).pushed(lambda joins: matching_key(labels, tuple(
+            ((arrivals[a // 2], departures[b // 2]), path)
+            for (a, b), path in joins), True))
 
 
 # -- truncated multivariate power series over the integers ----------------------
@@ -412,36 +428,34 @@ def _binomial_series(U: dict, Q: int, exponent: Fraction,
              for k, t in F.items()}, Qq ** top * math.factorial(top))
 
 
-@dataclass
-class OccupationLaw:
+@dataclass(frozen=True)
+class OccupationLaw(Law):
     """Joint law of jump counts on tracked edge groups, up to a scalar, on
     a window of per-part degree bounds.
 
-    numerators[n] / denominator is proportional to P(N = n) for every count
-    vector n in the window, and an n absent from it has weight 0; `weights`
-    are those Fractions.  `window` is a tuple of (variable indices, bound)
-    pairs; None is the one part of every variable, bounded by `cap`.  The
-    proportionality scalar (irrational for half-integer intensities)
-    cancels from all conditional quantities.  `scalar` is its float value
-    so absolute probabilities are available numerically.
+    Its weight at a count vector n in the window is proportional to
+    P(N = n), and an n absent from it has weight 0.  `window` is a tuple
+    of (variable indices, bound) pairs; None is the one part of every
+    variable, bounded by `cap`.  The proportionality scalar (irrational for
+    half-integer intensities) cancels from all conditional quantities.
+    `scalar` is its float value so absolute probabilities are available
+    numerically.
     """
 
+    _: KW_ONLY
     groups: tuple
     cap: int
-    numerators: dict
     scalar: float
-    denominator: int = 1
     window: tuple | None = None
 
-    @cached_property
-    def weights(self) -> dict:
-        return {n: Fraction(c, self.denominator)
-                for n, c in self.numerators.items()}
-
     def probability(self, n) -> float:
-        """P(N = n), for a count vector in the window; beyond it the law was
-        not computed, and asking is an error."""
+        """P(N = n), for a count vector of one entry per group in the
+        window; beyond it the law was not computed, and asking is an
+        error."""
         n = tuple(n)
+        if len(n) != len(self.groups):
+            raise OracleError(f"count vector {n} has {len(n)} entries for "
+                              f"{len(self.groups)} groups")
         parts = self.window or ((range(len(n)), self.cap),)
         if any(sum(n[i] for i in idx) > bound for idx, bound in parts):
             raise OracleError(f"count vector {n} lies outside the window "
@@ -471,7 +485,8 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     with D0 its constant term and u = det M / D0 - 1 = U / Q in lowest
     terms, the rational part (1 + u)^{-intensity} is built bucket by bucket
     in one pass of Miller's recurrence over the integers
-    (`_binomial_series`).
+    (`_binomial_series`).  The law's numerators are its coefficients, keyed
+    by count vector, over that recurrence's one denominator.
     """
     if intensity <= 0:
         raise OracleError(f"intensity {intensity} must be positive")
@@ -528,5 +543,5 @@ def occupation_law(domain: Domain, edge_groups, intensity: Fraction,
     P = domain.transition_matrix()
     det_ip = float(np.linalg.det(np.eye(n) - P))
     scalar = (float(Fraction(D0, domain.g ** n)) / det_ip) ** (-float(intensity))
-    return OccupationLaw(tuple(groups), cap, numerators, scalar, denominator,
-                         window)
+    return OccupationLaw(numerators, denominator, groups=tuple(groups), cap=cap,
+                         scalar=scalar, window=window)

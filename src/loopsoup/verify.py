@@ -51,9 +51,9 @@ from operator import itemgetter
 import numpy as np
 
 from . import stats
-from .exact import (OracleError, conditional_multiset_law, occupation_law,
-                    side_orbit_key, side_pair_orbit, tv_distance,
-                    unordered_bridge_law, z_bridge_law)
+from .exact import (Law, OracleError, conditional_multiset_law,
+                    occupation_law, side_orbit_key, side_pair_orbit,
+                    tv_distance, unordered_bridge_law, z_bridge_law)
 from .excursions import (cycles_key, decompose_counts,
                          extract_crossings_counts, flipped_pieces,
                          hookup_loop_lengths, hookup_walk, loop_skeletons,
@@ -230,8 +230,8 @@ class Cut:
 
     def bin_p(self, b, counts: Counter, n: int):
         """p-value of the sampled keys of a bin against its law, or None."""
-        law, _ = self.oracle(b)
-        expected = {k: float(v) for k, v in law.items()}
+        law = self.oracle(b).given()
+        expected = {k: c / law.denominator for k, c in law.numerators.items()}
         _, dof, p = stats.chi2_gof(counts, expected, n)
         return p if dof > 0 else None
 
@@ -249,28 +249,21 @@ class Cut:
         pieces, Z, flippable = self.bridge_ends(b)
         if Z not in self._tables:
             L_max = self.catalog.L_max
-            if self.oriented:
-                configs, denominator = unordered_bridge_law(
-                    self.sub, Z[1::2], Z[0::2], L_max)
-            else:
-                configs, denominator = z_bridge_law(self.sub, Z, self.inv,
-                                                    L_max)
+            law = (unordered_bridge_law(self.sub, Z[1::2], Z[0::2], L_max)
+                   if self.oriented else
+                   z_bridge_law(self.sub, Z, self.inv, L_max))
             self._tables[Z] = ([
                 (joins, w, hookup_walk(joins, len(pieces)))
-                for joins, w in configs.items()], denominator)
+                for joins, w in law.numerators.items()], law.denominator)
         return pieces, *self._tables[Z], flippable
 
-    def oracle(self, b):
-        """(truncated-soup law of the hookup keys of bin b, infeasible mass).
-
-        The law is the bridge measure restricted to the configurations whose
-        loops, measured on their tabulated walks with the lengths of b's
-        pieces, all fit in L_max, then renormalized: the exact conditional
-        law of the truncated soup.  The infeasible mass is the bridge mass
-        left out, bridges too long to enumerate included (no loop holding
-        one fits).  Weights are summed as integers, and each law entry is
-        one Fraction.
-        """
+    def oracle(self, b) -> Law:
+        """The bridge measure of bin b on the hookup keys, restricted to
+        the configurations whose loops, measured on their tabulated walks
+        with the lengths of b's pieces, all fit in L_max.  Its missing mass
+        is the infeasible mass, bridges too long to enumerate included (no
+        loop holding one fits), and given its keys it is the exact
+        conditional law of the truncated soup."""
         pieces, table, denominator, flippable = self.bridge_table(b)
         flips = () if self.oriented else flipped_pieces(pieces, flippable,
                                                         self.inv)
@@ -280,24 +273,17 @@ class Cut:
                 continue
             key = walk_orbit_key(pieces, walk, self.oriented, flips)
             law[key] = law.get(key, 0) + w
-        feasible = sum(law.values())
-        return ({k: Fraction(v, feasible) for k, v in law.items()},
-                1 - feasible / denominator)
+        return Law(law, denominator)
 
     def laws(self, intensity: Fraction, target: Counter):
         """(report entry, conditional law of the hookup keys given `target`
         (`key_of`), truncated-soup law of its bin)."""
-        cond: dict = {}
-        for ms, w in conditional_multiset_law(
-                intensity, self.fitting(target), target,
-                self._poisson[intensity]).items():
-            key = self.key_of(ms)
-            cond[key] = cond.get(key, 0) + w
-        total = sum(cond.values())
+        cond = conditional_multiset_law(intensity, self.fitting(target),
+                                        target, self._poisson[intensity])
         b = self.bin_of(target)
-        law, infeasible = self.oracle(b)
-        return ({**self.label(b), "infeasible": float(infeasible)},
-                {k: Fraction(v, total) for k, v in cond.items()}, law)
+        law = self.oracle(b)
+        return ({**self.label(b), "infeasible": float(law.missing)},
+                cond.pushed(self.key_of), law.given())
 
 
 class ExcursionCut(Cut):
@@ -454,23 +440,19 @@ class CrossingCut(Cut):
         g = self.catalog.domain.g
         cross_steps = sum(len(p) * n for (_, p), n in target.items())
         relabelings = math.prod(map(math.factorial, target.values()))
-        cond: dict = {}
-        bridge: dict = {}
-        for ms, w in conditional_multiset_law(
-                intensity, self.fitting(target), target,
-                self._poisson[intensity]).items():
-            key, n = self.completion(ms, relabelings)
-            cond[key] = cond.get(key, 0) + w
-            # multisets sharing a key (the orientations of a returning arc)
-            # share its configurations
-            bridge[key] = n, sum(len(k) * u for k, u in ms) - cross_steps
-        total = sum(cond.values())
+        cond = conditional_multiset_law(intensity, self.fitting(target),
+                                        target, self._poisson[intensity])
+        completions = {ms: self.completion(ms, relabelings)
+                       for ms in cond.numerators}
+        # multisets sharing a key (the orientations of a returning arc)
+        # share its configurations
+        bridge = {key: (n, sum(len(k) * u for k, u in ms) - cross_steps)
+                  for ms, (key, n) in completions.items()}
         top = max(steps for _, steps in bridge.values())
         bridge = {k: n * g ** (top - steps) for k, (n, steps) in bridge.items()}
-        z = sum(bridge.values())
-        return ({"crossings": sum(target.values()), "support": len(cond)},
-                {k: Fraction(v, total) for k, v in cond.items()},
-                {k: Fraction(v, z) for k, v in bridge.items()})
+        return ({"crossings": sum(target.values()), "support": len(bridge)},
+                cond.pushed(lambda ms: completions[ms][0]),
+                Law(bridge, sum(bridge.values())))
 
 
 # -- the drivers -------------------------------------------------------------------
@@ -564,8 +546,8 @@ def _verify_cut(prop, cut: Cut, mode, intensity, max_size, samples, seed,
     equal, worst, entries = True, 0.0, []
     for target in targets:
         entry, cond, law = cut.laws(intensity, target)
-        tv = tv_distance(cond, law)
-        equal = equal and cond == law
+        tv = tv_distance(cond.weights, law.weights)
+        equal = equal and cond.weights == law.weights
         worst = max(worst, tv)
         entries.append({**entry, "tv": tv})
     return _verdict(prop, "exact", worst, 0.0, equal, cut.catalog,

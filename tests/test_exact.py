@@ -13,7 +13,7 @@ from loopsoup import (Domain, build_graph, green_function, occupation_law,
 from loopsoup.bridges import pairing_weights, permutation_weights
 from loopsoup.cli import markov_edge_partition
 from loopsoup.config import build_workspace, config_from_dict
-from loopsoup.exact import (OracleError, _binomial_series, _det, _mul,
+from loopsoup.exact import (Law, OracleError, _binomial_series, _det, _mul,
                             conditional_multiset_law, unordered_bridge_law,
                             z_bridge_law)
 from loopsoup.rng import stream
@@ -224,6 +224,45 @@ def test_occupation_law_refuses_counts_it_did_not_compute():
         occupation_law(dom, [(0,), (1,)], Fraction(1, 2), 256)
 
 
+def test_occupation_law_refuses_count_vectors_of_the_wrong_length():
+    """golden_occupation's law has 8 groups: a count vector of 9 or of 7
+    entries is no count vector of it, and asking for its probability is an
+    error, not 0.0 or an IndexError."""
+    ws = build_workspace(config_from_dict({
+        "graph": "grid:2x3", "domain": "0 1 2 3 4",
+        "jobs": "occupation-markov", "seed": "0", "f1": "0 1"}))
+    groups = markov_edge_partition(ws, False)[0]
+    law = occupation_law(ws.domain, groups, Fraction(1, 2), 4)
+    assert len(law.groups) == 8 and law.probability((0,) * 8) > 0
+    for n in ((0,) * 9, (0,) * 7):
+        with pytest.raises(OracleError, match="entries for 8 groups"):
+            law.probability(n)
+
+
+def test_law_readers_on_a_hand_built_law():
+    """`weights` are the Fractions of the numerators over the denominator;
+    `pushed` sums colliding keys and keeps them in first-seen order; `given`
+    renormalizes over the law's keys; `missing` is exact, also over a
+    Fraction denominator like the bridge laws' g^(N L) Z."""
+    law = Law({"b1": 3, "a": 1, "b2": 2, "c": 4}, 12)
+    assert law.weights == {"b1": Fraction(1, 4), "a": Fraction(1, 12),
+                           "b2": Fraction(1, 6), "c": Fraction(1, 3)}
+    assert law.missing == Fraction(1, 6)
+    pushed = law.pushed(lambda k: k[0])
+    assert list(pushed.numerators.items()) == [("b", 5), ("a", 1), ("c", 4)]
+    assert pushed.denominator == 12 and pushed.missing == Fraction(1, 6)
+    given = law.given()
+    assert list(given.weights.items()) == [
+        ("b1", Fraction(3, 10)), ("a", Fraction(1, 10)),
+        ("b2", Fraction(1, 5)), ("c", Fraction(2, 5))]
+    assert given.missing == 0
+    # 7 over 25/3 is 21/25; in floats 1 - 7 / (25 / 3) is not 4/25
+    bridge = Law({"x": 4, "y": 3}, Fraction(25, 3))
+    assert bridge.weights == {"x": Fraction(12, 25), "y": Fraction(9, 25)}
+    assert bridge.missing == Fraction(4, 25)
+    assert bridge.given().weights == {"x": Fraction(4, 7), "y": Fraction(3, 7)}
+
+
 def _weights_digest(law) -> str:
     return hashlib.sha256(repr(sorted(law.weights.items())).encode()).hexdigest()
 
@@ -281,34 +320,33 @@ def test_occupation_law_requires_tracking(triangle_domain):
 def test_unordered_bridge_law_normalizes(sharp_triangle):
     dom, cat, ucat = sharp_triangle
     sub = dom.without_vertices({1})
-    configs, denominator = unordered_bridge_law(sub, (2, 3), (3, 2), 8)
-    total = Fraction(sum(configs.values()), denominator)
-    assert 0 < total <= 1
-    assert 1 - total < 1e-3     # heavy leak: nearly all mass enumerated
+    law = unordered_bridge_law(sub, (2, 3), (3, 2), 8)
+    assert 0 <= law.missing < 1
+    assert law.missing < 1e-3     # heavy leak: nearly all mass enumerated
     # probability of a configuration is g^{-K} / Z
     Z = sum(permutation_weights(green_function(sub, exact=True).exact,
                                 (2, 3), (3, 2)).values())
-    for joins, w in list(configs.items())[:20]:
+    for joins, w in list(law.weights.items())[:20]:
         # the end of piece j (slot 2j+1) joins the start of piece sigma(j)
         assert [a for (a, _), _ in joins] == [1, 3]
         assert sorted(b for (_, b), _ in joins) == [0, 2]
         K = sum(len(p) for _, p in joins)
-        assert Fraction(w, denominator) == Fraction(1, dom.g ** K) / Z
+        assert w == Fraction(1, dom.g ** K) / Z
 
 
 def test_z_bridge_law_accumulates_reversals(k5):
     """Self-return unoriented paths absorb both oriented representatives."""
     g, inv, ug = k5
     dom = Domain(g, [1, 2, 3])
-    configs, denominator = z_bridge_law(dom, (1, 1), inv, 4)
+    law = z_bridge_law(dom, (1, 1), inv, 4)
     # one bridge: weights are g^{-K} masses scaled by g^4, over g^4 Z
-    assert denominator == 4 ** 4 * sum(pairing_weights(
+    assert law.denominator == 4 ** 4 * sum(pairing_weights(
         green_function(dom, exact=True).exact, (1, 1)).values())
     # the path 1-2-1 appears once with twice the single-orientation mass...
     # no: its reversal is itself through iota, mass g^{-2}; the path 1-2-3-1
     # and 1-3-2-1 merge into one unoriented key with mass 2 g^{-3}
     masses = {}
-    for ((pair, path),), w in configs.items():
+    for ((pair, path),), w in law.numerators.items():
         assert pair == (0, 1)
         masses[path] = Fraction(w, 4 ** 4)
     two_step = [k for k in masses if len(k) == 2]
@@ -323,8 +361,8 @@ def test_conditional_multiset_law_single_class(sharp_triangle):
     dom, cat, ucat = sharp_triangle
     cands = ExcursionCut(cat, {1}, {2}).candidates
     key, mass, contrib, _ = cands[0]
-    w = conditional_multiset_law(Fraction(1), cands, Counter(contrib))
-    assert ((key, 1),) in w
+    law = conditional_multiset_law(Fraction(1), cands, Counter(contrib))
+    assert ((key, 1),) in law.weights and law.missing == 0
     with pytest.raises(OracleError):
         conditional_multiset_law(Fraction(1), cands, Counter({("bogus",): 1}))
 

@@ -104,7 +104,6 @@ UNREACHED_FROM_CLI = {
     "bridges.sample_z_bridge": _BRIDGES,
     "exact.side_bridge_law": "the benchmark's traced names; goes with its "
                              "entry there (ROADMAP item 1)",
-    "exact._side_arrivals_departures": "exact.side_bridge_law",
     "excursions.hookup_loops": "excursions.reassemble, test_verify",
     "excursions.reassemble": "test_excursions, test_verify",
     "gff.sample_gff": "test_verify, demo 04",

@@ -51,8 +51,8 @@ def test_exact_conditional_beta_matches_bridge_measure(ws_k12):
     cut = ExcursionCut(ws_k12.catalog("oriented"), {1}, {2})
     for target in cut.targets(1)[:4]:
         entry, cond, law = cut.laws(Fraction(1), target)
-        assert sum(cond.values()) == 1
-        assert cond == law
+        assert sum(cond.weights.values()) == 1
+        assert cond.weights == law.weights
         assert 0 < entry["infeasible"] < 1
 
 
@@ -70,16 +70,14 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
     for target in cut.targets(2):
         eta = tuple(sorted(target.elements()))
         w = conditional_multiset_law(Fraction(1), cands, target)
-        total = sum(w.values())
         dist = {}
         XY = None
-        for ms, wt in w.items():
+        for ms, wt in w.weights.items():
             d = decompose_counts(cat, dict(ms), {1}, {2})
             XY = (d.Z[1::2], d.Z[0::2])
             key = oriented_hookup_orbit_key(tuple(zip(*XY)), d.beta_truth)
-            dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, infeasible = cut.oracle(eta)
-        by_xy[XY].append((dist, float(infeasible)))
+            dist[key] = dist.get(key, Fraction(0)) + wt
+        by_xy[XY].append((dist, float(cut.oracle(eta).missing)))
     compared = 0
     for XY, entries in by_xy.items():
         ref, r_ref = entries[0]
@@ -283,10 +281,13 @@ def test_integer_oracles_equal_their_fraction_reference():
         for target in targets:
             for intensity in (Fraction(1), Fraction(2)):
                 _, cond, law = cut.laws(intensity, target)
-                assert (cond, law) == _fraction_laws(cut, intensity, target)
+                assert (cond.weights, law.weights) == \
+                    _fraction_laws(cut, intensity, target)
             if not isinstance(cut, CrossingCut):
                 b = cut.bin_of(target)
-                assert cut.oracle(b) == _fraction_oracle(cut, b)
+                law = cut.oracle(b)
+                assert (law.given().weights, law.missing) == \
+                    _fraction_oracle(cut, b)
 
 
 def test_integer_oracles_equal_their_fraction_reference_on_mc_bins():
@@ -307,7 +308,9 @@ def test_integer_oracles_equal_their_fraction_reference_on_mc_bins():
                         stream(cfg.seed, prop))
         for b, counts in bins.items():
             if sum(counts.values()) >= MIN_BIN_SAMPLES:
-                assert cut.oracle(b) == _fraction_oracle(cut, b)
+                law = cut.oracle(b)
+                assert (law.given().weights, law.missing) == \
+                    _fraction_oracle(cut, b)
                 checked += 1
     assert checked == 7
 
@@ -394,16 +397,14 @@ def test_prop2_z_measurability(ws_k12):
     for target in cut.targets(2):
         eta = tuple(sorted(target.elements()))
         w = conditional_multiset_law(Fraction(1), cands, target)
-        total = sum(w.values())
         dist = {}
         Z = None
-        for ms, wt in w.items():
+        for ms, wt in w.weights.items():
             d = decompose_counts(ucat, dict(ms), {1}, {2})
             Z = d.Z
             key = matching_key(d.Z, d.beta_truth, False)
-            dist[key] = dist.get(key, Fraction(0)) + wt / total
-        _, infeasible = cut.oracle(eta)
-        by_Z[Z].append((dist, float(infeasible)))
+            dist[key] = dist.get(key, Fraction(0)) + wt
+        by_Z[Z].append((dist, float(cut.oracle(eta).missing)))
     compared = 0
     for Z, entries in by_Z.items():
         if len(entries) < 2:
@@ -738,10 +739,10 @@ def test_oracles_do_not_canonicalize(k5, triangle_catalogs, monkeypatch):
         assert cuts[i].oracle(b) == before
     # the walker's length check removes mass beyond the bridges too long to
     # enumerate, in every bin
-    for i, b, (_, infeasible) in bins:
+    for i, b, law in bins:
         _, table, denominator, _ = cuts[i].bridge_table(b)
-        assert infeasible > 1 - Fraction(sum(w for _, w, _ in table),
-                                         denominator)
+        assert law.missing > 1 - Fraction(sum(w for _, w, _ in table),
+                                          denominator)
 
 
 def test_residual_coupling(ws_k12):
@@ -865,8 +866,7 @@ def test_markov_defect_decides_each_boundary_block_exactly():
     nothing.  Variables are (inside, boundary, outside), all within the
     window of cap 6 (at most 2 inside, 2 outside and 2 on the boundary)."""
     def law(cells):
-        return OccupationLaw((), 6, {n: Fraction(w) for n, w in cells.items()},
-                             1.0)
+        return OccupationLaw(cells, 1, groups=(), cap=6, scalar=1.0)
 
     diagonal = law({(0, 0, 0): 3, (1, 0, 1): 5})
     stat, checked, bad = _markov_defect(diagonal, [0], [1], [2])
@@ -899,9 +899,10 @@ def test_markov_defect_tilts_in_place(occupation_split, c):
     law = occupation_law(dom, part[0], Fraction(c, 2), 12)
     weights = dict(law.weights)
     for group in (idx_in[0], idx_bd[0], idx_out[0]):
-        copy = OccupationLaw(law.groups, law.cap,
-                             {n: w * verify.TILT ** n[group]
-                              for n, w in weights.items()}, law.scalar)
+        copy = OccupationLaw({n: w * verify.TILT ** n[group]
+                              for n, w in weights.items()}, 1,
+                             groups=law.groups, cap=law.cap,
+                             scalar=law.scalar)
         tilted = _markov_defect(law, idx_in, idx_bd, idx_out, group)
         assert tilted == _markov_defect(copy, idx_in, idx_bd, idx_out)
         assert tilted[1] > 0 and (tilted[0] > 0) == (c == 2)
