@@ -43,7 +43,7 @@ for _ in range(10000):
     if d.N >= 2:
         print(f"a soup with {d.M} touching loop(s) and {d.N} excursions:")
         print("  excursion endpoint vector Z =", d.Z)
-        print("  realized hookup joins:", d.beta_truth)
+        print("  realized hookup joins:", d.joins)
         break
 else:
     print("no soup among the 10,000 drawn had two excursions between {1} "

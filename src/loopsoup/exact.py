@@ -262,35 +262,29 @@ def z_bridge_law(domain: Domain, Z_vertices, involution, max_len: int) -> Law:
 
 
 def side_orbit_key(cs, i):
-    """Key of sides[i] under relabeling identical crossings, which permutes
-    the endpoint slots of equal crossings."""
-    labels = [cs.instances[s] for _, s in cs.endpoint_slots[i]]
-    return matching_key(labels, cs.sides[i], cs.mode == "oriented")
+    """Key of side i's joins under relabeling identical crossings, which
+    permutes the slots of equal crossings: each slot is labelled by its
+    crossing."""
+    labels = [cs.instances[s >> 1] for s in range(len(cs.Z))]
+    return matching_key(labels, cs.side(i), cs.mode == "oriented")
 
 
 def side_pair_orbit(cs, involution):
     """(key of all sides under simultaneous relabeling of identical
     crossings, relabelings fixing it, arcs whose count doubles).
 
-    Crossing s owns slot 2s on the first set of its pair and 2s+1 on the
-    second, so the sides join the crossings into one hookup
+    The sides' joins hook the crossings into one hookup
     (`hookup_cycle_key`).  An unoriented arc that returns to its vertex and
     differs from its reversal doubles the configurations the key stands
-    for: the side stores the arc up to reversal, and both orientations join
+    for: the join stores the arc up to reversal, and both orientations join
     the same two slots.  `involution` reverses arcs (None for oriented
     sides).
     """
     oriented = cs.mode == "oriented"
-    joins = []
-    for i, side in cs.sides.items():
-        slot = [2 * s + (cs.instances[s][0][0] != i)
-                for _, s in cs.endpoint_slots[i]]
-        joins += [((slot[a], slot[b]), arc) for (a, b), arc in side]
-    key, fixing = hookup_cycle_key(cs.instances, joins, oriented)
+    key, fixing = hookup_cycle_key(cs.instances, cs.joins, oriented)
     flips = 0 if oriented else sum(
-        1 for i, side in cs.sides.items() for (a, b), arc in side
-        if cs.endpoints(i)[a] == cs.endpoints(i)[b]
-        and arc != involution.reverse_path(arc))
+        1 for (a, b), arc in cs.joins
+        if cs.Z[a] == cs.Z[b] and arc != involution.reverse_path(arc))
     return key, fixing, flips
 
 
@@ -298,15 +292,15 @@ def side_bridge_law(domain_minus: Domain, cs, i, max_len: int,
                     involution=None) -> Law:
     """The bridge-measure law of side i, pushed onto side orbit keys; its
     missing mass is the unenumerated bridge mass.  An oriented side joins
-    its arrival slots to its departure slots."""
-    v = cs.endpoints(i)
-    slots = cs.endpoint_slots[i]
-    labels = [cs.instances[s] for _, s in slots]
+    its arrival slots (crossing ends) to its departure slots (starts)."""
+    slots = [s for s, v in enumerate(cs.Z) if v in cs.sets[i]]
+    v = [cs.Z[s] for s in slots]
+    labels = [cs.instances[s >> 1] for s in slots]
     if cs.mode != "oriented":
         return z_bridge_law(domain_minus, v, involution, max_len).pushed(
             lambda joins: matching_key(labels, joins, False))
-    arrivals = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][1] == i]
-    departures = [k for k, (_, s) in enumerate(slots) if cs.instances[s][0][0] == i]
+    arrivals = [k for k, s in enumerate(slots) if s & 1]
+    departures = [k for k, s in enumerate(slots) if not s & 1]
     return unordered_bridge_law(
         domain_minus, [v[k] for k in arrivals], [v[k] for k in departures],
         max_len).pushed(lambda joins: matching_key(labels, tuple(

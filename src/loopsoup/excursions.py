@@ -12,21 +12,24 @@ the next piece on its loop.  The cuts differ only in where they cut:
   into loops.  The decomposition records the excursions, their endpoint
   vector on F2, and the hookup actually realized by the soup.
 * crossings: given disjoint marked sets, the arcs between consecutive marked
-  visits that start and end in different sets; the runs are the side arcs.
+  visits that start and end in different sets; the runs are the side arcs,
+  each joining two crossing ends on one set, and a set's side is the joins
+  of its slots.
 * edge jumps: given removed edge classes, the single steps across them; the
   runs are the paths avoiding those edges that join the jump endpoints.
 
 Continuous-time excursions cut loops at a marked site set: every arc between
 consecutive site visits is an excursion skeleton there.
 
-One form serves both orientations.  Piece j (an excursion or a jump) owns
-slot 2j, its start, and slot 2j+1, its end, and the endpoint vector Z lists
-the slots' vertices: Z[2j] starts piece j and Z[2j+1] ends it.  A hookup is
-a perfect matching of the slots, the sorted tuple of its ((slot, slot),
-arc) joins.  An oriented join runs from exit 2j+1 to entry 2 sigma(j), so
-the hookup is a permutation sigma; an unoriented one pairs two slots,
-sorted, by an arc in unoriented form.  The cuts, the bridge laws of `exact`
-and the bridge tables of `verify` all build and read joins over one Z.
+One form serves both orientations.  Piece j (an excursion, a crossing or a
+jump) owns slot 2j, its start, and slot 2j+1, its end, and the endpoint
+vector Z lists the slots' vertices: Z[2j] starts piece j and Z[2j+1] ends
+it.  A hookup is a perfect matching of the slots, the sorted tuple of its
+((slot, slot), arc) joins.  An oriented join runs from exit 2j+1 to entry
+2 sigma(j), so the hookup is a permutation sigma; an unoriented one pairs
+two slots, sorted, by an arc in unoriented form.  Every cut builds its
+record through `_hookup`; the bridge laws of `exact` and the bridge tables
+of `verify` build and read joins over the same Z.
 
 Reassembly is the inverse operation.  `hookup_walk` is the one walk along
 a hookup, into cycles of pieces and bridges: on it, `hookup_loops` closes
@@ -160,14 +163,11 @@ def _hookup(graph, rows, canon, inv=None):
 
 @dataclass
 class ExcursionDecomposition:
-    mode: str
-    F1: frozenset
-    F2: frozenset
     eta: tuple[tuple[int, ...], ...]      # canonical-form excursion paths, sorted
     M: int                                 # number of loops meeting both sets
     N: int                                 # number of excursions
     Z: tuple[int, ...]                     # start and end of each, on F2
-    beta_truth: tuple                      # the realized hookup's joins
+    joins: tuple                           # the realized hookup's joins
     touching_multiset: tuple               # sorted class keys with multiplicity
 
 
@@ -190,8 +190,7 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
 
     rows = _cut_pieces(counts, loop_cut)
     touching = tuple(sorted(r[1][0] for r in rows if r[1][2] == 0))
-    return ExcursionDecomposition(catalog.mode, F1, F2,
-                                  tuple(r[0] for r in rows), len(touching),
+    return ExcursionDecomposition(tuple(r[0] for r in rows), len(touching),
                                   len(rows), *_hookup(graph, rows, canon, inv),
                                   touching)
 
@@ -201,31 +200,24 @@ def decompose_counts(catalog: LoopCatalog, counts: dict, F1, F2) -> ExcursionDec
 
 @dataclass
 class CrossingSet:
-    """Crossings between marked sets plus the per-set completion structures.
+    """Crossings between marked sets, on the one hookup form.
 
-    crossings[(i, j)] lists canonical crossing paths from set i to set j
-    (unordered pairs in unoriented mode).  instances[s] is the (pair, path)
-    of the s-th crossing in the global canonical order.  sides[i] is the
-    hookup of loop arcs avoiding the other sets that join crossing endpoint
-    slots on set i: entries ((end_slot, start_slot), arc) in oriented mode
-    and ((slot, slot), arc) with sorted slots in unoriented mode, where slots
-    index endpoint_slots[i].
+    instances[j] is the (pair, canonical path) of crossing j, in the global
+    canonical order; the pair is (from set, to set), sorted in unoriented
+    mode.  Crossing j owns slots 2j and 2j+1, the start and end of its
+    canonical path, and Z lists the slots' vertices.  The joins are the
+    side arcs, each joining two slots on one set (`side`).
     """
 
     mode: str
     sets: tuple[frozenset, ...]
-    crossings: dict
     instances: tuple
-    endpoint_slots: dict                    # i -> tuple of (vertex, instance s)
-    sides: dict
+    Z: tuple[int, ...]
+    joins: tuple
 
-    def crossing_key(self):
-        return tuple(sorted(
-            (pair, tuple(paths)) for pair, paths in self.crossings.items()
-        ))
-
-    def endpoints(self, i) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.endpoint_slots[i])
+    def side(self, i) -> tuple:
+        """The joins whose slots lie on set i."""
+        return tuple(j for j in self.joins if self.Z[j[0][0]] in self.sets[i])
 
 
 def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> CrossingSet:
@@ -242,15 +234,14 @@ def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> Crossi
     edge = graph.edge_by_id
     oriented = catalog.mode == "oriented"
     inv = None if oriented else catalog.unoriented_graph.involution
+    canon = (lambda path: path) if oriented else inv.unoriented_path
 
     def end_sets(path):
         return set_of[edge[path[0]].tail], set_of[edge[path[-1]].head]
 
     def token(path):
         pair = end_sets(path)
-        if oriented:
-            return pair, path
-        return tuple(sorted(pair)), inv.unoriented_path(path)
+        return (pair if oriented else tuple(sorted(pair))), canon(path)
 
     def loop_cut(key):
         arcs = _marked_arcs(graph, key, set_of)
@@ -258,34 +249,8 @@ def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> Crossi
         return [(token(c), c, run) for c, run in _flagged_runs(arcs, flags)]
 
     rows = _cut_pieces(counts, loop_cut)
-    instances = tuple(r[0] for r in rows)
-    crossings: dict = {}
-    for pair, path in instances:
-        crossings.setdefault(pair, []).append(path)
-    crossings = {p: tuple(v) for p, v in crossings.items()}
-    # every crossing has exactly one endpoint on each of its two sets, so the
-    # instance index s identifies the slot; endpoint vertices come from the
-    # canonical path so the layout is a function of the crossing multiset only
-    endpoint_slots: dict = {i: [] for i in range(len(sets))}
-    for s, (_, path) in enumerate(instances):
-        for v in path_endpoints(graph, path):
-            endpoint_slots[set_of[v]].append((v, s))
-    endpoint_slots = {i: tuple(v) for i, v in endpoint_slots.items()}
-    slot_index = {i: {s: k for k, (_, s) in enumerate(v)}
-                  for i, v in endpoint_slots.items()}
-    instance_of = {r[1]: s for s, r in enumerate(rows)}
-    sides: dict = {i: [] for i in range(len(sets))}
-    for s, (_, _, piece, run, nxt) in enumerate(rows):
-        to = end_sets(piece)[1]
-        a = slot_index[to][s]                   # arrival slot
-        b = slot_index[to][instance_of[nxt]]    # departure slot
-        if oriented:
-            sides[to].append(((a, b), run))
-        else:
-            sides[to].append(((min(a, b), max(a, b)), inv.unoriented_path(run)))
-    sides = {i: tuple(sorted(v)) for i, v in sides.items()}
-    return CrossingSet(catalog.mode, sets, crossings, instances,
-                       endpoint_slots, sides)
+    return CrossingSet(catalog.mode, sets, tuple(r[0] for r in rows),
+                       *_hookup(graph, rows, canon, inv))
 
 
 # -- removed-edge jump records ---------------------------------------------------
@@ -293,10 +258,9 @@ def extract_crossings_counts(catalog: LoopCatalog, counts: dict, sets) -> Crossi
 
 @dataclass
 class EdgeJumpRecord:
-    removed: tuple                          # unoriented edge class keys, sorted
-    counts: tuple[int, ...]                 # jumps per removed class
+    counts: tuple[int, ...]                 # jumps per removed class, classes sorted
     Z: tuple[int, ...]                      # 2 * sum(counts) endpoint vertices
-    hookup: tuple                           # joins of Z slots by D' bridge paths
+    joins: tuple                            # joins of Z slots by D' bridge paths
     self_edge_slots: tuple[tuple[int, int], ...]   # flippable slot pairs
 
 
@@ -323,11 +287,10 @@ def record_edge_jumps_counts(catalog: LoopCatalog, counts: dict,
 
     rows = _cut_pieces(counts, loop_cut)
     jump_counts = Counter(r[0] for r in rows)
-    Z, hookup = _hookup(graph, rows, canon, inv)
     self_pairs = tuple((2 * j, 2 * j + 1) for j, r in enumerate(rows)
                        if edge[r[2][0]].is_self_edge)
-    return EdgeJumpRecord(removed, tuple(jump_counts.get(c, 0) for c in removed),
-                          Z, hookup, self_pairs)
+    return EdgeJumpRecord(tuple(jump_counts.get(c, 0) for c in removed),
+                          *_hookup(graph, rows, canon, inv), self_pairs)
 
 
 # -- reassembly ------------------------------------------------------------------

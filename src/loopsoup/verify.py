@@ -303,9 +303,9 @@ class ExcursionCut(Cut):
         if not d.N:
             return None
         if self.oriented:
-            (cycle,) = oriented_hookup_orbit_key(d.eta, d.beta_truth)
+            (cycle,) = oriented_hookup_orbit_key(d.eta, d.joins)
         else:
-            (cycle,) = unoriented_hookup_orbit_key(d.eta, d.beta_truth,
+            (cycle,) = unoriented_hookup_orbit_key(d.eta, d.joins,
                                                    involution=self.inv)
         return Counter(d.eta), cycle
 
@@ -356,7 +356,7 @@ class EdgeCut(Cut):
         if not any(rec.counts):
             return None
         (cycle,) = unoriented_hookup_orbit_key(
-            self._pieces(rec.counts), rec.hookup, rec.self_edge_slots, self.inv)
+            self._pieces(rec.counts), rec.joins, rec.self_edge_slots, self.inv)
         return Counter({c: n for c, n in zip(self.removed, rec.counts) if n}), cycle
 
     def bin_of(self, target: Counter):

@@ -1,3 +1,6 @@
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 
 from loopsoup import (Domain, Involution, UnorientedGraph, build_graph,
@@ -35,20 +38,21 @@ def _whole_cut(cut, counts):
         if not d.N:
             return None
         if cut.oriented:
-            return d.eta, oriented_hookup_orbit_key(d.eta, d.beta_truth)
-        return d.eta, unoriented_hookup_orbit_key(d.eta, d.beta_truth,
+            return d.eta, oriented_hookup_orbit_key(d.eta, d.joins)
+        return d.eta, unoriented_hookup_orbit_key(d.eta, d.joins,
                                                   involution=cut.inv)
     if isinstance(cut, EdgeCut):
         rec = record_edge_jumps_counts(cat, counts, cut.removed)
         if not any(rec.counts):
             return None
         return rec.counts, unoriented_hookup_orbit_key(
-            cut._pieces(rec.counts), rec.hookup, rec.self_edge_slots, cut.inv)
+            cut._pieces(rec.counts), rec.joins, rec.self_edge_slots, cut.inv)
     cs = extract_crossings_counts(cat, counts, cut.sets)
     if not cs.instances:
         return None
-    return cs.crossing_key(), tuple(side_orbit_key(cs, i)
-                                    for i in range(len(cut.sets)))
+    crossings = tuple((pair, tuple(p for _, p in group))
+                      for pair, group in groupby(cs.instances, itemgetter(0)))
+    return crossings, tuple(side_orbit_key(cs, i) for i in range(len(cut.sets)))
 
 
 @pytest.fixture(scope="session")

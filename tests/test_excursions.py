@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import asdict
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ def test_empty_decomposition(triangle_catalogs):
     cat, _ = triangle_catalogs
     d = decompose_counts(cat, {}, {1}, {2})
     assert d.N == d.M == 0 and d.eta == ()
-    assert reassemble(d.eta, d.beta_truth, graph=cat.domain.graph) == ()
+    assert reassemble(d.eta, d.joins, graph=cat.domain.graph) == ()
 
 
 def test_overlapping_sets_rejected(triangle_catalogs):
@@ -48,7 +49,7 @@ def test_whole_loop_excursion(k5, triangle_catalogs):
     d = decompose_counts(cat, {cls.key: 1}, {1}, {2})
     assert d.N == d.M == 1
     assert len(d.eta[0]) == 2
-    assert d.beta_truth == (((1, 0), ()),)
+    assert d.joins == (((1, 0), ()),)
     assert d.Z == (2, 2)
 
 
@@ -78,7 +79,7 @@ def test_hand_built_two_loop_decomposition():
     # B visits F2 at 5 and F1 at 3 -> one whole-loop excursion
     assert d.M == 2 and d.N == 2
     assert sorted(d.Z[1::2]) == [1, 5] and sorted(d.Z[0::2]) == [1, 5]
-    back = reassemble(d.eta, d.beta_truth, g)
+    back = reassemble(d.eta, d.joins, g)
     assert back == d.touching_multiset == tuple(sorted([A.key, B.key]))
 
 
@@ -108,11 +109,11 @@ def test_reassemble_round_trip_random(k5, triangle_catalogs):
         d = decompose_counts(cat, soup, {1}, {2})
         if d.N:
             hits += 1
-            assert reassemble(d.eta, d.beta_truth, g) == d.touching_multiset
+            assert reassemble(d.eta, d.joins, g) == d.touching_multiset
         u = sample_unoriented_soup(ucat, 1.0, rng)
         du = decompose_counts(ucat, u, {1}, {2})
         if du.N:
-            assert reassemble(du.eta, du.beta_truth, g, inv) == \
+            assert reassemble(du.eta, du.joins, g, inv) == \
                    du.touching_multiset
     assert hits > 50
 
@@ -153,7 +154,7 @@ def test_decompose_deterministic(triangle_catalogs):
         d1 = decompose_counts(cat, soup, {1}, {2})
         d2 = decompose_counts(cat, soup, {1}, {2})
         assert d1.eta == d2.eta and d1.Z == d2.Z
-        assert d1.beta_truth == d2.beta_truth
+        assert d1.joins == d2.joins
         assert d1.N >= d1.M
         assert (d1.N == 0) == (d1.M == 0)
 
@@ -166,9 +167,8 @@ def test_crossings_empty_and_balance(triangle_catalogs):
     for _ in range(400):
         s = sample_oriented_soup(cat, 1.0, rng)
         cs = extract_crossings_counts(cat, s, ({1}, {2}))
-        n12 = len(cs.crossings.get((0, 1), ()))
-        n21 = len(cs.crossings.get((1, 0), ()))
-        assert n12 == n21
+        pairs = Counter(pair for pair, _ in cs.instances)
+        assert pairs[(0, 1)] == pairs[(1, 0)]
 
 
 def test_crossing_endpoints_match_decomposition(triangle_catalogs):
@@ -185,10 +185,8 @@ def test_crossing_endpoints_match_decomposition(triangle_catalogs):
             assert not cs.instances
             continue
         hits += 1
-        arrivals = sorted(v for v, s_ in cs.endpoint_slots[1]
-                          if cs.instances[s_][0][1] == 1)
-        departures = sorted(v for v, s_ in cs.endpoint_slots[1]
-                            if cs.instances[s_][0][0] == 1)
+        arrivals = sorted(v for v in cs.Z[1::2] if v in cs.sets[1])
+        departures = sorted(v for v in cs.Z[0::2] if v in cs.sets[1])
         assert arrivals == sorted(d.Z[1::2])
         assert departures == sorted(d.Z[0::2])
     assert hits > 100
@@ -205,8 +203,7 @@ def test_oriented_single_loop_double_alternation():
     cat = enumerate_loops(dom, 4, unoriented=ug)
     loop = canonicalize_oriented(g, (0, 1, 2, 3))
     cs = extract_crossings_counts(cat, {loop.key: 1}, ({0}, {1}))
-    assert len(cs.crossings[(0, 1)]) == 2
-    assert len(cs.crossings[(1, 0)]) == 2
+    assert Counter(pair for pair, _ in cs.instances) == {(0, 1): 2, (1, 0): 2}
 
 
 def test_record_edge_jumps(k5, triangle_catalogs):
@@ -255,7 +252,7 @@ def test_all_edges_removed_decomposes_to_single_jumps(k5, triangle_catalogs):
         rec = record_edge_jumps_counts(ucat, s, removed)
         assert sum(rec.counts) == sum(ucat.by_key[k].n * c
                                       for k, c in s.items())
-        assert all(b == () for _, b in rec.hookup)
+        assert all(b == () for _, b in rec.joins)
 
 
 def test_ct_excursions_parity(triangle_catalogs):
@@ -288,7 +285,9 @@ def test_ct_excursion_single_visit(k5, triangle_catalogs):
 #
 # Before the cuts shared one walk, each cut its loops with its own splitter,
 # instance sort and slot convention.  These are those three walks, kept
-# verbatim in behaviour, so the shared walk can be checked against them.
+# verbatim in how they cut and sort; each builds the one hookup form (Z and
+# the joins) from its own walk, so the shared walk can be checked against
+# them.
 
 
 def _ref_cyclic_arcs(seq, verts, marked):
@@ -368,7 +367,7 @@ def _ref_decompose_counts(catalog, counts, F1, F2):
         # piece j starts at Y_j and ends at X_j; its end joins the start of
         # piece sigma(j)
         return ExcursionDecomposition(
-            "oriented", F1, F2, eta, len(touching), N,
+            eta, len(touching), N,
             tuple(v for y, x in zip(Y, X) for v in (y, x)),
             tuple(((2 * j + 1, 2 * s), br)
                   for j, (s, br) in enumerate(zip(sigma, bridges))),
@@ -381,8 +380,8 @@ def _ref_decompose_counts(catalog, counts, F1, F2):
         end_slot[(key, occ, pos)] = 2 * j + 1 - flip
     beta = _ref_unoriented_hookup([(r[1:4], r[5], r[6]) for r in instances],
                                   end_slot, start_slot, inv)
-    return ExcursionDecomposition("unoriented", F1, F2, eta, len(touching), N,
-                                  tuple(Z), beta, tuple(sorted(touching)))
+    return ExcursionDecomposition(eta, len(touching), N, tuple(Z), beta,
+                                  tuple(sorted(touching)))
 
 
 def _ref_extract_crossings_counts(catalog, counts, sets):
@@ -415,36 +414,25 @@ def _ref_extract_crossings_counts(catalog, counts, sets):
                 canon = min(edges, inv.reverse_path(edges))
             records.append([(pair, canon, key, occ, i), pair, canon,
                             (key, occ, i)])
-            arc_links[(key, occ, i)] = (run, j, to)
+            arc_links[(key, occ, i)] = (run, j, frm)
     records.sort(key=lambda r: r[0])
-    slot_by_tag = {r[3]: s for s, r in enumerate(records)}
-    crossings = {}
-    for r in records:
-        crossings.setdefault(r[1], []).append(r[2])
-    crossings = {p: tuple(v) for p, v in crossings.items()}
     instances = tuple((r[1], r[2]) for r in records)
-    endpoint_slots = {i: [] for i in range(len(sets))}
-    for s, (pair, canon) in enumerate(instances):
-        a, b = path_endpoints(graph, canon)
-        frm, to = pair if oriented else next(
-            (f, t) for f, t in (pair, pair[::-1])
-            if a in sets[f] and b in sets[t])
-        endpoint_slots[frm].append((a, s))
-        endpoint_slots[to].append((b, s))
-    endpoint_slots = {i: tuple(sorted(v, key=lambda t: t[1]))
-                      for i, v in endpoint_slots.items()}
-    slot_index = {i: {s: k for k, (_, s) in enumerate(endpoint_slots[i])}
-                  for i in endpoint_slots}
-    sides = {i: [] for i in range(len(sets))}
-    for (key, occ, i_from), (run, j_to, to) in arc_links.items():
-        a = slot_index[to][slot_by_tag[(key, occ, i_from)]]
-        b = slot_index[to][slot_by_tag[(key, occ, j_to)]]
-        arc = run if oriented else (
-            min(run, inv.reverse_path(run)) if run else ())
-        sides[to].append(((a, b) if oriented else (min(a, b), max(a, b)), arc))
-    sides = {i: tuple(sorted(v)) for i, v in sides.items()}
-    return CrossingSet(catalog.mode, sets, crossings, instances,
-                       endpoint_slots, sides)
+    # crossing s owns slots 2s and 2s + 1, the ends of its canonical path;
+    # an unoriented crossing traversed against it enters at 2s + 1
+    Z, entry_slot, exit_slot = [], {}, {}
+    for s, (_, _, canon, tag) in enumerate(records):
+        ends = path_endpoints(graph, canon)
+        Z.extend(ends)
+        flip = ends[0] not in sets[arc_links[tag][2]]
+        entry_slot[tag], exit_slot[tag] = 2 * s + flip, 2 * s + 1 - flip
+    links = [(tag, run, tag[:2] + (j_to,))
+             for tag, (run, j_to, _) in arc_links.items()]
+    if oriented:
+        joins = tuple(sorted(((exit_slot[tag], entry_slot[nxt]), run)
+                             for tag, run, nxt in links))
+    else:
+        joins = _ref_unoriented_hookup(links, exit_slot, entry_slot, inv)
+    return CrossingSet(catalog.mode, sets, instances, tuple(Z), joins)
 
 
 def _ref_record_edge_jumps_counts(catalog, counts, removed_classes):
@@ -476,8 +464,7 @@ def _ref_record_edge_jumps_counts(catalog, counts, removed_classes):
     hookup = _ref_unoriented_hookup(
         [(r[1:], *arcs_after[r[1:]]) for r in instances], exit_slot,
         entry_slot, ug.involution)
-    return EdgeJumpRecord(removed,
-                          tuple(jump_counts.get(c, 0) for c in removed),
+    return EdgeJumpRecord(tuple(jump_counts.get(c, 0) for c in removed),
                           tuple(Z), hookup, tuple(self_pairs))
 
 
@@ -488,7 +475,8 @@ def test_cuts_match_reference_walks(triangle_catalogs,
     """The shared cutting walk gives records equal to the per-cut walks it
     replaced, on random multisets of the K5 triangle and of a graph with
     paired and fixed self-edges, in both modes; reassembling the
-    decomposition returns the touching classes."""
+    decomposition returns the touching classes, and reassembling the
+    crossings returns the classes that cross."""
     catalogs = triangle_catalogs + paired_self_edge_catalogs
     cat = data.draw(st.sampled_from(catalogs))
     keys = sorted(c.key for c in cat.classes)
@@ -500,14 +488,32 @@ def test_cuts_match_reference_walks(triangle_catalogs,
     d = decompose_counts(cat, counts, F1, F2)
     assert asdict(d) == asdict(_ref_decompose_counts(cat, counts, F1, F2))
     inv = cat.unoriented_graph.involution if cat.mode == "unoriented" else None
-    assert reassemble(d.eta, d.beta_truth, cat.domain.graph, inv) == \
+    assert reassemble(d.eta, d.joins, cat.domain.graph, inv) == \
         d.touching_multiset
     # the marked sets of a crossing cut need not cover the domain
     sets = [F1, F2[:data.draw(st.integers(1, len(F2)))]]
     if len(sets[1]) < len(F2):
         sets.append(F2[len(sets[1]):])
-    assert asdict(extract_crossings_counts(cat, counts, sets)) == \
-        asdict(_ref_extract_crossings_counts(cat, counts, sets))
+    cs = extract_crossings_counts(cat, counts, sets)
+    assert asdict(cs) == asdict(_ref_extract_crossings_counts(cat, counts, sets))
+    # the crossings and side arcs reassemble the classes that cross, and each
+    # side joins slots on its own set.  An unoriented arc is stored up to
+    # reversal, so one that returns to its vertex and differs from its
+    # reversal is reassembled both ways
+    g = cat.domain.graph
+    crossing = tuple(sorted(key for key, n in counts.items() for _ in range(n)
+                            if sum(bool(set(loop_vertices(g, key)) & s)
+                                   for s in cs.sets) > 1))
+    turns = [[j, (j[0], inv.reverse_path(j[1]))]
+             if inv and cs.Z[j[0][0]] == cs.Z[j[0][1]]
+             and j[1] != inv.reverse_path(j[1]) else [j] for j in cs.joins]
+    paths = tuple(p for _, p in cs.instances)
+    assert crossing in {reassemble(paths, joins, g, inv)
+                        for joins in product(*turns)}
+    for i, s in enumerate(cs.sets):
+        assert all(cs.Z[a] in s and cs.Z[b] in s for (a, b), _ in cs.side(i))
+    assert sorted(j for i in range(len(cs.sets)) for j in cs.side(i)) == \
+        list(cs.joins)
     if cat.mode == "unoriented":
         ug = cat.unoriented_graph
         removed = data.draw(st.lists(st.sampled_from(

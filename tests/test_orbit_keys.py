@@ -122,24 +122,33 @@ def _ref_relabel_side(structure, slot_instances, perm, oriented):
     return tuple(sorted(entries))
 
 
+def _ref_side(cs, i):
+    """Side i as joins of its own slots, numbered 0, 1, ... in slot order,
+    and the crossing of each."""
+    slots = [s for s, v in enumerate(cs.Z) if v in cs.sets[i]]
+    local = {s: k for k, s in enumerate(slots)}
+    structure = tuple(((local[a], local[b]), arc) for (a, b), arc in cs.joins
+                      if a in local)
+    return structure, [s >> 1 for s in slots]
+
+
 def _ref_side_orbit_key(cs, i):
-    slot_instances = [s for _, s in cs.endpoint_slots[i]]
+    structure, slot_instances = _ref_side(cs, i)
     oriented = cs.mode == "oriented"
-    return min(_ref_relabel_side(cs.sides[i], slot_instances, perm, oriented)
+    return min(_ref_relabel_side(structure, slot_instances, perm, oriented)
                for perm in _ref_block_permutations(cs.instances))
 
 
 def _ref_side_pair_orbit(cs, involution):
     oriented = cs.mode == "oriented"
-    slot_instances = {i: [s for _, s in cs.endpoint_slots[i]] for i in cs.sides}
-    images = {tuple(_ref_relabel_side(cs.sides[i], slot_instances[i], perm,
+    sides = [_ref_side(cs, i) for i in range(len(cs.sets))]
+    images = {tuple(_ref_relabel_side(structure, slot_instances, perm,
                                       oriented)
-                    for i in cs.sides)
+                    for structure, slot_instances in sides)
               for perm in _ref_block_permutations(cs.instances)}
     flips = 0 if oriented else sum(
-        1 for i, side in cs.sides.items() for (a, b), arc in side
-        if cs.endpoints(i)[a] == cs.endpoints(i)[b]
-        and arc != involution.reverse_path(arc))
+        1 for (a, b), arc in cs.joins
+        if cs.Z[a] == cs.Z[b] and arc != involution.reverse_path(arc))
     return min(images), len(images) << flips
 
 
@@ -187,10 +196,10 @@ def _multiset_keys(cut, counts):
     cat = cut.catalog
     if isinstance(cut, ExcursionCut):
         d = decompose_counts(cat, counts, cut.F1, cut.F2)
-        return _hookup_keys(cut, d.eta, d.beta_truth)
+        return _hookup_keys(cut, d.eta, d.joins)
     if isinstance(cut, EdgeCut):
         rec = record_edge_jumps_counts(cat, counts, cut.removed)
-        return _hookup_keys(cut, cut._pieces(rec.counts), rec.hookup,
+        return _hookup_keys(cut, cut._pieces(rec.counts), rec.joins,
                             rec.self_edge_slots)
     cs = extract_crossings_counts(cat, counts, cut.sets)
     (key, n), (ref_key, ref_n) = (_pair_count(cs, cut.inv),

@@ -75,7 +75,7 @@ def test_prop1_conditional_depends_only_on_endpoints(ws_k12):
         for ms, wt in w.weights.items():
             d = decompose_counts(cat, dict(ms), {1}, {2})
             XY = (d.Z[1::2], d.Z[0::2])
-            key = oriented_hookup_orbit_key(tuple(zip(*XY)), d.beta_truth)
+            key = oriented_hookup_orbit_key(tuple(zip(*XY)), d.joins)
             dist[key] = dist.get(key, Fraction(0)) + wt
         by_xy[XY].append((dist, float(cut.oracle(eta).missing)))
     compared = 0
@@ -402,7 +402,7 @@ def test_prop2_z_measurability(ws_k12):
         for ms, wt in w.weights.items():
             d = decompose_counts(ucat, dict(ms), {1}, {2})
             Z = d.Z
-            key = matching_key(d.Z, d.beta_truth, False)
+            key = matching_key(d.Z, d.joins, False)
             dist[key] = dist.get(key, Fraction(0)) + wt
         by_Z[Z].append((dist, float(cut.oracle(eta).missing)))
     compared = 0
@@ -459,9 +459,8 @@ def test_prop3bis_exact_counts_both_orientations_of_a_returning_arc():
     returning = 0
     for cls in cut.candidates:
         cs = extract_crossings_counts(ucat, {cls[0]: 1}, cut.sets)
-        returning += any(cs.endpoints(i)[a] == cs.endpoints(i)[b]
-                         and arc != inv.reverse_path(arc)
-                         for i, side in cs.sides.items() for (a, b), arc in side)
+        returning += any(cs.Z[a] == cs.Z[b] and arc != inv.reverse_path(arc)
+                         for (a, b), arc in cs.joins)
     assert returning
     rep = verify_prop1bis_3bis(ucat, [{1}, {3}], mode="exact", max_crossings=2)
     assert rep.passed and rep.statistic == 0.0
