@@ -34,12 +34,12 @@ print("double cover: n =", cls.n, " J =", cls.J, " mu =", cls.mass)
 # Unoriented classes also identify time reversal: J~ doubles when the
 # reversal lands in the same oriented class.
 u = canonicalize_unoriented(g, loop, iota)
-print("unoriented back-and-forth: J~ =", u.J_tilde, " nu =", u.mass)
+print("unoriented back-and-forth: J~ =", u.J, " nu =", u.mass)
 
 e23 = next(e.id for e in g.edges if (e.tail, e.head) == (2, 3))
 e31 = next(e.id for e in g.edges if (e.tail, e.head) == (3, 1))
 tri = canonicalize_unoriented(g, (e12, e23, e31), iota)
-print("directed triangle: J~ =", tri.J_tilde,
+print("directed triangle: J~ =", tri.J,
       " (reversal is the other orientation, so nu = mu)")
 
 # Catalogs enumerate everything up to a length cap, with exact masses and a

@@ -15,6 +15,7 @@ import numpy as np
 from loopsoup import (Domain, FieldSampler, UnorientedGraph, complete_graph,
                       enumerate_loops, green_function, pair_reversals,
                       sample_oriented_soup)
+from loopsoup.loops import necklace
 from loopsoup.rng import stream
 
 g = complete_graph(5)
@@ -29,8 +30,10 @@ soup = sample_oriented_soup(cat, 1.0, rng)      # {class key: count}
 print("one alpha=1 soup sample:", sum(soup.values()), "loops,",
       sum(cat.by_key[k].n * c for k, c in soup.items()), "jumps")
 
+# A class's orientations are its key and the necklace of its reversal.
 print("nu(L~) = sum of mu / 2 over its orientations, every class:",
-      all(2 * u.mass == sum(cat.by_key[k].mass for k in u.oriented_keys)
+      all(2 * u.mass == sum(cat.by_key[k].mass for k in
+                            {u.key, necklace(iota.reverse_path(u.key))[0]})
           for u in ucat.classes))
 print("so the c = 2 alpha soup is the alpha-soup unoriented:",
       2 * ucat.total_mass == cat.total_mass)

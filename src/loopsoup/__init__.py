@@ -11,9 +11,9 @@ from .graph import (Domain, Edge, GraphError, GreenMatrix, Involution,
                     build_graph, complete_graph, cycle_graph, green_function,
                     grid_graph, pair_reversals, parse_graph_file, path_graph,
                     regularize_degree, write_graph_file)
-from .loops import (LoopCatalog, LoopClass, UnorientedLoopClass,
-                    canonicalize_oriented, canonicalize_unoriented,
-                    enumerate_loops, rho_mass, tail_bound)
+from .loops import (LoopCatalog, LoopClass, canonicalize_oriented,
+                    canonicalize_unoriented, enumerate_loops, rho_mass,
+                    tail_bound)
 from .soups import FieldSampler, sample_oriented_soup, sample_unoriented_soup
 from .bridges import (Bridge, UnorderedBridgeFamily, ZBridgeFamily,
                       enumerate_bridges, sample_bridge, sample_unordered_bridge,

@@ -115,30 +115,17 @@ def necklace(seq, reverse=None) -> tuple[tuple, int]:
 
 
 class LoopClass(NamedTuple):
-    """Oriented unrooted loop class with its canonical rooted representative.
+    """Unrooted loop class with its canonical rooted representative.
 
-    A NamedTuple, for cheap construction: catalogs build tens of thousands.
+    The one record of both orientations: an unoriented class is its smaller
+    oriented representative, with J = J~ and mass = nu.  A NamedTuple, for
+    cheap construction: catalogs build tens of thousands.
     """
 
-    key: tuple[int, ...]          # least rotation of the edge-id sequence
+    key: tuple[int, ...]          # least rotation (and reversal, unoriented)
     n: int
-    J: int
-    mass: Fraction                # mu = g^{-n} / J
-
-
-class UnorientedLoopClass(NamedTuple):
-    """Unoriented unrooted loop class, a NamedTuple like `LoopClass`; its
-    key is least over rotations and reversal."""
-
-    key: tuple[int, ...]
-    n: int
-    J_tilde: int
-    mass: Fraction                # nu = g^{-n} / J~
-    oriented_keys: tuple[tuple[int, ...], ...]   # one key when self-reversed, else two
-
-    @property
-    def J(self) -> int:
-        return self.J_tilde
+    J: int                        # J~ for an unoriented class
+    mass: Fraction                # mu = g^{-n} / J, or nu = g^{-n} / J~
 
 
 # builds a record from a tuple of its fields, as `_make` does, without the
@@ -153,16 +140,13 @@ def canonicalize_oriented(graph, edge_seq) -> LoopClass:
     return LoopClass(seq, len(seq), J, Fraction(1, g ** len(seq) * J))
 
 
-def canonicalize_unoriented(graph, edge_seq, involution) -> UnorientedLoopClass:
+def canonicalize_unoriented(graph, edge_seq, involution) -> LoopClass:
     if involution is None:
         raise InvalidLoopError("unoriented canonicalization needs an involution")
     loop_vertices(graph, edge_seq)
     g = graph.require_regular()
-    rev = involution.reverse_path(edge_seq)
-    key, jt = necklace(edge_seq, rev)
-    keys = {necklace(edge_seq)[0], necklace(rev)[0]}
-    return UnorientedLoopClass(key, len(key), jt, Fraction(1, g ** len(key) * jt),
-                               tuple(sorted(keys)))
+    key, jt = necklace(edge_seq, involution.reverse_path(edge_seq))
+    return LoopClass(key, len(key), jt, Fraction(1, g ** len(key) * jt))
 
 
 # -- catalogs ----------------------------------------------------------------
@@ -247,16 +231,16 @@ class LoopCatalog:
         counting frees a dead pair; each call merges anew, and
         `Workspace.catalog` keeps the merge it uses.
 
-        Each unoriented class merges an oriented class with its reversal; a
-        self-reversed one doubles J and halves its mass.  One pass over the
-        oriented classes, which are in (n, key) order, skips every key seen
-        as an earlier class's reversal.  So the first of each pair is the
-        smaller, it is the unoriented key, and the merged classes come out
-        in (n, key) order too.  A reversal's key is the first of its
-        rotations from its least entry that `by_key` holds: `by_key` holds
-        one rotation of each class, its least, so no other can hit.  The
-        merged class lists that class's own key object, not the rotation
-        that found it.
+        Each unoriented class merges an oriented class with its reversal.
+        One pass over the oriented classes, which are in (n, key) order,
+        skips every key seen as an earlier class's reversal.  So the first
+        of each pair is the smaller, it is the unoriented key, and the
+        merged classes come out in (n, key) order too.  Since nu = mu and
+        J~ = J for such a pair, the unoriented catalog holds that oriented
+        class object itself; only a self-reversed class gets a new record,
+        with J doubled and its mass halved.  A reversal's key is the first
+        of its rotations from its least entry that `by_key` holds: `by_key`
+        holds one rotation of each class, its least, so no other can hit.
         """
         if self._source is not None:
             return self._source
@@ -268,7 +252,8 @@ class LoopCatalog:
             by_key = self.by_key
             reversals = set()
             merged = []
-            for seq, n, J, mass in self.classes:
+            for c in self.classes:
+                seq, n, J, mass = c
                 if seq in reversals:
                     continue
                 back = tuple([iota[e] for e in reversed(seq)])
@@ -281,14 +266,11 @@ class LoopCatalog:
                 else:
                     raise GraphError("the domain's edges are not closed "
                                      "under reversal")
-                rev = hit.key
-                if seq == rev:
-                    merged.append(_new(UnorientedLoopClass,
-                                       (seq, n, 2 * J, mass / 2, (seq,))))
+                if hit is c:
+                    merged.append(_new(LoopClass, (seq, n, 2 * J, mass / 2)))
                 else:
-                    reversals.add(rev)
-                    merged.append(_new(UnorientedLoopClass,
-                                       (seq, n, J, mass, (seq, rev))))
+                    reversals.add(hit.key)
+                    merged.append(c)
             ucat = LoopCatalog(self.domain, self.L_max, "unoriented", merged,
                                self.tail_bound,
                                unoriented_graph=self.unoriented_graph)

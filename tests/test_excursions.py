@@ -468,6 +468,34 @@ def _ref_record_edge_jumps_counts(catalog, counts, removed_classes):
                           tuple(Z), hookup, tuple(self_pairs))
 
 
+def _reassemblies(paths, Z, joins, graph, inv):
+    """The class multisets the pieces and joins reassemble into, over both
+    orientations of each unoriented arc that returns to its vertex and
+    differs from its reversal: a record stores such an arc up to reversal,
+    so it may stand for either.  With no such arc, one multiset."""
+    turns = [[j, (j[0], inv.reverse_path(j[1]))]
+             if inv and Z[j[0][0]] == Z[j[0][1]]
+             and j[1] != inv.reverse_path(j[1]) else [j] for j in joins]
+    return {reassemble(paths, js, graph, inv) for js in product(*turns)}
+
+
+def test_returning_arc_is_stored_up_to_reversal(paired_self_edge_catalogs):
+    """Two unoriented classes whose cuts differ only in the orientation of
+    a self-edge arc at F2 have equal records, and each is recovered under
+    one orientation of the joins."""
+    ucat = paired_self_edge_catalogs[1]
+    g, inv = ucat.domain.graph, ucat.unoriented_graph.involution
+    keys = (0, 1, 4, 0, 1, 5), (0, 1, 4, 0, 1, 4)
+    ds = [decompose_counts(ucat, {k: 1}, {1}, {0}) for k in keys]
+    records = [(d.eta, d.M, d.N, d.Z, d.joins) for d in ds]
+    assert records[0] == records[1] == (
+        ((0, 1), (0, 1)), 1, 2, (0, 0, 0, 0),
+        (((0, 3), (4,)), ((1, 2), (4,))))
+    for k, d in zip(keys, ds):
+        assert d.touching_multiset == (k,)
+        assert (k,) in _reassemblies(d.eta, d.Z, d.joins, g, inv)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_cuts_match_reference_walks(triangle_catalogs,
@@ -488,8 +516,8 @@ def test_cuts_match_reference_walks(triangle_catalogs,
     d = decompose_counts(cat, counts, F1, F2)
     assert asdict(d) == asdict(_ref_decompose_counts(cat, counts, F1, F2))
     inv = cat.unoriented_graph.involution if cat.mode == "unoriented" else None
-    assert reassemble(d.eta, d.joins, cat.domain.graph, inv) == \
-        d.touching_multiset
+    g = cat.domain.graph
+    assert d.touching_multiset in _reassemblies(d.eta, d.Z, d.joins, g, inv)
     # the marked sets of a crossing cut need not cover the domain
     sets = [F1, F2[:data.draw(st.integers(1, len(F2)))]]
     if len(sets[1]) < len(F2):
@@ -497,19 +525,12 @@ def test_cuts_match_reference_walks(triangle_catalogs,
     cs = extract_crossings_counts(cat, counts, sets)
     assert asdict(cs) == asdict(_ref_extract_crossings_counts(cat, counts, sets))
     # the crossings and side arcs reassemble the classes that cross, and each
-    # side joins slots on its own set.  An unoriented arc is stored up to
-    # reversal, so one that returns to its vertex and differs from its
-    # reversal is reassembled both ways
-    g = cat.domain.graph
+    # side joins slots on its own set
     crossing = tuple(sorted(key for key, n in counts.items() for _ in range(n)
                             if sum(bool(set(loop_vertices(g, key)) & s)
                                    for s in cs.sets) > 1))
-    turns = [[j, (j[0], inv.reverse_path(j[1]))]
-             if inv and cs.Z[j[0][0]] == cs.Z[j[0][1]]
-             and j[1] != inv.reverse_path(j[1]) else [j] for j in cs.joins]
     paths = tuple(p for _, p in cs.instances)
-    assert crossing in {reassemble(paths, joins, g, inv)
-                        for joins in product(*turns)}
+    assert crossing in _reassemblies(paths, cs.Z, cs.joins, g, inv)
     for i, s in enumerate(cs.sets):
         assert all(cs.Z[a] in s and cs.Z[b] in s for (a, b), _ in cs.side(i))
     assert sorted(j for i in range(len(cs.sets)) for j in cs.side(i)) == \

@@ -1,7 +1,7 @@
 """Checks on the source tree itself: what `import loopsoup` loads, where
 imports stand, module-level imports that nothing reads, the names the
-benchmark's tracer wraps, and the definitions the command line does not
-reach."""
+benchmark's tracer wraps, the definitions the command line does not reach,
+and the record fields nothing under src/ reads."""
 
 import ast
 import importlib
@@ -167,3 +167,55 @@ def test_unreached_definitions_are_listed():
             reached |= new
             todo += new
     assert set(defs) - reached == set(UNREACHED_FROM_CLI)
+
+
+# Fields of the NamedTuples and dataclasses under src/ that no src/ code
+# reads as an attribute, each with what reads it or why it stays.  Keep this
+# exact, like UNREACHED_FROM_CLI: a field nothing needs is deleted.
+_REPORT = "report.json, which `TestReport.to_json` writes by `asdict`"
+UNREAD_FIELDS = {
+    "bridges.UnorderedBridgeFamily.X": "test_bridges' pinned streams; a "
+                                       "family names its endpoints",
+    "bridges.UnorderedBridgeFamily.Y": "test_bridges' pinned streams; a "
+                                       "family names its endpoints",
+    "bridges.ZBridgeFamily.pairing": "test_bridges, test_acceptance, the "
+                                     "bridge-laws workload",
+    "excursions.ExcursionDecomposition.M": "test_excursions, demo 03",
+    "excursions.ExcursionDecomposition.touching_multiset":
+        "test_excursions' reassembly checks",
+    "verify.TestReport.prop": _REPORT,
+    "verify.TestReport.statistic": _REPORT,
+    "verify.TestReport.tolerance": _REPORT,
+}
+
+
+def _record_fields() -> dict:
+    """`module.Record.field` -> field name, for every field of a NamedTuple
+    or dataclass under src/loopsoup (a `KW_ONLY` marker is no field)."""
+    fields = {}
+    for path in sorted((ROOT / "src" / "loopsoup").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef) or not (
+                    "NamedTuple" in map(ast.unparse, node.bases)
+                    or any(ast.unparse(d).startswith("dataclass")
+                           for d in node.decorator_list)):
+                continue
+            fields.update(
+                (f"{path.stem}.{node.name}.{st.target.id}", st.target.id)
+                for st in node.body if isinstance(st, ast.AnnAssign)
+                and isinstance(st.target, ast.Name)
+                and ast.unparse(st.annotation) != "KW_ONLY")
+    return fields
+
+
+def test_unread_fields_are_listed():
+    """A field is read when some code under src/ loads an attribute of its
+    name, of any object.  The fields read nowhere must be exactly
+    UNREAD_FIELDS: a new unread field and a stale entry both fail."""
+    read = {n.attr for path in (ROOT / "src").rglob("*.py")
+            for n in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = _record_fields()
+    assert fields
+    assert {q for q, name in fields.items() if name not in read} == \
+        set(UNREAD_FIELDS)

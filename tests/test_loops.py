@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loopsoup import (Domain, GraphError, UnorientedGraph, build_graph,
-                      canonicalize_oriented, canonicalize_unoriented,
-                      complete_graph, cycle_graph, enumerate_loops,
-                      pair_reversals, path_graph, regularize_degree, rho_mass,
-                      tail_bound)
+from loopsoup import (Domain, GraphError, LoopClass, UnorientedGraph,
+                      build_graph, canonicalize_oriented,
+                      canonicalize_unoriented, complete_graph, cycle_graph,
+                      enumerate_loops, pair_reversals, path_graph,
+                      regularize_degree, rho_mass, tail_bound)
 from loopsoup import loops
 from loopsoup.cli import run
 from loopsoup.config import config_from_dict
@@ -90,15 +90,22 @@ def test_canonicalize_unoriented_cases(k5):
     # back-and-forth along one edge: equal to its own reversal
     e12 = next(e.id for e in g.edges if (e.tail, e.head) == (1, 2))
     cls = canonicalize_unoriented(g, (e12, inv(e12)), inv)
-    assert cls.J_tilde == 2
+    assert type(cls) is LoopClass
+    assert cls.J == 2
     assert cls.mass == Fraction(1, 4 ** 2 * 2)
+    assert necklace(inv.reverse_path(cls.key))[0] == cls.key
+    ori = canonicalize_oriented(g, (e12, inv(e12)))
+    assert cls == (ori.key, ori.n, 2 * ori.J, ori.mass / 2)
     # directed triangle: reversal is a different oriented class
     e23 = next(e.id for e in g.edges if (e.tail, e.head) == (2, 3))
     e31 = next(e.id for e in g.edges if (e.tail, e.head) == (3, 1))
     tri = canonicalize_unoriented(g, (e12, e23, e31), inv)
-    assert tri.J_tilde == 1
-    assert len(tri.oriented_keys) == 2
+    assert type(tri) is LoopClass
+    assert tri.J == 1
     ori = canonicalize_oriented(g, (e12, e23, e31))
+    back = necklace(inv.reverse_path(ori.key))[0]
+    assert back != ori.key and tri.key == min(ori.key, back)
+    assert tri == canonicalize_oriented(g, tri.key)
     assert tri.mass == ori.mass
 
 
@@ -107,7 +114,9 @@ def test_unoriented_self_edge_loop():
     from loopsoup import Involution
     inv = Involution(g, {0: 0, 1: 2, 2: 1, 3: 3})
     cls = canonicalize_unoriented(g, (0,), inv)
-    assert cls.J_tilde == 2
+    assert cls.J == 2
+    assert cls.mass == Fraction(1, 2 * 2)
+    assert necklace(inv.reverse_path(cls.key))[0] == cls.key == (0,)
 
 
 def test_reversal_invariance(k5, triangle_catalogs):
@@ -295,7 +304,7 @@ def test_unoriented_catalog_merges_oriented_classes(
             u = canonicalize_unoriented(cat.domain.graph, c.key,
                                         cat.unoriented_graph.involution)
             expected[u.key] = u
-        # equality compares key, n, J~, mass and oriented_keys
+        # equality compares key, n, J (J~ here) and mass
         assert {c.key: c for c in ucat.classes} == expected
         assert 2 * ucat.total_mass == cat.total_mass
 
@@ -311,8 +320,10 @@ def test_nu_is_half_mu(triangle_catalogs, dom_ug, L):
     drawn = enumerate_loops(dom, L, unoriented=ug)
     for cat, ucat in (triangle_catalogs, (drawn, drawn.counterpart())):
         assert 2 * ucat.total_mass == cat.total_mass
+        inv = cat.unoriented_graph.involution
         for ucls in ucat.classes:
-            mu_sum = sum(cat.by_key[k].mass for k in ucls.oriented_keys)
+            keys = {ucls.key, necklace(inv.reverse_path(ucls.key))[0]}
+            mu_sum = sum(cat.by_key[k].mass for k in keys)
             assert ucls.mass == mu_sum / 2
 
 
@@ -320,17 +331,24 @@ def test_nu_is_half_mu(triangle_catalogs, dom_ug, L):
 @given(_small_domains(), st.integers(0, 8))
 def test_unoriented_class_keeps_both_orientations(
         paired_self_edge_catalogs, dom_ug, L):
-    """Every unoriented class lists its key and the necklace of the key's
-    reversal as its oriented keys, once when they are equal: on every small
-    domain and cap, and with self-loops the involution pairs."""
+    """Every unoriented class is the oriented class of its key, the
+    smaller of its two orientations, and that very record when its
+    reversal is another class; a self-reversed one is a new record with J
+    doubled and the mass halved: on every small domain and cap, and with
+    self-loops the involution pairs."""
     dom, ug = dom_ug
     for cat in (enumerate_loops(dom, L, unoriented=ug),
                 paired_self_edge_catalogs[0]):
         inv = cat.unoriented_graph.involution
         for u in cat.counterpart().classes:
             back = necklace(inv.reverse_path(u.key))[0]
-            assert u.oriented_keys == ((u.key,) if back == u.key
-                                       else (u.key, back))
+            c = cat.by_key[u.key]
+            assert back in cat.by_key and u.key <= back
+            if back != u.key:
+                assert u is c
+            else:
+                assert u is not c and type(u) is LoopClass
+                assert u == (c.key, c.n, 2 * c.J, c.mass / 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
